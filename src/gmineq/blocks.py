@@ -6,29 +6,47 @@ nonzero spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import errors
-from .linalg import hermitian_eig, hermitize, matrix_power, require_spd
+from .linalg import hermitian_eig, hermitize, power_from_eig, require_spd
 
 COMMUTING_RTOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InstanceSet:
     """One experiment instance: m pairs of n x n positive definite matrices.
 
     kind is 'generic' or 'commuting'; commuting instances satisfy
     A_i B_i = B_i A_i pairwise (shared eigenbasis by construction).
+
+    Immutable: A and B are stored as tuples of read-only complex128 copies,
+    so the spectra cache `spectra` can never go stale.
     """
 
     m: int
     n: int
-    A: list = field(repr=False)
-    B: list = field(repr=False)
+    A: tuple = field(repr=False)
+    B: tuple = field(repr=False)
     seed: int = 0
     kind: str = "generic"
+
+    def __post_init__(self):
+        for name in ("A", "B"):
+            copies = tuple(np.array(X, dtype=np.complex128) for X in getattr(self, name))
+            for X in copies:
+                X.flags.writeable = False
+            object.__setattr__(self, name, copies)
+
+    @cached_property
+    def spectra(self):
+        """The spectra cache (chains.InstanceSpectra), built on first access."""
+        from .chains import InstanceSpectra  # chains imports this module
+
+        return InstanceSpectra(self)
 
     def validate(self) -> "InstanceSet":
         if self.kind not in ("generic", "commuting"):
@@ -63,7 +81,7 @@ def build_Z(inst: InstanceSet) -> np.ndarray:
     B_i^{1/2} (sum_k A_k) B_j^{1/2}."""
     m, n = inst.m, inst.n
     sA = inst.sum_A()
-    Bh = [matrix_power(Bi, 0.5) for Bi in inst.B]
+    Bh = [power_from_eig(eig, 0.5) for eig in inst.spectra.eig_B]
     Z = np.empty((m * n, m * n), dtype=np.complex128)
     for i in range(m):
         for j in range(m):
@@ -74,8 +92,8 @@ def build_Z(inst: InstanceSet) -> np.ndarray:
 def build_Y(inst: InstanceSet) -> np.ndarray:
     """The mn x mn factor with Y Y* = Z; block (i, j) is B_i^{1/2} A_j^{1/2}."""
     m, n = inst.m, inst.n
-    Ah = [matrix_power(Ai, 0.5) for Ai in inst.A]
-    Bh = [matrix_power(Bi, 0.5) for Bi in inst.B]
+    Ah = [power_from_eig(eig, 0.5) for eig in inst.spectra.eig_A]
+    Bh = [power_from_eig(eig, 0.5) for eig in inst.spectra.eig_B]
     Y = np.empty((m * n, m * n), dtype=np.complex128)
     for i in range(m):
         for j in range(m):
@@ -86,7 +104,7 @@ def build_Y(inst: InstanceSet) -> np.ndarray:
 def reduced_core(inst: InstanceSet) -> np.ndarray:
     """(sum A)^{1/2} (sum B) (sum A)^{1/2}: the n x n SPD matrix unitarily
     equivalent to Z's nonzero part."""
-    sAh = matrix_power(inst.sum_A(), 0.5)
+    sAh = power_from_eig(inst.spectra.eig_sum_A, 0.5)
     return hermitize(sAh @ inst.sum_B() @ sAh)
 
 

@@ -13,13 +13,14 @@ Ky Fan norms treat missing singular values as zeros.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .blocks import InstanceSet, build_Z
-from .linalg import hermitian_eig, hermitize, matrix_power
+from .linalg import EigenDecomposition, hermitian_eig, hermitize, power_from_eig
 from .means import t_geometric_mean
 from .norms import NormSpec, norm_from_sv, singular_values
 
@@ -100,39 +101,125 @@ def _spectrum_power(w: np.ndarray, x: float) -> np.ndarray:
     return np.sort(lam ** x)[::-1]
 
 
-def condition_max(inst: InstanceSet) -> float:
-    """Largest condition number over the inputs and both sums."""
-    mats = [*inst.A, *inst.B, inst.sum_A(), inst.sum_B()]
-    worst = 1.0
-    for H in mats:
-        w = hermitian_eig(H).eigenvalues
-        lo, hi = float(w[-1]), float(w[0])
-        worst = max(worst, math.inf if lo <= 0.0 else hi / lo)
-    return worst
-
-
-def _psd_power(H: np.ndarray, x: float) -> np.ndarray:
-    """H**x for a matrix that is PSD by construction; round-off negatives in
-    the spectrum are clipped to zero instead of raising."""
-    eig = hermitian_eig(hermitize(H))
+def _psd_power(eig: EigenDecomposition, x: float) -> np.ndarray:
+    """H**x from the eigendecomposition of a matrix that is PSD by
+    construction; round-off negatives in the spectrum are clipped to zero
+    instead of raising."""
     w = np.clip(eig.eigenvalues, 0.0, None) ** x
     return hermitize((eig.vectors * w) @ eig.vectors.conj().T)
 
 
-def _mean_power_sum(inst: InstanceSet, s: float, t: float, r: float) -> np.ndarray:
-    """sum_i (A_i^s #_t B_i^s)^r."""
-    acc = np.zeros((inst.n, inst.n), dtype=np.complex128)
-    for Ai, Bi in zip(inst.A, inst.B):
-        G = t_geometric_mean(matrix_power(Ai, s), matrix_power(Bi, s), t)
-        acc += _psd_power(G, r)
-    return hermitize(acc)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _sandwich_sv(sA, sB, a_exp: float, b_exp: float, inv_p: float) -> np.ndarray:
-    """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}."""
-    left = matrix_power(sA, a_exp)
-    inner = hermitize(left @ matrix_power(sB, b_exp) @ left)
-    return _spectrum_power(hermitian_eig(inner).eigenvalues, inv_p)
+class InstanceSpectra:
+    """Spectral data of one instance, each piece computed on first use and
+    then shared by every chain and parameter point.
+
+    Each value is computed exactly as a direct evaluation computes it (the
+    same eigh on the same array, the same clip and hermitize steps), so
+    terms read from here are bitwise equal to uncached ones.  Reached as
+    `inst.spectra`; it holds only a weak reference to the instance that
+    owns it.
+    """
+
+    def __init__(self, inst: InstanceSet):
+        self._inst = weakref.proxy(inst)
+        self._memo = {}
+
+    def _cached(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
+    def eig_A(self) -> tuple:
+        return self._cached("A", lambda: tuple(map(hermitian_eig, self._inst.A)))
+
+    @property
+    def eig_B(self) -> tuple:
+        return self._cached("B", lambda: tuple(map(hermitian_eig, self._inst.B)))
+
+    @property
+    def eig_sum_A(self) -> EigenDecomposition:
+        return self._cached("sum_A", lambda: hermitian_eig(self._inst.sum_A()))
+
+    @property
+    def eig_sum_B(self) -> EigenDecomposition:
+        return self._cached("sum_B", lambda: hermitian_eig(self._inst.sum_B()))
+
+    @property
+    def z_eigenvalues(self) -> np.ndarray:
+        return self._cached("Z", lambda: hermitian_eig(build_Z(self._inst)).eigenvalues)
+
+    @property
+    def condition_max(self) -> float:
+        """Largest condition number over the inputs and both sums."""
+
+        def compute():
+            worst = 1.0
+            for eig in (*self.eig_A, *self.eig_B, self.eig_sum_A, self.eig_sum_B):
+                lo, hi = float(eig.eigenvalues[-1]), float(eig.eigenvalues[0])
+                worst = max(worst, math.inf if lo <= 0.0 else hi / lo)
+            return worst
+
+        return self._cached("condition_max", compute)
+
+    def _mean_eigs(self, s: float, t: float) -> tuple:
+        """Eigendecompositions of A_i^s #_t B_i^s, one per pair."""
+
+        def compute():
+            return tuple(
+                hermitian_eig(hermitize(t_geometric_mean(
+                    power_from_eig(eig_a, s), power_from_eig(eig_b, s), t)))
+                for eig_a, eig_b in zip(self.eig_A, self.eig_B)
+            )
+
+        return self._cached(("mean", s, t), compute)
+
+    def lhs_sv(self, s: float, t: float, r: float) -> np.ndarray:
+        """Singular values of sum_i (A_i^s #_t B_i^s)^r."""
+
+        def compute():
+            acc = np.zeros((self._inst.n, self._inst.n), dtype=np.complex128)
+            for eig in self._mean_eigs(s, t):
+                acc += _psd_power(eig, r)
+            return _read_only(_psd_sv(hermitize(acc)))
+
+        return self._cached(("lhs", s, t, r), compute)
+
+    def sandwich_sv(self, a_exp: float, b_exp: float, inv_p: float) -> np.ndarray:
+        """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}."""
+
+        def compute():
+            left = power_from_eig(self.eig_sum_A, a_exp)
+            inner = hermitize(left @ power_from_eig(self.eig_sum_B, b_exp) @ left)
+            return _read_only(_spectrum_power(hermitian_eig(inner).eigenvalues, inv_p))
+
+        return self._cached(("sandwich", a_exp, b_exp, inv_p), compute)
+
+    def commuting_sv(self) -> tuple:
+        """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
+        after validating the instance."""
+
+        def compute():
+            inst = self._inst.validate()
+            lhs = np.zeros((inst.n, inst.n), dtype=np.complex128)
+            mid_root = np.zeros((inst.n, inst.n), dtype=np.complex128)
+            for Ai, Bi, eig_a, eig_b in zip(inst.A, inst.B, self.eig_A, self.eig_B):
+                lhs += Ai @ Bi
+                mid_root += power_from_eig(eig_a, 0.5) @ power_from_eig(eig_b, 0.5)
+            mid_sv = _spectrum_power(hermitian_eig(hermitize(mid_root)).eigenvalues, 2.0)
+            return _read_only(_psd_sv(lhs)), _read_only(mid_sv)
+
+        return self._cached("commuting", compute)
+
+
+def condition_max(inst: InstanceSet) -> float:
+    """Largest condition number over the inputs and both sums."""
+    return inst.spectra.condition_max
 
 
 def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
@@ -143,15 +230,12 @@ def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
         raise errors.HypothesisViolation(
             f"main chain requires s>=2, r>=1, p>0, rp>=1; got s={s}, r={r}, p={p}"
         )
-    lhs_sv = _psd_sv(_mean_power_sum(inst, s, 0.5, r))
-    wZ = hermitian_eig(build_Z(inst)).eigenvalues
-    mid_sv = _spectrum_power(wZ, s * r / 2.0)
-    rhs_sv = _sandwich_sv(inst.sum_A(), inst.sum_B(), s * r * p / 4.0, s * r * p / 2.0, 1.0 / p)
+    sp = inst.spectra
     return ChainTerms(
         chain_id="main",
-        lhs_sv=lhs_sv,
-        mid_sv=mid_sv,
-        rhs_sv=rhs_sv,
+        lhs_sv=sp.lhs_sv(s, 0.5, r),
+        mid_sv=_spectrum_power(sp.z_eigenvalues, s * r / 2.0),
+        rhs_sv=sp.sandwich_sv(s * r * p / 4.0, s * r * p / 2.0, 1.0 / p),
         status="proven",
         condition_max=condition_max(inst),
     )
@@ -161,13 +245,11 @@ def geo_z_terms(inst: InstanceSet, s: float) -> ChainTerms:
     """Left step alone: ||sum A_i^s # B_i^s|| <= ||Z^{s/2}||, valid for s >= 1."""
     if not s >= 1.0:
         raise errors.HypothesisViolation(f"geo-z step requires s >= 1, got s={s}")
-    lhs_sv = _psd_sv(_mean_power_sum(inst, s, 0.5, 1.0))
-    wZ = hermitian_eig(build_Z(inst)).eigenvalues
-    rhs_sv = _spectrum_power(wZ, s / 2.0)
+    sp = inst.spectra
     return ChainTerms(
         chain_id="geo-z",
-        lhs_sv=lhs_sv,
-        rhs_sv=rhs_sv,
+        lhs_sv=sp.lhs_sv(s, 0.5, 1.0),
+        rhs_sv=_spectrum_power(sp.z_eigenvalues, s / 2.0),
         status="proven",
         condition_max=condition_max(inst),
     )
@@ -195,14 +277,11 @@ def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
         raise errors.HypothesisViolation(f"t must lie in [0, 1], got {t}")
     if s <= 0.0 or r <= 0.0 or p <= 0.0:
         raise errors.HypothesisViolation(f"need s, r, p > 0; got s={s}, r={r}, p={p}")
-    lhs_sv = _psd_sv(_mean_power_sum(inst, s, t, r))
-    rhs_sv = _sandwich_sv(
-        inst.sum_A(), inst.sum_B(), (1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p
-    )
+    sp = inst.spectra
     return ChainTerms(
         chain_id="t-chain",
-        lhs_sv=lhs_sv,
-        rhs_sv=rhs_sv,
+        lhs_sv=sp.lhs_sv(s, t, r),
+        rhs_sv=sp.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p),
         status=t_chain_status(params),
         condition_max=condition_max(inst),
     )
@@ -215,20 +294,12 @@ def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
     if inst.kind != "commuting":
         raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need 'commuting'")
-    inst.validate()
-    lhs = np.zeros((inst.n, inst.n), dtype=np.complex128)
-    mid_root = np.zeros((inst.n, inst.n), dtype=np.complex128)
-    for Ai, Bi in zip(inst.A, inst.B):
-        lhs += Ai @ Bi
-        mid_root += matrix_power(Ai, 0.5) @ matrix_power(Bi, 0.5)
-    mid_root = hermitize(mid_root)
-    lhs_sv = _psd_sv(lhs)
-    mid_sv = _spectrum_power(hermitian_eig(mid_root).eigenvalues, 2.0)
-    sA, sB = inst.sum_A(), inst.sum_B()
+    sp = inst.spectra
+    lhs_sv, mid_sv = sp.commuting_sv()
     if variant == "product":
-        rhs_sv = singular_values(sA @ sB)
+        rhs_sv = singular_values(inst.sum_A() @ inst.sum_B())
     else:
-        rhs_sv = _sandwich_sv(sA, sB, 0.5, 1.0, 1.0)
+        rhs_sv = sp.sandwich_sv(0.5, 1.0, 1.0)
     return ChainTerms(
         chain_id=f"commuting-{variant}",
         lhs_sv=lhs_sv,

@@ -145,6 +145,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    if (args.t_lo is None) != (args.t_hi is None):
+        raise errors.ConfigError("--t-lo and --t-hi must be given together")
     t_range = (args.t, args.t) if args.t_lo is None else (args.t_lo, args.t_hi)
     cfg = SearchConfig(
         base_seed=args.seed,

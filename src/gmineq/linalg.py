@@ -102,16 +102,21 @@ def _power_spectrum(w: np.ndarray, x: float) -> np.ndarray:
         return wc ** x
 
 
-def matrix_power(H, x: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """V diag(lambda_i**x) V* for Hermitian H with nonnegative spectrum.
+def power_from_eig(eig: EigenDecomposition, x: float) -> np.ndarray:
+    """V diag(lambda_i**x) V* from an eigendecomposition with nonnegative
+    spectrum.
 
     Eigenvalues within the clip floor of zero are clipped to zero before
     exponentiation; x < 0 additionally requires the spectrum to clear the
     PD floor.
     """
-    eig = hermitian_eig(H, rtol)
     wx = _power_spectrum(eig.eigenvalues, float(x))
     return hermitize((eig.vectors * wx) @ eig.vectors.conj().T)
+
+
+def matrix_power(H, x: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """H**x for Hermitian H with nonnegative spectrum (see power_from_eig)."""
+    return power_from_eig(hermitian_eig(H, rtol), x)
 
 
 def matrix_abs(M) -> np.ndarray:
@@ -145,9 +150,7 @@ class DefinitenessReport:
     max_eigenvalue: float
 
 
-def is_positive_definite(H, tol: float = PD_FLOOR) -> DefinitenessReport:
-    """True iff min eigenvalue > tol * max(1, max eigenvalue)."""
-    w = hermitian_eig(H).eigenvalues
+def _definiteness(w: np.ndarray, tol: float) -> DefinitenessReport:
     lo, hi = float(w[-1]), float(w[0])
     return DefinitenessReport(
         positive_definite=lo > tol * max(1.0, hi),
@@ -156,13 +159,25 @@ def is_positive_definite(H, tol: float = PD_FLOOR) -> DefinitenessReport:
     )
 
 
-def require_spd(H, tol: float = PD_FLOOR) -> np.ndarray:
-    A = require_hermitian(H)
-    rep = is_positive_definite(A, tol)
+def is_positive_definite(H, tol: float = PD_FLOOR) -> DefinitenessReport:
+    """True iff min eigenvalue > tol * max(1, max eigenvalue)."""
+    return _definiteness(hermitian_eig(H).eigenvalues, tol)
+
+
+def spd_eig(H, tol: float = PD_FLOOR) -> EigenDecomposition:
+    """hermitian_eig(H), raising SingularInput unless H is positive definite."""
+    eig = hermitian_eig(H)
+    rep = _definiteness(eig.eigenvalues, tol)
     if not rep.positive_definite:
         raise errors.SingularInput(
             f"matrix not positive definite: min eigenvalue {rep.min_eigenvalue:.3e}"
         )
+    return eig
+
+
+def require_spd(H, tol: float = PD_FLOOR) -> np.ndarray:
+    A = require_hermitian(H)
+    spd_eig(A, tol)
     return A
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .linalg import hermitize, matrix_power, polar_unitary, require_spd
+from .linalg import (hermitize, matrix_power, polar_unitary, power_from_eig,
+                     require_hermitian, require_spd, spd_eig)
 
 
 def t_geometric_mean(A, B, t: float) -> np.ndarray:
@@ -22,7 +23,8 @@ def t_geometric_mean(A, B, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise errors.HypothesisViolation(f"t must lie in [0, 1], got {t}")
-    A = require_spd(A)
+    A = require_hermitian(A)
+    eig_A = spd_eig(A)  # one decomposition for the check and both A^{+-1/2}
     B = require_spd(B)
     if A.shape != B.shape:
         raise errors.DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
@@ -30,8 +32,8 @@ def t_geometric_mean(A, B, t: float) -> np.ndarray:
         return A.copy()
     if t == 1.0:
         return B.copy()
-    Ah = matrix_power(A, 0.5)
-    Aih = matrix_power(A, -0.5)
+    Ah = power_from_eig(eig_A, 0.5)
+    Aih = power_from_eig(eig_A, -0.5)
     inner = matrix_power(hermitize(Aih @ B @ Aih), t)
     return hermitize(Ah @ inner @ Ah)
 

@@ -5,6 +5,7 @@ serial and concurrent runs produce identical reports.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -23,6 +24,12 @@ from .lemmas import LEMMA_IDS, lemma_report_from_terms, lemma_terms, random_case
 from .reports import ReportSet, build_report_set, chain_record, lemma_record
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
+LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
+               "t_values", "norms", "lemma_ids")
+
+
+def _all_of(kind, values) -> bool:
+    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
 
 
 @dataclass
@@ -44,6 +51,14 @@ class SweepConfig:
     lemma_ids: list = field(default_factory=lambda: list(LEMMA_IDS))
 
     def validate(self) -> "SweepConfig":
+        for name in LIST_FIELDS:
+            if not isinstance(getattr(self, name), list):
+                raise errors.ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+        if not _all_of(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count]):
+            raise errors.ConfigError("n_values, m_values and instance_count must be integers")
+        if not _all_of(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
+                                      *self.t_values]):
+            raise errors.ConfigError("s, r, p and t values must be numbers")
         for c in self.chains:
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")

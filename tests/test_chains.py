@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
+from gmineq.blocks import InstanceSet
 from gmineq.chains import (
     ChainParams,
     commuting_terms,
@@ -19,10 +22,15 @@ from gmineq.chains import (
     t_chain_terms,
 )
 from gmineq.generate import generate_instance
+from gmineq.linalg import hermitian_eig, hermitize, matrix_power
+from gmineq.means import t_geometric_mean
 from gmineq.norms import NormSpec
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.schatten(1),
          NormSpec.schatten(2), NormSpec.schatten(np.inf)]
+# Criterion 1's (s, r, p) grid: 28 points.
+MAIN_GRID = [ChainParams(s=s, r=r, p=p) for s in (2.0, 2.5, 3.0, 4.0)
+             for r in (1.0, 1.5, 2.0) for p in (0.5, 1.0, 2.0) if r * p >= 1.0]
 
 
 class TestMainChain:
@@ -148,3 +156,109 @@ class TestReporting:
         specs = expand_norm_tokens(["kyfan:all", "schatten:2", NormSpec.trace()], 3)
         assert specs[:3] == [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.ky_fan(3)]
         assert specs[3:] == [NormSpec.schatten(2), NormSpec.trace()]
+
+
+def _bitwise_equal(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _direct_main_sv(inst, params):
+    """The main chain's terms evaluated directly, every power from its own
+    eigendecomposition: the reference the cached terms must equal bitwise."""
+    s, r, p = params.s, params.r, params.p
+    acc = np.zeros((inst.n, inst.n), dtype=np.complex128)
+    for Ai, Bi in zip(inst.A, inst.B):
+        G = t_geometric_mean(matrix_power(Ai, s), matrix_power(Bi, s), 0.5)
+        eig = hermitian_eig(hermitize(G))
+        w = np.clip(eig.eigenvalues, 0.0, None) ** r
+        acc += hermitize((eig.vectors * w) @ eig.vectors.conj().T)
+    lhs_sv = np.clip(hermitian_eig(hermitize(hermitize(acc))).eigenvalues, 0.0, None)
+
+    def spectrum_power(w, x):
+        lam = np.clip(w, 0.0, None)
+        lam[lam <= 1e-12 * lam.max(initial=0.0)] = 0.0
+        return np.sort(lam ** x)[::-1]
+
+    sA, sB = inst.sum_A(), inst.sum_B()
+    Bh = [matrix_power(Bi, 0.5) for Bi in inst.B]
+    Z = np.block([[Bh[i] @ sA @ Bh[j] for j in range(inst.m)] for i in range(inst.m)])
+    mid_sv = spectrum_power(hermitian_eig(hermitize(Z)).eigenvalues, s * r / 2.0)
+    left = matrix_power(sA, s * r * p / 4.0)
+    inner = hermitize(left @ matrix_power(sB, s * r * p / 2.0) @ left)
+    rhs_sv = spectrum_power(hermitian_eig(inner).eigenvalues, 1.0 / p)
+    return lhs_sv, mid_sv, rhs_sv
+
+
+class TestSpectraCache:
+    """Terms read from one shared instance (and so from its spectra cache)
+    must be bitwise equal to terms from a fresh instance per point."""
+
+    EVALUATIONS = (
+        [lambda inst, params=params: main_chain_terms(inst, params) for params in MAIN_GRID]
+        + [lambda inst, s=s: geo_z_terms(inst, s) for s in (1.0, 1.5, 2.0, 3.0)]
+        + [lambda inst, params=ChainParams(s=s, r=r, p=p, t=t): t_chain_terms(inst, params)
+           for s in (1.5, 2.0, 3.0) for r in (1.0, 2.0) for p in (0.5, 1.0) for t in (0.3, 0.5)]
+    )
+
+    @staticmethod
+    def _assert_same(cached, fresh):
+        for name in ("lhs_sv", "mid_sv", "rhs_sv"):
+            assert _bitwise_equal(getattr(cached, name), getattr(fresh, name)), name
+        assert cached.condition_max == fresh.condition_max
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 3, 31), (2, 2, 32), (3, 2, 33), (4, 3, 34)])
+    def test_shared_instance_matches_fresh(self, n, m, seed):
+        shared = generate_instance("generic", n, m, seed)
+        for evaluate in self.EVALUATIONS:
+            self._assert_same(evaluate(shared), evaluate(generate_instance("generic", n, m, seed)))
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 2, 39), (3, 2, 40), (4, 3, 41)])
+    def test_main_terms_match_direct_formula(self, n, m, seed):
+        inst = generate_instance("generic", n, m, seed)
+        for params in MAIN_GRID:
+            cached = main_chain_terms(inst, params)
+            lhs_sv, mid_sv, rhs_sv = _direct_main_sv(inst, params)
+            assert _bitwise_equal(cached.lhs_sv, lhs_sv)
+            assert _bitwise_equal(cached.mid_sv, mid_sv)
+            assert _bitwise_equal(cached.rhs_sv, rhs_sv)
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 2, 35), (3, 3, 36)])
+    def test_commuting_shared_matches_fresh(self, n, m, seed):
+        shared = generate_instance("commuting", n, m, seed)
+        for variant in ("product", "symmetrized", "product"):
+            fresh = generate_instance("commuting", n, m, seed)
+            self._assert_same(commuting_terms(shared, variant), commuting_terms(fresh, variant))
+
+    def test_instance_is_immutable(self):
+        inst = generate_instance("generic", 2, 2, 37)
+        with pytest.raises(ValueError):
+            inst.A[0][0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.A = inst.B
+        with pytest.raises(ValueError):
+            main_chain_terms(inst, ChainParams()).lhs_sv[0] = 0.0
+
+    def test_instance_owns_its_matrices(self):
+        A0 = np.eye(2)
+        inst = InstanceSet(m=1, n=2, A=[A0], B=[np.eye(2)])
+        before = main_chain_terms(inst, ChainParams())
+        A0[0, 0] = 5.0
+        assert inst.A[0][0, 0] == 1.0
+        assert _bitwise_equal(before.lhs_sv, main_chain_terms(inst, ChainParams()).lhs_sv)
+
+    def test_eigh_count_on_main_grid(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        inst = generate_instance("generic", 3, 2, 38)
+        assert len(MAIN_GRID) == 28
+        for params in MAIN_GRID:
+            main_chain_terms(inst, params)
+        assert len(calls) <= 4 * len(MAIN_GRID), len(calls)

@@ -100,6 +100,16 @@ class TestSweep:
         with pytest.raises(errors.ConfigError):
             SweepConfig(lemma_ids=["Cauchy"]).validate()
 
+    @pytest.mark.parametrize("bad", [
+        {"n_values": 3}, {"m_values": "2"}, {"s_values": 2.0}, {"r_values": None},
+        {"p_values": (1.0,)}, {"t_values": 0.5}, {"norms": "kyfan:all"},
+        {"chains": "main"}, {"lemma_ids": "weyl"}, {"n_values": [2.5]},
+        {"m_values": [True]}, {"instance_count": 1.5}, {"r_values": ["1"]},
+    ])
+    def test_config_type_validation(self, bad):
+        with pytest.raises(errors.ConfigError):
+            SweepConfig.from_dict(bad)
+
     def test_serial_equals_concurrent(self, tmp_path):
         cfg = SweepConfig(**SMALL)
         rs1 = run_sweep(cfg, workers=1)
@@ -219,3 +229,14 @@ class TestCli:
         bad_norm = cli.main(["verify", "--chain", "main", "--count", "1",
                              "--norms", "nuclear"])
         assert bad_norm == cli.EXIT_CONFIG
+
+    def test_config_type_error_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"n_values": 3}')
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_CONFIG
+        assert "n_values must be a list" in capsys.readouterr().err
+
+    def test_hunt_half_t_range_exit_code(self, capsys):
+        for flag, value in (("--t-lo", "0.2"), ("--t-hi", "0.8")):
+            assert cli.main(["hunt", "--samples", "1", flag, value]) == cli.EXIT_CONFIG
+            assert "--t-lo and --t-hi must be given together" in capsys.readouterr().err
