@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .blocks import InstanceSet, build_Z
-from .linalg import EigenDecomposition, hermitian_eig, hermitize, power_from_eig
+from .linalg import EigenDecomposition, hermitian_eig, hermitize, power_from_eig, psd_sv
 from .means import t_geometric_mean
 from .norms import NormSpec, norm_from_sv, singular_values
 
@@ -86,12 +86,6 @@ class ChainTerms:
         if self.mid_sv is not None:
             dims.append(self.mid_sv.size)
         return max(dims)
-
-
-def _psd_sv(H: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian PSD matrix, negatives clipped."""
-    w = hermitian_eig(hermitize(H)).eigenvalues
-    return np.clip(w, 0.0, None)
 
 
 def _spectrum_power(w: np.ndarray, x: float) -> np.ndarray:
@@ -186,7 +180,7 @@ class InstanceSpectra:
             acc = np.zeros((self._inst.n, self._inst.n), dtype=np.complex128)
             for eig in self._mean_eigs(s, t):
                 acc += _psd_power(eig, r)
-            return _read_only(_psd_sv(hermitize(acc)))
+            return _read_only(psd_sv(hermitize(acc)))
 
         return self._cached(("lhs", s, t, r), compute)
 
@@ -212,7 +206,7 @@ class InstanceSpectra:
                 lhs += Ai @ Bi
                 mid_root += power_from_eig(eig_a, 0.5) @ power_from_eig(eig_b, 0.5)
             mid_sv = _spectrum_power(hermitian_eig(hermitize(mid_root)).eigenvalues, 2.0)
-            return _read_only(_psd_sv(lhs)), _read_only(mid_sv)
+            return _read_only(psd_sv(lhs)), _read_only(mid_sv)
 
         return self._cached("commuting", compute)
 
@@ -357,14 +351,6 @@ def expand_norm_tokens(tokens, max_dim: int) -> list:
         else:
             specs.append(NormSpec.parse(tok))
     return specs
-
-
-def _reports(terms, inst, params, norms, tol_rel, condition_cap):
-    specs = expand_norm_tokens(norms, terms.max_dim)
-    return [
-        report_from_terms(terms, inst, params, spec, tol_rel, condition_cap)
-        for spec in specs
-    ]
 
 
 def eval_main_chain(

@@ -21,7 +21,7 @@ import sys
 from . import errors
 from .hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
 from .reports import ReportSet, read_reports, write_reports
-from .sweep import SweepConfig, has_proven_failure, run_sweep
+from .sweep import KNOWN_CHAINS, SweepConfig, has_proven_failure, run_sweep
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -46,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="evaluate one chain family from flags")
-    v.add_argument("--chain", required=True,
-                   choices=["main", "geo-z", "t-chain", "commuting", "lemmas"])
+    v.add_argument("--chain", required=True, choices=KNOWN_CHAINS)
     v.add_argument("--n", type=_ints, default=[2])
     v.add_argument("--m", type=_ints, default=[2])
     v.add_argument("--count", type=int, default=100)
@@ -62,12 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--condition-cap", type=float, default=1e8)
     v.add_argument("--spectrum-lo", type=float, default=0.1)
     v.add_argument("--spectrum-hi", type=float, default=10.0)
-    v.add_argument("--workers", type=int, default=1)
     v.add_argument("--out", default=None)
 
     s = sub.add_parser("sweep", help="run a sweep from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", default=None)
 
     h = sub.add_parser("hunt", help="search the conjectured region")
@@ -106,10 +103,19 @@ def _print_summary(rs: ReportSet) -> None:
         )
 
 
+def _sweep(cfg: SweepConfig, out) -> int:
+    rs = run_sweep(cfg)
+    _print_summary(rs)
+    if out:
+        write_reports(rs, out)
+        print(f"wrote {out}")
+    return EXIT_VIOLATION if has_proven_failure(rs) else EXIT_OK
+
+
 def _cmd_verify(args) -> int:
     from .generate import SpectrumLaw
 
-    cfg = SweepConfig(
+    return _sweep(SweepConfig(
         chains=[args.chain],
         n_values=args.n,
         m_values=args.m,
@@ -124,24 +130,13 @@ def _cmd_verify(args) -> int:
         norms=args.norms,
         tol_rel=args.tol,
         condition_cap=args.condition_cap,
-    )
-    rs = run_sweep(cfg, workers=args.workers)
-    _print_summary(rs)
-    if args.out:
-        write_reports(rs, args.out)
-        print(f"wrote {args.out}")
-    return EXIT_VIOLATION if has_proven_failure(rs) else EXIT_OK
+    ), args.out)
 
 
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = SweepConfig.from_dict(json.load(fh))
-    rs = run_sweep(cfg, workers=args.workers)
-    _print_summary(rs)
-    if args.out:
-        write_reports(rs, args.out)
-        print(f"wrote {args.out}")
-    return EXIT_VIOLATION if has_proven_failure(rs) else EXIT_OK
+    return _sweep(cfg, args.out)
 
 
 def _cmd_hunt(args) -> int:

@@ -55,3 +55,10 @@ class ConfigError(Error):
 
 class SchemaVersionMismatch(Error):
     """Report file carries an unsupported schema version."""
+
+
+def require_all(kind, values, message: str) -> None:
+    """Raise ConfigError(message) unless every value is an instance of
+    `kind`; booleans never count as numbers."""
+    if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
+        raise ConfigError(message)

@@ -8,6 +8,7 @@ reported as a violation candidate.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -15,10 +16,17 @@ import numpy as np
 
 from . import errors, highprec
 from .blocks import InstanceSet
-from .chains import ChainParams, expand_norm_tokens, t_chain_status, t_chain_terms
+from .chains import (
+    ChainParams,
+    ChainTerms,
+    expand_norm_tokens,
+    report_from_terms,
+    t_chain_status,
+    t_chain_terms,
+)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
 from .linalg import hermitian_eig, hermitize
-from .norms import NormSpec, norm_from_sv
+from .norms import NormSpec
 from .reports import SCHEMA_VERSION
 
 _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement steps
@@ -42,6 +50,24 @@ class SearchConfig:
     condition_cap: float = 1e8
 
     def validate(self) -> "SearchConfig":
+        errors.require_all(numbers.Integral,
+                           [self.samples, self.refine_steps, self.n_max, self.m_max],
+                           "samples, refine_steps, n_max and m_max must be integers")
+        errors.require_all(numbers.Real, [self.refine_scale], "refine_scale must be a number")
+        for name in ("s_range", "t_range"):
+            pair = getattr(self, name)
+            message = f"{name} must be a pair of numbers, got {pair!r}"
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise errors.ConfigError(message)
+            errors.require_all(numbers.Real, pair, message)
+        for name in ("r_values", "p_values"):
+            values = getattr(self, name)
+            message = f"{name} must be a nonempty list of positive numbers, got {values!r}"
+            if not isinstance(values, (list, tuple)) or not values:
+                raise errors.ConfigError(message)
+            errors.require_all(numbers.Real, values, message)
+            if not all(v > 0.0 for v in values):
+                raise errors.ConfigError(message)
         if self.samples < 1:
             raise errors.ConfigError("samples must be >= 1")
         if self.refine_steps < 0 or self.refine_scale <= 0.0:
@@ -52,8 +78,6 @@ class SearchConfig:
             raise errors.ConfigError(f"invalid t_range {self.t_range}")
         if self.n_max < 1 or self.m_max < 1:
             raise errors.ConfigError("n_max and m_max must be >= 1")
-        if not self.r_values or not self.p_values:
-            raise errors.ConfigError("r_values and p_values must be nonempty")
         return self
 
 
@@ -108,16 +132,21 @@ class SearchResult:
         )
 
 
+def _margin(terms: ChainTerms, inst: InstanceSet, params: ChainParams, spec: NormSpec) -> float:
+    """Normalized margin of one norm: the report's min margin over its scale."""
+    rep = report_from_terms(terms, inst, params, spec)
+    return rep.min_margin / rep.scale
+
+
 def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
-    """Min over norms of (rhs - lhs) / max(1, rhs); None when gated."""
+    """Smallest normalized margin over the norms, the first such norm
+    winning a tie; None when gated."""
     terms = t_chain_terms(inst, params)
     if terms.condition_max > condition_cap:
         return None, None
     best, best_spec = np.inf, None
     for spec in expand_norm_tokens(norms, terms.max_dim):
-        lhs = norm_from_sv(terms.lhs_sv, spec, pad=True)
-        rhs = norm_from_sv(terms.rhs_sv, spec, pad=True)
-        margin = (rhs - lhs) / max(1.0, rhs)
+        margin = _margin(terms, inst, params, spec)
         if margin < best:
             best, best_spec = margin, spec
     return float(best), best_spec
@@ -168,15 +197,13 @@ def _perturb_point(inst, params, cfg, rng):
 
 
 def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margin: float) -> dict:
-    from .reports import norm_record
-
     return {
         "kind": inst.kind,
         "n": inst.n,
         "m": inst.m,
         "instance_seed": inst.seed,
         "params": params.as_dict(),
-        "norm": norm_record(spec),
+        "norm": spec.to_record(),
         "margin": margin,
         "status": t_chain_status(params),
         "A": [_complex_to_lists(Ai) for Ai in inst.A],
@@ -196,20 +223,7 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = 1e8) -> float:
         kind=arg["kind"],
     )
     params = ChainParams(**arg["params"])
-    norm = _spec_from_record(arg["norm"])
-    terms = t_chain_terms(inst, params)
-    lhs = norm_from_sv(terms.lhs_sv, norm, pad=True)
-    rhs = norm_from_sv(terms.rhs_sv, norm, pad=True)
-    return float((rhs - lhs) / max(1.0, rhs))
-
-
-def _spec_from_record(rec: dict) -> NormSpec:
-    if rec["variant"] == "kyfan":
-        return NormSpec.ky_fan(rec["k"])
-    if rec["variant"] == "schatten":
-        p = np.inf if rec["p"] == "inf" else rec["p"]
-        return NormSpec.schatten(p)
-    return NormSpec(rec["variant"])
+    return _margin(t_chain_terms(inst, params), inst, params, NormSpec.from_record(arg["norm"]))
 
 
 def hunt(cfg: SearchConfig) -> SearchResult:

@@ -23,7 +23,7 @@ import numpy as np
 from . import errors
 from .chains import DEFAULT_TOL_REL
 from .generate import DEFAULT_LAW, SpectrumLaw, haar_unitary, random_spd
-from .linalg import hermitian_eig, hermitize, matrix_power
+from .linalg import hermitize, matrix_power, psd_sv
 from .means import geometric_mean_unitary
 from .norms import NormSpec, ky_fan_dominance, norm_from_sv, singular_values
 
@@ -67,10 +67,6 @@ class LemmaReport:
     equality: bool = False
 
 
-def _psd_sv(H) -> np.ndarray:
-    return np.clip(hermitian_eig(hermitize(H)).eigenvalues, 0.0, None)
-
-
 def _require_unitary(U, name: str) -> np.ndarray:
     U = np.asarray(U, dtype=np.complex128)
     defect = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
@@ -108,10 +104,10 @@ def _terms_araki(case) -> _LemmaTerms:
     if not (q >= 1.0 and p > 0.0):
         raise errors.HypothesisViolation(f"need q >= 1 and p > 0, got q={q}, p={p}")
     bab = hermitize(B @ A @ B)
-    lhs_sv = np.sort(_psd_sv(bab) ** (p * q))[::-1]
+    lhs_sv = np.sort(psd_sv(bab) ** (p * q))[::-1]
     Bq = matrix_power(B, q)
     inner = hermitize(Bq @ matrix_power(A, q) @ Bq)
-    rhs_sv = np.sort(_psd_sv(inner) ** p)[::-1]
+    rhs_sv = np.sort(psd_sv(inner) ** p)[::-1]
     return _LemmaTerms(lhs_sv, rhs_sv)
 
 
@@ -142,7 +138,7 @@ def _terms_block_normal(case) -> _LemmaTerms:
         for blk in row:
             u, s, vh = np.linalg.svd(blk)
             acc += (vh.conj().T * s) @ vh  # |blk| = (blk* blk)^{1/2}
-    rhs_sv = _psd_sv(acc)
+    rhs_sv = psd_sv(acc)
     return _LemmaTerms(lhs_sv, rhs_sv)
 
 
@@ -177,8 +173,8 @@ def _terms_power_monotone(case) -> _LemmaTerms:
         raise errors.HypothesisViolation(
             f"premise fails: Ky Fan {premise.worst_k} margin {premise.worst_margin:.3e}"
         )
-    lhs_sv = np.sort(_psd_sv(A) ** r)[::-1]
-    rhs_sv = np.sort(_psd_sv(B) ** r)[::-1]
+    lhs_sv = np.sort(psd_sv(A) ** r)[::-1]
+    rhs_sv = np.sort(psd_sv(B) ** r)[::-1]
     return _LemmaTerms(lhs_sv, rhs_sv)
 
 
@@ -187,8 +183,8 @@ def _terms_gram_swap(case) -> _LemmaTerms:
     a = case.params["a"]
     if a < 0.0:
         raise errors.HypothesisViolation(f"need a >= 0, got a={a}")
-    lhs_sv = _spow(_psd_sv(Y.conj().T @ Y), a)
-    rhs_sv = _spow(_psd_sv(Y @ Y.conj().T), a)
+    lhs_sv = _spow(psd_sv(Y.conj().T @ Y), a)
+    rhs_sv = _spow(psd_sv(Y @ Y.conj().T), a)
     return _LemmaTerms(lhs_sv, rhs_sv, equality=True)
 
 
@@ -205,7 +201,7 @@ def _terms_convex_subadd(case) -> _LemmaTerms:
         raise errors.HypothesisViolation(f"f(x)=x^r needs r >= 1, got r={r}")
     lhs = sum(matrix_power(Ai, r) for Ai in As)
     rhs = matrix_power(hermitize(sum(As)), r)
-    return _LemmaTerms(_psd_sv(lhs), _psd_sv(rhs))
+    return _LemmaTerms(psd_sv(lhs), psd_sv(rhs))
 
 
 def _terms_concave_subadd(case) -> _LemmaTerms:
@@ -215,7 +211,7 @@ def _terms_concave_subadd(case) -> _LemmaTerms:
         raise errors.HypothesisViolation(f"f(x)=x^theta needs theta in (0, 1], got {theta}")
     lhs = matrix_power(hermitize(np.asarray(A) + np.asarray(B)), theta)
     rhs = matrix_power(A, theta) + matrix_power(B, theta)
-    return _LemmaTerms(_psd_sv(lhs), _psd_sv(rhs))
+    return _LemmaTerms(psd_sv(lhs), psd_sv(rhs))
 
 
 def _terms_aub_power(case) -> _LemmaTerms:
@@ -249,7 +245,7 @@ def _terms_block_diag_step(case) -> _LemmaTerms:
         u, sv, vh = np.linalg.svd(M)
         acc = acc + (vh.conj().T * sv) @ vh  # |M|
     lhs_sv = np.sort(np.concatenate(lhs_blocks_sv) ** q)[::-1]
-    rhs_sv = _psd_sv(acc)
+    rhs_sv = psd_sv(acc)
     return _LemmaTerms(lhs_sv, rhs_sv)
 
 

@@ -81,6 +81,12 @@ def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
+def psd_sv(H) -> np.ndarray:
+    """Singular values of a matrix that is Hermitian PSD by construction:
+    its descending eigenvalues, round-off negatives clipped to zero."""
+    return np.clip(hermitian_eig(hermitize(H)).eigenvalues, 0.0, None)
+
+
 def _power_spectrum(w: np.ndarray, x: float) -> np.ndarray:
     """Apply lambda -> lambda**x to a clipped nonnegative spectrum."""
     lam_max = max(float(w.max(initial=0.0)), 0.0)

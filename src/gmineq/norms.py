@@ -79,10 +79,22 @@ class NormSpec:
             return f"schatten:{p}"
         return self.variant
 
-    @property
-    def family(self) -> str:
-        """Norm class used for summary grouping (all Ky Fan k collapse)."""
-        return "kyfan" if self.variant == "kyfan" else self.label
+    def to_record(self) -> dict:
+        """The report-file form of this norm; Schatten p = inf is "inf"."""
+        if self.variant == "kyfan":
+            return {"variant": "kyfan", "k": self.k}
+        if self.variant == "schatten":
+            return {"variant": "schatten", "p": "inf" if math.isinf(self.p) else float(self.p)}
+        return {"variant": self.variant}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "NormSpec":
+        """Inverse of `to_record`."""
+        if rec["variant"] == "kyfan":
+            return cls.ky_fan(rec["k"])
+        if rec["variant"] == "schatten":
+            return cls.schatten(math.inf if rec["p"] == "inf" else rec["p"])
+        return cls(rec["variant"])
 
 
 def singular_values(M) -> np.ndarray:

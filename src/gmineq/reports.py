@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from . import errors
 from .chains import ChainReport
 from .lemmas import LemmaReport
-from .norms import NormSpec
 
 SCHEMA_VERSION = 1
 
@@ -65,14 +64,6 @@ def dumps(obj) -> str:
 # record building
 # ---------------------------------------------------------------------------
 
-def norm_record(spec: NormSpec) -> dict:
-    if spec.variant == "kyfan":
-        return {"variant": "kyfan", "k": spec.k}
-    if spec.variant == "schatten":
-        return {"variant": "schatten", "p": "inf" if math.isinf(spec.p) else float(spec.p)}
-    return {"variant": spec.variant}
-
-
 def _finite(x: float):
     return "inf" if math.isinf(x) else float(x)
 
@@ -86,7 +77,7 @@ def chain_record(report: ChainReport) -> dict:
         "n": report.n,
         "m": report.m,
         "params": {k: float(v) for k, v in report.params.as_dict().items()},
-        "norm": norm_record(report.norm),
+        "norm": report.norm.to_record(),
         "lhs": float(report.lhs),
         "mid": None if report.mid is None else float(report.mid),
         "rhs": float(report.rhs),
@@ -107,7 +98,7 @@ def lemma_record(report: LemmaReport, instance_seed: int, n: int, m: int, params
         "n": n,
         "m": m,
         "params": {k: float(v) for k, v in sorted(params.items())},
-        "norm": norm_record(report.norm),
+        "norm": report.norm.to_record(),
         "lhs": float(report.lhs),
         "rhs": float(report.rhs),
         "margins": [float(report.margin)],

@@ -1,13 +1,13 @@
 """Parameter sweeps: evaluate configured chains over seeded instances and
 parameter grids, with deterministic per-task seeds and a sorted merge, so
-serial and concurrent runs produce identical reports.
+a report is a pure function of its config.
 """
 
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from . import errors
 from .chains import (
@@ -26,10 +26,6 @@ from .reports import ReportSet, build_report_set, chain_record, lemma_record
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
                "t_values", "norms", "lemma_ids")
-
-
-def _all_of(kind, values) -> bool:
-    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
 
 
 @dataclass
@@ -54,11 +50,10 @@ class SweepConfig:
         for name in LIST_FIELDS:
             if not isinstance(getattr(self, name), list):
                 raise errors.ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
-        if not _all_of(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count]):
-            raise errors.ConfigError("n_values, m_values and instance_count must be integers")
-        if not _all_of(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
-                                      *self.t_values]):
-            raise errors.ConfigError("s, r, p and t values must be numbers")
+        errors.require_all(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count],
+                           "n_values, m_values and instance_count must be integers")
+        errors.require_all(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
+                                          *self.t_values], "s, r, p and t values must be numbers")
         for c in self.chains:
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")
@@ -75,6 +70,11 @@ class SweepConfig:
         for lid in self.lemma_ids:
             if lid not in LEMMA_IDS:
                 raise errors.ConfigError(f"unknown lemma id {lid!r}")
+        table = _chain_table(self)
+        for c in self.chains:
+            _, needs, grid = table[c]
+            if not grid:
+                raise errors.ConfigError(f"chain {c!r} has no point to evaluate: it needs {needs}")
         return self
 
     def to_dict(self) -> dict:
@@ -94,67 +94,39 @@ class SweepConfig:
         return cls(**d).validate()
 
 
-def _main_grid(cfg):
-    return [
-        ChainParams(s=s, r=r, p=p)
-        for s in cfg.s_values if s >= 2.0
-        for r in cfg.r_values if r >= 1.0
-        for p in cfg.p_values if p > 0.0 and r * p >= 1.0
-    ]
+def _chain_table(cfg: SweepConfig) -> dict:
+    """Chain id -> (instance kind, hypothesis, grid).  A chain's grid holds
+    (ChainParams, terms call) pairs built from the configured values that
+    satisfy its hypothesis, in config order; the lemmas grid holds ids."""
+    s_, r_, p_, t_ = cfg.s_values, cfg.r_values, cfg.p_values, cfg.t_values
+    main = [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
+            for p in p_ if p > 0.0 and r * p >= 1.0]
+    weighted = [ChainParams(s=s, r=r, p=p, t=t) for s in s_ if s > 0.0 for r in r_ if r > 0.0
+                for p in p_ if p > 0.0 for t in t_ if 0.0 <= t <= 1.0]
+    unit = ChainParams(s=1.0, r=1.0, p=1.0)
+    return {
+        "main": (cfg.generator, "some s >= 2, r >= 1, p > 0 with rp >= 1",
+                 [(q, partial(main_chain_terms, params=q)) for q in main]),
+        "geo-z": (cfg.generator, "some s >= 1",
+                  [(ChainParams(s=s, r=1.0, p=1.0), partial(geo_z_terms, s=s))
+                   for s in s_ if s >= 1.0]),
+        "t-chain": (cfg.generator, "some s, r, p > 0 and t in [0, 1]",
+                    [(q, partial(t_chain_terms, params=q)) for q in weighted]),
+        "commuting": ("commuting", "nothing",
+                      [(unit, partial(commuting_terms, variant=v))
+                       for v in ("product", "symmetrized")]),
+        "lemmas": (None, "some lemma id", list(cfg.lemma_ids)),
+    }
 
 
-def _t_grid(cfg):
-    return [
-        ChainParams(s=s, r=r, p=p, t=t)
-        for s in cfg.s_values if s > 0.0
-        for r in cfg.r_values if r > 0.0
-        for p in cfg.p_values if p > 0.0
-        for t in cfg.t_values if 0.0 <= t <= 1.0
-    ]
-
-
-def _task_records(cfg: SweepConfig, task_index: int, n: int, m: int) -> list:
+def _task_records(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int) -> list:
     seed = derive_seed(cfg.base_seed, task_index)
     records = []
-    inst = None
-
-    def instance(kind):
-        nonlocal inst
-        if inst is None or inst.kind != kind:
-            inst = generate_instance(kind, n, m, seed, cfg.spectrum_law)
-        return inst
-
+    instances = {}  # kind -> instance, so every chain shares its spectra cache
     for chain in cfg.chains:
-        if chain == "main":
-            for params in _main_grid(cfg):
-                terms = main_chain_terms(instance(cfg.generator), params)
-                for spec in expand_norm_tokens(cfg.norms, terms.max_dim):
-                    records.append(chain_record(report_from_terms(
-                        terms, inst, params, spec, cfg.tol_rel, cfg.condition_cap)))
-        elif chain == "geo-z":
-            for s in cfg.s_values:
-                if s < 1.0:
-                    continue
-                params = ChainParams(s=s, r=1.0, p=1.0)
-                terms = geo_z_terms(instance(cfg.generator), s)
-                for spec in expand_norm_tokens(cfg.norms, terms.max_dim):
-                    records.append(chain_record(report_from_terms(
-                        terms, inst, params, spec, cfg.tol_rel, cfg.condition_cap)))
-        elif chain == "t-chain":
-            for params in _t_grid(cfg):
-                terms = t_chain_terms(instance(cfg.generator), params)
-                for spec in expand_norm_tokens(cfg.norms, terms.max_dim):
-                    records.append(chain_record(report_from_terms(
-                        terms, inst, params, spec, cfg.tol_rel, cfg.condition_cap)))
-        elif chain == "commuting":
-            for variant in ("product", "symmetrized"):
-                terms = commuting_terms(instance("commuting"), variant)
-                params = ChainParams(s=1.0, r=1.0, p=1.0)
-                for spec in expand_norm_tokens(cfg.norms, terms.max_dim):
-                    records.append(chain_record(report_from_terms(
-                        terms, inst, params, spec, cfg.tol_rel, cfg.condition_cap)))
-        elif chain == "lemmas":
-            for li, lid in enumerate(cfg.lemma_ids):
+        kind, _, grid = table[chain]
+        if chain == "lemmas":
+            for li, lid in enumerate(grid):
                 case_seed = derive_seed(seed, li)
                 case = random_case(lid, case_seed, n=n, m=m, law=cfg.spectrum_law)
                 terms = lemma_terms(case)
@@ -163,22 +135,32 @@ def _task_records(cfg: SweepConfig, task_index: int, n: int, m: int) -> list:
                 for spec in expand_norm_tokens(cfg.norms, max_dim):
                     rep = lemma_report_from_terms(lid, terms, spec, cfg.tol_rel)
                     records.append(lemma_record(rep, case_seed, n, m, case.params))
+            continue
+        if kind not in instances:
+            instances[kind] = generate_instance(kind, n, m, seed, cfg.spectrum_law)
+        inst = instances[kind]
+        for params, terms_of in grid:
+            terms = terms_of(inst)
+            for spec in expand_norm_tokens(cfg.norms, terms.max_dim):
+                records.append(chain_record(report_from_terms(
+                    terms, inst, params, spec, cfg.tol_rel, cfg.condition_cap)))
     return records
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
     """Evaluate every configured chain at every (instance, params, norm)
-    point.  Output is deterministic given the config, independent of
-    worker count."""
+    point.  Output is deterministic given the config.
+
+    Tasks run serially.  `workers` is accepted for existing callers and
+    does not change the work done or the output: a thread pool ran slower
+    than this loop, because the evaluation is many small numpy calls and
+    the Python between them holds the interpreter lock."""
     cfg.validate()
+    table = _chain_table(cfg)
     pairs = [(n, m) for n in cfg.n_values for m in cfg.m_values]
-    tasks = [(i, *pairs[i % len(pairs)]) for i in range(cfg.instance_count)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda t: _task_records(cfg, *t), tasks))
-    else:
-        chunks = [_task_records(cfg, *t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = []
+    for i in range(cfg.instance_count):
+        records.extend(_task_records(cfg, table, i, *pairs[i % len(pairs)]))
     return build_report_set(records)
 
 

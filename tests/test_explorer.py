@@ -1,15 +1,25 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gmineq import cli, errors
-from gmineq.chains import ChainParams
+from gmineq.chains import (
+    ChainParams,
+    eval_commuting_chain,
+    eval_geo_vs_Z,
+    eval_main_chain,
+    eval_t_chain,
+)
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, splitmix64
 from gmineq.highprec import t_chain_margin
 from gmineq.hunt import SearchConfig, evaluate_argmin, hunt
+from gmineq.norms import NormSpec
 from gmineq.reports import (
     SCHEMA_VERSION,
+    build_report_set,
+    chain_record,
     dumps,
     read_reports,
     write_reports,
@@ -110,6 +120,40 @@ class TestSweep:
         with pytest.raises(errors.ConfigError):
             SweepConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("chain, bad, needs", [
+        ("main", {"s_values": [1.5]}, "s >= 2"),
+        ("geo-z", {"s_values": [0.5]}, "s >= 1"),
+        ("t-chain", {"t_values": [1.5]}, "t in [0, 1]"),
+        ("lemmas", {"lemma_ids": []}, "lemma id"),
+    ])
+    def test_empty_grid_rejected(self, chain, bad, needs):
+        with pytest.raises(errors.ConfigError, match=rf"chain '{chain}'.*{re.escape(needs)}"):
+            SweepConfig(chains=["commuting", chain], **bad).validate()
+
+    def test_chain_points_pinned(self):
+        """SMALL's chain records, rebuilt point by point: main only at
+        s = 2, geo-z with r = p = 1, t-chain at s = 1 and 2, commuting with
+        s = r = p = 1 on a commuting instance of the same seed."""
+        def norms(dim):
+            return [NormSpec.ky_fan(k) for k in range(1, dim + 1)] + [NormSpec.schatten(2)]
+
+        reports = []
+        for i in range(3):
+            seed = derive_seed(11, i)
+            generic = generate_instance("generic", 2, 2, seed)
+            commuting = generate_instance("commuting", 2, 2, seed)
+            reports += [eval_main_chain(generic, ChainParams(s=2.0, r=1.0, p=1.0), spec)
+                        for spec in norms(4)]
+            reports += [eval_geo_vs_Z(generic, s, spec) for s in (1.0, 2.0) for spec in norms(4)]
+            reports += [eval_t_chain(generic, ChainParams(s=s, r=1.0, p=1.0, t=0.5), spec)
+                        for s in (1.0, 2.0) for spec in norms(2)]
+            reports += [eval_commuting_chain(commuting, variant, spec)
+                        for variant in ("product", "symmetrized") for spec in norms(2)]
+        want = build_report_set([chain_record(rep) for rep in reports]).records
+        got = [rec for rec in run_sweep(SweepConfig(**SMALL)).records if rec["kind"] == "chain"]
+        assert len(want) == 3 * (5 + 2 * 5 + 2 * 3 + 2 * 3)
+        assert got == want
+
     def test_serial_equals_concurrent(self, tmp_path):
         cfg = SweepConfig(**SMALL)
         rs1 = run_sweep(cfg, workers=1)
@@ -177,6 +221,16 @@ class TestHunt:
         with pytest.raises(errors.ConfigError):
             SearchConfig(s_range=(2.0, 1.0)).validate()
 
+    @pytest.mark.parametrize("bad", [
+        {"samples": 10.0}, {"samples": "10"}, {"refine_steps": 1.5}, {"n_max": True},
+        {"m_max": None}, {"refine_scale": "0.1"}, {"s_range": 1.5}, {"s_range": (1.0,)},
+        {"t_range": (0.5, "0.5")}, {"r_values": []}, {"r_values": [-1.0]}, {"p_values": [0.0]},
+        {"p_values": 1.0}, {"r_values": [float("nan")]}, {"p_values": ["1"]},
+    ])
+    def test_config_type_validation(self, bad):
+        with pytest.raises(errors.ConfigError):
+            SearchConfig(**bad).validate()
+
 
 class TestHighPrecision:
     def test_matches_double_precision_margin(self):
@@ -235,6 +289,20 @@ class TestCli:
         cfg_file.write_text('{"n_values": 3}')
         assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_CONFIG
         assert "n_values must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--chain", "main", "--s", "1.5"],
+        ["verify", "--chain", "geo-z", "--s", "0.5"],
+        ["verify", "--chain", "t-chain", "--t", "1.5"],
+    ])
+    def test_empty_grid_exit_code(self, argv, capsys):
+        assert cli.main([*argv, "--count", "1"]) == cli.EXIT_CONFIG
+        assert f"chain '{argv[2]}' has no point to evaluate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--r", "-1"), ("--p", "0")])
+    def test_hunt_nonpositive_exponent_exit_code(self, flag, value, capsys):
+        assert cli.main(["hunt", "--samples", "5", flag, value]) == cli.EXIT_CONFIG
+        assert "must be a nonempty list of positive numbers" in capsys.readouterr().err
 
     def test_hunt_half_t_range_exit_code(self, capsys):
         for flag, value in (("--t-lo", "0.2"), ("--t-hi", "0.8")):

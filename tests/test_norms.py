@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from gmineq import errors
 from gmineq.generate import haar_unitary
 from gmineq.linalg import matrix_power
 from gmineq.norms import NormSpec, ky_fan_dominance, norm_eval, norm_from_sv, singular_values
+from gmineq.reports import dumps
 
 ALL_VARIANTS = [
     NormSpec.ky_fan(1),
@@ -68,6 +70,19 @@ class TestNormEval:
         assert NormSpec.parse("trace") == NormSpec.trace()
         with pytest.raises(errors.InvalidSpec):
             NormSpec.parse("nuclear")
+
+    @pytest.mark.parametrize("spec, record", [
+        (NormSpec.ky_fan(3), {"variant": "kyfan", "k": 3}),
+        (NormSpec.schatten(1), {"variant": "schatten", "p": 1.0}),
+        (NormSpec.schatten(1.5), {"variant": "schatten", "p": 1.5}),
+        (NormSpec.schatten(math.inf), {"variant": "schatten", "p": "inf"}),
+        (NormSpec.trace(), {"variant": "trace"}),
+        (NormSpec.operator(), {"variant": "operator"}),
+        (NormSpec.frobenius(), {"variant": "frobenius"}),
+    ])
+    def test_record_round_trip(self, spec, record):
+        assert spec.to_record() == record
+        assert NormSpec.from_record(json.loads(dumps(record))) == spec
 
     def test_padded_ky_fan(self):
         sv = np.array([3.0, 1.0])
