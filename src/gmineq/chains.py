@@ -2,8 +2,9 @@
 
 Each evaluator computes the singular values of every term of a chain once,
 then reports margins under any requested norm.  All chain terms are
-Hermitian PSD (except the commuting product right side), so singular
-values come from eigenvalues directly.
+Hermitian PSD (except the commuting product right side).  Each power of a
+mean and each sandwich spectrum is taken from the singular values of one
+n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .blocks import InstanceSet, build_Z
-from .linalg import EigenDecomposition, hermitian_eig, hermitize, power_from_eig, psd_sv
-from .means import t_geometric_mean
+from .blocks import InstanceSet
+from .linalg import EigenDecomposition, hermitian_eig, power_from_eig, psd_sv, svd
+from .means import mean_factor
 from .norms import NormSpec, norm_from_sv, singular_values
 
 DEFAULT_TOL_REL = 1e-8
@@ -88,21 +89,6 @@ class ChainTerms:
         return max(dims)
 
 
-def _spectrum_power(w: np.ndarray, x: float) -> np.ndarray:
-    """lambda**x on a clipped PSD spectrum, returned descending."""
-    lam = np.clip(w, 0.0, None)
-    lam[lam <= 1e-12 * lam.max(initial=0.0)] = 0.0
-    return np.sort(lam ** x)[::-1]
-
-
-def _psd_power(eig: EigenDecomposition, x: float) -> np.ndarray:
-    """H**x from the eigendecomposition of a matrix that is PSD by
-    construction; round-off negatives in the spectrum are clipped to zero
-    instead of raising."""
-    w = np.clip(eig.eigenvalues, 0.0, None) ** x
-    return hermitize((eig.vectors * w) @ eig.vectors.conj().T)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -113,10 +99,10 @@ class InstanceSpectra:
     then shared by every chain and parameter point.
 
     Each value is computed exactly as a direct evaluation computes it (the
-    same eigh on the same array, the same clip and hermitize steps), so
-    terms read from here are bitwise equal to uncached ones.  Reached as
-    `inst.spectra`; it holds only a weak reference to the instance that
-    owns it.
+    same decomposition of the same array, the same linalg zeroing rule), so
+    terms read from here are bitwise equal to uncached ones.  Every
+    decomposition is of an n x n matrix.  Reached as `inst.spectra`; it
+    holds only a weak reference to the instance that owns it.
     """
 
     def __init__(self, inst: InstanceSet):
@@ -145,10 +131,6 @@ class InstanceSpectra:
         return self._cached("sum_B", lambda: hermitian_eig(self._inst.sum_B()))
 
     @property
-    def z_eigenvalues(self) -> np.ndarray:
-        return self._cached("Z", lambda: hermitian_eig(build_Z(self._inst)).eigenvalues)
-
-    @property
     def condition_max(self) -> float:
         """Largest condition number over the inputs and both sums."""
 
@@ -161,38 +143,48 @@ class InstanceSpectra:
 
         return self._cached("condition_max", compute)
 
-    def _mean_eigs(self, s: float, t: float) -> tuple:
-        """Eigendecompositions of A_i^s #_t B_i^s, one per pair."""
+    def _mean_svds(self, s: float, t: float) -> tuple:
+        """(W, sigma) of each mean factor F_i = W diag(sigma) Q*, where
+        F_i F_i* = A_i^s #_t B_i^s."""
 
         def compute():
             return tuple(
-                hermitian_eig(hermitize(t_geometric_mean(
-                    power_from_eig(eig_a, s), power_from_eig(eig_b, s), t)))
+                svd(mean_factor(eig_a, eig_b, s, t))[:2]
                 for eig_a, eig_b in zip(self.eig_A, self.eig_B)
             )
 
         return self._cached(("mean", s, t), compute)
 
     def lhs_sv(self, s: float, t: float, r: float) -> np.ndarray:
-        """Singular values of sum_i (A_i^s #_t B_i^s)^r."""
+        """Singular values of sum_i (A_i^s #_t B_i^s)^r, each power taken as
+        W diag(sigma^{2r}) W* from its mean factor."""
 
         def compute():
             acc = np.zeros((self._inst.n, self._inst.n), dtype=np.complex128)
-            for eig in self._mean_eigs(s, t):
-                acc += _psd_power(eig, r)
-            return _read_only(psd_sv(hermitize(acc)))
+            for W, sigma in self._mean_svds(s, t):
+                acc += (W * sigma ** (2.0 * r)) @ W.conj().T
+            return _read_only(psd_sv(acc))
 
         return self._cached(("lhs", s, t, r), compute)
 
     def sandwich_sv(self, a_exp: float, b_exp: float, inv_p: float) -> np.ndarray:
-        """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}."""
+        """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}: the
+        sandwich is F* F with F = (sum B)^{b/2} (sum A)^a, so they are the
+        singular values of F to the power 2 inv_p."""
 
         def compute():
-            left = power_from_eig(self.eig_sum_A, a_exp)
-            inner = hermitize(left @ power_from_eig(self.eig_sum_B, b_exp) @ left)
-            return _read_only(_spectrum_power(hermitian_eig(inner).eigenvalues, inv_p))
+            F = power_from_eig(self.eig_sum_B, b_exp / 2.0) @ power_from_eig(self.eig_sum_A, a_exp)
+            return _read_only(singular_values(F) ** (2.0 * inv_p))
 
         return self._cached(("sandwich", a_exp, b_exp, inv_p), compute)
+
+    def z_sv(self, x: float) -> np.ndarray:
+        """Singular values of Z^x: Z's nonzero spectrum is that of the core
+        (sum A)^{1/2} (sum B) (sum A)^{1/2}, the sandwich with (a, b) =
+        (1/2, 1), followed by (m - 1) n exact zeros."""
+        zeros = (self._inst.m - 1) * self._inst.n
+        return self._cached(("Z", x), lambda: _read_only(
+            np.concatenate([self.sandwich_sv(0.5, 1.0, x), np.zeros(zeros)])))
 
     def commuting_sv(self) -> tuple:
         """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
@@ -205,8 +197,7 @@ class InstanceSpectra:
             for Ai, Bi, eig_a, eig_b in zip(inst.A, inst.B, self.eig_A, self.eig_B):
                 lhs += Ai @ Bi
                 mid_root += power_from_eig(eig_a, 0.5) @ power_from_eig(eig_b, 0.5)
-            mid_sv = _spectrum_power(hermitian_eig(hermitize(mid_root)).eigenvalues, 2.0)
-            return _read_only(psd_sv(lhs)), _read_only(mid_sv)
+            return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
         return self._cached("commuting", compute)
 
@@ -228,7 +219,7 @@ def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
     return ChainTerms(
         chain_id="main",
         lhs_sv=sp.lhs_sv(s, 0.5, r),
-        mid_sv=_spectrum_power(sp.z_eigenvalues, s * r / 2.0),
+        mid_sv=sp.z_sv(s * r / 2.0),
         rhs_sv=sp.sandwich_sv(s * r * p / 4.0, s * r * p / 2.0, 1.0 / p),
         status="proven",
         condition_max=condition_max(inst),
@@ -243,7 +234,7 @@ def geo_z_terms(inst: InstanceSet, s: float) -> ChainTerms:
     return ChainTerms(
         chain_id="geo-z",
         lhs_sv=sp.lhs_sv(s, 0.5, 1.0),
-        rhs_sv=_spectrum_power(sp.z_eigenvalues, s / 2.0),
+        rhs_sv=sp.z_sv(s / 2.0),
         status="proven",
         condition_max=condition_max(inst),
     )

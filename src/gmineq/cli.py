@@ -183,7 +183,8 @@ def _cmd_show(args) -> int:
     if isinstance(obj, SearchResult):
         print(f"search result: min_margin={obj.min_margin:+.6e} candidate={obj.candidate}")
         if obj.argmin is not None:
-            print(f"argmin re-evaluation: {evaluate_argmin(obj):+.6e}")
+            margin = evaluate_argmin(obj)
+            print(f"argmin re-evaluation: {'gated' if margin is None else f'{margin:+.6e}'}")
         return EXIT_OK
     _print_summary(obj)
     if args.csv:

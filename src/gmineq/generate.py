@@ -5,7 +5,7 @@ Gaussians (Haar-like) and eigenvalues drawn from a log-uniform law.
 Identical arguments produce bit-identical instances.
 
 Per-task seeds are derived with a splitmix64 mix of (base_seed, index),
-so parallel sweeps are reproducible and order-independent.
+so each task's instance depends on its index alone, not on run order.
 """
 
 from __future__ import annotations

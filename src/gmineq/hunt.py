@@ -18,7 +18,6 @@ from . import errors, highprec
 from .blocks import InstanceSet
 from .chains import (
     ChainParams,
-    ChainTerms,
     expand_norm_tokens,
     report_from_terms,
     t_chain_status,
@@ -132,21 +131,16 @@ class SearchResult:
         )
 
 
-def _margin(terms: ChainTerms, inst: InstanceSet, params: ChainParams, spec: NormSpec) -> float:
-    """Normalized margin of one norm: the report's min margin over its scale."""
-    rep = report_from_terms(terms, inst, params, spec)
-    return rep.min_margin / rep.scale
-
-
 def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
-    """Smallest normalized margin over the norms, the first such norm
-    winning a tie; None when gated."""
+    """Smallest normalized margin (a report's min margin over its scale)
+    over the norms, the first such norm winning a tie; None when gated."""
     terms = t_chain_terms(inst, params)
     if terms.condition_max > condition_cap:
         return None, None
     best, best_spec = np.inf, None
     for spec in expand_norm_tokens(norms, terms.max_dim):
-        margin = _margin(terms, inst, params, spec)
+        rep = report_from_terms(terms, inst, params, spec)
+        margin = rep.min_margin / rep.scale
         if margin < best:
             best, best_spec = margin, spec
     return float(best), best_spec
@@ -211,8 +205,9 @@ def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margi
     }
 
 
-def evaluate_argmin(result_or_argmin, condition_cap: float = 1e8) -> float:
-    """Re-evaluate a serialized arg-min point; returns its normalized margin."""
+def evaluate_argmin(result_or_argmin, condition_cap: float = 1e8) -> float | None:
+    """Re-evaluate a serialized arg-min point; returns its normalized
+    margin, or None when the point is gated under `condition_cap`."""
     arg = result_or_argmin.argmin if isinstance(result_or_argmin, SearchResult) else result_or_argmin
     inst = InstanceSet(
         m=arg["m"],
@@ -223,7 +218,7 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = 1e8) -> float:
         kind=arg["kind"],
     )
     params = ChainParams(**arg["params"])
-    return _margin(t_chain_terms(inst, params), inst, params, NormSpec.from_record(arg["norm"]))
+    return _point_margin(inst, params, [NormSpec.from_record(arg["norm"])], condition_cap)[0]
 
 
 def hunt(cfg: SearchConfig) -> SearchResult:

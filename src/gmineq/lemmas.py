@@ -104,11 +104,9 @@ def _terms_araki(case) -> _LemmaTerms:
     if not (q >= 1.0 and p > 0.0):
         raise errors.HypothesisViolation(f"need q >= 1 and p > 0, got q={q}, p={p}")
     bab = hermitize(B @ A @ B)
-    lhs_sv = np.sort(psd_sv(bab) ** (p * q))[::-1]
     Bq = matrix_power(B, q)
     inner = hermitize(Bq @ matrix_power(A, q) @ Bq)
-    rhs_sv = np.sort(psd_sv(inner) ** p)[::-1]
-    return _LemmaTerms(lhs_sv, rhs_sv)
+    return _LemmaTerms(psd_sv(bab, p * q), psd_sv(inner, p))
 
 
 def _terms_block_normal(case) -> _LemmaTerms:
@@ -173,9 +171,7 @@ def _terms_power_monotone(case) -> _LemmaTerms:
         raise errors.HypothesisViolation(
             f"premise fails: Ky Fan {premise.worst_k} margin {premise.worst_margin:.3e}"
         )
-    lhs_sv = np.sort(psd_sv(A) ** r)[::-1]
-    rhs_sv = np.sort(psd_sv(B) ** r)[::-1]
-    return _LemmaTerms(lhs_sv, rhs_sv)
+    return _LemmaTerms(psd_sv(A, r), psd_sv(B, r))
 
 
 def _terms_gram_swap(case) -> _LemmaTerms:
@@ -183,15 +179,7 @@ def _terms_gram_swap(case) -> _LemmaTerms:
     a = case.params["a"]
     if a < 0.0:
         raise errors.HypothesisViolation(f"need a >= 0, got a={a}")
-    lhs_sv = _spow(psd_sv(Y.conj().T @ Y), a)
-    rhs_sv = _spow(psd_sv(Y @ Y.conj().T), a)
-    return _LemmaTerms(lhs_sv, rhs_sv, equality=True)
-
-
-def _spow(sv, x):
-    sv = np.clip(sv, 0.0, None)
-    sv[sv <= 1e-14 * sv.max(initial=0.0)] = 0.0
-    return np.sort(sv ** x)[::-1]
+    return _LemmaTerms(psd_sv(Y.conj().T @ Y, a), psd_sv(Y @ Y.conj().T, a), equality=True)
 
 
 def _terms_convex_subadd(case) -> _LemmaTerms:

@@ -19,8 +19,9 @@ from . import errors
 HERMITIAN_RTOL = 1e-12
 # Eigenvalues below PD_FLOOR * lambda_max mean "not safely invertible".
 PD_FLOOR = 1e-10
-# Eigenvalues within CLIP_FLOOR * lambda_max of zero are clipped to zero
-# before nonnegative fractional powers (eigensolvers return tiny negatives).
+# The one zeroing rule: a negative eigenvalue within CLIP_FLOOR * lambda_max
+# of zero is eigensolver round-off and becomes 0.  No positive eigenvalue is
+# ever changed; a negative beyond the floor is not round-off.
 CLIP_FLOOR = 1e-12
 
 
@@ -81,25 +82,20 @@ def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[::-1].copy(), vectors=V[:, ::-1].copy())
 
 
-def psd_sv(H) -> np.ndarray:
-    """Singular values of a matrix that is Hermitian PSD by construction:
-    its descending eigenvalues, round-off negatives clipped to zero."""
-    return np.clip(hermitian_eig(hermitize(H)).eigenvalues, 0.0, None)
-
-
-def _power_spectrum(w: np.ndarray, x: float) -> np.ndarray:
-    """Apply lambda -> lambda**x to a clipped nonnegative spectrum."""
+def _power_spectrum(w: np.ndarray, x: float, psd: bool = False) -> np.ndarray:
+    """Apply lambda -> lambda**x after the zeroing rule (see CLIP_FLOOR).
+    A negative beyond the floor is allowed only for an integer x on a
+    matrix not declared PSD."""
     lam_max = max(float(w.max(initial=0.0)), 0.0)
-    clip = CLIP_FLOOR * lam_max
-    wc = np.where(np.abs(w) <= clip, 0.0, w)
+    wc = np.where((w < 0.0) & (w >= -CLIP_FLOOR * lam_max), 0.0, w)
     if np.any(wc < 0.0):
-        if float(x).is_integer():
+        if float(x).is_integer() and not psd:
             return wc ** x
         raise errors.NotPositiveSemidefinite(
             f"min eigenvalue {wc.min():.3e} is negative beyond the clip floor"
         )
     if x < 0.0:
-        floor = PD_FLOOR * max(lam_max, 0.0)
+        floor = PD_FLOOR * lam_max
         if float(wc.min()) <= floor:
             raise errors.SingularForNegativePower(
                 f"min eigenvalue {wc.min():.3e} at or below PD floor {floor:.3e}"
@@ -108,13 +104,17 @@ def _power_spectrum(w: np.ndarray, x: float) -> np.ndarray:
         return wc ** x
 
 
+def psd_sv(H, x: float = 1.0) -> np.ndarray:
+    """Singular values of H**x, for x >= 0 and H Hermitian PSD by
+    construction: its descending eigenvalues, after the zeroing rule, to
+    the power x."""
+    return _power_spectrum(hermitian_eig(hermitize(H)).eigenvalues, float(x), psd=True)
+
+
 def power_from_eig(eig: EigenDecomposition, x: float) -> np.ndarray:
     """V diag(lambda_i**x) V* from an eigendecomposition with nonnegative
-    spectrum.
-
-    Eigenvalues within the clip floor of zero are clipped to zero before
-    exponentiation; x < 0 additionally requires the spectrum to clear the
-    PD floor.
+    spectrum, after the zeroing rule; x < 0 additionally requires the
+    spectrum to clear the PD floor.
     """
     wx = _power_spectrum(eig.eigenvalues, float(x))
     return hermitize((eig.vectors * wx) @ eig.vectors.conj().T)
@@ -131,17 +131,21 @@ def matrix_abs(M) -> np.ndarray:
     return matrix_power(hermitize(A.conj().T @ A), 0.5)
 
 
+def svd(M: np.ndarray) -> tuple:
+    """(U, sigma, V*), sigma descending."""
+    try:
+        return np.linalg.svd(M)
+    except np.linalg.LinAlgError as exc:
+        raise errors.NonConvergence(str(exc)) from exc
+
+
 def polar_unitary(M) -> np.ndarray:
     """Unitary factor U of the polar decomposition M = U |M|.
 
     Requires the smallest singular value to clear the PD floor relative
     to the largest.
     """
-    A = require_square(M)
-    try:
-        u, s, vh = np.linalg.svd(A)
-    except np.linalg.LinAlgError as exc:
-        raise errors.NonConvergence(str(exc)) from exc
+    u, s, vh = svd(require_square(M))
     if s[-1] <= PD_FLOOR * max(s[0], 0.0) or s[0] == 0.0:
         raise errors.SingularInput(
             f"smallest singular value {s[-1]:.3e} below PD floor of largest {s[0]:.3e}"

@@ -1,9 +1,14 @@
 """Geometric and weighted geometric means of positive definite matrices.
 
-The means are computed by direct evaluation of
-A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} via two nested eigendecompositions;
-no iterative algorithms.  PSD-but-not-PD inputs are rejected, not extended
-by continuity.
+Every mean is computed by one formula from the eigendecompositions of A
+and B and one singular value decomposition: with
+C = B^{s/2} A^{-s/2} = U diag(sigma) V*,
+
+    A^s #_t B^s = A^{s/2} V diag(sigma^{2t}) V* A^{s/2}.
+
+The powers of sigma keep the accuracy that the eigenvalues of C* C lose;
+no iterative algorithms.  PSD-but-not-PD inputs are rejected, not
+extended by continuity.
 """
 
 from __future__ import annotations
@@ -11,8 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .linalg import (hermitize, matrix_power, polar_unitary, power_from_eig,
-                     require_hermitian, require_spd, spd_eig)
+from .linalg import (EigenDecomposition, hermitize, matrix_power, polar_unitary,
+                     power_from_eig, require_hermitian, spd_eig, svd)
+
+
+def mean_factor(eig_A: EigenDecomposition, eig_B: EigenDecomposition,
+                s: float, t: float) -> np.ndarray:
+    """F = A^{s/2} V diag(sigma^t), so that F F* = A^s #_t B^s.  Only
+    A^{-s/2} is inverted, so only A must clear the PD floor."""
+    C = power_from_eig(eig_B, s / 2.0) @ power_from_eig(eig_A, -s / 2.0)
+    _, sigma, vh = svd(C)
+    return power_from_eig(eig_A, s / 2.0) @ (vh.conj().T * sigma ** t)
 
 
 def t_geometric_mean(A, B, t: float) -> np.ndarray:
@@ -23,19 +37,16 @@ def t_geometric_mean(A, B, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise errors.HypothesisViolation(f"t must lie in [0, 1], got {t}")
-    A = require_hermitian(A)
-    eig_A = spd_eig(A)  # one decomposition for the check and both A^{+-1/2}
-    B = require_spd(B)
+    A, B = require_hermitian(A), require_hermitian(B)
+    eig_A, eig_B = spd_eig(A), spd_eig(B)
     if A.shape != B.shape:
         raise errors.DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
     if t == 0.0:
         return A.copy()
     if t == 1.0:
         return B.copy()
-    Ah = power_from_eig(eig_A, 0.5)
-    Aih = power_from_eig(eig_A, -0.5)
-    inner = matrix_power(hermitize(Aih @ B @ Aih), t)
-    return hermitize(Ah @ inner @ Ah)
+    F = mean_factor(eig_A, eig_B, 1.0, t)
+    return hermitize(F @ F.conj().T)
 
 
 def geometric_mean(A, B) -> np.ndarray:
@@ -50,7 +61,5 @@ def geometric_mean_unitary(A, B) -> np.ndarray:
     unitary group to strip the round-off accumulated by the three
     fractional powers.
     """
-    A = require_spd(A)
-    B = require_spd(B)
-    G = geometric_mean(A, B)
+    G = geometric_mean(A, B)  # validates both operands
     return polar_unitary(matrix_power(A, -0.5) @ G @ matrix_power(B, -0.5))

@@ -21,6 +21,7 @@ from .chains import (
 )
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
 from .lemmas import LEMMA_IDS, lemma_report_from_terms, lemma_terms, random_case
+from .norms import NormSpec
 from .reports import ReportSet, build_report_set, chain_record, lemma_record
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
@@ -50,10 +51,15 @@ class SweepConfig:
         for name in LIST_FIELDS:
             if not isinstance(getattr(self, name), list):
                 raise errors.ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
-        errors.require_all(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count],
-                           "n_values, m_values and instance_count must be integers")
+        errors.require_all(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count,
+                                              self.base_seed],
+                           "n_values, m_values, instance_count and base_seed must be integers")
         errors.require_all(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
-                                          *self.t_values], "s, r, p and t values must be numbers")
+                                          *self.t_values, self.tol_rel, self.condition_cap],
+                           "s, r, p and t values, tol_rel and condition_cap must be numbers")
+        errors.require_all((str, NormSpec), self.norms, "norms must be norm labels")
+        if not isinstance(self.spectrum_law, SpectrumLaw):
+            raise errors.ConfigError(f"spectrum_law must be a spectrum law, got {self.spectrum_law!r}")
         for c in self.chains:
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")
@@ -89,8 +95,11 @@ class SweepConfig:
         if unknown:
             raise errors.ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
-        if "spectrum_law" in d and not isinstance(d["spectrum_law"], SpectrumLaw):
-            d["spectrum_law"] = SpectrumLaw.from_dict(d["spectrum_law"])
+        law = d.get("spectrum_law")
+        if isinstance(law, dict):
+            errors.require_all(numbers.Real, [law.get("lo"), law.get("hi")],
+                               f"spectrum_law needs numbers lo and hi, got {law!r}")
+            d["spectrum_law"] = SpectrumLaw.from_dict(law)
         return cls(**d).validate()
 
 

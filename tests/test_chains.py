@@ -23,7 +23,6 @@ from gmineq.chains import (
 )
 from gmineq.generate import generate_instance
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
-from gmineq.means import t_geometric_mean
 from gmineq.norms import NormSpec
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.schatten(1),
@@ -166,28 +165,26 @@ def _bitwise_equal(a, b) -> bool:
 
 def _direct_main_sv(inst, params):
     """The main chain's terms evaluated directly, every power from its own
-    eigendecomposition: the reference the cached terms must equal bitwise."""
+    decomposition: the reference the cached terms must equal bitwise.  The
+    mean is A^{s/2} V diag(sigma) V* A^{s/2} with B^{s/2} A^{-s/2} =
+    U diag(sigma) V*; the sandwich spectra are singular values of
+    (sum B)^{b/2} (sum A)^a; Z's spectrum is the (1/2, 1) sandwich padded
+    with (m - 1) n zeros."""
     s, r, p = params.s, params.r, params.p
     acc = np.zeros((inst.n, inst.n), dtype=np.complex128)
     for Ai, Bi in zip(inst.A, inst.B):
-        G = t_geometric_mean(matrix_power(Ai, s), matrix_power(Bi, s), 0.5)
-        eig = hermitian_eig(hermitize(G))
-        w = np.clip(eig.eigenvalues, 0.0, None) ** r
-        acc += hermitize((eig.vectors * w) @ eig.vectors.conj().T)
-    lhs_sv = np.clip(hermitian_eig(hermitize(hermitize(acc))).eigenvalues, 0.0, None)
+        _, sigma, vh = np.linalg.svd(matrix_power(Bi, s / 2.0) @ matrix_power(Ai, -s / 2.0))
+        W, phi, _ = np.linalg.svd(matrix_power(Ai, s / 2.0) @ (vh.conj().T * sigma ** 0.5))
+        acc += (W * phi ** (2.0 * r)) @ W.conj().T
+    w = hermitian_eig(hermitize(acc)).eigenvalues
+    lhs_sv = np.where((w < 0.0) & (w >= -1e-12 * max(w.max(), 0.0)), 0.0, w) ** 1.0
 
-    def spectrum_power(w, x):
-        lam = np.clip(w, 0.0, None)
-        lam[lam <= 1e-12 * lam.max(initial=0.0)] = 0.0
-        return np.sort(lam ** x)[::-1]
+    def sandwich_sv(a, b, inv_p):
+        F = matrix_power(inst.sum_B(), b / 2.0) @ matrix_power(inst.sum_A(), a)
+        return np.linalg.svd(F, compute_uv=False) ** (2.0 * inv_p)
 
-    sA, sB = inst.sum_A(), inst.sum_B()
-    Bh = [matrix_power(Bi, 0.5) for Bi in inst.B]
-    Z = np.block([[Bh[i] @ sA @ Bh[j] for j in range(inst.m)] for i in range(inst.m)])
-    mid_sv = spectrum_power(hermitian_eig(hermitize(Z)).eigenvalues, s * r / 2.0)
-    left = matrix_power(sA, s * r * p / 4.0)
-    inner = hermitize(left @ matrix_power(sB, s * r * p / 2.0) @ left)
-    rhs_sv = spectrum_power(hermitian_eig(inner).eigenvalues, 1.0 / p)
+    mid_sv = np.concatenate([sandwich_sv(0.5, 1.0, s * r / 2.0), np.zeros((inst.m - 1) * inst.n)])
+    rhs_sv = sandwich_sv(s * r * p / 4.0, s * r * p / 2.0, 1.0 / p)
     return lhs_sv, mid_sv, rhs_sv
 
 
@@ -249,16 +246,21 @@ class TestSpectraCache:
         assert _bitwise_equal(before.lhs_sv, main_chain_terms(inst, ChainParams()).lhs_sv)
 
     def test_eigh_count_on_main_grid(self, monkeypatch):
+        """eigh and svd calls together stay within 4 per grid point, and
+        every decomposition is n x n (none of the mn x mn Z)."""
         calls = []
-        eigh = np.linalg.eigh
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counting(decompose):
+            def counted(a, *args, **kwargs):
+                calls.append(np.shape(a))
+                return decompose(a, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         inst = generate_instance("generic", 3, 2, 38)
         assert len(MAIN_GRID) == 28
         for params in MAIN_GRID:
             main_chain_terms(inst, params)
         assert len(calls) <= 4 * len(MAIN_GRID), len(calls)
+        assert set(calls) == {(3, 3)}, set(calls)

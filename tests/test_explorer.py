@@ -115,6 +115,8 @@ class TestSweep:
         {"p_values": (1.0,)}, {"t_values": 0.5}, {"norms": "kyfan:all"},
         {"chains": "main"}, {"lemma_ids": "weyl"}, {"n_values": [2.5]},
         {"m_values": [True]}, {"instance_count": 1.5}, {"r_values": ["1"]},
+        {"condition_cap": "1e8"}, {"base_seed": 1.5}, {"tol_rel": "x"}, {"norms": [3]},
+        {"spectrum_law": 3}, {"spectrum_law": {"lo": "a", "hi": 2}},
     ])
     def test_config_type_validation(self, bad):
         with pytest.raises(errors.ConfigError):
@@ -201,6 +203,12 @@ class TestHunt:
         loaded = read_reports(f)
         assert evaluate_argmin(loaded) == pytest.approx(r.min_margin, rel=1e-9, abs=1e-12)
 
+    def test_argmin_gated_over_cap(self):
+        r = hunt(SearchConfig(**self.CFG))
+        assert evaluate_argmin(r, condition_cap=1e8) is not None
+        # every condition number is >= 1, so a cap below 1 gates every point
+        assert evaluate_argmin(r, condition_cap=0.5) is None
+
     def test_refinement_never_worsens(self):
         base = hunt(SearchConfig(**self.CFG))
         refined = hunt(SearchConfig(refine_steps=5, **self.CFG))
@@ -274,6 +282,20 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
         assert "argmin re-evaluation" in capsys.readouterr().out
+
+    def test_show_gated_argmin(self, tmp_path, capsys):
+        r = hunt(SearchConfig(**TestHunt.CFG))
+
+        def stored(M):
+            return [[[float(v), 0.0] for v in row] for row in M]
+
+        # an A_1 with condition number 1e9 puts the stored point over the 1e8 cap
+        r.argmin = dict(r.argmin, n=2, m=1, A=[stored(np.diag([1.0, 1e-9]))],
+                        B=[stored(np.eye(2))])
+        out = tmp_path / "h.json"
+        write_reports(r, out)
+        assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
+        assert "argmin re-evaluation: gated" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

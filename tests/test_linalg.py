@@ -11,6 +11,7 @@ from gmineq.linalg import (
     matrix_abs,
     matrix_power,
     polar_unitary,
+    psd_sv,
 )
 
 
@@ -81,6 +82,17 @@ class TestMatrixPower:
     def test_negative_power_requires_pd(self):
         with pytest.raises(errors.SingularForNegativePower):
             matrix_power(np.diag([1.0, 0.0]), -1.0)
+
+    def test_zeroing_rule(self):
+        """Only round-off negatives (within 1e-12 lambda_max) become 0; a
+        tiny positive eigenvalue keeps its value, and a PSD matrix with a
+        larger negative is refused."""
+        np.testing.assert_array_equal(psd_sv(np.diag([1.0, 1e-14, -1e-13]), 0.5),
+                                      [1.0, 1e-7, 0.0])
+        np.testing.assert_array_equal(np.diag(matrix_power(np.diag([1.0, 1e-14]), 0.5)),
+                                      [1.0, 1e-7])
+        with pytest.raises(errors.NotPositiveSemidefinite):
+            psd_sv(np.diag([1.0, -1e-11]), 1.0)
 
     @given(st.integers(0, 500), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)
