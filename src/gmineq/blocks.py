@@ -46,7 +46,7 @@ class InstanceSet:
         """The spectra cache (chains.InstanceSpectra), built on first access."""
         from .chains import InstanceSpectra  # chains imports this module
 
-        return InstanceSpectra(self)
+        return InstanceSpectra(np.stack(self.A), np.stack(self.B), self)
 
     def validate(self) -> "InstanceSet":
         if self.kind not in ("generic", "commuting"):
@@ -81,7 +81,7 @@ def build_Z(inst: InstanceSet) -> np.ndarray:
     B_i^{1/2} (sum_k A_k) B_j^{1/2}."""
     m, n = inst.m, inst.n
     sA = inst.sum_A()
-    Bh = [power_from_eig(eig, 0.5) for eig in inst.spectra.eig_B]
+    Bh = power_from_eig(inst.spectra.eig_B, 0.5)
     Z = np.empty((m * n, m * n), dtype=np.complex128)
     for i in range(m):
         for j in range(m):
@@ -92,8 +92,8 @@ def build_Z(inst: InstanceSet) -> np.ndarray:
 def build_Y(inst: InstanceSet) -> np.ndarray:
     """The mn x mn factor with Y Y* = Z; block (i, j) is B_i^{1/2} A_j^{1/2}."""
     m, n = inst.m, inst.n
-    Ah = [power_from_eig(eig, 0.5) for eig in inst.spectra.eig_A]
-    Bh = [power_from_eig(eig, 0.5) for eig in inst.spectra.eig_B]
+    Ah = power_from_eig(inst.spectra.eig_A, 0.5)
+    Bh = power_from_eig(inst.spectra.eig_B, 0.5)
     Y = np.empty((m * n, m * n), dtype=np.complex128)
     for i in range(m):
         for j in range(m):

@@ -13,7 +13,6 @@ Ky Fan norms treat missing singular values as zeros.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import errors
 from .blocks import InstanceSet
-from .linalg import EigenDecomposition, hermitian_eig, power_from_eig, psd_sv, svd
+from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
+                     psd_sv, svd)
 from .means import mean_factor
 from .norms import NormSpec, norm_from_sv, singular_values
 
@@ -94,97 +94,140 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class InstanceSpectra:
-    """Spectral data of one instance, each piece computed on first use and
-    then shared by every chain and parameter point.
+def _sum_pairs(X: np.ndarray) -> np.ndarray:
+    """hermitize(sum_i X_i) over axis -3, added in order as Python's sum."""
+    total = 0
+    for i in range(X.shape[-3]):
+        total = total + X[..., i, :, :]
+    return hermitize(total)
 
-    Each value is computed exactly as a direct evaluation computes it (the
-    same decomposition of the same array, the same linalg zeroing rule), so
-    terms read from here are bitwise equal to uncached ones.  Every
-    decomposition is of an n x n matrix.  Reached as `inst.spectra`; it
-    holds only a weak reference to the instance that owns it.
+
+def _per_pair(x):
+    """One exponent per instance, spread over the instance's m pairs."""
+    return x if np.ndim(x) == 0 else np.asarray(x)[..., None]
+
+
+class InstanceSpectra:
+    """Spectral data of one instance, or of a stack of equal-shape instances,
+    each piece computed on first use.
+
+    A and B are arrays (..., m, n, n), the leading axes () for one instance.
+    Parameters are scalars, or one value per instance of a stack.  Values
+    at scalar parameters are memoized and shared by every chain and
+    parameter point; a stack with per-instance parameters is evaluated
+    once.  Each value is computed exactly as a direct evaluation computes
+    it (the same decomposition of the same array, the same linalg zeroing
+    rule, each exponent applied as a scalar), so terms read from here are
+    bitwise equal to uncached ones, and each instance of a stack gets the
+    bytes it gets alone.  Every decomposition is of an n x n matrix.  An
+    instance reaches its own as `inst.spectra`, which holds only a weak
+    reference to the instance.
     """
 
-    def __init__(self, inst: InstanceSet):
-        self._inst = weakref.proxy(inst)
+    def __init__(self, A: np.ndarray, B: np.ndarray, inst: InstanceSet | None = None):
+        self._A, self._B = A, B
+        self._inst = None if inst is None else weakref.proxy(inst)
         self._memo = {}
 
     def _cached(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        try:
+            if key in self._memo:
+                return self._memo[key]
+        except TypeError:  # per-instance parameter arrays: evaluated once, not memoized
+            return compute()
+        value = self._memo[key] = compute()
+        return value
+
+    def select(self, rows) -> "InstanceSpectra":
+        """The spectra of the instances `rows` of a stack, keeping the
+        input decompositions computed so far."""
+        sub = InstanceSpectra(self._A[rows], self._B[rows])
+        for key in (("A",), ("B",), ("sum_A",), ("sum_B",)):
+            if key in self._memo:
+                sub._memo[key] = self._memo[key][rows]
+        return sub
 
     @property
-    def eig_A(self) -> tuple:
-        return self._cached("A", lambda: tuple(map(hermitian_eig, self._inst.A)))
+    def eig_A(self) -> EigenDecomposition:
+        """Decompositions of every A_i, stacked (..., m, n, n)."""
+        return self._cached(("A",), lambda: hermitian_eig(self._A))
 
     @property
-    def eig_B(self) -> tuple:
-        return self._cached("B", lambda: tuple(map(hermitian_eig, self._inst.B)))
+    def eig_B(self) -> EigenDecomposition:
+        return self._cached(("B",), lambda: hermitian_eig(self._B))
 
     @property
     def eig_sum_A(self) -> EigenDecomposition:
-        return self._cached("sum_A", lambda: hermitian_eig(self._inst.sum_A()))
+        return self._cached(("sum_A",), lambda: hermitian_eig(_sum_pairs(self._A)))
 
     @property
     def eig_sum_B(self) -> EigenDecomposition:
-        return self._cached("sum_B", lambda: hermitian_eig(self._inst.sum_B()))
+        return self._cached(("sum_B",), lambda: hermitian_eig(_sum_pairs(self._B)))
 
     @property
-    def condition_max(self) -> float:
-        """Largest condition number over the inputs and both sums."""
+    def condition_max(self):
+        """Largest condition number over the inputs and both sums: a float,
+        or one per instance of a stack."""
 
         def compute():
-            worst = 1.0
-            for eig in (*self.eig_A, *self.eig_B, self.eig_sum_A, self.eig_sum_B):
-                lo, hi = float(eig.eigenvalues[-1]), float(eig.eigenvalues[0])
-                worst = max(worst, math.inf if lo <= 0.0 else hi / lo)
-            return worst
+            pairs = self.eig_A.eigenvalues.shape[:-1]
+            w = np.concatenate([self.eig_A.eigenvalues, self.eig_B.eigenvalues,
+                                self.eig_sum_A.eigenvalues.reshape(pairs[:-1] + (1, -1)),
+                                self.eig_sum_B.eigenvalues.reshape(pairs[:-1] + (1, -1))], axis=-2)
+            lo, hi = w[..., -1], w[..., 0]
+            ratio = np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
+            worst = np.maximum(ratio.max(axis=-1), 1.0)
+            return float(worst) if worst.ndim == 0 else worst
 
-        return self._cached("condition_max", compute)
+        return self._cached(("condition_max",), compute)
 
-    def _mean_svds(self, s: float, t: float) -> tuple:
+    def _mean_svds(self, s, t) -> tuple:
         """(W, sigma) of each mean factor F_i = W diag(sigma) Q*, where
-        F_i F_i* = A_i^s #_t B_i^s."""
+        F_i F_i* = A_i^s #_t B_i^s, stacked (..., m, n, n) and (..., m, n)."""
 
         def compute():
-            return tuple(
-                svd(mean_factor(eig_a, eig_b, s, t))[:2]
-                for eig_a, eig_b in zip(self.eig_A, self.eig_B)
-            )
+            return svd(mean_factor(self.eig_A, self.eig_B, _per_pair(s), _per_pair(t)))[:2]
 
         return self._cached(("mean", s, t), compute)
 
-    def lhs_sv(self, s: float, t: float, r: float) -> np.ndarray:
+    def lhs_sv(self, s, t, r) -> np.ndarray:
         """Singular values of sum_i (A_i^s #_t B_i^s)^r, each power taken as
         W diag(sigma^{2r}) W* from its mean factor."""
 
         def compute():
-            acc = np.zeros((self._inst.n, self._inst.n), dtype=np.complex128)
-            for W, sigma in self._mean_svds(s, t):
-                acc += (W * sigma ** (2.0 * r)) @ W.conj().T
+            W, sigma = self._mean_svds(s, t)
+            weights = power_rows(sigma, 2.0 * _per_pair(r))
+            acc = np.zeros(W.shape[:-3] + W.shape[-2:], dtype=np.complex128)
+            for i in range(W.shape[-3]):
+                Wi = W[..., i, :, :]
+                acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
             return _read_only(psd_sv(acc))
 
         return self._cached(("lhs", s, t, r), compute)
 
-    def sandwich_sv(self, a_exp: float, b_exp: float, inv_p: float) -> np.ndarray:
+    def _factor_sv(self, a_exp, b_exp) -> np.ndarray:
+        """Singular values of F = (sum B)^{b/2} (sum A)^a."""
+
+        def compute():
+            return singular_values(power_from_eig(self.eig_sum_B, b_exp / 2.0)
+                                   @ power_from_eig(self.eig_sum_A, a_exp))
+
+        return self._cached(("factor", a_exp, b_exp), compute)
+
+    def sandwich_sv(self, a_exp, b_exp, inv_p) -> np.ndarray:
         """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}: the
         sandwich is F* F with F = (sum B)^{b/2} (sum A)^a, so they are the
         singular values of F to the power 2 inv_p."""
-
-        def compute():
-            F = power_from_eig(self.eig_sum_B, b_exp / 2.0) @ power_from_eig(self.eig_sum_A, a_exp)
-            return _read_only(singular_values(F) ** (2.0 * inv_p))
-
-        return self._cached(("sandwich", a_exp, b_exp, inv_p), compute)
+        return self._cached(("sandwich", a_exp, b_exp, inv_p), lambda: _read_only(
+            power_rows(self._factor_sv(a_exp, b_exp), 2.0 * inv_p)))
 
     def z_sv(self, x: float) -> np.ndarray:
         """Singular values of Z^x: Z's nonzero spectrum is that of the core
         (sum A)^{1/2} (sum B) (sum A)^{1/2}, the sandwich with (a, b) =
         (1/2, 1), followed by (m - 1) n exact zeros."""
-        zeros = (self._inst.m - 1) * self._inst.n
+        m, n = self._A.shape[-3:-1]
         return self._cached(("Z", x), lambda: _read_only(
-            np.concatenate([self.sandwich_sv(0.5, 1.0, x), np.zeros(zeros)])))
+            np.concatenate([self.sandwich_sv(0.5, 1.0, x), np.zeros((m - 1) * n)])))
 
     def commuting_sv(self) -> tuple:
         """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
@@ -194,17 +237,26 @@ class InstanceSpectra:
             inst = self._inst.validate()
             lhs = np.zeros((inst.n, inst.n), dtype=np.complex128)
             mid_root = np.zeros((inst.n, inst.n), dtype=np.complex128)
-            for Ai, Bi, eig_a, eig_b in zip(inst.A, inst.B, self.eig_A, self.eig_B):
+            A_half, B_half = power_from_eig(self.eig_A, 0.5), power_from_eig(self.eig_B, 0.5)
+            for i, (Ai, Bi) in enumerate(zip(inst.A, inst.B)):
                 lhs += Ai @ Bi
-                mid_root += power_from_eig(eig_a, 0.5) @ power_from_eig(eig_b, 0.5)
+                mid_root += A_half[i] @ B_half[i]
             return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
-        return self._cached("commuting", compute)
+        return self._cached(("commuting",), compute)
 
 
 def condition_max(inst: InstanceSet) -> float:
     """Largest condition number over the inputs and both sums."""
     return inst.spectra.condition_max
+
+
+def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
+    """(lhs_sv, rhs_sv) of the weighted chain: sum (A_i^s #_t B_i^s)^r
+    against the sandwich with exponents (1-t)srp/2 and tsrp, for one
+    instance or, with one (s, t, r, p) per instance, a stack."""
+    return (spectra.lhs_sv(s, t, r),
+            spectra.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p))
 
 
 def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
@@ -262,11 +314,11 @@ def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
         raise errors.HypothesisViolation(f"t must lie in [0, 1], got {t}")
     if s <= 0.0 or r <= 0.0 or p <= 0.0:
         raise errors.HypothesisViolation(f"need s, r, p > 0; got s={s}, r={r}, p={p}")
-    sp = inst.spectra
+    lhs_sv, rhs_sv = t_chain_sides(inst.spectra, s, t, r, p)
     return ChainTerms(
         chain_id="t-chain",
-        lhs_sv=sp.lhs_sv(s, t, r),
-        rhs_sv=sp.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p),
+        lhs_sv=lhs_sv,
+        rhs_sv=rhs_sv,
         status=t_chain_status(params),
         condition_max=condition_max(inst),
     )

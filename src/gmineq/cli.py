@@ -3,7 +3,8 @@
 Subcommands:
   verify  evaluate one chain family on seeded instances from flags
   sweep   run a full sweep from a JSON config file
-  hunt    random + refinement search over the conjectured region
+  hunt    random + refinement search over the conjectured region; its wall
+          time and samples per second go to stderr, not into the report
   show    summarize a report file, optionally to CSV
 
 Exit codes: 0 all pass; 2 violation candidate in a proven regime;
@@ -158,6 +159,9 @@ def _cmd_hunt(args) -> int:
         tol_rel=args.tol,
     )
     result = hunt(cfg)
+    points = result.samples_evaluated + result.gated_count
+    rate = points / result.wall_seconds if result.wall_seconds > 0.0 else float("inf")
+    print(f"wall seconds: {result.wall_seconds:.3f}   samples/s: {rate:.1f}", file=sys.stderr)
     print(f"samples evaluated: {result.samples_evaluated}   gated: {result.gated_count}")
     print(f"min normalized margin: {result.min_margin:+.6e}")
     if result.argmin is not None:

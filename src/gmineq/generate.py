@@ -6,6 +6,11 @@ Identical arguments produce bit-identical instances.
 
 Per-task seeds are derived with a splitmix64 mix of (base_seed, index),
 so each task's instance depends on its index alone, not on run order.
+
+An instance is made in two steps: `draw_instance` draws its random numbers
+from its own seeded stream, and `assemble_instances` turns a stack of such
+draws into matrices with one QR call.  `generate_instance` is a stack of
+one, and a stack of many equal-shape instances gives each the same bytes.
 """
 
 from __future__ import annotations
@@ -63,12 +68,23 @@ class SpectrumLaw:
 DEFAULT_LAW = SpectrumLaw()
 
 
+def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A complex Ginibre matrix: real parts drawn first, then imaginary."""
+    re, im = rng.standard_normal((2, n, n))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _haar(G: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a stack of Ginibre matrices, through
+    one stacked QR."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    return _haar(_ginibre(n, rng))
 
 
 def random_spd(n: int, rng: np.random.Generator, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
@@ -76,6 +92,37 @@ def random_spd(n: int, rng: np.random.Generator, law: SpectrumLaw = DEFAULT_LAW)
     Q = haar_unitary(n, rng)
     lam = law.sample(rng, n)
     return hermitize((Q * lam) @ Q.conj().T)
+
+
+def draw_instance(kind: str, n: int, m: int, seed: int, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
+    """The random numbers of one instance, in the order they are drawn:
+    Ginibre matrices G (one per matrix, or one per pair for commuting
+    instances) and eigenvalues lam (2m, n), A_1's row first, then B_1's."""
+    if kind not in ("generic", "commuting"):
+        raise errors.ConfigError(f"unknown instance kind {kind!r}")
+    if n < 1 or m < 1:
+        raise errors.ConfigError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    rng = np.random.default_rng(seed & _MASK64)
+    G, lam = [], []
+    for _ in range(m):
+        if kind == "generic":
+            for _ in range(2):
+                G.append(_ginibre(n, rng))
+                lam.append(law.sample(rng, n))
+        else:
+            G.append(_ginibre(n, rng))
+            lam.extend(law.sample(rng, n) for _ in range(2))
+    return np.stack(G), np.stack(lam)
+
+
+def assemble_instances(kind: str, G: np.ndarray, lam: np.ndarray) -> tuple:
+    """(A, B), each (..., m, n, n), from stacked draws of `draw_instance`;
+    every matrix is Q diag(lam) Q* with Q from one stacked QR."""
+    Q = _haar(G)
+    if kind == "commuting":
+        Q = np.repeat(Q, 2, axis=-3)  # A_i and B_i share one eigenbasis
+    X = hermitize((Q * lam[..., None, :]) @ Q.conj().mT)
+    return X[..., 0::2, :, :], X[..., 1::2, :, :]
 
 
 def generate_instance(
@@ -90,20 +137,5 @@ def generate_instance(
     generic: all 2m matrices independent.  commuting: A_i and B_i share
     one eigenbasis per pair, so they commute exactly up to round-off.
     """
-    if kind not in ("generic", "commuting"):
-        raise errors.ConfigError(f"unknown instance kind {kind!r}")
-    if n < 1 or m < 1:
-        raise errors.ConfigError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(seed & _MASK64)
-    A, B = [], []
-    for _ in range(m):
-        if kind == "generic":
-            A.append(random_spd(n, rng, law))
-            B.append(random_spd(n, rng, law))
-        else:
-            Q = haar_unitary(n, rng)
-            lam_a = law.sample(rng, n)
-            lam_b = law.sample(rng, n)
-            A.append(hermitize((Q * lam_a) @ Q.conj().T))
-            B.append(hermitize((Q * lam_b) @ Q.conj().T))
+    A, B = assemble_instances(kind, *draw_instance(kind, n, m, seed, law))
     return InstanceSet(m=m, n=n, A=A, B=B, seed=int(seed), kind=kind)

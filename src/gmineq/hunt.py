@@ -4,6 +4,16 @@ Random sampling over (instance, s, t, r, p) followed by local perturbation
 descent from the worst point.  A negative margin beyond tolerance is never
 claimed as a counterexample: it is re-evaluated in extended precision and
 reported as a violation candidate.
+
+The sampling phase is bucketed: each sample draws its parameters and its
+instance's random numbers from its own seeded streams, the samples are
+grouped by (n, m), and each group is generated and evaluated as one stack
+(one call per kernel step; see `linalg`).  The arg-min is then taken in
+sample order, the first sample winning a tie.  Refinement is sequential,
+and it and `evaluate_argmin` evaluate a stack of one through the same
+`_stack_margins`, so every sample gets the bytes it gets alone and the
+report does not depend on the bucketing.  A gated sample (condition
+number over the cap) is counted and not evaluated.
 """
 
 from __future__ import annotations
@@ -18,17 +28,20 @@ from . import errors, highprec
 from .blocks import InstanceSet
 from .chains import (
     ChainParams,
+    InstanceSpectra,
     expand_norm_tokens,
-    report_from_terms,
+    t_chain_sides,
     t_chain_status,
-    t_chain_terms,
 )
-from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
+from .generate import DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instance
 from .linalg import hermitian_eig, hermitize
-from .norms import NormSpec
+from .norms import NormSpec, norm_from_sv
 from .reports import SCHEMA_VERSION
 
 _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement steps
+# The sampling phase holds about this many matrix entries (16 bytes each) of
+# instances at a time.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -131,22 +144,8 @@ class SearchResult:
         )
 
 
-def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
-    """Smallest normalized margin (a report's min margin over its scale)
-    over the norms, the first such norm winning a tie; None when gated."""
-    terms = t_chain_terms(inst, params)
-    if terms.condition_max > condition_cap:
-        return None, None
-    best, best_spec = np.inf, None
-    for spec in expand_norm_tokens(norms, terms.max_dim):
-        rep = report_from_terms(terms, inst, params, spec)
-        margin = rep.min_margin / rep.scale
-        if margin < best:
-            best, best_spec = margin, spec
-    return float(best), best_spec
-
-
-def _sample_point(cfg: SearchConfig, k: int):
+def _sample_point(cfg: SearchConfig, k: int) -> tuple:
+    """(n, m, params, instance seed) of sample k."""
     rng = np.random.default_rng(derive_seed(cfg.base_seed, k))
     n = int(rng.integers(1, cfg.n_max + 1))
     m = int(rng.integers(1, cfg.m_max + 1))
@@ -154,9 +153,81 @@ def _sample_point(cfg: SearchConfig, k: int):
     t = float(rng.uniform(*cfg.t_range))
     r = float(cfg.r_values[int(rng.integers(0, len(cfg.r_values)))])
     p = float(cfg.p_values[int(rng.integers(0, len(cfg.p_values)))])
-    inst_seed = derive_seed(cfg.base_seed, (k << 1) | 1)
-    inst = generate_instance("generic", n, m, inst_seed, cfg.spectrum_law)
-    return inst, ChainParams(s=s, r=r, p=p, t=t)
+    return n, m, ChainParams(s=s, r=r, p=p, t=t), derive_seed(cfg.base_seed, (k << 1) | 1)
+
+
+def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap) -> tuple:
+    """The weighted chain on a stack of K equal-shape instances (A and B
+    are (K, m, n, n)), one parameter point each: (gated, margin, spec) per
+    instance.  margin is the smallest normalized margin over the norms, a
+    report's min margin over its scale, (rhs - lhs) / max(1, rhs); the
+    first such norm wins a tie.  Gated instances (over the condition cap)
+    are not evaluated; their margin is inf and their spec None."""
+    spectra = InstanceSpectra(A, B)
+    gated = spectra.condition_max > condition_cap
+    margin = np.full(gated.shape, np.inf)
+    winner = np.full(gated.shape, -1)
+    specs = expand_norm_tokens(norms, A.shape[-1])
+    keep = np.flatnonzero(~gated)
+    if keep.size:
+        s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in (params[i] for i in keep)]).T
+        lhs_sv, rhs_sv = t_chain_sides(spectra.select(keep), s, t, r, p)
+        best, best_j = margin[keep], winner[keep]
+        for j, spec in enumerate(specs):
+            lhs = norm_from_sv(lhs_sv, spec, pad=True)
+            rhs = norm_from_sv(rhs_sv, spec, pad=True)
+            # ChainReport.min_margin / ChainReport.scale of the two-term chain
+            value = (rhs - lhs) / np.where(rhs > 1.0, rhs, 1.0)
+            better = value < best
+            best[better], best_j[better] = value[better], j
+        margin[keep], winner[keep] = best, best_j
+    return gated, margin, [specs[j] if j >= 0 else None for j in winner.tolist()]
+
+
+def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
+    """(margin, spec) of one point through `_stack_margins`, a stack of
+    one; (None, None) when gated."""
+    gated, margin, specs = _stack_margins(np.stack(inst.A)[None], np.stack(inst.B)[None],
+                                          [params], norms, condition_cap)
+    return (None, None) if gated[0] else (float(margin[0]), specs[0])
+
+
+def _chunks(cfg: SearchConfig):
+    """The samples in order, in chunks of about _CHUNK_ENTRIES matrix
+    entries, so that a long hunt holds a bounded working set."""
+    chunk, entries = [], 0
+    for k in range(cfg.samples):
+        n, m, params, seed = _sample_point(cfg, k)
+        chunk.append((n, m, params, seed))
+        entries += 2 * m * n ** 2
+        if entries >= _CHUNK_ENTRIES:
+            yield chunk
+            chunk, entries = [], 0
+    if chunk:
+        yield chunk
+
+
+def _sampling_phase(cfg: SearchConfig):
+    """(margin or None when gated, point) for every sample, in sample
+    order.  Each chunk's samples are grouped by (n, m); a group's instances
+    are generated as one stack and evaluated by one `_stack_margins` call.
+    A point is (A, B, row, sample, spec): the sample's instance is row
+    `row` of the stacks A and B, and `sample` is from `_sample_point`."""
+    for chunk in _chunks(cfg):
+        buckets = {}
+        for i, (n, m, params, seed) in enumerate(chunk):
+            buckets.setdefault((n, m), []).append((i, params, seed))
+        results = [None] * len(chunk)
+        for (n, m), members in buckets.items():
+            draws = [draw_instance("generic", n, m, seed, cfg.spectrum_law) for _, _, seed in members]
+            A, B = assemble_instances("generic", np.stack([G for G, _ in draws]),
+                                      np.stack([lam for _, lam in draws]))
+            gated, margin, specs = _stack_margins(A, B, [params for _, params, _ in members],
+                                                  cfg.norms, cfg.condition_cap)
+            for row, (i, _, _) in enumerate(members):
+                point = (A, B, row, chunk[i], specs[row])
+                results[i] = (None if gated[row] else float(margin[row]), point)
+        yield from results
 
 
 def _perturb_matrix(H: np.ndarray, rng: np.random.Generator, scale: float) -> np.ndarray:
@@ -227,21 +298,20 @@ def hunt(cfg: SearchConfig) -> SearchResult:
     cfg.validate()
     t0 = time.perf_counter()
     best_margin = np.inf
-    best_point = None  # (inst, params, spec)
+    best_point = None
     gated = 0
     evaluated = 0
-    for k in range(cfg.samples):
-        inst, params = _sample_point(cfg, k)
-        margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    for margin, point in _sampling_phase(cfg):
         if margin is None:
             gated += 1
             continue
         evaluated += 1
         if margin < best_margin:
-            best_margin, best_point = margin, (inst, params, spec)
+            best_margin, best_point = margin, point
 
-    if best_point is not None and cfg.refine_steps:
-        inst, params, spec = best_point
+    if best_point is not None:
+        A, B, row, (n, m, params, seed), spec = best_point
+        inst = InstanceSet(m=m, n=n, A=A[row], B=B[row], seed=seed, kind="generic")
         for step in range(cfg.refine_steps):
             rng = np.random.default_rng(derive_seed(cfg.base_seed ^ _REFINE_TAG, step))
             cand_inst, cand_params = _perturb_point(inst, params, cfg, rng)

@@ -5,6 +5,14 @@ Everything here is a pure function of its inputs and safe to call from
 concurrent workers.  Matrices are numpy arrays of complex128; results are
 re-Hermitized where the exact result is Hermitian, so downstream invariant
 checks see symmetric round-off.
+
+The spectral path is stack-aware: `hermitize`, `require_hermitian`,
+`hermitian_eig`, `psd_sv`, `power_from_eig` and `svd` take arrays of shape
+(..., n, n), one matrix per leading index, and run each check (finite
+entries, Hermitian defect, the zeroing rule, the PD floor) per matrix.  An
+exponent is a scalar or one value per matrix; a scalar takes the 2-d code
+path unchanged, and each matrix of a stack gets bitwise the result it gets
+alone.
 """
 
 from __future__ import annotations
@@ -26,10 +34,10 @@ CLIP_FLOOR = 1e-12
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
+    """Coerce to a finite complex128 matrix or stack of matrices."""
     A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise errors.DimensionMismatch(f"expected a 2-d matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
+        raise errors.DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {A.shape}")
     if not np.all(np.isfinite(A.view(np.float64))):
         raise ValueError("matrix contains NaN or Inf entries")
     return A
@@ -37,87 +45,127 @@ def as_matrix(M) -> np.ndarray:
 
 def require_square(M) -> np.ndarray:
     A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
+    if A.shape[-2] != A.shape[-1]:
         raise errors.DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     return A
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Exactly-Hermitian average (M + M*)/2."""
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + M.conj().mT)
+
+
+def _any(mask) -> bool:
+    """mask.any(), without numpy's reduction call for a single flag."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
 def require_hermitian(H, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate the Hermitian invariant and return H unchanged."""
+    """Validate the Hermitian invariant of every matrix and return H unchanged."""
     A = require_square(H)
-    scale = np.abs(A).max()
-    defect = np.abs(A - A.conj().T).max()
-    if defect > rtol * max(scale, 1.0):
+    scale = np.abs(A).max(axis=(-2, -1), initial=1.0)
+    defect = np.abs(A - A.conj().mT).max(axis=(-2, -1))
+    bad = defect > rtol * scale
+    if _any(bad):
         raise errors.NotHermitian(
-            f"max |H - H*| = {defect:.3e} exceeds {rtol:.1e} * {max(scale, 1.0):.3e}"
+            f"max |H - H*| = {defect[bad].flat[0]:.3e} exceeds {rtol:.1e} * {scale[bad].flat[0]:.3e}"
         )
     return A
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in descending order with matching orthonormal columns."""
+    """Eigenvalues in descending order with matching orthonormal columns;
+    for a stack, eigenvalues (..., n) and vectors (..., n, n), and indexing
+    selects along the leading axes."""
 
     eigenvalues: np.ndarray  # real, descending
     vectors: np.ndarray      # columns are eigenvectors
 
+    def __getitem__(self, index) -> "EigenDecomposition":
+        return EigenDecomposition(self.eigenvalues[index], self.vectors[index])
+
     def reconstruct(self) -> np.ndarray:
         V = self.vectors
-        return (V * self.eigenvalues) @ V.conj().T
+        return (V * self.eigenvalues[..., None, :]) @ V.conj().mT
 
 
 def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+    """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack, eigenvalues descending."""
     A = require_hermitian(H, rtol)
     try:
         w, V = np.linalg.eigh(hermitize(A))
     except np.linalg.LinAlgError as exc:
         raise errors.NonConvergence(str(exc)) from exc
     # eigh returns ascending order; stable flip keeps tie order deterministic
-    return EigenDecomposition(eigenvalues=w[::-1].copy(), vectors=V[:, ::-1].copy())
+    return EigenDecomposition(eigenvalues=w[..., ::-1].copy(), vectors=V[..., ::-1].copy())
 
 
-def _power_spectrum(w: np.ndarray, x: float, psd: bool = False) -> np.ndarray:
-    """Apply lambda -> lambda**x after the zeroing rule (see CLIP_FLOOR).
-    A negative beyond the floor is allowed only for an integer x on a
-    matrix not declared PSD."""
-    lam_max = max(float(w.max(initial=0.0)), 0.0)
-    wc = np.where((w < 0.0) & (w >= -CLIP_FLOOR * lam_max), 0.0, w)
-    if np.any(wc < 0.0):
-        if float(x).is_integer() and not psd:
-            return wc ** x
-        raise errors.NotPositiveSemidefinite(
-            f"min eigenvalue {wc.min():.3e} is negative beyond the clip floor"
-        )
-    if x < 0.0:
-        floor = PD_FLOOR * lam_max
-        if float(wc.min()) <= floor:
-            raise errors.SingularForNegativePower(
-                f"min eigenvalue {wc.min():.3e} at or below PD floor {floor:.3e}"
+def power_rows(a: np.ndarray, x) -> np.ndarray:
+    """a**x along the last axis, for a scalar x or one exponent per row of
+    the leading axes.  Per-row exponents are applied one distinct value at
+    a time, as a scalar: numpy's scalar fast paths (**0.5 is sqrt, **2.0
+    is square) and its vectorized pow round differently from an
+    elementwise array power, so only a scalar reproduces the result that
+    one row gets alone."""
+    if isinstance(x, (int, float)):
+        return a ** float(x)
+    x = np.broadcast_to(x, a.shape[:-1]).ravel()
+    if (x == x[0]).all():
+        return a ** float(x[0])
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    rows = a.reshape(-1, a.shape[-1])[order]
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]])).tolist()
+    out = np.empty(rows.shape)
+    for lo, hi in zip(starts, starts[1:] + [xs.size]):
+        out[lo:hi] = rows[lo:hi] ** float(xs[lo])
+    result = np.empty_like(out)
+    result[order] = out
+    return result.reshape(a.shape)
+
+
+def _power_spectrum(w: np.ndarray, x, psd: bool = False) -> np.ndarray:
+    """Apply lambda -> lambda**x after the zeroing rule (see CLIP_FLOOR), to
+    the last axis of w, x a scalar or one exponent per row.  A negative
+    beyond the floor is allowed only for an integer x on a matrix not
+    declared PSD; a negative x needs every eigenvalue above the PD floor."""
+    lam_max = w.max(axis=-1, initial=0.0)
+    wc = np.where((w < 0.0) & (w >= -CLIP_FLOOR * lam_max[..., None]), 0.0, w)
+    below = wc < 0.0
+    inverse = np.less(x, 0.0)
+    if below.any() or _any(inverse):
+        negative = below.any(axis=-1)
+        not_psd = negative & ~((np.remainder(x, 1.0) == 0.0) & (not psd))
+        if _any(not_psd):
+            raise errors.NotPositiveSemidefinite(
+                f"min eigenvalue {wc[not_psd].min():.3e} is negative beyond the clip floor"
             )
-    with np.errstate(divide="ignore"):
-        return wc ** x
+        floor = PD_FLOOR * lam_max
+        singular = inverse & ~negative & (wc.min(axis=-1) <= floor)
+        if _any(singular):
+            raise errors.SingularForNegativePower(
+                f"min eigenvalue {wc[singular].min(axis=-1).flat[0]:.3e} "
+                f"at or below PD floor {floor[singular].flat[0]:.3e}"
+            )
+    return power_rows(wc, x)
 
 
-def psd_sv(H, x: float = 1.0) -> np.ndarray:
+def psd_sv(H, x=1.0) -> np.ndarray:
     """Singular values of H**x, for x >= 0 and H Hermitian PSD by
     construction: its descending eigenvalues, after the zeroing rule, to
     the power x."""
-    return _power_spectrum(hermitian_eig(hermitize(H)).eigenvalues, float(x), psd=True)
+    return _power_spectrum(hermitian_eig(hermitize(H)).eigenvalues, x, psd=True)
 
 
-def power_from_eig(eig: EigenDecomposition, x: float) -> np.ndarray:
+def power_from_eig(eig: EigenDecomposition, x) -> np.ndarray:
     """V diag(lambda_i**x) V* from an eigendecomposition with nonnegative
     spectrum, after the zeroing rule; x < 0 additionally requires the
     spectrum to clear the PD floor.
     """
-    wx = _power_spectrum(eig.eigenvalues, float(x))
-    return hermitize((eig.vectors * wx) @ eig.vectors.conj().T)
+    wx = _power_spectrum(eig.eigenvalues, x)
+    return hermitize((eig.vectors * wx[..., None, :]) @ eig.vectors.conj().mT)
 
 
 def matrix_power(H, x: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -132,7 +180,7 @@ def matrix_abs(M) -> np.ndarray:
 
 
 def svd(M: np.ndarray) -> tuple:
-    """(U, sigma, V*), sigma descending."""
+    """(U, sigma, V*), sigma descending, of a matrix or each of a stack."""
     try:
         return np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:

@@ -8,7 +8,8 @@ C = B^{s/2} A^{-s/2} = U diag(sigma) V*,
 
 The powers of sigma keep the accuracy that the eigenvalues of C* C lose;
 no iterative algorithms.  PSD-but-not-PD inputs are rejected, not
-extended by continuity.
+extended by continuity.  `mean_factor` is stack-aware like `linalg`: it
+takes stacked decompositions and one (s, t) per matrix.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ import numpy as np
 
 from . import errors
 from .linalg import (EigenDecomposition, hermitize, matrix_power, polar_unitary,
-                     power_from_eig, require_hermitian, spd_eig, svd)
+                     power_from_eig, power_rows, require_hermitian, spd_eig, svd)
 
 
-def mean_factor(eig_A: EigenDecomposition, eig_B: EigenDecomposition,
-                s: float, t: float) -> np.ndarray:
+def mean_factor(eig_A: EigenDecomposition, eig_B: EigenDecomposition, s, t) -> np.ndarray:
     """F = A^{s/2} V diag(sigma^t), so that F F* = A^s #_t B^s.  Only
-    A^{-s/2} is inverted, so only A must clear the PD floor."""
+    A^{-s/2} is inverted, so only A must clear the PD floor.  s and t are
+    scalars or one value per matrix of the stacks."""
     C = power_from_eig(eig_B, s / 2.0) @ power_from_eig(eig_A, -s / 2.0)
     _, sigma, vh = svd(C)
-    return power_from_eig(eig_A, s / 2.0) @ (vh.conj().T * sigma ** t)
+    return power_from_eig(eig_A, s / 2.0) @ (vh.conj().mT * power_rows(sigma, t)[..., None, :])
 
 
 def t_geometric_mean(A, B, t: float) -> np.ndarray:

@@ -98,38 +98,43 @@ class NormSpec:
 
 
 def singular_values(M) -> np.ndarray:
-    """Descending singular values of M."""
+    """Descending singular values of M, or of each matrix of a stack."""
     A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2:
-        raise errors.DimensionMismatch(f"expected a 2-d matrix, got shape {A.shape}")
+    if A.ndim < 2:
+        raise errors.DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {A.shape}")
     try:
         return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise errors.NonConvergence(str(exc)) from exc
 
 
-def norm_from_sv(sv: np.ndarray, spec: NormSpec, pad: bool = False) -> float:
-    """Evaluate a norm from a descending singular value list.
+def norm_from_sv(sv: np.ndarray, spec: NormSpec, pad: bool = False):
+    """Evaluate a norm from a descending singular value list: a float, or
+    one value per row for a stack of lists (..., d).
 
     With pad=True a Ky Fan k beyond the list length is evaluated under the
     direct-sum convention ||A|| = ||A (+) 0|| (missing singular values are
     zeros); this is how terms of different sizes are compared in one chain.
     """
     sv = np.asarray(sv, dtype=np.float64)
+    size = sv.shape[-1]
     if spec.variant == "kyfan":
-        if spec.k > sv.size and not pad:
-            raise errors.InvalidSpec(f"Ky Fan k={spec.k} out of range for {sv.size} singular values")
-        return float(sv[: spec.k].sum())
-    if spec.variant == "schatten":
-        if math.isinf(spec.p):
-            return float(sv[0]) if sv.size else 0.0
-        return float((sv ** spec.p).sum() ** (1.0 / spec.p))
-    if spec.variant == "trace":
-        return float(sv.sum())
-    if spec.variant == "operator":
-        return float(sv[0]) if sv.size else 0.0
-    # frobenius
-    return float(np.sqrt((sv ** 2).sum()))
+        if spec.k > size and not pad:
+            raise errors.InvalidSpec(f"Ky Fan k={spec.k} out of range for {size} singular values")
+        value = sv[..., : spec.k].sum(axis=-1)
+    elif spec.variant == "schatten" and not math.isinf(spec.p):
+        sums = (sv ** spec.p).sum(axis=-1)
+        if sums.ndim:  # each root a scalar power, as a single list gets it
+            value = np.array([v ** (1.0 / spec.p) for v in sums.ravel().tolist()]).reshape(sums.shape)
+        else:
+            value = sums ** (1.0 / spec.p)
+    elif spec.variant in ("schatten", "operator"):
+        value = sv[..., 0] if size else np.zeros(sv.shape[:-1])
+    elif spec.variant == "trace":
+        value = sv.sum(axis=-1)
+    else:  # frobenius
+        value = np.sqrt((sv ** 2).sum(axis=-1))
+    return float(value) if value.ndim == 0 else value
 
 
 def norm_eval(M, spec: NormSpec) -> float:

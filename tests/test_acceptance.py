@@ -8,6 +8,7 @@ max(1, rhs), matching the reporting convention of the package.
 import numpy as np
 import oracle
 import pytest
+from mpmath import mp
 
 from gmineq.blocks import verify_equivalences
 from gmineq.chains import (
@@ -194,21 +195,22 @@ def test_criterion_8_oracle_equivalence():
     worst = 0.0
     t_values = (0.25, 0.5, 0.9)
     x_values = (0.5, 1.5, 2.0, -1.0)
-    for i in range(50):
-        inst = generate_instance("generic", 3, 1, derive_seed(BASE_SEED + 22, i))
-        A, B = inst.A[0], inst.B[0]
-        mpA, mpB = oracle.to_mp(A), oracle.to_mp(B)
-        t = t_values[i % len(t_values)]
-        got = t_geometric_mean(A, B, t)
-        want = oracle.as_numpy(oracle.t_mean(mpA, mpB, t))
-        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-        x = x_values[i % len(x_values)]
-        got = matrix_power(A, x)
-        want = oracle.as_numpy(oracle.power(mpA, x))
-        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-        got_sv = singular_values(A @ B)
-        want_sv = np.array([float(v) for v in oracle.singular_values(mpA * mpB)])
-        worst = max(worst, np.abs(got_sv - want_sv).max() / want_sv[0])
+    with mp.workdps(oracle.DPS):
+        for i in range(50):
+            inst = generate_instance("generic", 3, 1, derive_seed(BASE_SEED + 22, i))
+            A, B = inst.A[0], inst.B[0]
+            mpA, mpB = oracle.to_mp(A), oracle.to_mp(B)
+            t = t_values[i % len(t_values)]
+            got = t_geometric_mean(A, B, t)
+            want = oracle.as_numpy(oracle.t_mean(mpA, mpB, t))
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+            x = x_values[i % len(x_values)]
+            got = matrix_power(A, x)
+            want = oracle.as_numpy(oracle.power(mpA, x))
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+            got_sv = singular_values(A @ B)
+            want_sv = np.array([float(v) for v in oracle.singular_values(mpA * mpB)])
+            worst = max(worst, np.abs(got_sv - want_sv).max() / want_sv[0])
     _report(8, "extended-precision oracle agreement (50 instances)", worst <= 1e-10,
             f"worst relative error {worst:.3e}")
 

@@ -283,6 +283,21 @@ class TestCli:
         assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
         assert "argmin re-evaluation" in capsys.readouterr().out
 
+    def test_hunt_timing_on_stderr(self, tmp_path, capsys):
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{tag}.json"
+            code = cli.main(["hunt", "--samples", "10", "--n-max", "2", "--m-max", "2",
+                             "--seed", "9", "--out", str(out)])
+            assert code == cli.EXIT_OK
+            captured = capsys.readouterr()
+            assert re.fullmatch(r"wall seconds: \d+\.\d{3}   samples/s: (\d+\.\d|inf)\n",
+                                captured.err)
+            assert captured.out.startswith("samples evaluated: 10   gated: 0\n")
+            outs.append((captured.out.replace(str(out), "OUT"), out.read_bytes()))
+        assert outs[0] == outs[1]
+        assert b"wall" not in outs[0][1]
+
     def test_show_gated_argmin(self, tmp_path, capsys):
         r = hunt(SearchConfig(**TestHunt.CFG))
 
