@@ -26,24 +26,9 @@ from .chains import (
 from .generate import SpectrumLaw, derive_seed, generate_instance, haar_unitary, random_spd
 from .hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
 from .lemmas import LEMMA_IDS, LemmaCase, LemmaReport, eval_lemma, random_case
-from .linalg import (
-    DefinitenessReport,
-    EigenDecomposition,
-    condition_number,
-    hermitian_eig,
-    is_positive_definite,
-    matrix_abs,
-    matrix_power,
-    polar_unitary,
-)
-from .means import geometric_mean, geometric_mean_unitary, t_geometric_mean
-from .norms import (
-    DominanceReport,
-    NormSpec,
-    ky_fan_dominance,
-    norm_eval,
-    singular_values,
-)
+from .linalg import EigenDecomposition, hermitian_eig, matrix_power
+from .means import geometric_mean, t_geometric_mean
+from .norms import DominanceReport, NormSpec, ky_fan_dominance, norm_values, singular_values
 from .reports import ReportSet, read_reports, write_reports
 from .sweep import SweepConfig, run_sweep
 

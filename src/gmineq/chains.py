@@ -1,7 +1,9 @@
 """Inequality-chain evaluators.
 
-Each evaluator computes the singular values of every term of a chain once,
-then reports margins under any requested norm.  All chain terms are
+Each evaluator computes the singular values of every term of a chain once;
+`chain_reports` then evaluates a whole norm list with one
+`norms.norm_values` call per term, and `chain_margins` is the one margin
+and pass rule, shared with the hunt and the lemmas.  All chain terms are
 Hermitian PSD (except the commuting product right side).  Each power of a
 mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
@@ -23,7 +25,7 @@ from .blocks import InstanceSet
 from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
                      psd_sv, svd)
 from .means import mean_factor
-from .norms import NormSpec, norm_from_sv, singular_values
+from .norms import NormSpec, norm_values, singular_values
 
 DEFAULT_TOL_REL = 1e-8
 DEFAULT_CONDITION_CAP = 1e8
@@ -347,6 +349,41 @@ def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
     )
 
 
+def chain_margins(lhs, mid, rhs, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
+    """(margins, min margin, scale, passed) of a chain's norm values,
+    elementwise over arrays of any shape: margins (mid - lhs, rhs - mid),
+    or (rhs - lhs,) without a middle term, scale max(1, rhs), and passed
+    where min margin >= -tol_rel * scale."""
+    margins = (rhs - lhs,) if mid is None else (mid - lhs, rhs - mid)
+    least, scale = np.minimum.reduce(margins), np.maximum(rhs, 1.0)
+    return margins, least, scale, least >= -tol_rel * scale
+
+
+def chain_reports(
+    terms: ChainTerms,
+    inst: InstanceSet,
+    params: ChainParams,
+    norms: list,
+    tol_rel: float = DEFAULT_TOL_REL,
+    condition_cap: float = DEFAULT_CONDITION_CAP,
+) -> list:
+    """One report per norm of `norms` on precomputed chain terms: one
+    `norm_values` call per term."""
+    lhs, rhs = norm_values(terms.lhs_sv, norms), norm_values(terms.rhs_sv, norms)
+    mid = None if terms.mid_sv is None else norm_values(terms.mid_sv, norms)
+    margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
+    margins = list(zip(*(m.tolist() for m in margins)))
+    mids = [None] * len(norms) if mid is None else mid.tolist()
+    gated = bool(terms.condition_max > condition_cap)
+    return [
+        ChainReport(chain_id=terms.chain_id, instance_seed=inst.seed, n=inst.n, m=inst.m,
+                    params=params, norm=norm, lhs=lo, mid=mi, rhs=hi, margins=mg, passed=ok,
+                    status=terms.status, gated=gated, condition_max=terms.condition_max)
+        for norm, lo, mi, hi, mg, ok in zip(norms, lhs.tolist(), mids, rhs.tolist(), margins,
+                                            passed.tolist())
+    ]
+
+
 def report_from_terms(
     terms: ChainTerms,
     inst: InstanceSet,
@@ -356,31 +393,7 @@ def report_from_terms(
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> ChainReport:
     """Evaluate one norm on precomputed chain terms."""
-    lhs = norm_from_sv(terms.lhs_sv, norm, pad=True)
-    rhs = norm_from_sv(terms.rhs_sv, norm, pad=True)
-    if terms.mid_sv is not None:
-        mid = norm_from_sv(terms.mid_sv, norm, pad=True)
-        margins = (mid - lhs, rhs - mid)
-    else:
-        mid = None
-        margins = (rhs - lhs,)
-    scale = max(1.0, rhs)
-    return ChainReport(
-        chain_id=terms.chain_id,
-        instance_seed=inst.seed,
-        n=inst.n,
-        m=inst.m,
-        params=params,
-        norm=norm,
-        lhs=lhs,
-        mid=mid,
-        rhs=rhs,
-        margins=margins,
-        passed=bool(min(margins) >= -tol_rel * scale),
-        status=terms.status,
-        gated=bool(terms.condition_max > condition_cap),
-        condition_max=terms.condition_max,
-    )
+    return chain_reports(terms, inst, params, [norm], tol_rel, condition_cap)[0]
 
 
 def expand_norm_tokens(tokens, max_dim: int) -> list:

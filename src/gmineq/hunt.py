@@ -29,13 +29,14 @@ from .blocks import InstanceSet
 from .chains import (
     ChainParams,
     InstanceSpectra,
+    chain_margins,
     expand_norm_tokens,
     t_chain_sides,
     t_chain_status,
 )
 from .generate import DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instance
 from .linalg import hermitian_eig, hermitize
-from .norms import NormSpec, norm_from_sv
+from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
 
 _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement steps
@@ -159,28 +160,23 @@ def _sample_point(cfg: SearchConfig, k: int) -> tuple:
 def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap) -> tuple:
     """The weighted chain on a stack of K equal-shape instances (A and B
     are (K, m, n, n)), one parameter point each: (gated, margin, spec) per
-    instance.  margin is the smallest normalized margin over the norms, a
-    report's min margin over its scale, (rhs - lhs) / max(1, rhs); the
-    first such norm wins a tie.  Gated instances (over the condition cap)
-    are not evaluated; their margin is inf and their spec None."""
+    instance.  margin is the smallest over the norms of min margin / scale
+    under `chain_margins`, (rhs - lhs) / max(1, rhs); the first such norm
+    wins a tie.  Gated instances (over the condition cap) are not
+    evaluated; their margin is inf and their spec None."""
     spectra = InstanceSpectra(A, B)
     gated = spectra.condition_max > condition_cap
     margin = np.full(gated.shape, np.inf)
     winner = np.full(gated.shape, -1)
     specs = expand_norm_tokens(norms, A.shape[-1])
     keep = np.flatnonzero(~gated)
-    if keep.size:
+    if keep.size and specs:
         s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in (params[i] for i in keep)]).T
         lhs_sv, rhs_sv = t_chain_sides(spectra.select(keep), s, t, r, p)
-        best, best_j = margin[keep], winner[keep]
-        for j, spec in enumerate(specs):
-            lhs = norm_from_sv(lhs_sv, spec, pad=True)
-            rhs = norm_from_sv(rhs_sv, spec, pad=True)
-            # ChainReport.min_margin / ChainReport.scale of the two-term chain
-            value = (rhs - lhs) / np.where(rhs > 1.0, rhs, 1.0)
-            better = value < best
-            best[better], best_j[better] = value[better], j
-        margin[keep], winner[keep] = best, best_j
+        _, least, scale, _ = chain_margins(norm_values(lhs_sv, specs), None,
+                                           norm_values(rhs_sv, specs))
+        value = least / scale
+        winner[keep], margin[keep] = value.argmin(axis=-1), value.min(axis=-1)
     return gated, margin, [specs[j] if j >= 0 else None for j in winner.tolist()]
 
 

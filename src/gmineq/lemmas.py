@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .chains import DEFAULT_TOL_REL
+from .chains import DEFAULT_TOL_REL, chain_margins
 from .generate import DEFAULT_LAW, SpectrumLaw, haar_unitary, random_spd
-from .linalg import hermitize, matrix_power, psd_sv
-from .means import geometric_mean_unitary
-from .norms import NormSpec, ky_fan_dominance, norm_from_sv, singular_values
+from .linalg import hermitian_eig, hermitize, matrix_power, power_from_eig, psd_sv
+from .means import mean_unitary
+from .norms import NormSpec, ky_fan_dominance, norm_values, singular_values
 
 LEMMA_IDS = (
     "Araki",
@@ -69,14 +69,15 @@ class LemmaReport:
 
 def _require_unitary(U, name: str) -> np.ndarray:
     U = np.asarray(U, dtype=np.complex128)
-    defect = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
+    defect = np.abs(U @ U.conj().mT - np.eye(U.shape[-1])).max()
     if defect > UNITARY_TOL:
         raise errors.NotUnitary(f"{name}: unitarity defect {defect:.3e} > {UNITARY_TOL:.1e}")
     return U
 
 
 class _LemmaTerms:
-    """Precomputed singular value lists; norm evaluation is cheap per spec."""
+    """Singular value lists of a lemma's two sides; every norm of a list
+    comes from one `norm_values` call."""
 
     def __init__(self, lhs_sv, rhs_sv, equality=False, hoelder=None):
         self.lhs_sv = lhs_sv
@@ -85,17 +86,18 @@ class _LemmaTerms:
         # (x_sv, y_sv, q, s): rhs is a product of two norms, not a norm
         self.hoelder = hoelder
 
-    def values(self, norm: NormSpec) -> tuple:
-        lhs = norm_from_sv(self.lhs_sv, norm, pad=True)
-        if self.hoelder is not None:
-            x_sv, y_sv, q, s = self.hoelder
-            rhs = (
-                norm_from_sv(x_sv ** q, norm, pad=True) ** (1.0 / q)
-                * norm_from_sv(y_sv ** s, norm, pad=True) ** (1.0 / s)
-            )
-        else:
-            rhs = norm_from_sv(self.rhs_sv, norm, pad=True)
-        return lhs, rhs
+    @property
+    def max_dim(self) -> int:
+        return max(self.lhs_sv.size, 0 if self.rhs_sv is None else self.rhs_sv.size)
+
+    def values(self, norms) -> tuple:
+        """(lhs, rhs), each an array with one value per norm."""
+        lhs = norm_values(self.lhs_sv, norms)
+        if self.hoelder is None:
+            return lhs, norm_values(self.rhs_sv, norms)
+        x_sv, y_sv, q, s = self.hoelder
+        x, y = norm_values(x_sv ** q, norms).tolist(), norm_values(y_sv ** s, norms).tolist()
+        return lhs, np.array([a ** (1.0 / q) * b ** (1.0 / s) for a, b in zip(x, y)])
 
 
 def _terms_araki(case) -> _LemmaTerms:
@@ -214,27 +216,20 @@ def _terms_aub_power(case) -> _LemmaTerms:
 
 
 def _terms_block_diag_step(case) -> _LemmaTerms:
-    As, Bs = case.operands["A_list"], case.operands["B_list"]
+    """U_i comes from the SVD behind the mean A_i^s # B_i^s = F_i F_i*, so
+    |A_i^{s/2} U_i B_i^{s/2}| is F_i F_i* itself (see `mean_unitary`): no
+    power A_i^s is formed and U_i needs no polar projection."""
     s = case.params["s"]
     if not s > 1.0:
         raise errors.HypothesisViolation(f"need s > 1, got s={s}")
-    q = s / (s - 1.0)
-    lhs_blocks_sv = []
-    k = np.asarray(As[0]).shape[0]
-    acc = np.zeros((k, k), dtype=np.complex128)
-    for Ai, Bi in zip(As, Bs):
-        Ui = _require_unitary(
-            geometric_mean_unitary(matrix_power(Ai, s), matrix_power(Bi, s)), "U_i"
-        )
-        lhs_blocks_sv.append(
-            singular_values(matrix_power(Ai, (s - 1.0) / 2.0) @ Ui @ matrix_power(Bi, (s - 1.0) / 2.0))
-        )
-        M = matrix_power(Ai, s / 2.0) @ Ui @ matrix_power(Bi, s / 2.0)
-        u, sv, vh = np.linalg.svd(M)
-        acc = acc + (vh.conj().T * sv) @ vh  # |M|
-    lhs_sv = np.sort(np.concatenate(lhs_blocks_sv) ** q)[::-1]
-    rhs_sv = psd_sv(acc)
-    return _LemmaTerms(lhs_sv, rhs_sv)
+    eig_A = hermitian_eig(np.stack(case.operands["A_list"]))
+    eig_B = hermitian_eig(np.stack(case.operands["B_list"]))
+    U, F = mean_unitary(eig_A, eig_B, s)
+    _require_unitary(U, "U_i")
+    blocks_sv = singular_values(power_from_eig(eig_A, (s - 1.0) / 2.0) @ U
+                                @ power_from_eig(eig_B, (s - 1.0) / 2.0))
+    lhs_sv = np.sort(blocks_sv.ravel() ** (s / (s - 1.0)))[::-1]
+    return _LemmaTerms(lhs_sv, psd_sv((F @ F.conj().mT).sum(axis=0)))
 
 
 _TERMS = {
@@ -255,26 +250,26 @@ def lemma_terms(case: LemmaCase) -> _LemmaTerms:
     return _TERMS[case.lemma_id](case)
 
 
+def lemma_reports(lemma_id: str, terms: _LemmaTerms, norms: list,
+                  tol_rel: float = DEFAULT_TOL_REL) -> list:
+    """One report per norm of `norms` on precomputed lemma terms, under the
+    chain margin rule; an equality lemma passes where |margin| <= tol_rel *
+    scale instead."""
+    lhs, rhs = terms.values(norms)
+    (margin,), _, scale, passed = chain_margins(lhs, None, rhs, tol_rel)
+    if terms.equality:
+        passed = np.abs(margin) <= tol_rel * scale
+    return [LemmaReport(lemma_id=lemma_id, norm=norm, lhs=lo, rhs=hi, margin=mg, passed=ok,
+                        equality=terms.equality)
+            for norm, lo, hi, mg, ok in zip(norms, lhs.tolist(), rhs.tolist(), margin.tolist(),
+                                            passed.tolist())]
+
+
 def lemma_report_from_terms(
     lemma_id: str, terms: _LemmaTerms, norm: NormSpec, tol_rel: float = DEFAULT_TOL_REL
 ) -> LemmaReport:
     """Evaluate one norm on precomputed lemma terms."""
-    lhs, rhs = terms.values(norm)
-    margin = rhs - lhs
-    scale = max(1.0, rhs)
-    if terms.equality:
-        passed = abs(margin) <= tol_rel * scale
-    else:
-        passed = margin >= -tol_rel * scale
-    return LemmaReport(
-        lemma_id=lemma_id,
-        norm=norm,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=bool(passed),
-        equality=terms.equality,
-    )
+    return lemma_reports(lemma_id, terms, [norm], tol_rel)[0]
 
 
 def eval_lemma(case: LemmaCase, norm: NormSpec, tol_rel: float = DEFAULT_TOL_REL) -> LemmaReport:

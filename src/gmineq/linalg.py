@@ -1,5 +1,5 @@
 """Dense complex Hermitian linear algebra: eigendecomposition, fractional
-powers, matrix absolute value, polar factor, definiteness tests.
+powers, singular value decomposition and the positive definiteness check.
 
 Everything here is a pure function of its inputs and safe to call from
 concurrent workers.  Matrices are numpy arrays of complex128; results are
@@ -173,12 +173,6 @@ def matrix_power(H, x: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return power_from_eig(hermitian_eig(H, rtol), x)
 
 
-def matrix_abs(M) -> np.ndarray:
-    """|M| = (M* M)**(1/2) for square M."""
-    A = require_square(M)
-    return matrix_power(hermitize(A.conj().T @ A), 0.5)
-
-
 def svd(M: np.ndarray) -> tuple:
     """(U, sigma, V*), sigma descending, of a matrix or each of a stack."""
     try:
@@ -187,49 +181,13 @@ def svd(M: np.ndarray) -> tuple:
         raise errors.NonConvergence(str(exc)) from exc
 
 
-def polar_unitary(M) -> np.ndarray:
-    """Unitary factor U of the polar decomposition M = U |M|.
-
-    Requires the smallest singular value to clear the PD floor relative
-    to the largest.
-    """
-    u, s, vh = svd(require_square(M))
-    if s[-1] <= PD_FLOOR * max(s[0], 0.0) or s[0] == 0.0:
-        raise errors.SingularInput(
-            f"smallest singular value {s[-1]:.3e} below PD floor of largest {s[0]:.3e}"
-        )
-    return u @ vh
-
-
-@dataclass(frozen=True)
-class DefinitenessReport:
-    positive_definite: bool
-    min_eigenvalue: float
-    max_eigenvalue: float
-
-
-def _definiteness(w: np.ndarray, tol: float) -> DefinitenessReport:
-    lo, hi = float(w[-1]), float(w[0])
-    return DefinitenessReport(
-        positive_definite=lo > tol * max(1.0, hi),
-        min_eigenvalue=lo,
-        max_eigenvalue=hi,
-    )
-
-
-def is_positive_definite(H, tol: float = PD_FLOOR) -> DefinitenessReport:
-    """True iff min eigenvalue > tol * max(1, max eigenvalue)."""
-    return _definiteness(hermitian_eig(H).eigenvalues, tol)
-
-
 def spd_eig(H, tol: float = PD_FLOOR) -> EigenDecomposition:
-    """hermitian_eig(H), raising SingularInput unless H is positive definite."""
+    """hermitian_eig(H), raising SingularInput unless H is positive definite:
+    its smallest eigenvalue must exceed tol * max(1, largest)."""
     eig = hermitian_eig(H)
-    rep = _definiteness(eig.eigenvalues, tol)
-    if not rep.positive_definite:
-        raise errors.SingularInput(
-            f"matrix not positive definite: min eigenvalue {rep.min_eigenvalue:.3e}"
-        )
+    lo, hi = float(eig.eigenvalues[-1]), float(eig.eigenvalues[0])
+    if not lo > tol * max(1.0, hi):
+        raise errors.SingularInput(f"matrix not positive definite: min eigenvalue {lo:.3e}")
     return eig
 
 
@@ -237,12 +195,3 @@ def require_spd(H, tol: float = PD_FLOOR) -> np.ndarray:
     A = require_hermitian(H)
     spd_eig(A, tol)
     return A
-
-
-def condition_number(H) -> float:
-    """lambda_max / lambda_min of an SPD matrix."""
-    w = hermitian_eig(H).eigenvalues
-    lo, hi = float(w[-1]), float(w[0])
-    if lo <= 0.0:
-        return np.inf
-    return hi / lo

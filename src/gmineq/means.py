@@ -2,14 +2,16 @@
 
 Every mean is computed by one formula from the eigendecompositions of A
 and B and one singular value decomposition: with
-C = B^{s/2} A^{-s/2} = U diag(sigma) V*,
+C = B^{s/2} A^{-s/2} = W diag(sigma) V*,
 
-    A^s #_t B^s = A^{s/2} V diag(sigma^{2t}) V* A^{s/2}.
+    A^s #_t B^s = A^{s/2} V diag(sigma^{2t}) V* A^{s/2},
 
-The powers of sigma keep the accuracy that the eigenvalues of C* C lose;
-no iterative algorithms.  PSD-but-not-PD inputs are rejected, not
-extended by continuity.  `mean_factor` is stack-aware like `linalg`: it
-takes stacked decompositions and one (s, t) per matrix.
+and the unitary U with A^s # B^s = A^{s/2} U B^{s/2} is V W*.  The powers
+of sigma keep the accuracy that the eigenvalues of C* C lose; no
+iterative algorithms.  PSD-but-not-PD inputs are rejected, not extended
+by continuity.  `mean_factor` and `mean_unitary` are stack-aware like
+`linalg`: they take stacked decompositions, `mean_factor` with one (s, t)
+per matrix.
 """
 
 from __future__ import annotations
@@ -17,17 +19,32 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .linalg import (EigenDecomposition, hermitize, matrix_power, polar_unitary,
-                     power_from_eig, power_rows, require_hermitian, spd_eig, svd)
+from .linalg import (EigenDecomposition, hermitize, power_from_eig, power_rows,
+                     require_hermitian, spd_eig, svd)
+
+
+def _ratio_svd(eig_A: EigenDecomposition, eig_B: EigenDecomposition, s) -> tuple:
+    """(W, sigma, V*) of C = B^{s/2} A^{-s/2}.  Only A^{-s/2} is inverted,
+    so only A must clear the PD floor."""
+    return svd(power_from_eig(eig_B, s / 2.0) @ power_from_eig(eig_A, -s / 2.0))
 
 
 def mean_factor(eig_A: EigenDecomposition, eig_B: EigenDecomposition, s, t) -> np.ndarray:
-    """F = A^{s/2} V diag(sigma^t), so that F F* = A^s #_t B^s.  Only
-    A^{-s/2} is inverted, so only A must clear the PD floor.  s and t are
-    scalars or one value per matrix of the stacks."""
-    C = power_from_eig(eig_B, s / 2.0) @ power_from_eig(eig_A, -s / 2.0)
-    _, sigma, vh = svd(C)
+    """F = A^{s/2} V diag(sigma^t), so that F F* = A^s #_t B^s.  s and t
+    are scalars or one value per matrix of the stacks."""
+    _, sigma, vh = _ratio_svd(eig_A, eig_B, s)
     return power_from_eig(eig_A, s / 2.0) @ (vh.conj().mT * power_rows(sigma, t)[..., None, :])
+
+
+def mean_unitary(eig_A: EigenDecomposition, eig_B: EigenDecomposition, s) -> tuple:
+    """(U, F): the unitary U = V W* and the factor F of t = 1/2, with
+    A^{s/2} U B^{s/2} = F F* = A^s # B^s.  Since W* B^{s/2} =
+    diag(sigma) V* A^{s/2}, the product is A^{s/2} V diag(sigma) V* A^{s/2}
+    exactly; U needs no inverse of B and no polar projection."""
+    W, sigma, vh = _ratio_svd(eig_A, eig_B, s)
+    V = vh.conj().mT
+    F = power_from_eig(eig_A, s / 2.0) @ (V * power_rows(sigma, 0.5)[..., None, :])
+    return V @ W.conj().mT, F
 
 
 def t_geometric_mean(A, B, t: float) -> np.ndarray:
@@ -53,14 +70,3 @@ def t_geometric_mean(A, B, t: float) -> np.ndarray:
 def geometric_mean(A, B) -> np.ndarray:
     """A # B, the t = 1/2 case."""
     return t_geometric_mean(A, B, 0.5)
-
-
-def geometric_mean_unitary(A, B) -> np.ndarray:
-    """The unitary U with A # B = A^{1/2} U B^{1/2}.
-
-    Computed as A^{-1/2} (A # B) B^{-1/2}, then polar-projected onto the
-    unitary group to strip the round-off accumulated by the three
-    fractional powers.
-    """
-    G = geometric_mean(A, B)  # validates both operands
-    return polar_unitary(matrix_power(A, -0.5) @ G @ matrix_power(B, -0.5))

@@ -1,5 +1,6 @@
 """Unitarily invariant norms: singular values, Ky Fan k-norms, Schatten
-p-norms, and the Fan-dominance comparator.
+p-norms, and the Fan-dominance comparator.  `norm_values` is the one
+kernel that turns a spectrum into norm values.
 
 Ordering in every unitarily invariant norm is equivalent to ordering in
 every Ky Fan norm, so `ky_fan_dominance` is the operational stand-in for
@@ -108,38 +109,47 @@ def singular_values(M) -> np.ndarray:
         raise errors.NonConvergence(str(exc)) from exc
 
 
-def norm_from_sv(sv: np.ndarray, spec: NormSpec, pad: bool = False):
-    """Evaluate a norm from a descending singular value list: a float, or
-    one value per row for a stack of lists (..., d).
+def norm_values(sv, specs) -> np.ndarray:
+    """Every norm of `specs` on a descending singular value list, or on
+    each row of a stack of them (..., d): an array (..., len(specs)).
 
-    With pad=True a Ky Fan k beyond the list length is evaluated under the
-    direct-sum convention ||A|| = ||A (+) 0|| (missing singular values are
-    zeros); this is how terms of different sizes are compared in one chain.
+    This is the one place a spectrum becomes norm values.  Terms of
+    different sizes are compared under the direct-sum convention
+    ||A|| = ||A (+) 0||: Ky Fan k is the cumulative sum of the zero-padded
+    spectrum at k - 1 (the padding adds nothing, so a k past the list
+    reads the last sum), and trace is the full cumulative sum.  Every
+    reduction runs along each row alone and each Schatten root is a scalar
+    power, so a row of a stack gets the bytes it gets alone.
     """
     sv = np.asarray(sv, dtype=np.float64)
     size = sv.shape[-1]
-    if spec.variant == "kyfan":
-        if spec.k > size and not pad:
-            raise errors.InvalidSpec(f"Ky Fan k={spec.k} out of range for {size} singular values")
-        value = sv[..., : spec.k].sum(axis=-1)
-    elif spec.variant == "schatten" and not math.isinf(spec.p):
-        sums = (sv ** spec.p).sum(axis=-1)
-        if sums.ndim:  # each root a scalar power, as a single list gets it
-            value = np.array([v ** (1.0 / spec.p) for v in sums.ravel().tolist()]).reshape(sums.shape)
+    out = np.empty(sv.shape[:-1] + (len(specs),))
+    sums = None
+    for j, spec in enumerate(specs):
+        if spec.variant in ("kyfan", "trace"):
+            sums = np.cumsum(sv, axis=-1) if sums is None else sums
+            k = size if spec.variant == "trace" else min(spec.k, size)
+            out[..., j] = sums[..., k - 1] if k else 0.0
+        elif spec.variant == "operator" or spec.p == math.inf:
+            out[..., j] = sv[..., 0] if size else 0.0
+        elif spec.variant == "frobenius":
+            out[..., j] = np.sqrt((sv ** 2).sum(axis=-1))
         else:
-            value = sums ** (1.0 / spec.p)
-    elif spec.variant in ("schatten", "operator"):
-        value = sv[..., 0] if size else np.zeros(sv.shape[:-1])
-    elif spec.variant == "trace":
-        value = sv.sum(axis=-1)
-    else:  # frobenius
-        value = np.sqrt((sv ** 2).sum(axis=-1))
+            power = (sv ** spec.p).sum(axis=-1)
+            roots = [v ** (1.0 / spec.p) for v in power.ravel().tolist()]
+            out[..., j] = np.reshape(roots, power.shape)
+    return out
+
+
+def norm_from_sv(sv: np.ndarray, spec: NormSpec, pad: bool = False):
+    """One norm of `norm_values`: a float, or one value per row for a stack
+    of lists (..., d).  Without pad, a Ky Fan k beyond the list length is
+    an error rather than a direct-sum value."""
+    size = np.shape(sv)[-1]
+    if spec.variant == "kyfan" and spec.k > size and not pad:
+        raise errors.InvalidSpec(f"Ky Fan k={spec.k} out of range for {size} singular values")
+    value = norm_values(sv, [spec])[..., 0]
     return float(value) if value.ndim == 0 else value
-
-
-def norm_eval(M, spec: NormSpec) -> float:
-    """Evaluate the selected norm on M; Ky Fan k must fit the matrix."""
-    return norm_from_sv(singular_values(M), spec, pad=False)
 
 
 @dataclass(frozen=True)
@@ -160,9 +170,11 @@ def ky_fan_dominance(X, Y, tol: float = 1e-10) -> DominanceReport:
     sy = singular_values(Y)
     if sx.shape != sy.shape:
         raise errors.DimensionMismatch(f"size mismatch: {sx.size} vs {sy.size}")
-    margins = np.cumsum(sy) - np.cumsum(sx)
+    specs = [NormSpec.ky_fan(k) for k in range(1, sy.size + 1)]
+    fan_y = norm_values(sy, specs)
+    margins = fan_y - norm_values(sx, specs)
     worst = int(np.argmin(margins))
-    scale = max(1.0, float(sy.sum()))
+    scale = max(1.0, float(fan_y[-1]))
     return DominanceReport(
         dominated=bool(margins.min() >= -tol * scale),
         worst_k=worst + 1,

@@ -12,15 +12,15 @@ from functools import partial
 from . import errors
 from .chains import (
     ChainParams,
+    chain_reports,
     commuting_terms,
     expand_norm_tokens,
     geo_z_terms,
     main_chain_terms,
-    report_from_terms,
     t_chain_terms,
 )
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
-from .lemmas import LEMMA_IDS, lemma_report_from_terms, lemma_terms, random_case
+from .lemmas import LEMMA_IDS, lemma_reports, lemma_terms, random_case
 from .norms import NormSpec
 from .reports import ReportSet, build_report_set, chain_record, lemma_record
 
@@ -139,10 +139,8 @@ def _task_records(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int
                 case_seed = derive_seed(seed, li)
                 case = random_case(lid, case_seed, n=n, m=m, law=cfg.spectrum_law)
                 terms = lemma_terms(case)
-                max_dim = max(terms.lhs_sv.size,
-                              terms.rhs_sv.size if terms.rhs_sv is not None else 0)
-                for spec in expand_norm_tokens(cfg.norms, max_dim):
-                    rep = lemma_report_from_terms(lid, terms, spec, cfg.tol_rel)
+                for rep in lemma_reports(lid, terms, expand_norm_tokens(cfg.norms, terms.max_dim),
+                                         cfg.tol_rel):
                     records.append(lemma_record(rep, case_seed, n, m, case.params))
             continue
         if kind not in instances:
@@ -150,9 +148,9 @@ def _task_records(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int
         inst = instances[kind]
         for params, terms_of in grid:
             terms = terms_of(inst)
-            for spec in expand_norm_tokens(cfg.norms, terms.max_dim):
-                records.append(chain_record(report_from_terms(
-                    terms, inst, params, spec, cfg.tol_rel, cfg.condition_cap)))
+            records.extend(map(chain_record, chain_reports(
+                terms, inst, params, expand_norm_tokens(cfg.norms, terms.max_dim),
+                cfg.tol_rel, cfg.condition_cap)))
     return records
 
 

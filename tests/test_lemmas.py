@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
-from gmineq.generate import haar_unitary, random_spd
-from gmineq.lemmas import LEMMA_IDS, LemmaCase, eval_lemma, random_case
+from gmineq.generate import SpectrumLaw, derive_seed, haar_unitary, random_spd
+from gmineq.lemmas import LEMMA_IDS, LemmaCase, eval_lemma, lemma_reports, lemma_terms, random_case
 from gmineq.norms import NormSpec
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.trace(),
@@ -135,3 +135,17 @@ class TestClosedForms:
         Z[2:, :2] = U2  # normal blocks, non-Hermitian Z
         rep = eval_lemma(LemmaCase("BlockNormal", {"Z": Z}, {"n": 2}), NormSpec.operator())
         assert rep.passed
+
+
+class TestWideSpectra:
+    def test_block_diag_step_wide_law(self):
+        """A law of condition 1e6 puts A_i^s past 1e10 for s near 3, where
+        a unitary built from powered inputs could not be formed; U_i from
+        the mean's own SVD evaluates every case."""
+        law = SpectrumLaw(1e-3, 1e3)
+        for i in range(30):
+            case = random_case("BlockDiagStep", derive_seed(1, i), n=3, m=2, law=law)
+            terms = lemma_terms(case)
+            panel = [NormSpec.ky_fan(k) for k in range(1, terms.max_dim + 1)]
+            reports = lemma_reports("BlockDiagStep", terms, panel)
+            assert all(rep.passed for rep in reports), (i, [rep.margin for rep in reports])

@@ -4,15 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
 from gmineq.generate import haar_unitary, random_spd
-from gmineq.linalg import (
-    condition_number,
-    hermitian_eig,
-    is_positive_definite,
-    matrix_abs,
-    matrix_power,
-    polar_unitary,
-    psd_sv,
-)
+from gmineq.blocks import InstanceSet
+from gmineq.chains import condition_max
+from gmineq.linalg import hermitian_eig, matrix_power, psd_sv, spd_eig
 
 
 def random_hermitian(n, rng):
@@ -104,71 +98,31 @@ class TestMatrixPower:
         assert np.linalg.norm(left - right) <= 1e-9 * max(1.0, np.linalg.norm(right))
 
 
-class TestMatrixAbs:
-    def test_diagonal(self):
-        np.testing.assert_allclose(matrix_abs(np.diag([-3.0, 2.0])), np.diag([3.0, 2.0]), atol=1e-13)
-
-    def test_unitary_gives_identity(self):
-        U = haar_unitary(4, np.random.default_rng(1))
-        np.testing.assert_allclose(matrix_abs(U), np.eye(4), atol=1e-12)
-
-    def test_nilpotent(self):
-        np.testing.assert_allclose(
-            matrix_abs(np.array([[0.0, 2.0], [0.0, 0.0]])), np.diag([0.0, 2.0]), atol=1e-13
-        )
-
-    def test_same_singular_values_as_input(self):
-        rng = np.random.default_rng(11)
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        sv_m = np.linalg.svd(M, compute_uv=False)
-        sv_abs = np.linalg.svd(matrix_abs(M), compute_uv=False)
-        np.testing.assert_allclose(sv_m, sv_abs, atol=1e-10 * (1 + sv_m[0]))
-
-
-class TestPolarUnitary:
-    def test_positive_definite_gives_identity(self):
-        H = random_spd(3, np.random.default_rng(2))
-        np.testing.assert_allclose(polar_unitary(H), np.eye(3), atol=1e-11)
-
-    def test_unitary_fixed_point(self):
-        U = haar_unitary(3, np.random.default_rng(3))
-        np.testing.assert_allclose(polar_unitary(U), U, atol=1e-11)
-
-    def test_forced_example(self):
-        M = np.array([[0.0, -2.0], [3.0, 0.0]])
-        np.testing.assert_allclose(polar_unitary(M), np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-13)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        U = polar_unitary(M)
-        assert np.abs(U @ U.conj().T - np.eye(4)).max() <= 1e-10
-        recon = U @ matrix_abs(M)
-        assert np.linalg.norm(recon - M) <= 1e-10 * np.linalg.norm(M)
-
-    def test_singular_input(self):
-        with pytest.raises(errors.SingularInput):
-            polar_unitary(np.diag([1.0, 0.0]))
+def _condition(H) -> float:
+    """Condition number of H through the instance gate: a single pair (H, H)."""
+    return condition_max(InstanceSet(m=1, n=H.shape[0], A=[H], B=[H]))
 
 
 class TestDefiniteness:
     def test_identity(self):
-        assert is_positive_definite(np.eye(3)).positive_definite
+        np.testing.assert_array_equal(spd_eig(np.eye(3)).eigenvalues, np.ones(3))
 
     def test_semidefinite_boundary(self):
-        assert not is_positive_definite(np.diag([1.0, 0.0])).positive_definite
+        with pytest.raises(errors.SingularInput):
+            spd_eig(np.diag([1.0, 0.0]))
 
     def test_indefinite(self):
-        assert not is_positive_definite(np.diag([1.0, -1.0])).positive_definite
+        with pytest.raises(errors.SingularInput):
+            spd_eig(np.diag([1.0, -1.0]))
 
     def test_condition_identity(self):
-        assert condition_number(np.eye(3)) == pytest.approx(1.0)
+        assert _condition(np.eye(3)) == pytest.approx(1.0)
 
     def test_condition_diag(self):
-        assert condition_number(np.diag([10.0, 1.0])) == pytest.approx(10.0)
+        assert _condition(np.diag([10.0, 1.0])) == pytest.approx(10.0)
 
     def test_condition_bounded_by_spectrum_law(self):
         # spectrum drawn in [0.1, 10] bounds the ratio by 100
         for seed in range(20):
             H = random_spd(4, np.random.default_rng(seed))
-            assert 1.0 <= condition_number(H) <= 100.0 + 1e-6
+            assert 1.0 <= _condition(H) <= 100.0 + 1e-6

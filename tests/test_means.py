@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
 from gmineq.generate import random_spd
-from gmineq.linalg import matrix_power
-from gmineq.means import geometric_mean, geometric_mean_unitary, t_geometric_mean
+from gmineq.linalg import hermitian_eig, matrix_power
+from gmineq.means import geometric_mean, mean_unitary, t_geometric_mean
 
 
 def spd_pair(seed, n=3):
@@ -86,19 +86,27 @@ class TestTGeometricMean:
         assert np.linalg.norm(left - right) <= 1e-9 * max(1.0, np.linalg.norm(right))
 
 
+def geometric_mean_unitary(A, B, s=1.0):
+    """(U, F) of `mean_unitary`, from the matrices."""
+    return mean_unitary(hermitian_eig(A), hermitian_eig(B), s)
+
+
 class TestGeometricMeanUnitary:
     def test_equal_inputs_give_identity(self):
         A, _ = spd_pair(3)
-        np.testing.assert_allclose(geometric_mean_unitary(A, A), np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(geometric_mean_unitary(A, A)[0], np.eye(3), atol=1e-9)
 
     def test_scalar(self):
-        U = geometric_mean_unitary(np.array([[2.0]]), np.array([[5.0]]))
+        U, F = geometric_mean_unitary(np.array([[2.0]]), np.array([[5.0]]))
         assert U[0, 0] == pytest.approx(1.0)
+        assert (F @ F.conj().T)[0, 0].real == pytest.approx(np.sqrt(10.0))
 
     def test_seeded_reconstruction(self):
         A, B = spd_pair(42)
-        U = geometric_mean_unitary(A, B)
-        assert np.abs(U @ U.conj().T - np.eye(3)).max() <= 1e-9
-        recon = matrix_power(A, 0.5) @ U @ matrix_power(B, 0.5)
-        G = geometric_mean(A, B)
-        assert np.linalg.norm(recon - G) <= 1e-9 * np.linalg.norm(G)
+        for s in (1.0, 2.5):
+            U, F = geometric_mean_unitary(A, B, s)
+            assert np.abs(U @ U.conj().T - np.eye(3)).max() <= 1e-9
+            recon = matrix_power(A, s / 2.0) @ U @ matrix_power(B, s / 2.0)
+            G = geometric_mean(matrix_power(A, s), matrix_power(B, s))
+            assert np.linalg.norm(recon - G) <= 1e-9 * np.linalg.norm(G)
+            assert np.linalg.norm(F @ F.conj().T - G) <= 1e-9 * np.linalg.norm(G)

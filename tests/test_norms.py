@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gmineq import errors
 from gmineq.generate import haar_unitary
 from gmineq.linalg import matrix_power
-from gmineq.norms import NormSpec, ky_fan_dominance, norm_eval, norm_from_sv, singular_values
+from gmineq.norms import NormSpec, ky_fan_dominance, norm_from_sv, norm_values, singular_values
 from gmineq.reports import dumps
 
 ALL_VARIANTS = [
@@ -22,6 +22,11 @@ ALL_VARIANTS = [
     NormSpec.operator(),
     NormSpec.frobenius(),
 ]
+
+
+def norm_eval(M, spec) -> float:
+    """One norm of M through the kernel."""
+    return float(norm_values(singular_values(M), [spec])[0])
 
 
 class TestSingularValues:
@@ -62,7 +67,7 @@ class TestNormEval:
         with pytest.raises(errors.InvalidSpec):
             NormSpec.ky_fan(0)
         with pytest.raises(errors.InvalidSpec):
-            norm_eval(np.eye(2), NormSpec.ky_fan(3))
+            norm_from_sv(singular_values(np.eye(2)), NormSpec.ky_fan(3))
 
     def test_parse_labels(self):
         assert NormSpec.parse("kyfan:3") == NormSpec.ky_fan(3)
@@ -87,6 +92,8 @@ class TestNormEval:
     def test_padded_ky_fan(self):
         sv = np.array([3.0, 1.0])
         assert norm_from_sv(sv, NormSpec.ky_fan(5), pad=True) == pytest.approx(4.0)
+        np.testing.assert_array_equal(norm_values(sv, [NormSpec.ky_fan(k) for k in (1, 2, 5)]),
+                                      [3.0, 4.0, 4.0])
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -94,9 +101,9 @@ class TestNormEval:
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         U, V = haar_unitary(3, rng), haar_unitary(3, rng)
-        for spec in ALL_VARIANTS:
-            a, b = norm_eval(M, spec), norm_eval(U @ M @ V, spec)
-            assert abs(a - b) <= 1e-10 * max(1.0, a)
+        a = norm_values(singular_values(M), ALL_VARIANTS)
+        b = norm_values(singular_values(U @ M @ V), ALL_VARIANTS)
+        assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, a))
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -104,10 +111,10 @@ class TestNormEval:
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         N = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        for spec in ALL_VARIANTS:
-            lhs = norm_eval(M + N, spec)
-            rhs = norm_eval(M, spec) + norm_eval(N, spec)
-            assert lhs <= rhs + 1e-10 * max(1.0, rhs)
+        lhs = norm_values(singular_values(M + N), ALL_VARIANTS)
+        rhs = (norm_values(singular_values(M), ALL_VARIANTS)
+               + norm_values(singular_values(N), ALL_VARIANTS))
+        assert np.all(lhs <= rhs + 1e-10 * np.maximum(1.0, rhs))
 
     @given(st.integers(0, 500), st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=25, deadline=None)
@@ -116,9 +123,9 @@ class TestNormEval:
         Y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         left = matrix_power(0.5 * (Y.conj().T @ Y + (Y.conj().T @ Y).conj().T), a)
         right = matrix_power(0.5 * (Y @ Y.conj().T + (Y @ Y.conj().T).conj().T), a)
-        for spec in ALL_VARIANTS:
-            l, r = norm_eval(left, spec), norm_eval(right, spec)
-            assert abs(l - r) <= 1e-9 * max(1.0, r)
+        l = norm_values(singular_values(left), ALL_VARIANTS)
+        r = norm_values(singular_values(right), ALL_VARIANTS)
+        assert np.all(np.abs(l - r) <= 1e-9 * np.maximum(1.0, r))
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -128,9 +135,59 @@ class TestNormEval:
         Q = haar_unitary(3, rng)
         A = (Q * rng.uniform(-2, 2, 3)) @ Q.conj().T
         B = (Q * rng.uniform(-2, 2, 3)) @ Q.conj().T
-        for spec in ALL_VARIANTS:
-            ab, ba = norm_eval(A @ B, spec), norm_eval(B @ A, spec)
-            assert ab <= ba + 1e-10 * max(1.0, ba)
+        ab = norm_values(singular_values(A @ B), ALL_VARIANTS)
+        ba = norm_values(singular_values(B @ A), ALL_VARIANTS)
+        assert np.all(ab <= ba + 1e-10 * np.maximum(1.0, ba))
+
+
+def kernel_specs(d: int) -> list:
+    """Every spec kind, Ky Fan k past the list length included."""
+    return ([NormSpec.ky_fan(k) for k in range(1, d + 4)]
+            + [NormSpec.schatten(p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
+            + [NormSpec.trace(), NormSpec.operator(), NormSpec.frobenius()])
+
+
+def descending_spectra(rng, shape) -> np.ndarray:
+    return -np.sort(-rng.uniform(0.0, 10.0, size=shape), axis=-1)
+
+
+def definition(sv: np.ndarray, spec: NormSpec) -> float:
+    if spec.variant == "kyfan":
+        return math.fsum(sv[: spec.k])  # missing singular values are zeros
+    if spec.variant == "trace":
+        return math.fsum(sv)
+    if spec.variant == "operator" or spec.p == math.inf:
+        return float(sv.max())
+    p = 2.0 if spec.variant == "frobenius" else spec.p
+    return math.fsum(sv ** p) ** (1.0 / p)
+
+
+class TestNormValues:
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 17])
+    def test_columns_match_definitions(self, d):
+        rng = np.random.default_rng(d)
+        specs = kernel_specs(d)
+        for sv in descending_spectra(rng, (20, d)):
+            got = norm_values(sv, specs)
+            want = [definition(sv, spec) for spec in specs]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (7, 12), (2, 3, 9)])
+    def test_stack_rows_bitwise_as_alone(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        specs = kernel_specs(shape[-1])
+        stack = descending_spectra(rng, shape)
+        got = norm_values(stack, specs)
+        assert got.shape == shape[:-1] + (len(specs),)
+        for index in np.ndindex(shape[:-1]):
+            assert np.array_equal(got[index], norm_values(stack[index], specs)), index
+            for j, spec in enumerate(specs):
+                assert norm_from_sv(stack[index], spec, pad=True) == got[index][j]
+
+    def test_ky_fan_past_the_rank_is_the_trace(self):
+        sv = np.concatenate([descending_spectra(np.random.default_rng(3), 5), np.zeros(7)])
+        values = norm_values(sv, [NormSpec.trace()] + [NormSpec.ky_fan(k) for k in range(5, 15)])
+        assert np.all(values == values[0])
 
 
 class TestKyFanDominance:
