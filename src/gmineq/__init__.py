@@ -14,15 +14,7 @@ from .blocks import (
     reduced_core,
     verify_equivalences,
 )
-from .chains import (
-    ChainParams,
-    ChainReport,
-    eval_commuting_chain,
-    eval_geo_vs_Z,
-    eval_main_chain,
-    eval_t_chain,
-    t_chain_status,
-)
+from .chains import ChainParams, t_chain_status
 from .generate import SpectrumLaw, derive_seed, generate_instance, haar_unitary, random_spd
 from .hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
 from .lemmas import LEMMA_IDS, LemmaCase, LemmaReport, eval_lemma, random_case

@@ -1,7 +1,7 @@
 """Inequality-chain evaluators.
 
 Each evaluator computes the singular values of every term of a chain once;
-`chain_reports` then evaluates a whole norm list with one
+`reports.chain_records` then evaluates a whole norm list with one
 `norms.norm_values` call per term, and `chain_margins` is the one margin
 and pass rule, shared with the hunt and the lemmas.  All chain terms are
 Hermitian PSD (except the commuting product right side).  Each power of a
@@ -15,6 +15,7 @@ Ky Fan norms treat missing singular values as zeros.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import errors
 from .blocks import InstanceSet
+from .generate import SpectrumLaw
 from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
                      psd_sv, svd)
 from .means import mean_factor
-from .norms import NormSpec, norm_values, singular_values
+from .norms import NormSpec, singular_values
 
 DEFAULT_TOL_REL = 1e-8
 DEFAULT_CONDITION_CAP = 1e8
@@ -42,34 +44,6 @@ class ChainParams:
 
     def as_dict(self) -> dict:
         return {"s": self.s, "r": self.r, "p": self.p, "t": self.t}
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Evaluated left/middle/right norm values for one chain at one norm."""
-
-    chain_id: str
-    instance_seed: int
-    n: int
-    m: int
-    params: ChainParams
-    norm: NormSpec
-    lhs: float
-    mid: float | None
-    rhs: float
-    margins: tuple
-    passed: bool
-    status: str          # proven | conjectured
-    gated: bool
-    condition_max: float
-
-    @property
-    def min_margin(self) -> float:
-        return min(self.margins)
-
-    @property
-    def scale(self) -> float:
-        return max(1.0, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -359,43 +333,6 @@ def chain_margins(lhs, mid, rhs, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
     return margins, least, scale, least >= -tol_rel * scale
 
 
-def chain_reports(
-    terms: ChainTerms,
-    inst: InstanceSet,
-    params: ChainParams,
-    norms: list,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> list:
-    """One report per norm of `norms` on precomputed chain terms: one
-    `norm_values` call per term."""
-    lhs, rhs = norm_values(terms.lhs_sv, norms), norm_values(terms.rhs_sv, norms)
-    mid = None if terms.mid_sv is None else norm_values(terms.mid_sv, norms)
-    margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
-    margins = list(zip(*(m.tolist() for m in margins)))
-    mids = [None] * len(norms) if mid is None else mid.tolist()
-    gated = bool(terms.condition_max > condition_cap)
-    return [
-        ChainReport(chain_id=terms.chain_id, instance_seed=inst.seed, n=inst.n, m=inst.m,
-                    params=params, norm=norm, lhs=lo, mid=mi, rhs=hi, margins=mg, passed=ok,
-                    status=terms.status, gated=gated, condition_max=terms.condition_max)
-        for norm, lo, mi, hi, mg, ok in zip(norms, lhs.tolist(), mids, rhs.tolist(), margins,
-                                            passed.tolist())
-    ]
-
-
-def report_from_terms(
-    terms: ChainTerms,
-    inst: InstanceSet,
-    params: ChainParams,
-    norm: NormSpec,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> ChainReport:
-    """Evaluate one norm on precomputed chain terms."""
-    return chain_reports(terms, inst, params, [norm], tol_rel, condition_cap)[0]
-
-
 def expand_norm_tokens(tokens, max_dim: int) -> list:
     """Expand norm tokens; 'kyfan:all' becomes KyFan 1..max_dim."""
     specs = []
@@ -409,43 +346,19 @@ def expand_norm_tokens(tokens, max_dim: int) -> list:
     return specs
 
 
-def eval_main_chain(
-    inst: InstanceSet,
-    params: ChainParams,
-    norm: NormSpec,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> ChainReport:
-    return report_from_terms(main_chain_terms(inst, params), inst, params, norm, tol_rel, condition_cap)
-
-
-def eval_geo_vs_Z(
-    inst: InstanceSet,
-    s: float,
-    norm: NormSpec,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> ChainReport:
-    params = ChainParams(s=s, r=1.0, p=1.0, t=0.5)
-    return report_from_terms(geo_z_terms(inst, s), inst, params, norm, tol_rel, condition_cap)
-
-
-def eval_t_chain(
-    inst: InstanceSet,
-    params: ChainParams,
-    norm: NormSpec,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> ChainReport:
-    return report_from_terms(t_chain_terms(inst, params), inst, params, norm, tol_rel, condition_cap)
-
-
-def eval_commuting_chain(
-    inst: InstanceSet,
-    variant: str,
-    norm: NormSpec,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> ChainReport:
-    params = ChainParams(s=1.0, r=1.0, p=1.0, t=0.5)
-    return report_from_terms(commuting_terms(inst, variant), inst, params, norm, tol_rel, condition_cap)
+def validate_run_fields(cfg) -> None:
+    """The checks of the fields that sweep and hunt configs share: an
+    integer base_seed, a SpectrumLaw, a list of norm labels, a number
+    tol_rel and a number condition_cap > 1."""
+    errors.require_all(numbers.Integral, [cfg.base_seed],
+                       f"base_seed must be an integer, got {cfg.base_seed!r}")
+    if not isinstance(cfg.spectrum_law, SpectrumLaw):
+        raise errors.ConfigError(f"spectrum_law must be a spectrum law, got {cfg.spectrum_law!r}")
+    message = f"norms must be a list of norm labels, got {cfg.norms!r}"
+    if not isinstance(cfg.norms, (list, tuple)):
+        raise errors.ConfigError(message)
+    errors.require_all((str, NormSpec), cfg.norms, message)
+    errors.require_all(numbers.Real, [cfg.tol_rel, cfg.condition_cap],
+                       "tol_rel and condition_cap must be numbers")
+    if not cfg.condition_cap > 1.0:
+        raise errors.ConfigError(f"condition_cap must be > 1, got {cfg.condition_cap!r}")

@@ -33,6 +33,7 @@ from .chains import (
     expand_norm_tokens,
     t_chain_sides,
     t_chain_status,
+    validate_run_fields,
 )
 from .generate import DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instance
 from .linalg import hermitian_eig, hermitize
@@ -67,6 +68,7 @@ class SearchConfig:
                            [self.samples, self.refine_steps, self.n_max, self.m_max],
                            "samples, refine_steps, n_max and m_max must be integers")
         errors.require_all(numbers.Real, [self.refine_scale], "refine_scale must be a number")
+        validate_run_fields(self)
         for name in ("s_range", "t_range"):
             pair = getattr(self, name)
             message = f"{name} must be a pair of numbers, got {pair!r}"
@@ -135,7 +137,7 @@ class SearchResult:
     @classmethod
     def from_record(cls, rec: dict) -> "SearchResult":
         return cls(
-            min_margin=rec["min_margin"],
+            min_margin=float(rec["min_margin"]),  # "inf" when every sample was gated
             argmin=rec["argmin"],
             samples_evaluated=rec["samples_evaluated"],
             gated_count=rec["gated_count"],

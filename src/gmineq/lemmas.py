@@ -250,26 +250,24 @@ def lemma_terms(case: LemmaCase) -> _LemmaTerms:
     return _TERMS[case.lemma_id](case)
 
 
-def lemma_reports(lemma_id: str, terms: _LemmaTerms, norms: list,
-                  tol_rel: float = DEFAULT_TOL_REL) -> list:
-    """One report per norm of `norms` on precomputed lemma terms, under the
-    chain margin rule; an equality lemma passes where |margin| <= tol_rel *
-    scale instead."""
+def lemma_margins(terms: _LemmaTerms, norms: list, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
+    """(lhs, rhs, margin, passed), one value per norm of `norms`: the chain
+    margin rule on rhs - lhs, except that an equality lemma passes where
+    |margin| <= tol_rel * scale."""
     lhs, rhs = terms.values(norms)
     (margin,), _, scale, passed = chain_margins(lhs, None, rhs, tol_rel)
     if terms.equality:
         passed = np.abs(margin) <= tol_rel * scale
-    return [LemmaReport(lemma_id=lemma_id, norm=norm, lhs=lo, rhs=hi, margin=mg, passed=ok,
-                        equality=terms.equality)
-            for norm, lo, hi, mg, ok in zip(norms, lhs.tolist(), rhs.tolist(), margin.tolist(),
-                                            passed.tolist())]
+    return lhs, rhs, margin, passed
 
 
 def lemma_report_from_terms(
     lemma_id: str, terms: _LemmaTerms, norm: NormSpec, tol_rel: float = DEFAULT_TOL_REL
 ) -> LemmaReport:
     """Evaluate one norm on precomputed lemma terms."""
-    return lemma_reports(lemma_id, terms, [norm], tol_rel)[0]
+    lhs, rhs, margin, passed = (v.item() for v in lemma_margins(terms, [norm], tol_rel))
+    return LemmaReport(lemma_id=lemma_id, norm=norm, lhs=lhs, rhs=rhs, margin=margin,
+                       passed=passed, equality=terms.equality)
 
 
 def eval_lemma(case: LemmaCase, norm: NormSpec, tol_rel: float = DEFAULT_TOL_REL) -> LemmaReport:

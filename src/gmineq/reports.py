@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import errors
-from .chains import ChainReport
-from .lemmas import LemmaReport
+from .blocks import InstanceSet
+from .chains import DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, ChainTerms, chain_margins
+from .lemmas import LemmaCase, lemma_margins
+from .norms import norm_values
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +43,7 @@ def dumps(obj) -> str:
 
     Dict key order is preserved as built (records are built with a fixed
     field order), so identical objects serialize to identical bytes.
+    Strings are quoted by the function `json.dumps(str)` calls.
     """
     if obj is None:
         return "null"
@@ -52,11 +56,11 @@ def dumps(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
+        return "{" + ",".join(f"{_quote(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -64,48 +68,46 @@ def dumps(obj) -> str:
 # record building
 # ---------------------------------------------------------------------------
 
-def _finite(x: float):
-    return "inf" if math.isinf(x) else float(x)
+def chain_records(
+    terms: ChainTerms,
+    inst: InstanceSet,
+    params: ChainParams,
+    norms: list,
+    tol_rel: float = DEFAULT_TOL_REL,
+    condition_cap: float = DEFAULT_CONDITION_CAP,
+) -> list:
+    """One record per norm of `norms` on one chain's precomputed terms: one
+    `norm_values` call per term, margins and pass flags from
+    `chains.chain_margins`.  The records share the fields that do not
+    depend on the norm, `params` included."""
+    lhs, rhs = norm_values(terms.lhs_sv, norms), norm_values(terms.rhs_sv, norms)
+    mid = None if terms.mid_sv is None else norm_values(terms.mid_sv, norms)
+    margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
+    head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": terms.chain_id,
+            "instance_seed": inst.seed, "n": inst.n, "m": inst.m,
+            "params": {k: float(v) for k, v in params.as_dict().items()}}
+    cond = terms.condition_max
+    tail = {"gated": bool(cond > condition_cap), "status": terms.status,
+            "condition_max": "inf" if math.isinf(cond) else float(cond)}
+    mids = [None] * len(norms) if mid is None else mid.tolist()
+    rows = zip(norms, lhs.tolist(), mids, rhs.tolist(), zip(*(v.tolist() for v in margins)),
+               passed.tolist())
+    return [{**head, "norm": norm.to_record(), "lhs": lo, "mid": mi, "rhs": hi,
+             "margins": list(mg), "pass": ok, **tail} for norm, lo, mi, hi, mg, ok in rows]
 
 
-def chain_record(report: ChainReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "chain",
-        "chain_id": report.chain_id,
-        "instance_seed": report.instance_seed,
-        "n": report.n,
-        "m": report.m,
-        "params": {k: float(v) for k, v in report.params.as_dict().items()},
-        "norm": report.norm.to_record(),
-        "lhs": float(report.lhs),
-        "mid": None if report.mid is None else float(report.mid),
-        "rhs": float(report.rhs),
-        "margins": [float(v) for v in report.margins],
-        "pass": report.passed,
-        "gated": report.gated,
-        "status": report.status,
-        "condition_max": _finite(report.condition_max),
-    }
-
-
-def lemma_record(report: LemmaReport, instance_seed: int, n: int, m: int, params: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "lemma",
-        "lemma_id": report.lemma_id,
-        "instance_seed": instance_seed,
-        "n": n,
-        "m": m,
-        "params": {k: float(v) for k, v in sorted(params.items())},
-        "norm": report.norm.to_record(),
-        "lhs": float(report.lhs),
-        "rhs": float(report.rhs),
-        "margins": [float(report.margin)],
-        "pass": report.passed,
-        "gated": False,
-        "status": "proven",
-    }
+def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,
+                  tol_rel: float = DEFAULT_TOL_REL) -> list:
+    """One record per norm of `norms` on one lemma case's precomputed
+    terms, under `lemmas.lemma_margins`; `n` and `m` are the sizes the case
+    was drawn at.  The records share `params`."""
+    lhs, rhs, margin, passed = lemma_margins(terms, norms, tol_rel)
+    head = {"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
+            "instance_seed": instance_seed, "n": n, "m": m,
+            "params": {k: float(v) for k, v in sorted(case.params.items())}}
+    rows = zip(norms, lhs.tolist(), rhs.tolist(), margin.tolist(), passed.tolist())
+    return [{**head, "norm": norm.to_record(), "lhs": lo, "rhs": hi, "margins": [mg],
+             "pass": ok, "gated": False, "status": "proven"} for norm, lo, hi, mg, ok in rows]
 
 
 def record_sort_key(rec: dict):
@@ -134,13 +136,6 @@ class ReportSet:
 
     records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReportSet)
-            and self.records == other.records
-            and self.summary == other.summary
-        )
 
 
 def _norm_class(norm: dict) -> str:

@@ -12,17 +12,16 @@ from functools import partial
 from . import errors
 from .chains import (
     ChainParams,
-    chain_reports,
     commuting_terms,
     expand_norm_tokens,
     geo_z_terms,
     main_chain_terms,
     t_chain_terms,
+    validate_run_fields,
 )
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
-from .lemmas import LEMMA_IDS, lemma_reports, lemma_terms, random_case
-from .norms import NormSpec
-from .reports import ReportSet, build_report_set, chain_record, lemma_record
+from .lemmas import LEMMA_IDS, lemma_terms, random_case
+from .reports import ReportSet, build_report_set, chain_records, lemma_records
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
@@ -51,15 +50,11 @@ class SweepConfig:
         for name in LIST_FIELDS:
             if not isinstance(getattr(self, name), list):
                 raise errors.ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
-        errors.require_all(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count,
-                                              self.base_seed],
-                           "n_values, m_values, instance_count and base_seed must be integers")
+        errors.require_all(numbers.Integral, [*self.n_values, *self.m_values, self.instance_count],
+                           "n_values, m_values and instance_count must be integers")
         errors.require_all(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
-                                          *self.t_values, self.tol_rel, self.condition_cap],
-                           "s, r, p and t values, tol_rel and condition_cap must be numbers")
-        errors.require_all((str, NormSpec), self.norms, "norms must be norm labels")
-        if not isinstance(self.spectrum_law, SpectrumLaw):
-            raise errors.ConfigError(f"spectrum_law must be a spectrum law, got {self.spectrum_law!r}")
+                                          *self.t_values], "s, r, p and t values must be numbers")
+        validate_run_fields(self)
         for c in self.chains:
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")
@@ -71,8 +66,6 @@ class SweepConfig:
             raise errors.ConfigError("n_values and m_values must be nonempty")
         if any(n < 1 for n in self.n_values) or any(m < 1 for m in self.m_values):
             raise errors.ConfigError("n and m values must be >= 1")
-        if self.condition_cap <= 1.0:
-            raise errors.ConfigError("condition_cap must be > 1")
         for lid in self.lemma_ids:
             if lid not in LEMMA_IDS:
                 raise errors.ConfigError(f"unknown lemma id {lid!r}")
@@ -139,18 +132,18 @@ def _task_records(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int
                 case_seed = derive_seed(seed, li)
                 case = random_case(lid, case_seed, n=n, m=m, law=cfg.spectrum_law)
                 terms = lemma_terms(case)
-                for rep in lemma_reports(lid, terms, expand_norm_tokens(cfg.norms, terms.max_dim),
-                                         cfg.tol_rel):
-                    records.append(lemma_record(rep, case_seed, n, m, case.params))
+                records.extend(lemma_records(case, terms, case_seed, n, m,
+                                             expand_norm_tokens(cfg.norms, terms.max_dim),
+                                             cfg.tol_rel))
             continue
         if kind not in instances:
             instances[kind] = generate_instance(kind, n, m, seed, cfg.spectrum_law)
         inst = instances[kind]
         for params, terms_of in grid:
             terms = terms_of(inst)
-            records.extend(map(chain_record, chain_reports(
-                terms, inst, params, expand_norm_tokens(cfg.norms, terms.max_dim),
-                cfg.tol_rel, cfg.condition_cap)))
+            records.extend(chain_records(terms, inst, params,
+                                         expand_norm_tokens(cfg.norms, terms.max_dim),
+                                         cfg.tol_rel, cfg.condition_cap))
     return records
 
 

@@ -10,20 +10,16 @@ from gmineq.chains import (
     ChainParams,
     commuting_terms,
     condition_max,
-    eval_commuting_chain,
-    eval_geo_vs_Z,
-    eval_main_chain,
-    eval_t_chain,
     expand_norm_tokens,
     geo_z_terms,
     main_chain_terms,
-    report_from_terms,
     t_chain_status,
     t_chain_terms,
 )
 from gmineq.generate import generate_instance
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec
+from gmineq.reports import chain_records
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.schatten(1),
          NormSpec.schatten(2), NormSpec.schatten(np.inf)]
@@ -53,22 +49,23 @@ class TestMainChain:
             return
         inst = generate_instance("generic", 2, 2, seed)
         params = ChainParams(s=s, r=r, p=p)
-        for norm in NORMS:
-            rep = eval_main_chain(inst, params, norm)
-            if not rep.gated:
-                assert rep.passed, (seed, s, r, p, norm.label, rep.margins)
+        for rec in chain_records(main_chain_terms(inst, params), inst, params, NORMS):
+            if not rec["gated"]:
+                assert rec["pass"], (seed, s, r, p, rec["norm"], rec["margins"])
 
     def test_middle_term_ordered(self):
         inst = generate_instance("generic", 3, 2, 17)
-        rep = eval_main_chain(inst, ChainParams(s=2, r=1, p=1), NormSpec.trace())
-        assert rep.mid is not None
-        assert rep.lhs <= rep.mid + 1e-8 * rep.scale
-        assert rep.mid <= rep.rhs + 1e-8 * rep.scale
+        params = ChainParams(s=2, r=1, p=1)
+        rec, = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.trace()])
+        assert rec["mid"] is not None
+        assert rec["lhs"] <= rec["mid"] + 1e-8 * max(1.0, rec["rhs"])
+        assert rec["mid"] <= rec["rhs"] + 1e-8 * max(1.0, rec["rhs"])
 
     def test_scalar_collapse_is_equality(self):
         inst = generate_instance("generic", 1, 1, 23)
-        rep = eval_main_chain(inst, ChainParams(s=3, r=2, p=0.5), NormSpec.operator())
-        assert max(abs(v) for v in rep.margins) <= 1e-12 * rep.scale
+        params = ChainParams(s=3, r=2, p=0.5)
+        rec, = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.operator()])
+        assert max(abs(v) for v in rec["margins"]) <= 1e-12 * max(1.0, rec["rhs"])
 
 
 class TestGeoZ:
@@ -81,10 +78,9 @@ class TestGeoZ:
     @settings(max_examples=30, deadline=None)
     def test_left_step_holds_below_two(self, seed, s):
         inst = generate_instance("generic", 2, 2, seed)
-        for norm in NORMS:
-            rep = eval_geo_vs_Z(inst, s, norm)
-            if not rep.gated:
-                assert rep.passed, (seed, s, norm.label, rep.margins)
+        for rec in chain_records(geo_z_terms(inst, s), inst, ChainParams(s=s, r=1.0, p=1.0), NORMS):
+            if not rec["gated"]:
+                assert rec["pass"], (seed, s, rec["norm"], rec["margins"])
 
 
 class TestTChain:
@@ -109,16 +105,16 @@ class TestTChain:
         inst = generate_instance("generic", 2, 2, seed)
         params = ChainParams(s=1.0, r=r, p=p, t=t)
         assert t_chain_status(params) == "proven"
-        for norm in NORMS:
-            rep = eval_t_chain(inst, params, norm)
-            if not rep.gated:
-                assert rep.passed, (seed, t, r, p, norm.label, rep.margins)
+        for rec in chain_records(t_chain_terms(inst, params), inst, params, NORMS):
+            if not rec["gated"]:
+                assert rec["pass"], (seed, t, r, p, rec["norm"], rec["margins"])
 
     def test_conjectured_negative_margin_is_recorded_not_raised(self):
         inst = generate_instance("generic", 2, 2, 3)
-        rep = eval_t_chain(inst, ChainParams(s=1.5, t=0.5), NormSpec.trace())
-        assert rep.status == "conjectured"
-        assert isinstance(rep.passed, bool)  # no exception either way
+        params = ChainParams(s=1.5, t=0.5)
+        rec, = chain_records(t_chain_terms(inst, params), inst, params, [NormSpec.trace()])
+        assert rec["status"] == "conjectured"
+        assert isinstance(rec["pass"], bool)  # no exception either way
 
 
 class TestCommuting:
@@ -136,20 +132,18 @@ class TestCommuting:
     @settings(max_examples=30, deadline=None)
     def test_chain_holds(self, seed, variant):
         inst = generate_instance("commuting", 2, 3, seed)
-        for norm in NORMS:
-            rep = eval_commuting_chain(inst, variant, norm)
-            if not rep.gated:
-                assert rep.passed, (seed, variant, norm.label, rep.margins)
+        for rec in chain_records(commuting_terms(inst, variant), inst, ChainParams(s=1.0), NORMS):
+            if not rec["gated"]:
+                assert rec["pass"], (seed, variant, rec["norm"], rec["margins"])
 
 
 class TestReporting:
     def test_condition_gating(self):
         inst = generate_instance("generic", 3, 2, 5)
         terms = main_chain_terms(inst, ChainParams())
-        rep = report_from_terms(terms, inst, ChainParams(), NormSpec.trace(),
-                                condition_cap=1.5)
-        assert rep.gated
-        assert rep.condition_max == pytest.approx(condition_max(inst))
+        rec, = chain_records(terms, inst, ChainParams(), [NormSpec.trace()], condition_cap=1.5)
+        assert rec["gated"]
+        assert rec["condition_max"] == pytest.approx(condition_max(inst))
 
     def test_expand_norm_tokens(self):
         specs = expand_norm_tokens(["kyfan:all", "schatten:2", NormSpec.trace()], 3)

@@ -3,15 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmineq import cli, errors
-from gmineq.chains import (
-    ChainParams,
-    eval_commuting_chain,
-    eval_geo_vs_Z,
-    eval_main_chain,
-    eval_t_chain,
-)
+from gmineq.chains import ChainParams, commuting_terms, geo_z_terms, main_chain_terms, t_chain_terms
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, splitmix64
 from gmineq.highprec import t_chain_margin
 from gmineq.hunt import SearchConfig, evaluate_argmin, hunt
@@ -19,7 +14,7 @@ from gmineq.norms import NormSpec
 from gmineq.reports import (
     SCHEMA_VERSION,
     build_report_set,
-    chain_record,
+    chain_records,
     dumps,
     read_reports,
     write_reports,
@@ -84,6 +79,14 @@ class TestDeterministicJson:
         with pytest.raises(ValueError):
             dumps(float("nan"))
 
+    @given(st.text(st.characters(exclude_categories=())))
+    @settings(max_examples=300, deadline=None)
+    def test_strings_quoted_as_json_dumps(self, text):
+        """Non-ASCII text, quotes, backslashes and control characters,
+        as a value and as a key."""
+        assert dumps(text) == json.dumps(text)
+        assert dumps({text: 1}) == json.dumps({text: 1}, separators=(",", ":"))
+
 
 SMALL = dict(chains=["main", "geo-z", "t-chain", "commuting", "lemmas"],
              n_values=[2], m_values=[2], instance_count=3, base_seed=11,
@@ -139,19 +142,24 @@ class TestSweep:
         def norms(dim):
             return [NormSpec.ky_fan(k) for k in range(1, dim + 1)] + [NormSpec.schatten(2)]
 
-        reports = []
+        records = []
         for i in range(3):
             seed = derive_seed(11, i)
             generic = generate_instance("generic", 2, 2, seed)
             commuting = generate_instance("commuting", 2, 2, seed)
-            reports += [eval_main_chain(generic, ChainParams(s=2.0, r=1.0, p=1.0), spec)
-                        for spec in norms(4)]
-            reports += [eval_geo_vs_Z(generic, s, spec) for s in (1.0, 2.0) for spec in norms(4)]
-            reports += [eval_t_chain(generic, ChainParams(s=s, r=1.0, p=1.0, t=0.5), spec)
-                        for s in (1.0, 2.0) for spec in norms(2)]
-            reports += [eval_commuting_chain(commuting, variant, spec)
-                        for variant in ("product", "symmetrized") for spec in norms(2)]
-        want = build_report_set([chain_record(rep) for rep in reports]).records
+            main = ChainParams(s=2.0, r=1.0, p=1.0)
+            records += chain_records(main_chain_terms(generic, main), generic, main, norms(4))
+            for s in (1.0, 2.0):
+                records += chain_records(geo_z_terms(generic, s), generic,
+                                         ChainParams(s=s, r=1.0, p=1.0), norms(4))
+            for s in (1.0, 2.0):
+                weighted = ChainParams(s=s, r=1.0, p=1.0, t=0.5)
+                records += chain_records(t_chain_terms(generic, weighted), generic, weighted,
+                                         norms(2))
+            for variant in ("product", "symmetrized"):
+                records += chain_records(commuting_terms(commuting, variant), commuting,
+                                         ChainParams(s=1.0), norms(2))
+        want = build_report_set(records).records
         got = [rec for rec in run_sweep(SweepConfig(**SMALL)).records if rec["kind"] == "chain"]
         assert len(want) == 3 * (5 + 2 * 5 + 2 * 3 + 2 * 3)
         assert got == want
@@ -234,6 +242,8 @@ class TestHunt:
         {"m_max": None}, {"refine_scale": "0.1"}, {"s_range": 1.5}, {"s_range": (1.0,)},
         {"t_range": (0.5, "0.5")}, {"r_values": []}, {"r_values": [-1.0]}, {"p_values": [0.0]},
         {"p_values": 1.0}, {"r_values": [float("nan")]}, {"p_values": ["1"]},
+        {"condition_cap": "1e8"}, {"tol_rel": "x"}, {"base_seed": 1.5}, {"norms": [3]},
+        {"spectrum_law": (0.1, 10)}, {"condition_cap": 0.5},
     ])
     def test_config_type_validation(self, bad):
         with pytest.raises(errors.ConfigError):
@@ -311,6 +321,18 @@ class TestCli:
         write_reports(r, out)
         assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
         assert "argmin re-evaluation: gated" in capsys.readouterr().out
+
+    def test_show_all_gated_hunt(self, tmp_path, capsys):
+        """A law of condition 1e18 gates every sample: min_margin is inf,
+        written as "inf", and must read back as a float."""
+        r = hunt(SearchConfig(base_seed=7, samples=4, n_max=4, m_max=2,
+                              spectrum_law=SpectrumLaw(1e-9, 1e9)))
+        assert r.gated_count == 4 and r.argmin is None and r.min_margin == float("inf")
+        out = tmp_path / "h.json"
+        write_reports(r, out)
+        assert read_reports(out).to_record() == r.to_record()
+        assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
+        assert "min_margin=+inf" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -4,15 +4,16 @@ The sampling phase generates and evaluates each (n, m) group of samples as
 one stack.  Every sample must come out bitwise as it does alone: the same
 instance bytes as `generate_instance`, and the same gated flag, margin and
 winning norm as a direct evaluation through `t_chain_terms` and
-`report_from_terms`.
+`reports.chain_records`.
 """
 
 import numpy as np
 import pytest
 
-from gmineq.chains import expand_norm_tokens, report_from_terms, t_chain_terms
+from gmineq.chains import expand_norm_tokens, t_chain_terms
 from gmineq.generate import SpectrumLaw, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_point, _sampling_phase, hunt
+from gmineq.reports import chain_records
 
 # n up to 9 takes Ky Fan sums past k = 8, where numpy's summation turns
 # pairwise; the law's condition numbers reach 1e9, past the 1e8 cap.
@@ -24,14 +25,14 @@ WIDE = dict(samples=160, s_range=(1.0, 2.0), t_range=(0.2, 0.8), r_values=[1.0, 
 
 def _direct_margin(inst, params, norms, condition_cap):
     """(gated, margin, spec) of one sample, evaluated alone: the smallest
-    report min margin over its scale, the first such norm winning a tie."""
+    record min margin over its scale, the first such norm winning a tie."""
     terms = t_chain_terms(inst, params)
     if terms.condition_max > condition_cap:
         return True, None, None
     best, best_spec = np.inf, None
     for spec in expand_norm_tokens(norms, terms.max_dim):
-        rep = report_from_terms(terms, inst, params, spec)
-        margin = rep.min_margin / rep.scale
+        rec, = chain_records(terms, inst, params, [spec])
+        margin = min(rec["margins"]) / max(1.0, rec["rhs"])
         if margin < best:
             best, best_spec = margin, spec
     return False, float(best), best_spec

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
 from gmineq.generate import SpectrumLaw, derive_seed, haar_unitary, random_spd
-from gmineq.lemmas import LEMMA_IDS, LemmaCase, eval_lemma, lemma_reports, lemma_terms, random_case
+from gmineq.lemmas import LEMMA_IDS, LemmaCase, eval_lemma, lemma_terms, random_case
 from gmineq.norms import NormSpec
+from gmineq.reports import lemma_records
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.trace(),
          NormSpec.schatten(2), NormSpec.operator()]
@@ -147,5 +148,5 @@ class TestWideSpectra:
             case = random_case("BlockDiagStep", derive_seed(1, i), n=3, m=2, law=law)
             terms = lemma_terms(case)
             panel = [NormSpec.ky_fan(k) for k in range(1, terms.max_dim + 1)]
-            reports = lemma_reports("BlockDiagStep", terms, panel)
-            assert all(rep.passed for rep in reports), (i, [rep.margin for rep in reports])
+            records = lemma_records(case, terms, derive_seed(1, i), 3, 2, panel)
+            assert all(rec["pass"] for rec in records), (i, [rec["margins"] for rec in records])
