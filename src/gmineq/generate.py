@@ -16,6 +16,7 @@ one, and a stack of many equal-shape instances gives each the same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class SpectrumLaw:
-    """Log-uniform eigenvalue law on [lo, hi]."""
+    """Log-uniform eigenvalue law on [lo, hi]; its log bounds are computed
+    once per law, not once per draw."""
 
     lo: float = 0.1
     hi: float = 10.0
@@ -52,8 +54,13 @@ class SpectrumLaw:
         if not (self.lo > 0.0 and self.hi >= self.lo):
             raise errors.InvalidSpectrumLaw(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
 
+    @cached_property
+    def _log_bounds(self) -> tuple:
+        return np.log(self.lo), np.log(self.hi)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.exp(rng.uniform(np.log(self.lo), np.log(self.hi), size=size))
+        log_lo, log_hi = self._log_bounds
+        return np.exp(rng.uniform(log_lo, log_hi, size=size))
 
     def to_dict(self) -> dict:
         return {"law": "loguniform", "lo": self.lo, "hi": self.hi}

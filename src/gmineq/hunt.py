@@ -276,8 +276,11 @@ def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margi
 
 def evaluate_argmin(result_or_argmin, condition_cap: float = 1e8) -> float | None:
     """Re-evaluate a serialized arg-min point; returns its normalized
-    margin, or None when the point is gated under `condition_cap`."""
+    margin, or None when the point is gated under `condition_cap` or the
+    result has no arg-min (every sample was gated)."""
     arg = result_or_argmin.argmin if isinstance(result_or_argmin, SearchResult) else result_or_argmin
+    if arg is None:
+        return None
     inst = InstanceSet(
         m=arg["m"],
         n=arg["n"],

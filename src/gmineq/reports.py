@@ -5,6 +5,11 @@ line, each carrying schema_version, with a trailing summary record.
 Floats are written with 17 significant digits, so read(write(x)) == x and
 re-serialization is byte-identical.  Search results are a single JSON
 object.
+
+`dumps` is a one-pass encoder whose memo, kept for one call, formats each
+repeated key and float once (its docstring has the rules).  `write_reports`
+shares one memo across a file and still encodes one line per record;
+`read_reports` decodes all of a file's lines with one `json.loads` call.
 """
 
 from __future__ import annotations
@@ -43,25 +48,141 @@ def dumps(obj) -> str:
 
     Dict key order is preserved as built (records are built with a fixed
     field order), so identical objects serialize to identical bytes.
-    Strings are quoted by the function `json.dumps(str)` calls.
+    Strings are quoted by the function `json.dumps(str)` calls, integers
+    written by `str`, infinities as the strings "inf" and "-inf"; NaN
+    raises `ValueError` and a value of any other type `TypeError`.
+
+    One pass over the value: the dict and list loops write values of the
+    exact types float, str, int, bool and None inline and recurse only into
+    containers; any other value (a subclass such as `np.float64`, or a type
+    that raises) takes the `isinstance` path of `_encode`.  A memo kept for
+    one call (`write_reports` shares one across a file's lines) holds the
+    quoted `"key":` prefix of each `str` key and the text of each non-zero
+    float, so a report's repeated keys and values (its parameters,
+    condition numbers and terms shared by grid points) are formatted once.
+    A key of any other type is written as `str(k)` every time, so keys that
+    compare equal but print differently (`1`, `True`, `1.0`) never share a
+    prefix; no zero is remembered, since 0.0 and -0.0 compare equal.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{_quote(str(k))}:{dumps(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _dumps(obj, {})
+
+
+def _dumps(obj, memo: dict) -> str:
+    """`dumps` with the caller's memo."""
+    parts: list = []
+    _encode(obj, parts, memo)
+    return "".join(parts)
+
+
+def _encode(v, parts: list, memo: dict) -> None:
+    """Append the JSON of any value, dispatched by `isinstance`."""
+    if v is None:
+        parts.append("null")
+    elif v is True:
+        parts.append("true")
+    elif v is False:
+        parts.append("false")
+    elif isinstance(v, int):
+        parts.append(str(v))
+    elif isinstance(v, float):
+        parts.append(_fmt_float(v))
+    elif isinstance(v, str):
+        parts.append(_quote(v))
+    elif isinstance(v, (list, tuple)):
+        _encode_list(v, parts, memo)
+    elif isinstance(v, dict):
+        _encode_dict(v, parts, memo)
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+# A memo maps each exact-str key to its quoted `"key":` prefix and each
+# non-zero exact float to its text (no str equals a float, so the two never
+# meet).  It is emptied at this many entries, so that it stays small on a
+# file of unique values.
+_MEMO_MAX = 4096
+
+
+def _remember(memo: dict, value, text: str) -> str:
+    if len(memo) >= _MEMO_MAX:
+        memo.clear()
+    memo[value] = text
+    return text
+
+
+def _float_text(v: float, memo: dict) -> str:
+    """The text of an exact float not in `memo`; remembered unless it is
+    zero (0.0 and -0.0 compare equal but print differently).  A 17-digit
+    form with a "." or an "e" is finite and final; any other (integral,
+    infinite or NaN) goes through `_fmt_float`."""
+    s = format(v, ".17g")
+    if "." not in s and "e" not in s:
+        s = _fmt_float(v)
+    return _remember(memo, v, s) if v else s
+
+
+# The two loops below repeat one inline dispatch on purpose: a function
+# call per value would cost more than writing a remembered float or a str.
+
+def _encode_dict(d: dict, parts: list, memo: dict) -> None:
+    append = parts.append
+    sep = "{"
+    for k, v in d.items():
+        if type(k) is str:
+            prefix = memo.get(k) or _remember(memo, k, _quote(str(k)) + ":")
+        else:
+            prefix = _quote(str(k)) + ":"
+        append(sep)
+        append(prefix)
+        sep = ","
+        t = type(v)
+        if t is float:
+            append(memo.get(v) or _float_text(v, memo))
+        elif t is str:
+            append(_quote(v))
+        elif t is int:
+            append(str(v))
+        elif v is None:
+            append("null")
+        elif v is True:
+            append("true")
+        elif v is False:
+            append("false")
+        elif t is dict:
+            _encode_dict(v, parts, memo)
+        elif t is list or t is tuple:
+            _encode_list(v, parts, memo)
+        else:
+            _encode(v, parts, memo)
+    append("}" if sep == "," else "{}")
+
+
+def _encode_list(a, parts: list, memo: dict) -> None:
+    append = parts.append
+    sep = "["
+    for v in a:
+        append(sep)
+        sep = ","
+        t = type(v)
+        if t is float:
+            append(memo.get(v) or _float_text(v, memo))
+        elif t is str:
+            append(_quote(v))
+        elif t is int:
+            append(str(v))
+        elif v is None:
+            append("null")
+        elif v is True:
+            append("true")
+        elif v is False:
+            append("false")
+        elif t is dict:
+            _encode_dict(v, parts, memo)
+        elif t is list or t is tuple:
+            _encode_list(v, parts, memo)
+        else:
+            _encode(v, parts, memo)
+    append("]" if sep == "," else "[]")
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +320,9 @@ def build_report_set(records: list) -> ReportSet:
 def write_reports(obj, path) -> None:
     """Write a ReportSet (JSONL) or SearchResult (single JSON object)."""
     if isinstance(obj, ReportSet):
-        lines = [dumps(rec) for rec in obj.records]
-        lines.append(dumps(obj.summary))
+        memo = {}
+        lines = [_dumps(rec, memo) for rec in obj.records]
+        lines.append(_dumps(obj.summary, memo))
         text = "\n".join(lines) + "\n"
     elif hasattr(obj, "to_record"):
         text = dumps(obj.to_record()) + "\n"
@@ -217,7 +339,10 @@ def _check_version(rec: dict, path) -> None:
 
 
 def read_reports(path):
-    """Read back a report file; returns ReportSet or SearchResult."""
+    """Read back a report file; returns ReportSet or SearchResult.  A report
+    set's non-blank lines are decoded by one `json.loads` call, as one
+    array; if that does not give one value per line, some line is not one
+    JSON value, and decoding line by line raises its error."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -227,10 +352,12 @@ def read_reports(path):
     if first.get("kind") == "search_result":
         from .hunt import SearchResult  # local import avoids a cycle
         return SearchResult.from_record(first)
+    decoded = json.loads("[" + ",".join(lines) + "]")
+    if len(decoded) != len(lines):
+        decoded = [json.loads(ln) for ln in lines]
     records = []
     summary = summarize([])
-    for ln in lines:
-        rec = json.loads(ln)
+    for rec in decoded:
         _check_version(rec, path)
         if rec.get("kind") == "summary":
             summary = rec

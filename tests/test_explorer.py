@@ -56,6 +56,15 @@ class TestGeneration:
         lam = law.sample(np.random.default_rng(0), 1000)
         assert lam.min() >= 0.5 and lam.max() <= 2.0
 
+    def test_spectrum_law_draws_are_the_log_uniform_formula(self):
+        # the law keeps its log bounds; every draw, the first and the later
+        # ones, has the bits of the formula evaluated afresh
+        law = SpectrumLaw(1e-3, 7.5)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for size in (1, 5, 40):
+            expected = np.exp(ref.uniform(np.log(law.lo), np.log(law.hi), size))
+            assert law.sample(rng, size).tobytes() == expected.tobytes()
+
     def test_law_round_trip(self):
         law = SpectrumLaw(0.25, 4.0)
         assert SpectrumLaw.from_dict(law.to_dict()) == law

@@ -1,0 +1,204 @@
+"""The report encoder and reader against their per-value and per-line
+forms.
+
+`oracle_dumps` is the recursive encoder `reports.dumps` replaced: one call
+per value, `isinstance` dispatch, every key quoted afresh.  The one-pass
+encoder must write exactly its bytes, raise where it raises, and do so
+through `write_reports`, whose memo of keys and floats is shared by every
+line of a file.
+"""
+
+import json
+import math
+import pathlib
+import tempfile
+from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gmineq import errors, reports
+from gmineq.generate import SpectrumLaw
+from gmineq.hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
+from gmineq.reports import SCHEMA_VERSION, ReportSet, dumps, read_reports, summarize, write_reports
+
+
+def _oracle_float(x: float) -> str:
+    if math.isnan(x):
+        raise ValueError("cannot serialize NaN")
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    s = format(x, ".17g")
+    if not any(c in s for c in ".e"):
+        s += ".0"
+    return s
+
+
+def oracle_dumps(obj) -> str:
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _oracle_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(oracle_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{_quote(str(k))}:{oracle_dumps(v)}" for k, v in obj.items()) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, math.inf, -math.inf,
+                  1e16, -1e16, 1e17, 2.0 ** 53, 123.0, 0.1, 1.0 / 3.0]
+floats = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL_FLOATS))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 63, max_value=2 ** 80),
+    st.integers(max_value=-(2 ** 63)),
+    floats,
+    floats.map(np.float64),
+    st.text(),
+    st.sampled_from(["\x00", "\x1f\x7f", "café", " ", "\U0001f600", '"\\/', "\ud800"]),
+)
+# Keys that compare equal across types (1 == True == 1.0, 0 == False == -0.0)
+# but print differently, next to the str keys they print as.
+keys = st.one_of(st.sampled_from([1, True, 1.0, "1", "True", "1.0", 0, False, 0.0, -0.0, None]),
+                 st.text(max_size=4), st.integers(), floats)
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+                     st.dictionaries(keys, children, max_size=4))
+
+
+values = st.recursive(scalars, _containers, max_leaves=24)
+
+
+def _buried(leaves):
+    """Nested containers with one of `leaves` somewhere inside, among other
+    values."""
+    def wrap(inner):
+        return st.one_of(
+            st.tuples(st.lists(values, max_size=2), inner, st.lists(values, max_size=2))
+            .map(lambda t: [*t[0], t[1], *t[2]]),
+            st.tuples(st.lists(values, max_size=2), inner).map(lambda t: (*t[0], t[1])),
+            st.tuples(st.dictionaries(keys, values, max_size=2), keys, inner)
+            .map(lambda t: {**t[0], t[1]: t[2]}),
+        )
+    return st.recursive(st.sampled_from(leaves), wrap, max_leaves=6)
+
+
+class TestEncoderAgainstRecursiveForm:
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def test_same_bytes(self, value):
+        assert dumps(value) == oracle_dumps(value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.dictionaries(keys, values, max_size=5), max_size=6), values)
+    def test_same_bytes_through_write_reports(self, records, summary):
+        # one memo serves every line of the file
+        with tempfile.TemporaryDirectory() as folder:
+            path = pathlib.Path(folder) / "r.jsonl"
+            write_reports(ReportSet(records=records, summary=summary), path)
+            text = path.read_text(encoding="utf-8")
+        assert text == "".join(oracle_dumps(v) + "\n" for v in [*records, summary])
+
+    def test_equal_keys_that_print_differently(self):
+        value = [{1: 0}, {True: 0}, {1.0: 0}, {"1": 0}, {0.0: 1}, {-0.0: 1}, {False: 1}]
+        assert dumps(value) == oracle_dumps(value)
+        assert dumps(value) == ('[{"1":0},{"True":0},{"1.0":0},{"1":0},'
+                                '{"0.0":1},{"-0.0":1},{"False":1}]')
+
+    def test_signed_zeros_and_repeats(self):
+        # the memo remembers no zero: 0.0 and -0.0 compare equal
+        value = {"a": [0.0, -0.0, 0.0, -0.0], "b": {0.5: -0.0, "c": 0.0}, "c": [1e16, 1e16, 2.5, 2.5]}
+        assert dumps(value) == oracle_dumps(value)
+        assert dumps(value).startswith('{"a":[0.0,-0.0,0.0,-0.0],"b":{"0.5":-0.0,"c":0.0}')
+
+    def test_memo_overflow(self):
+        # more distinct floats and keys than the memo holds, each repeated
+        n = 2 * reports._MEMO_MAX + 7
+        value = [[i / 7.0 for i in range(n)] * 2, [{f"k{i % n}": i / 3.0} for i in range(2 * n)]]
+        assert dumps(value) == oracle_dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_buried([math.nan, -math.nan, np.float64("nan")]))
+    def test_nan_at_any_depth_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            oracle_dumps(value)
+        with pytest.raises(ValueError):
+            dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_buried([np.int64(3), {1, 2}, frozenset(), np.bool_(True), b"x"]))
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            oracle_dumps(value)
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+def _record(kind="chain", version=SCHEMA_VERSION, **fields):
+    return {"schema_version": version, "kind": kind, **fields}
+
+
+class TestReader:
+    def test_blank_lines_are_skipped_and_summary_taken(self, tmp_path):
+        recs = [_record(chain_id="main", instance_seed=i, margins=[0.5 * i]) for i in range(3)]
+        summary = summarize([])
+        lines = [json.dumps(recs[0]), "", "  ", json.dumps(recs[1]), json.dumps(summary),
+                 json.dumps(recs[2]), "\t"]
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rs = read_reports(path)
+        assert rs.records == recs
+        assert rs.summary == summary
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n \n", encoding="utf-8")
+        rs = read_reports(path)
+        assert rs.records == [] and rs.summary == summarize([])
+
+    def test_version_checked_on_every_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        lines = [_record(instance_seed=0), _record(instance_seed=1, version=SCHEMA_VERSION + 1)]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        with pytest.raises(errors.SchemaVersionMismatch):
+            read_reports(path)
+
+    @pytest.mark.parametrize("bad", [
+        ['{"schema_version": 1,'],                                         # cut short
+        ['{"schema_version": 1, "kind": "chain"},{"schema_version": 1}'],  # two on a line
+        ['{"schema_version": 1, "margins": [1', '2]}'],                    # one on two lines
+    ])
+    def test_a_line_that_is_not_one_value_raises(self, tmp_path, bad):
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n".join([json.dumps(_record()), *bad]) + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            read_reports(path)
+
+
+class TestAllGatedHunt:
+    # every sample of this hunt has a condition number over the 1e8 cap
+    CFG = dict(base_seed=7, samples=4, n_max=4, m_max=2, spectrum_law=SpectrumLaw(1e-9, 1e9))
+
+    def test_written_read_back_and_reevaluated(self, tmp_path):
+        result = hunt(SearchConfig(**self.CFG))
+        assert result.argmin is None and result.gated_count == 4
+        path = tmp_path / "hunt.json"
+        write_reports(result, path)
+        loaded = read_reports(path)
+        assert isinstance(loaded, SearchResult)
+        assert loaded.to_record() == result.to_record()
+        assert evaluate_argmin(loaded) is None
