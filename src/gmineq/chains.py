@@ -8,6 +8,11 @@ Hermitian PSD (except the commuting product right side).  Each power of a
 mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
+`grid_terms` evaluates a chain's whole parameter grid on one instance as
+one stack, through the same `InstanceSpectra` methods as the one-point
+evaluators (`main_chain_terms`, `geo_z_terms`, `t_chain_terms`), which are
+its memoized scalar view; each row is bitwise the one-point terms.
+
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
 Ky Fan norms treat missing singular values as zeros.
@@ -48,20 +53,24 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class ChainTerms:
-    """Singular values of every chain term, shared across norm evaluations."""
+    """Singular values of every chain term, shared across norm evaluations:
+    spectra (d,) at one point, or (P, d) with one status per row for a
+    parameter grid (`grid_terms`)."""
 
     chain_id: str
     lhs_sv: np.ndarray
     rhs_sv: np.ndarray
     mid_sv: np.ndarray | None = None
-    status: str = "proven"
+    status: str | tuple = "proven"
     condition_max: float = 1.0
 
     @property
     def max_dim(self) -> int:
-        dims = [self.lhs_sv.size, self.rhs_sv.size]
+        """The largest term's dimension: the length of a spectrum, also on
+        the (P, d) spectra of a parameter grid."""
+        dims = [self.lhs_sv.shape[-1], self.rhs_sv.shape[-1]]
         if self.mid_sv is not None:
-            dims.append(self.mid_sv.size)
+            dims.append(self.mid_sv.shape[-1])
         return max(dims)
 
 
@@ -83,6 +92,29 @@ def _per_pair(x):
     return x if np.ndim(x) == 0 else np.asarray(x)[..., None]
 
 
+def _repeat(value, count: int):
+    """`count` copies of a value of one instance, stacked on a new leading
+    axis: an array or a float, an EigenDecomposition, or a tuple of them."""
+    if isinstance(value, tuple):
+        return tuple(_repeat(v, count) for v in value)
+    if isinstance(value, EigenDecomposition):
+        return EigenDecomposition(_repeat(value.eigenvalues, count), _repeat(value.vectors, count))
+    return np.repeat(np.asarray(value)[None], count, axis=0)
+
+
+def _row(value, k: int):
+    """Row k of a stacked value (an array or a tuple of arrays)."""
+    return tuple(v[k] for v in value) if isinstance(value, tuple) else value[k]
+
+
+def _stack(values: list, rows: list):
+    """The stack of values[k] for k in `rows`, each an array or a tuple of
+    arrays."""
+    if isinstance(values[0], tuple):
+        return tuple(_stack(list(parts), rows) for parts in zip(*values))
+    return np.stack([values[k] for k in rows])
+
+
 class InstanceSpectra:
     """Spectral data of one instance, or of a stack of equal-shape instances,
     each piece computed on first use.
@@ -98,21 +130,71 @@ class InstanceSpectra:
     bytes it gets alone.  Every decomposition is of an n x n matrix.  An
     instance reaches its own as `inst.spectra`, which holds only a weak
     reference to the instance.
+
+    `tile(P)` stacks one instance P times, one parameter grid point per
+    row.  A tile takes every value at scalar parameters from the
+    instance's own memo, repeated.  With per-row parameters, it keeps each
+    row's value in the instance's memo under the row's scalar key, the key
+    a one-point evaluator uses, and evaluates the rows not there yet
+    together, once per distinct key: each distinct mean, sandwich factor
+    and sum of mean powers is decomposed once per instance, however many
+    grid points and chains share it.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, inst: InstanceSet | None = None):
         self._A, self._B = A, B
         self._inst = None if inst is None else weakref.proxy(inst)
         self._memo = {}
+        self._one = None  # on a tile, the one instance's spectra it repeats
 
-    def _cached(self, key, compute):
+    def _value(self, key: tuple, compute):
+        """compute(self, *key[1:]) for key = (name, *parameters): memoized
+        at scalar parameters; with per-row parameter arrays, evaluated once
+        on a stack of instances and row by row on a tile."""
         try:
             if key in self._memo:
                 return self._memo[key]
-        except TypeError:  # per-instance parameter arrays: evaluated once, not memoized
-            return compute()
-        value = self._memo[key] = compute()
+        except TypeError:  # per-row parameter arrays
+            if self._one is None:  # a stack of instances: evaluated once, not memoized
+                return compute(self, *key[1:])
+            return self._per_row(key, compute)
+        if self._one is None:
+            value = compute(self, *key[1:])
+        else:
+            value = _repeat(self._one._value(key, compute), self._A.shape[0])
+        self._memo[key] = value
         return value
+
+    def _per_row(self, key: tuple, compute):
+        """compute(self, *key[1:]) on a tile with per-row parameters: each
+        row's value is taken from the instance's memo under its scalar key;
+        the distinct keys not there yet are evaluated on one tile of them
+        and remembered there."""
+        name, params = key[0], key[1:]
+        count = self._A.shape[0]
+        columns = [np.broadcast_to(x, (count,)).tolist() if np.ndim(x) else [x] * count
+                   for x in params]
+        slots = {}
+        rows = [slots.setdefault((name, *row), len(slots)) for row in zip(*columns)]
+        memo = self._one._memo
+        missing = [k for k in slots if k not in memo]
+        if missing:
+            sub = self if len(missing) == count else self._one.tile(len(missing))
+            values = compute(sub, *(np.array([k[c] for k in missing]) if np.ndim(x) else x
+                                    for c, x in enumerate(params, start=1)))
+            for i, k in enumerate(missing):
+                memo[k] = _row(values, i)
+            if sub is self:
+                return values
+        return _stack([memo[k] for k in slots], rows)
+
+    def tile(self, count: int) -> "InstanceSpectra":
+        """This instance's spectra as a stack of `count` copies, one
+        parameter point per row (see the class docstring)."""
+        sub = InstanceSpectra(np.broadcast_to(self._A, (count,) + self._A.shape),
+                              np.broadcast_to(self._B, (count,) + self._B.shape))
+        sub._one = self
+        return sub
 
     def select(self, rows) -> "InstanceSpectra":
         """The spectra of the instances `rows` of a stack, keeping the
@@ -126,100 +208,108 @@ class InstanceSpectra:
     @property
     def eig_A(self) -> EigenDecomposition:
         """Decompositions of every A_i, stacked (..., m, n, n)."""
-        return self._cached(("A",), lambda: hermitian_eig(self._A))
+        return self._value(("A",), lambda sp: hermitian_eig(sp._A))
 
     @property
     def eig_B(self) -> EigenDecomposition:
-        return self._cached(("B",), lambda: hermitian_eig(self._B))
+        return self._value(("B",), lambda sp: hermitian_eig(sp._B))
 
     @property
     def eig_sum_A(self) -> EigenDecomposition:
-        return self._cached(("sum_A",), lambda: hermitian_eig(_sum_pairs(self._A)))
+        return self._value(("sum_A",), lambda sp: hermitian_eig(_sum_pairs(sp._A)))
 
     @property
     def eig_sum_B(self) -> EigenDecomposition:
-        return self._cached(("sum_B",), lambda: hermitian_eig(_sum_pairs(self._B)))
+        return self._value(("sum_B",), lambda sp: hermitian_eig(_sum_pairs(sp._B)))
 
     @property
     def condition_max(self):
         """Largest condition number over the inputs and both sums: a float,
         or one per instance of a stack."""
-
-        def compute():
-            pairs = self.eig_A.eigenvalues.shape[:-1]
-            w = np.concatenate([self.eig_A.eigenvalues, self.eig_B.eigenvalues,
-                                self.eig_sum_A.eigenvalues.reshape(pairs[:-1] + (1, -1)),
-                                self.eig_sum_B.eigenvalues.reshape(pairs[:-1] + (1, -1))], axis=-2)
-            lo, hi = w[..., -1], w[..., 0]
-            ratio = np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
-            worst = np.maximum(ratio.max(axis=-1), 1.0)
-            return float(worst) if worst.ndim == 0 else worst
-
-        return self._cached(("condition_max",), compute)
+        return self._value(("condition_max",), _condition_max)
 
     def _mean_svds(self, s, t) -> tuple:
         """(W, sigma) of each mean factor F_i = W diag(sigma) Q*, where
         F_i F_i* = A_i^s #_t B_i^s, stacked (..., m, n, n) and (..., m, n)."""
-
-        def compute():
-            return svd(mean_factor(self.eig_A, self.eig_B, _per_pair(s), _per_pair(t)))[:2]
-
-        return self._cached(("mean", s, t), compute)
+        return self._value(("mean", s, t), _mean_svds)
 
     def lhs_sv(self, s, t, r) -> np.ndarray:
         """Singular values of sum_i (A_i^s #_t B_i^s)^r, each power taken as
         W diag(sigma^{2r}) W* from its mean factor."""
-
-        def compute():
-            W, sigma = self._mean_svds(s, t)
-            weights = power_rows(sigma, 2.0 * _per_pair(r))
-            acc = np.zeros(W.shape[:-3] + W.shape[-2:], dtype=np.complex128)
-            for i in range(W.shape[-3]):
-                Wi = W[..., i, :, :]
-                acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
-            return _read_only(psd_sv(acc))
-
-        return self._cached(("lhs", s, t, r), compute)
-
-    def _factor_sv(self, a_exp, b_exp) -> np.ndarray:
-        """Singular values of F = (sum B)^{b/2} (sum A)^a."""
-
-        def compute():
-            return singular_values(power_from_eig(self.eig_sum_B, b_exp / 2.0)
-                                   @ power_from_eig(self.eig_sum_A, a_exp))
-
-        return self._cached(("factor", a_exp, b_exp), compute)
+        return self._value(("lhs", s, t, r), _lhs_sv)
 
     def sandwich_sv(self, a_exp, b_exp, inv_p) -> np.ndarray:
         """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}: the
         sandwich is F* F with F = (sum B)^{b/2} (sum A)^a, so they are the
         singular values of F to the power 2 inv_p."""
-        return self._cached(("sandwich", a_exp, b_exp, inv_p), lambda: _read_only(
-            power_rows(self._factor_sv(a_exp, b_exp), 2.0 * inv_p)))
+        return self._value(("sandwich", a_exp, b_exp, inv_p), _sandwich_sv)
 
-    def z_sv(self, x: float) -> np.ndarray:
+    def z_sv(self, x) -> np.ndarray:
         """Singular values of Z^x: Z's nonzero spectrum is that of the core
         (sum A)^{1/2} (sum B) (sum A)^{1/2}, the sandwich with (a, b) =
         (1/2, 1), followed by (m - 1) n exact zeros."""
-        m, n = self._A.shape[-3:-1]
-        return self._cached(("Z", x), lambda: _read_only(
-            np.concatenate([self.sandwich_sv(0.5, 1.0, x), np.zeros((m - 1) * n)])))
+        return self._value(("Z", x), _z_sv)
 
     def commuting_sv(self) -> tuple:
         """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
         after validating the instance."""
+        return self._value(("commuting",), _commuting_sv)
 
-        def compute():
-            inst = self._inst.validate()
-            lhs = np.zeros((inst.n, inst.n), dtype=np.complex128)
-            mid_root = np.zeros((inst.n, inst.n), dtype=np.complex128)
-            A_half, B_half = power_from_eig(self.eig_A, 0.5), power_from_eig(self.eig_B, 0.5)
-            for i, (Ai, Bi) in enumerate(zip(inst.A, inst.B)):
-                lhs += Ai @ Bi
-                mid_root += A_half[i] @ B_half[i]
-            return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
-        return self._cached(("commuting",), compute)
+# The computations behind InstanceSpectra's values, each of the spectra it
+# is given (an instance, a stack or a tile of distinct rows).
+
+def _condition_max(sp: InstanceSpectra):
+    pairs = sp.eig_A.eigenvalues.shape[:-1]
+    w = np.concatenate([sp.eig_A.eigenvalues, sp.eig_B.eigenvalues,
+                        sp.eig_sum_A.eigenvalues.reshape(pairs[:-1] + (1, -1)),
+                        sp.eig_sum_B.eigenvalues.reshape(pairs[:-1] + (1, -1))], axis=-2)
+    lo, hi = w[..., -1], w[..., 0]
+    ratio = np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
+    worst = np.maximum(ratio.max(axis=-1), 1.0)
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def _mean_svds(sp: InstanceSpectra, s, t) -> tuple:
+    return svd(mean_factor(sp.eig_A, sp.eig_B, _per_pair(s), _per_pair(t)))[:2]
+
+
+def _lhs_sv(sp: InstanceSpectra, s, t, r) -> np.ndarray:
+    W, sigma = sp._mean_svds(s, t)
+    weights = power_rows(sigma, 2.0 * _per_pair(r))
+    acc = np.zeros(W.shape[:-3] + W.shape[-2:], dtype=np.complex128)
+    for i in range(W.shape[-3]):
+        Wi = W[..., i, :, :]
+        acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
+    return _read_only(psd_sv(acc))
+
+
+def _factor_sv(sp: InstanceSpectra, a_exp, b_exp) -> np.ndarray:
+    """Singular values of F = (sum B)^{b/2} (sum A)^a."""
+    return singular_values(power_from_eig(sp.eig_sum_B, b_exp / 2.0)
+                           @ power_from_eig(sp.eig_sum_A, a_exp))
+
+
+def _sandwich_sv(sp: InstanceSpectra, a_exp, b_exp, inv_p) -> np.ndarray:
+    factor_sv = sp._value(("factor", a_exp, b_exp), _factor_sv)
+    return _read_only(power_rows(factor_sv, 2.0 * inv_p))
+
+
+def _z_sv(sp: InstanceSpectra, x) -> np.ndarray:
+    m, n = sp._A.shape[-3:-1]
+    core = sp.sandwich_sv(0.5, 1.0, x)
+    return _read_only(np.concatenate([core, np.zeros(core.shape[:-1] + ((m - 1) * n,))], axis=-1))
+
+
+def _commuting_sv(sp: InstanceSpectra) -> tuple:
+    inst = sp._inst.validate()
+    lhs = np.zeros((inst.n, inst.n), dtype=np.complex128)
+    mid_root = np.zeros((inst.n, inst.n), dtype=np.complex128)
+    A_half, B_half = power_from_eig(sp.eig_A, 0.5), power_from_eig(sp.eig_B, 0.5)
+    for i, (Ai, Bi) in enumerate(zip(inst.A, inst.B)):
+        lhs += Ai @ Bi
+        mid_root += A_half[i] @ B_half[i]
+    return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
 
 def condition_max(inst: InstanceSet) -> float:
@@ -235,37 +325,23 @@ def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
             spectra.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p))
 
 
-def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
-    """Terms of the three-part chain: sum of mean powers, Z^{sr/2}, and the
-    sandwich of sums.  Hypotheses: s >= 2, r >= 1, p > 0, rp >= 1."""
-    s, r, p = params.s, params.r, params.p
-    if not (s >= 2.0 and r >= 1.0 and p > 0.0 and r * p >= 1.0):
+def _require_main(q: ChainParams) -> None:
+    if not (q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0):
         raise errors.HypothesisViolation(
-            f"main chain requires s>=2, r>=1, p>0, rp>=1; got s={s}, r={r}, p={p}"
+            f"main chain requires s>=2, r>=1, p>0, rp>=1; got s={q.s}, r={q.r}, p={q.p}"
         )
-    sp = inst.spectra
-    return ChainTerms(
-        chain_id="main",
-        lhs_sv=sp.lhs_sv(s, 0.5, r),
-        mid_sv=sp.z_sv(s * r / 2.0),
-        rhs_sv=sp.sandwich_sv(s * r * p / 4.0, s * r * p / 2.0, 1.0 / p),
-        status="proven",
-        condition_max=condition_max(inst),
-    )
 
 
-def geo_z_terms(inst: InstanceSet, s: float) -> ChainTerms:
-    """Left step alone: ||sum A_i^s # B_i^s|| <= ||Z^{s/2}||, valid for s >= 1."""
-    if not s >= 1.0:
-        raise errors.HypothesisViolation(f"geo-z step requires s >= 1, got s={s}")
-    sp = inst.spectra
-    return ChainTerms(
-        chain_id="geo-z",
-        lhs_sv=sp.lhs_sv(s, 0.5, 1.0),
-        rhs_sv=sp.z_sv(s / 2.0),
-        status="proven",
-        condition_max=condition_max(inst),
-    )
+def _require_geo_z(q: ChainParams) -> None:
+    if not q.s >= 1.0:
+        raise errors.HypothesisViolation(f"geo-z step requires s >= 1, got s={q.s}")
+
+
+def _require_t_chain(q: ChainParams) -> None:
+    if not 0.0 <= q.t <= 1.0:
+        raise errors.HypothesisViolation(f"t must lie in [0, 1], got {q.t}")
+    if q.s <= 0.0 or q.r <= 0.0 or q.p <= 0.0:
+        raise errors.HypothesisViolation(f"need s, r, p > 0; got s={q.s}, r={q.r}, p={q.p}")
 
 
 def t_chain_status(params: ChainParams) -> str:
@@ -281,23 +357,69 @@ def t_chain_status(params: ChainParams) -> str:
     return "conjectured"
 
 
+def _main_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
+    return (sp.lhs_sv(s, 0.5, r), sp.z_sv(s * r / 2.0),
+            sp.sandwich_sv(s * r * p / 4.0, s * r * p / 2.0, 1.0 / p))
+
+
+def _geo_z_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
+    return sp.lhs_sv(s, 0.5, 1.0), None, sp.z_sv(s / 2.0)
+
+
+def _weighted_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
+    lhs_sv, rhs_sv = t_chain_sides(sp, s, t, r, p)
+    return lhs_sv, None, rhs_sv
+
+
+# The chains evaluated at (s, t, r, p) points: id -> (hypothesis check of a
+# point, (lhs, mid, rhs) spectra at scalar or per-row (s, t, r, p), status of
+# a point).  The same sides serve one point and a whole grid.
+_PARAM_CHAINS = {
+    "main": (_require_main, _main_sides, lambda q: "proven"),
+    "geo-z": (_require_geo_z, _geo_z_sides, lambda q: "proven"),
+    "t-chain": (_require_t_chain, _weighted_sides, t_chain_status),
+}
+
+
+def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms:
+    require, sides, status = _PARAM_CHAINS[chain_id]
+    require(q)
+    lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, q.s, q.t, q.r, q.p)
+    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, status(q), condition_max(inst))
+
+
+def grid_terms(inst: InstanceSet, chain_id: str, points: list) -> ChainTerms:
+    """Terms of chain `chain_id` ("main", "geo-z" or "t-chain") at every
+    ChainParams of `points`, as one stack: spectra (P, d), row k for point
+    k, and `status` one per point.  Every point must satisfy the chain's
+    hypotheses.  The points are evaluated on `inst.spectra.tile(P)`, so
+    row k is bitwise the terms `*_terms` gives at point k, and each
+    distinct factor is decomposed once per instance."""
+    require, sides, status = _PARAM_CHAINS[chain_id]
+    for q in points:
+        require(q)
+    s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
+    lhs_sv, mid_sv, rhs_sv = sides(inst.spectra.tile(len(points)), s, t, r, p)
+    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, tuple(status(q) for q in points),
+                      condition_max(inst))
+
+
+def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
+    """Terms of the three-part chain: sum of mean powers, Z^{sr/2}, and the
+    sandwich of sums.  Hypotheses: s >= 2, r >= 1, p > 0, rp >= 1."""
+    return _point_terms("main", inst, params)
+
+
+def geo_z_terms(inst: InstanceSet, s: float) -> ChainTerms:
+    """Left step alone: ||sum A_i^s # B_i^s|| <= ||Z^{s/2}||, valid for s >= 1."""
+    return _point_terms("geo-z", inst, ChainParams(s=s, r=1.0, p=1.0))
+
+
 def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
     """Weighted two-term chain: ||sum (A_i^s #_t B_i^s)^r|| against the
     sandwich with exponents (1-t)srp/2 and tsrp.  Conjectured-regime
     negative margins are recorded, never raised."""
-    s, r, p, t = params.s, params.r, params.p, params.t
-    if not 0.0 <= t <= 1.0:
-        raise errors.HypothesisViolation(f"t must lie in [0, 1], got {t}")
-    if s <= 0.0 or r <= 0.0 or p <= 0.0:
-        raise errors.HypothesisViolation(f"need s, r, p > 0; got s={s}, r={r}, p={p}")
-    lhs_sv, rhs_sv = t_chain_sides(inst.spectra, s, t, r, p)
-    return ChainTerms(
-        chain_id="t-chain",
-        lhs_sv=lhs_sv,
-        rhs_sv=rhs_sv,
-        status=t_chain_status(params),
-        condition_max=condition_max(inst),
-    )
+    return _point_terms("t-chain", inst, params)
 
 
 def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:

@@ -8,8 +8,9 @@ Subcommands:
   show    summarize a report file, optionally to CSV
 
 Exit codes: 0 all pass; 2 violation candidate in a proven regime;
-3 configuration error.  Conjectured-regime negative margins only bump the
-candidates count.
+3 configuration error, or a numerical failure (a singular power, a solver
+that did not converge), reported on stderr in one line that names the
+error.  Conjectured-regime negative margins only bump the candidates count.
 """
 
 from __future__ import annotations
@@ -213,6 +214,9 @@ def main(argv=None) -> int:
     except (errors.ConfigError, errors.InvalidSpec, errors.InvalidSpectrumLaw,
             errors.SchemaVersionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except errors.Error as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -6,6 +6,14 @@ Floats are written with 17 significant digits, so read(write(x)) == x and
 re-serialization is byte-identical.  Search results are a single JSON
 object.
 
+`chain_blocks` builds one block of records per point of a parameter grid
+from its stacked terms, with one `norm_values` call per side for the whole
+grid; `chain_records` is its one-point form.  These builders and
+`lemma_records` put a term set's records in report order (`order_norms`),
+so `build_report_set` orders a report by sorting term-set blocks by
+(chain, seed, params) and stable-merging blocks with equal keys by norm,
+which equals sorting every record by `record_sort_key`.
+
 `dumps` is a one-pass encoder whose memo, kept for one call, formats each
 repeated key and float once (its docstring has the rules).  `write_reports`
 shares one memo across a file and still encodes one line per record;
@@ -17,7 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
+
+import numpy as np
 
 from . import errors
 from .blocks import InstanceSet
@@ -189,6 +201,47 @@ def _encode_list(a, parts: list, memo: dict) -> None:
 # record building
 # ---------------------------------------------------------------------------
 
+def chain_blocks(
+    terms: ChainTerms,
+    inst: InstanceSet,
+    points: list,
+    norms: list,
+    tol_rel: float = DEFAULT_TOL_REL,
+    condition_cap: float = DEFAULT_CONDITION_CAP,
+) -> list:
+    """One block of records per parameter point of a grid's stacked terms
+    (`chains.grid_terms`; row k belongs to `points[k]`), each block one
+    record per norm of `norms`, in report order (`order_norms`): one
+    `norm_values` call per term for the whole grid, margins and pass flags
+    from `chains.chain_margins`.  A block's records share its `params` dict
+    and every block shares the norm dicts."""
+    norms = order_norms(norms)
+
+    def values(sv):
+        return norm_values(np.reshape(sv, (-1, np.shape(sv)[-1])), norms)
+
+    lhs, rhs = values(terms.lhs_sv), values(terms.rhs_sv)
+    mid = None if terms.mid_sv is None else values(terms.mid_sv)
+    margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
+    cid, seed, n, m = terms.chain_id, inst.seed, inst.n, inst.m
+    statuses = [terms.status] * len(points) if isinstance(terms.status, str) else terms.status
+    cond = terms.condition_max
+    gated, cond = bool(cond > condition_cap), "inf" if math.isinf(cond) else float(cond)
+    norm_dicts = [norm.to_record() for norm in norms]
+    mids = [[None] * len(norms)] * len(points) if mid is None else mid.tolist()
+    rows = zip(points, statuses, lhs.tolist(), mids, rhs.tolist(),
+               np.stack(margins, axis=-1).tolist(), passed.tolist())
+    blocks = []
+    for q, status, los, mis, his, mgs, oks in rows:
+        params = {k: float(v) for k, v in q.as_dict().items()}
+        blocks.append([{"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": cid,
+                        "instance_seed": seed, "n": n, "m": m, "params": params, "norm": norm,
+                        "lhs": lo, "mid": mi, "rhs": hi, "margins": mg, "pass": ok,
+                        "gated": gated, "status": status, "condition_max": cond}
+                       for norm, lo, mi, hi, mg, ok in zip(norm_dicts, los, mis, his, mgs, oks)])
+    return blocks
+
+
 def chain_records(
     terms: ChainTerms,
     inst: InstanceSet,
@@ -197,31 +250,18 @@ def chain_records(
     tol_rel: float = DEFAULT_TOL_REL,
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> list:
-    """One record per norm of `norms` on one chain's precomputed terms: one
-    `norm_values` call per term, margins and pass flags from
-    `chains.chain_margins`.  The records share the fields that do not
-    depend on the norm, `params` included."""
-    lhs, rhs = norm_values(terms.lhs_sv, norms), norm_values(terms.rhs_sv, norms)
-    mid = None if terms.mid_sv is None else norm_values(terms.mid_sv, norms)
-    margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
-    head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": terms.chain_id,
-            "instance_seed": inst.seed, "n": inst.n, "m": inst.m,
-            "params": {k: float(v) for k, v in params.as_dict().items()}}
-    cond = terms.condition_max
-    tail = {"gated": bool(cond > condition_cap), "status": terms.status,
-            "condition_max": "inf" if math.isinf(cond) else float(cond)}
-    mids = [None] * len(norms) if mid is None else mid.tolist()
-    rows = zip(norms, lhs.tolist(), mids, rhs.tolist(), zip(*(v.tolist() for v in margins)),
-               passed.tolist())
-    return [{**head, "norm": norm.to_record(), "lhs": lo, "mid": mi, "rhs": hi,
-             "margins": list(mg), "pass": ok, **tail} for norm, lo, mi, hi, mg, ok in rows]
+    """One record per norm of `norms`, in report order, on one chain's
+    precomputed terms at one point: `chain_blocks` on a grid of one."""
+    return chain_blocks(terms, inst, [params], norms, tol_rel, condition_cap)[0]
 
 
 def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,
                   tol_rel: float = DEFAULT_TOL_REL) -> list:
-    """One record per norm of `norms` on one lemma case's precomputed
-    terms, under `lemmas.lemma_margins`; `n` and `m` are the sizes the case
-    was drawn at.  The records share `params`."""
+    """One record per norm of `norms`, in report order (`order_norms`), on
+    one lemma case's precomputed terms, under `lemmas.lemma_margins`; `n`
+    and `m` are the sizes the case was drawn at.  The records share
+    `params`."""
+    norms = order_norms(norms)
     lhs, rhs, margin, passed = lemma_margins(terms, norms, tol_rel)
     head = {"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
             "instance_seed": instance_seed, "n": n, "m": m,
@@ -232,11 +272,17 @@ def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, no
 
 
 def record_sort_key(rec: dict):
+    """A record's place in a report: its block's key, then its norm's."""
+    return _block_key(rec) + (_norm_sort_key(rec.get("norm", {})),)
+
+
+def _block_key(rec: dict):
+    """(chain or lemma id, instance seed, sorted params) of a record: the
+    key that the records of one term set share."""
     return (
         rec.get("chain_id") or rec.get("lemma_id") or "",
         rec["instance_seed"],
         tuple(sorted(rec.get("params", {}).items())),
-        _norm_sort_key(rec.get("norm", {})),
     )
 
 
@@ -245,6 +291,13 @@ def _norm_sort_key(norm: dict):
     if p == "inf":
         p = math.inf
     return (norm.get("variant", ""), norm.get("k") or 0, p or 0.0)
+
+
+def order_norms(norms: list) -> list:
+    """A norm list in report order (stable): the order in which the record
+    builders above put a term set's records, one block of
+    `build_report_set`."""
+    return sorted(norms, key=lambda spec: _norm_sort_key(spec.to_record()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +361,26 @@ def summarize(records: list) -> dict:
     }
 
 
-def build_report_set(records: list) -> ReportSet:
-    records = sorted(records, key=record_sort_key)
+def build_report_set(blocks: list) -> ReportSet:
+    """A report set from records in any order, grouped into term-set
+    blocks: a block is a list of records that share `_block_key` (one term
+    set's records) in report order, as `chain_blocks`, `chain_records` and
+    `lemma_records` build them; a lone record is a block of one.  The
+    blocks are sorted by their key, and blocks with equal keys are
+    stable-merged by norm, so the records come out as
+    `sorted(records, key=record_sort_key)` puts them, with one key per
+    block instead of one per record."""
+    blocks = [[block] if isinstance(block, dict) else block for block in blocks]
+    keyed = [(block, _block_key(block[0])) for block in blocks if block]
+    keyed.sort(key=itemgetter(1))
+    records = []
+    for _, group in groupby(keyed, key=itemgetter(1)):
+        group = [block for block, _ in group]
+        if len(group) == 1:
+            records.extend(group[0])
+        else:
+            records.extend(sorted(chain.from_iterable(group),
+                                  key=lambda rec: _norm_sort_key(rec.get("norm", {}))))
     return ReportSet(records=records, summary=summarize(records))
 
 

@@ -1,29 +1,29 @@
 """Parameter sweeps: evaluate configured chains over seeded instances and
 parameter grids, with deterministic per-task seeds and a sorted merge, so
 a report is a pure function of its config.
+
+A task evaluates each grid chain's whole (s, r, p, t) grid on its instance
+as one stack (`chains.grid_terms`) and records it with one
+`reports.chain_blocks` call; `commuting` and `lemmas` go point by point.
+Each term set's records form one block, and `reports.build_report_set`
+sorts blocks, not records.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 from . import errors
-from .chains import (
-    ChainParams,
-    commuting_terms,
-    expand_norm_tokens,
-    geo_z_terms,
-    main_chain_terms,
-    t_chain_terms,
-    validate_run_fields,
-)
+from .chains import (ChainParams, commuting_terms, expand_norm_tokens, grid_terms,
+                     validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
 from .lemmas import LEMMA_IDS, lemma_terms, random_case
-from .reports import ReportSet, build_report_set, chain_records, lemma_records
+from .reports import ReportSet, build_report_set, chain_blocks, chain_records, lemma_records
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
+# The parameters recorded for the commuting chains, which take none.
+_UNIT = ChainParams(s=1.0, r=1.0, p=1.0)
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
                "t_values", "norms", "lemma_ids")
 
@@ -97,34 +97,36 @@ class SweepConfig:
 
 
 def _chain_table(cfg: SweepConfig) -> dict:
-    """Chain id -> (instance kind, hypothesis, grid).  A chain's grid holds
-    (ChainParams, terms call) pairs built from the configured values that
-    satisfy its hypothesis, in config order; the lemmas grid holds ids."""
+    """Chain id -> (instance kind, hypothesis, grid).  A grid chain's grid
+    holds the ChainParams built from the configured values that satisfy
+    its hypothesis, in config order; the commuting grid holds variants and
+    the lemmas grid ids."""
     s_, r_, p_, t_ = cfg.s_values, cfg.r_values, cfg.p_values, cfg.t_values
-    main = [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
-            for p in p_ if p > 0.0 and r * p >= 1.0]
-    weighted = [ChainParams(s=s, r=r, p=p, t=t) for s in s_ if s > 0.0 for r in r_ if r > 0.0
-                for p in p_ if p > 0.0 for t in t_ if 0.0 <= t <= 1.0]
-    unit = ChainParams(s=1.0, r=1.0, p=1.0)
     return {
         "main": (cfg.generator, "some s >= 2, r >= 1, p > 0 with rp >= 1",
-                 [(q, partial(main_chain_terms, params=q)) for q in main]),
+                 [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
+                  for p in p_ if p > 0.0 and r * p >= 1.0]),
         "geo-z": (cfg.generator, "some s >= 1",
-                  [(ChainParams(s=s, r=1.0, p=1.0), partial(geo_z_terms, s=s))
-                   for s in s_ if s >= 1.0]),
+                  [ChainParams(s=s, r=1.0, p=1.0) for s in s_ if s >= 1.0]),
         "t-chain": (cfg.generator, "some s, r, p > 0 and t in [0, 1]",
-                    [(q, partial(t_chain_terms, params=q)) for q in weighted]),
-        "commuting": ("commuting", "nothing",
-                      [(unit, partial(commuting_terms, variant=v))
-                       for v in ("product", "symmetrized")]),
+                    [ChainParams(s=s, r=r, p=p, t=t) for s in s_ if s > 0.0 for r in r_ if r > 0.0
+                     for p in p_ if p > 0.0 for t in t_ if 0.0 <= t <= 1.0]),
+        "commuting": ("commuting", "nothing", ["product", "symmetrized"]),
         "lemmas": (None, "some lemma id", list(cfg.lemma_ids)),
     }
 
 
-def _task_records(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int) -> list:
+def _task_blocks(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int) -> list:
+    """The record blocks (see `reports.build_report_set`) of one task: a
+    grid chain's whole grid is evaluated by one `grid_terms` call and
+    recorded by one `chain_blocks` call."""
     seed = derive_seed(cfg.base_seed, task_index)
-    records = []
+    blocks = []
     instances = {}  # kind -> instance, so every chain shares its spectra cache
+
+    def norms(terms):
+        return expand_norm_tokens(cfg.norms, terms.max_dim)
+
     for chain in cfg.chains:
         kind, _, grid = table[chain]
         if chain == "lemmas":
@@ -132,19 +134,22 @@ def _task_records(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int
                 case_seed = derive_seed(seed, li)
                 case = random_case(lid, case_seed, n=n, m=m, law=cfg.spectrum_law)
                 terms = lemma_terms(case)
-                records.extend(lemma_records(case, terms, case_seed, n, m,
-                                             expand_norm_tokens(cfg.norms, terms.max_dim),
-                                             cfg.tol_rel))
+                blocks.append(lemma_records(case, terms, case_seed, n, m, norms(terms),
+                                            cfg.tol_rel))
             continue
         if kind not in instances:
             instances[kind] = generate_instance(kind, n, m, seed, cfg.spectrum_law)
         inst = instances[kind]
-        for params, terms_of in grid:
-            terms = terms_of(inst)
-            records.extend(chain_records(terms, inst, params,
-                                         expand_norm_tokens(cfg.norms, terms.max_dim),
-                                         cfg.tol_rel, cfg.condition_cap))
-    return records
+        if chain == "commuting":
+            for variant in grid:
+                terms = commuting_terms(inst, variant)
+                blocks.append(chain_records(terms, inst, _UNIT, norms(terms), cfg.tol_rel,
+                                            cfg.condition_cap))
+        else:
+            terms = grid_terms(inst, chain, grid)
+            blocks.extend(chain_blocks(terms, inst, grid, norms(terms), cfg.tol_rel,
+                                       cfg.condition_cap))
+    return blocks
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
@@ -158,10 +163,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
     cfg.validate()
     table = _chain_table(cfg)
     pairs = [(n, m) for n in cfg.n_values for m in cfg.m_values]
-    records = []
+    blocks = []
     for i in range(cfg.instance_count):
-        records.extend(_task_records(cfg, table, i, *pairs[i % len(pairs)]))
-    return build_report_set(records)
+        blocks.extend(_task_blocks(cfg, table, i, *pairs[i % len(pairs)]))
+    return build_report_set(blocks)
 
 
 def has_proven_failure(rs: ReportSet) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,18 +9,22 @@ from gmineq import errors
 from gmineq.blocks import InstanceSet
 from gmineq.chains import (
     ChainParams,
+    ChainTerms,
+    InstanceSpectra,
+    chain_margins,
     commuting_terms,
     condition_max,
     expand_norm_tokens,
     geo_z_terms,
+    grid_terms,
     main_chain_terms,
     t_chain_status,
     t_chain_terms,
 )
 from gmineq.generate import generate_instance
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
-from gmineq.norms import NormSpec
-from gmineq.reports import chain_records
+from gmineq.norms import NormSpec, norm_values
+from gmineq.reports import SCHEMA_VERSION, chain_blocks, chain_records, dumps, order_norms
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.schatten(1),
          NormSpec.schatten(2), NormSpec.schatten(np.inf)]
@@ -260,3 +265,113 @@ class TestSpectraCache:
         matrices = [shape[-2:] for shape in calls for _ in range(int(np.prod(shape[:-2])))]
         assert len(matrices) <= 4 * len(MAIN_GRID), len(matrices)
         assert set(matrices) == {(3, 3)}, set(calls)
+
+    def test_eigh_count_on_main_grid_path(self, monkeypatch):
+        """The grid path's twin of the test above: criterion 1's grid as
+        one `grid_terms` stack stays within 4 decompositions per point, all
+        n x n, because each distinct factor is decomposed once."""
+        calls = []
+
+        def counting(decompose):
+            def counted(a, *args, **kwargs):
+                calls.append(np.shape(a))
+                return decompose(a, *args, **kwargs)
+            return counted
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        inst = generate_instance("generic", 3, 2, 38)
+        grid_terms(inst, "main", MAIN_GRID)
+        matrices = [shape[-2:] for shape in calls for _ in range(int(np.prod(shape[:-2])))]
+        assert len(matrices) <= 4 * len(MAIN_GRID), len(matrices)
+        assert set(matrices) == {(3, 3)}, set(calls)
+
+
+class TestStacks:
+    """Spectra of stacked instances and of parameter grids."""
+
+    def test_max_dim_of_stacked_terms(self):
+        inst = generate_instance("generic", 3, 2, 50)
+        terms = grid_terms(inst, "main", MAIN_GRID)
+        assert terms.mid_sv.shape == (len(MAIN_GRID), 6)
+        assert terms.max_dim == 6
+        stacked = ChainTerms("t-chain", np.ones((5, 3)), np.ones((5, 3)))
+        assert stacked.max_dim == 3
+
+    def test_z_sv_of_a_stack(self):
+        """Z's spectrum on a stack of instances, one exponent each: every
+        row is bitwise the instance's own, zeros included."""
+        insts = [generate_instance("generic", 2, 3, seed) for seed in (51, 52, 53)]
+        spectra = InstanceSpectra(np.stack([np.stack(i.A) for i in insts]),
+                                  np.stack([np.stack(i.B) for i in insts]))
+        x = np.array([1.0, 1.5, 0.5])
+        got = spectra.z_sv(x)
+        assert got.shape == (3, 6)
+        for row, inst, xk in zip(got, insts, x.tolist()):
+            fresh = generate_instance("generic", 2, 3, inst.seed)
+            assert _bitwise_equal(row, fresh.spectra.z_sv(xk))
+        assert _bitwise_equal(spectra.z_sv(1.0)[1], insts[1].spectra.z_sv(1.0))
+
+
+_S = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0])
+_R = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+_P = st.sampled_from([0.5, 1.0, 2.0])
+_T = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+_TOKENS = st.sampled_from(["kyfan:all", "kyfan:1", "kyfan:3", "schatten:1", "schatten:2.5",
+                           "schatten:inf", "operator", "trace", "frobenius"])
+
+
+def _oracle_chain_records(terms, inst, params, norms, tol_rel=1e-8, condition_cap=1e8):
+    """The one-point record builder that `chain_blocks` replaced, kept
+    frozen: 1-D spectra, one `norm_values` call per term, one record per
+    norm of `norms` in the order given."""
+    lhs, rhs = norm_values(terms.lhs_sv, norms), norm_values(terms.rhs_sv, norms)
+    mid = None if terms.mid_sv is None else norm_values(terms.mid_sv, norms)
+    margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
+    head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": terms.chain_id,
+            "instance_seed": inst.seed, "n": inst.n, "m": inst.m,
+            "params": {k: float(v) for k, v in params.as_dict().items()}}
+    cond = terms.condition_max
+    tail = {"gated": bool(cond > condition_cap), "status": terms.status,
+            "condition_max": "inf" if math.isinf(cond) else float(cond)}
+    mids = [None] * len(norms) if mid is None else mid.tolist()
+    rows = zip(norms, lhs.tolist(), mids, rhs.tolist(), zip(*(v.tolist() for v in margins)),
+               passed.tolist())
+    return [{**head, "norm": norm.to_record(), "lhs": lo, "mid": mi, "rhs": hi,
+             "margins": list(mg), "pass": ok, **tail} for norm, lo, mi, hi, mg, ok in rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
+       s_=st.lists(_S, min_size=1, max_size=3), r_=st.lists(_R, min_size=1, max_size=3),
+       p_=st.lists(_P, min_size=1, max_size=3), t_=st.lists(_T, min_size=1, max_size=3),
+       tokens=st.lists(_TOKENS, min_size=1, max_size=5))
+def test_grid_records_match_point_by_point(n, m, seed, s_, r_, p_, t_, tokens):
+    """Records of a whole grid (one `grid_terms` stack, one `chain_blocks`
+    call) equal, bitwise, those of the per-point `*_terms` on a fresh
+    instance and the frozen one-point builder over the norms in report
+    order, over grids with repeated values, the s = 1, 2 and t = 0, 1
+    boundaries and norm lists in any order.  The three chains share one
+    instance, and so the rows each grid leaves in its memo."""
+    grids = {
+        "main": [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
+                 for p in p_ if r * p >= 1.0],
+        "geo-z": [ChainParams(s=s, r=1.0, p=1.0) for s in s_],
+        "t-chain": [ChainParams(s=s, r=r, p=p, t=t) for s in s_ for r in r_ for p in p_
+                    for t in t_],
+    }
+    point_terms = {"main": main_chain_terms, "t-chain": t_chain_terms,
+                   "geo-z": lambda inst, q: geo_z_terms(inst, q.s)}
+    inst = generate_instance("generic", n, m, seed)
+    for chain, grid in grids.items():
+        if not grid:
+            continue
+        terms = grid_terms(inst, chain, grid)
+        norms = expand_norm_tokens(tokens, terms.max_dim)
+        got = [[dumps(rec) for rec in block] for block in chain_blocks(terms, inst, grid, norms)]
+        want = []
+        for q in grid:
+            fresh = generate_instance("generic", n, m, seed)
+            want.append([dumps(rec) for rec in _oracle_chain_records(
+                point_terms[chain](fresh, q), fresh, q, order_norms(norms))])
+        assert got == want, chain

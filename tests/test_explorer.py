@@ -376,3 +376,16 @@ class TestCli:
         for flag, value in (("--t-lo", "0.2"), ("--t-hi", "0.8")):
             assert cli.main(["hunt", "--samples", "1", flag, value]) == cli.EXIT_CONFIG
             assert "--t-lo and --t-hi must be given together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chain", ["t-chain", "lemmas"])
+    def test_wide_law_numerical_failure_exit_code(self, chain, capsys):
+        """A spectrum law of condition 1e12 puts a negative power under the
+        PD floor: the run ends with exit 3 and a one-line message naming
+        the error, not a traceback."""
+        code = cli.main(["verify", "--chain", chain, "--n", "3", "--m", "2", "--count", "20",
+                         "--seed", "1", "--s", "1.5,2", "--spectrum-lo", "1e-6",
+                         "--spectrum-hi", "1e6"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: SingularForNegativePower: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

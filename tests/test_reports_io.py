@@ -21,7 +21,13 @@ from hypothesis import given, settings, strategies as st
 from gmineq import errors, reports
 from gmineq.generate import SpectrumLaw
 from gmineq.hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
-from gmineq.reports import SCHEMA_VERSION, ReportSet, dumps, read_reports, summarize, write_reports
+from gmineq.chains import ChainParams, expand_norm_tokens, grid_terms
+from gmineq.generate import generate_instance
+from gmineq.norms import NormSpec
+from gmineq.lemmas import lemma_terms, random_case
+from gmineq.reports import (SCHEMA_VERSION, ReportSet, build_report_set, chain_blocks, dumps,
+                            lemma_records, order_norms, read_reports, record_sort_key, summarize,
+                            write_reports)
 
 
 def _oracle_float(x: float) -> str:
@@ -150,6 +156,69 @@ class TestEncoderAgainstRecursiveForm:
 
 def _record(kind="chain", version=SCHEMA_VERSION, **fields):
     return {"schema_version": version, "kind": kind, **fields}
+
+
+_SORT_TOKENS = ["kyfan:1", "kyfan:2", "kyfan:10", "schatten:2", "schatten:inf", "trace", "operator",
+                "frobenius"]
+
+
+@st.composite
+def _term_set_blocks(draw):
+    """Blocks of records with few distinct keys, so that many tie: each a
+    term set's records over an ordered norm list with repeated norms, or a
+    lone record."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 10))):
+        head = {draw(st.sampled_from(["chain_id", "lemma_id"])): draw(st.sampled_from(["a", "b"])),
+                "instance_seed": draw(st.sampled_from([7, 2])),
+                "params": {"s": draw(st.sampled_from([2.0, 3.0])), "r": 1.0}}
+        tokens = draw(st.lists(st.sampled_from(_SORT_TOKENS), min_size=1, max_size=5))
+        block = [{**head, "norm": spec.to_record(), "margins": [0.0], "pass": True, "gated": False}
+                 for spec in order_norms([NormSpec.parse(tok) for tok in tokens])]
+        blocks.append(block if len(block) > 1 or draw(st.booleans()) else block[0])
+    return blocks
+
+
+class TestBlockSort:
+    """`build_report_set` sorts blocks, not records, and must put every
+    record where a sort of all records by `record_sort_key` puts it."""
+
+    @staticmethod
+    def _assert_record_order(blocks):
+        records = [rec for block in blocks
+                   for rec in ([block] if isinstance(block, dict) else block)]
+        got = build_report_set(blocks).records
+        assert [id(rec) for rec in got] == [id(rec) for rec in sorted(records, key=record_sort_key)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_term_set_blocks())
+    def test_equals_record_sort_with_tied_keys(self, blocks):
+        self._assert_record_order(blocks)
+
+    def test_repeated_grid_points_and_norms(self):
+        """A grid that repeats its points, over a norm list that repeats
+        norms: the tied blocks are merged by norm, first block first."""
+        inst = generate_instance("generic", 2, 2, 60)
+        grid = [ChainParams(s=3.0), ChainParams(s=2.0), ChainParams(s=3.0), ChainParams(s=2.0)]
+        terms = grid_terms(inst, "main", grid)
+        norms = expand_norm_tokens(["trace", "kyfan:2", "kyfan:all", "kyfan:2"], 4)
+        blocks = chain_blocks(terms, inst, grid, norms)
+        self._assert_record_order(blocks[::-1] + blocks)
+        self._assert_record_order([rec for block in blocks for rec in block])
+
+    def test_builders_order_a_term_set_themselves(self):
+        """A key's lone block is taken as built, so each record builder
+        puts its norms in report order, whatever order it is given."""
+        tokens = ["trace", "schatten:inf", "kyfan:2", "operator", "schatten:2", "kyfan:1"]
+        inst = generate_instance("generic", 2, 2, 61)
+        grid = [ChainParams(s=1.5, t=0.3)]
+        terms = grid_terms(inst, "t-chain", grid)
+        self._assert_record_order(chain_blocks(terms, inst, grid,
+                                               expand_norm_tokens(tokens, terms.max_dim)))
+        case = random_case("Araki", 62, n=2, m=2)
+        lterms = lemma_terms(case)
+        self._assert_record_order([lemma_records(case, lterms, 62, 2, 2,
+                                                 expand_norm_tokens(tokens, lterms.max_dim))])
 
 
 class TestReader:
