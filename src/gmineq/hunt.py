@@ -9,11 +9,15 @@ The sampling phase is bucketed: each sample draws its parameters and its
 instance's random numbers from its own seeded streams, the samples are
 grouped by (n, m), and each group is generated and evaluated as one stack
 (one call per kernel step; see `linalg`).  The arg-min is then taken in
-sample order, the first sample winning a tie.  Refinement is sequential,
-and it and `evaluate_argmin` evaluate a stack of one through the same
-`_stack_margins`, so every sample gets the bytes it gets alone and the
-report does not depend on the bucketing.  A gated sample (condition
-number over the cap) is counted and not evaluated.
+sample order, the first sample winning a tie.  Refinement is
+keep-if-smaller, evaluated in windows: until a step is accepted every step
+perturbs the same point from its own seeded stream, so the candidates of
+a window of steps are drawn and evaluated as one stack, then read in step
+order up to the first accepted one.  Sampling, refinement and
+`evaluate_argmin` all evaluate through `_stack_margins`, so every point
+gets the bytes it gets alone, and the report depends neither on the
+bucketing nor on the windows.  A gated point (condition number over the
+cap) is counted and not evaluated.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
 
 _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement steps
+# Refinement steps evaluated as one stack at first; the window doubles
+# after each window with no accepted step.
+_WINDOW = 8
 # The sampling phase holds about this many matrix entries (16 bytes each) of
 # instances at a time.
 _CHUNK_ENTRIES = 1 << 18
@@ -228,35 +235,90 @@ def _sampling_phase(cfg: SearchConfig):
         yield from results
 
 
-def _perturb_matrix(H: np.ndarray, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """Multiplicative eigenvalue jitter plus a small basis rotation;
-    preserves positive definiteness."""
-    eig = hermitian_eig(H)
-    n = H.shape[0]
-    lam = eig.eigenvalues * np.exp(scale * rng.standard_normal(n))
-    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfig,
+                    steps: range) -> tuple:
+    """The candidates of refinement steps `steps`, each a perturbation of
+    the point (A, B, params), A and B (m, n, n): stacks (W, m, n, n) and one
+    ChainParams per step.  Every matrix gets a multiplicative eigenvalue
+    jitter and a small basis rotation, which preserve positive
+    definiteness; s and t get a clipped jitter where their range is not a
+    single value.  Step k draws from its own stream, per matrix (the A_i,
+    then the B_i) n eigenvalue factors and the real and imaginary parts
+    of an n x n Ginibre matrix, then the s and t jitters, so its candidate
+    does not depend on the window it is drawn in.  The point is decomposed
+    once, and the rotations and products are one stacked call each."""
+    m, n = A.shape[0], A.shape[-1]
+    scale = cfg.refine_scale
+    s, t = np.full(len(steps), params.s), np.full(len(steps), params.t)
+    jittered = [(v, lo, hi) for v, (lo, hi) in ((s, cfg.s_range), (t, cfg.t_range)) if hi > lo]
+    size = 2 * m * (n + 2 * n * n)
+    draws = np.array([np.random.default_rng(derive_seed(cfg.base_seed ^ _REFINE_TAG, k))
+                      .standard_normal(size + len(jittered)) for k in steps])
+    for (values, lo, hi), z in zip(jittered, draws[:, size:].T):
+        values[:] = np.clip(values + scale * (hi - lo) * z, lo, hi)
+    noise = draws[:, :size].reshape(len(steps), 2 * m, n + 2 * n * n)
+    candidate_params = [ChainParams(s=sk, r=params.r, p=params.p, t=tk)
+                        for sk, tk in zip(s.tolist(), t.tolist())]
+    eig = hermitian_eig(np.concatenate([A, B]))
+    lam = eig.eigenvalues * np.exp(scale * noise[..., :n])
+    shape = noise.shape[:2] + (n, n)
+    G = (noise[..., n:n + n * n].reshape(shape)
+         + 1j * noise[..., n + n * n:].reshape(shape)) / np.sqrt(2.0)
     Q, _ = np.linalg.qr(np.eye(n) + scale * G)
     V = eig.vectors @ Q
-    return hermitize((V * lam) @ V.conj().T)
+    X = hermitize((V * lam[..., None, :]) @ V.conj().mT)
+    return X[:, :m], X[:, m:], candidate_params
 
 
-def _perturb_point(inst, params, cfg, rng):
-    A = [_perturb_matrix(Ai, rng, cfg.refine_scale) for Ai in inst.A]
-    B = [_perturb_matrix(Bi, rng, cfg.refine_scale) for Bi in inst.B]
-    new_inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind="generic")
+def _window_margins(A: np.ndarray, B: np.ndarray, params: list, cfg: SearchConfig):
+    """(gated, margin, spec) of each candidate of a window, in step order,
+    from one `_stack_margins` call.  If that call raises, the candidates
+    are evaluated one at a time, as far as the caller reads: a candidate
+    past an accepted step, which step-by-step refinement never evaluates,
+    then ends no run, and a step it does evaluate raises as it would
+    there."""
+    try:
+        results = _stack_margins(A, B, params, cfg.norms, cfg.condition_cap)
+    except (errors.Error, ValueError):  # numpy's LinAlgError is a ValueError
+        results = None
+    if results is not None:
+        yield from zip(*results)
+        return
+    for w in range(len(params)):
+        gated, margin, specs = _stack_margins(A[w:w + 1], B[w:w + 1], params[w:w + 1],
+                                              cfg.norms, cfg.condition_cap)
+        yield gated[0], margin[0], specs[0]
 
-    def jitter(v, lo, hi):
-        if hi <= lo:
-            return v
-        return float(np.clip(v + cfg.refine_scale * (hi - lo) * rng.standard_normal(), lo, hi))
 
-    new_params = ChainParams(
-        s=jitter(params.s, *cfg.s_range),
-        r=params.r,
-        p=params.p,
-        t=jitter(params.t, *cfg.t_range),
-    )
-    return new_inst, new_params
+def _refine(cfg: SearchConfig, A: np.ndarray, B: np.ndarray, params: ChainParams,
+            spec: NormSpec, margin: float) -> tuple:
+    """Keep-if-smaller refinement of the point (A, B, params), whose margin
+    `margin` is won by `spec`: each step perturbs the current point and
+    the candidate replaces it when its margin is smaller.  Until a step is
+    accepted every step perturbs the same point, so the candidates of a
+    window of steps are drawn and evaluated as one stack, then read in
+    step order; the window after an accepted step starts at the step
+    after it.  A window has _WINDOW steps, twice as many after each window
+    with no accepted step.  Returns (A, B, params, spec, margin, evaluated,
+    gated), the counts over the refinement steps."""
+    evaluated = gated = 0
+    start, size = 0, _WINDOW
+    while start < cfg.refine_steps:
+        steps = range(start, min(start + size, cfg.refine_steps))
+        cand_A, cand_B, cand_params = _perturb_window(A, B, params, cfg, steps)
+        start, size = steps.stop, 2 * size
+        for w, (is_gated, value, cand_spec) in enumerate(
+                _window_margins(cand_A, cand_B, cand_params, cfg)):
+            if is_gated:
+                gated += 1
+                continue
+            evaluated += 1
+            if value < margin:
+                A, B, params = cand_A[w], cand_B[w], cand_params[w]
+                spec, margin = cand_spec, float(value)
+                start, size = steps[w] + 1, _WINDOW
+                break
+    return A, B, params, spec, margin, evaluated, gated
 
 
 def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margin: float) -> dict:
@@ -312,17 +374,11 @@ def hunt(cfg: SearchConfig) -> SearchResult:
 
     if best_point is not None:
         A, B, row, (n, m, params, seed), spec = best_point
-        inst = InstanceSet(m=m, n=n, A=A[row], B=B[row], seed=seed, kind="generic")
-        for step in range(cfg.refine_steps):
-            rng = np.random.default_rng(derive_seed(cfg.base_seed ^ _REFINE_TAG, step))
-            cand_inst, cand_params = _perturb_point(inst, params, cfg, rng)
-            margin, cand_spec = _point_margin(cand_inst, cand_params, cfg.norms, cfg.condition_cap)
-            evaluated += 1 if margin is not None else 0
-            gated += 1 if margin is None else 0
-            if margin is not None and margin < best_margin:
-                best_margin = margin
-                inst, params, spec = cand_inst, cand_params, cand_spec
-        best_point = (inst, params, spec)
+        A, B, params, spec, best_margin, refine_evaluated, refine_gated = _refine(
+            cfg, A[row], B[row], params, spec, best_margin)
+        evaluated += refine_evaluated
+        gated += refine_gated
+        best_point = (InstanceSet(m=m, n=n, A=A, B=B, seed=seed, kind="generic"), params, spec)
 
     candidate = False
     recheck = None

@@ -1,19 +1,31 @@
-"""The hunt's bucketed sampling phase against sample-by-sample evaluation.
+"""The hunt's stacked phases against one-at-a-time evaluation.
 
 The sampling phase generates and evaluates each (n, m) group of samples as
 one stack.  Every sample must come out bitwise as it does alone: the same
 instance bytes as `generate_instance`, and the same gated flag, margin and
 winning norm as a direct evaluation through `t_chain_terms` and
 `reports.chain_records`.
+
+Refinement draws and evaluates windows of steps as one stack.  It must
+come out bitwise as the step-by-step keep-if-smaller loop it replaced,
+kept here as `_oracle_refine`.
 """
+
+import importlib
+import math
 
 import numpy as np
 import pytest
 
-from gmineq.chains import expand_norm_tokens, t_chain_terms
-from gmineq.generate import SpectrumLaw, generate_instance
+from gmineq import errors
+from gmineq.blocks import InstanceSet
+from gmineq.chains import ChainParams, expand_norm_tokens, t_chain_terms
+from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_point, _sampling_phase, hunt
+from gmineq.linalg import hermitian_eig, hermitize
 from gmineq.reports import chain_records
+
+hunt_module = importlib.import_module("gmineq.hunt")
 
 # n up to 9 takes Ky Fan sums past k = 8, where numpy's summation turns
 # pairwise; the law's condition numbers reach 1e9, past the 1e8 cap.
@@ -83,3 +95,263 @@ def test_sampling_phase_lapack_calls_per_bucket(monkeypatch):
     result = hunt(cfg)
     assert result.samples_evaluated + result.gated_count == cfg.samples
     assert len(calls) <= 10 * len(buckets), (len(calls), len(buckets))
+
+
+# The step-by-step refinement that windowed refinement replaced, frozen as
+# the oracle: one candidate per step, evaluated as a stack of one.
+
+def _oracle_perturb_matrix(H, rng, scale):
+    eig = hermitian_eig(H)
+    n = H.shape[0]
+    lam = eig.eigenvalues * np.exp(scale * rng.standard_normal(n))
+    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    Q, _ = np.linalg.qr(np.eye(n) + scale * G)
+    V = eig.vectors @ Q
+    return hermitize((V * lam) @ V.conj().T)
+
+
+def _oracle_perturb_point(inst, params, cfg, rng):
+    A = [_oracle_perturb_matrix(Ai, rng, cfg.refine_scale) for Ai in inst.A]
+    B = [_oracle_perturb_matrix(Bi, rng, cfg.refine_scale) for Bi in inst.B]
+    new_inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind="generic")
+
+    def jitter(v, lo, hi):
+        if hi <= lo:
+            return v
+        return float(np.clip(v + cfg.refine_scale * (hi - lo) * rng.standard_normal(), lo, hi))
+
+    new_params = ChainParams(s=jitter(params.s, *cfg.s_range), r=params.r, p=params.p,
+                             t=jitter(params.t, *cfg.t_range))
+    return new_inst, new_params
+
+
+def _oracle_refine(cfg, inst, params, spec, best_margin):
+    """(inst, params, spec, margin, evaluated, gated, accepted), accepted
+    the accepted candidates in step order."""
+    evaluated = gated = 0
+    accepted = []
+    for step in range(cfg.refine_steps):
+        rng = np.random.default_rng(derive_seed(cfg.base_seed ^ hunt_module._REFINE_TAG, step))
+        cand_inst, cand_params = _oracle_perturb_point(inst, params, cfg, rng)
+        margin, cand_spec = _point_margin(cand_inst, cand_params, cfg.norms, cfg.condition_cap)
+        evaluated += 1 if margin is not None else 0
+        gated += 1 if margin is None else 0
+        if margin is not None and margin < best_margin:
+            best_margin = margin
+            inst, params, spec = cand_inst, cand_params, cand_spec
+            accepted.append(cand_inst)
+    return inst, params, spec, best_margin, evaluated, gated, accepted
+
+
+def _start(n, m, seed, law=SpectrumLaw()):
+    return generate_instance("generic", n, m, seed, law), ChainParams(s=1.5, t=0.5)
+
+
+def _forced_sampling(inst, params):
+    """A sampling phase of one sample, the point (inst, params)."""
+    def sampling_phase(cfg):
+        margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+        point = (np.stack(inst.A)[None], np.stack(inst.B)[None], 0,
+                 (inst.n, inst.m, params, inst.seed), spec)
+        yield margin, point
+    return sampling_phase
+
+
+def _assert_matches_oracle(cfg, inst, params):
+    """Windowed refinement from (inst, params) equals the oracle bitwise;
+    returns the oracle's result."""
+    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    assert margin is not None
+    want = _oracle_refine(cfg, inst, params, spec, margin)
+    got = hunt_module._refine(cfg, np.stack(inst.A), np.stack(inst.B), params, spec, margin)
+    want_inst, want_params, want_spec, want_margin, want_evaluated, want_gated, _ = want
+    A, B, got_params, got_spec, got_margin, evaluated, gated = got
+    assert got_margin == want_margin
+    assert got_spec == want_spec and got_params == want_params
+    assert np.array_equal(A, np.stack(want_inst.A)) and np.array_equal(B, np.stack(want_inst.B))
+    assert (evaluated, gated) == (want_evaluated, want_gated)
+    assert evaluated + gated == cfg.refine_steps
+    return want
+
+
+OPEN_T = dict(t_range=(0.2, 0.8), norms=["kyfan:all", "schatten:2"])
+
+
+@pytest.mark.parametrize("n, m, options", [
+    (1, 1, {}),
+    (3, 2, {}),
+    (4, 3, {}),
+    (1, 1, OPEN_T),
+    (3, 2, OPEN_T),
+    (4, 3, OPEN_T),
+])
+def test_windowed_refinement_matches_step_by_step(n, m, options):
+    cfg = SearchConfig(base_seed=5, refine_steps=60, **options).validate()
+    *_, accepted = _assert_matches_oracle(cfg, *_start(n, m, 11))
+    assert accepted
+
+
+def test_windowed_refinement_accept_heavy():
+    cfg = SearchConfig(base_seed=9, refine_steps=150, refine_scale=0.02, **OPEN_T).validate()
+    *_, accepted = _assert_matches_oracle(cfg, *_start(3, 2, 13))
+    assert len(accepted) >= 30, accepted
+
+
+def test_windowed_refinement_no_acceptance():
+    # a point refined once, then perturbed with steps too wide to improve it
+    inst, params = _start(4, 3, 11)
+    first = SearchConfig(base_seed=5, refine_steps=60).validate()
+    margin, spec = _point_margin(inst, params, first.norms, first.condition_cap)
+    inst, params, *_ = _oracle_refine(first, inst, params, spec, margin)
+    cfg = SearchConfig(base_seed=6, refine_steps=60, refine_scale=1.0).validate()
+    *_, accepted = _assert_matches_oracle(cfg, inst, params)
+    assert accepted == []
+
+
+def test_windowed_refinement_with_gated_candidates():
+    # a cap just over the start's condition number gates part of its perturbations
+    inst, params = _start(3, 2, 11, SpectrumLaw(1e-4, 1e4))
+    cfg = SearchConfig(base_seed=5, refine_steps=60,
+                       condition_cap=1.001 * inst.spectra.condition_max).validate()
+    *_, evaluated, gated, accepted = _assert_matches_oracle(cfg, inst, params)
+    assert gated > 0 and evaluated > 0 and accepted
+
+
+def _assert_result_matches(result, oracle):
+    """A forced hunt's result (one sample, then refinement) equals the
+    oracle's refinement bitwise."""
+    want_inst, want_params, want_spec, want_margin, evaluated, gated, _ = oracle
+    assert result.min_margin == want_margin
+    assert (result.samples_evaluated, result.gated_count) == (1 + evaluated, gated)
+    arg = result.argmin
+    assert arg["params"] == want_params.as_dict() and arg["norm"] == want_spec.to_record()
+    for got, want in zip(arg["A"] + arg["B"], want_inst.A + want_inst.B):
+        assert np.array_equal(hunt_module._lists_to_complex(got), want)
+
+
+def test_forced_hunt_matches_step_by_step(monkeypatch):
+    inst, params = _start(3, 2, 12)
+    cfg = SearchConfig(base_seed=3, samples=1, refine_steps=60, **OPEN_T).validate()
+    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    oracle = _oracle_refine(cfg, inst, params, spec, margin)
+    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+    _assert_result_matches(hunt(cfg), oracle)
+
+
+def _poisoned(monkeypatch, poison):
+    """Make `_stack_margins` raise NonConvergence on any stack holding a
+    candidate whose A equals `poison`; returns the list of raised calls."""
+    real = hunt_module._stack_margins
+    raised = []
+
+    def stack_margins(A, B, params, norms, condition_cap):
+        if any(np.array_equal(Ai, poison) for Ai in A):
+            raised.append(len(params))
+            raise errors.NonConvergence("poisoned candidate")
+        return real(A, B, params, norms, condition_cap)
+
+    monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
+    return raised
+
+
+def _windows(monkeypatch, inst, params, cfg):
+    """The candidate stacks A of every window of a forced hunt."""
+    real = hunt_module._perturb_window
+    windows = []
+
+    def perturb_window(*args):
+        out = real(*args)
+        windows.append(out[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+        patch.setattr(hunt_module, "_perturb_window", perturb_window)
+        hunt(cfg)
+    return windows
+
+
+def _failure_case(monkeypatch):
+    """A forced hunt, its oracle refinement, and the A stacks of the
+    candidates in each of its windows."""
+    inst, params = _start(3, 2, 12)
+    cfg = SearchConfig(base_seed=3, samples=1, refine_steps=60).validate()
+    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    oracle = _oracle_refine(cfg, inst, params, spec, margin)
+    return inst, params, cfg, oracle, _windows(monkeypatch, inst, params, cfg)
+
+
+def test_failure_past_accepted_step_ends_no_run(monkeypatch):
+    inst, params, cfg, oracle, windows = _failure_case(monkeypatch)
+    accepted = oracle[-1]
+    # the last candidate of a window in which an earlier candidate is accepted
+    poison = next(window[-1] for window in windows
+                  if any(np.array_equal(window[w], np.stack(a.A))
+                         for a in accepted for w in range(len(window) - 1)))
+    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+    raised = _poisoned(monkeypatch, poison)
+    result = hunt(cfg)
+    assert raised == [raised[0]] and raised[0] > 1  # only the stacked call raised
+    _assert_result_matches(result, oracle)
+
+
+def test_failure_at_a_reached_step_raises(monkeypatch):
+    inst, params, cfg, oracle, _ = _failure_case(monkeypatch)
+    accepted = oracle[-1]
+    poison = np.stack(accepted[len(accepted) // 2].A)  # step-by-step refinement evaluates it
+    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+    raised = _poisoned(monkeypatch, poison)
+    with pytest.raises(errors.NonConvergence, match="poisoned candidate"):
+        hunt(cfg)
+    assert raised[-1] == 1  # raised again by the one-at-a-time fallback
+    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    with pytest.raises(errors.NonConvergence, match="poisoned candidate"):
+        _oracle_refine(cfg, inst, params, spec, margin)
+
+
+# (base seed, samples, fewest accepted steps) of two hunts: the first's
+# refinement accepts no step, the second's arg-min is an n = 4, m = 1
+# sample whose refinement accepts many.
+@pytest.mark.parametrize("base_seed, samples, least_accepts", [(4, 200, 0), (1, 10, 10)])
+def test_refinement_lapack_calls_per_window(monkeypatch, base_seed, samples, least_accepts):
+    """eigh, svd and qr calls of refinement stay within 12 per window, and
+    a window of 8 steps doubles until a step is accepted, so there are at
+    most (accepts + 1) (1 + ceil(log2(steps / 8))) windows; refining step
+    by step makes about 13 calls per step."""
+    cfg = SearchConfig(base_seed=base_seed, samples=samples, refine_steps=60, n_max=4, m_max=3,
+                       t_range=(0.3, 0.7)).validate()
+    calls, windows, accepts = [], [], []
+    counting = [False]
+
+    def counted(name, decompose):
+        def call(*args, **kwargs):
+            if counting[0]:
+                calls.append(name)
+            return decompose(*args, **kwargs)
+        return call
+
+    real_refine, real_window = hunt_module._refine, hunt_module._perturb_window
+
+    def refine(cfg, A, B, params, spec, margin):
+        inst = InstanceSet(m=A.shape[0], n=A.shape[-1], A=A, B=B)
+        accepts.append(len(_oracle_refine(cfg, inst, params, spec, margin)[-1]))
+        counting[0] = True
+        try:
+            return real_refine(cfg, A, B, params, spec, margin)
+        finally:
+            counting[0] = False
+
+    def perturb_window(*args):
+        windows.append(len(args[-1]))
+        return real_window(*args)
+
+    for name in ("eigh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(hunt_module, "_refine", refine)
+    monkeypatch.setattr(hunt_module, "_perturb_window", perturb_window)
+    result = hunt(cfg)
+    assert result.samples_evaluated + result.gated_count == cfg.samples + cfg.refine_steps
+    assert sum(windows) >= cfg.refine_steps and accepts[0] >= least_accepts
+    bound = (accepts[0] + 1) * (1 + math.ceil(math.log2(cfg.refine_steps / 8)))
+    assert len(windows) <= bound, (windows, accepts)
+    assert len(calls) <= 12 * len(windows), (len(calls), len(windows))
