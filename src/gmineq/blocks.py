@@ -24,7 +24,8 @@ class InstanceSet:
     A_i B_i = B_i A_i pairwise (shared eigenbasis by construction).
 
     Immutable: A and B are stored as tuples of read-only complex128 copies,
-    so the spectra cache `spectra` can never go stale.
+    so neither the spectra cache `spectra` nor a passed `validate` can go
+    stale.
     """
 
     m: int
@@ -46,9 +47,15 @@ class InstanceSet:
         """The spectra cache (chains.InstanceSpectra), built on first access."""
         from .chains import InstanceSpectra  # chains imports this module
 
-        return InstanceSpectra(np.stack(self.A), np.stack(self.B), self)
+        return InstanceSpectra(np.stack(self.A), np.stack(self.B))
 
     def validate(self) -> "InstanceSet":
+        """self, after the checks of `_checked`, which run once."""
+        self._checked  # raises on the first failing check
+        return self
+
+    @cached_property
+    def _checked(self) -> bool:
         if self.kind not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown instance kind {self.kind!r}")
         if len(self.A) != self.m or len(self.B) != self.m:
@@ -67,7 +74,7 @@ class InstanceSet:
                     raise errors.NotCommuting(
                         f"pair commutator norm {defect:.3e} exceeds {COMMUTING_RTOL:.1e} * {scale:.3e}"
                     )
-        return self
+        return True
 
     def sum_A(self) -> np.ndarray:
         return hermitize(sum(self.A))

@@ -8,10 +8,11 @@ Hermitian PSD (except the commuting product right side).  Each power of a
 mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
-`grid_terms` evaluates a chain's whole parameter grid on one instance as
-one stack, through the same `InstanceSpectra` methods as the one-point
-evaluators (`main_chain_terms`, `geo_z_terms`, `t_chain_terms`), which are
-its memoized scalar view; each row is bitwise the one-point terms.
+`grid_terms` evaluates a chain's whole parameter grid on one instance at
+once: the same `InstanceSpectra` methods as the one-point evaluators
+(`main_chain_terms`, `geo_z_terms`, `t_chain_terms`) take one (s, t, r, p)
+per grid point, which `linalg` broadcasts against the instance's own
+decompositions, and each row is bitwise the one-point terms.
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -21,7 +22,6 @@ Ky Fan norms treat missing singular values as zeros.
 from __future__ import annotations
 
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +88,9 @@ def _sum_pairs(X: np.ndarray) -> np.ndarray:
 
 
 def _per_pair(x):
-    """One exponent per instance, spread over the instance's m pairs."""
+    """One exponent per row (a grid point or an instance of a stack),
+    spread over the m pairs."""
     return x if np.ndim(x) == 0 else np.asarray(x)[..., None]
-
-
-def _repeat(value, count: int):
-    """`count` copies of a value of one instance, stacked on a new leading
-    axis: an array or a float, an EigenDecomposition, or a tuple of them."""
-    if isinstance(value, tuple):
-        return tuple(_repeat(v, count) for v in value)
-    if isinstance(value, EigenDecomposition):
-        return EigenDecomposition(_repeat(value.eigenvalues, count), _repeat(value.vectors, count))
-    return np.repeat(np.asarray(value)[None], count, axis=0)
 
 
 def _row(value, k: int):
@@ -120,81 +111,59 @@ class InstanceSpectra:
     each piece computed on first use.
 
     A and B are arrays (..., m, n, n), the leading axes () for one instance.
-    Parameters are scalars, or one value per instance of a stack.  Values
-    at scalar parameters are memoized and shared by every chain and
-    parameter point; a stack with per-instance parameters is evaluated
-    once.  Each value is computed exactly as a direct evaluation computes
-    it (the same decomposition of the same array, the same linalg zeroing
-    rule, each exponent applied as a scalar), so terms read from here are
-    bitwise equal to uncached ones, and each instance of a stack gets the
-    bytes it gets alone.  Every decomposition is of an n x n matrix.  An
-    instance reaches its own as `inst.spectra`, which holds only a weak
-    reference to the instance.
-
-    `tile(P)` stacks one instance P times, one parameter grid point per
-    row.  A tile takes every value at scalar parameters from the
-    instance's own memo, repeated.  With per-row parameters, it keeps each
-    row's value in the instance's memo under the row's scalar key, the key
-    a one-point evaluator uses, and evaluates the rows not there yet
-    together, once per distinct key: each distinct mean, sandwich factor
-    and sum of mean powers is decomposed once per instance, however many
-    grid points and chains share it.
+    Parameters are scalars, or arrays of one value per row: per grid point
+    on one instance, per instance on a stack.  Values at scalar parameters
+    are memoized and shared by every chain and parameter point.  On one
+    instance, per-row parameters are broadcast against its own
+    decompositions (see `linalg`), and each row's value is memoized under
+    the row's scalar key, the key a one-point evaluation uses: only the
+    distinct rows not there yet are evaluated, together, so each distinct
+    mean, sandwich factor and sum of mean powers is decomposed once per
+    instance, however many grid points and chains share it.  A stack with
+    per-instance parameters is evaluated once, not memoized.  Each value is
+    computed exactly as a direct evaluation computes it (the same
+    decomposition of the same array, the same linalg zeroing rule, each
+    exponent applied as a scalar), so terms read from here are bitwise
+    equal to uncached ones, and each row gets the bytes it gets alone.
+    Every decomposition is of an n x n matrix.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, inst: InstanceSet | None = None):
+    def __init__(self, A: np.ndarray, B: np.ndarray):
         self._A, self._B = A, B
-        self._inst = None if inst is None else weakref.proxy(inst)
         self._memo = {}
-        self._one = None  # on a tile, the one instance's spectra it repeats
 
     def _value(self, key: tuple, compute):
         """compute(self, *key[1:]) for key = (name, *parameters): memoized
-        at scalar parameters; with per-row parameter arrays, evaluated once
-        on a stack of instances and row by row on a tile."""
+        at scalar parameters; with per-row parameter arrays, memoized row by
+        row on one instance and evaluated once on a stack of instances."""
         try:
             if key in self._memo:
                 return self._memo[key]
         except TypeError:  # per-row parameter arrays
-            if self._one is None:  # a stack of instances: evaluated once, not memoized
-                return compute(self, *key[1:])
-            return self._per_row(key, compute)
-        if self._one is None:
-            value = compute(self, *key[1:])
-        else:
-            value = _repeat(self._one._value(key, compute), self._A.shape[0])
-        self._memo[key] = value
+            if self._A.ndim == 3:  # one instance
+                return self._per_row(key, compute)
+            return compute(self, *key[1:])  # a stack of instances
+        value = self._memo[key] = compute(self, *key[1:])
         return value
 
     def _per_row(self, key: tuple, compute):
-        """compute(self, *key[1:]) on a tile with per-row parameters: each
-        row's value is taken from the instance's memo under its scalar key;
-        the distinct keys not there yet are evaluated on one tile of them
-        and remembered there."""
+        """compute(self, *key[1:]) on one instance with per-row parameters:
+        each row's value is taken from the memo under its scalar key; the
+        distinct keys not there yet are evaluated together and remembered."""
         name, params = key[0], key[1:]
-        count = self._A.shape[0]
-        columns = [np.broadcast_to(x, (count,)).tolist() if np.ndim(x) else [x] * count
-                   for x in params]
+        count = next(len(x) for x in params if np.ndim(x))
+        columns = [x.tolist() if np.ndim(x) else [x] * count for x in params]
         slots = {}
         rows = [slots.setdefault((name, *row), len(slots)) for row in zip(*columns)]
-        memo = self._one._memo
-        missing = [k for k in slots if k not in memo]
+        missing = [k for k in slots if k not in self._memo]
         if missing:
-            sub = self if len(missing) == count else self._one.tile(len(missing))
-            values = compute(sub, *(np.array([k[c] for k in missing]) if np.ndim(x) else x
-                                    for c, x in enumerate(params, start=1)))
+            values = compute(self, *(np.array([k[c] for k in missing]) if np.ndim(x) else x
+                                     for c, x in enumerate(params, start=1)))
             for i, k in enumerate(missing):
-                memo[k] = _row(values, i)
-            if sub is self:
+                self._memo[k] = _row(values, i)
+            if len(missing) == count:
                 return values
-        return _stack([memo[k] for k in slots], rows)
-
-    def tile(self, count: int) -> "InstanceSpectra":
-        """This instance's spectra as a stack of `count` copies, one
-        parameter point per row (see the class docstring)."""
-        sub = InstanceSpectra(np.broadcast_to(self._A, (count,) + self._A.shape),
-                              np.broadcast_to(self._B, (count,) + self._B.shape))
-        sub._one = self
-        return sub
+        return _stack([self._memo[k] for k in slots], rows)
 
     def select(self, rows) -> "InstanceSpectra":
         """The spectra of the instances `rows` of a stack, keeping the
@@ -251,13 +220,13 @@ class InstanceSpectra:
         return self._value(("Z", x), _z_sv)
 
     def commuting_sv(self) -> tuple:
-        """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
-        after validating the instance."""
+        """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2 of
+        one instance."""
         return self._value(("commuting",), _commuting_sv)
 
 
 # The computations behind InstanceSpectra's values, each of the spectra it
-# is given (an instance, a stack or a tile of distinct rows).
+# is given (one instance, at scalar or per-row parameters, or a stack).
 
 def _condition_max(sp: InstanceSpectra):
     pairs = sp.eig_A.eigenvalues.shape[:-1]
@@ -277,7 +246,7 @@ def _mean_svds(sp: InstanceSpectra, s, t) -> tuple:
 def _lhs_sv(sp: InstanceSpectra, s, t, r) -> np.ndarray:
     W, sigma = sp._mean_svds(s, t)
     weights = power_rows(sigma, 2.0 * _per_pair(r))
-    acc = np.zeros(W.shape[:-3] + W.shape[-2:], dtype=np.complex128)
+    acc = np.zeros(weights.shape[:-2] + W.shape[-2:], dtype=np.complex128)
     for i in range(W.shape[-3]):
         Wi = W[..., i, :, :]
         acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
@@ -302,13 +271,12 @@ def _z_sv(sp: InstanceSpectra, x) -> np.ndarray:
 
 
 def _commuting_sv(sp: InstanceSpectra) -> tuple:
-    inst = sp._inst.validate()
-    lhs = np.zeros((inst.n, inst.n), dtype=np.complex128)
-    mid_root = np.zeros((inst.n, inst.n), dtype=np.complex128)
+    lhs = np.zeros(sp._A.shape[-2:], dtype=np.complex128)
+    mid_root = np.zeros_like(lhs)
     A_half, B_half = power_from_eig(sp.eig_A, 0.5), power_from_eig(sp.eig_B, 0.5)
-    for i, (Ai, Bi) in enumerate(zip(inst.A, inst.B)):
+    for Ai, Bi, Ai_half, Bi_half in zip(sp._A, sp._B, A_half, B_half):
         lhs += Ai @ Bi
-        mid_root += A_half[i] @ B_half[i]
+        mid_root += Ai_half @ Bi_half
     return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
 
@@ -320,28 +288,10 @@ def condition_max(inst: InstanceSet) -> float:
 def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
     """(lhs_sv, rhs_sv) of the weighted chain: sum (A_i^s #_t B_i^s)^r
     against the sandwich with exponents (1-t)srp/2 and tsrp, for one
-    instance or, with one (s, t, r, p) per instance, a stack."""
+    instance at one point or one (s, t, r, p) per grid point, or for a
+    stack with one (s, t, r, p) per instance."""
     return (spectra.lhs_sv(s, t, r),
             spectra.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p))
-
-
-def _require_main(q: ChainParams) -> None:
-    if not (q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0):
-        raise errors.HypothesisViolation(
-            f"main chain requires s>=2, r>=1, p>0, rp>=1; got s={q.s}, r={q.r}, p={q.p}"
-        )
-
-
-def _require_geo_z(q: ChainParams) -> None:
-    if not q.s >= 1.0:
-        raise errors.HypothesisViolation(f"geo-z step requires s >= 1, got s={q.s}")
-
-
-def _require_t_chain(q: ChainParams) -> None:
-    if not 0.0 <= q.t <= 1.0:
-        raise errors.HypothesisViolation(f"t must lie in [0, 1], got {q.t}")
-    if q.s <= 0.0 or q.r <= 0.0 or q.p <= 0.0:
-        raise errors.HypothesisViolation(f"need s, r, p > 0; got s={q.s}, r={q.r}, p={q.p}")
 
 
 def t_chain_status(params: ChainParams) -> str:
@@ -371,19 +321,38 @@ def _weighted_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
     return lhs_sv, None, rhs_sv
 
 
-# The chains evaluated at (s, t, r, p) points: id -> (hypothesis check of a
-# point, (lhs, mid, rhs) spectra at scalar or per-row (s, t, r, p), status of
-# a point).  The same sides serve one point and a whole grid.
+# The chains evaluated at (s, t, r, p) points: id -> (hypothesis of a point,
+# its text, (lhs, mid, rhs) spectra at scalar or per-row (s, t, r, p),
+# status of a point).  The same sides serve one point and a whole grid.
 _PARAM_CHAINS = {
-    "main": (_require_main, _main_sides, lambda q: "proven"),
-    "geo-z": (_require_geo_z, _geo_z_sides, lambda q: "proven"),
-    "t-chain": (_require_t_chain, _weighted_sides, t_chain_status),
+    "main": (lambda q: q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0,
+             "s >= 2, r >= 1, p > 0 with rp >= 1", _main_sides, lambda q: "proven"),
+    "geo-z": (lambda q: q.s >= 1.0, "s >= 1", _geo_z_sides, lambda q: "proven"),
+    "t-chain": (lambda q: q.s > 0.0 and q.r > 0.0 and q.p > 0.0 and 0.0 <= q.t <= 1.0,
+                "s, r, p > 0 and t in [0, 1]", _weighted_sides, t_chain_status),
 }
 
 
+def admissible(chain_id: str, points) -> tuple:
+    """(the ChainParams of `points` that satisfy chain `chain_id`'s
+    hypothesis, in order; the text of the hypothesis)."""
+    holds, needs = _PARAM_CHAINS[chain_id][:2]
+    return [q for q in points if holds(q)], needs
+
+
+def _require(chain_id: str, points: list) -> tuple:
+    """(sides, status) of chain `chain_id`, after checking that every point
+    satisfies its hypothesis."""
+    holds, needs, sides, status = _PARAM_CHAINS[chain_id]
+    for q in points:
+        if not holds(q):
+            raise errors.HypothesisViolation(
+                f"{chain_id} requires {needs}; got s={q.s}, r={q.r}, p={q.p}, t={q.t}")
+    return sides, status
+
+
 def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms:
-    require, sides, status = _PARAM_CHAINS[chain_id]
-    require(q)
+    sides, status = _require(chain_id, [q])
     lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, q.s, q.t, q.r, q.p)
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, status(q), condition_max(inst))
 
@@ -392,14 +361,12 @@ def grid_terms(inst: InstanceSet, chain_id: str, points: list) -> ChainTerms:
     """Terms of chain `chain_id` ("main", "geo-z" or "t-chain") at every
     ChainParams of `points`, as one stack: spectra (P, d), row k for point
     k, and `status` one per point.  Every point must satisfy the chain's
-    hypotheses.  The points are evaluated on `inst.spectra.tile(P)`, so
-    row k is bitwise the terms `*_terms` gives at point k, and each
-    distinct factor is decomposed once per instance."""
-    require, sides, status = _PARAM_CHAINS[chain_id]
-    for q in points:
-        require(q)
+    hypotheses.  The points are evaluated on `inst.spectra` with one
+    (s, t, r, p) per row, so row k is bitwise the terms `*_terms` gives at
+    point k, and each distinct factor is decomposed once per instance."""
+    sides, status = _require(chain_id, points)
     s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
-    lhs_sv, mid_sv, rhs_sv = sides(inst.spectra.tile(len(points)), s, t, r, p)
+    lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, s, t, r, p)
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, tuple(status(q) for q in points),
                       condition_max(inst))
 
@@ -429,7 +396,7 @@ def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
     if inst.kind != "commuting":
         raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need 'commuting'")
-    sp = inst.spectra
+    sp = inst.validate().spectra
     lhs_sv, mid_sv = sp.commuting_sv()
     if variant == "product":
         rhs_sv = singular_values(inst.sum_A() @ inst.sum_B())

@@ -21,6 +21,7 @@ import json
 import sys
 
 from . import errors
+from .chains import DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL
 from .hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
 from .reports import ReportSet, read_reports, write_reports
 from .sweep import KNOWN_CHAINS, SweepConfig, has_proven_failure, run_sweep
@@ -59,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--t", type=_floats, default=[0.5])
     v.add_argument("--norms", type=_norm_tokens,
                    default=["kyfan:all", "schatten:1", "schatten:2", "schatten:inf"])
-    v.add_argument("--tol", type=float, default=1e-8)
-    v.add_argument("--condition-cap", type=float, default=1e8)
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
+    v.add_argument("--condition-cap", type=float, default=DEFAULT_CONDITION_CAP)
     v.add_argument("--spectrum-lo", type=float, default=0.1)
     v.add_argument("--spectrum-hi", type=float, default=10.0)
     v.add_argument("--out", default=None)
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--m-max", type=int, default=3)
     h.add_argument("--seed", type=int, default=7)
     h.add_argument("--norms", type=_norm_tokens, default=["kyfan:all"])
-    h.add_argument("--tol", type=float, default=1e-8)
+    h.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
     h.add_argument("--out", default=None)
 
     w = sub.add_parser("show", help="summarize a report file")
@@ -123,7 +124,6 @@ def _cmd_verify(args) -> int:
         m_values=args.m,
         instance_count=args.count,
         base_seed=args.seed,
-        generator="commuting" if args.chain == "commuting" else "generic",
         spectrum_law=SpectrumLaw(args.spectrum_lo, args.spectrum_hi),
         s_values=args.s,
         r_values=args.r,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import errors
 from .blocks import InstanceSet
-from .linalg import hermitize
+from .linalg import from_spectrum
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,7 +75,7 @@ class SpectrumLaw:
 DEFAULT_LAW = SpectrumLaw()
 
 
-def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """A complex Ginibre matrix: real parts drawn first, then imaginary."""
     re, im = rng.standard_normal((2, n, n))
     return (re + 1j * im) / np.sqrt(2.0)
@@ -91,14 +91,13 @@ def _haar(G: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return _haar(_ginibre(n, rng))
+    return _haar(ginibre(n, rng))
 
 
 def random_spd(n: int, rng: np.random.Generator, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
     """Random SPD matrix with eigenvalues from the spectrum law."""
     Q = haar_unitary(n, rng)
-    lam = law.sample(rng, n)
-    return hermitize((Q * lam) @ Q.conj().T)
+    return from_spectrum(Q, law.sample(rng, n))
 
 
 def draw_instance(kind: str, n: int, m: int, seed: int, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
@@ -114,10 +113,10 @@ def draw_instance(kind: str, n: int, m: int, seed: int, law: SpectrumLaw = DEFAU
     for _ in range(m):
         if kind == "generic":
             for _ in range(2):
-                G.append(_ginibre(n, rng))
+                G.append(ginibre(n, rng))
                 lam.append(law.sample(rng, n))
         else:
-            G.append(_ginibre(n, rng))
+            G.append(ginibre(n, rng))
             lam.extend(law.sample(rng, n) for _ in range(2))
     return np.stack(G), np.stack(lam)
 
@@ -128,7 +127,7 @@ def assemble_instances(kind: str, G: np.ndarray, lam: np.ndarray) -> tuple:
     Q = _haar(G)
     if kind == "commuting":
         Q = np.repeat(Q, 2, axis=-3)  # A_i and B_i share one eigenbasis
-    X = hermitize((Q * lam[..., None, :]) @ Q.conj().mT)
+    X = from_spectrum(Q, lam)
     return X[..., 0::2, :, :], X[..., 1::2, :, :]
 
 

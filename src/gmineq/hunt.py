@@ -31,6 +31,8 @@ import numpy as np
 from . import errors, highprec
 from .blocks import InstanceSet
 from .chains import (
+    DEFAULT_CONDITION_CAP,
+    DEFAULT_TOL_REL,
     ChainParams,
     InstanceSpectra,
     chain_margins,
@@ -40,7 +42,7 @@ from .chains import (
     validate_run_fields,
 )
 from .generate import DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instance
-from .linalg import hermitian_eig, hermitize
+from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
 
@@ -67,8 +69,8 @@ class SearchConfig:
     m_max: int = 3
     spectrum_law: SpectrumLaw = DEFAULT_LAW
     norms: list = field(default_factory=lambda: ["kyfan:all"])
-    tol_rel: float = 1e-8
-    condition_cap: float = 1e8
+    tol_rel: float = DEFAULT_TOL_REL
+    condition_cap: float = DEFAULT_CONDITION_CAP
 
     def validate(self) -> "SearchConfig":
         errors.require_all(numbers.Integral,
@@ -265,8 +267,7 @@ def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: Sear
     G = (noise[..., n:n + n * n].reshape(shape)
          + 1j * noise[..., n + n * n:].reshape(shape)) / np.sqrt(2.0)
     Q, _ = np.linalg.qr(np.eye(n) + scale * G)
-    V = eig.vectors @ Q
-    X = hermitize((V * lam[..., None, :]) @ V.conj().mT)
+    X = from_spectrum(eig.vectors @ Q, lam)
     return X[:, :m], X[:, m:], candidate_params
 
 
@@ -336,7 +337,7 @@ def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margi
     }
 
 
-def evaluate_argmin(result_or_argmin, condition_cap: float = 1e8) -> float | None:
+def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_CAP) -> float | None:
     """Re-evaluate a serialized arg-min point; returns its normalized
     margin, or None when the point is gated under `condition_cap` or the
     result has no arg-min (every sample was gated)."""

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import errors
 from .chains import DEFAULT_TOL_REL, chain_margins
-from .generate import DEFAULT_LAW, SpectrumLaw, haar_unitary, random_spd
-from .linalg import hermitian_eig, hermitize, matrix_power, power_from_eig, psd_sv
+from .generate import DEFAULT_LAW, SpectrumLaw, ginibre, haar_unitary, random_spd
+from .linalg import (from_spectrum, hermitian_eig, hermitize, matrix_power, power_from_eig,
+                     psd_sv, svd)
 from .means import mean_unitary
 from .norms import NormSpec, ky_fan_dominance, norm_values, singular_values
 
@@ -136,7 +137,7 @@ def _terms_block_normal(case) -> _LemmaTerms:
     acc = np.zeros((n, n), dtype=np.complex128)
     for row in blocks:
         for blk in row:
-            u, s, vh = np.linalg.svd(blk)
+            _, s, vh = svd(blk)
             acc += (vh.conj().T * s) @ vh  # |blk| = (blk* blk)^{1/2}
     rhs_sv = psd_sv(acc)
     return _LemmaTerms(lhs_sv, rhs_sv)
@@ -284,20 +285,16 @@ def random_case(
 ) -> LemmaCase:
     """Seeded admissible case for the given lemma."""
     rng = np.random.default_rng(seed)
-
-    def ginibre(k):
-        return (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
-
     if lemma_id == "Araki":
         return LemmaCase(lemma_id, {"A": random_spd(n, rng, law), "B": random_spd(n, rng, law)},
                          {"p": float(rng.uniform(0.25, 2.0)), "q": float(rng.uniform(1.0, 3.0))})
     if lemma_id == "BlockNormal":
         # Hermitian block matrix: H = G + G* in mn x mn
-        G = ginibre(m * n)
+        G = ginibre(m * n, rng)
         return LemmaCase(lemma_id, {"Z": hermitize(G)}, {"n": n})
     if lemma_id == "Hoelder":
         q = float(rng.uniform(1.2, 4.0))
-        return LemmaCase(lemma_id, {"X": ginibre(n), "Y": ginibre(n)},
+        return LemmaCase(lemma_id, {"X": ginibre(n, rng), "Y": ginibre(n, rng)},
                          {"q": q, "s": q / (q - 1.0)})
     if lemma_id == "NormalProduct":
         # commuting Hermitian pair: the product is Hermitian, hence normal
@@ -305,7 +302,7 @@ def random_case(
         a = rng.uniform(-2.0, 2.0, size=n)
         b = rng.uniform(-2.0, 2.0, size=n)
         return LemmaCase(lemma_id,
-                         {"A": hermitize((Q * a) @ Q.conj().T), "B": hermitize((Q * b) @ Q.conj().T)},
+                         {"A": from_spectrum(Q, a), "B": from_spectrum(Q, b)},
                          {})
     if lemma_id == "PowerMonotoneFamily":
         # B random SPD; A gets entrywise-smaller eigenvalues in its own basis,
@@ -313,11 +310,11 @@ def random_case(
         lam_b = np.sort(law.sample(rng, n))[::-1]
         frac = rng.uniform(0.1, 1.0, size=n)
         Qa, Qb = haar_unitary(n, rng), haar_unitary(n, rng)
-        A = hermitize((Qa * (lam_b * frac)) @ Qa.conj().T)
-        B = hermitize((Qb * lam_b) @ Qb.conj().T)
-        return LemmaCase(lemma_id, {"A": A, "B": B}, {"r": float(rng.uniform(1.0, 3.0))})
+        return LemmaCase(lemma_id, {"A": from_spectrum(Qa, lam_b * frac),
+                                    "B": from_spectrum(Qb, lam_b)},
+                         {"r": float(rng.uniform(1.0, 3.0))})
     if lemma_id == "GramSwap":
-        return LemmaCase(lemma_id, {"Y": ginibre(n)}, {"a": float(rng.uniform(0.25, 2.5))})
+        return LemmaCase(lemma_id, {"Y": ginibre(n, rng)}, {"a": float(rng.uniform(0.25, 2.5))})
     if lemma_id == "ConvexSubadd":
         return LemmaCase(lemma_id, {"A_list": [random_spd(n, rng, law) for _ in range(m)]},
                          {"r": float(rng.uniform(1.0, 3.0))})

@@ -10,9 +10,13 @@ The spectral path is stack-aware: `hermitize`, `require_hermitian`,
 `hermitian_eig`, `psd_sv`, `power_from_eig` and `svd` take arrays of shape
 (..., n, n), one matrix per leading index, and run each check (finite
 entries, Hermitian defect, the zeroing rule, the PD floor) per matrix.  An
-exponent is a scalar or one value per matrix; a scalar takes the 2-d code
-path unchanged, and each matrix of a stack gets bitwise the result it gets
-alone.
+exponent is a scalar, one value per matrix of a stack, or an array of
+per-row exponents with more axes than the spectrum's leading ones, which
+broadcasts against a spectrum that is not stacked: (K, 1) exponents against
+the (m, n) spectra of m matrices give (K, m, n), and (K,) exponents against
+the (n,) spectrum of one matrix give (K, n).  A scalar takes the 2-d code
+path unchanged, and each row gets bitwise the result that its matrix gets
+alone at its exponent.
 """
 
 from __future__ import annotations
@@ -86,8 +90,13 @@ class EigenDecomposition:
         return EigenDecomposition(self.eigenvalues[index], self.vectors[index])
 
     def reconstruct(self) -> np.ndarray:
-        V = self.vectors
-        return (V * self.eigenvalues[..., None, :]) @ V.conj().mT
+        return from_spectrum(self.vectors, self.eigenvalues)
+
+
+def from_spectrum(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The Hermitian Q diag(lam) Q* of orthonormal columns Q (..., n, n) and
+    a spectrum lam (..., n), broadcast over the leading axes."""
+    return hermitize((Q * lam[..., None, :]) @ Q.conj().mT)
 
 
 def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
@@ -104,13 +113,16 @@ def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
 
 def power_rows(a: np.ndarray, x) -> np.ndarray:
     """a**x along the last axis, for a scalar x or one exponent per row of
-    the leading axes.  Per-row exponents are applied one distinct value at
-    a time, as a scalar: numpy's scalar fast paths (**0.5 is sqrt, **2.0
-    is square) and its vectorized pow round differently from an
-    elementwise array power, so only a scalar reproduces the result that
+    the leading axes; an x with more axes than those broadcasts against
+    them (see the module docstring).  Per-row exponents are applied one
+    distinct value at a time, as a scalar: numpy's scalar fast paths (**0.5
+    is sqrt, **2.0 is square) and its vectorized pow round differently from
+    an elementwise array power, so only a scalar reproduces the result that
     one row gets alone."""
     if isinstance(x, (int, float)):
         return a ** float(x)
+    if np.ndim(x) >= a.ndim:
+        a = np.broadcast_to(a, np.broadcast_shapes(np.shape(x), a.shape[:-1]) + a.shape[-1:])
     x = np.broadcast_to(x, a.shape[:-1]).ravel()
     if (x == x[0]).all():
         return a ** float(x[0])
@@ -128,26 +140,29 @@ def power_rows(a: np.ndarray, x) -> np.ndarray:
 
 def _power_spectrum(w: np.ndarray, x, psd: bool = False) -> np.ndarray:
     """Apply lambda -> lambda**x after the zeroing rule (see CLIP_FLOOR), to
-    the last axis of w, x a scalar or one exponent per row.  A negative
-    beyond the floor is allowed only for an integer x on a matrix not
-    declared PSD; a negative x needs every eigenvalue above the PD floor."""
+    the last axis of w, x as in `power_rows`.  A negative beyond the floor
+    is allowed only for an integer x on a matrix not declared PSD; a
+    negative x needs every eigenvalue above the PD floor.  The error names
+    the smallest eigenvalue of a failing row."""
     lam_max = w.max(axis=-1, initial=0.0)
     wc = np.where((w < 0.0) & (w >= -CLIP_FLOOR * lam_max[..., None]), 0.0, w)
     below = wc < 0.0
     inverse = np.less(x, 0.0)
     if below.any() or _any(inverse):
+        least, floor = wc.min(axis=-1), PD_FLOOR * lam_max
         negative = below.any(axis=-1)
         not_psd = negative & ~((np.remainder(x, 1.0) == 0.0) & (not psd))
         if _any(not_psd):
             raise errors.NotPositiveSemidefinite(
-                f"min eigenvalue {wc[not_psd].min():.3e} is negative beyond the clip floor"
+                f"min eigenvalue {np.broadcast_to(least, not_psd.shape)[not_psd].min():.3e} "
+                "is negative beyond the clip floor"
             )
-        floor = PD_FLOOR * lam_max
-        singular = inverse & ~negative & (wc.min(axis=-1) <= floor)
+        singular = inverse & ~negative & (least <= floor)
         if _any(singular):
+            least, floor = (np.broadcast_to(v, singular.shape)[singular].flat[0]
+                            for v in (least, floor))
             raise errors.SingularForNegativePower(
-                f"min eigenvalue {wc[singular].min(axis=-1).flat[0]:.3e} "
-                f"at or below PD floor {floor[singular].flat[0]:.3e}"
+                f"min eigenvalue {least:.3e} at or below PD floor {floor:.3e}"
             )
     return power_rows(wc, x)
 
@@ -161,11 +176,9 @@ def psd_sv(H, x=1.0) -> np.ndarray:
 
 def power_from_eig(eig: EigenDecomposition, x) -> np.ndarray:
     """V diag(lambda_i**x) V* from an eigendecomposition with nonnegative
-    spectrum, after the zeroing rule; x < 0 additionally requires the
-    spectrum to clear the PD floor.
-    """
-    wx = _power_spectrum(eig.eigenvalues, x)
-    return hermitize((eig.vectors * wx[..., None, :]) @ eig.vectors.conj().mT)
+    spectrum, after the zeroing rule, x as in `power_rows`; x < 0
+    additionally requires the spectrum to clear the PD floor."""
+    return from_spectrum(eig.vectors, _power_spectrum(eig.eigenvalues, x))
 
 
 def matrix_power(H, x: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:

@@ -11,7 +11,8 @@ of sigma keep the accuracy that the eigenvalues of C* C lose; no
 iterative algorithms.  PSD-but-not-PD inputs are rejected, not extended
 by continuity.  `mean_factor` and `mean_unitary` are stack-aware like
 `linalg`: they take stacked decompositions, `mean_factor` with one (s, t)
-per matrix.
+per matrix, or with per-row (s, t) of shape (K, 1) that broadcast against
+the (m, n, n) decompositions of one instance.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 from . import errors
-from .chains import (ChainParams, commuting_terms, expand_norm_tokens, grid_terms,
-                     validate_run_fields)
+from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admissible,
+                     commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
 from .lemmas import LEMMA_IDS, lemma_terms, random_case
 from .reports import ReportSet, build_report_set, chain_blocks, chain_records, lemma_records
@@ -42,8 +42,8 @@ class SweepConfig:
     p_values: list = field(default_factory=lambda: [1.0])
     t_values: list = field(default_factory=lambda: [0.5])
     norms: list = field(default_factory=lambda: ["kyfan:all"])
-    tol_rel: float = 1e-8
-    condition_cap: float = 1e8
+    tol_rel: float = DEFAULT_TOL_REL
+    condition_cap: float = DEFAULT_CONDITION_CAP
     lemma_ids: list = field(default_factory=lambda: list(LEMMA_IDS))
 
     def validate(self) -> "SweepConfig":
@@ -99,21 +99,22 @@ class SweepConfig:
 def _chain_table(cfg: SweepConfig) -> dict:
     """Chain id -> (instance kind, hypothesis, grid).  A grid chain's grid
     holds the ChainParams built from the configured values that satisfy
-    its hypothesis, in config order; the commuting grid holds variants and
-    the lemmas grid ids."""
+    its hypothesis (`chains.admissible`), in config order; the commuting
+    grid holds variants and the lemmas grid ids."""
     s_, r_, p_, t_ = cfg.s_values, cfg.r_values, cfg.p_values, cfg.t_values
-    return {
-        "main": (cfg.generator, "some s >= 2, r >= 1, p > 0 with rp >= 1",
-                 [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
-                  for p in p_ if p > 0.0 and r * p >= 1.0]),
-        "geo-z": (cfg.generator, "some s >= 1",
-                  [ChainParams(s=s, r=1.0, p=1.0) for s in s_ if s >= 1.0]),
-        "t-chain": (cfg.generator, "some s, r, p > 0 and t in [0, 1]",
-                    [ChainParams(s=s, r=r, p=p, t=t) for s in s_ if s > 0.0 for r in r_ if r > 0.0
-                     for p in p_ if p > 0.0 for t in t_ if 0.0 <= t <= 1.0]),
-        "commuting": ("commuting", "nothing", ["product", "symmetrized"]),
-        "lemmas": (None, "some lemma id", list(cfg.lemma_ids)),
+    products = {
+        "main": [ChainParams(s=s, r=r, p=p) for s in s_ for r in r_ for p in p_],
+        "geo-z": [ChainParams(s=s, r=1.0, p=1.0) for s in s_],
+        "t-chain": [ChainParams(s=s, r=r, p=p, t=t) for s in s_ for r in r_ for p in p_
+                    for t in t_],
     }
+    table = {}
+    for chain, points in products.items():
+        grid, needs = admissible(chain, points)
+        table[chain] = (cfg.generator, f"some {needs}", grid)
+    table["commuting"] = ("commuting", "nothing", ["product", "symmetrized"])
+    table["lemmas"] = (None, "some lemma id", list(cfg.lemma_ids))
+    return table
 
 
 def _task_blocks(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int) -> list:

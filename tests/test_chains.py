@@ -102,6 +102,8 @@ class TestTChain:
             t_chain_terms(inst, ChainParams(s=1.0, t=1.5))
         with pytest.raises(errors.HypothesisViolation):
             t_chain_terms(inst, ChainParams(s=-1.0))
+        with pytest.raises(errors.HypothesisViolation):
+            t_chain_terms(inst, ChainParams(s=float("nan")))
 
     @given(st.integers(0, 2000), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
            st.sampled_from([1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0]))

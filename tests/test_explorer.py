@@ -19,7 +19,7 @@ from gmineq.reports import (
     read_reports,
     write_reports,
 )
-from gmineq.sweep import SweepConfig, has_proven_failure, run_sweep
+from gmineq.sweep import SweepConfig, _chain_table, has_proven_failure, run_sweep
 
 
 class TestSeeds:
@@ -143,6 +143,26 @@ class TestSweep:
     def test_empty_grid_rejected(self, chain, bad, needs):
         with pytest.raises(errors.ConfigError, match=rf"chain '{chain}'.*{re.escape(needs)}"):
             SweepConfig(chains=["commuting", chain], **bad).validate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(s_=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=4),
+           r_=st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]), max_size=3),
+           p_=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), max_size=3),
+           t_=st.lists(st.sampled_from([-0.1, 0.0, 0.3, 1.0, 1.5]), max_size=3))
+    def test_grids_filter_the_configured_product(self, s_, r_, p_, t_):
+        """Each grid chain's grid is the configured product filtered by its
+        one hypothesis, equal, in order, to the chains' stated filters."""
+        cfg = SweepConfig(s_values=s_, r_values=r_, p_values=p_, t_values=t_)
+        want = {
+            "main": [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
+                     for p in p_ if p > 0.0 and r * p >= 1.0],
+            "geo-z": [ChainParams(s=s, r=1.0, p=1.0) for s in s_ if s >= 1.0],
+            "t-chain": [ChainParams(s=s, r=r, p=p, t=t) for s in s_ if s > 0.0
+                        for r in r_ if r > 0.0 for p in p_ if p > 0.0
+                        for t in t_ if 0.0 <= t <= 1.0],
+        }
+        table = _chain_table(cfg)
+        assert {chain: table[chain][2] for chain in want} == want
 
     def test_chain_points_pinned(self):
         """SMALL's chain records, rebuilt point by point: main only at

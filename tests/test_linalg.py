@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from gmineq import errors
 from gmineq.generate import haar_unitary, random_spd
 from gmineq.blocks import InstanceSet
-from gmineq.chains import condition_max
-from gmineq.linalg import hermitian_eig, matrix_power, psd_sv, spd_eig
+from gmineq.chains import commuting_terms, condition_max
+from gmineq.linalg import (EigenDecomposition, hermitian_eig, matrix_power, power_from_eig,
+                           power_rows, psd_sv, spd_eig)
 
 
 def random_hermitian(n, rng):
@@ -126,3 +127,82 @@ class TestDefiniteness:
         for seed in range(20):
             H = random_spd(4, np.random.default_rng(seed))
             assert 1.0 <= _condition(H) <= 100.0 + 1e-6
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBroadcastExponents:
+    """Per-row exponents with more axes than a spectrum's leading ones
+    broadcast against a spectrum that is not stacked, as in a parameter
+    grid on one instance: row k is bitwise the call at exponent k."""
+
+    # sqrt, square, reciprocal and a repeat next to generic exponents
+    X = [0.5, 2.0, -1.0, 1.7, 0.5, -0.35, 3.0]
+
+    def test_column_exponents_against_pairs(self):
+        rng = np.random.default_rng(60)
+        eig = hermitian_eig(np.stack([random_spd(4, rng) for _ in range(3)]))
+        x = np.array(self.X)[:, None]
+        got, got_rows = power_from_eig(eig, x), power_rows(eig.eigenvalues, x)
+        assert got.shape == (len(self.X), 3, 4, 4) and got_rows.shape == (len(self.X), 3, 4)
+        for k, xk in enumerate(self.X):
+            assert _bitwise_equal(got[k], power_from_eig(eig, xk))
+            assert _bitwise_equal(got_rows[k], power_rows(eig.eigenvalues, xk))
+
+    def test_row_exponents_against_one_matrix(self):
+        eig = hermitian_eig(random_spd(6, np.random.default_rng(61)))
+        x = np.array(self.X)
+        got, got_rows = power_from_eig(eig, x), power_rows(eig.eigenvalues, x)
+        assert got.shape == (len(self.X), 6, 6) and got_rows.shape == (len(self.X), 6)
+        for k, xk in enumerate(self.X):
+            assert _bitwise_equal(got[k], power_from_eig(eig, xk))
+            assert _bitwise_equal(got_rows[k], power_rows(eig.eigenvalues, xk))
+
+    @staticmethod
+    def _diagonal(w):
+        """Diagonal matrices of spectra w (..., n): identity eigenvectors."""
+        w = np.asarray(w, dtype=np.float64)
+        return EigenDecomposition(w, np.broadcast_to(np.eye(w.shape[-1]), w.shape + w.shape[-1:]))
+
+    def test_singular_row_is_named(self):
+        """Only the second matrix is singular for a negative power; the error
+        names its smallest eigenvalue and its PD floor, under either
+        broadcast (three rows of exponents against two matrices, or
+        against two eigenvalues, so that no mask fits the spectrum by
+        accident)."""
+        eig = self._diagonal([[2.0, 1.0], [1.0, 1e-12]])
+        message = "min eigenvalue 1.000e-12 at or below PD floor 1.000e-10"
+        with pytest.raises(errors.SingularForNegativePower, match=message):
+            power_from_eig(eig, np.array([[1.0], [-1.0], [0.5]]))
+        with pytest.raises(errors.SingularForNegativePower, match=message):
+            power_from_eig(eig[1], np.array([0.5, -0.5, 1.0]))
+        assert power_from_eig(eig, np.array([[1.0], [0.5]])).shape == (2, 2, 2, 2)
+
+    def test_negative_row_is_named(self):
+        """The second matrix has a negative eigenvalue beyond the clip
+        floor: an integer power of it is allowed, a fractional one names
+        that eigenvalue, under either broadcast."""
+        eig = self._diagonal([[2.0, 1.0], [1.0, -0.5]])
+        message = "min eigenvalue -5.000e-01 is negative beyond the clip floor"
+        with pytest.raises(errors.NotPositiveSemidefinite, match=message):
+            power_from_eig(eig, np.array([[2.0], [0.5], [3.0]]))
+        with pytest.raises(errors.NotPositiveSemidefinite, match=message):
+            power_from_eig(eig[1], np.array([3.0, 0.5, 2.0]))
+        assert power_from_eig(eig, np.array([[2.0], [3.0]])).shape == (2, 2, 2, 2)
+
+
+def test_commuting_terms_rejects_non_pd_instance():
+    """commuting_terms validates the instance itself: a commuting instance
+    with a singular A_1 raises the error that `validate` raises."""
+    def instance():
+        return InstanceSet(m=2, n=2, A=[np.eye(2), np.diag([1.0, 0.0])], B=[np.eye(2)] * 2,
+                           kind="commuting")
+
+    with pytest.raises(errors.SingularInput) as want:
+        instance().validate()
+    for variant in ("product", "symmetrized"):
+        with pytest.raises(errors.SingularInput) as got:
+            commuting_terms(instance(), variant)
+        assert str(got.value) == str(want.value)
