@@ -25,6 +25,10 @@ class SingularInput(Error):
     """Operation requires a nonsingular (or positive definite) input."""
 
 
+class NonFiniteInput(Error, ValueError):
+    """A matrix has NaN or infinite entries."""
+
+
 class DimensionMismatch(Error):
     """Operands have incompatible shapes."""
 

@@ -7,10 +7,13 @@ Identical arguments produce bit-identical instances.
 Per-task seeds are derived with a splitmix64 mix of (base_seed, index),
 so each task's instance depends on its index alone, not on run order.
 
-An instance is made in two steps: `draw_instance` draws its random numbers
-from its own seeded stream, and `assemble_instances` turns a stack of such
-draws into matrices with one QR call.  `generate_instance` is a stack of
-one, and a stack of many equal-shape instances gives each the same bytes.
+An instance is made in two steps: `draw_instances` draws the random
+numbers of a stack of equal-shape instances, each from its own stream, and
+`assemble_instances` turns them into matrices with one QR call.  Each
+stream is that of `np.random.default_rng(seed)`; `generators` makes the
+streams of many seeds at once, hashing all their seeds together.
+`generate_instance` is a stack of one, and every instance of a stack gets
+the bytes it gets alone.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import errors
 from .blocks import InstanceSet
 from .linalg import from_spectrum
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -100,29 +105,100 @@ def random_spd(n: int, rng: np.random.Generator, law: SpectrumLaw = DEFAULT_LAW)
     return from_spectrum(Q, law.sample(rng, n))
 
 
-def draw_instance(kind: str, n: int, m: int, seed: int, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
-    """The random numbers of one instance, in the order they are drawn:
-    Ginibre matrices G (one per matrix, or one per pair for commuting
-    instances) and eigenvalues lam (2m, n), A_1's row first, then B_1's."""
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32: init, then each times mult modulo 2**32."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# its hashmix steps take in turn while the pool is mixed (A) and while the
+# state is read out (B), and those of its mix function.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's hashmix of the rows of `value` with hash steps k,
+    k + 1, ...: row j is xored with constant k + j and multiplied by
+    constant k + j + 1, modulo 2**32."""
+    value = (value ^ constants[k:k + len(value)]) * constants[k + 1:k + len(value) + 1]
+    return value ^ (value >> 16)
+
+
+def _pcg64_seed_words(seeds) -> np.ndarray:
+    """(K, 4) uint64: for each seed in [0, 2**64), the four words
+    `np.random.SeedSequence(seed).generate_state(4, np.uint64)` gives, which
+    PCG64 takes as its initial state and increment.  A seed's entropy is
+    its 32-bit words, low first, in a pool of four words padded with zeros;
+    a seed below 2**32 pads its one word with a zero too, so every seed
+    hashes as two words and the whole list is hashed as (4, K) arrays."""
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)
+    pool[0], pool[1] = s & _MASK32, s >> 32
+    pool = _hashmix(pool, _HASH_A, 0)
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[[src] * 3], _HASH_A, k)
+        pool[dst] = mixed ^ (mixed >> 16)
+        k += 3
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0).astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | (words[1::2] << 32)).T)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed whose SeedSequence state is already computed: PCG64 asks for
+    four uint64 words and gets them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def generators(seeds) -> list:
+    """One `np.random.Generator` per seed in [0, 2**64), each with the
+    state and stream of `np.random.default_rng(seed)`.  The seeds are
+    hashed together, which pays off from a few seeds on; a single seed is
+    cheaper through `default_rng`."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _pcg64_seed_words(seeds)]
+
+
+def draw_instances(kind: str, n: int, m: int, rngs: list, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
+    """The random numbers of one instance per generator of `rngs`, stacked:
+    Ginibre matrices G (K, 2m, n, n), or (K, m, n, n) for commuting
+    instances, one per pair, and eigenvalues lam (K, 2m, n), A_1's row
+    first, then B_1's.  Each instance draws from its generator per matrix
+    (per pair for commuting instances) the real then imaginary parts of
+    its Ginibre matrix, then its n eigenvalues (both rows of the pair), so
+    it gets the bytes of `ginibre` and `SpectrumLaw.sample` on that
+    stream; the parts are combined, and the eigenvalues exponentiated,
+    once for the whole stack."""
     if kind not in ("generic", "commuting"):
         raise errors.ConfigError(f"unknown instance kind {kind!r}")
     if n < 1 or m < 1:
         raise errors.ConfigError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(seed & _MASK64)
-    G, lam = [], []
-    for _ in range(m):
-        if kind == "generic":
-            for _ in range(2):
-                G.append(ginibre(n, rng))
-                lam.append(law.sample(rng, n))
-        else:
-            G.append(ginibre(n, rng))
-            lam.extend(law.sample(rng, n) for _ in range(2))
-    return np.stack(G), np.stack(lam)
+    per_matrix = kind == "generic"
+    normal = np.empty((len(rngs), 2 * m if per_matrix else m, 2, n, n))
+    log_lam = np.empty((len(rngs), 2 * m, n))
+    log_lo, log_hi = law._log_bounds
+    for rng, parts, logs in zip(rngs, normal, log_lam):
+        for j in range(2 * m):
+            if per_matrix or j % 2 == 0:
+                rng.standard_normal(out=parts[j if per_matrix else j // 2])
+            logs[j] = rng.uniform(log_lo, log_hi, size=n)
+    G = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
+    return G, np.exp(log_lam)
 
 
 def assemble_instances(kind: str, G: np.ndarray, lam: np.ndarray) -> tuple:
-    """(A, B), each (..., m, n, n), from stacked draws of `draw_instance`;
+    """(A, B), each (..., m, n, n), from stacked draws of `draw_instances`;
     every matrix is Q diag(lam) Q* with Q from one stacked QR."""
     Q = _haar(G)
     if kind == "commuting":
@@ -143,5 +219,6 @@ def generate_instance(
     generic: all 2m matrices independent.  commuting: A_i and B_i share
     one eigenbasis per pair, so they commute exactly up to round-off.
     """
-    A, B = assemble_instances(kind, *draw_instance(kind, n, m, seed, law))
+    G, lam = draw_instances(kind, n, m, [np.random.default_rng(seed & _MASK64)], law)
+    A, B = assemble_instances(kind, G[0], lam[0])
     return InstanceSet(m=m, n=n, A=A, B=B, seed=int(seed), kind=kind)

@@ -8,20 +8,22 @@ reported as a violation candidate.
 The sampling phase is bucketed: each sample draws its parameters and its
 instance's random numbers from its own seeded streams, the samples are
 grouped by (n, m), and each group is generated and evaluated as one stack
-(one call per kernel step; see `linalg`).  The arg-min is then taken in
-sample order, the first sample winning a tie.  Refinement is
-keep-if-smaller, evaluated in windows: until a step is accepted every step
-perturbs the same point from its own seeded stream, so the candidates of
-a window of steps are drawn and evaluated as one stack, then read in step
-order up to the first accepted one.  Sampling, refinement and
-`evaluate_argmin` all evaluate through `_stack_margins`, so every point
-gets the bytes it gets alone, and the report depends neither on the
-bucketing nor on the windows.  A gated point (condition number over the
-cap) is counted and not evaluated.
+(one call per kernel step; see `linalg`).  The streams are made many at a
+time by `generate.generators`, each that of `np.random.default_rng` at its
+seed.  The arg-min is then taken in sample order, the first sample winning
+a tie.  Refinement is keep-if-smaller, evaluated in windows: until a step
+is accepted every step perturbs the same point from its own seeded stream,
+so the candidates of a window of steps are drawn and evaluated as one
+stack, then read in step order up to the first accepted one.  Sampling,
+refinement and `evaluate_argmin` all evaluate through `_stack_margins`, so
+every point gets the bytes it gets alone, and the report depends neither
+on the bucketing nor on the windows.  A gated point (condition number over
+the cap) is counted and not evaluated.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -41,7 +43,8 @@ from .chains import (
     t_chain_status,
     validate_run_fields,
 )
-from .generate import DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instance
+from .generate import (DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instances,
+                       generators)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
@@ -53,6 +56,9 @@ _WINDOW = 8
 # The sampling phase holds about this many matrix entries (16 bytes each) of
 # instances at a time.
 _CHUNK_ENTRIES = 1 << 18
+# The sampling phase makes the streams of this many samples' parameters at
+# a time.
+_STREAM_BLOCK = 1024
 
 
 @dataclass
@@ -94,8 +100,8 @@ class SearchConfig:
                 raise errors.ConfigError(message)
         if self.samples < 1:
             raise errors.ConfigError("samples must be >= 1")
-        if self.refine_steps < 0 or self.refine_scale <= 0.0:
-            raise errors.ConfigError("refine_steps >= 0 and refine_scale > 0 required")
+        if self.refine_steps < 0 or not 0.0 < self.refine_scale < math.inf:
+            raise errors.ConfigError("refine_steps >= 0 and a finite refine_scale > 0 required")
         if not (0.0 < self.s_range[0] <= self.s_range[1]):
             raise errors.ConfigError(f"invalid s_range {self.s_range}")
         if not (0.0 <= self.t_range[0] <= self.t_range[1] <= 1.0):
@@ -156,9 +162,11 @@ class SearchResult:
         )
 
 
-def _sample_point(cfg: SearchConfig, k: int) -> tuple:
-    """(n, m, params, instance seed) of sample k."""
-    rng = np.random.default_rng(derive_seed(cfg.base_seed, k))
+def _sample_point(cfg: SearchConfig, k: int, rng: np.random.Generator | None = None) -> tuple:
+    """(n, m, params, instance seed) of sample k, drawn from `rng`, the
+    stream of seed `derive_seed(cfg.base_seed, k)`, made here if not given."""
+    if rng is None:
+        rng = np.random.default_rng(derive_seed(cfg.base_seed, k))
     n = int(rng.integers(1, cfg.n_max + 1))
     m = int(rng.integers(1, cfg.m_max + 1))
     s = float(rng.uniform(*cfg.s_range))
@@ -201,37 +209,41 @@ def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
 
 def _chunks(cfg: SearchConfig):
     """The samples in order, in chunks of about _CHUNK_ENTRIES matrix
-    entries, so that a long hunt holds a bounded working set."""
+    entries, so that a long hunt holds a bounded working set.  The streams
+    of _STREAM_BLOCK samples are made by one `generators` call."""
     chunk, entries = [], 0
-    for k in range(cfg.samples):
-        n, m, params, seed = _sample_point(cfg, k)
-        chunk.append((n, m, params, seed))
-        entries += 2 * m * n ** 2
-        if entries >= _CHUNK_ENTRIES:
-            yield chunk
-            chunk, entries = [], 0
+    for start in range(0, cfg.samples, _STREAM_BLOCK):
+        block = range(start, min(start + _STREAM_BLOCK, cfg.samples))
+        for k, rng in zip(block, generators([derive_seed(cfg.base_seed, k) for k in block])):
+            n, m, params, seed = _sample_point(cfg, k, rng)
+            chunk.append((n, m, params, seed))
+            entries += 2 * m * n ** 2
+            if entries >= _CHUNK_ENTRIES:
+                yield chunk
+                chunk, entries = [], 0
     if chunk:
         yield chunk
 
 
 def _sampling_phase(cfg: SearchConfig):
     """(margin or None when gated, point) for every sample, in sample
-    order.  Each chunk's samples are grouped by (n, m); a group's instances
-    are generated as one stack and evaluated by one `_stack_margins` call.
-    A point is (A, B, row, sample, spec): the sample's instance is row
-    `row` of the stacks A and B, and `sample` is from `_sample_point`."""
+    order.  The streams of a chunk's instances are made by one `generators`
+    call, and its samples are grouped by (n, m); a group's instances are
+    drawn and assembled as one stack and evaluated by one `_stack_margins`
+    call.  A point is (A, B, row, sample, spec): the sample's instance is
+    row `row` of the stacks A and B, and `sample` is from `_sample_point`."""
     for chunk in _chunks(cfg):
+        streams = generators([seed for *_, seed in chunk])
         buckets = {}
-        for i, (n, m, params, seed) in enumerate(chunk):
-            buckets.setdefault((n, m), []).append((i, params, seed))
+        for i, (n, m, _, _) in enumerate(chunk):
+            buckets.setdefault((n, m), []).append(i)
         results = [None] * len(chunk)
         for (n, m), members in buckets.items():
-            draws = [draw_instance("generic", n, m, seed, cfg.spectrum_law) for _, _, seed in members]
-            A, B = assemble_instances("generic", np.stack([G for G, _ in draws]),
-                                      np.stack([lam for _, lam in draws]))
-            gated, margin, specs = _stack_margins(A, B, [params for _, params, _ in members],
+            A, B = assemble_instances("generic", *draw_instances(
+                "generic", n, m, [streams[i] for i in members], cfg.spectrum_law))
+            gated, margin, specs = _stack_margins(A, B, [chunk[i][2] for i in members],
                                                   cfg.norms, cfg.condition_cap)
-            for row, (i, _, _) in enumerate(members):
+            for row, i in enumerate(members):
                 point = (A, B, row, chunk[i], specs[row])
                 results[i] = (None if gated[row] else float(margin[row]), point)
         yield from results
@@ -247,27 +259,33 @@ def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: Sear
     single value.  Step k draws from its own stream, per matrix (the A_i,
     then the B_i) n eigenvalue factors and the real and imaginary parts
     of an n x n Ginibre matrix, then the s and t jitters, so its candidate
-    does not depend on the window it is drawn in.  The point is decomposed
-    once, and the rotations and products are one stacked call each."""
+    does not depend on the window it is drawn in; the window's streams are
+    made by one `generators` call.  The point is decomposed once, and the
+    rotations and products are one stacked call each.  A scale so large
+    that the arithmetic overflows raises no warning here: the evaluation
+    of the candidate it spoils raises `errors.NonFiniteInput`."""
     m, n = A.shape[0], A.shape[-1]
     scale = cfg.refine_scale
     s, t = np.full(len(steps), params.s), np.full(len(steps), params.t)
     jittered = [(v, lo, hi) for v, (lo, hi) in ((s, cfg.s_range), (t, cfg.t_range)) if hi > lo]
     size = 2 * m * (n + 2 * n * n)
-    draws = np.array([np.random.default_rng(derive_seed(cfg.base_seed ^ _REFINE_TAG, k))
-                      .standard_normal(size + len(jittered)) for k in steps])
-    for (values, lo, hi), z in zip(jittered, draws[:, size:].T):
-        values[:] = np.clip(values + scale * (hi - lo) * z, lo, hi)
+    draws = np.empty((len(steps), size + len(jittered)))
+    for rng, row in zip(generators([derive_seed(cfg.base_seed ^ _REFINE_TAG, k) for k in steps]),
+                        draws):
+        rng.standard_normal(out=row)
     noise = draws[:, :size].reshape(len(steps), 2 * m, n + 2 * n * n)
-    candidate_params = [ChainParams(s=sk, r=params.r, p=params.p, t=tk)
-                        for sk, tk in zip(s.tolist(), t.tolist())]
-    eig = hermitian_eig(np.concatenate([A, B]))
-    lam = eig.eigenvalues * np.exp(scale * noise[..., :n])
     shape = noise.shape[:2] + (n, n)
     G = (noise[..., n:n + n * n].reshape(shape)
          + 1j * noise[..., n + n * n:].reshape(shape)) / np.sqrt(2.0)
-    Q, _ = np.linalg.qr(np.eye(n) + scale * G)
-    X = from_spectrum(eig.vectors @ Q, lam)
+    eig = hermitian_eig(np.concatenate([A, B]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (values, lo, hi), z in zip(jittered, draws[:, size:].T):
+            values[:] = np.clip(values + scale * (hi - lo) * z, lo, hi)
+        lam = eig.eigenvalues * np.exp(scale * noise[..., :n])
+        Q, _ = np.linalg.qr(np.eye(n) + scale * G)
+        X = from_spectrum(eig.vectors @ Q, lam)
+    candidate_params = [ChainParams(s=sk, r=params.r, p=params.p, t=tk)
+                        for sk, tk in zip(s.tolist(), t.tolist())]
     return X[:, :m], X[:, m:], candidate_params
 
 

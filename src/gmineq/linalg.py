@@ -15,8 +15,9 @@ per-row exponents with more axes than the spectrum's leading ones, which
 broadcasts against a spectrum that is not stacked: (K, 1) exponents against
 the (m, n) spectra of m matrices give (K, m, n), and (K,) exponents against
 the (n,) spectrum of one matrix give (K, n).  A scalar takes the 2-d code
-path unchanged, and each row gets bitwise the result that its matrix gets
-alone at its exponent.
+path unchanged.  Per-row exponents are applied by one array power call
+(see `power_rows`), and each row gets bitwise the result that its matrix
+gets alone at its exponent.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ CLIP_FLOOR = 1e-12
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a finite complex128 matrix or stack of matrices."""
+    """Coerce to a finite complex128 matrix or stack of matrices; NaN or
+    infinite entries raise `errors.NonFiniteInput`."""
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
         raise errors.DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {A.shape}")
     if not np.all(np.isfinite(A.view(np.float64))):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise errors.NonFiniteInput("matrix contains NaN or Inf entries")
     return A
 
 
@@ -111,31 +113,36 @@ def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[..., ::-1].copy(), vectors=V[..., ::-1].copy())
 
 
+# Exponents at which `a ** x` with a scalar x takes numpy's sqrt, square
+# and reciprocal fast paths, which round differently from its power loop.
+_SCALAR_FAST_PATHS = (0.5, 2.0, -1.0)
+
+
 def power_rows(a: np.ndarray, x) -> np.ndarray:
     """a**x along the last axis, for a scalar x or one exponent per row of
     the leading axes; an x with more axes than those broadcasts against
-    them (see the module docstring).  Per-row exponents are applied one
-    distinct value at a time, as a scalar: numpy's scalar fast paths (**0.5
-    is sqrt, **2.0 is square) and its vectorized pow round differently from
-    an elementwise array power, so only a scalar reproduces the result that
-    one row gets alone."""
+    them (see the module docstring).  Per-row exponents are applied by one
+    `np.power` call, and the rows at a scalar fast-path exponent (0.5, 2
+    and -1) by a scalar power each, so that every row gets the bytes of
+    `a_row ** float(x_row)`, the result one contiguous row gets alone.
+    That rests on numpy's array power rounding as its scalar power does at
+    every other exponent, which `tests/test_linalg.py` checks on the
+    running build."""
     if isinstance(x, (int, float)):
         return a ** float(x)
-    if np.ndim(x) >= a.ndim:
-        a = np.broadcast_to(a, np.broadcast_shapes(np.shape(x), a.shape[:-1]) + a.shape[-1:])
-    x = np.broadcast_to(x, a.shape[:-1]).ravel()
-    if (x == x[0]).all():
-        return a ** float(x[0])
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    rows = a.reshape(-1, a.shape[-1])[order]
-    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]])).tolist()
-    out = np.empty(rows.shape)
-    for lo, hi in zip(starts, starts[1:] + [xs.size]):
-        out[lo:hi] = rows[lo:hi] ** float(xs[lo])
-    result = np.empty_like(out)
-    result[order] = out
-    return result.reshape(a.shape)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim >= a.ndim:
+        a = np.broadcast_to(a, np.broadcast_shapes(x.shape, a.shape[:-1]) + a.shape[-1:])
+    x = np.broadcast_to(x, a.shape[:-1])
+    # numpy powers some strided layouts by another routine, which rounds
+    # differently: a contiguous base keeps every row on the routine that a
+    # contiguous spectrum alone takes
+    out = np.power(np.ascontiguousarray(a), x[..., None])
+    for fast in _SCALAR_FAST_PATHS:
+        rows = x == fast
+        if _any(rows):
+            out[rows] = a[rows] ** fast
+    return out
 
 
 def _power_spectrum(w: np.ndarray, x, psd: bool = False) -> np.ndarray:

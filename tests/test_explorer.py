@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,24 @@ class TestCli:
         for flag, value in (("--t-lo", "0.2"), ("--t-hi", "0.8")):
             assert cli.main(["hunt", "--samples", "1", flag, value]) == cli.EXIT_CONFIG
             assert "--t-lo and --t-hi must be given together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, message", [
+        ("nan", "error: refine_steps >= 0 and a finite refine_scale > 0 required"),
+        ("inf", "error: refine_steps >= 0 and a finite refine_scale > 0 required"),
+        ("1e300", "error: NonFiniteInput: matrix contains NaN or Inf entries"),
+    ])
+    def test_hunt_bad_refine_scale_exit_code(self, scale, message, capsys):
+        """A refine scale that is not a finite positive number is refused,
+        and one so large that its candidates overflow ends the run when
+        they are evaluated: exit 3 and one line on stderr, with no
+        traceback and no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["hunt", "--samples", "50", "--refine", "20",
+                             "--refine-scale", scale])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == message + "\n"
 
     @pytest.mark.parametrize("chain", ["t-chain", "lemmas"])
     def test_wide_law_numerical_failure_exit_code(self, chain, capsys):

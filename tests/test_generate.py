@@ -1,0 +1,98 @@
+"""Stacked instance draws and stacked seeding against the one-seed path.
+
+`generators` hashes many seeds at once and must give each the state and
+stream of `np.random.default_rng(seed)`.  `draw_instances` draws a stack of
+instances, each from its own generator, and must give each the bytes of
+the one-instance draw it replaced, kept here as `_oracle_draw`: a fresh
+`default_rng`, then per matrix a Ginibre matrix and the law's eigenvalues.
+"""
+
+import numpy as np
+import pytest
+
+from gmineq.generate import (SpectrumLaw, assemble_instances, derive_seed, draw_instances,
+                             generate_instance, generators)
+
+MASK64 = (1 << 64) - 1
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _oracle_ginibre(n, rng):
+    re, im = rng.standard_normal((2, n, n))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _oracle_eigenvalues(law, n, rng):
+    return np.exp(rng.uniform(np.log(law.lo), np.log(law.hi), size=n))
+
+
+def _oracle_draw(kind, n, m, seed, law):
+    """(G, lam) of one instance, drawn matrix by matrix from its own
+    stream."""
+    rng = np.random.default_rng(seed & MASK64)
+    G, lam = [], []
+    for _ in range(m):
+        if kind == "generic":
+            for _ in range(2):
+                G.append(_oracle_ginibre(n, rng))
+                lam.append(_oracle_eigenvalues(law, n, rng))
+        else:
+            G.append(_oracle_ginibre(n, rng))
+            lam.extend(_oracle_eigenvalues(law, n, rng) for _ in range(2))
+    return np.stack(G), np.stack(lam)
+
+
+def _same_stream(rng, seed):
+    ref = np.random.default_rng(seed)
+    if rng.bit_generator.state != ref.bit_generator.state:
+        return False
+    return (rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+            and rng.integers(0, 2**63, 2).tolist() == ref.integers(0, 2**63, 2).tolist()
+            and rng.bit_generator.state == ref.bit_generator.state)
+
+
+def test_generators_match_default_rng():
+    rng = np.random.default_rng(2024)
+    seeds = (EDGE_SEEDS + [derive_seed(31, k) for k in range(5000)]
+             + rng.integers(0, 2**64, 4000, dtype=np.uint64).tolist()
+             + list(range(2, 1000)))
+    assert len(seeds) >= 10_000
+    streams = generators(seeds)
+    assert len(streams) == len(seeds)
+    bad = [seed for rng, seed in zip(streams, seeds) if not _same_stream(rng, seed)]
+    assert bad == []
+
+
+def test_generators_of_one_and_none():
+    assert _same_stream(generators([2**64 - 1])[0], 2**64 - 1)
+    assert generators([]) == []
+
+
+LAWS = [SpectrumLaw(0.1, 10.0), SpectrumLaw(1e-6, 1e6)]
+SEEDS = EDGE_SEEDS + [derive_seed(7, k) for k in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["generic", "commuting"])
+@pytest.mark.parametrize("law", LAWS, ids=["narrow", "wide"])
+def test_stacked_draws_match_oracle(kind, law):
+    for n in range(1, 7):
+        for m in range(1, 4):
+            G, lam = draw_instances(kind, n, m, generators(SEEDS), law)
+            assert G.shape == (len(SEEDS), 2 * m if kind == "generic" else m, n, n)
+            assert lam.shape == (len(SEEDS), 2 * m, n)
+            for row, seed in enumerate(SEEDS):
+                want_G, want_lam = _oracle_draw(kind, n, m, seed, law)
+                assert G[row].tobytes() == want_G.tobytes(), (n, m, seed)
+                assert lam[row].tobytes() == want_lam.tobytes(), (n, m, seed)
+
+
+@pytest.mark.parametrize("kind", ["generic", "commuting"])
+@pytest.mark.parametrize("law", LAWS, ids=["narrow", "wide"])
+def test_generate_instance_matches_oracle(kind, law):
+    for n in range(1, 7):
+        for m in range(1, 4):
+            for seed in SEEDS:
+                inst = generate_instance(kind, n, m, seed, law)
+                A, B = assemble_instances(kind, *_oracle_draw(kind, n, m, seed, law))
+                assert np.stack(inst.A).tobytes() == A.tobytes(), (n, m, seed)
+                assert np.stack(inst.B).tobytes() == B.tobytes(), (n, m, seed)

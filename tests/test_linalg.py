@@ -39,6 +39,12 @@ class TestHermitianEig:
         with pytest.raises(errors.NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(errors.NonFiniteInput, match="NaN or Inf") as caught:
+            hermitian_eig(np.array([[1.0, 0.0], [0.0, bad]]))
+        assert isinstance(caught.value, ValueError)
+
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_eigenvalues_invariant_under_conjugation(self, seed):
@@ -191,6 +197,82 @@ class TestBroadcastExponents:
         with pytest.raises(errors.NotPositiveSemidefinite, match=message):
             power_from_eig(eig[1], np.array([3.0, 0.5, 2.0]))
         assert power_from_eig(eig, np.array([[2.0], [3.0]])).shape == (2, 2, 2, 2)
+
+
+class TestPowerRule:
+    """`power_rows` makes one array power call and redoes the rows at
+    numpy's scalar fast-path exponents.  On the running numpy build, every
+    row must come out bitwise as `a_row ** float(x_row)`, the scalar power
+    a row gets alone."""
+
+    # the fast paths, 0 and 1, repeats, and generic exponents of both signs
+    FIXED = [0.5, 2.0, -1.0, 0.0, 1.0, 0.5, 2.0, -1.0, 3.0, 1.0 / 3.0, 1.5, -0.5, 1.5]
+
+    @staticmethod
+    def _bases(rng, rows, cols):
+        """Positive bases over many binades, with 0, 1 and subnormals."""
+        a = np.exp(rng.uniform(-40.0, 40.0, (rows, cols)))
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, 1.0, tiny, tiny / 3.0, 5e-324, 2.0 ** -1050, 1.0 - 2.0 ** -53]
+        for value in special:
+            a.flat[rng.integers(0, a.size, 3)] = value
+        return a
+
+    def _exponents(self, rng, count):
+        x = np.concatenate([self.FIXED, rng.uniform(-3.0, 3.0, count)])
+        return rng.permutation(np.concatenate([x, x[rng.integers(0, x.size, count)]]))
+
+    @staticmethod
+    def _check(a, x):
+        """power_rows(a, x) against the scalar power of each row, a (R, L)
+        and x (R,).  A row alone is a spectrum of its own, a contiguous
+        array: numpy powers a 1-d array of negative stride by another
+        routine, which rounds differently."""
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            got = power_rows(a, x)
+            for k in range(len(x)):
+                want = np.ascontiguousarray(a[k]) ** float(x[k])
+                assert _bitwise_equal(got[k], want), (k, x[k])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_match_scalar_power(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        x = self._exponents(rng, 40)
+        a = self._bases(rng, 3 * len(x), 19)
+        self._check(a[:len(x)], x)
+        self._check(a[1::3], x)                              # strided rows
+        self._check(a[:2 * len(x):2, ::-2], x)               # strided, reversed columns
+        self._check(a[len(x):2 * len(x), 3:11], x)           # a sub-slice
+        self._check(a[len(x) - 1::-1, ::-1], x)              # reversed rows and columns
+        self._check(a[:1, ::-1], x[:1])                      # one reversed row
+        self._check(np.asfortranarray(a[:len(x)]), x)        # column-major
+        self._check(np.broadcast_to(a[0], (len(x), 19)), x)  # one row, broadcast
+
+    def test_integer_exponents_of_negative_bases(self):
+        rng = np.random.default_rng(76)
+        x = rng.permutation(np.array([-1.0, 0.0, 1.0, 2.0, 3.0, -2.0, 2.0, 4.0] * 3))
+        self._check(-self._bases(rng, len(x), 7), x)
+
+    def test_broadcast_exponents(self):
+        """Exponents with more axes than the spectrum's leading ones: row k
+        of the result is the scalar power of the whole spectrum."""
+        rng = np.random.default_rng(77)
+        x = self._exponents(rng, 12)
+        w = self._bases(rng, 3, 5)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            got, got_rows = power_rows(w, x[:, None]), power_rows(w[0], x)
+            for k in range(len(x)):
+                assert _bitwise_equal(got[k], w ** float(x[k]))
+                assert _bitwise_equal(got_rows[k], w[0] ** float(x[k]))
+
+    def test_scalar_and_uniform_exponents(self):
+        rng = np.random.default_rng(78)
+        w = self._bases(rng, 4, 6)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            for xk in (0.5, 2.0, -1.0, 1.7):
+                want = w ** xk
+                for x in (xk, np.float64(xk), np.array(xk), np.full(4, xk)):
+                    assert _bitwise_equal(power_rows(w, x), want)
 
 
 def test_commuting_terms_rejects_non_pd_instance():
