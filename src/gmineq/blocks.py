@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .linalg import hermitian_eig, hermitize, power_from_eig, require_spd
+from .linalg import hermitian_eig, hermitize, power_from_eig, require_pd, sum_pairs
 
 COMMUTING_RTOL = 1e-12
 
@@ -23,31 +23,37 @@ class InstanceSet:
     kind is 'generic' or 'commuting'; commuting instances satisfy
     A_i B_i = B_i A_i pairwise (shared eigenbasis by construction).
 
-    Immutable: A and B are stored as tuples of read-only complex128 copies,
-    so neither the spectra cache `spectra` nor a passed `validate` can go
-    stale.
+    Immutable: A and B are read-only complex128 stacks (m, n, n), copies of
+    what it was given, so neither the spectra cache `spectra` nor a passed
+    `validate` can go stale.  A pair count or matrix size other than m and
+    n, or ragged input, raises DimensionMismatch when it is built.
     """
 
     m: int
     n: int
-    A: tuple = field(repr=False)
-    B: tuple = field(repr=False)
+    A: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
     seed: int = 0
     kind: str = "generic"
 
     def __post_init__(self):
         for name in ("A", "B"):
-            copies = tuple(np.array(X, dtype=np.complex128) for X in getattr(self, name))
-            for X in copies:
-                X.flags.writeable = False
-            object.__setattr__(self, name, copies)
+            try:
+                X = np.array(getattr(self, name), dtype=np.complex128, order="C")
+            except ValueError as exc:  # ragged nesting
+                raise errors.DimensionMismatch(f"{name} is not a stack of matrices: {exc}") from None
+            if X.shape != (self.m, self.n, self.n):
+                raise errors.DimensionMismatch(
+                    f"expected {name} of {self.m} {self.n}x{self.n} matrices, got shape {X.shape}")
+            X.flags.writeable = False
+            object.__setattr__(self, name, X)
 
     @cached_property
     def spectra(self):
         """The spectra cache (chains.InstanceSpectra), built on first access."""
         from .chains import InstanceSpectra  # chains imports this module
 
-        return InstanceSpectra(np.stack(self.A), np.stack(self.B))
+        return InstanceSpectra(self.A, self.B)
 
     def validate(self) -> "InstanceSet":
         """self, after the checks of `_checked`, which run once."""
@@ -56,16 +62,13 @@ class InstanceSet:
 
     @cached_property
     def _checked(self) -> bool:
+        """The kind, then per stack the finite entries and Hermitian defect
+        of its matrices and their PD floor, read from the decompositions
+        the spectra cache keeps, then the commutation of each pair."""
         if self.kind not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown instance kind {self.kind!r}")
-        if len(self.A) != self.m or len(self.B) != self.m:
-            raise errors.DimensionMismatch(
-                f"expected {self.m} pairs, got {len(self.A)}/{len(self.B)}"
-            )
-        for X in (*self.A, *self.B):
-            X = require_spd(X)
-            if X.shape != (self.n, self.n):
-                raise errors.DimensionMismatch(f"expected {self.n}x{self.n}, got {X.shape}")
+        require_pd(self.spectra.eig_A)
+        require_pd(self.spectra.eig_B)
         if self.kind == "commuting":
             for Ai, Bi in zip(self.A, self.B):
                 defect = np.linalg.norm(Ai @ Bi - Bi @ Ai)
@@ -77,10 +80,10 @@ class InstanceSet:
         return True
 
     def sum_A(self) -> np.ndarray:
-        return hermitize(sum(self.A))
+        return sum_pairs(self.A)
 
     def sum_B(self) -> np.ndarray:
-        return hermitize(sum(self.B))
+        return sum_pairs(self.B)
 
 
 def build_Z(inst: InstanceSet) -> np.ndarray:

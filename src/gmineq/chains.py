@@ -8,11 +8,15 @@ Hermitian PSD (except the commuting product right side).  Each power of a
 mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
-`grid_terms` evaluates a chain's whole parameter grid on one instance at
-once: the same `InstanceSpectra` methods as the one-point evaluators
-(`main_chain_terms`, `geo_z_terms`, `t_chain_terms`) take one (s, t, r, p)
-per grid point, which `linalg` broadcasts against the instance's own
-decompositions, and each row is bitwise the one-point terms.
+An instance's spectral data live in its `InstanceSpectra`, which works on
+the instance's two read-only (m, n, n) stacks as they are (or on the
+hunt's (K, m, n, n) stacks of instances); each spectral value is defined
+once, as one memoized method.  `grid_terms` evaluates a chain's whole
+parameter grid on one instance at once: the same `InstanceSpectra`
+methods as the one-point evaluators (`main_chain_terms`, `geo_z_terms`,
+`t_chain_terms`) take one (s, t, r, p) per grid point, which `linalg`
+broadcasts against the instance's own decompositions, and each row is
+bitwise the one-point terms.
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -23,14 +27,15 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
 from . import errors
 from .blocks import InstanceSet
 from .generate import SpectrumLaw
-from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
-                     psd_sv, svd)
+from .linalg import (EigenDecomposition, hermitian_eig, power_from_eig, power_rows, psd_sv,
+                     sum_pairs, svd)
 from .means import mean_factor
 from .norms import NormSpec, singular_values
 
@@ -79,14 +84,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sum_pairs(X: np.ndarray) -> np.ndarray:
-    """hermitize(sum_i X_i) over axis -3, added in order as Python's sum."""
-    total = 0
-    for i in range(X.shape[-3]):
-        total = total + X[..., i, :, :]
-    return hermitize(total)
-
-
 def _per_pair(x):
     """One exponent per row (a grid point or an instance of a stack),
     spread over the m pairs."""
@@ -106,45 +103,56 @@ def _stack(values: list, rows: list):
     return np.stack([values[k] for k in rows])
 
 
+def _memoized(method):
+    """An InstanceSpectra value: the method's result, memoized at scalar
+    parameters under the key (method name, *parameters); with per-row
+    parameter arrays, memoized row by row on one instance (see
+    `InstanceSpectra._per_row`) and evaluated once on a stack of
+    instances."""
+    name = method.__name__
+
+    @wraps(method)
+    def value(self, *params):
+        key = (name, *params)
+        try:
+            return self._memo[key]
+        except TypeError:  # per-row parameter arrays
+            return self._per_row(key, method) if self._A.ndim == 3 else method(self, *params)
+        except KeyError:
+            pass
+        result = self._memo[key] = method(self, *params)
+        return result
+
+    return value
+
+
 class InstanceSpectra:
     """Spectral data of one instance, or of a stack of equal-shape instances,
     each piece computed on first use.
 
-    A and B are arrays (..., m, n, n), the leading axes () for one instance.
-    Parameters are scalars, or arrays of one value per row: per grid point
-    on one instance, per instance on a stack.  Values at scalar parameters
-    are memoized and shared by every chain and parameter point.  On one
-    instance, per-row parameters are broadcast against its own
-    decompositions (see `linalg`), and each row's value is memoized under
-    the row's scalar key, the key a one-point evaluation uses: only the
-    distinct rows not there yet are evaluated, together, so each distinct
-    mean, sandwich factor and sum of mean powers is decomposed once per
-    instance, however many grid points and chains share it.  A stack with
-    per-instance parameters is evaluated once, not memoized.  Each value is
-    computed exactly as a direct evaluation computes it (the same
-    decomposition of the same array, the same linalg zeroing rule, each
-    exponent applied as a scalar), so terms read from here are bitwise
-    equal to uncached ones, and each row gets the bytes it gets alone.
-    Every decomposition is of an n x n matrix.
+    A and B are the read-only stacks (..., m, n, n) of an `InstanceSet`, or
+    of the hunt's stacked instances, used as they are; the leading axes are
+    () for one instance.  Each value is one method, memoized by
+    `_memoized`.  Parameters are scalars, or arrays of one value per row:
+    per grid point on one instance, per instance on a stack.  Values at
+    scalar parameters are memoized and shared by every chain and parameter
+    point.  On one instance, per-row parameters are broadcast against its
+    own decompositions (see `linalg`), and each row's value is memoized
+    under the row's scalar key, the key a one-point evaluation uses: only
+    the distinct rows not there yet are evaluated, together, so each
+    distinct mean, sandwich factor and sum of mean powers is decomposed
+    once per instance, however many grid points and chains share it.  A
+    stack with per-instance parameters is evaluated once, not memoized.
+    Each value is computed exactly as a direct evaluation computes it (the
+    same decomposition of the same array, the same linalg zeroing rule,
+    each exponent applied as a scalar), so terms read from here are
+    bitwise equal to uncached ones, and each row gets the bytes it gets
+    alone.  Every decomposition is of an n x n matrix.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         self._A, self._B = A, B
         self._memo = {}
-
-    def _value(self, key: tuple, compute):
-        """compute(self, *key[1:]) for key = (name, *parameters): memoized
-        at scalar parameters; with per-row parameter arrays, memoized row by
-        row on one instance and evaluated once on a stack of instances."""
-        try:
-            if key in self._memo:
-                return self._memo[key]
-        except TypeError:  # per-row parameter arrays
-            if self._A.ndim == 3:  # one instance
-                return self._per_row(key, compute)
-            return compute(self, *key[1:])  # a stack of instances
-        value = self._memo[key] = compute(self, *key[1:])
-        return value
 
     def _per_row(self, key: tuple, compute):
         """compute(self, *key[1:]) on one instance with per-row parameters:
@@ -169,115 +177,98 @@ class InstanceSpectra:
         """The spectra of the instances `rows` of a stack, keeping the
         input decompositions computed so far."""
         sub = InstanceSpectra(self._A[rows], self._B[rows])
-        for key in (("A",), ("B",), ("sum_A",), ("sum_B",)):
+        for key in (("eig_A",), ("eig_B",), ("eig_sum_A",), ("eig_sum_B",)):
             if key in self._memo:
                 sub._memo[key] = self._memo[key][rows]
         return sub
 
     @property
+    @_memoized
     def eig_A(self) -> EigenDecomposition:
         """Decompositions of every A_i, stacked (..., m, n, n)."""
-        return self._value(("A",), lambda sp: hermitian_eig(sp._A))
+        return hermitian_eig(self._A)
 
     @property
+    @_memoized
     def eig_B(self) -> EigenDecomposition:
-        return self._value(("B",), lambda sp: hermitian_eig(sp._B))
+        return hermitian_eig(self._B)
 
     @property
+    @_memoized
     def eig_sum_A(self) -> EigenDecomposition:
-        return self._value(("sum_A",), lambda sp: hermitian_eig(_sum_pairs(sp._A)))
+        return hermitian_eig(sum_pairs(self._A))
 
     @property
+    @_memoized
     def eig_sum_B(self) -> EigenDecomposition:
-        return self._value(("sum_B",), lambda sp: hermitian_eig(_sum_pairs(sp._B)))
+        return hermitian_eig(sum_pairs(self._B))
 
     @property
+    @_memoized
     def condition_max(self):
         """Largest condition number over the inputs and both sums: a float,
         or one per instance of a stack."""
-        return self._value(("condition_max",), _condition_max)
+        pairs = self.eig_A.eigenvalues.shape[:-1]
+        w = np.concatenate([self.eig_A.eigenvalues, self.eig_B.eigenvalues,
+                            self.eig_sum_A.eigenvalues.reshape(pairs[:-1] + (1, -1)),
+                            self.eig_sum_B.eigenvalues.reshape(pairs[:-1] + (1, -1))], axis=-2)
+        lo, hi = w[..., -1], w[..., 0]
+        ratio = np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
+        worst = np.maximum(ratio.max(axis=-1), 1.0)
+        return float(worst) if worst.ndim == 0 else worst
 
+    @_memoized
     def _mean_svds(self, s, t) -> tuple:
         """(W, sigma) of each mean factor F_i = W diag(sigma) Q*, where
         F_i F_i* = A_i^s #_t B_i^s, stacked (..., m, n, n) and (..., m, n)."""
-        return self._value(("mean", s, t), _mean_svds)
+        return svd(mean_factor(self.eig_A, self.eig_B, _per_pair(s), _per_pair(t)))[:2]
 
+    @_memoized
     def lhs_sv(self, s, t, r) -> np.ndarray:
         """Singular values of sum_i (A_i^s #_t B_i^s)^r, each power taken as
         W diag(sigma^{2r}) W* from its mean factor."""
-        return self._value(("lhs", s, t, r), _lhs_sv)
+        W, sigma = self._mean_svds(s, t)
+        weights = power_rows(sigma, 2.0 * _per_pair(r))
+        acc = np.zeros(weights.shape[:-2] + W.shape[-2:], dtype=np.complex128)
+        for i in range(W.shape[-3]):
+            Wi = W[..., i, :, :]
+            acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
+        return _read_only(psd_sv(acc))
 
+    @_memoized
+    def _factor_sv(self, a_exp, b_exp) -> np.ndarray:
+        """Singular values of F = (sum B)^{b/2} (sum A)^a."""
+        return singular_values(power_from_eig(self.eig_sum_B, b_exp / 2.0)
+                               @ power_from_eig(self.eig_sum_A, a_exp))
+
+    @_memoized
     def sandwich_sv(self, a_exp, b_exp, inv_p) -> np.ndarray:
         """Singular values of ((sum A)^a (sum B)^b (sum A)^a)^{inv_p}: the
         sandwich is F* F with F = (sum B)^{b/2} (sum A)^a, so they are the
         singular values of F to the power 2 inv_p."""
-        return self._value(("sandwich", a_exp, b_exp, inv_p), _sandwich_sv)
+        return _read_only(power_rows(self._factor_sv(a_exp, b_exp), 2.0 * inv_p))
 
+    @_memoized
     def z_sv(self, x) -> np.ndarray:
         """Singular values of Z^x: Z's nonzero spectrum is that of the core
         (sum A)^{1/2} (sum B) (sum A)^{1/2}, the sandwich with (a, b) =
         (1/2, 1), followed by (m - 1) n exact zeros."""
-        return self._value(("Z", x), _z_sv)
+        m, n = self._A.shape[-3:-1]
+        core = self.sandwich_sv(0.5, 1.0, x)
+        return _read_only(np.concatenate([core, np.zeros(core.shape[:-1] + ((m - 1) * n,))],
+                                         axis=-1))
 
+    @_memoized
     def commuting_sv(self) -> tuple:
         """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2 of
         one instance."""
-        return self._value(("commuting",), _commuting_sv)
-
-
-# The computations behind InstanceSpectra's values, each of the spectra it
-# is given (one instance, at scalar or per-row parameters, or a stack).
-
-def _condition_max(sp: InstanceSpectra):
-    pairs = sp.eig_A.eigenvalues.shape[:-1]
-    w = np.concatenate([sp.eig_A.eigenvalues, sp.eig_B.eigenvalues,
-                        sp.eig_sum_A.eigenvalues.reshape(pairs[:-1] + (1, -1)),
-                        sp.eig_sum_B.eigenvalues.reshape(pairs[:-1] + (1, -1))], axis=-2)
-    lo, hi = w[..., -1], w[..., 0]
-    ratio = np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
-    worst = np.maximum(ratio.max(axis=-1), 1.0)
-    return float(worst) if worst.ndim == 0 else worst
-
-
-def _mean_svds(sp: InstanceSpectra, s, t) -> tuple:
-    return svd(mean_factor(sp.eig_A, sp.eig_B, _per_pair(s), _per_pair(t)))[:2]
-
-
-def _lhs_sv(sp: InstanceSpectra, s, t, r) -> np.ndarray:
-    W, sigma = sp._mean_svds(s, t)
-    weights = power_rows(sigma, 2.0 * _per_pair(r))
-    acc = np.zeros(weights.shape[:-2] + W.shape[-2:], dtype=np.complex128)
-    for i in range(W.shape[-3]):
-        Wi = W[..., i, :, :]
-        acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
-    return _read_only(psd_sv(acc))
-
-
-def _factor_sv(sp: InstanceSpectra, a_exp, b_exp) -> np.ndarray:
-    """Singular values of F = (sum B)^{b/2} (sum A)^a."""
-    return singular_values(power_from_eig(sp.eig_sum_B, b_exp / 2.0)
-                           @ power_from_eig(sp.eig_sum_A, a_exp))
-
-
-def _sandwich_sv(sp: InstanceSpectra, a_exp, b_exp, inv_p) -> np.ndarray:
-    factor_sv = sp._value(("factor", a_exp, b_exp), _factor_sv)
-    return _read_only(power_rows(factor_sv, 2.0 * inv_p))
-
-
-def _z_sv(sp: InstanceSpectra, x) -> np.ndarray:
-    m, n = sp._A.shape[-3:-1]
-    core = sp.sandwich_sv(0.5, 1.0, x)
-    return _read_only(np.concatenate([core, np.zeros(core.shape[:-1] + ((m - 1) * n,))], axis=-1))
-
-
-def _commuting_sv(sp: InstanceSpectra) -> tuple:
-    lhs = np.zeros(sp._A.shape[-2:], dtype=np.complex128)
-    mid_root = np.zeros_like(lhs)
-    A_half, B_half = power_from_eig(sp.eig_A, 0.5), power_from_eig(sp.eig_B, 0.5)
-    for Ai, Bi, Ai_half, Bi_half in zip(sp._A, sp._B, A_half, B_half):
-        lhs += Ai @ Bi
-        mid_root += Ai_half @ Bi_half
-    return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
+        lhs = np.zeros(self._A.shape[-2:], dtype=np.complex128)
+        mid_root = np.zeros_like(lhs)
+        A_half, B_half = power_from_eig(self.eig_A, 0.5), power_from_eig(self.eig_B, 0.5)
+        for Ai, Bi, Ai_half, Bi_half in zip(self._A, self._B, A_half, B_half):
+            lhs += Ai @ Bi
+            mid_root += Ai_half @ Bi_half
+        return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
 
 def condition_max(inst: InstanceSet) -> float:
@@ -402,14 +393,7 @@ def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
         rhs_sv = singular_values(inst.sum_A() @ inst.sum_B())
     else:
         rhs_sv = sp.sandwich_sv(0.5, 1.0, 1.0)
-    return ChainTerms(
-        chain_id=f"commuting-{variant}",
-        lhs_sv=lhs_sv,
-        mid_sv=mid_sv,
-        rhs_sv=rhs_sv,
-        status="proven",
-        condition_max=condition_max(inst),
-    )
+    return ChainTerms(f"commuting-{variant}", lhs_sv, rhs_sv, mid_sv, "proven", sp.condition_max)
 
 
 def chain_margins(lhs, mid, rhs, tol_rel: float = DEFAULT_TOL_REL) -> tuple:

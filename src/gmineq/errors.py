@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class Error(Exception):
     """Base class for all package errors."""
@@ -66,3 +68,10 @@ def require_all(kind, values, message: str) -> None:
     `kind`; booleans never count as numbers."""
     if not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
         raise ConfigError(message)
+
+
+def require_finite(name: str, values) -> None:
+    """Raise ConfigError naming field `name` if any of its numbers is
+    infinite; NaN is left to the field's own checks."""
+    if any(math.isinf(v) for v in values):
+        raise ConfigError(f"{name} must be finite, got {values!r}")

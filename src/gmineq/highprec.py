@@ -70,11 +70,10 @@ def _norm_from_vals(vals: list, spec: NormSpec):
     return mp.sqrt(mp.fsum(v ** 2 for v in vals))
 
 
-def t_chain_margin(A_list, B_list, params: ChainParams, norm: NormSpec,
-                   dps: int = DEFAULT_DPS) -> float:
+def t_chain_margin(A_list, B_list, params: ChainParams, norm: NormSpec) -> float:
     """Normalized margin (rhs - lhs) / max(1, rhs) of the weighted chain,
-    computed at `dps` decimal digits."""
-    with mp.workdps(dps):
+    computed at DEFAULT_DPS decimal digits."""
+    with mp.workdps(DEFAULT_DPS):
         s, r, p, t = (mp.mpf(params.s), mp.mpf(params.r), mp.mpf(params.p), mp.mpf(params.t))
         As = [_to_mp(X) for X in A_list]
         Bs = [_to_mp(X) for X in B_list]

@@ -8,11 +8,14 @@ reported as a violation candidate.
 The sampling phase is bucketed: each sample draws its parameters and its
 instance's random numbers from its own seeded streams, the samples are
 grouped by (n, m), and each group is generated and evaluated as one stack
-(one call per kernel step; see `linalg`).  The streams are made many at a
-time by `generate.generators`, each that of `np.random.default_rng` at its
-seed.  The arg-min is then taken in sample order, the first sample winning
-a tie.  Refinement is keep-if-smaller, evaluated in windows: until a step
-is accepted every step perturbs the same point from its own seeded stream,
+(one call per kernel step; see `linalg`).  The samples are taken in
+chunks of a fixed count, sized so that a chunk of the largest instances
+holds at most _CHUNK_ENTRIES matrix entries; a chunk's parameter streams
+are made by one `generate.generators` call and its instance streams by
+another, each stream that of `np.random.default_rng` at its seed.  The
+arg-min is then taken in sample order, the first sample winning a tie.
+Refinement is keep-if-smaller, evaluated in windows: until a step is
+accepted every step perturbs the same point from its own seeded stream,
 so the candidates of a window of steps are drawn and evaluated as one
 stack, then read in step order up to the first accepted one.  Sampling,
 refinement and `evaluate_argmin` all evaluate through `_stack_margins`, so
@@ -53,12 +56,9 @@ _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement steps
 # Refinement steps evaluated as one stack at first; the window doubles
 # after each window with no accepted step.
 _WINDOW = 8
-# The sampling phase holds about this many matrix entries (16 bytes each) of
-# instances at a time.
+# A chunk of the sampling phase holds at most this many matrix entries (16
+# bytes each) of instances, or one sample when a single one holds more.
 _CHUNK_ENTRIES = 1 << 18
-# The sampling phase makes the streams of this many samples' parameters at
-# a time.
-_STREAM_BLOCK = 1024
 
 
 @dataclass
@@ -90,12 +90,14 @@ class SearchConfig:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise errors.ConfigError(message)
             errors.require_all(numbers.Real, pair, message)
+            errors.require_finite(name, pair)
         for name in ("r_values", "p_values"):
             values = getattr(self, name)
             message = f"{name} must be a nonempty list of positive numbers, got {values!r}"
             if not isinstance(values, (list, tuple)) or not values:
                 raise errors.ConfigError(message)
             errors.require_all(numbers.Real, values, message)
+            errors.require_finite(name, values)
             if not all(v > 0.0 for v in values):
                 raise errors.ConfigError(message)
         if self.samples < 1:
@@ -112,11 +114,17 @@ class SearchConfig:
 
 
 def _complex_to_lists(M: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, dtype=np.complex128)]
+    """Nested lists of [re, im] pairs of a complex array."""
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def _lists_to_complex(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+    """The complex array, bit for bit, of nested lists of [re, im] pairs;
+    ragged nesting, or entries that are not pairs, raise DimensionMismatch."""
+    try:
+        return np.array(rows, dtype=np.float64).view(np.complex128).squeeze(-1)
+    except ValueError as exc:
+        raise errors.DimensionMismatch(f"matrix entries are not [re, im] pairs: {exc}") from None
 
 
 @dataclass
@@ -202,37 +210,23 @@ def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap) -
 def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
     """(margin, spec) of one point through `_stack_margins`, a stack of
     one; (None, None) when gated."""
-    gated, margin, specs = _stack_margins(np.stack(inst.A)[None], np.stack(inst.B)[None],
-                                          [params], norms, condition_cap)
+    gated, margin, specs = _stack_margins(inst.A[None], inst.B[None], [params], norms,
+                                          condition_cap)
     return (None, None) if gated[0] else (float(margin[0]), specs[0])
-
-
-def _chunks(cfg: SearchConfig):
-    """The samples in order, in chunks of about _CHUNK_ENTRIES matrix
-    entries, so that a long hunt holds a bounded working set.  The streams
-    of _STREAM_BLOCK samples are made by one `generators` call."""
-    chunk, entries = [], 0
-    for start in range(0, cfg.samples, _STREAM_BLOCK):
-        block = range(start, min(start + _STREAM_BLOCK, cfg.samples))
-        for k, rng in zip(block, generators([derive_seed(cfg.base_seed, k) for k in block])):
-            n, m, params, seed = _sample_point(cfg, k, rng)
-            chunk.append((n, m, params, seed))
-            entries += 2 * m * n ** 2
-            if entries >= _CHUNK_ENTRIES:
-                yield chunk
-                chunk, entries = [], 0
-    if chunk:
-        yield chunk
 
 
 def _sampling_phase(cfg: SearchConfig):
     """(margin or None when gated, point) for every sample, in sample
-    order.  The streams of a chunk's instances are made by one `generators`
-    call, and its samples are grouped by (n, m); a group's instances are
-    drawn and assembled as one stack and evaluated by one `_stack_margins`
-    call.  A point is (A, B, row, sample, spec): the sample's instance is
-    row `row` of the stacks A and B, and `sample` is from `_sample_point`."""
-    for chunk in _chunks(cfg):
+    order, chunk by chunk (see the module docstring).  A chunk's samples
+    are grouped by (n, m); a group's instances are drawn and assembled as
+    one stack and evaluated by one `_stack_margins` call.  A point is (A,
+    B, row, sample, spec): the sample's instance is row `row` of the
+    stacks A and B, and `sample` is from `_sample_point`."""
+    size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
+    for start in range(0, cfg.samples, size):
+        block = range(start, min(start + size, cfg.samples))
+        chunk = [_sample_point(cfg, k, rng) for k, rng in
+                 zip(block, generators([derive_seed(cfg.base_seed, k) for k in block]))]
         streams = generators([seed for *_, seed in chunk])
         buckets = {}
         for i, (n, m, _, _) in enumerate(chunk):
@@ -350,8 +344,8 @@ def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margi
         "norm": spec.to_record(),
         "margin": margin,
         "status": t_chain_status(params),
-        "A": [_complex_to_lists(Ai) for Ai in inst.A],
-        "B": [_complex_to_lists(Bi) for Bi in inst.B],
+        "A": _complex_to_lists(inst.A),
+        "B": _complex_to_lists(inst.B),
     }
 
 
@@ -362,14 +356,8 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_C
     arg = result_or_argmin.argmin if isinstance(result_or_argmin, SearchResult) else result_or_argmin
     if arg is None:
         return None
-    inst = InstanceSet(
-        m=arg["m"],
-        n=arg["n"],
-        A=[_lists_to_complex(Ai) for Ai in arg["A"]],
-        B=[_lists_to_complex(Bi) for Bi in arg["B"]],
-        seed=arg["instance_seed"],
-        kind=arg["kind"],
-    )
+    inst = InstanceSet(m=arg["m"], n=arg["n"], A=_lists_to_complex(arg["A"]),
+                       B=_lists_to_complex(arg["B"]), seed=arg["instance_seed"], kind=arg["kind"])
     params = ChainParams(**arg["params"])
     return _point_margin(inst, params, [NormSpec.from_record(arg["norm"])], condition_cap)[0]
 
@@ -391,19 +379,14 @@ def hunt(cfg: SearchConfig) -> SearchResult:
         if margin < best_margin:
             best_margin, best_point = margin, point
 
+    candidate, recheck, argmin = False, None, None
     if best_point is not None:
         A, B, row, (n, m, params, seed), spec = best_point
         A, B, params, spec, best_margin, refine_evaluated, refine_gated = _refine(
             cfg, A[row], B[row], params, spec, best_margin)
         evaluated += refine_evaluated
         gated += refine_gated
-        best_point = (InstanceSet(m=m, n=n, A=A, B=B, seed=seed, kind="generic"), params, spec)
-
-    candidate = False
-    recheck = None
-    argmin = None
-    if best_point is not None:
-        inst, params, spec = best_point
+        inst = InstanceSet(m=m, n=n, A=A, B=B, seed=seed, kind="generic")
         argmin = _argmin_record(inst, params, spec, float(best_margin))
         if best_margin < -cfg.tol_rel:
             # confirm in extended precision before surfacing

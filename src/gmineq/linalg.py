@@ -7,17 +7,17 @@ re-Hermitized where the exact result is Hermitian, so downstream invariant
 checks see symmetric round-off.
 
 The spectral path is stack-aware: `hermitize`, `require_hermitian`,
-`hermitian_eig`, `psd_sv`, `power_from_eig` and `svd` take arrays of shape
-(..., n, n), one matrix per leading index, and run each check (finite
-entries, Hermitian defect, the zeroing rule, the PD floor) per matrix.  An
-exponent is a scalar, one value per matrix of a stack, or an array of
-per-row exponents with more axes than the spectrum's leading ones, which
-broadcasts against a spectrum that is not stacked: (K, 1) exponents against
-the (m, n) spectra of m matrices give (K, m, n), and (K,) exponents against
-the (n,) spectrum of one matrix give (K, n).  A scalar takes the 2-d code
-path unchanged.  Per-row exponents are applied by one array power call
-(see `power_rows`), and each row gets bitwise the result that its matrix
-gets alone at its exponent.
+`hermitian_eig`, `require_pd`, `psd_sv`, `power_from_eig`, `svd` and
+`sum_pairs` take arrays of shape (..., n, n), one matrix per leading index,
+and run each check (finite entries, Hermitian defect, the zeroing rule,
+the PD floor) per matrix.  An exponent is a scalar, one value per matrix
+of a stack, or an array of per-row exponents with more axes than the
+spectrum's leading ones, which broadcasts against a spectrum that is not
+stacked: (K, 1) exponents against the (m, n) spectra of m matrices give
+(K, m, n), and (K,) exponents against the (n,) spectrum of one matrix give
+(K, n).  A scalar takes the 2-d code path unchanged.  Per-row exponents
+are applied by one array power call (see `power_rows`), and each row gets
+bitwise the result that its matrix gets alone at its exponent.
 """
 
 from __future__ import annotations
@@ -66,15 +66,16 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
-def require_hermitian(H, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(H) -> np.ndarray:
     """Validate the Hermitian invariant of every matrix and return H unchanged."""
     A = require_square(H)
     scale = np.abs(A).max(axis=(-2, -1), initial=1.0)
     defect = np.abs(A - A.conj().mT).max(axis=(-2, -1))
-    bad = defect > rtol * scale
+    bad = defect > HERMITIAN_RTOL * scale
     if _any(bad):
         raise errors.NotHermitian(
-            f"max |H - H*| = {defect[bad].flat[0]:.3e} exceeds {rtol:.1e} * {scale[bad].flat[0]:.3e}"
+            f"max |H - H*| = {defect[bad].flat[0]:.3e} exceeds {HERMITIAN_RTOL:.1e}"
+            f" * {scale[bad].flat[0]:.3e}"
         )
     return A
 
@@ -101,10 +102,10 @@ def from_spectrum(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return hermitize((Q * lam[..., None, :]) @ Q.conj().mT)
 
 
-def hermitian_eig(H, rtol: float = HERMITIAN_RTOL) -> EigenDecomposition:
+def hermitian_eig(H) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack, eigenvalues descending."""
-    A = require_hermitian(H, rtol)
+    A = require_hermitian(H)
     try:
         w, V = np.linalg.eigh(hermitize(A))
     except np.linalg.LinAlgError as exc:
@@ -188,9 +189,9 @@ def power_from_eig(eig: EigenDecomposition, x) -> np.ndarray:
     return from_spectrum(eig.vectors, _power_spectrum(eig.eigenvalues, x))
 
 
-def matrix_power(H, x: float, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def matrix_power(H, x: float) -> np.ndarray:
     """H**x for Hermitian H with nonnegative spectrum (see power_from_eig)."""
-    return power_from_eig(hermitian_eig(H, rtol), x)
+    return power_from_eig(hermitian_eig(H), x)
 
 
 def svd(M: np.ndarray) -> tuple:
@@ -201,17 +202,27 @@ def svd(M: np.ndarray) -> tuple:
         raise errors.NonConvergence(str(exc)) from exc
 
 
-def spd_eig(H, tol: float = PD_FLOOR) -> EigenDecomposition:
-    """hermitian_eig(H), raising SingularInput unless H is positive definite:
-    its smallest eigenvalue must exceed tol * max(1, largest)."""
-    eig = hermitian_eig(H)
-    lo, hi = float(eig.eigenvalues[-1]), float(eig.eigenvalues[0])
-    if not lo > tol * max(1.0, hi):
-        raise errors.SingularInput(f"matrix not positive definite: min eigenvalue {lo:.3e}")
+def require_pd(eig: EigenDecomposition) -> EigenDecomposition:
+    """eig, raising SingularInput unless every matrix it decomposes is
+    positive definite: its smallest eigenvalue must exceed
+    PD_FLOOR * max(1, largest)."""
+    lo, hi = eig.eigenvalues[..., -1], eig.eigenvalues[..., 0]
+    bad = ~(lo > PD_FLOOR * np.maximum(1.0, hi))
+    if _any(bad):
+        raise errors.SingularInput(
+            f"matrix not positive definite: min eigenvalue {lo[bad].flat[0]:.3e}")
     return eig
 
 
-def require_spd(H, tol: float = PD_FLOOR) -> np.ndarray:
-    A = require_hermitian(H)
-    spd_eig(A, tol)
-    return A
+def spd_eig(H) -> EigenDecomposition:
+    """hermitian_eig(H), raising SingularInput unless H is positive definite
+    (see require_pd)."""
+    return require_pd(hermitian_eig(H))
+
+
+def sum_pairs(X: np.ndarray) -> np.ndarray:
+    """hermitize(sum_i X_i) over axis -3, added in order as Python's sum."""
+    total = 0
+    for i in range(X.shape[-3]):
+        total = total + X[..., i, :, :]
+    return hermitize(total)

@@ -159,8 +159,9 @@ class DominanceReport:
     worst_margin: float
 
 
-def ky_fan_dominance(X, Y, tol: float = 1e-10) -> DominanceReport:
-    """Check KyFan_k(X) <= KyFan_k(Y) for every k = 1..n.
+def ky_fan_dominance(X, Y) -> DominanceReport:
+    """Check KyFan_k(X) <= KyFan_k(Y) for every k = 1..n, to within
+    1e-10 * max(1, KyFan_n(Y)).
 
     By the Fan dominance principle this decides ordering in every
     unitarily invariant norm.  worst_margin is the minimum over k of
@@ -176,7 +177,7 @@ def ky_fan_dominance(X, Y, tol: float = 1e-10) -> DominanceReport:
     worst = int(np.argmin(margins))
     scale = max(1.0, float(fan_y[-1]))
     return DominanceReport(
-        dominated=bool(margins.min() >= -tol * scale),
+        dominated=bool(margins.min() >= -1e-10 * scale),
         worst_k=worst + 1,
         worst_margin=float(margins[worst]),
     )

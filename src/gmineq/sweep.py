@@ -54,6 +54,8 @@ class SweepConfig:
                            "n_values, m_values and instance_count must be integers")
         errors.require_all(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
                                           *self.t_values], "s, r, p and t values must be numbers")
+        for name in ("s_values", "r_values", "p_values", "t_values"):
+            errors.require_finite(name, getattr(self, name))
         validate_run_fields(self)
         for c in self.chains:
             if c not in KNOWN_CHAINS:

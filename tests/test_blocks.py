@@ -10,6 +10,7 @@ from gmineq.blocks import (
     reduced_core,
     verify_equivalences,
 )
+from gmineq.chains import commuting_terms
 from gmineq.generate import generate_instance
 from gmineq.linalg import hermitian_eig, matrix_power
 
@@ -26,6 +27,39 @@ class TestInstanceSet:
     def test_rejects_wrong_shape(self):
         with pytest.raises(errors.DimensionMismatch):
             InstanceSet(m=1, n=3, A=[np.eye(2)], B=[np.eye(2)]).validate()
+
+    @pytest.mark.parametrize("m, n, A", [
+        (2, 2, [np.eye(2)] * 3),                  # one pair too many
+        (1, 2, [np.eye(3)]),                      # matrix size
+        (2, 2, [np.eye(2), np.eye(3)]),           # ragged stack
+        (1, 2, [[[1.0, 0.0], [0.0]]]),            # ragged matrix
+    ])
+    def test_rejects_shape_when_built(self, m, n, A):
+        with pytest.raises(errors.DimensionMismatch):
+            InstanceSet(m=m, n=n, A=A, B=[np.eye(n)] * m)
+
+    def test_stacks_are_read_only(self):
+        inst = InstanceSet(m=2, n=2, A=[np.eye(2), 2 * np.eye(2)], B=np.ones((2, 2, 2)) + np.eye(2))
+        for X in (inst.A, inst.B):
+            assert X.shape == (2, 2, 2) and X.dtype == np.complex128 and not X.flags.writeable
+
+    def test_validate_decomposes_nothing_new(self, monkeypatch):
+        """validate() reads positive definiteness from the stacked
+        decompositions the chains use: with both commuting variants, 6
+        eigh calls (A, B, both sums and the two commuting left sides)."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        inst = generate_instance("commuting", 3, 2, 5)
+        inst.validate()
+        for variant in ("product", "symmetrized"):
+            commuting_terms(inst, variant)
+        assert len(calls) == 6, calls
 
     def test_rejects_indefinite(self):
         with pytest.raises(errors.SingularInput):

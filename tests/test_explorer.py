@@ -40,7 +40,7 @@ class TestGeneration:
     def test_bit_identical(self):
         i1 = generate_instance("generic", 3, 2, 123)
         i2 = generate_instance("generic", 3, 2, 123)
-        for a, b in zip(i1.A + i1.B, i2.A + i2.B):
+        for a, b in zip([*i1.A, *i1.B], [*i2.A, *i2.B]):
             np.testing.assert_array_equal(a, b)
 
     def test_seed_sensitivity(self):
@@ -428,3 +428,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: SingularForNegativePower: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["hunt", "--samples", "5", "--s-hi", "inf"], "s_range"),
+        (["hunt", "--samples", "5", "--r", "inf"], "r_values"),
+        (["verify", "--chain", "geo-z", "--count", "1", "--s", "inf"], "s_values"),
+        (["verify", "--chain", "t-chain", "--count", "1", "--p", "inf"], "p_values"),
+        (["verify", "--chain", "main", "--count", "1", "--s", "2,inf"], "s_values"),
+    ])
+    def test_infinite_parameter_exit_code(self, argv, field, capsys):
+        """An infinite exponent or range end is a configuration error that
+        names its field, not a failure of the evaluation."""
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("malform", ["extra_pair", "ragged"])
+    def test_show_malformed_argmin(self, malform, tmp_path, capsys):
+        """An arg-min whose matrices do not form m n x n pairs is refused
+        when its instance is built: exit 3 and DimensionMismatch."""
+        r = hunt(SearchConfig(base_seed=3, samples=30))
+        inst = generate_instance("generic", 3, 2, 5)
+        pairs = {name: [[[[v.real, v.imag] for v in row] for row in Xi] for Xi in X]
+                 for name, X in (("A", inst.A), ("B", inst.B))}
+        r.argmin.update(n=3, m=2, **pairs)
+        assert cli.main(["show", "--in", str(self._written(r, tmp_path))]) == cli.EXIT_OK
+        if malform == "extra_pair":
+            r.argmin["A"].append(r.argmin["A"][0])
+        else:
+            r.argmin["B"][1][2].pop()  # one row of one matrix loses an entry
+        capsys.readouterr()
+        assert cli.main(["show", "--in", str(self._written(r, tmp_path))]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @staticmethod
+    def _written(result, tmp_path):
+        out = tmp_path / "h.json"
+        write_reports(result, out)
+        return out

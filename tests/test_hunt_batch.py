@@ -225,7 +225,7 @@ def _assert_result_matches(result, oracle):
     assert (result.samples_evaluated, result.gated_count) == (1 + evaluated, gated)
     arg = result.argmin
     assert arg["params"] == want_params.as_dict() and arg["norm"] == want_spec.to_record()
-    for got, want in zip(arg["A"] + arg["B"], want_inst.A + want_inst.B):
+    for got, want in zip(arg["A"] + arg["B"], [*want_inst.A, *want_inst.B]):
         assert np.array_equal(hunt_module._lists_to_complex(got), want)
 
 

@@ -21,7 +21,9 @@ change's median is within the metric's regression bound, and whether a
 gain would pass the claim rule (wins in at least nine tenths of the pairs
 and a median gain larger than the base's interquartile range).  It also
 counts the report SHA-256 digests that both sides wrote on the same pass
-and how many of those are equal.
+and how many of those are equal, and records each side's line count of
+`src/**/*.py` (as `wc -l` counts them), so that a refactor's change in
+size is recorded with its measurement.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def revision(checkout: Path) -> str:
     proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else checkout.name
+
+
+def src_lines(checkout: Path) -> int:
+    """Newline count of the checkout's `src/**/*.py` files."""
+    return sum(p.read_bytes().count(b"\n") for p in checkout.glob("src/**/*.py"))
 
 
 def quartiles(values: list) -> dict:
@@ -146,6 +153,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "seeds": args.seeds,
         "held_out_seeds": args.held_out,
+        "src_lines": {"base": src_lines(base), "change": src_lines(change)},
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
