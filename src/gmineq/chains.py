@@ -25,6 +25,7 @@ Ky Fan norms treat missing singular values as zeros.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import wraps
@@ -421,17 +422,23 @@ def expand_norm_tokens(tokens, max_dim: int) -> list:
 
 def validate_run_fields(cfg) -> None:
     """The checks of the fields that sweep and hunt configs share: an
-    integer base_seed, a SpectrumLaw, a list of norm labels, a number
-    tol_rel and a number condition_cap > 1."""
+    integer base_seed, a SpectrumLaw, a nonempty list of norm labels that
+    all parse, a finite number tol_rel >= 0 and a number condition_cap > 1."""
     errors.require_all(numbers.Integral, [cfg.base_seed],
                        f"base_seed must be an integer, got {cfg.base_seed!r}")
     if not isinstance(cfg.spectrum_law, SpectrumLaw):
         raise errors.ConfigError(f"spectrum_law must be a spectrum law, got {cfg.spectrum_law!r}")
-    message = f"norms must be a list of norm labels, got {cfg.norms!r}"
-    if not isinstance(cfg.norms, (list, tuple)):
+    message = f"norms must be a nonempty list of norm labels, got {cfg.norms!r}"
+    if not isinstance(cfg.norms, (list, tuple)) or not cfg.norms:
         raise errors.ConfigError(message)
     errors.require_all((str, NormSpec), cfg.norms, message)
+    try:
+        expand_norm_tokens(cfg.norms, 1)
+    except errors.InvalidSpec as exc:
+        raise errors.ConfigError(f"norms: {exc}") from None
     errors.require_all(numbers.Real, [cfg.tol_rel, cfg.condition_cap],
                        "tol_rel and condition_cap must be numbers")
+    if not 0.0 <= cfg.tol_rel < math.inf:
+        raise errors.ConfigError(f"tol_rel must be finite and >= 0, got {cfg.tol_rel!r}")
     if not cfg.condition_cap > 1.0:
         raise errors.ConfigError(f"condition_cap must be > 1, got {cfg.condition_cap!r}")

@@ -18,6 +18,7 @@ the bytes it gets alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,8 +57,8 @@ class SpectrumLaw:
     hi: float = 10.0
 
     def __post_init__(self):
-        if not (self.lo > 0.0 and self.hi >= self.lo):
-            raise errors.InvalidSpectrumLaw(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (self.lo > 0.0 and self.lo <= self.hi < math.inf):
+            raise errors.InvalidSpectrumLaw(f"need finite 0 < lo <= hi, got [{self.lo}, {self.hi}]")
 
     @cached_property
     def _log_bounds(self) -> tuple:

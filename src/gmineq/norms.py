@@ -32,7 +32,7 @@ class NormSpec:
             if self.k is None or self.k < 1:
                 raise errors.InvalidSpec(f"Ky Fan k must be >= 1, got {self.k}")
         elif self.variant == "schatten":
-            if self.p is None or self.p < 1.0:
+            if self.p is None or not self.p >= 1.0:
                 raise errors.InvalidSpec(f"Schatten p must be >= 1, got {self.p}")
         elif self.variant not in _NAMED:
             raise errors.InvalidSpec(f"unknown norm variant {self.variant!r}")
@@ -63,12 +63,14 @@ class NormSpec:
         text = text.strip().lower()
         if text in _NAMED:
             return cls(text)
-        if ":" in text:
-            head, arg = text.split(":", 1)
+        head, _, arg = text.partition(":")
+        try:
             if head == "kyfan":
                 return cls.ky_fan(int(arg))
             if head == "schatten":
-                return cls.schatten(math.inf if arg == "inf" else float(arg))
+                return cls.schatten(float(arg))
+        except ValueError:
+            pass
         raise errors.InvalidSpec(f"cannot parse norm spec {text!r}")
 
     @property

@@ -14,10 +14,11 @@ so `build_report_set` orders a report by sorting term-set blocks by
 (chain, seed, params) and stable-merging blocks with equal keys by norm,
 which equals sorting every record by `record_sort_key`.
 
-`dumps` is a one-pass encoder whose memo, kept for one call, formats each
-repeated key and float once (its docstring has the rules).  `write_reports`
-shares one memo across a file and still encodes one line per record;
-`read_reports` decodes all of a file's lines with one `json.loads` call.
+`_encode` is the one function that picks a value's JSON by its type; its
+memo formats each repeated key and float once (`dumps` has the rules).
+`write_reports` encodes a file's records and summary into one list of
+parts, with one memo, and joins it once; `read_reports` decodes all of a
+file's lines with one `json.loads` call.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ SCHEMA_VERSION = 1
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        raise ValueError("cannot serialize NaN")
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    s = format(x, ".17g")
-    if not any(c in s for c in ".e"):
-        s += ".0"
-    return s
-
-
 def dumps(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
@@ -64,52 +54,22 @@ def dumps(obj) -> str:
     written by `str`, infinities as the strings "inf" and "-inf"; NaN
     raises `ValueError` and a value of any other type `TypeError`.
 
-    One pass over the value: the dict and list loops write values of the
-    exact types float, str, int, bool and None inline and recurse only into
-    containers; any other value (a subclass such as `np.float64`, or a type
-    that raises) takes the `isinstance` path of `_encode`.  A memo kept for
-    one call (`write_reports` shares one across a file's lines) holds the
-    quoted `"key":` prefix of each `str` key and the text of each non-zero
-    float, so a report's repeated keys and values (its parameters,
-    condition numbers and terms shared by grid points) are formatted once.
-    A key of any other type is written as `str(k)` every time, so keys that
-    compare equal but print differently (`1`, `True`, `1.0`) never share a
-    prefix; no zero is remembered, since 0.0 and -0.0 compare equal.
+    `_encode` writes the value in one pass, and a memo kept for one call
+    (`write_reports` shares one across a file) holds the quoted `"key":`
+    prefix of each `str` key and the text of each non-zero float, so a
+    report's repeated keys and values (its parameters, condition numbers
+    and terms shared by grid points) are formatted once.  A key of any
+    other type is written as `str(k)` every time, so keys that compare
+    equal but print differently (`1`, `True`, `1.0`) never share a prefix;
+    no zero is remembered, since 0.0 and -0.0 compare equal.
     """
-    return _dumps(obj, {})
-
-
-def _dumps(obj, memo: dict) -> str:
-    """`dumps` with the caller's memo."""
     parts: list = []
-    _encode(obj, parts, memo)
+    _encode(obj, parts, {})
     return "".join(parts)
 
 
-def _encode(v, parts: list, memo: dict) -> None:
-    """Append the JSON of any value, dispatched by `isinstance`."""
-    if v is None:
-        parts.append("null")
-    elif v is True:
-        parts.append("true")
-    elif v is False:
-        parts.append("false")
-    elif isinstance(v, int):
-        parts.append(str(v))
-    elif isinstance(v, float):
-        parts.append(_fmt_float(v))
-    elif isinstance(v, str):
-        parts.append(_quote(v))
-    elif isinstance(v, (list, tuple)):
-        _encode_list(v, parts, memo)
-    elif isinstance(v, dict):
-        _encode_dict(v, parts, memo)
-    else:
-        raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
 # A memo maps each exact-str key to its quoted `"key":` prefix and each
-# non-zero exact float to its text (no str equals a float, so the two never
+# non-zero float to its text (no str equals a float, so the two never
 # meet).  It is emptied at this many entries, so that it stays small on a
 # file of unique values.
 _MEMO_MAX = 4096
@@ -123,78 +83,68 @@ def _remember(memo: dict, value, text: str) -> str:
 
 
 def _float_text(v: float, memo: dict) -> str:
-    """The text of an exact float not in `memo`; remembered unless it is
-    zero (0.0 and -0.0 compare equal but print differently).  A 17-digit
-    form with a "." or an "e" is finite and final; any other (integral,
-    infinite or NaN) goes through `_fmt_float`."""
+    """The text of a float not in `memo`; remembered unless it is zero
+    (0.0 and -0.0 compare equal but print differently).  A 17-digit form
+    with a "." or an "e" is finite and final; an integral one gains ".0",
+    infinities are quoted and NaN raises."""
     s = format(v, ".17g")
     if "." not in s and "e" not in s:
-        s = _fmt_float(v)
+        if math.isnan(v):
+            raise ValueError("cannot serialize NaN")
+        if math.isinf(v):
+            s = '"inf"' if v > 0 else '"-inf"'
+        else:
+            s += ".0"
     return _remember(memo, v, s) if v else s
 
 
-# The two loops below repeat one inline dispatch on purpose: a function
-# call per value would cost more than writing a remembered float or a str.
-
-def _encode_dict(d: dict, parts: list, memo: dict) -> None:
-    append = parts.append
-    sep = "{"
-    for k, v in d.items():
-        if type(k) is str:
-            prefix = memo.get(k) or _remember(memo, k, _quote(str(k)) + ":")
-        else:
-            prefix = _quote(str(k)) + ":"
-        append(sep)
-        append(prefix)
-        sep = ","
-        t = type(v)
-        if t is float:
-            append(memo.get(v) or _float_text(v, memo))
-        elif t is str:
-            append(_quote(v))
-        elif t is int:
-            append(str(v))
-        elif v is None:
-            append("null")
-        elif v is True:
-            append("true")
-        elif v is False:
-            append("false")
-        elif t is dict:
-            _encode_dict(v, parts, memo)
-        elif t is list or t is tuple:
-            _encode_list(v, parts, memo)
-        else:
-            _encode(v, parts, memo)
-    append("}" if sep == "," else "{}")
-
-
-def _encode_list(a, parts: list, memo: dict) -> None:
-    append = parts.append
-    sep = "["
-    for v in a:
-        append(sep)
-        sep = ","
-        t = type(v)
-        if t is float:
-            append(memo.get(v) or _float_text(v, memo))
-        elif t is str:
-            append(_quote(v))
-        elif t is int:
-            append(str(v))
-        elif v is None:
-            append("null")
-        elif v is True:
-            append("true")
-        elif v is False:
-            append("false")
-        elif t is dict:
-            _encode_dict(v, parts, memo)
-        elif t is list or t is tuple:
-            _encode_list(v, parts, memo)
-        else:
-            _encode(v, parts, memo)
-    append("]" if sep == "," else "[]")
+def _encode(v, parts: list, memo: dict) -> None:
+    """Append the JSON of any value to `parts`: exact types first, then
+    `isinstance` for subclasses (a dict or list subclass is copied to its
+    base type) and for the types that raise."""
+    t = type(v)
+    if t is float:
+        parts.append(memo.get(v) or _float_text(v, memo))
+    elif t is str:
+        parts.append(_quote(v))
+    elif t is int:
+        parts.append(str(v))
+    elif t is dict:
+        sep = "{"
+        for k, x in v.items():
+            parts.append(sep)
+            sep = ","
+            if type(k) is str:
+                parts.append(memo.get(k) or _remember(memo, k, _quote(k) + ":"))
+            else:
+                parts.append(_quote(str(k)) + ":")
+            _encode(x, parts, memo)
+        parts.append("}" if sep == "," else "{}")
+    elif t is list or t is tuple:
+        sep = "["
+        for x in v:
+            parts.append(sep)
+            sep = ","
+            _encode(x, parts, memo)
+        parts.append("]" if sep == "," else "[]")
+    elif v is None:
+        parts.append("null")
+    elif v is True:
+        parts.append("true")
+    elif v is False:
+        parts.append("false")
+    elif isinstance(v, float):
+        parts.append(memo.get(v) or _float_text(v, memo))
+    elif isinstance(v, str):
+        parts.append(_quote(v))
+    elif isinstance(v, int):
+        parts.append(str(v))
+    elif isinstance(v, dict):
+        _encode(dict(v), parts, memo)
+    elif isinstance(v, (list, tuple)):
+        _encode(list(v), parts, memo)
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +339,21 @@ def build_report_set(blocks: list) -> ReportSet:
 # ---------------------------------------------------------------------------
 
 def write_reports(obj, path) -> None:
-    """Write a ReportSet (JSONL) or SearchResult (single JSON object)."""
+    """Write a ReportSet (JSONL: each record, then the summary, one per
+    line) or a SearchResult (one JSON object), as one text with one memo."""
     if isinstance(obj, ReportSet):
-        memo = {}
-        lines = [_dumps(rec, memo) for rec in obj.records]
-        lines.append(_dumps(obj.summary, memo))
-        text = "\n".join(lines) + "\n"
+        values = [*obj.records, obj.summary]
     elif hasattr(obj, "to_record"):
-        text = dumps(obj.to_record()) + "\n"
+        values = [obj.to_record()]
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
+    parts: list = []
+    memo: dict = {}
+    for value in values:
+        _encode(value, parts, memo)
+        parts.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("".join(parts))
 
 
 def _check_version(rec: dict, path) -> None:

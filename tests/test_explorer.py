@@ -71,8 +71,9 @@ class TestGeneration:
         assert SpectrumLaw.from_dict(law.to_dict()) == law
 
     def test_law_validation(self):
-        with pytest.raises(errors.InvalidSpectrumLaw):
-            SpectrumLaw(-1.0, 2.0)
+        for lo, hi in ((-1.0, 2.0), (0.1, float("inf")), (float("inf"), float("inf"))):
+            with pytest.raises(errors.InvalidSpectrumLaw):
+                SpectrumLaw(lo, hi)
         with pytest.raises(errors.InvalidSpectrumLaw):
             SpectrumLaw.from_dict({"law": "gaussian", "lo": 1, "hi": 2})
 
@@ -130,6 +131,8 @@ class TestSweep:
         {"m_values": [True]}, {"instance_count": 1.5}, {"r_values": ["1"]},
         {"condition_cap": "1e8"}, {"base_seed": 1.5}, {"tol_rel": "x"}, {"norms": [3]},
         {"spectrum_law": 3}, {"spectrum_law": {"lo": "a", "hi": 2}},
+        {"tol_rel": -1.0}, {"tol_rel": float("inf")}, {"tol_rel": float("nan")},
+        {"norms": []}, {"norms": ["bogus"]}, {"norms": ["kyfan:x"]},
     ])
     def test_config_type_validation(self, bad):
         with pytest.raises(errors.ConfigError):
@@ -274,6 +277,8 @@ class TestHunt:
         {"p_values": 1.0}, {"r_values": [float("nan")]}, {"p_values": ["1"]},
         {"condition_cap": "1e8"}, {"tol_rel": "x"}, {"base_seed": 1.5}, {"norms": [3]},
         {"spectrum_law": (0.1, 10)}, {"condition_cap": 0.5},
+        {"tol_rel": -1.0}, {"tol_rel": float("inf")}, {"tol_rel": float("nan")},
+        {"norms": []}, {"norms": ["bogus"]}, {"norms": ["kyfan:x"]},
     ])
     def test_config_type_validation(self, bad):
         with pytest.raises(errors.ConfigError):
@@ -443,6 +448,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite, got ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--chain", "main", "--count", "1", "--tol", "-1"],
+         "error: tol_rel must be finite and >= 0, got -1.0"),
+        (["hunt", "--samples", "5", "--s-lo", "2", "--s-hi", "2", "--tol", "-1"],
+         "error: tol_rel must be finite and >= 0, got -1.0"),
+        (["verify", "--chain", "main", "--count", "1", "--tol", "inf"],
+         "error: tol_rel must be finite and >= 0, got inf"),
+        (["hunt", "--samples", "5", "--tol", "nan"],
+         "error: tol_rel must be finite and >= 0, got nan"),
+        (["verify", "--chain", "main", "--count", "2", "--norms", ","],
+         "error: norms must be a nonempty list of norm labels, got []"),
+        (["hunt", "--samples", "5", "--norms", ","],
+         "error: norms must be a nonempty list of norm labels, got []"),
+        (["verify", "--chain", "main", "--count", "1", "--norms", "bogus"],
+         "error: norms: cannot parse norm spec 'bogus'"),
+        (["verify", "--chain", "main", "--count", "1", "--spectrum-hi", "inf"],
+         "error: need finite 0 < lo <= hi, got [0.1, inf]"),
+    ])
+    def test_bad_run_field_exit_code(self, argv, message, capsys):
+        """A negative, infinite or NaN tolerance, an empty or unparsable
+        norm list and an infinite spectrum bound are refused before any
+        instance is evaluated: exit 3, one stderr line, nothing on stdout."""
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("malform", ["extra_pair", "ragged"])
     def test_show_malformed_argmin(self, malform, tmp_path, capsys):

@@ -73,8 +73,9 @@ class TestNormEval:
         assert NormSpec.parse("kyfan:3") == NormSpec.ky_fan(3)
         assert NormSpec.parse("schatten:inf") == NormSpec.schatten(math.inf)
         assert NormSpec.parse("trace") == NormSpec.trace()
-        with pytest.raises(errors.InvalidSpec):
-            NormSpec.parse("nuclear")
+        for bad in ("nuclear", "kyfan:x", "kyfan:", "schatten:abc", "schatten:nan"):
+            with pytest.raises(errors.InvalidSpec):
+                NormSpec.parse(bad)
 
     @pytest.mark.parametrize("spec, record", [
         (NormSpec.ky_fan(3), {"variant": "kyfan", "k": 3}),

@@ -1,17 +1,21 @@
 """The report encoder and reader against their per-value and per-line
 forms.
 
-`oracle_dumps` is the recursive encoder `reports.dumps` replaced: one call
-per value, `isinstance` dispatch, every key quoted afresh.  The one-pass
-encoder must write exactly its bytes, raise where it raises, and do so
-through `write_reports`, whose memo of keys and floats is shared by every
-line of a file.
+`oracle_dumps` is a plain recursive encoder: one call per value,
+`isinstance` dispatch, every key and float formatted afresh.
+`reports.dumps`, which tests exact types first and remembers keys and
+floats, must write exactly its bytes, raise where it raises, and do so
+through `write_reports`, which encodes a whole file with one memo and one
+join.  The drawn values include subclasses (of str, int, float, dict and
+list) so that the encoder's `isinstance` path is pinned too.
 """
 
+import enum
 import json
 import math
 import pathlib
 import tempfile
+from collections import OrderedDict
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -61,6 +65,19 @@ def oracle_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2 ** 70
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, math.inf, -math.inf,
                   1e16, -1e16, 1e17, 2.0 ** 53, 123.0, 0.1, 1.0 / 3.0]
 floats = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL_FLOATS))
@@ -74,16 +91,21 @@ scalars = st.one_of(
     floats.map(np.float64),
     st.text(),
     st.sampled_from(["\x00", "\x1f\x7f", "café", " ", "\U0001f600", '"\\/', "\ud800"]),
+    st.text(max_size=4).map(_Str),
+    st.sampled_from(_Level),
 )
 # Keys that compare equal across types (1 == True == 1.0, 0 == False == -0.0)
 # but print differently, next to the str keys they print as.
 keys = st.one_of(st.sampled_from([1, True, 1.0, "1", "True", "1.0", 0, False, 0.0, -0.0, None]),
-                 st.text(max_size=4), st.integers(), floats)
+                 st.text(max_size=4), st.integers(), floats, st.text(max_size=4).map(_Str),
+                 st.sampled_from(_Level))
 
 
 def _containers(children):
     return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-                     st.dictionaries(keys, children, max_size=4))
+                     st.dictionaries(keys, children, max_size=4),
+                     st.lists(children, max_size=4).map(_List),
+                     st.dictionaries(keys, children, max_size=4).map(OrderedDict))
 
 
 values = st.recursive(scalars, _containers, max_leaves=24)
