@@ -63,6 +63,10 @@ class SchemaVersionMismatch(Error):
     """Report file carries an unsupported schema version."""
 
 
+class MalformedRecord(Error):
+    """A record read back from a file lacks a field, or a field has the wrong type."""
+
+
 def require_all(kind, values, message: str) -> None:
     """Raise ConfigError(message) unless every value is an instance of
     `kind`; booleans never count as numbers."""

@@ -127,6 +127,17 @@ def _lists_to_complex(rows: list) -> np.ndarray:
         raise errors.DimensionMismatch(f"matrix entries are not [re, im] pairs: {exc}") from None
 
 
+def _fields(rec, what: str, names: tuple) -> list:
+    """The values of fields `names` of record `rec`, in order; a record that
+    is not a JSON object, or lacks one of them, raises MalformedRecord."""
+    try:
+        return [rec[name] for name in names]
+    except KeyError as exc:
+        raise errors.MalformedRecord(f"{what} lacks field {exc.args[0]!r}") from None
+    except TypeError:
+        raise errors.MalformedRecord(f"{what} is not a JSON object: {type(rec).__name__}") from None
+
+
 @dataclass
 class SearchResult:
     """Minimum normalized margin found and a reproducible arg-min point.
@@ -159,15 +170,23 @@ class SearchResult:
 
     @classmethod
     def from_record(cls, rec: dict) -> "SearchResult":
-        return cls(
-            min_margin=float(rec["min_margin"]),  # "inf" when every sample was gated
-            argmin=rec["argmin"],
-            samples_evaluated=rec["samples_evaluated"],
-            gated_count=rec["gated_count"],
-            base_seed=rec["base_seed"],
-            candidate=rec["candidate"],
-            recheck_margin=rec["recheck_margin"],
-        )
+        """Inverse of `to_record`; a missing field, or a min_margin that is
+        not a number, raises MalformedRecord."""
+        try:
+            return cls(
+                min_margin=float(rec["min_margin"]),  # "inf" when every sample was gated
+                argmin=rec["argmin"],
+                samples_evaluated=rec["samples_evaluated"],
+                gated_count=rec["gated_count"],
+                base_seed=rec["base_seed"],
+                candidate=rec["candidate"],
+                recheck_margin=rec["recheck_margin"],
+            )
+        except KeyError as exc:
+            raise errors.MalformedRecord(f"search result lacks field {exc.args[0]!r}") from None
+        except (TypeError, ValueError):  # only float() raises these
+            raise errors.MalformedRecord(
+                f"search result min_margin is not a number: {rec['min_margin']!r}") from None
 
 
 def _sample_point(cfg: SearchConfig, k: int, rng: np.random.Generator | None = None) -> tuple:
@@ -356,10 +375,16 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_C
     arg = result_or_argmin.argmin if isinstance(result_or_argmin, SearchResult) else result_or_argmin
     if arg is None:
         return None
-    inst = InstanceSet(m=arg["m"], n=arg["n"], A=_lists_to_complex(arg["A"]),
-                       B=_lists_to_complex(arg["B"]), seed=arg["instance_seed"], kind=arg["kind"])
-    params = ChainParams(**arg["params"])
-    return _point_margin(inst, params, [NormSpec.from_record(arg["norm"])], condition_cap)[0]
+    n, m, seed, kind, params, norm, A, B = _fields(
+        arg, "arg-min", ("n", "m", "instance_seed", "kind", "params", "norm", "A", "B"))
+    params = dict(zip("srpt", _fields(params, "arg-min params", ("s", "r", "p", "t"))))
+    for name, v in params.items():
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise errors.MalformedRecord(f"arg-min param {name!r} is not a number: {v!r}")
+    inst = InstanceSet(m=m, n=n, A=_lists_to_complex(A), B=_lists_to_complex(B), seed=seed,
+                       kind=kind)
+    return _point_margin(inst, ChainParams(**params), [NormSpec.from_record(norm)],
+                         condition_cap)[0]
 
 
 def hunt(cfg: SearchConfig) -> SearchResult:

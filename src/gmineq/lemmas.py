@@ -1,6 +1,11 @@
 """Evaluators for the individual lemmas behind the chains, plus seeded
 admissible-case generation for each lemma id.
 
+Each lemma is declared once, in `_LEMMAS`: its parameter hypothesis, which
+`lemma_terms` checks as the chains check theirs, and its terms function,
+which checks only operand premises.  BlockNormal (one SVD of all blocks),
+ConvexSubadd and ConcaveSubaddBU (one stacked power) add stacks by `sum_pairs`.
+
 Lemma ids:
   Araki               ||(BAB)^{pq}|| <= ||(B^q A^q B^q)^p||
   BlockNormal         ||Z|| <= ||sum_{ij} |Z_ij| ||  (Hermitian block matrix)
@@ -24,24 +29,13 @@ from . import errors
 from .chains import DEFAULT_TOL_REL, chain_margins
 from .generate import DEFAULT_LAW, SpectrumLaw, ginibre, haar_unitary, random_spd
 from .linalg import (from_spectrum, hermitian_eig, hermitize, matrix_power, power_from_eig,
-                     psd_sv, svd)
+                     psd_sv, sum_pairs, svd)
 from .means import mean_unitary
 from .norms import NormSpec, ky_fan_dominance, norm_values, singular_values
 
-LEMMA_IDS = (
-    "Araki",
-    "BlockNormal",
-    "Hoelder",
-    "NormalProduct",
-    "PowerMonotoneFamily",
-    "GramSwap",
-    "ConvexSubadd",
-    "ConcaveSubaddBU",
-    "AUBPower",
-    "BlockDiagStep",
-)
-
 UNITARY_TOL = 1e-10
+# The normality premise: max|XX* - X*X| <= NORMAL_RTOL * max(1, max|X|^2).
+NORMAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,119 +95,80 @@ class _LemmaTerms:
         return lhs, np.array([a ** (1.0 / q) * b ** (1.0 / s) for a, b in zip(x, y)])
 
 
+def _normal(X) -> bool:
+    """Whether X, or every matrix of a stack X, is normal (see NORMAL_RTOL)."""
+    Xh = X.conj().mT
+    defect = np.abs(X @ Xh - Xh @ X).max(axis=(-2, -1))
+    return bool(np.all(defect <= NORMAL_RTOL * np.maximum(1.0, np.abs(X).max(axis=(-2, -1)) ** 2)))
+
+
 def _terms_araki(case) -> _LemmaTerms:
-    A, B = case.operands["A"], case.operands["B"]
-    p, q = case.params["p"], case.params["q"]
-    if not (q >= 1.0 and p > 0.0):
-        raise errors.HypothesisViolation(f"need q >= 1 and p > 0, got q={q}, p={p}")
-    bab = hermitize(B @ A @ B)
+    A, B, p, q = case.operands["A"], case.operands["B"], case.params["p"], case.params["q"]
     Bq = matrix_power(B, q)
-    inner = hermitize(Bq @ matrix_power(A, q) @ Bq)
-    return _LemmaTerms(psd_sv(bab, p * q), psd_sv(inner, p))
+    return _LemmaTerms(psd_sv(B @ A @ B, p * q), psd_sv(Bq @ matrix_power(A, q) @ Bq, p))
 
 
 def _terms_block_normal(case) -> _LemmaTerms:
     Z = np.asarray(case.operands["Z"], dtype=np.complex128)
     n = int(case.params["n"])
-    mn = Z.shape[0]
-    if Z.shape[0] != Z.shape[1] or mn % n:
+    if Z.shape[0] != Z.shape[1] or Z.shape[0] % n:
         raise errors.DimensionMismatch(f"block size {n} does not divide {Z.shape}")
-    m = mn // n
+    m = Z.shape[0] // n
+    blocks = Z.reshape(m, n, m, n).swapaxes(1, 2)  # blocks[i, j] = Z_ij, a view
     herm = np.abs(Z - Z.conj().T).max() <= 1e-10 * max(1.0, np.abs(Z).max())
-    blocks = [
-        [Z[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)] for i in range(m)
-    ]
-    if not herm:
-        for row in blocks:
-            for blk in row:
-                defect = np.abs(
-                    blk @ blk.conj().T - blk.conj().T @ blk
-                ).max()
-                if defect > 1e-10 * max(1.0, np.abs(blk).max() ** 2):
-                    raise errors.HypothesisViolation(
-                        "Z is neither Hermitian nor built from normal blocks"
-                    )
-    lhs_sv = singular_values(Z)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for row in blocks:
-        for blk in row:
-            _, s, vh = svd(blk)
-            acc += (vh.conj().T * s) @ vh  # |blk| = (blk* blk)^{1/2}
-    rhs_sv = psd_sv(acc)
-    return _LemmaTerms(lhs_sv, rhs_sv)
+    if not (herm or _normal(blocks)):
+        raise errors.HypothesisViolation("Z is neither Hermitian nor built from normal blocks")
+    _, s, vh = svd(blocks)
+    abs_blocks = (vh.conj().mT * s[..., None, :]) @ vh  # |Z_ij|, added in row-major order
+    return _LemmaTerms(singular_values(Z), psd_sv(sum_pairs(abs_blocks.reshape(m * m, n, n))))
 
 
 def _terms_hoelder(case) -> _LemmaTerms:
     X, Y = case.operands["X"], case.operands["Y"]
-    q, s = case.params["q"], case.params["s"]
-    if not (q > 1.0 and s > 1.0 and abs(1.0 / q + 1.0 / s - 1.0) <= 1e-12):
-        raise errors.HypothesisViolation(f"need conjugate exponents q, s > 1; got q={q}, s={s}")
-    lhs_sv = singular_values(np.asarray(X) @ np.asarray(Y))
-    return _LemmaTerms(
-        lhs_sv, None, hoelder=(singular_values(X), singular_values(Y), q, s)
-    )
+    hoelder = (singular_values(X), singular_values(Y), case.params["q"], case.params["s"])
+    return _LemmaTerms(singular_values(np.asarray(X) @ np.asarray(Y)), None, hoelder=hoelder)
 
 
 def _terms_normal_product(case) -> _LemmaTerms:
-    A = np.asarray(case.operands["A"], dtype=np.complex128)
-    B = np.asarray(case.operands["B"], dtype=np.complex128)
+    A, B = (np.asarray(case.operands[k], dtype=np.complex128) for k in "AB")
     AB = A @ B
-    defect = np.abs(AB @ AB.conj().T - AB.conj().T @ AB).max()
-    if defect > 1e-10 * max(1.0, np.abs(AB).max() ** 2):
-        raise errors.HypothesisViolation(f"AB is not normal: defect {defect:.3e}")
+    if not _normal(AB):
+        raise errors.HypothesisViolation(f"AB is not normal within {NORMAL_RTOL:.0e}")
     return _LemmaTerms(singular_values(AB), singular_values(B @ A))
 
 
 def _terms_power_monotone(case) -> _LemmaTerms:
     A, B = case.operands["A"], case.operands["B"]
-    r = case.params["r"]
-    if not r >= 1.0:
-        raise errors.HypothesisViolation(f"need r >= 1, got r={r}")
     premise = ky_fan_dominance(A, B)
     if not premise.dominated:
-        raise errors.HypothesisViolation(
-            f"premise fails: Ky Fan {premise.worst_k} margin {premise.worst_margin:.3e}"
-        )
-    return _LemmaTerms(psd_sv(A, r), psd_sv(B, r))
+        raise errors.HypothesisViolation(f"premise fails: Ky Fan {premise.worst_k} margin "
+                                         f"{premise.worst_margin:.3e}")
+    return _LemmaTerms(psd_sv(A, case.params["r"]), psd_sv(B, case.params["r"]))
 
 
 def _terms_gram_swap(case) -> _LemmaTerms:
-    Y = np.asarray(case.operands["Y"], dtype=np.complex128)
-    a = case.params["a"]
-    if a < 0.0:
-        raise errors.HypothesisViolation(f"need a >= 0, got a={a}")
+    Y, a = np.asarray(case.operands["Y"], dtype=np.complex128), case.params["a"]
     return _LemmaTerms(psd_sv(Y.conj().T @ Y, a), psd_sv(Y @ Y.conj().T, a), equality=True)
 
 
 def _terms_convex_subadd(case) -> _LemmaTerms:
-    As = case.operands["A_list"]
-    r = case.params["r"]
-    if not r >= 1.0:
-        raise errors.HypothesisViolation(f"f(x)=x^r needs r >= 1, got r={r}")
-    lhs = sum(matrix_power(Ai, r) for Ai in As)
-    rhs = matrix_power(hermitize(sum(As)), r)
-    return _LemmaTerms(psd_sv(lhs), psd_sv(rhs))
+    As, r = np.stack(case.operands["A_list"]), case.params["r"]
+    return _LemmaTerms(psd_sv(sum_pairs(matrix_power(As, r))),
+                       psd_sv(matrix_power(sum_pairs(As), r)))
 
 
 def _terms_concave_subadd(case) -> _LemmaTerms:
-    A, B = case.operands["A"], case.operands["B"]
-    theta = case.params["theta"]
-    if not 0.0 < theta <= 1.0:
-        raise errors.HypothesisViolation(f"f(x)=x^theta needs theta in (0, 1], got {theta}")
-    lhs = matrix_power(hermitize(np.asarray(A) + np.asarray(B)), theta)
-    rhs = matrix_power(A, theta) + matrix_power(B, theta)
-    return _LemmaTerms(psd_sv(lhs), psd_sv(rhs))
+    AB, theta = np.stack([case.operands["A"], case.operands["B"]]), case.params["theta"]
+    return _LemmaTerms(psd_sv(matrix_power(sum_pairs(AB), theta)),
+                       psd_sv(sum_pairs(matrix_power(AB, theta))))
 
 
 def _terms_aub_power(case) -> _LemmaTerms:
     A, B = case.operands["A"], case.operands["B"]
     U = _require_unitary(case.operands["U"], "U")
     q = case.params["q"]
-    if not q >= 1.0:
-        raise errors.HypothesisViolation(f"need q >= 1, got q={q}")
-    lhs_sv = singular_values(np.asarray(A) @ U @ np.asarray(B)) ** q
-    rhs_sv = singular_values(matrix_power(A, q) @ U @ matrix_power(B, q))
-    return _LemmaTerms(lhs_sv, rhs_sv)
+    return _LemmaTerms(singular_values(np.asarray(A) @ U @ np.asarray(B)) ** q,
+                       singular_values(matrix_power(A, q) @ U @ matrix_power(B, q)))
 
 
 def _terms_block_diag_step(case) -> _LemmaTerms:
@@ -221,8 +176,6 @@ def _terms_block_diag_step(case) -> _LemmaTerms:
     |A_i^{s/2} U_i B_i^{s/2}| is F_i F_i* itself (see `mean_unitary`): no
     power A_i^s is formed and U_i needs no polar projection."""
     s = case.params["s"]
-    if not s > 1.0:
-        raise errors.HypothesisViolation(f"need s > 1, got s={s}")
     eig_A = hermitian_eig(np.stack(case.operands["A_list"]))
     eig_B = hermitian_eig(np.stack(case.operands["B_list"]))
     U, F = mean_unitary(eig_A, eig_B, s)
@@ -233,22 +186,35 @@ def _terms_block_diag_step(case) -> _LemmaTerms:
     return _LemmaTerms(lhs_sv, psd_sv((F @ F.conj().mT).sum(axis=0)))
 
 
-_TERMS = {
-    "Araki": _terms_araki,
-    "BlockNormal": _terms_block_normal,
-    "Hoelder": _terms_hoelder,
-    "NormalProduct": _terms_normal_product,
-    "PowerMonotoneFamily": _terms_power_monotone,
-    "GramSwap": _terms_gram_swap,
-    "ConvexSubadd": _terms_convex_subadd,
-    "ConcaveSubaddBU": _terms_concave_subadd,
-    "AUBPower": _terms_aub_power,
-    "BlockDiagStep": _terms_block_diag_step,
+# Lemma id -> (predicate on the case's params, its text, terms function),
+# in the order of LEMMA_IDS, which numbers a sweep's lemma case seeds.
+_LEMMAS = {
+    "Araki": (lambda x: x["q"] >= 1 and x["p"] > 0, "q >= 1 and p > 0", _terms_araki),
+    "BlockNormal": (lambda x: x["n"] >= 1 and x["n"] % 1 == 0, "integer n >= 1",
+                    _terms_block_normal),
+    "Hoelder": (lambda x: x["q"] > 1 and x["s"] > 1 and abs(1 / x["q"] + 1 / x["s"] - 1) <= 1e-12,
+                "conjugate exponents q, s > 1", _terms_hoelder),
+    "NormalProduct": (lambda x: True, "parameters", _terms_normal_product),
+    "PowerMonotoneFamily": (lambda x: x["r"] >= 1, "r >= 1", _terms_power_monotone),
+    "GramSwap": (lambda x: x["a"] >= 0, "a >= 0", _terms_gram_swap),
+    "ConvexSubadd": (lambda x: x["r"] >= 1, "r >= 1", _terms_convex_subadd),
+    "ConcaveSubaddBU": (lambda x: 0 < x["theta"] <= 1, "theta in (0, 1]", _terms_concave_subadd),
+    "AUBPower": (lambda x: x["q"] >= 1, "q >= 1", _terms_aub_power),
+    "BlockDiagStep": (lambda x: x["s"] > 1, "s > 1", _terms_block_diag_step),
 }
+LEMMA_IDS = tuple(_LEMMAS)
 
 
 def lemma_terms(case: LemmaCase) -> _LemmaTerms:
-    return _TERMS[case.lemma_id](case)
+    """The terms of `case`, once its params are finite and hold its hypothesis."""
+    holds, needs, terms = _LEMMAS[case.lemma_id]
+    try:
+        admissible = all(map(np.isfinite, case.params.values())) and bool(holds(case.params))
+    except (KeyError, TypeError, ValueError):
+        admissible = False
+    if not admissible:
+        raise errors.HypothesisViolation(f"{case.lemma_id} needs finite {needs}; got {case.params}")
+    return terms(case)
 
 
 def lemma_margins(terms: _LemmaTerms, norms: list, tol_rel: float = DEFAULT_TOL_REL) -> tuple:

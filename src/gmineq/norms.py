@@ -92,12 +92,15 @@ class NormSpec:
 
     @classmethod
     def from_record(cls, rec: dict) -> "NormSpec":
-        """Inverse of `to_record`."""
-        if rec["variant"] == "kyfan":
-            return cls.ky_fan(rec["k"])
-        if rec["variant"] == "schatten":
-            return cls.schatten(math.inf if rec["p"] == "inf" else rec["p"])
-        return cls(rec["variant"])
+        """Inverse of `to_record`; anything else raises InvalidSpec."""
+        try:
+            if rec["variant"] == "kyfan":
+                return cls.ky_fan(rec["k"])
+            if rec["variant"] == "schatten":
+                return cls.schatten(math.inf if rec["p"] == "inf" else rec["p"])
+            return cls(rec["variant"])
+        except (KeyError, TypeError, ValueError):
+            raise errors.InvalidSpec(f"not a norm record: {rec!r}") from None
 
 
 def singular_values(M) -> np.ndarray:

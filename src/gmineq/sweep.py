@@ -85,6 +85,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        if not isinstance(d, dict):
+            raise errors.ConfigError(f"a sweep config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:

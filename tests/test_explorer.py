@@ -421,6 +421,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == message + "\n"
 
+    @pytest.mark.parametrize("text", [pytest.param('[{"a": 1}]', id="list"),
+                                      pytest.param('"x"', id="string"),
+                                      pytest.param("3", id="number"),
+                                      pytest.param("null", id="null")])
+    def test_config_not_object_exit_code(self, text, tmp_path, capsys):
+        """A sweep config file whose JSON value is not an object is refused
+        before any key is looked at: exit 3 and one stderr line."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep config must be a JSON object, got ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("chain", ["t-chain", "lemmas"])
     def test_wide_law_numerical_failure_exit_code(self, chain, capsys):
         """A spectrum law of condition 1e12 puts a negative power under the
@@ -476,24 +490,51 @@ class TestCli:
         assert captured.err == message + "\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("malform", ["extra_pair", "ragged"])
+    _MALFORMED = {
+        "extra_pair": "DimensionMismatch: ",
+        "ragged": "DimensionMismatch: ",
+        "min_margin": "MalformedRecord: search result lacks field 'min_margin'",
+        "min_margin_not_number": "MalformedRecord: search result min_margin is not a number: 'x'",
+        "m": "MalformedRecord: arg-min lacks field 'm'",
+        "params": "MalformedRecord: arg-min lacks field 'params'",
+        "norm": "MalformedRecord: arg-min lacks field 'norm'",
+        "A": "MalformedRecord: arg-min lacks field 'A'",
+        "param_not_number": "MalformedRecord: arg-min param 's' is not a number: 'x'",
+        "norm_not_record": "not a norm record: {'variant': 'kyfan'}",
+    }
+
+    @pytest.mark.parametrize("malform", list(_MALFORMED))
     def test_show_malformed_argmin(self, malform, tmp_path, capsys):
         """An arg-min whose matrices do not form m n x n pairs is refused
-        when its instance is built: exit 3 and DimensionMismatch."""
+        when its instance is built (DimensionMismatch), and a search result
+        that lacks a field, or whose arg-min parameter or norm is not one, is
+        refused naming the field: exit 3, one stderr line."""
         r = hunt(SearchConfig(base_seed=3, samples=30))
         inst = generate_instance("generic", 3, 2, 5)
         pairs = {name: [[[[v.real, v.imag] for v in row] for row in Xi] for Xi in X]
                  for name, X in (("A", inst.A), ("B", inst.B))}
         r.argmin.update(n=3, m=2, **pairs)
-        assert cli.main(["show", "--in", str(self._written(r, tmp_path))]) == cli.EXIT_OK
+        path = self._written(r, tmp_path)
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_OK
+        rec = json.loads(path.read_text())
+        arg = rec["argmin"]
         if malform == "extra_pair":
-            r.argmin["A"].append(r.argmin["A"][0])
+            arg["A"].append(arg["A"][0])
+        elif malform == "ragged":
+            arg["B"][1][2].pop()  # one row of one matrix loses an entry
+        elif malform == "param_not_number":
+            arg["params"]["s"] = "x"
+        elif malform == "min_margin_not_number":
+            rec["min_margin"] = "x"
+        elif malform == "norm_not_record":
+            arg["norm"] = {"variant": "kyfan"}  # no k
         else:
-            r.argmin["B"][1][2].pop()  # one row of one matrix loses an entry
+            (rec if malform == "min_margin" else arg).pop(malform)
+        path.write_text(json.dumps(rec))
         capsys.readouterr()
-        assert cli.main(["show", "--in", str(self._written(r, tmp_path))]) == cli.EXIT_CONFIG
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: DimensionMismatch: ")
+        assert err.startswith("error: " + self._MALFORMED[malform])
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @staticmethod

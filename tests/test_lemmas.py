@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gmineq import errors
 from gmineq.generate import SpectrumLaw, derive_seed, haar_unitary, random_spd
 from gmineq.lemmas import LEMMA_IDS, LemmaCase, eval_lemma, lemma_terms, random_case
+from gmineq.linalg import hermitize, matrix_power, psd_sv
 from gmineq.norms import NormSpec
 from gmineq.reports import lemma_records
 
@@ -54,17 +55,29 @@ class TestEquality:
 
 
 class TestHypothesisChecks:
-    def test_araki_bad_exponents(self):
-        case = random_case("Araki", 0)
-        bad = LemmaCase("Araki", case.operands, {"p": 1.0, "q": 0.5})
-        with pytest.raises(errors.HypothesisViolation):
-            eval_lemma(bad, NormSpec.trace())
-
-    def test_hoelder_non_conjugate(self):
-        case = random_case("Hoelder", 0)
-        bad = LemmaCase("Hoelder", case.operands, {"q": 2.0, "s": 3.0})
-        with pytest.raises(errors.HypothesisViolation):
-            eval_lemma(bad, NormSpec.trace())
+    @pytest.mark.parametrize("lemma_id, params", [
+        pytest.param("Araki", {"p": 1.0, "q": 0.5}, id="araki_bad_exponents"),
+        pytest.param("Araki", {"p": 1.0}, id="araki_missing_q"),
+        pytest.param("BlockNormal", {"n": 0}, id="block_normal_n_zero"),
+        pytest.param("BlockNormal", {"n": 1.5}, id="block_normal_n_not_integer"),
+        pytest.param("Hoelder", {"q": 2.0, "s": 3.0}, id="hoelder_non_conjugate"),
+        pytest.param("Hoelder", {"q": "x", "s": 2.0}, id="hoelder_q_not_number"),
+        pytest.param("PowerMonotoneFamily", {"r": 0.5}, id="power_monotone_r_below_one"),
+        pytest.param("GramSwap", {"a": -1.0}, id="gram_swap_negative_a"),
+        pytest.param("GramSwap", {"a": float("nan")}, id="gram_swap_nan_a"),
+        pytest.param("GramSwap", {"a": float("inf")}, id="gram_swap_infinite_a"),
+        pytest.param("ConvexSubadd", {"r": 0.5}, id="convex_r_below_one"),
+        pytest.param("ConcaveSubaddBU", {"theta": 1.5}, id="concave_theta_out_of_range"),
+        pytest.param("AUBPower", {"q": 0.5}, id="aub_power_q_below_one"),
+        pytest.param("BlockDiagStep", {"s": 1.0}, id="block_diag_step_s_one"),
+    ])
+    def test_bad_parameters(self, lemma_id, params):
+        """A parameter outside the lemma's hypothesis, NaN, infinite, missing
+        or not a number is refused by the lemma's one check, with a message
+        naming the lemma."""
+        case = LemmaCase(lemma_id, random_case(lemma_id, 0).operands, params)
+        with pytest.raises(errors.HypothesisViolation, match=f"^{lemma_id} needs "):
+            eval_lemma(case, NormSpec.trace())
 
     def test_normal_product_premise(self):
         rng = np.random.default_rng(0)
@@ -81,12 +94,6 @@ class TestHypothesisChecks:
         )
         with pytest.raises(errors.HypothesisViolation):
             eval_lemma(case, NormSpec.trace())
-
-    def test_concave_theta_out_of_range(self):
-        case = random_case("ConcaveSubaddBU", 0)
-        bad = LemmaCase("ConcaveSubaddBU", case.operands, {"theta": 1.5})
-        with pytest.raises(errors.HypothesisViolation):
-            eval_lemma(bad, NormSpec.trace())
 
     def test_aub_power_requires_unitary(self):
         rng = np.random.default_rng(1)
@@ -136,6 +143,39 @@ class TestClosedForms:
         Z[2:, :2] = U2  # normal blocks, non-Hermitian Z
         rep = eval_lemma(LemmaCase("BlockNormal", {"Z": Z}, {"n": 2}), NormSpec.operator())
         assert rep.passed
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 3), (4, 2), (2, 4)])
+    def test_block_normal_matches_block_loop(self, n, m):
+        """The stacked |Z_ij|, added by `sum_pairs`, give bitwise the sum of
+        the per-block |Z_ij| = V* diag(s) V added in row-major order."""
+        for seed in range(10):
+            case = random_case("BlockNormal", seed, n=n, m=m)
+            Z = case.operands["Z"]
+            acc = np.zeros((n, n), dtype=np.complex128)
+            for i in range(m):
+                for j in range(m):
+                    _, s, vh = np.linalg.svd(Z[i * n:(i + 1) * n, j * n:(j + 1) * n])
+                    acc += (vh.conj().T * s) @ vh
+            np.testing.assert_array_equal(lemma_terms(case).rhs_sv, psd_sv(acc))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 2)])
+    def test_subadd_matches_matrix_loop(self, n, m):
+        """One stacked power and `sum_pairs` give bitwise the terms of one
+        power per matrix, added by Python's sum."""
+        for seed in range(10):
+            case = random_case("ConvexSubadd", seed, n=n, m=m)
+            As, r = case.operands["A_list"], case.params["r"]
+            terms = lemma_terms(case)
+            np.testing.assert_array_equal(terms.lhs_sv, psd_sv(sum(matrix_power(A, r) for A in As)))
+            np.testing.assert_array_equal(terms.rhs_sv, psd_sv(matrix_power(hermitize(sum(As)), r)))
+            case = random_case("ConcaveSubaddBU", seed, n=n)
+            A, B, theta = case.operands["A"], case.operands["B"], case.params["theta"]
+            terms = lemma_terms(case)
+            np.testing.assert_array_equal(terms.lhs_sv, psd_sv(matrix_power(hermitize(A + B), theta)))
+            np.testing.assert_array_equal(
+                terms.rhs_sv, psd_sv(matrix_power(A, theta) + matrix_power(B, theta)))
 
 
 class TestWideSpectra:
