@@ -5,6 +5,7 @@ nonzero spectrum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,8 +26,8 @@ class InstanceSet:
 
     Immutable: A and B are read-only complex128 stacks (m, n, n), copies of
     what it was given, so neither the spectra cache `spectra` nor a passed
-    `validate` can go stale.  A pair count or matrix size other than m and
-    n, or ragged input, raises DimensionMismatch when it is built.
+    `validate` can go stale.  A non-integer m or n, a pair count or matrix
+    size other than m and n, or ragged input is refused when it is built.
     """
 
     m: int
@@ -37,6 +38,8 @@ class InstanceSet:
     kind: str = "generic"
 
     def __post_init__(self):
+        errors.require_all(numbers.Integral, [self.m, self.n],
+                           f"m and n must be integers, got m={self.m!r}, n={self.n!r}")
         for name in ("A", "B"):
             try:
                 X = np.array(getattr(self, name), dtype=np.complex128, order="C")

@@ -7,8 +7,8 @@ Subcommands:
           time and samples per second go to stderr, not into the report
   show    summarize a report file, optionally to CSV
 
-Exit codes: 0 all pass; 2 violation candidate in a proven regime;
-3 configuration error, or a numerical failure (a singular power, a solver
+Exit codes: 0 all pass; 2 violation candidate in a proven regime; 3 usage
+or configuration error, or a numerical failure (a singular power, a solver
 that did not converge), reported on stderr in one line that names the
 error.  Conjectured-regime negative margins only bump the candidates count.
 """
@@ -208,7 +208,10 @@ _COMMANDS = {"verify": _cmd_verify, "sweep": _cmd_sweep, "hunt": _cmd_hunt, "sho
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which means a violation here
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     try:
         return _COMMANDS[args.command](args)
     except (errors.ConfigError, errors.InvalidSpec, errors.InvalidSpectrumLaw,

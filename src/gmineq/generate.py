@@ -13,7 +13,8 @@ numbers of a stack of equal-shape instances, each from its own stream, and
 stream is that of `np.random.default_rng(seed)`; `generators` makes the
 streams of many seeds at once, hashing all their seeds together.
 `generate_instance` is a stack of one, and every instance of a stack gets
-the bytes it gets alone.
+the bytes it gets alone, as do `ginibre_draws` and `spd_draws` for
+matrices drawn one after another from each generator.
 """
 
 from __future__ import annotations
@@ -81,13 +82,27 @@ class SpectrumLaw:
 DEFAULT_LAW = SpectrumLaw()
 
 
-def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex Ginibre matrix: real parts drawn first, then imaginary."""
-    re, im = rng.standard_normal((2, n, n))
-    return (re + 1j * im) / np.sqrt(2.0)
+def _draw(rngs: list, n: int, count: int, law: SpectrumLaw = DEFAULT_LAW, rows: int = 1) -> tuple:
+    """(G (K, count, n, n), lam (K, count * rows, n)): per generator, `count`
+    Ginibre matrices, real parts drawn first, each followed by `rows` rows
+    of n eigenvalues of the law; parts combined, exp taken once for all."""
+    normal = np.empty((len(rngs), count, 2, n, n))
+    log_lam = np.empty((len(rngs), count, rows, n))
+    log_lo, log_hi = law._log_bounds
+    for rng, parts, logs in zip(rngs, normal, log_lam):
+        for j in range(count):
+            rng.standard_normal(out=parts[j])
+            logs[j] = rng.uniform(log_lo, log_hi, size=(rows, n))
+    G = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
+    return G, np.exp(log_lam).reshape(len(rngs), count * rows, n)
 
 
-def _haar(G: np.ndarray) -> np.ndarray:
+def ginibre_draws(rngs: list, n: int, count: int = 1) -> np.ndarray:
+    """(K, count, n, n): `count` complex Ginibre matrices per generator."""
+    return _draw(rngs, n, count, rows=0)[0]
+
+
+def haar(G: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries from a stack of Ginibre matrices, through
     one stacked QR."""
     Q, R = np.linalg.qr(G)
@@ -97,13 +112,19 @@ def _haar(G: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return _haar(ginibre(n, rng))
+    return haar(ginibre_draws([rng], n)[0, 0])
+
+
+def spd_draws(rngs: list, n: int, count: int = 1, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
+    """(K, count, n, n): `count` SPD matrices per generator, each a Ginibre
+    matrix and its eigenvalues; one QR and one `from_spectrum` for all."""
+    G, lam = _draw(rngs, n, count, law)
+    return from_spectrum(haar(G), lam)
 
 
 def random_spd(n: int, rng: np.random.Generator, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
     """Random SPD matrix with eigenvalues from the spectrum law."""
-    Q = haar_unitary(n, rng)
-    return from_spectrum(Q, law.sample(rng, n))
+    return spd_draws([rng], n, 1, law)[0, 0]
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -178,30 +199,21 @@ def draw_instances(kind: str, n: int, m: int, rngs: list, law: SpectrumLaw = DEF
     first, then B_1's.  Each instance draws from its generator per matrix
     (per pair for commuting instances) the real then imaginary parts of
     its Ginibre matrix, then its n eigenvalues (both rows of the pair), so
-    it gets the bytes of `ginibre` and `SpectrumLaw.sample` on that
+    it gets the bytes of `ginibre_draws` and `SpectrumLaw.sample` on that
     stream; the parts are combined, and the eigenvalues exponentiated,
     once for the whole stack."""
     if kind not in ("generic", "commuting"):
         raise errors.ConfigError(f"unknown instance kind {kind!r}")
     if n < 1 or m < 1:
         raise errors.ConfigError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    per_matrix = kind == "generic"
-    normal = np.empty((len(rngs), 2 * m if per_matrix else m, 2, n, n))
-    log_lam = np.empty((len(rngs), 2 * m, n))
-    log_lo, log_hi = law._log_bounds
-    for rng, parts, logs in zip(rngs, normal, log_lam):
-        for j in range(2 * m):
-            if per_matrix or j % 2 == 0:
-                rng.standard_normal(out=parts[j if per_matrix else j // 2])
-            logs[j] = rng.uniform(log_lo, log_hi, size=n)
-    G = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
-    return G, np.exp(log_lam)
+    shared = kind == "commuting"
+    return _draw(rngs, n, m if shared else 2 * m, law, 2 if shared else 1)
 
 
 def assemble_instances(kind: str, G: np.ndarray, lam: np.ndarray) -> tuple:
     """(A, B), each (..., m, n, n), from stacked draws of `draw_instances`;
     every matrix is Q diag(lam) Q* with Q from one stacked QR."""
-    Q = _haar(G)
+    Q = haar(G)
     if kind == "commuting":
         Q = np.repeat(Q, 2, axis=-3)  # A_i and B_i share one eigenbasis
     X = from_spectrum(Q, lam)

@@ -166,23 +166,22 @@ class DominanceReport:
 
 def ky_fan_dominance(X, Y) -> DominanceReport:
     """Check KyFan_k(X) <= KyFan_k(Y) for every k = 1..n, to within
-    1e-10 * max(1, KyFan_n(Y)).
+    1e-10 * max(1, KyFan_n(Y)); for stacks, of each X[i] against Y[i].
 
     By the Fan dominance principle this decides ordering in every
     unitarily invariant norm.  worst_margin is the minimum over k of
-    KyFan_k(Y) - KyFan_k(X), unscaled.
+    KyFan_k(Y) - KyFan_k(X), unscaled, of the first pair that fails, or
+    of the first pair if none does; worst_k is where it is reached.
     """
     sx = singular_values(X)
     sy = singular_values(Y)
     if sx.shape != sy.shape:
-        raise errors.DimensionMismatch(f"size mismatch: {sx.size} vs {sy.size}")
-    specs = [NormSpec.ky_fan(k) for k in range(1, sy.size + 1)]
+        raise errors.DimensionMismatch(f"size mismatch: {sx.shape} vs {sy.shape}")
+    specs = [NormSpec.ky_fan(k) for k in range(1, sy.shape[-1] + 1)]
     fan_y = norm_values(sy, specs)
     margins = fan_y - norm_values(sx, specs)
-    worst = int(np.argmin(margins))
-    scale = max(1.0, float(fan_y[-1]))
-    return DominanceReport(
-        dominated=bool(margins.min() >= -1e-10 * scale),
-        worst_k=worst + 1,
-        worst_margin=float(margins[worst]),
-    )
+    ok = margins.min(axis=-1) >= -1e-10 * np.maximum(1.0, fan_y[..., -1])
+    pair = margins[np.unravel_index(np.argmin(ok), ok.shape)]
+    worst = int(np.argmin(pair))
+    return DominanceReport(dominated=bool(ok.all()), worst_k=worst + 1,
+                           worst_margin=float(pair[worst]))

@@ -6,13 +6,13 @@ Floats are written with 17 significant digits, so read(write(x)) == x and
 re-serialization is byte-identical.  Search results are a single JSON
 object.
 
-`chain_blocks` builds one block of records per point of a parameter grid
-from its stacked terms, with one `norm_values` call per side for the whole
-grid; `chain_records` is its one-point form.  These builders and
-`lemma_records` put a term set's records in report order (`order_norms`),
-so `build_report_set` orders a report by sorting term-set blocks by
-(chain, seed, params) and stable-merging blocks with equal keys by norm,
-which equals sorting every record by `record_sort_key`.
+`chain_blocks` (`lemma_blocks`) builds one block of records per point of a
+parameter grid (per case of a stack of lemma cases) from stacked terms,
+with one `norm_values` call per side; `chain_records` (`lemma_records`) is
+its one-point form.  These builders put a term set's records in report
+order (`order_norms`), so `build_report_set` orders a report by sorting
+term-set blocks by (chain, seed, params) and stable-merging blocks with
+equal keys by norm, which equals sorting every record by `record_sort_key`.
 
 `_encode` is the one function that picks a value's JSON by its type; its
 memo formats each repeated key and float once (`dumps` has the rules).
@@ -205,20 +205,32 @@ def chain_records(
     return chain_blocks(terms, inst, [params], norms, tol_rel, condition_cap)[0]
 
 
+def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int, norms: list,
+                 tol_rel: float = DEFAULT_TOL_REL) -> list:
+    """One block of records per case of a stack of lemma cases (row k of
+    `terms` is `instance_seeds[k]`'s), as `chain_blocks` builds them, under
+    `lemmas.lemma_margins`; `n` and `m` are the sizes the cases were drawn at."""
+    norms = order_norms(norms)
+    params = sorted((k, np.reshape(v, -1).tolist()) for k, v in case.params.items())
+    rows = zip(instance_seeds, *(np.reshape(v, (len(instance_seeds), -1)).tolist()
+                                 for v in lemma_margins(terms, norms, tol_rel)))
+    norm_dicts = [norm.to_record() for norm in norms]
+    blocks = []
+    for row, (seed, los, his, mgs, oks) in enumerate(rows):
+        head = {"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
+                "instance_seed": seed, "n": n, "m": m,
+                "params": {k: float(v[row]) for k, v in params}}
+        blocks.append([{**head, "norm": norm, "lhs": lo, "rhs": hi, "margins": [mg], "pass": ok,
+                        "gated": False, "status": "proven"}
+                       for norm, lo, hi, mg, ok in zip(norm_dicts, los, his, mgs, oks)])
+    return blocks
+
+
 def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,
                   tol_rel: float = DEFAULT_TOL_REL) -> list:
-    """One record per norm of `norms`, in report order (`order_norms`), on
-    one lemma case's precomputed terms, under `lemmas.lemma_margins`; `n`
-    and `m` are the sizes the case was drawn at.  The records share
-    `params`."""
-    norms = order_norms(norms)
-    lhs, rhs, margin, passed = lemma_margins(terms, norms, tol_rel)
-    head = {"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
-            "instance_seed": instance_seed, "n": n, "m": m,
-            "params": {k: float(v) for k, v in sorted(case.params.items())}}
-    rows = zip(norms, lhs.tolist(), rhs.tolist(), margin.tolist(), passed.tolist())
-    return [{**head, "norm": norm.to_record(), "lhs": lo, "rhs": hi, "margins": [mg],
-             "pass": ok, "gated": False, "status": "proven"} for norm, lo, hi, mg, ok in rows]
+    """One record per norm of `norms`, in report order, on one lemma case's
+    precomputed terms: `lemma_blocks` on a stack of one."""
+    return lemma_blocks(case, terms, [instance_seed], n, m, norms, tol_rel)[0]
 
 
 def record_sort_key(rec: dict):
@@ -314,8 +326,8 @@ def summarize(records: list) -> dict:
 def build_report_set(blocks: list) -> ReportSet:
     """A report set from records in any order, grouped into term-set
     blocks: a block is a list of records that share `_block_key` (one term
-    set's records) in report order, as `chain_blocks`, `chain_records` and
-    `lemma_records` build them; a lone record is a block of one.  The
+    set's records) in report order, as `chain_blocks` and `lemma_blocks`
+    build them; a lone record is a block of one.  The
     blocks are sorted by their key, and blocks with equal keys are
     stable-merged by norm, so the records come out as
     `sorted(records, key=record_sort_key)` puts them, with one key per

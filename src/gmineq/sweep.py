@@ -4,9 +4,9 @@ a report is a pure function of its config.
 
 A task evaluates each grid chain's whole (s, r, p, t) grid on its instance
 as one stack (`chains.grid_terms`) and records it with one
-`reports.chain_blocks` call; `commuting` and `lemmas` go point by point.
-Each term set's records form one block, and `reports.build_report_set`
-sorts blocks, not records.
+`reports.chain_blocks` call; `commuting` goes point by point, and lemma
+cases are stacked across the tasks of one (n, m).  Each term set's records
+form one block, and `reports.build_report_set` sorts blocks, not records.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 from . import errors
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admissible,
                      commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
-from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance
-from .lemmas import LEMMA_IDS, lemma_terms, random_case
-from .reports import ReportSet, build_report_set, chain_blocks, chain_records, lemma_records
+from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance, generators
+from .lemmas import LEMMA_IDS, lemma_stack_terms, random_cases
+from .reports import ReportSet, build_report_set, chain_blocks, chain_records, lemma_blocks
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
 # The parameters recorded for the commuting chains, which take none.
@@ -122,9 +122,9 @@ def _chain_table(cfg: SweepConfig) -> dict:
 
 
 def _task_blocks(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int) -> list:
-    """The record blocks (see `reports.build_report_set`) of one task: a
-    grid chain's whole grid is evaluated by one `grid_terms` call and
-    recorded by one `chain_blocks` call."""
+    """The record blocks (see `reports.build_report_set`) of one task but
+    its lemmas: a grid chain's whole grid is evaluated by one `grid_terms`
+    call and recorded by one `chain_blocks` call."""
     seed = derive_seed(cfg.base_seed, task_index)
     blocks = []
     instances = {}  # kind -> instance, so every chain shares its spectra cache
@@ -135,12 +135,6 @@ def _task_blocks(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int)
     for chain in cfg.chains:
         kind, _, grid = table[chain]
         if chain == "lemmas":
-            for li, lid in enumerate(grid):
-                case_seed = derive_seed(seed, li)
-                case = random_case(lid, case_seed, n=n, m=m, law=cfg.spectrum_law)
-                terms = lemma_terms(case)
-                blocks.append(lemma_records(case, terms, case_seed, n, m, norms(terms),
-                                            cfg.tol_rel))
             continue
         if kind not in instances:
             instances[kind] = generate_instance(kind, n, m, seed, cfg.spectrum_law)
@@ -157,20 +151,39 @@ def _task_blocks(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int)
     return blocks
 
 
+def _lemma_blocks(cfg: SweepConfig, lemma_ids: list, task_indices: list, n: int, m: int) -> list:
+    """The lemma record blocks of the tasks `task_indices` of shape (n, m):
+    task i's case of lemma id number li draws from seed
+    derive_seed(derive_seed(base_seed, i), li), and each id's cases are
+    drawn, evaluated and recorded as one stack."""
+    blocks = []
+    for li, lid in enumerate(lemma_ids):
+        seeds = [derive_seed(derive_seed(cfg.base_seed, i), li) for i in task_indices]
+        cases = random_cases(lid, generators(seeds), n, m, cfg.spectrum_law)
+        terms = lemma_stack_terms(cases)
+        blocks.extend(lemma_blocks(cases, terms, seeds, n, m,
+                                   expand_norm_tokens(cfg.norms, terms.max_dim), cfg.tol_rel))
+    return blocks
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
     """Evaluate every configured chain at every (instance, params, norm)
     point.  Output is deterministic given the config.
 
-    Tasks run serially.  `workers` is accepted for existing callers and
-    does not change the work done or the output: a thread pool ran slower
-    than this loop, because the evaluation is many small numpy calls and
-    the Python between them holds the interpreter lock."""
+    Tasks run serially, by (n, m).  `workers` is accepted for existing
+    callers and does not change the work done or the output: a thread pool
+    ran slower than this loop, because the evaluation is many small numpy
+    calls and the Python between them holds the interpreter lock."""
     cfg.validate()
     table = _chain_table(cfg)
     pairs = [(n, m) for n in cfg.n_values for m in cfg.m_values]
     blocks = []
-    for i in range(cfg.instance_count):
-        blocks.extend(_task_blocks(cfg, table, i, *pairs[i % len(pairs)]))
+    for j, (n, m) in enumerate(pairs[:cfg.instance_count]):
+        task_indices = range(j, cfg.instance_count, len(pairs))
+        for i in task_indices:
+            blocks.extend(_task_blocks(cfg, table, i, n, m))
+        for _ in range(cfg.chains.count("lemmas")):
+            blocks.extend(_lemma_blocks(cfg, table["lemmas"][2], task_indices, n, m))
     return build_report_set(blocks)
 
 

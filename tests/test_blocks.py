@@ -38,6 +38,12 @@ class TestInstanceSet:
         with pytest.raises(errors.DimensionMismatch):
             InstanceSet(m=m, n=n, A=A, B=[np.eye(n)] * m)
 
+    @pytest.mark.parametrize("m, n, got", [(1, "x", "m=1, n='x'"), (1.0, 2, "m=1.0, n=2"),
+                                           (True, 2, "m=True, n=2")])
+    def test_rejects_non_integer_size(self, m, n, got):
+        with pytest.raises(errors.ConfigError, match=f"^m and n must be integers, got {got}$"):
+            InstanceSet(m=m, n=n, A=[np.eye(2)], B=[np.eye(2)])
+
     def test_stacks_are_read_only(self):
         inst = InstanceSet(m=2, n=2, A=[np.eye(2), 2 * np.eye(2)], B=np.ones((2, 2, 2)) + np.eye(2))
         for X in (inst.A, inst.B):

@@ -537,6 +537,28 @@ class TestCli:
         assert err.startswith("error: " + self._MALFORMED[malform])
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("m, n", [(2, "x"), (2.5, 3)])
+    def test_show_non_integer_size(self, m, n, tmp_path, capsys):
+        """An arg-min whose n or m is not an integer is refused when its
+        instance is built, with a message naming the field: exit 3."""
+        path = self._written(hunt(SearchConfig(base_seed=3, samples=30)), tmp_path)
+        rec = json.loads(path.read_text())
+        rec["argmin"].update(m=m, n=n)
+        path.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: m and n must be integers, got m={m!r}, n={n!r}\n"
+
+    def test_usage_error_exits_config(self, capsys):
+        """An argparse usage error exits 3, not argparse's 2 (which means a
+        violation in a proven regime here); --help still exits 0."""
+        for argv in (["hunt", "--s-range", "0.3,0.8"], ["verify", "--chain", "nope"], []):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert "error: " in capsys.readouterr().err
+        assert cli.main(["hunt", "--help"]) == cli.EXIT_OK
+        assert "usage: gmineq hunt" in capsys.readouterr().out
+
     @staticmethod
     def _written(result, tmp_path):
         out = tmp_path / "h.json"

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
-from gmineq.generate import SpectrumLaw, derive_seed, haar_unitary, random_spd
-from gmineq.lemmas import LEMMA_IDS, LemmaCase, eval_lemma, lemma_terms, random_case
+from gmineq.chains import expand_norm_tokens
+from gmineq.generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generators, haar_unitary, random_spd
+from gmineq.lemmas import (LEMMA_IDS, LemmaCase, eval_lemma, lemma_stack_terms, lemma_terms,
+                           random_case, random_cases)
 from gmineq.linalg import hermitize, matrix_power, psd_sv
 from gmineq.norms import NormSpec
-from gmineq.reports import lemma_records
+from gmineq.reports import dumps, lemma_blocks, lemma_records
+from gmineq.sweep import SweepConfig, run_sweep
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.trace(),
          NormSpec.schatten(2), NormSpec.operator()]
@@ -77,6 +80,16 @@ class TestHypothesisChecks:
         naming the lemma."""
         case = LemmaCase(lemma_id, random_case(lemma_id, 0).operands, params)
         with pytest.raises(errors.HypothesisViolation, match=f"^{lemma_id} needs "):
+            eval_lemma(case, NormSpec.trace())
+
+    @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+    def test_missing_operand(self, lemma_id):
+        """A case without one of its lemma's operands is refused with a
+        package error naming the lemma and the operand."""
+        case = random_case(lemma_id, 0)
+        *kept, dropped = case.operands
+        case = LemmaCase(lemma_id, {k: case.operands[k] for k in kept}, case.params)
+        with pytest.raises(errors.ConfigError, match=f"^{lemma_id} needs operand '{dropped}'"):
             eval_lemma(case, NormSpec.trace())
 
     def test_normal_product_premise(self):
@@ -190,3 +203,71 @@ class TestWideSpectra:
             panel = [NormSpec.ky_fan(k) for k in range(1, terms.max_dim + 1)]
             records = lemma_records(case, terms, derive_seed(1, i), 3, 2, panel)
             assert all(rec["pass"] for rec in records), (i, [rec["margins"] for rec in records])
+
+
+STACK_PANEL = ["kyfan:all", "schatten:1", "schatten:2", "schatten:3.5", "schatten:inf", "trace",
+               "operator", "frobenius"]
+
+
+class TestStackedCases:
+    """A case evaluated in a stack gives the bytes it gets alone, through
+    `random_case`, `lemma_terms` and `lemma_records`."""
+
+    @pytest.mark.parametrize("law", [DEFAULT_LAW, SpectrumLaw(1e-3, 1e3)], ids=["default", "wide"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+    def test_row_matches_one_case(self, lemma_id, n, m, law):
+        self._assert_rows_match(lemma_id, [derive_seed(5, k) for k in range(4)], n, m, law)
+
+    @pytest.mark.parametrize("n, m, seed", [(3, 2, 6836645759943011156),
+                                            (2, 4, 7164073368447176281)])
+    def test_block_diag_step_schatten_rows(self, n, m, seed):
+        """Cases whose Schatten 3.5 lhs differed in the last bit between a
+        stack and a lone case while the descending lhs list was a reversed
+        view, which numpy powers by another routine than a stack of them."""
+        self._assert_rows_match("BlockDiagStep", [seed, derive_seed(5, 0), derive_seed(5, 1)],
+                                n, m, DEFAULT_LAW)
+
+    @staticmethod
+    def _assert_rows_match(lemma_id, seeds, n, m, law):
+        cases = random_cases(lemma_id, generators(seeds), n, m, law)
+        terms = lemma_stack_terms(cases)
+        norms = expand_norm_tokens(STACK_PANEL, terms.max_dim)
+        blocks = lemma_blocks(cases, terms, seeds, n, m, norms)
+        for k, seed in enumerate(seeds):
+            case = random_case(lemma_id, seed, n, m, law)
+            for name, operand in case.operands.items():
+                assert cases.operands[name][k].tobytes() == np.asarray(operand).tobytes(), name
+            assert {name: v[k].item() for name, v in cases.params.items()} == case.params
+            one = lemma_terms(case)
+            row = terms[k]
+            for got, want in [(row.lhs_sv, one.lhs_sv), (row.rhs_sv, one.rhs_sv),
+                              *zip(row.hoelder or (), one.hoelder or ())]:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert dumps(blocks[k]) == dumps(lemma_records(case, one, seed, n, m, norms))
+
+    @pytest.mark.parametrize("lemma_id, name, row, error", [
+        ("PowerMonotoneFamily", "A", 1, errors.HypothesisViolation),  # A no longer dominated
+        ("NormalProduct", "B", 2, errors.HypothesisViolation),        # AB no longer normal
+        ("AUBPower", "U", 0, errors.NotUnitary),
+    ])
+    def test_premise_checked_per_case(self, lemma_id, name, row, error):
+        """One case of a stack that breaks its premise refuses the stack."""
+        cases = random_cases(lemma_id, generators([1, 2, 3]), 3, 2)
+        lemma_stack_terms(cases)
+        operand = cases.operands[name].copy()
+        operand[row] = 10.0 * operand[row] + np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(error):
+            lemma_stack_terms(LemmaCase(lemma_id, {**cases.operands, name: operand}, cases.params))
+
+    def test_sweep_records_independent_of_group_size(self):
+        """A task's lemma records do not depend on how many tasks share its
+        (n, m) stack."""
+        config = dict(chains=["lemmas"], n_values=[1, 2], m_values=[3], base_seed=4,
+                      norms=STACK_PANEL)
+        runs = [run_sweep(SweepConfig(instance_count=count, **config)).records
+                for count in (1, 3, 8)]
+        for small in runs[:2]:
+            seeds = {rec["instance_seed"] for rec in small}
+            large = [rec for rec in runs[2] if rec["instance_seed"] in seeds]
+            assert dumps(large) == dumps(small)

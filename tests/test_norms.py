@@ -210,3 +210,12 @@ class TestKyFanDominance:
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             ky_fan_dominance(np.eye(2), np.eye(3))
+
+    def test_stack_reports_first_failing_pair(self):
+        """Stacks compare pair by pair: dominated only if every pair is,
+        with the worst Ky Fan index and margin of the first pair that fails."""
+        X = np.stack([np.diag([1.0, 1.0]), np.diag([2.0, 2.0]), np.diag([2.0, 0.0])])
+        Y = np.stack([np.diag([2.0, 0.0]), np.diag([3.0, 0.0]), np.diag([1.0, 1.0])])
+        rep = ky_fan_dominance(X, Y)
+        assert not rep.dominated and rep.worst_k == 2 and rep.worst_margin == pytest.approx(-1.0)
+        assert ky_fan_dominance(X[:1], Y[:1]).dominated
