@@ -6,27 +6,31 @@ Floats are written with 17 significant digits, so read(write(x)) == x and
 re-serialization is byte-identical.  Search results are a single JSON
 object.
 
-`chain_blocks` (`lemma_blocks`) builds one block of records per point of a
-parameter grid (per case of a stack of lemma cases) from stacked terms,
-with one `norm_values` call per side; `chain_records` (`lemma_records`) is
-its one-point form.  These builders put a term set's records in report
-order (`order_norms`), so `build_report_set` orders a report by sorting
-term-set blocks by (chain, seed, params) and stable-merging blocks with
-equal keys by norm, which equals sorting every record by `record_sort_key`.
+A term set's records (one chain at one point, or one lemma case) are one
+`Block`: shared head and tail fields and one column per field that varies
+by norm.  `chain_blocks` (`lemma_blocks`) builds one block per point of a
+grid (per case of a lemma stack) from stacked terms, with no dict per
+record; `chain_records` (`lemma_records`) is its one-point form.  Columns
+are in report order (`order_norms`), so `build_report_set` sorts blocks by
+(chain, seed, params), which equals sorting every record by
+`record_sort_key`.  `summarize` reads the columns, and `ReportSet.records`
+builds record dicts only when something reads them.
 
 `_encode` is the one function that picks a value's JSON by its type; its
 memo formats each repeated key and float once (`dumps` has the rules).
-`write_reports` encodes a file's records and summary into one list of
-parts, with one memo, and joins it once; `read_reports` decodes all of a
-file's lines with one `json.loads` call.
+`write_reports` encodes a file into one list of parts with one memo, a
+block's head and tail once and then each record's column entries, and
+joins it once; nothing encoded outlives the call.  `read_reports` decodes
+all of a file's lines with one `json.loads` call.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import chain, groupby
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -45,7 +49,7 @@ SCHEMA_VERSION = 1
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def dumps(obj) -> str:
+def dumps(obj, memo: dict = None) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Dict key order is preserved as built (records are built with a fixed
@@ -55,7 +59,7 @@ def dumps(obj) -> str:
     raises `ValueError` and a value of any other type `TypeError`.
 
     `_encode` writes the value in one pass, and a memo kept for one call
-    (`write_reports` shares one across a file) holds the quoted `"key":`
+    (or given: `write_reports` shares one across a file) holds the quoted `"key":`
     prefix of each `str` key and the text of each non-zero float, so a
     report's repeated keys and values (its parameters, condition numbers
     and terms shared by grid points) are formatted once.  A key of any
@@ -64,7 +68,7 @@ def dumps(obj) -> str:
     no zero is remembered, since 0.0 and -0.0 compare equal.
     """
     parts: list = []
-    _encode(obj, parts, {})
+    _encode(obj, parts, {} if memo is None else memo)
     return "".join(parts)
 
 
@@ -148,23 +152,36 @@ def _encode(v, parts: list, memo: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# record building
+# term-set blocks
 # ---------------------------------------------------------------------------
 
-def chain_blocks(
-    terms: ChainTerms,
-    inst: InstanceSet,
-    points: list,
-    norms: list,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> list:
-    """One block of records per parameter point of a grid's stacked terms
-    (`chains.grid_terms`; row k belongs to `points[k]`), each block one
-    record per norm of `norms`, in report order (`order_norms`): one
-    `norm_values` call per term for the whole grid, margins and pass flags
-    from `chains.chain_margins`.  A block's records share its `params` dict
-    and every block shares the norm dicts."""
+@dataclass
+class Block:
+    """One term set's records (one chain at one point, or one lemma case),
+    held as columns: `head` holds the fields before `norm`, `columns` one
+    list per field that varies by norm (`norm`, `lhs`, `mid` for chains,
+    `rhs`, `margins`, `pass`), all in report order, and `tail` the fields
+    after them.  The three have disjoint keys."""
+
+    head: dict
+    columns: dict
+    tail: dict
+
+    @cached_property
+    def records(self) -> list:
+        """The record dicts, built on first read."""
+        head, tail, names = self.head, self.tail, tuple(self.columns)
+        return [{**head, **dict(zip(names, row)), **tail} for row in zip(*self.columns.values())]
+
+
+def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list,
+                 tol_rel: float = DEFAULT_TOL_REL,
+                 condition_cap: float = DEFAULT_CONDITION_CAP) -> list:
+    """One `Block` per parameter point of a grid's stacked terms
+    (`chains.grid_terms`; row k belongs to `points[k]`), over the norms of
+    `norms` in report order (`order_norms`): one `norm_values` call per
+    term for the whole grid, margins and pass flags from
+    `chains.chain_margins`.  Every block shares the norm column."""
     norms = order_norms(norms)
 
     def values(sv):
@@ -181,55 +198,47 @@ def chain_blocks(
     mids = [[None] * len(norms)] * len(points) if mid is None else mid.tolist()
     rows = zip(points, statuses, lhs.tolist(), mids, rhs.tolist(),
                np.stack(margins, axis=-1).tolist(), passed.tolist())
-    blocks = []
-    for q, status, los, mis, his, mgs, oks in rows:
-        params = {k: float(v) for k, v in q.as_dict().items()}
-        blocks.append([{"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": cid,
-                        "instance_seed": seed, "n": n, "m": m, "params": params, "norm": norm,
-                        "lhs": lo, "mid": mi, "rhs": hi, "margins": mg, "pass": ok,
-                        "gated": gated, "status": status, "condition_max": cond}
-                       for norm, lo, mi, hi, mg, ok in zip(norm_dicts, los, mis, his, mgs, oks)])
-    return blocks
+    return [Block({"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": cid,
+                   "instance_seed": seed, "n": n, "m": m,
+                   "params": {k: float(v) for k, v in q.as_dict().items()}},
+                  {"norm": norm_dicts, "lhs": los, "mid": mis, "rhs": his, "margins": mgs,
+                   "pass": oks},
+                  {"gated": gated, "status": status, "condition_max": cond})
+            for q, status, los, mis, his, mgs, oks in rows]
 
 
-def chain_records(
-    terms: ChainTerms,
-    inst: InstanceSet,
-    params: ChainParams,
-    norms: list,
-    tol_rel: float = DEFAULT_TOL_REL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-) -> list:
-    """One record per norm of `norms`, in report order, on one chain's
-    precomputed terms at one point: `chain_blocks` on a grid of one."""
+def chain_records(terms: ChainTerms, inst: InstanceSet, params: ChainParams, norms: list,
+                  tol_rel: float = DEFAULT_TOL_REL,
+                  condition_cap: float = DEFAULT_CONDITION_CAP) -> Block:
+    """The block of one chain's precomputed terms at one point:
+    `chain_blocks` on a grid of one."""
     return chain_blocks(terms, inst, [params], norms, tol_rel, condition_cap)[0]
 
 
 def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int, norms: list,
                  tol_rel: float = DEFAULT_TOL_REL) -> list:
-    """One block of records per case of a stack of lemma cases (row k of
-    `terms` is `instance_seeds[k]`'s), as `chain_blocks` builds them, under
+    """One `Block` per case of a stack of lemma cases (row k of `terms` is
+    `instance_seeds[k]`'s), as `chain_blocks` builds them, under
     `lemmas.lemma_margins`; `n` and `m` are the sizes the cases were drawn at."""
     norms = order_norms(norms)
     params = sorted((k, np.reshape(v, -1).tolist()) for k, v in case.params.items())
-    rows = zip(instance_seeds, *(np.reshape(v, (len(instance_seeds), -1)).tolist()
-                                 for v in lemma_margins(terms, norms, tol_rel)))
+    lhs, rhs, margin, passed = (np.reshape(v, (len(instance_seeds), -1))
+                                for v in lemma_margins(terms, norms, tol_rel))
+    rows = zip(instance_seeds, lhs.tolist(), rhs.tolist(), margin[..., None].tolist(),
+               passed.tolist())
     norm_dicts = [norm.to_record() for norm in norms]
-    blocks = []
-    for row, (seed, los, his, mgs, oks) in enumerate(rows):
-        head = {"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
-                "instance_seed": seed, "n": n, "m": m,
-                "params": {k: float(v[row]) for k, v in params}}
-        blocks.append([{**head, "norm": norm, "lhs": lo, "rhs": hi, "margins": [mg], "pass": ok,
-                        "gated": False, "status": "proven"}
-                       for norm, lo, hi, mg, ok in zip(norm_dicts, los, his, mgs, oks)])
-    return blocks
+    tail = {"gated": False, "status": "proven"}
+    return [Block({"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
+                   "instance_seed": seed, "n": n, "m": m,
+                   "params": {k: float(v[row]) for k, v in params}},
+                  {"norm": norm_dicts, "lhs": los, "rhs": his, "margins": mgs, "pass": oks}, tail)
+            for row, (seed, los, his, mgs, oks) in enumerate(rows)]
 
 
 def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,
-                  tol_rel: float = DEFAULT_TOL_REL) -> list:
-    """One record per norm of `norms`, in report order, on one lemma case's
-    precomputed terms: `lemma_blocks` on a stack of one."""
+                  tol_rel: float = DEFAULT_TOL_REL) -> Block:
+    """The block of one lemma case's precomputed terms: `lemma_blocks` on a
+    stack of one."""
     return lemma_blocks(case, terms, [instance_seed], n, m, norms, tol_rel)[0]
 
 
@@ -238,14 +247,11 @@ def record_sort_key(rec: dict):
     return _block_key(rec) + (_norm_sort_key(rec.get("norm", {})),)
 
 
-def _block_key(rec: dict):
-    """(chain or lemma id, instance seed, sorted params) of a record: the
-    key that the records of one term set share."""
-    return (
-        rec.get("chain_id") or rec.get("lemma_id") or "",
-        rec["instance_seed"],
-        tuple(sorted(rec.get("params", {}).items())),
-    )
+def _block_key(head: dict):
+    """(chain or lemma id, instance seed, sorted params) of a block's head
+    or a record: the key that the records of one term set share."""
+    return (head.get("chain_id") or head.get("lemma_id") or "", head["instance_seed"],
+            tuple(sorted(head.get("params", {}).items())))
 
 
 def _norm_sort_key(norm: dict):
@@ -256,9 +262,8 @@ def _norm_sort_key(norm: dict):
 
 
 def order_norms(norms: list) -> list:
-    """A norm list in report order (stable): the order in which the record
-    builders above put a term set's records, one block of
-    `build_report_set`."""
+    """A norm list in report order (stable): the order in which the block
+    builders above put a term set's records."""
     return sorted(norms, key=lambda spec: _norm_sort_key(spec.to_record()))
 
 
@@ -266,12 +271,22 @@ def order_norms(norms: list) -> list:
 # report sets
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ReportSet:
-    """Ordered records plus a per-(chain, norm class) summary."""
+    """Ordered `Block`s and record dicts (blocks of one; a report set built
+    from `records` holds that list as its blocks) plus a per-(chain, norm
+    class) summary.  `records` builds the blocks' dicts on first read."""
 
-    records: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    def __init__(self, records: list = None, summary: dict = None, blocks: list = None):
+        if blocks is None:
+            blocks = [] if records is None else records
+        self.blocks, self.summary, self._records = blocks, summary, records
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = [rec for item in self.blocks
+                             for rec in (item.records if isinstance(item, Block) else (item,))]
+        return self._records
 
 
 def _norm_class(norm: dict) -> str:
@@ -283,87 +298,126 @@ def _norm_class(norm: dict) -> str:
     return v
 
 
-def summarize(records: list) -> dict:
-    """Per-(chain, norm class) minimum margin and pass/gated counts."""
-    groups: dict = {}
-    candidates = 0
-    for rec in records:
-        cid = rec.get("chain_id") or rec.get("lemma_id")
-        key = (cid, _norm_class(rec.get("norm", {})))
-        g = groups.setdefault(key, {"min_margin": None, "pass": 0, "fail": 0, "gated": 0})
-        if rec.get("gated"):
-            g["gated"] += 1
+def summarize(blocks: list) -> dict:
+    """Per-(chain, norm class) minimum margin and pass/gated counts of
+    blocks in report order (a record dict is a block of one, so a list of
+    records works too).  A block's group numbers are worked out once per
+    (chain, norm column), and the counts and minima come from numpy over
+    all records; a group's minimum margin is the first in report order
+    among equal ones (0.0 and -0.0 compare equal), as a scan keeps it."""
+    groups: dict = {}    # (chain, norm class) -> group number
+    numbered: dict = {}  # (chain, id of a norm column) -> (column, its group numbers)
+    number, least, passed, live, conjectured = [], [], [], [], []
+    for item in blocks:
+        if not isinstance(item, Block):  # a record: a block of one, read directly
+            cid = item.get("chain_id") or item.get("lemma_id")
+            number.append(groups.setdefault((cid, _norm_class(item.get("norm", {}))), len(groups)))
+            least.append(min(item["margins"]))
+            passed.append(item["pass"])
+            live.append(not item.get("gated"))
+            conjectured.append(item.get("status") == "conjectured")
             continue
-        mm = min(rec["margins"])
-        if g["min_margin"] is None or mm < g["min_margin"]:
-            g["min_margin"] = mm
-        if rec["pass"]:
-            g["pass"] += 1
-        else:
-            g["fail"] += 1
-            if rec.get("status") == "conjectured":
-                candidates += 1
-    rows = [
-        {
-            "chain": cid,
-            "norm_class": nc,
-            "min_margin": g["min_margin"],
-            "pass_count": g["pass"],
-            "fail_count": g["fail"],
-            "gated_count": g["gated"],
-        }
-        for (cid, nc), g in sorted(groups.items())
-    ]
+        cid, norms = item.head.get("chain_id") or item.head.get("lemma_id"), item.columns["norm"]
+        key = (cid, id(norms))
+        if key not in numbered:  # the entry holds the column, so its id is not reused
+            numbered[key] = (norms, [groups.setdefault((cid, _norm_class(norm)), len(groups))
+                                     for norm in norms])
+        number += numbered[key][1]
+        least += map(min, item.columns["margins"])
+        passed += item.columns["pass"]
+        live += [not item.tail.get("gated")] * len(norms)
+        conjectured += [item.tail.get("status") == "conjectured"] * len(norms)
+    number, least = np.array(number, dtype=np.intp), np.array(least, dtype=float)
+    live, passed = np.array(live, dtype=bool), np.array(passed, dtype=bool)
+    passes, fails, gates = (np.bincount(number[mask], minlength=len(groups)).tolist()
+                            for mask in (live & passed, live & ~passed, ~live))
+    order = np.flatnonzero(live)
+    order = order[np.lexsort((least[order], number[order]))]  # stable: ties stay in order
+    firsts = order[np.flatnonzero(np.diff(number[order], prepend=-1))]
+    mins = dict(zip(number[firsts].tolist(), least[firsts].tolist()))
+    rows = [{"chain": cid, "norm_class": nc, "min_margin": mins.get(g), "pass_count": passes[g],
+             "fail_count": fails[g], "gated_count": gates[g]}
+            for (cid, nc), g in sorted(groups.items())]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
-        "total_records": len(records),
-        "candidates": candidates,
+        "total_records": len(number),
+        "candidates": int(np.count_nonzero(live & ~passed & np.array(conjectured, dtype=bool))),
         "groups": rows,
     }
 
 
 def build_report_set(blocks: list) -> ReportSet:
-    """A report set from records in any order, grouped into term-set
-    blocks: a block is a list of records that share `_block_key` (one term
-    set's records) in report order, as `chain_blocks` and `lemma_blocks`
-    build them; a lone record is a block of one.  The
-    blocks are sorted by their key, and blocks with equal keys are
-    stable-merged by norm, so the records come out as
-    `sorted(records, key=record_sort_key)` puts them, with one key per
-    block instead of one per record."""
-    blocks = [[block] if isinstance(block, dict) else block for block in blocks]
-    keyed = [(block, _block_key(block[0])) for block in blocks if block]
+    """A report set from `Block`s and record dicts (blocks of one) in any
+    order, each block in report order as the builders make it: the blocks
+    are sorted by the key of their head, and the records of blocks with
+    equal keys stable-merged by norm, so the records come out as
+    `sorted(records, key=record_sort_key)` puts them, with one key per block."""
+    keyed = [(item, _block_key(item.head if isinstance(item, Block) else item)) for item in blocks]
     keyed.sort(key=itemgetter(1))
-    records = []
+    ordered = []
     for _, group in groupby(keyed, key=itemgetter(1)):
-        group = [block for block, _ in group]
+        group = [item for item, _ in group]
         if len(group) == 1:
-            records.extend(group[0])
+            ordered.append(group[0])
         else:
-            records.extend(sorted(chain.from_iterable(group),
+            ordered.extend(sorted(ReportSet(blocks=group).records,
                                   key=lambda rec: _norm_sort_key(rec.get("norm", {}))))
-    return ReportSet(records=records, summary=summarize(records))
+    return ReportSet(blocks=ordered, summary=summarize(ordered))
 
 
 # ---------------------------------------------------------------------------
 # IO
 # ---------------------------------------------------------------------------
 
+def _texts(values, memo: dict, shared: dict) -> list:
+    """The JSON text of each value of a column: a float through `memo`, a
+    list item by item, any other value once per object (`shared`, by id)."""
+    out = []
+    for v in values:
+        if type(v) is float:
+            out.append(memo.get(v) or _float_text(v, memo))
+        elif type(v) is list:
+            out.append("[" + ",".join(_texts(v, memo, shared)) + "]")
+        else:
+            text = shared.get(id(v))
+            if text is None:
+                text = shared[id(v)] = dumps(v, memo)
+            out.append(text)
+    return out
+
+
+def _block_lines(block: Block, parts: list, memo: dict, shared: dict) -> None:
+    """Append the lines of a block's records to `parts`, with the bytes
+    `_encode` gives their dicts: a line template holds the head and tail,
+    and each record fills in the texts of its column entries."""
+    fields = [dumps(block.head, memo)[1:-1], *(_quote(name) + ":" for name in block.columns),
+              dumps(block.tail, memo)[1:-1]]
+    fields = [text.replace("%", "%%") for text in fields]
+    fields[1:-1] = [text + "%s" for text in fields[1:-1]]
+    template = "{" + ",".join(filter(None, fields)) + "}\n"
+    columns = [_texts(values, memo, shared) for values in block.columns.values()]
+    parts.extend(map(template.__mod__, zip(*columns)))
+
+
 def write_reports(obj, path) -> None:
     """Write a ReportSet (JSONL: each record, then the summary, one per
     line) or a SearchResult (one JSON object), as one text with one memo."""
     if isinstance(obj, ReportSet):
-        values = [*obj.records, obj.summary]
+        values = [*obj.blocks, obj.summary]
     elif hasattr(obj, "to_record"):
         values = [obj.to_record()]
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
     parts: list = []
     memo: dict = {}
+    shared: dict = {}
     for value in values:
-        _encode(value, parts, memo)
-        parts.append("\n")
+        if isinstance(value, Block):
+            _block_lines(value, parts, memo, shared)
+        else:
+            _encode(value, parts, memo)
+            parts.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))
 

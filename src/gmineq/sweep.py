@@ -5,8 +5,9 @@ a report is a pure function of its config.
 A task evaluates each grid chain's whole (s, r, p, t) grid on its instance
 as one stack (`chains.grid_terms`) and records it with one
 `reports.chain_blocks` call; `commuting` goes point by point, and lemma
-cases are stacked across the tasks of one (n, m).  Each term set's records
-form one block, and `reports.build_report_set` sorts blocks, not records.
+cases are stacked across the tasks of one (n, m).  Each term set is one
+`reports.Block`, and a sweep builds no record dict: `build_report_set`,
+the summary, the writer and `has_proven_failure` read the blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admiss
                      commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance, generators
 from .lemmas import LEMMA_IDS, lemma_stack_terms, random_cases
-from .reports import ReportSet, build_report_set, chain_blocks, chain_records, lemma_blocks
+from .reports import Block, ReportSet, build_report_set, chain_blocks, chain_records, lemma_blocks
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
 # The parameters recorded for the commuting chains, which take none.
@@ -57,9 +58,11 @@ class SweepConfig:
         for name in ("s_values", "r_values", "p_values", "t_values"):
             errors.require_finite(name, getattr(self, name))
         validate_run_fields(self)
-        for c in self.chains:
+        for i, c in enumerate(self.chains):
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")
+            if c in self.chains[:i]:
+                raise errors.ConfigError(f"chain {c!r} is listed twice")
         if self.generator not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown generator {self.generator!r}")
         if self.instance_count < 0:
@@ -182,14 +185,17 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
         task_indices = range(j, cfg.instance_count, len(pairs))
         for i in task_indices:
             blocks.extend(_task_blocks(cfg, table, i, n, m))
-        for _ in range(cfg.chains.count("lemmas")):
+        if "lemmas" in cfg.chains:
             blocks.extend(_lemma_blocks(cfg, table["lemmas"][2], task_indices, n, m))
     return build_report_set(blocks)
 
 
 def has_proven_failure(rs: ReportSet) -> bool:
-    """True if any non-gated proven-regime record failed its tolerance."""
-    return any(
-        not rec["pass"] and not rec["gated"] and rec.get("status") == "proven"
-        for rec in rs.records
-    )
+    """True if any non-gated proven-regime record failed its tolerance, read
+    from each block's tail and pass column (a record dict is a block of one)."""
+    for item in rs.blocks:
+        passes, tail = ((item.columns["pass"], item.tail) if isinstance(item, Block)
+                        else ([item["pass"]], item))
+        if not tail["gated"] and tail.get("status") == "proven" and not all(passes):
+            return True
+    return False

@@ -54,14 +54,15 @@ class TestMainChain:
             return
         inst = generate_instance("generic", 2, 2, seed)
         params = ChainParams(s=s, r=r, p=p)
-        for rec in chain_records(main_chain_terms(inst, params), inst, params, NORMS):
+        for rec in chain_records(main_chain_terms(inst, params), inst, params, NORMS).records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, s, r, p, rec["norm"], rec["margins"])
 
     def test_middle_term_ordered(self):
         inst = generate_instance("generic", 3, 2, 17)
         params = ChainParams(s=2, r=1, p=1)
-        rec, = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.trace()])
+        block = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.trace()])
+        rec, = block.records
         assert rec["mid"] is not None
         assert rec["lhs"] <= rec["mid"] + 1e-8 * max(1.0, rec["rhs"])
         assert rec["mid"] <= rec["rhs"] + 1e-8 * max(1.0, rec["rhs"])
@@ -69,7 +70,8 @@ class TestMainChain:
     def test_scalar_collapse_is_equality(self):
         inst = generate_instance("generic", 1, 1, 23)
         params = ChainParams(s=3, r=2, p=0.5)
-        rec, = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.operator()])
+        block = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.operator()])
+        rec, = block.records
         assert max(abs(v) for v in rec["margins"]) <= 1e-12 * max(1.0, rec["rhs"])
 
 
@@ -83,7 +85,8 @@ class TestGeoZ:
     @settings(max_examples=30, deadline=None)
     def test_left_step_holds_below_two(self, seed, s):
         inst = generate_instance("generic", 2, 2, seed)
-        for rec in chain_records(geo_z_terms(inst, s), inst, ChainParams(s=s, r=1.0, p=1.0), NORMS):
+        block = chain_records(geo_z_terms(inst, s), inst, ChainParams(s=s, r=1.0, p=1.0), NORMS)
+        for rec in block.records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, s, rec["norm"], rec["margins"])
 
@@ -112,14 +115,14 @@ class TestTChain:
         inst = generate_instance("generic", 2, 2, seed)
         params = ChainParams(s=1.0, r=r, p=p, t=t)
         assert t_chain_status(params) == "proven"
-        for rec in chain_records(t_chain_terms(inst, params), inst, params, NORMS):
+        for rec in chain_records(t_chain_terms(inst, params), inst, params, NORMS).records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, t, r, p, rec["norm"], rec["margins"])
 
     def test_conjectured_negative_margin_is_recorded_not_raised(self):
         inst = generate_instance("generic", 2, 2, 3)
         params = ChainParams(s=1.5, t=0.5)
-        rec, = chain_records(t_chain_terms(inst, params), inst, params, [NormSpec.trace()])
+        rec, = chain_records(t_chain_terms(inst, params), inst, params, [NormSpec.trace()]).records
         assert rec["status"] == "conjectured"
         assert isinstance(rec["pass"], bool)  # no exception either way
 
@@ -139,7 +142,8 @@ class TestCommuting:
     @settings(max_examples=30, deadline=None)
     def test_chain_holds(self, seed, variant):
         inst = generate_instance("commuting", 2, 3, seed)
-        for rec in chain_records(commuting_terms(inst, variant), inst, ChainParams(s=1.0), NORMS):
+        block = chain_records(commuting_terms(inst, variant), inst, ChainParams(s=1.0), NORMS)
+        for rec in block.records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, variant, rec["norm"], rec["margins"])
 
@@ -148,7 +152,8 @@ class TestReporting:
     def test_condition_gating(self):
         inst = generate_instance("generic", 3, 2, 5)
         terms = main_chain_terms(inst, ChainParams())
-        rec, = chain_records(terms, inst, ChainParams(), [NormSpec.trace()], condition_cap=1.5)
+        block = chain_records(terms, inst, ChainParams(), [NormSpec.trace()], condition_cap=1.5)
+        rec, = block.records
         assert rec["gated"]
         assert rec["condition_max"] == pytest.approx(condition_max(inst))
 
@@ -370,7 +375,8 @@ def test_grid_records_match_point_by_point(n, m, seed, s_, r_, p_, t_, tokens):
             continue
         terms = grid_terms(inst, chain, grid)
         norms = expand_norm_tokens(tokens, terms.max_dim)
-        got = [[dumps(rec) for rec in block] for block in chain_blocks(terms, inst, grid, norms)]
+        got = [[dumps(rec) for rec in block.records]
+               for block in chain_blocks(terms, inst, grid, norms)]
         want = []
         for q in grid:
             fresh = generate_instance("generic", n, m, seed)

@@ -138,6 +138,14 @@ class TestSweep:
         with pytest.raises(errors.ConfigError):
             SweepConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("chains", [["main", "main"], ["lemmas", "commuting", "lemmas"]])
+    def test_chain_listed_twice_rejected(self, chains):
+        """A chain listed twice would be evaluated and written twice."""
+        cfg = SweepConfig(chains=chains, instance_count=2, norms=["trace"])
+        for call in (cfg.validate, lambda: run_sweep(cfg)):
+            with pytest.raises(errors.ConfigError, match=f"chain '{chains[-1]}' is listed twice"):
+                call()
+
     @pytest.mark.parametrize("chain, bad, needs", [
         ("main", {"s_values": [1.5]}, "s >= 2"),
         ("geo-z", {"s_values": [0.5]}, "s >= 1"),
@@ -175,24 +183,24 @@ class TestSweep:
         def norms(dim):
             return [NormSpec.ky_fan(k) for k in range(1, dim + 1)] + [NormSpec.schatten(2)]
 
-        records = []
+        blocks = []
         for i in range(3):
             seed = derive_seed(11, i)
             generic = generate_instance("generic", 2, 2, seed)
             commuting = generate_instance("commuting", 2, 2, seed)
             main = ChainParams(s=2.0, r=1.0, p=1.0)
-            records += chain_records(main_chain_terms(generic, main), generic, main, norms(4))
+            blocks.append(chain_records(main_chain_terms(generic, main), generic, main, norms(4)))
             for s in (1.0, 2.0):
-                records += chain_records(geo_z_terms(generic, s), generic,
-                                         ChainParams(s=s, r=1.0, p=1.0), norms(4))
+                blocks.append(chain_records(geo_z_terms(generic, s), generic,
+                                            ChainParams(s=s, r=1.0, p=1.0), norms(4)))
             for s in (1.0, 2.0):
                 weighted = ChainParams(s=s, r=1.0, p=1.0, t=0.5)
-                records += chain_records(t_chain_terms(generic, weighted), generic, weighted,
-                                         norms(2))
+                blocks.append(chain_records(t_chain_terms(generic, weighted), generic, weighted,
+                                            norms(2)))
             for variant in ("product", "symmetrized"):
-                records += chain_records(commuting_terms(commuting, variant), commuting,
-                                         ChainParams(s=1.0), norms(2))
-        want = build_report_set(records).records
+                blocks.append(chain_records(commuting_terms(commuting, variant), commuting,
+                                            ChainParams(s=1.0), norms(2)))
+        want = build_report_set(blocks).records
         got = [rec for rec in run_sweep(SweepConfig(**SMALL)).records if rec["kind"] == "chain"]
         assert len(want) == 3 * (5 + 2 * 5 + 2 * 3 + 2 * 3)
         assert got == want
@@ -377,6 +385,12 @@ class TestCli:
         bad_norm = cli.main(["verify", "--chain", "main", "--count", "1",
                              "--norms", "nuclear"])
         assert bad_norm == cli.EXIT_CONFIG
+
+    def test_chain_listed_twice_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(dict(SMALL, chains=["main", "geo-z", "main"])))
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_CONFIG
+        assert "chain 'main' is listed twice" in capsys.readouterr().err
 
     def test_config_type_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -43,7 +43,7 @@ def _direct_margin(inst, params, norms, condition_cap):
         return True, None, None
     best, best_spec = np.inf, None
     for spec in expand_norm_tokens(norms, terms.max_dim):
-        rec, = chain_records(terms, inst, params, [spec])
+        rec, = chain_records(terms, inst, params, [spec]).records
         margin = min(rec["margins"]) / max(1.0, rec["rhs"])
         if margin < best:
             best, best_spec = margin, spec

@@ -29,9 +29,10 @@ from gmineq.chains import ChainParams, expand_norm_tokens, grid_terms
 from gmineq.generate import generate_instance
 from gmineq.norms import NormSpec
 from gmineq.lemmas import lemma_terms, random_case
-from gmineq.reports import (SCHEMA_VERSION, ReportSet, build_report_set, chain_blocks, dumps,
-                            lemma_records, order_norms, read_reports, record_sort_key, summarize,
-                            write_reports)
+from gmineq.reports import (SCHEMA_VERSION, Block, ReportSet, build_report_set, chain_blocks,
+                            dumps, lemma_records, order_norms, read_reports, record_sort_key,
+                            summarize, write_reports)
+from gmineq.sweep import KNOWN_CHAINS, SweepConfig, has_proven_failure, run_sweep
 
 
 def _oracle_float(x: float) -> str:
@@ -186,18 +187,18 @@ _SORT_TOKENS = ["kyfan:1", "kyfan:2", "kyfan:10", "schatten:2", "schatten:inf", 
 
 @st.composite
 def _term_set_blocks(draw):
-    """Blocks of records with few distinct keys, so that many tie: each a
-    term set's records over an ordered norm list with repeated norms, or a
-    lone record."""
+    """Blocks with few distinct keys, so that many tie: each a term set's
+    `Block` over an ordered norm list with repeated norms, or a lone record."""
     blocks = []
     for _ in range(draw(st.integers(0, 10))):
         head = {draw(st.sampled_from(["chain_id", "lemma_id"])): draw(st.sampled_from(["a", "b"])),
                 "instance_seed": draw(st.sampled_from([7, 2])),
                 "params": {"s": draw(st.sampled_from([2.0, 3.0])), "r": 1.0}}
         tokens = draw(st.lists(st.sampled_from(_SORT_TOKENS), min_size=1, max_size=5))
-        block = [{**head, "norm": spec.to_record(), "margins": [0.0], "pass": True, "gated": False}
-                 for spec in order_norms([NormSpec.parse(tok) for tok in tokens])]
-        blocks.append(block if len(block) > 1 or draw(st.booleans()) else block[0])
+        norms = [spec.to_record() for spec in order_norms([NormSpec.parse(tok) for tok in tokens])]
+        block = Block(head, {"norm": norms, "margins": [[0.0]] * len(norms),
+                             "pass": [True] * len(norms)}, {"gated": False})
+        blocks.append(block if len(norms) > 1 or draw(st.booleans()) else block.records[0])
     return blocks
 
 
@@ -208,7 +209,7 @@ class TestBlockSort:
     @staticmethod
     def _assert_record_order(blocks):
         records = [rec for block in blocks
-                   for rec in ([block] if isinstance(block, dict) else block)]
+                   for rec in ([block] if isinstance(block, dict) else block.records)]
         got = build_report_set(blocks).records
         assert [id(rec) for rec in got] == [id(rec) for rec in sorted(records, key=record_sort_key)]
 
@@ -226,7 +227,7 @@ class TestBlockSort:
         norms = expand_norm_tokens(["trace", "kyfan:2", "kyfan:all", "kyfan:2"], 4)
         blocks = chain_blocks(terms, inst, grid, norms)
         self._assert_record_order(blocks[::-1] + blocks)
-        self._assert_record_order([rec for block in blocks for rec in block])
+        self._assert_record_order([rec for block in blocks for rec in block.records])
 
     def test_builders_order_a_term_set_themselves(self):
         """A key's lone block is taken as built, so each record builder
@@ -241,6 +242,103 @@ class TestBlockSort:
         lterms = lemma_terms(case)
         self._assert_record_order([lemma_records(case, lterms, 62, 2, 2,
                                                  expand_norm_tokens(tokens, lterms.max_dim))])
+
+
+_EVERY_NORM = ["kyfan:all", "schatten:1", "schatten:2.5", "schatten:inf", "trace", "operator",
+               "frobenius"]
+COLUMNAR_CONFIGS = {
+    "every-chain": dict(chains=list(KNOWN_CHAINS), n_values=[1, 2, 3], m_values=[1, 2],
+                        instance_count=6, base_seed=5, s_values=[1.0, 1.5, 2.0, 3.0],
+                        r_values=[1.0, 2.0], p_values=[0.5, 1.0], t_values=[0.3, 0.5],
+                        norms=_EVERY_NORM),
+    # every instance but the 1x1 scalars (condition number 1) is gated
+    "gated": dict(chains=list(KNOWN_CHAINS), n_values=[1, 2], m_values=[1, 2], instance_count=4,
+                  base_seed=6, s_values=[1.5, 2.0], t_values=[0.5], norms=_EVERY_NORM,
+                  condition_cap=1.0 + 1e-9),
+    # with no tolerance, rounding fails some conjectured scalar equalities
+    "conjectured-failures": dict(chains=["t-chain", "commuting", "main", "lemmas"], n_values=[1],
+                                 m_values=[1], instance_count=20, base_seed=3,
+                                 s_values=[1.5, 2.5], t_values=[0.3, 0.5], tol_rel=0.0,
+                                 norms=_EVERY_NORM),
+}
+
+
+class TestColumnarReports:
+    """A sweep's report set holds `Block`s: the writer, the summary and the
+    exit code read them, and no record dict is built until `records` is
+    read.  Its bytes, records and summary must be those of its records
+    written, read and summarized one by one."""
+
+    @pytest.mark.parametrize("name", list(COLUMNAR_CONFIGS))
+    def test_blocks_equal_their_records(self, name, tmp_path):
+        rs = run_sweep(SweepConfig(**COLUMNAR_CONFIGS[name]))
+        path, by_records = tmp_path / "blocks.jsonl", tmp_path / "records.jsonl"
+        has_proven_failure(rs)
+        write_reports(rs, path)
+        assert all(isinstance(b, Block) and "records" not in vars(b) for b in rs.blocks)
+        text = path.read_text(encoding="utf-8")
+        assert text == "".join(oracle_dumps(v) + "\n" for v in [*rs.records, rs.summary])
+        write_reports(ReportSet(records=rs.records, summary=rs.summary), by_records)
+        assert by_records.read_text(encoding="utf-8") == text
+        back = read_reports(path)
+        assert rs.records == back.records and back.summary == rs.summary
+        assert rs.summary == summarize(rs.records)
+        groups = rs.summary["groups"]
+        assert {row["chain"] for row in groups} >= {"main", "t-chain", "commuting-product"}
+        if name == "gated":
+            assert sum(row["gated_count"] for row in groups) > 0
+            assert sum(row["pass_count"] for row in groups) > 0
+        if name == "conjectured-failures":
+            assert rs.summary["candidates"] > 0
+
+    def test_no_encoding_carried_between_writes(self, tmp_path, monkeypatch):
+        """Each write formats its floats afresh: no memo or text outlives a
+        call, so repeated writes of one report set do the same work."""
+        rs = run_sweep(SweepConfig(**COLUMNAR_CONFIGS["every-chain"]))
+        calls = []
+        original = reports._float_text
+        monkeypatch.setattr(reports, "_float_text",
+                            lambda v, memo: calls.append(v) or original(v, memo))
+        counts = []
+        for _ in range(3):
+            calls.clear()
+            write_reports(rs, tmp_path / "r.jsonl")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] > 0
+
+    def test_summary_keeps_the_first_of_equal_minima(self):
+        """0.0 and -0.0 compare equal: a group's minimum margin is the
+        first in report order, across records and within one, from blocks
+        or from record dicts."""
+        head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": "main",
+                "instance_seed": 1, "n": 1, "m": 1, "params": {}}
+        for margins in ([[0.0], [-0.0]], [[-0.0], [0.0]], [[0.0, -0.0]], [[-0.0, 0.0], [0.0]]):
+            block = Block(head, {"norm": [{"variant": "trace"}] * len(margins),
+                                 "margins": margins, "pass": [True] * len(margins)},
+                          {"gated": False, "status": "proven"})
+            for summary in (summarize([block]), summarize(block.records)):
+                mm, = (row["min_margin"] for row in summary["groups"])
+                assert math.copysign(1.0, mm) == math.copysign(1.0, margins[0][0]), margins
+
+    def test_proven_failure_read_from_blocks(self):
+        """A failing non-gated proven record, and only such a record, makes
+        a proven failure, read from the block without building its dicts."""
+        def block(passes, seed, gated=False, status="proven"):
+            head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": "main",
+                    "instance_seed": seed, "n": 1, "m": 1, "params": {"s": 2.0}}
+            return Block(head, {"norm": [{"variant": "trace"}, {"variant": "operator"}],
+                                "margins": [[1.0], [-1.0]], "pass": passes},
+                         {"gated": gated, "status": status})
+
+        ok, failing = block([True, True], 1), block([True, False], 2)
+        assert not has_proven_failure(ReportSet(blocks=[ok]))
+        assert has_proven_failure(ReportSet(blocks=[ok, failing]))
+        assert "records" not in vars(failing)
+        assert not has_proven_failure(ReportSet(blocks=[ok, block([True, False], 3, gated=True)]))
+        assert not has_proven_failure(
+            ReportSet(blocks=[block([False, False], 4, status="conjectured")]))
+        assert has_proven_failure(ReportSet(records=failing.records))
+        assert not has_proven_failure(ReportSet(records=ok.records))
 
 
 class TestReader:
