@@ -35,17 +35,17 @@ _MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def splitmix64(x: int) -> int:
-    """The splitmix64 finalizer; a stable 64-bit mixing function."""
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def splitmix64(x):
+    """The splitmix64 finalizer, of an int or elementwise of a uint64 array."""
+    z = np.array(x & _MASK64, dtype=np.uint64, ndmin=1) + _GOLDEN
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return z if isinstance(x, np.ndarray) else int(z[0])
 
 
-def derive_seed(base_seed: int, index: int) -> int:
-    """Stable 64-bit per-task seed from (base_seed, task index)."""
+def derive_seed(base_seed, index):
+    """Stable 64-bit per-task seed from (base_seed, task index), also of uint64 arrays."""
     return splitmix64((base_seed & _MASK64) ^ splitmix64(index & _MASK64))
 
 
@@ -85,16 +85,17 @@ DEFAULT_LAW = SpectrumLaw()
 def _draw(rngs: list, n: int, count: int, law: SpectrumLaw = DEFAULT_LAW, rows: int = 1) -> tuple:
     """(G (K, count, n, n), lam (K, count * rows, n)): per generator, `count`
     Ginibre matrices, real parts drawn first, each followed by `rows` rows
-    of n eigenvalues of the law; parts combined, exp taken once for all."""
+    of n eigenvalues of the law; parts combined, uniforms scaled as `rng.uniform`
+    scales them and exp taken, once for all."""
     normal = np.empty((len(rngs), count, 2, n, n))
-    log_lam = np.empty((len(rngs), count, rows, n))
-    log_lo, log_hi = law._log_bounds
-    for rng, parts, logs in zip(rngs, normal, log_lam):
+    u = np.empty((len(rngs), count, rows, n))
+    for rng, parts, uniforms in zip(rngs, normal, u):
         for j in range(count):
             rng.standard_normal(out=parts[j])
-            logs[j] = rng.uniform(log_lo, log_hi, size=(rows, n))
+            rng.random(out=uniforms[j])
     G = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
-    return G, np.exp(log_lam).reshape(len(rngs), count * rows, n)
+    log_lo, log_hi = law._log_bounds
+    return G, np.exp(log_lo + (log_hi - log_lo) * u).reshape(len(rngs), count * rows, n)
 
 
 def ginibre_draws(rngs: list, n: int, count: int = 1) -> np.ndarray:
@@ -170,6 +171,30 @@ def _pcg64_seed_words(seeds) -> np.ndarray:
         k += 3
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0).astype(np.uint64)
     return np.ascontiguousarray((words[0::2] | (words[1::2] << 32)).T)
+
+
+def pcg64_outputs(seeds, count: int) -> np.ndarray:
+    """(K, count) uint64: `default_rng(seed).bit_generator.random_raw(count)`
+    of each of K seeds in [0, 2**64).  PCG64's 128-bit LCG takes its state and
+    increment from `_pcg64_seed_words`; each output steps it and is its XSL-RR
+    output, the state's two 64-bit words xored and rotated right by its top 6
+    bits.  Products are summed from 32-bit limbs, so none exceeds 64 bits."""
+    state_hi, state_lo, inc_hi, inc_lo = _pcg64_seed_words(seeds).T
+    inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1
+    lo = inc_lo + state_lo  # the first step takes 0 to the increment
+    hi = inc_hi + state_hi + (lo < state_lo)
+    mult_hi, mult_lo = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # pcg64.h
+    m0, m1 = mult_lo & _MASK32, mult_lo >> 32
+    out = np.empty((len(lo), count + 1), dtype=np.uint64)
+    for j in range(count + 1):  # step 0 is seeding's second step
+        a0, a1 = lo & _MASK32, lo >> 32
+        mid = a1 * m0 + ((a0 * m0) >> 32)
+        carry = a1 * m1 + (mid >> 32) + (((mid & _MASK32) + a0 * m1) >> 32)
+        hi, lo = carry + hi * mult_lo + lo * mult_hi + inc_hi, lo * mult_lo + inc_lo
+        hi += lo < inc_lo
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out[:, 1:]
 
 
 class _SeedWords(ISeedSequence):

@@ -5,15 +5,17 @@ descent from the worst point.  A negative margin beyond tolerance is never
 claimed as a counterexample: it is re-evaluated in extended precision and
 reported as a violation candidate.
 
-The sampling phase is bucketed: each sample draws its parameters and its
-instance's random numbers from its own seeded streams, the samples are
-grouped by (n, m), and each group is generated and evaluated as one stack
-(one call per kernel step; see `linalg`).  The samples are taken in
-chunks of a fixed count, sized so that a chunk of the largest instances
-holds at most _CHUNK_ENTRIES matrix entries; a chunk's parameter streams
-are made by one `generate.generators` call and its instance streams by
-another, each stream that of `np.random.default_rng` at its seed.  The
-arg-min is then taken in sample order, the first sample winning a tie.
+The sampling phase is bucketed: each sample draws from its own streams, those
+of `np.random.default_rng` at seeds derived from its index, the samples are
+grouped by (n, m), and each group is generated and evaluated as one stack (one
+call per kernel step; see `linalg`).  The samples are taken in chunks of at
+most _CHUNK_ENTRIES matrix entries of the largest instances.  A chunk's
+parameters come from arrays of its streams' first PCG64 (XSL-RR) outputs, as
+numpy's `Generator` makes them: Lemire's bounded integers from 32-bit halves,
+the high half kept across a uniform draw; uniforms from `next_double`'s top 53
+bits; no draw for a one-value range; a sample with a rejected 32-bit value
+goes through `_sample_point`.  The arg-min is taken in sample order, the first
+sample winning a tie.
 Refinement is keep-if-smaller, evaluated in windows: until a step is
 accepted every step perturbs the same point from its own seeded stream,
 so the candidates of a window of steps are drawn and evaluated as one
@@ -47,7 +49,7 @@ from .chains import (
     validate_run_fields,
 )
 from .generate import (DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instances,
-                       generators)
+                       generators, pcg64_outputs)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
@@ -189,11 +191,10 @@ class SearchResult:
                 f"search result min_margin is not a number: {rec['min_margin']!r}") from None
 
 
-def _sample_point(cfg: SearchConfig, k: int, rng: np.random.Generator | None = None) -> tuple:
-    """(n, m, params, instance seed) of sample k, drawn from `rng`, the
-    stream of seed `derive_seed(cfg.base_seed, k)`, made here if not given."""
-    if rng is None:
-        rng = np.random.default_rng(derive_seed(cfg.base_seed, k))
+def _sample_point(cfg: SearchConfig, k: int) -> tuple:
+    """(n, m, params, instance seed) of sample k, drawn from the stream of
+    seed `derive_seed(cfg.base_seed, k)`: the reference of `_sample_points`."""
+    rng = np.random.default_rng(derive_seed(cfg.base_seed, k))
     n = int(rng.integers(1, cfg.n_max + 1))
     m = int(rng.integers(1, cfg.m_max + 1))
     s = float(rng.uniform(*cfg.s_range))
@@ -201,6 +202,36 @@ def _sample_point(cfg: SearchConfig, k: int, rng: np.random.Generator | None = N
     r = float(cfg.r_values[int(rng.integers(0, len(cfg.r_values)))])
     p = float(cfg.p_values[int(rng.integers(0, len(cfg.p_values)))])
     return n, m, ChainParams(s=s, r=r, p=p, t=t), derive_seed(cfg.base_seed, (k << 1) | 1)
+
+
+def _sample_points(cfg: SearchConfig, block: range) -> list:
+    """`_sample_point` of every sample in `block`, computed on arrays of their
+    streams' first words (see the module docstring)."""
+    ks = np.array(block, np.uint64)
+    words = iter(pcg64_outputs(derive_seed(cfg.base_seed, ks), 4).T)
+    high, rejected, draws = None, np.zeros(len(ks), dtype=bool), []
+    for bound in (cfg.n_max, cfg.m_max, cfg.s_range, cfg.t_range, len(cfg.r_values),
+                  len(cfg.p_values)):
+        if isinstance(bound, (list, tuple)):  # uniform on [lo, hi]
+            lo, hi = float(bound[0]), float(bound[1])
+            draws.append(lo + (hi - lo) * ((next(words) >> 11) * 2.0 ** -53))
+        elif bound == 1:
+            draws.append(np.zeros(len(ks), dtype=np.uint64))
+        else:  # Lemire's bounded integer in [0, bound) from 32 bits
+            if high is None:
+                word = next(words)
+                u, high = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, high = high, None
+            scaled = u * int(bound)
+            rejected |= (scaled & 0xFFFFFFFF) < (2 ** 32 - bound) % bound
+            draws.append(scaled >> 32)
+    n, m, s, t, r, p = (d.tolist() for d in draws)
+    seeds = derive_seed(cfg.base_seed, (ks << 1) | 1).tolist()
+    return [_sample_point(cfg, block[i]) if rejected[i] else
+            (1 + n[i], 1 + m[i], ChainParams(s=s[i], r=float(cfg.r_values[r[i]]),
+                                              p=float(cfg.p_values[p[i]]), t=t[i]), seeds[i])
+            for i in range(len(ks))]
 
 
 def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap) -> tuple:
@@ -236,16 +267,14 @@ def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
 
 def _sampling_phase(cfg: SearchConfig):
     """(margin or None when gated, point) for every sample, in sample
-    order, chunk by chunk (see the module docstring).  A chunk's samples
-    are grouped by (n, m); a group's instances are drawn and assembled as
-    one stack and evaluated by one `_stack_margins` call.  A point is (A,
-    B, row, sample, spec): the sample's instance is row `row` of the
-    stacks A and B, and `sample` is from `_sample_point`."""
+    order, chunk by chunk (see the module docstring); a group's instances
+    are evaluated by one `_stack_margins` call.  A point is (A, B, row,
+    sample, spec): the sample's instance is row `row` of the stacks A and
+    B, and `sample` is as `_sample_point` draws it."""
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):
         block = range(start, min(start + size, cfg.samples))
-        chunk = [_sample_point(cfg, k, rng) for k, rng in
-                 zip(block, generators([derive_seed(cfg.base_seed, k) for k in block]))]
+        chunk = _sample_points(cfg, block)
         streams = generators([seed for *_, seed in chunk])
         buckets = {}
         for i, (n, m, _, _) in enumerate(chunk):
@@ -283,8 +312,8 @@ def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: Sear
     jittered = [(v, lo, hi) for v, (lo, hi) in ((s, cfg.s_range), (t, cfg.t_range)) if hi > lo]
     size = 2 * m * (n + 2 * n * n)
     draws = np.empty((len(steps), size + len(jittered)))
-    for rng, row in zip(generators([derive_seed(cfg.base_seed ^ _REFINE_TAG, k) for k in steps]),
-                        draws):
+    for rng, row in zip(generators(derive_seed(cfg.base_seed ^ _REFINE_TAG,
+                                               np.array(steps, np.uint64))), draws):
         rng.standard_normal(out=row)
     noise = draws[:, :size].reshape(len(steps), 2 * m, n + 2 * n * n)
     shape = noise.shape[:2] + (n, n)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import errors
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admissible,
                      commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
@@ -56,7 +58,11 @@ class SweepConfig:
         errors.require_all(numbers.Real, [*self.s_values, *self.r_values, *self.p_values,
                                           *self.t_values], "s, r, p and t values must be numbers")
         for name in ("s_values", "r_values", "p_values", "t_values"):
-            errors.require_finite(name, getattr(self, name))
+            values = getattr(self, name)
+            errors.require_finite(name, values)
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:  # the grid would evaluate and write that point twice
+                raise errors.ConfigError(f"{name} lists {twice[0]!r} twice")
         validate_run_fields(self)
         for i, c in enumerate(self.chains):
             if c not in KNOWN_CHAINS:
@@ -161,10 +167,10 @@ def _lemma_blocks(cfg: SweepConfig, lemma_ids: list, task_indices: list, n: int,
     drawn, evaluated and recorded as one stack."""
     blocks = []
     for li, lid in enumerate(lemma_ids):
-        seeds = [derive_seed(derive_seed(cfg.base_seed, i), li) for i in task_indices]
+        seeds = derive_seed(derive_seed(cfg.base_seed, np.array(task_indices, np.uint64)), li)
         cases = random_cases(lid, generators(seeds), n, m, cfg.spectrum_law)
         terms = lemma_stack_terms(cases)
-        blocks.extend(lemma_blocks(cases, terms, seeds, n, m,
+        blocks.extend(lemma_blocks(cases, terms, seeds.tolist(), n, m,
                                    expand_norm_tokens(cfg.norms, terms.max_dim), cfg.tol_rel))
     return blocks
 

@@ -146,6 +146,19 @@ class TestSweep:
             with pytest.raises(errors.ConfigError, match=f"chain '{chains[-1]}' is listed twice"):
                 call()
 
+    @pytest.mark.parametrize("name, values", [
+        ("s_values", [2.0, 2.0]), ("r_values", [1, 2.0, 1.0]), ("p_values", [1.0, 1.0]),
+        ("t_values", [0.3, 0.5, 0.3]),
+    ])
+    def test_value_listed_twice_rejected(self, name, values):
+        """A repeated s, r, p or t value would evaluate and write its grid
+        points twice."""
+        cfg = SweepConfig(chains=["main", "t-chain"], instance_count=2, norms=["trace"],
+                          **{name: values})
+        for call in (cfg.validate, lambda: run_sweep(cfg)):
+            with pytest.raises(errors.ConfigError, match=rf"{name} lists {values[-1]!r} twice"):
+                call()
+
     @pytest.mark.parametrize("chain, bad, needs", [
         ("main", {"s_values": [1.5]}, "s >= 2"),
         ("geo-z", {"s_values": [0.5]}, "s >= 1"),
@@ -391,6 +404,11 @@ class TestCli:
         cfg_file.write_text(json.dumps(dict(SMALL, chains=["main", "geo-z", "main"])))
         assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_CONFIG
         assert "chain 'main' is listed twice" in capsys.readouterr().err
+
+    def test_value_listed_twice_exit_code(self, capsys):
+        code = cli.main(["verify", "--chain", "main", "--count", "1", "--s", "2,2"])
+        assert code == cli.EXIT_CONFIG
+        assert "s_values lists 2.0 twice" in capsys.readouterr().err
 
     def test_config_type_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -1,17 +1,22 @@
 """Stacked instance draws and stacked seeding against the one-seed path.
 
 `generators` hashes many seeds at once and must give each the state and
-stream of `np.random.default_rng(seed)`.  `draw_instances` draws a stack of
-instances, each from its own generator, and must give each the bytes of
-the one-instance draw it replaced, kept here as `_oracle_draw`: a fresh
-`default_rng`, then per matrix a Ginibre matrix and the law's eigenvalues.
+stream of `np.random.default_rng(seed)`, and `pcg64_outputs` that
+stream's first raw words; the array forms of `splitmix64` and
+`derive_seed` must agree with their scalar forms.  `draw_instances` draws
+a stack of instances, each from its own generator, and must give each the
+bytes of the one-instance draw it replaced, kept here as `_oracle_draw`: a
+fresh `default_rng`, then per matrix a Ginibre matrix and the law's
+eigenvalues.
 """
 
 import numpy as np
 import pytest
 
 from gmineq.generate import (SpectrumLaw, assemble_instances, derive_seed, draw_instances,
-                             generate_instance, generators)
+                             generate_instance, generators, haar, pcg64_outputs, splitmix64,
+                             spd_draws)
+from gmineq.linalg import from_spectrum
 
 MASK64 = (1 << 64) - 1
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -68,12 +73,47 @@ def test_generators_of_one_and_none():
     assert generators([]) == []
 
 
-LAWS = [SpectrumLaw(0.1, 10.0), SpectrumLaw(1e-6, 1e6)]
+def test_pcg64_outputs_match_random_raw():
+    seeds = EDGE_SEEDS + [derive_seed(31, k) for k in range(5000)]
+    words = pcg64_outputs(seeds, 6)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 6)
+    want = np.array([np.random.default_rng(seed).bit_generator.random_raw(6) for seed in seeds])
+    assert np.array_equal(words, want)
+    assert pcg64_outputs([], 3).shape == (0, 3)
+
+
+def test_array_derive_seed_matches_scalar():
+    indices = EDGE_SEEDS + [3, 2**63, 2**63 + 1] + list(range(100, 200))
+    array = np.array(indices, dtype=np.uint64)
+    with np.errstate(all="raise"):
+        for base in EDGE_SEEDS + [31]:
+            assert derive_seed(base, array).tolist() == [derive_seed(base, k) for k in indices]
+            assert (derive_seed(derive_seed(base, array), 5).tolist()
+                    == [derive_seed(derive_seed(base, k), 5) for k in indices])
+        assert splitmix64(array).tolist() == [splitmix64(k) for k in indices]
+    assert type(derive_seed(2**64 - 1, 0)) is int and type(splitmix64(0)) is int
+
+
+LAWS = [SpectrumLaw(0.1, 10.0), SpectrumLaw(1e-6, 1e6), SpectrumLaw(2.0, 2.0)]
+LAW_IDS = ["narrow", "wide", "point"]
 SEEDS = EDGE_SEEDS + [derive_seed(7, k) for k in range(4)]
 
 
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+def test_spd_draws_match_oracle(law):
+    """spd_draws draws each matrix as a generic instance draws its A_1, B_1,
+    A_2, ... in turn."""
+    for n in range(1, 7):
+        for count in (1, 2, 5):
+            X = spd_draws(generators(SEEDS), n, count, law)
+            for row, seed in enumerate(SEEDS):
+                G, lam = _oracle_draw("generic", n, (count + 1) // 2, seed, law)
+                want = from_spectrum(haar(G[:count]), lam[:count])
+                assert X[row].tobytes() == want.tobytes(), (n, count, seed)
+
+
 @pytest.mark.parametrize("kind", ["generic", "commuting"])
-@pytest.mark.parametrize("law", LAWS, ids=["narrow", "wide"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
 def test_stacked_draws_match_oracle(kind, law):
     for n in range(1, 7):
         for m in range(1, 4):
@@ -87,7 +127,7 @@ def test_stacked_draws_match_oracle(kind, law):
 
 
 @pytest.mark.parametrize("kind", ["generic", "commuting"])
-@pytest.mark.parametrize("law", LAWS, ids=["narrow", "wide"])
+@pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
 def test_generate_instance_matches_oracle(kind, law):
     for n in range(1, 7):
         for m in range(1, 4):

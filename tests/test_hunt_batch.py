@@ -1,7 +1,9 @@
 """The hunt's stacked phases against one-at-a-time evaluation.
 
-The sampling phase generates and evaluates each (n, m) group of samples as
+The sampling phase computes its samples' parameters on the raw words of
+their streams, and generates and evaluates each (n, m) group of samples as
 one stack.  Every sample must come out bitwise as it does alone: the same
+parameters as `_sample_point`'s numpy `Generator` calls, the same
 instance bytes as `generate_instance`, and the same gated flag, margin and
 winning norm as a direct evaluation through `t_chain_terms` and
 `reports.chain_records`.
@@ -21,7 +23,8 @@ from gmineq import errors
 from gmineq.blocks import InstanceSet
 from gmineq.chains import ChainParams, expand_norm_tokens, t_chain_terms
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
-from gmineq.hunt import SearchConfig, _point_margin, _sample_point, _sampling_phase, hunt
+from gmineq.hunt import (SearchConfig, _point_margin, _sample_point, _sample_points,
+                         _sampling_phase, hunt)
 from gmineq.linalg import hermitian_eig, hermitize
 from gmineq.reports import chain_records
 
@@ -95,6 +98,58 @@ def test_sampling_phase_lapack_calls_per_bucket(monkeypatch):
     result = hunt(cfg)
     assert result.samples_evaluated + result.gated_count == cfg.samples
     assert len(calls) <= 10 * len(buckets), (len(calls), len(buckets))
+
+
+# One-value ranges draw nothing from numpy's integers (n_max = 1, one r or p
+# value) and a buffered 32-bit half outlives a uniform draw; bounds 3, 5 and
+# 7 have a nonzero Lemire threshold, powers of two none.
+STREAM_CONFIGS = [
+    dict(base_seed=0, n_max=1, p_values=[1.0, 2.0, 3.0]),
+    dict(base_seed=2**64 - 1, m_max=1, r_values=[0.5, 1.0, 2.0]),
+    dict(base_seed=0, n_max=1, m_max=1, r_values=[1.0, 2.0], p_values=[1.0, 2.0, 3.0]),
+    dict(base_seed=2**64 - 1, n_max=7, m_max=5, r_values=[1.0] * 5, p_values=[0.5, 1.0],
+         s_range=(1.5, 1.5), t_range=(0.0, 1.0)),
+    dict(base_seed=0, n_max=np.int64(3), m_max=2, p_values=[1.0, 2.0, 4.0], s_range=(1e-9, 1e9),
+         t_range=(0.25, 0.25)),
+    dict(base_seed=2**64 - 1, n_max=2, m_max=1, s_range=(1, 2), t_range=[0, 1]),
+]
+
+
+@pytest.mark.parametrize("options", STREAM_CONFIGS)
+def test_sample_points_match_sample_point(options):
+    cfg = SearchConfig(**options).validate()
+    block = range(2**40, 2**40 + 5000)
+    got = _sample_points(cfg, block)
+    want = [_sample_point(cfg, k) for k in block]
+    assert got == want
+    assert [tuple(map(type, g)) for g in got] == [tuple(map(type, w)) for w in want]
+
+
+@pytest.mark.parametrize("draw", [0, 1])
+def test_rejected_bounded_draw_matches_sample_point(monkeypatch, draw):
+    """A 32-bit value of 0 under bound 3 is below Lemire's threshold (1), so
+    numpy rejects it and draws again; a sample whose n (the low half of its
+    first word) or m (the high half) is such a value comes out as
+    `_sample_point` draws it, not as the rejected value's 1."""
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    state = rng.bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+    rng.bit_generator.state = state
+    assert rng.integers(0, 3) == ref.integers(0, 3)  # the buffered 0 was redrawn
+
+    cfg = SearchConfig(base_seed=11, n_max=3, m_max=3).validate()
+    block = range(40)
+    want = [_sample_point(cfg, k) for k in block]
+    row = next(i for i, sample in enumerate(want) if sample[draw] != 1)
+    outputs = hunt_module.pcg64_outputs
+
+    def crafted(seeds, count):
+        words = outputs(seeds, count)
+        words[row, 0] &= np.uint64(0xFFFFFFFF << 32 if draw == 0 else 0xFFFFFFFF)
+        return words
+
+    monkeypatch.setattr(hunt_module, "pcg64_outputs", crafted)
+    assert _sample_points(cfg, block) == want
 
 
 # The step-by-step refinement that windowed refinement replaced, frozen as
