@@ -19,15 +19,18 @@ COMMUTING_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class InstanceSet:
-    """One experiment instance: m pairs of n x n positive definite matrices.
+    """One experiment instance: m pairs of n x n positive definite matrices;
+    or a stack of K equal-shape instances, when `seed` is a tuple of their
+    K seeds.
 
     kind is 'generic' or 'commuting'; commuting instances satisfy
     A_i B_i = B_i A_i pairwise (shared eigenbasis by construction).
 
-    Immutable: A and B are read-only complex128 stacks (m, n, n), copies of
-    what it was given, so neither the spectra cache `spectra` nor a passed
-    `validate` can go stale.  A non-integer m or n, a pair count or matrix
-    size other than m and n, or ragged input is refused when it is built.
+    Immutable: A and B are read-only complex128 stacks (m, n, n), or
+    (K, m, n, n) for a stack, copies of what it was given, so neither the
+    spectra cache `spectra` nor a passed `validate` can go stale.  A
+    non-integer m or n, a pair count or matrix size other than m and n, or
+    ragged input is refused when it is built.
     """
 
     m: int
@@ -40,12 +43,13 @@ class InstanceSet:
     def __post_init__(self):
         errors.require_all(numbers.Integral, [self.m, self.n],
                            f"m and n must be integers, got m={self.m!r}, n={self.n!r}")
+        lead = (len(self.seed),) if isinstance(self.seed, tuple) else ()
         for name in ("A", "B"):
             try:
                 X = np.array(getattr(self, name), dtype=np.complex128, order="C")
             except ValueError as exc:  # ragged nesting
                 raise errors.DimensionMismatch(f"{name} is not a stack of matrices: {exc}") from None
-            if X.shape != (self.m, self.n, self.n):
+            if X.shape != lead + (self.m, self.n, self.n):
                 raise errors.DimensionMismatch(
                     f"expected {name} of {self.m} {self.n}x{self.n} matrices, got shape {X.shape}")
             X.flags.writeable = False
@@ -53,10 +57,10 @@ class InstanceSet:
 
     @cached_property
     def spectra(self):
-        """The spectra cache (chains.InstanceSpectra), built on first access."""
+        """The spectra cache (chains.InstanceSpectra of grid points), built on first use."""
         from .chains import InstanceSpectra  # chains imports this module
 
-        return InstanceSpectra(self.A, self.B)
+        return InstanceSpectra(self.A, self.B, grid=True)
 
     def validate(self) -> "InstanceSet":
         """self, after the checks of `_checked`, which run once."""
@@ -67,19 +71,20 @@ class InstanceSet:
     def _checked(self) -> bool:
         """The kind, then per stack the finite entries and Hermitian defect
         of its matrices and their PD floor, read from the decompositions
-        the spectra cache keeps, then the commutation of each pair."""
+        the spectra cache keeps, then the commutation of every pair, in
+        Frobenius norm; the message names the first failing pair."""
         if self.kind not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown instance kind {self.kind!r}")
         require_pd(self.spectra.eig_A)
         require_pd(self.spectra.eig_B)
         if self.kind == "commuting":
-            for Ai, Bi in zip(self.A, self.B):
-                defect = np.linalg.norm(Ai @ Bi - Bi @ Ai)
-                scale = np.linalg.norm(Ai) * np.linalg.norm(Bi)
-                if defect > COMMUTING_RTOL * scale:
-                    raise errors.NotCommuting(
-                        f"pair commutator norm {defect:.3e} exceeds {COMMUTING_RTOL:.1e} * {scale:.3e}"
-                    )
+            defect = np.linalg.norm(self.A @ self.B - self.B @ self.A, axis=(-2, -1))
+            scale = np.linalg.norm(self.A, axis=(-2, -1)) * np.linalg.norm(self.B, axis=(-2, -1))
+            bad = defect > COMMUTING_RTOL * scale
+            if bad.any():
+                raise errors.NotCommuting(
+                    f"pair commutator norm {defect[bad][0]:.3e} exceeds {COMMUTING_RTOL:.1e}"
+                    f" * {scale[bad][0]:.3e}")
         return True
 
     def sum_A(self) -> np.ndarray:

@@ -9,14 +9,15 @@ mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
 An instance's spectral data live in its `InstanceSpectra`, which works on
-the instance's two read-only (m, n, n) stacks as they are (or on the
-hunt's (K, m, n, n) stacks of instances); each spectral value is defined
-once, as one memoized method.  `grid_terms` evaluates a chain's whole
-parameter grid on one instance at once: the same `InstanceSpectra`
-methods as the one-point evaluators (`main_chain_terms`, `geo_z_terms`,
-`t_chain_terms`) take one (s, t, r, p) per grid point, which `linalg`
-broadcasts against the instance's own decompositions, and each row is
-bitwise the one-point terms.
+the instance's two read-only (m, n, n) stacks as they are, or on the
+(K, m, n, n) stacks of K instances (an `InstanceSet` stack, or the hunt's);
+each spectral value is defined once, as one memoized method.  `grid_terms`
+evaluates a chain's whole parameter grid on an instance or a stack at
+once: the same `InstanceSpectra` methods as the one-point evaluators
+(`main_chain_terms`, `geo_z_terms`, `t_chain_terms`) take one (s, t, r, p)
+per grid point, which `linalg` broadcasts against every instance's own
+decompositions, and each row is bitwise the one-point terms of its
+instance.  `commuting_terms` runs on a stack the same way.
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -60,15 +61,17 @@ class ChainParams:
 @dataclass(frozen=True)
 class ChainTerms:
     """Singular values of every chain term, shared across norm evaluations:
-    spectra (d,) at one point, or (P, d) with one status per row for a
-    parameter grid (`grid_terms`)."""
+    spectra (*L, d) at one point, or (P, *L, d) with one status per point
+    for a parameter grid (`grid_terms`), where L is () for one instance
+    and (K,) for a stack, whose `condition_max` holds one value per
+    instance."""
 
     chain_id: str
     lhs_sv: np.ndarray
     rhs_sv: np.ndarray
     mid_sv: np.ndarray | None = None
     status: str | tuple = "proven"
-    condition_max: float = 1.0
+    condition_max: float | np.ndarray = 1.0
 
     @property
     def max_dim(self) -> int:
@@ -106,10 +109,10 @@ def _stack(values: list, rows: list):
 
 def _memoized(method):
     """An InstanceSpectra value: the method's result, memoized at scalar
-    parameters under the key (method name, *parameters); with per-row
-    parameter arrays, memoized row by row on one instance (see
-    `InstanceSpectra._per_row`) and evaluated once on a stack of
-    instances."""
+    parameters under the key (method name, *parameters); with parameter
+    arrays, memoized row by row as grid points (see
+    `InstanceSpectra._per_row`), or evaluated once with one value per
+    instance, as the spectra's `grid` flag says."""
     name = method.__name__
 
     @wraps(method)
@@ -117,8 +120,8 @@ def _memoized(method):
         key = (name, *params)
         try:
             return self._memo[key]
-        except TypeError:  # per-row parameter arrays
-            return self._per_row(key, method) if self._A.ndim == 3 else method(self, *params)
+        except TypeError:  # parameter arrays
+            return self._per_row(key, method) if self._grid else method(self, *params)
         except KeyError:
             pass
         result = self._memo[key] = method(self, *params)
@@ -131,43 +134,49 @@ class InstanceSpectra:
     """Spectral data of one instance, or of a stack of equal-shape instances,
     each piece computed on first use.
 
-    A and B are the read-only stacks (..., m, n, n) of an `InstanceSet`, or
-    of the hunt's stacked instances, used as they are; the leading axes are
-    () for one instance.  Each value is one method, memoized by
-    `_memoized`.  Parameters are scalars, or arrays of one value per row:
-    per grid point on one instance, per instance on a stack.  Values at
-    scalar parameters are memoized and shared by every chain and parameter
-    point.  On one instance, per-row parameters are broadcast against its
-    own decompositions (see `linalg`), and each row's value is memoized
-    under the row's scalar key, the key a one-point evaluation uses: only
-    the distinct rows not there yet are evaluated, together, so each
-    distinct mean, sandwich factor and sum of mean powers is decomposed
-    once per instance, however many grid points and chains share it.  A
-    stack with per-instance parameters is evaluated once, not memoized.
-    Each value is computed exactly as a direct evaluation computes it (the
-    same decomposition of the same array, the same linalg zeroing rule,
-    each exponent applied as a scalar), so terms read from here are
-    bitwise equal to uncached ones, and each row gets the bytes it gets
-    alone.  Every decomposition is of an n x n matrix.
+    A and B are the read-only stacks (*L, m, n, n) of an `InstanceSet` or
+    of the hunt, used as they are: L is () for one instance and (K,) for a
+    stack of K, and every value has the leading axes L.  Each value is one
+    method, memoized by `_memoized` in one memo.  Parameters are scalars,
+    or arrays of one value per row, which the `grid` flag reads:
+
+    - grid=True (an `InstanceSet`'s spectra): a row is a grid point,
+      broadcast against every instance's decompositions (see `linalg`) to
+      give values (P, *L, ...).  Each row's value is memoized as an L stack
+      under the row's scalar key, the key of a one-point evaluation, and
+      only the distinct rows not there yet are evaluated, together; so each
+      distinct mean, sandwich factor and sum of mean powers is decomposed
+      once per instance, however many points and chains share it.
+    - grid=False (the hunt): arrays of shape L, one point per instance,
+      evaluated once and not memoized.
+
+    Values at scalar parameters are memoized and shared by every chain and
+    point.  Each value is computed exactly as a direct evaluation computes
+    it (the same decomposition of the same array, the same linalg zeroing
+    rule, each exponent applied as a scalar), so each row and instance
+    gets the bytes it gets alone.  Every decomposition is of an n x n
+    matrix.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray):
-        self._A, self._B = A, B
+    def __init__(self, A: np.ndarray, B: np.ndarray, grid: bool = False):
+        self._A, self._B, self._grid = A, B, grid
         self._memo = {}
 
     def _per_row(self, key: tuple, compute):
-        """compute(self, *key[1:]) on one instance with per-row parameters:
-        each row's value is taken from the memo under its scalar key; the
-        distinct keys not there yet are evaluated together and remembered."""
+        """compute(self, *key[1:]) with grid-point rows: each row's value is
+        taken from the memo under its scalar key; the distinct keys not
+        there yet are evaluated together, each row's parameters broadcast
+        against every instance, and remembered."""
         name, params = key[0], key[1:]
-        count = next(len(x) for x in params if np.ndim(x))
-        columns = [x.tolist() if np.ndim(x) else [x] * count for x in params]
+        count = next(x.size for x in params if np.ndim(x))
+        columns = [x.ravel().tolist() if np.ndim(x) else [x] * count for x in params]
         slots = {}
         rows = [slots.setdefault((name, *row), len(slots)) for row in zip(*columns)]
         missing = [k for k in slots if k not in self._memo]
         if missing:
-            values = compute(self, *(np.array([k[c] for k in missing]) if np.ndim(x) else x
-                                     for c, x in enumerate(params, start=1)))
+            shape = (len(missing),) + (1,) * (self._A.ndim - 3)
+            values = compute(self, *(np.array([k[c] for k in missing]).reshape(shape)
+                                     if np.ndim(x) else x for c, x in enumerate(params, start=1)))
             for i, k in enumerate(missing):
                 self._memo[k] = _row(values, i)
             if len(missing) == count:
@@ -177,7 +186,7 @@ class InstanceSpectra:
     def select(self, rows) -> "InstanceSpectra":
         """The spectra of the instances `rows` of a stack, keeping the
         input decompositions computed so far."""
-        sub = InstanceSpectra(self._A[rows], self._B[rows])
+        sub = InstanceSpectra(self._A[rows], self._B[rows], self._grid)
         for key in (("eig_A",), ("eig_B",), ("eig_sum_A",), ("eig_sum_B",)):
             if key in self._memo:
                 sub._memo[key] = self._memo[key][rows]
@@ -261,19 +270,20 @@ class InstanceSpectra:
 
     @_memoized
     def commuting_sv(self) -> tuple:
-        """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2 of
-        one instance."""
-        lhs = np.zeros(self._A.shape[-2:], dtype=np.complex128)
+        """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
+        summed pair by pair over every instance at once."""
+        lhs = np.zeros(self._A.shape[:-3] + self._A.shape[-2:], dtype=np.complex128)
         mid_root = np.zeros_like(lhs)
         A_half, B_half = power_from_eig(self.eig_A, 0.5), power_from_eig(self.eig_B, 0.5)
-        for Ai, Bi, Ai_half, Bi_half in zip(self._A, self._B, A_half, B_half):
-            lhs += Ai @ Bi
-            mid_root += Ai_half @ Bi_half
+        for i in range(self._A.shape[-3]):
+            lhs += self._A[..., i, :, :] @ self._B[..., i, :, :]
+            mid_root += A_half[..., i, :, :] @ B_half[..., i, :, :]
         return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
 
 
-def condition_max(inst: InstanceSet) -> float:
-    """Largest condition number over the inputs and both sums."""
+def condition_max(inst: InstanceSet):
+    """Largest condition number over the inputs and both sums: a float, or
+    one per instance of a stack."""
     return inst.spectra.condition_max
 
 
@@ -351,11 +361,13 @@ def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms
 
 def grid_terms(inst: InstanceSet, chain_id: str, points: list) -> ChainTerms:
     """Terms of chain `chain_id` ("main", "geo-z" or "t-chain") at every
-    ChainParams of `points`, as one stack: spectra (P, d), row k for point
-    k, and `status` one per point.  Every point must satisfy the chain's
-    hypotheses.  The points are evaluated on `inst.spectra` with one
-    (s, t, r, p) per row, so row k is bitwise the terms `*_terms` gives at
-    point k, and each distinct factor is decomposed once per instance."""
+    ChainParams of `points`, on an instance or a stack of K: spectra
+    (P, d) or (P, K, d), row k for point k, `status` one per point and
+    `condition_max` one per instance.  Every point must satisfy the
+    chain's hypotheses.  The points are evaluated on `inst.spectra` with
+    one (s, t, r, p) per row, so row k of instance i is bitwise the terms
+    `*_terms` gives at point k on instance i alone, and each distinct
+    factor is decomposed once per instance."""
     sides, status = _require(chain_id, points)
     s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
     lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, s, t, r, p)
@@ -383,7 +395,8 @@ def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
 
 def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
     """Commuting-pair chains: ||sum A_i B_i|| <= ||(sum A_i^{1/2} B_i^{1/2})^2||
-    <= ||(sum A)(sum B)|| (product) or the symmetrized right side."""
+    <= ||(sum A)(sum B)|| (product) or the symmetrized right side, on an
+    instance or a stack (spectra (K, d) and one condition_max each)."""
     if variant not in ("product", "symmetrized"):
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
     if inst.kind != "commuting":

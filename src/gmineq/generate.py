@@ -210,9 +210,11 @@ class _SeedWords(ISeedSequence):
 
 def generators(seeds) -> list:
     """One `np.random.Generator` per seed in [0, 2**64), each with the
-    state and stream of `np.random.default_rng(seed)`.  The seeds are
-    hashed together, which pays off from a few seeds on; a single seed is
-    cheaper through `default_rng`."""
+    state and stream of `np.random.default_rng(seed)`: made by it for a
+    few seeds, and from seeds hashed together for more."""
+    seeds = np.array(seeds, dtype=np.uint64, ndmin=1)
+    if seeds.size < 8:  # hashing the seeds together pays off from about 8 on
+        return [np.random.default_rng(seed) for seed in seeds.tolist()]
     return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
             for words in _pcg64_seed_words(seeds)]
 

@@ -9,8 +9,9 @@ object.
 A term set's records (one chain at one point, or one lemma case) are one
 `Block`: shared head and tail fields and one column per field that varies
 by norm.  `chain_blocks` (`lemma_blocks`) builds one block per point of a
-grid (per case of a lemma stack) from stacked terms, with no dict per
-record; `chain_records` (`lemma_records`) is its one-point form.  Columns
+grid and instance of a stack (per case of a lemma stack) from stacked
+terms, with no dict per record; `chain_records` (`lemma_records`) is its
+one-point form.  Columns
 are in report order (`order_norms`), so `build_report_set` sorts blocks by
 (chain, seed, params), which equals sorting every record by
 `record_sort_key`.  `summarize` reads the columns, and `ReportSet.records`
@@ -177,10 +178,11 @@ class Block:
 def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list,
                  tol_rel: float = DEFAULT_TOL_REL,
                  condition_cap: float = DEFAULT_CONDITION_CAP) -> list:
-    """One `Block` per parameter point of a grid's stacked terms
-    (`chains.grid_terms`; row k belongs to `points[k]`), over the norms of
+    """One `Block` per parameter point and instance of a grid's stacked
+    terms on an instance or a stack (`chains.grid_terms`; spectra row
+    (k, i) belongs to `points[k]` and instance i), over the norms of
     `norms` in report order (`order_norms`): one `norm_values` call per
-    term for the whole grid, margins and pass flags from
+    term for the whole grid and stack, margins and pass flags from
     `chains.chain_margins`.  Every block shares the norm column."""
     norms = order_norms(norms)
 
@@ -190,21 +192,24 @@ def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list
     lhs, rhs = values(terms.lhs_sv), values(terms.rhs_sv)
     mid = None if terms.mid_sv is None else values(terms.mid_sv)
     margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
-    cid, seed, n, m = terms.chain_id, inst.seed, inst.n, inst.m
+    cid, n, m = terms.chain_id, inst.n, inst.m
+    stacked = isinstance(inst.seed, tuple)
+    seeds = list(inst.seed) if stacked else [inst.seed]
+    tails = [(bool(c > condition_cap), "inf" if math.isinf(c) else c) for c in
+             (terms.condition_max.tolist() if stacked else [float(terms.condition_max)])]
     statuses = [terms.status] * len(points) if isinstance(terms.status, str) else terms.status
-    cond = terms.condition_max
-    gated, cond = bool(cond > condition_cap), "inf" if math.isinf(cond) else float(cond)
     norm_dicts = [norm.to_record() for norm in norms]
-    mids = [[None] * len(norms)] * len(points) if mid is None else mid.tolist()
-    rows = zip(points, statuses, lhs.tolist(), mids, rhs.tolist(),
-               np.stack(margins, axis=-1).tolist(), passed.tolist())
+    mids = [[None] * len(norms)] * len(lhs) if mid is None else mid.tolist()
+    params = [{k: float(v) for k, v in q.as_dict().items()} for q in points]
+    rows = zip([q for q in params for _ in seeds], [s for s in statuses for _ in seeds],
+               seeds * len(points), tails * len(points), lhs.tolist(), mids, rhs.tolist(),
+               np.stack(margins, axis=-1).tolist(), passed.tolist())  # point-major rows
     return [Block({"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": cid,
-                   "instance_seed": seed, "n": n, "m": m,
-                   "params": {k: float(v) for k, v in q.as_dict().items()}},
+                   "instance_seed": seed, "n": n, "m": m, "params": q},
                   {"norm": norm_dicts, "lhs": los, "mid": mis, "rhs": his, "margins": mgs,
                    "pass": oks},
                   {"gated": gated, "status": status, "condition_max": cond})
-            for q, status, los, mis, his, mgs, oks in rows]
+            for q, status, seed, (gated, cond), los, mis, his, mgs, oks in rows]
 
 
 def chain_records(terms: ChainTerms, inst: InstanceSet, params: ChainParams, norms: list,

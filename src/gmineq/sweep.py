@@ -2,10 +2,11 @@
 parameter grids, with deterministic per-task seeds and a sorted merge, so
 a report is a pure function of its config.
 
-A task evaluates each grid chain's whole (s, r, p, t) grid on its instance
-as one stack (`chains.grid_terms`) and records it with one
-`reports.chain_blocks` call; `commuting` goes point by point, and lemma
-cases are stacked across the tasks of one (n, m).  Each term set is one
+The tasks of one (n, m) are taken together: their instances are drawn
+as one stack per instance kind, each grid chain's whole (s, r, p, t) grid
+is evaluated on the stack at once (`chains.grid_terms`) and recorded with
+one `reports.chain_blocks` call, each commuting variant likewise, and
+each lemma id's cases are one stack.  Each term set is one
 `reports.Block`, and a sweep builds no record dict: `build_report_set`,
 the summary, the writer and `has_proven_failure` read the blocks.
 """
@@ -20,9 +21,11 @@ import numpy as np
 from . import errors
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admissible,
                      commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
-from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generate_instance, generators
+from .blocks import InstanceSet
+from .generate import (DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instances,
+                       generators)
 from .lemmas import LEMMA_IDS, lemma_stack_terms, random_cases
-from .reports import Block, ReportSet, build_report_set, chain_blocks, chain_records, lemma_blocks
+from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
 # The parameters recorded for the commuting chains, which take none.
@@ -64,6 +67,14 @@ class SweepConfig:
             if twice:  # the grid would evaluate and write that point twice
                 raise errors.ConfigError(f"{name} lists {twice[0]!r} twice")
         validate_run_fields(self)
+        # kyfan:all overlaps a listed kyfan:k once expanded to the largest such k
+        dim = max([1] + [q.k for q in expand_norm_tokens(self.norms, 1) if q.variant == "kyfan"])
+        seen = set()
+        for tok in self.norms:
+            specs = set(expand_norm_tokens([tok], dim))
+            if specs & seen:  # each record of that norm would be written twice
+                raise errors.ConfigError(f"norm {tok!r} is listed twice")
+            seen |= specs
         for i, c in enumerate(self.chains):
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")
@@ -130,44 +141,47 @@ def _chain_table(cfg: SweepConfig) -> dict:
     return table
 
 
-def _task_blocks(cfg: SweepConfig, table: dict, task_index: int, n: int, m: int) -> list:
-    """The record blocks (see `reports.build_report_set`) of one task but
-    its lemmas: a grid chain's whole grid is evaluated by one `grid_terms`
-    call and recorded by one `chain_blocks` call."""
-    seed = derive_seed(cfg.base_seed, task_index)
+def _shape_blocks(cfg: SweepConfig, table: dict, tasks: range, n: int, m: int) -> list:
+    """The record blocks of the tasks `tasks`, all of shape (n, m): task i
+    draws its instance of each kind from seed derive_seed(base_seed, i) as
+    `generate_instance` would, but each kind's instances are drawn as one
+    stack, and each chain (commuting variant) is evaluated on it by one
+    terms call and recorded by one `chain_blocks` call."""
+    seeds = derive_seed(cfg.base_seed, np.array(tasks, np.uint64))
+    K = len(seeds)  # a lone task gets no stack axis, which every array op would carry
+    stack, lead = (tuple(seeds.tolist()), (K,)) if K > 1 else (int(seeds[0]), ())
+    chains = [c for c in cfg.chains if c != "lemmas"]
+    kinds = list(dict.fromkeys(table[c][0] for c in chains))
+    streams = generators(np.tile(seeds, len(kinds)))  # a fresh stream per task and kind
+    instances = {}
+    for j, kind in enumerate(kinds):
+        drawn = draw_instances(kind, n, m, streams[j * K:(j + 1) * K], cfg.spectrum_law)
+        A, B = (X.reshape(lead + X.shape[1:]) for X in assemble_instances(kind, *drawn))
+        instances[kind] = InstanceSet(m, n, A, B, stack, kind)
     blocks = []
-    instances = {}  # kind -> instance, so every chain shares its spectra cache
-
-    def norms(terms):
-        return expand_norm_tokens(cfg.norms, terms.max_dim)
-
-    for chain in cfg.chains:
+    for chain in chains:
         kind, _, grid = table[chain]
-        if chain == "lemmas":
-            continue
-        if kind not in instances:
-            instances[kind] = generate_instance(kind, n, m, seed, cfg.spectrum_law)
         inst = instances[kind]
-        if chain == "commuting":
-            for variant in grid:
-                terms = commuting_terms(inst, variant)
-                blocks.append(chain_records(terms, inst, _UNIT, norms(terms), cfg.tol_rel,
-                                            cfg.condition_cap))
-        else:
-            terms = grid_terms(inst, chain, grid)
-            blocks.extend(chain_blocks(terms, inst, grid, norms(terms), cfg.tol_rel,
-                                       cfg.condition_cap))
+        evaluations = ([(commuting_terms(inst, variant), [_UNIT]) for variant in grid]
+                       if chain == "commuting" else [(grid_terms(inst, chain, grid), grid)])
+        for terms, points in evaluations:
+            blocks.extend(chain_blocks(terms, inst, points,
+                                       expand_norm_tokens(cfg.norms, terms.max_dim),
+                                       cfg.tol_rel, cfg.condition_cap))
+    if "lemmas" in cfg.chains:
+        blocks.extend(_lemma_blocks(cfg, table["lemmas"][2], seeds, n, m))
     return blocks
 
 
-def _lemma_blocks(cfg: SweepConfig, lemma_ids: list, task_indices: list, n: int, m: int) -> list:
-    """The lemma record blocks of the tasks `task_indices` of shape (n, m):
-    task i's case of lemma id number li draws from seed
+def _lemma_blocks(cfg: SweepConfig, lemma_ids: list, task_seeds: np.ndarray, n: int,
+                  m: int) -> list:
+    """The lemma record blocks of the tasks of shape (n, m) whose seeds are
+    `task_seeds`: task i's case of lemma id number li draws from seed
     derive_seed(derive_seed(base_seed, i), li), and each id's cases are
     drawn, evaluated and recorded as one stack."""
     blocks = []
     for li, lid in enumerate(lemma_ids):
-        seeds = derive_seed(derive_seed(cfg.base_seed, np.array(task_indices, np.uint64)), li)
+        seeds = derive_seed(task_seeds, li)
         cases = random_cases(lid, generators(seeds), n, m, cfg.spectrum_law)
         terms = lemma_stack_terms(cases)
         blocks.extend(lemma_blocks(cases, terms, seeds.tolist(), n, m,
@@ -179,20 +193,18 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
     """Evaluate every configured chain at every (instance, params, norm)
     point.  Output is deterministic given the config.
 
-    Tasks run serially, by (n, m).  `workers` is accepted for existing
-    callers and does not change the work done or the output: a thread pool
-    ran slower than this loop, because the evaluation is many small numpy
-    calls and the Python between them holds the interpreter lock."""
+    The tasks of the j-th of P shapes, range(j, instance_count, P), run
+    together (`_shape_blocks`), and a task's records do not depend on how
+    many share its shape.  `workers` is accepted for existing callers and
+    does not change the work done or the output: a thread pool ran slower
+    than this loop, because the evaluation is many small numpy calls and
+    the Python between them holds the interpreter lock."""
     cfg.validate()
     table = _chain_table(cfg)
     pairs = [(n, m) for n in cfg.n_values for m in cfg.m_values]
     blocks = []
     for j, (n, m) in enumerate(pairs[:cfg.instance_count]):
-        task_indices = range(j, cfg.instance_count, len(pairs))
-        for i in task_indices:
-            blocks.extend(_task_blocks(cfg, table, i, n, m))
-        if "lemmas" in cfg.chains:
-            blocks.extend(_lemma_blocks(cfg, table["lemmas"][2], task_indices, n, m))
+        blocks.extend(_shape_blocks(cfg, table, range(j, cfg.instance_count, len(pairs)), n, m))
     return build_report_set(blocks)
 
 

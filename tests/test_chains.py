@@ -21,7 +21,7 @@ from gmineq.chains import (
     t_chain_status,
     t_chain_terms,
 )
-from gmineq.generate import generate_instance
+from gmineq.generate import derive_seed, generate_instance, haar_unitary
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
 from gmineq.reports import SCHEMA_VERSION, chain_blocks, chain_records, dumps, order_norms
@@ -383,3 +383,176 @@ def test_grid_records_match_point_by_point(n, m, seed, s_, r_, p_, t_, tokens):
             want.append([dumps(rec) for rec in _oracle_chain_records(
                 point_terms[chain](fresh, q), fresh, q, order_norms(norms))])
         assert got == want, chain
+
+
+# Grids of each parameter chain for the stacked-instance tests: the s = 1, 2
+# and t = 0, 1 boundaries, a fast-path exponent and, for the weighted chain,
+# points with sr < 1.
+STACK_GRIDS = {
+    "main": [ChainParams(s=2.0, r=1.0, p=1.0), ChainParams(s=3.0, r=2.0, p=0.5),
+             ChainParams(s=2.5, r=1.0, p=2.0)],
+    "geo-z": [ChainParams(s=1.0, r=1.0, p=1.0), ChainParams(s=1.5, r=1.0, p=1.0)],
+    "t-chain": [ChainParams(s=0.5, r=1.0, p=1.0, t=0.5), ChainParams(s=1.5, r=1.0, p=2.0, t=0.3),
+                ChainParams(s=2.0, r=0.5, p=1.0, t=0.0), ChainParams(s=1.0, r=2.0, p=0.5, t=1.0)],
+}
+
+
+def _stack_of(insts: list, kind: str = "generic") -> InstanceSet:
+    """The stack of equal-shape instances `insts`, one seed each."""
+    return InstanceSet(m=insts[0].m, n=insts[0].n, A=np.stack([i.A for i in insts]),
+                       B=np.stack([i.B for i in insts]), seed=tuple(i.seed for i in insts),
+                       kind=kind)
+
+
+def _scaled(stack: InstanceSet, c, d, U=None) -> InstanceSet:
+    """c A and d B for every pair of every instance, after the congruence
+    X -> U X U* when U is given."""
+    def map_(X, factor):
+        if U is not None:
+            X = hermitize(U @ X @ U.conj().T)
+        return factor * X
+    return InstanceSet(m=stack.m, n=stack.n, A=map_(stack.A, c), B=map_(stack.B, d),
+                       seed=stack.seed)
+
+
+def _side_spectra(terms: ChainTerms) -> list:
+    return [sv for sv in (terms.lhs_sv, terms.mid_sv, terms.rhs_sv) if sv is not None]
+
+
+class TestStackedInstances:
+    """A stack of K instances (an `InstanceSet` whose seed is a tuple):
+    grids evaluated on it at once, with one terms call per chain."""
+
+    @pytest.mark.parametrize("n, m, count", [(1, 1, 3), (2, 3, 1), (2, 3, 3), (4, 2, 4)])
+    def test_rows_are_each_instance_alone(self, n, m, count):
+        """Row (k, i) of a stacked grid is bitwise the terms of point k on
+        instance i alone, row i of a stacked commuting variant those of
+        instance i alone, and each instance keeps its condition number."""
+        def assert_rows(stacked, at, alone, alone_at):
+            for name in ("lhs_sv", "mid_sv", "rhs_sv"):
+                have, want = getattr(stacked, name), getattr(alone, name)
+                assert _bitwise_equal(None if have is None else have[at],
+                                      None if want is None else want[alone_at]), name
+            assert stacked.condition_max[at[-1]] == alone.condition_max
+
+        for kind in ("generic", "commuting"):
+            insts = [generate_instance(kind, n, m, 90 + i) for i in range(count)]
+            stack = _stack_of(insts, kind)
+            for i, inst in enumerate(insts):
+                fresh = generate_instance(kind, n, m, inst.seed)
+                if kind == "commuting":
+                    for variant in ("product", "symmetrized"):
+                        assert_rows(commuting_terms(stack, variant), (i,),
+                                    commuting_terms(fresh, variant), ())
+                    continue
+                for chain, grid in STACK_GRIDS.items():
+                    terms = grid_terms(stack, chain, grid)
+                    assert terms.lhs_sv.shape[:2] == (len(grid), count)
+                    for k, q in enumerate(grid):
+                        assert_rows(terms, (k, i), grid_terms(fresh, chain, [q]), (0,))
+
+    def test_grid_and_instance_rows_told_apart_when_p_equals_k(self):
+        """Three grid points on a stack of three instances give (3, 3, d)
+        spectra; the hunt's spectra, one point per instance, take the
+        diagonal of that grid from the same arrays."""
+        insts = [generate_instance("generic", 2, 2, 95 + i) for i in range(3)]
+        stack = _stack_of(insts)
+        x = np.array([0.5, 1.0, 1.5])
+        grid = stack.spectra.z_sv(x)
+        per_instance = InstanceSpectra(stack.A, stack.B).z_sv(x)
+        assert grid.shape == (3, 3, 4) and per_instance.shape == (3, 4)
+        for k in range(3):
+            assert _bitwise_equal(grid[k, k], per_instance[k])
+            for i, inst in enumerate(insts):
+                assert _bitwise_equal(grid[k, i], inst.spectra.z_sv(float(x[k])))
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (2, 3)])
+    def test_identity_instance_closed_form(self, n, m):
+        """A_i = B_i = I, placed as the middle row of a stack of random
+        instances: every lhs singular value is m, every rhs value (and the
+        nonzero part of Z^{sr/2}) is m^{sr}, so rho = max_k KF_k(lhs) /
+        KF_k(rhs) = m^{1 - sr}, also at sr < 1, where the weighted chain
+        fails.  The random rows are those of their instances alone."""
+        eye = np.broadcast_to(np.eye(n), (m, n, n))
+        identity = InstanceSet(m=m, n=n, A=eye, B=eye, seed=7)
+        insts = [generate_instance("generic", n, m, 96), identity,
+                 generate_instance("generic", n, m, 97)]
+        stack = _stack_of(insts)
+        for chain, grid in STACK_GRIDS.items():
+            terms = grid_terms(stack, chain, grid)
+            for k, q in enumerate(grid):
+                sr = q.s * q.r
+                lhs, rhs = terms.lhs_sv[k, 1], terms.rhs_sv[k, 1]
+                np.testing.assert_allclose(lhs, m, rtol=1e-12)
+                nonzero = rhs[:n]
+                np.testing.assert_allclose(nonzero, m ** sr, rtol=1e-12)
+                assert not rhs[n:].any()
+                if terms.mid_sv is not None:
+                    np.testing.assert_allclose(terms.mid_sv[k, 1, :n], m ** sr, rtol=1e-12)
+                    assert not terms.mid_sv[k, 1, n:].any()
+                size = max(lhs.size, rhs.size)
+                ky_fan = [np.cumsum(np.pad(sv, (0, size - sv.size))) for sv in (lhs, rhs)]
+                rho = np.max(ky_fan[0] / ky_fan[1])
+                assert rho == pytest.approx(m ** (1.0 - sr), rel=1e-12), (chain, q)
+                for i in (0, 2):
+                    alone = grid_terms(generate_instance("generic", n, m, insts[i].seed), chain,
+                                       [q])
+                    assert _bitwise_equal(terms.lhs_sv[k, i], alone.lhs_sv[0])
+                    assert _bitwise_equal(terms.rhs_sv[k, i], alone.rhs_sv[0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
+           c=st.floats(0.1, 10.0), d=st.floats(0.1, 10.0))
+    def test_homogeneity(self, n, m, seed, c, d):
+        """A -> cA and B -> dB scale every term of a stack, at every grid
+        point, by c^{(1-t)sr} d^{tsr} (Z^{sr/2} by (cd)^{sr/2}), to 1e-9 of
+        the largest singular value."""
+        stack = _stack_of([generate_instance("generic", n, m, derive_seed(seed, i))
+                           for i in range(3)])
+        scaled = _scaled(stack, c, d)
+        for chain, grid in STACK_GRIDS.items():
+            base, got = grid_terms(stack, chain, grid), grid_terms(scaled, chain, grid)
+            for k, q in enumerate(grid):
+                t = 0.5 if chain != "t-chain" else q.t
+                sr = q.s * q.r
+                factor = c ** ((1.0 - t) * sr) * d ** (t * sr)
+                for want, have in zip(_side_spectra(base), _side_spectra(got)):
+                    want = factor * want[k]
+                    np.testing.assert_allclose(have[k], want, rtol=0, atol=1e-9 * want.max())
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+    def test_unitary_congruence_invariance(self, n, m, seed):
+        """X -> U X U* for every A_i and B_i of every instance, with one
+        unitary U, leaves every term's spectrum unchanged, to 1e-9 of the
+        largest singular value."""
+        stack = _stack_of([generate_instance("generic", n, m, derive_seed(seed, i))
+                           for i in range(3)])
+        U = haar_unitary(n, np.random.default_rng(seed))
+        turned = _scaled(stack, 1.0, 1.0, U)
+        for chain, grid in STACK_GRIDS.items():
+            base, got = grid_terms(stack, chain, grid), grid_terms(turned, chain, grid)
+            for want, have in zip(_side_spectra(base), _side_spectra(got)):
+                scale = want.max(axis=-1, keepdims=True)
+                assert np.all(np.abs(have - want) <= 1e-9 * scale), chain
+
+    def test_commutator_checked_per_instance(self):
+        """One non-commuting pair in one instance of a commuting stack is
+        refused, with the message a lone instance gets."""
+        insts = [generate_instance("commuting", 2, 2, 98 + i) for i in range(3)]
+        B = np.stack([i.B for i in insts])
+        B[1, 0] = generate_instance("generic", 2, 1, 99).B[0]
+        bad = InstanceSet(m=2, n=2, A=np.stack([i.A for i in insts]), B=B,
+                          seed=(98, 99, 100), kind="commuting")
+        alone = InstanceSet(m=2, n=2, A=insts[1].A, B=B[1], seed=99, kind="commuting")
+        with pytest.raises(errors.NotCommuting) as lone:
+            commuting_terms(alone, "product")
+        with pytest.raises(errors.NotCommuting, match=r"pair commutator norm .* exceeds 1\.0e-12 \* ") \
+                as stacked:
+            commuting_terms(bad, "product")
+        assert str(stacked.value) == str(lone.value)
+        Ai, Bi = insts[1].A[0], B[1, 0]  # the pair-by-pair loop the check replaced
+        defect = np.linalg.norm(Ai @ Bi - Bi @ Ai)
+        scale = np.linalg.norm(Ai) * np.linalg.norm(Bi)
+        assert str(lone.value) == f"pair commutator norm {defect:.3e} exceeds 1.0e-12 * {scale:.3e}"
+        commuting_terms(_stack_of([insts[0], insts[2]], "commuting"), "symmetrized")

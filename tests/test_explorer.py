@@ -159,6 +159,21 @@ class TestSweep:
             with pytest.raises(errors.ConfigError, match=rf"{name} lists {values[-1]!r} twice"):
                 call()
 
+    @pytest.mark.parametrize("norms, twice", [
+        (["trace", "trace"], "trace"), (["Trace", "trace "], "trace "),
+        (["kyfan:2", "schatten:2", "kyfan:all"], "kyfan:all"),
+        (["kyfan:all", "KyFan:3"], "KyFan:3"), (["kyfan:all", "kyfan:all"], "kyfan:all"),
+        ([NormSpec.operator(), "operator"], "operator"),
+    ])
+    def test_norm_listed_twice_rejected(self, norms, twice):
+        """A norm listed twice (kyfan:k beside kyfan:all among them) would
+        write each of its records twice."""
+        cfg = SweepConfig(chains=["main"], instance_count=2, norms=norms)
+        for call in (cfg.validate, lambda: run_sweep(cfg)):
+            with pytest.raises(errors.ConfigError, match=f"norm {re.escape(repr(twice))} is listed"):
+                call()
+        SweepConfig(norms=["kyfan:2", "schatten:1", "trace", "schatten:inf", "operator"]).validate()
+
     @pytest.mark.parametrize("chain, bad, needs", [
         ("main", {"s_values": [1.5]}, "s >= 2"),
         ("geo-z", {"s_values": [0.5]}, "s >= 1"),
@@ -217,6 +232,42 @@ class TestSweep:
         got = [rec for rec in run_sweep(SweepConfig(**SMALL)).records if rec["kind"] == "chain"]
         assert len(want) == 3 * (5 + 2 * 5 + 2 * 3 + 2 * 3)
         assert got == want
+
+    def test_shape_stack_lapack_calls(self, monkeypatch):
+        """A shape whose K = 1, 2 or 4 tasks run as one stack makes the same
+        eigh and svd calls for every K, and decomposes K times the matrices
+        of one task: every chain's terms are one call per (chain, n, m)."""
+        config = dict(SMALL, n_values=[3], s_values=[1.5, 2.0], t_values=[0.3, 0.5])
+        calls = []
+
+        def counted(decompose):
+            def call(a, *args, **kwargs):
+                calls.append(np.shape(a)[:-2])
+                return decompose(a, *args, **kwargs)
+            return call
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        counts = {}
+        for K in (1, 2, 4):
+            calls.clear()
+            run_sweep(SweepConfig(**dict(config, instance_count=K)))
+            counts[K] = (len(calls), sum(int(np.prod(lead)) for lead in calls))
+        assert counts[2][0] == counts[4][0] == counts[1][0]
+        assert counts[2][1] == 2 * counts[1][1] and counts[4][1] == 4 * counts[1][1]
+
+    def test_records_independent_of_group_size(self):
+        """A task's records, of every chain and both commuting variants, are
+        byte-equal whether 1, 2 or 4 tasks share its (n, m) stack."""
+        config = dict(SMALL, n_values=[1, 3], m_values=[2], s_values=[1.5, 2.0],
+                      t_values=[0.3, 0.5])
+        runs = [run_sweep(SweepConfig(**dict(config, instance_count=count))).records
+                for count in (1, 3, 8)]
+        assert {rec.get("chain_id") for rec in runs[2]} >= {
+            "main", "geo-z", "t-chain", "commuting-product", "commuting-symmetrized"}
+        for small in runs[:2]:
+            seeds = {rec["instance_seed"] for rec in small}
+            assert dumps([rec for rec in runs[2] if rec["instance_seed"] in seeds]) == dumps(small)
 
     def test_serial_equals_concurrent(self, tmp_path):
         cfg = SweepConfig(**SMALL)
@@ -404,6 +455,12 @@ class TestCli:
         cfg_file.write_text(json.dumps(dict(SMALL, chains=["main", "geo-z", "main"])))
         assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_CONFIG
         assert "chain 'main' is listed twice" in capsys.readouterr().err
+
+    def test_norm_listed_twice_exit_code(self, capsys):
+        code = cli.main(["verify", "--chain", "main", "--n", "2", "--m", "2", "--count", "2",
+                         "--seed", "1", "--norms", "trace,trace"])
+        assert code == cli.EXIT_CONFIG
+        assert "norm 'trace' is listed twice" in capsys.readouterr().err
 
     def test_value_listed_twice_exit_code(self, capsys):
         code = cli.main(["verify", "--chain", "main", "--count", "1", "--s", "2,2"])

@@ -73,6 +73,17 @@ def test_generators_of_one_and_none():
     assert generators([]) == []
 
 
+@pytest.mark.parametrize("count", [2, 7, 8, 9])
+def test_generators_of_a_few_seeds(count):
+    """A few seeds are made by `default_rng`, more are hashed together:
+    the streams are the same either side of the switch."""
+    seeds = EDGE_SEEDS[:count] + [derive_seed(8, k) for k in range(count - len(EDGE_SEEDS))]
+    streams = generators(seeds)
+    assert len(streams) == count
+    assert all(_same_stream(rng, seed) for rng, seed in zip(streams, seeds))
+    assert len(generators(np.array(seeds, dtype=np.uint64))) == count
+
+
 def test_pcg64_outputs_match_random_raw():
     seeds = EDGE_SEEDS + [derive_seed(31, k) for k in range(5000)]
     words = pcg64_outputs(seeds, 6)
