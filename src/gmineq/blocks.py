@@ -57,10 +57,10 @@ class InstanceSet:
 
     @cached_property
     def spectra(self):
-        """The spectra cache (chains.InstanceSpectra of grid points), built on first use."""
+        """The spectra cache (chains.InstanceSpectra), built on first use."""
         from .chains import InstanceSpectra  # chains imports this module
 
-        return InstanceSpectra(self.A, self.B, grid=True)
+        return InstanceSpectra(self.A, self.B)
 
     def validate(self) -> "InstanceSet":
         """self, after the checks of `_checked`, which run once."""

@@ -1,7 +1,7 @@
 """Inequality-chain evaluators.
 
 Each evaluator computes the singular values of every term of a chain once;
-`reports.chain_records` then evaluates a whole norm list with one
+`reports.chain_blocks` then evaluates a whole norm list with one
 `norms.norm_values` call per term, and `chain_margins` is the one margin
 and pass rule, shared with the hunt and the lemmas.  All chain terms are
 Hermitian PSD (except the commuting product right side).  Each power of a
@@ -110,9 +110,8 @@ def _stack(values: list, rows: list):
 def _memoized(method):
     """An InstanceSpectra value: the method's result, memoized at scalar
     parameters under the key (method name, *parameters); with parameter
-    arrays, memoized row by row as grid points (see
-    `InstanceSpectra._per_row`), or evaluated once with one value per
-    instance, as the spectra's `grid` flag says."""
+    arrays, memoized row by row as grid points (see `InstanceSpectra`) if
+    they have more axes than the stack, or else evaluated once."""
     name = method.__name__
 
     @wraps(method)
@@ -121,7 +120,8 @@ def _memoized(method):
         try:
             return self._memo[key]
         except TypeError:  # parameter arrays
-            return self._per_row(key, method) if self._grid else method(self, *params)
+            grid = max([getattr(x, "ndim", 0) for x in params]) > self._lead
+            return self._per_row(key, method) if grid else method(self, *params)
         except KeyError:
             pass
         result = self._memo[key] = method(self, *params)
@@ -138,17 +138,17 @@ class InstanceSpectra:
     of the hunt, used as they are: L is () for one instance and (K,) for a
     stack of K, and every value has the leading axes L.  Each value is one
     method, memoized by `_memoized` in one memo.  Parameters are scalars,
-    or arrays of one value per row, which the `grid` flag reads:
+    or arrays whose shape says what a row is (the rule of `linalg`):
 
-    - grid=True (an `InstanceSet`'s spectra): a row is a grid point,
-      broadcast against every instance's decompositions (see `linalg`) to
-      give values (P, *L, ...).  Each row's value is memoized as an L stack
-      under the row's scalar key, the key of a one-point evaluation, and
-      only the distinct rows not there yet are evaluated, together; so each
+    - more axes than L ((P,) or (P, 1), a grid): a row is a grid point,
+      broadcast against every instance's decompositions to give values
+      (P, *L, ...).  Each row's value is memoized as an L stack under the
+      row's scalar key, the key of a one-point evaluation, and only the
+      distinct rows not there yet are evaluated, together; so each
       distinct mean, sandwich factor and sum of mean powers is decomposed
       once per instance, however many points and chains share it.
-    - grid=False (the hunt): arrays of shape L, one point per instance,
-      evaluated once and not memoized.
+    - the axes L (the hunt's): one point per instance, evaluated once and
+      not memoized.
 
     Values at scalar parameters are memoized and shared by every chain and
     point.  Each value is computed exactly as a direct evaluation computes
@@ -158,8 +158,8 @@ class InstanceSpectra:
     matrix.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, grid: bool = False):
-        self._A, self._B, self._grid = A, B, grid
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        self._A, self._B, self._lead = A, B, A.ndim - 3
         self._memo = {}
 
     def _per_row(self, key: tuple, compute):
@@ -174,7 +174,7 @@ class InstanceSpectra:
         rows = [slots.setdefault((name, *row), len(slots)) for row in zip(*columns)]
         missing = [k for k in slots if k not in self._memo]
         if missing:
-            shape = (len(missing),) + (1,) * (self._A.ndim - 3)
+            shape = (len(missing),) + (1,) * self._lead
             values = compute(self, *(np.array([k[c] for k in missing]).reshape(shape)
                                      if np.ndim(x) else x for c, x in enumerate(params, start=1)))
             for i, k in enumerate(missing):
@@ -186,7 +186,7 @@ class InstanceSpectra:
     def select(self, rows) -> "InstanceSpectra":
         """The spectra of the instances `rows` of a stack, keeping the
         input decompositions computed so far."""
-        sub = InstanceSpectra(self._A[rows], self._B[rows], self._grid)
+        sub = InstanceSpectra(self._A[rows], self._B[rows])
         for key in (("eig_A",), ("eig_B",), ("eig_sum_A",), ("eig_sum_B",)):
             if key in self._memo:
                 sub._memo[key] = self._memo[key][rows]
@@ -365,11 +365,13 @@ def grid_terms(inst: InstanceSet, chain_id: str, points: list) -> ChainTerms:
     (P, d) or (P, K, d), row k for point k, `status` one per point and
     `condition_max` one per instance.  Every point must satisfy the
     chain's hypotheses.  The points are evaluated on `inst.spectra` with
-    one (s, t, r, p) per row, so row k of instance i is bitwise the terms
-    `*_terms` gives at point k on instance i alone, and each distinct
-    factor is decomposed once per instance."""
+    one (s, t, r, p) per row, as grid rows ((P,) or (P, 1) columns), so
+    row k of instance i is bitwise the terms `*_terms` gives at point k on
+    instance i alone, and each distinct factor is decomposed once per
+    instance."""
     sides, status = _require(chain_id, points)
-    s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
+    columns = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
+    s, t, r, p = columns.reshape(columns.shape + (1,) * (inst.A.ndim - 3))
     lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, s, t, r, p)
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, tuple(status(q) for q in points),
                       condition_max(inst))

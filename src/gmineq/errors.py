@@ -76,6 +76,6 @@ def require_all(kind, values, message: str) -> None:
 
 def require_finite(name: str, values) -> None:
     """Raise ConfigError naming field `name` if any of its numbers is
-    infinite; NaN is left to the field's own checks."""
-    if any(math.isinf(v) for v in values):
+    infinite or NaN."""
+    if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{name} must be finite, got {values!r}")

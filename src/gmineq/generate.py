@@ -7,10 +7,9 @@ Identical arguments produce bit-identical instances.
 Per-task seeds are derived with a splitmix64 mix of (base_seed, index),
 so each task's instance depends on its index alone, not on run order.
 
-An instance is made in two steps: `draw_instances` draws the random
-numbers of a stack of equal-shape instances, each from its own stream, and
-`assemble_instances` turns them into matrices with one QR call.  Each
-stream is that of `np.random.default_rng(seed)`; `generators` makes the
+`draw_instances` draws a stack of equal-shape instances, each from its
+own stream, and builds their matrices with one QR call.  Each stream is
+that of `np.random.default_rng(seed)`; `generators` makes the
 streams of many seeds at once, hashing all their seeds together.
 `generate_instance` is a stack of one, and every instance of a stack gets
 the bytes it gets alone, as do `ginibre_draws` and `spd_draws` for
@@ -220,31 +219,26 @@ def generators(seeds) -> list:
 
 
 def draw_instances(kind: str, n: int, m: int, rngs: list, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
-    """The random numbers of one instance per generator of `rngs`, stacked:
-    Ginibre matrices G (K, 2m, n, n), or (K, m, n, n) for commuting
-    instances, one per pair, and eigenvalues lam (K, 2m, n), A_1's row
-    first, then B_1's.  Each instance draws from its generator per matrix
-    (per pair for commuting instances) the real then imaginary parts of
-    its Ginibre matrix, then its n eigenvalues (both rows of the pair), so
-    it gets the bytes of `ginibre_draws` and `SpectrumLaw.sample` on that
-    stream; the parts are combined, and the eigenvalues exponentiated,
-    once for the whole stack."""
+    """(A, B), each (K, m, n, n): one instance per generator of `rngs`.
+    Each instance draws from its generator per matrix (per pair for
+    commuting instances) the real then imaginary parts of a Ginibre
+    matrix, then its n eigenvalues (both rows of the pair), A_1's first,
+    then B_1's, so it gets the bytes of `ginibre_draws` and
+    `SpectrumLaw.sample` on that stream; the parts are combined, the
+    eigenvalues exponentiated, and every matrix made Q diag(lam) Q* with Q
+    from one stacked QR, once for the whole stack.  The A_i and B_i of a
+    commuting instance share one eigenbasis per pair."""
     if kind not in ("generic", "commuting"):
         raise errors.ConfigError(f"unknown instance kind {kind!r}")
     if n < 1 or m < 1:
         raise errors.ConfigError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     shared = kind == "commuting"
-    return _draw(rngs, n, m if shared else 2 * m, law, 2 if shared else 1)
-
-
-def assemble_instances(kind: str, G: np.ndarray, lam: np.ndarray) -> tuple:
-    """(A, B), each (..., m, n, n), from stacked draws of `draw_instances`;
-    every matrix is Q diag(lam) Q* with Q from one stacked QR."""
+    G, lam = _draw(rngs, n, m if shared else 2 * m, law, 2 if shared else 1)
     Q = haar(G)
-    if kind == "commuting":
-        Q = np.repeat(Q, 2, axis=-3)  # A_i and B_i share one eigenbasis
+    if shared:
+        Q = np.repeat(Q, 2, axis=-3)
     X = from_spectrum(Q, lam)
-    return X[..., 0::2, :, :], X[..., 1::2, :, :]
+    return X[:, 0::2], X[:, 1::2]
 
 
 def generate_instance(
@@ -259,6 +253,5 @@ def generate_instance(
     generic: all 2m matrices independent.  commuting: A_i and B_i share
     one eigenbasis per pair, so they commute exactly up to round-off.
     """
-    G, lam = draw_instances(kind, n, m, [np.random.default_rng(seed & _MASK64)], law)
-    A, B = assemble_instances(kind, G[0], lam[0])
-    return InstanceSet(m=m, n=n, A=A, B=B, seed=int(seed), kind=kind)
+    A, B = draw_instances(kind, n, m, [np.random.default_rng(seed & _MASK64)], law)
+    return InstanceSet(m=m, n=n, A=A[0], B=B[0], seed=int(seed), kind=kind)

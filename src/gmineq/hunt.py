@@ -48,8 +48,8 @@ from .chains import (
     t_chain_status,
     validate_run_fields,
 )
-from .generate import (DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instances,
-                       generators, pcg64_outputs)
+from .generate import (DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators,
+                       pcg64_outputs)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
@@ -281,8 +281,8 @@ def _sampling_phase(cfg: SearchConfig):
             buckets.setdefault((n, m), []).append(i)
         results = [None] * len(chunk)
         for (n, m), members in buckets.items():
-            A, B = assemble_instances("generic", *draw_instances(
-                "generic", n, m, [streams[i] for i in members], cfg.spectrum_law))
+            A, B = draw_instances("generic", n, m, [streams[i] for i in members],
+                                  cfg.spectrum_law)
             gated, margin, specs = _stack_margins(A, B, [chunk[i][2] for i in members],
                                                   cfg.norms, cfg.condition_cap)
             for row, i in enumerate(members):

@@ -38,24 +38,6 @@ PD_FLOOR = 1e-10
 CLIP_FLOOR = 1e-12
 
 
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a finite complex128 matrix or stack of matrices; NaN or
-    infinite entries raise `errors.NonFiniteInput`."""
-    A = np.asarray(M, dtype=np.complex128)
-    if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
-        raise errors.DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(np.float64))):
-        raise errors.NonFiniteInput("matrix contains NaN or Inf entries")
-    return A
-
-
-def require_square(M) -> np.ndarray:
-    A = as_matrix(M)
-    if A.shape[-2] != A.shape[-1]:
-        raise errors.DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    return A
-
-
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Exactly-Hermitian average (M + M*)/2."""
     return 0.5 * (M + M.conj().mT)
@@ -67,8 +49,15 @@ def _any(mask) -> bool:
 
 
 def require_hermitian(H) -> np.ndarray:
-    """Validate the Hermitian invariant of every matrix and return H unchanged."""
-    A = require_square(H)
+    """H as complex128, after checking that it is a square matrix or stack,
+    its entries are finite and every matrix is Hermitian."""
+    A = np.asarray(H, dtype=np.complex128)
+    if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
+        raise errors.DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {A.shape}")
+    if not np.all(np.isfinite(A.view(np.float64))):
+        raise errors.NonFiniteInput("matrix contains NaN or Inf entries")
+    if A.shape[-2] != A.shape[-1]:
+        raise errors.DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     scale = np.abs(A).max(axis=(-2, -1), initial=1.0)
     defect = np.abs(A - A.conj().mT).max(axis=(-2, -1))
     bad = defect > HERMITIAN_RTOL * scale

@@ -11,10 +11,10 @@ A term set's records (one chain at one point, or one lemma case) are one
 by norm.  `chain_blocks` (`lemma_blocks`) builds one block per point of a
 grid and instance of a stack (per case of a lemma stack) from stacked
 terms, with no dict per record; `chain_records` (`lemma_records`) is its
-one-point form.  Columns
-are in report order (`order_norms`), so `build_report_set` sorts blocks by
-(chain, seed, params), which equals sorting every record by
-`record_sort_key`.  `summarize` reads the columns, and `ReportSet.records`
+one-point form.  Columns are in report order (`order_norms`), and no two
+blocks of a report share a key (chain, seed, params), so
+`build_report_set` sorts blocks by it, which equals sorting every record
+by `record_sort_key`.  `summarize` reads the columns, and `ReportSet.records`
 builds record dicts only when something reads them.
 
 `_encode` is the one function that picks a value's JSON by its type; its
@@ -31,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -193,10 +192,10 @@ def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list
     mid = None if terms.mid_sv is None else values(terms.mid_sv)
     margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
     cid, n, m = terms.chain_id, inst.n, inst.m
-    stacked = isinstance(inst.seed, tuple)
-    seeds = list(inst.seed) if stacked else [inst.seed]
-    tails = [(bool(c > condition_cap), "inf" if math.isinf(c) else c) for c in
-             (terms.condition_max.tolist() if stacked else [float(terms.condition_max)])]
+    # not np.ravel: it makes seeds below and above 2**63 one float64 array
+    seeds = list(inst.seed) if isinstance(inst.seed, tuple) else [inst.seed]
+    tails = [(bool(c > condition_cap), "inf" if math.isinf(c) else c)
+             for c in np.ravel(terms.condition_max).tolist()]
     statuses = [terms.status] * len(points) if isinstance(terms.status, str) else terms.status
     norm_dicts = [norm.to_record() for norm in norms]
     mids = [[None] * len(norms)] * len(lhs) if mid is None else mid.tolist()
@@ -355,19 +354,16 @@ def summarize(blocks: list) -> dict:
 def build_report_set(blocks: list) -> ReportSet:
     """A report set from `Block`s and record dicts (blocks of one) in any
     order, each block in report order as the builders make it: the blocks
-    are sorted by the key of their head, and the records of blocks with
-    equal keys stable-merged by norm, so the records come out as
-    `sorted(records, key=record_sort_key)` puts them, with one key per block."""
-    keyed = [(item, _block_key(item.head if isinstance(item, Block) else item)) for item in blocks]
-    keyed.sort(key=itemgetter(1))
-    ordered = []
-    for _, group in groupby(keyed, key=itemgetter(1)):
-        group = [item for item, _ in group]
-        if len(group) == 1:
-            ordered.append(group[0])
-        else:
-            ordered.extend(sorted(ReportSet(blocks=group).records,
-                                  key=lambda rec: _norm_sort_key(rec.get("norm", {}))))
+    are sorted by the key of their head, so the records come out as
+    `sorted(records, key=record_sort_key)` puts them.  Two blocks with one
+    key raise `ValueError`: a validated sweep never makes them, since it
+    refuses a repeated chain, parameter value or norm."""
+    keyed = sorted(((_block_key(item.head if isinstance(item, Block) else item), item)
+                    for item in blocks), key=itemgetter(0))
+    for (key, _), (after, _) in zip(keyed, keyed[1:]):
+        if key == after:
+            raise ValueError(f"two blocks have the key {key!r}")
+    ordered = [item for _, item in keyed]
     return ReportSet(blocks=ordered, summary=summarize(ordered))
 
 

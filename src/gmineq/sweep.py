@@ -1,9 +1,10 @@
 """Parameter sweeps: evaluate configured chains over seeded instances and
-parameter grids, with deterministic per-task seeds and a sorted merge, so
-a report is a pure function of its config.
+parameter grids, with deterministic per-task seeds and blocks sorted by
+key, so a report is a pure function of its config.
 
-The tasks of one (n, m) are taken together: their instances are drawn
-as one stack per instance kind, each grid chain's whole (s, r, p, t) grid
+The tasks of one (n, m) are taken together: every stream they draw from
+is made by one `generators` call, their instances are drawn as one stack
+per instance kind, each grid chain's whole (s, r, p, t) grid
 is evaluated on the stack at once (`chains.grid_terms`) and recorded with
 one `reports.chain_blocks` call, each commuting variant likewise, and
 each lemma id's cases are one stack.  Each term set is one
@@ -22,8 +23,7 @@ from . import errors
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admissible,
                      commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
 from .blocks import InstanceSet
-from .generate import (DEFAULT_LAW, SpectrumLaw, assemble_instances, derive_seed, draw_instances,
-                       generators)
+from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
 from .lemmas import LEMMA_IDS, lemma_stack_terms, random_cases
 from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
 
@@ -144,19 +144,24 @@ def _chain_table(cfg: SweepConfig) -> dict:
 def _shape_blocks(cfg: SweepConfig, table: dict, tasks: range, n: int, m: int) -> list:
     """The record blocks of the tasks `tasks`, all of shape (n, m): task i
     draws its instance of each kind from seed derive_seed(base_seed, i) as
-    `generate_instance` would, but each kind's instances are drawn as one
-    stack, and each chain (commuting variant) is evaluated on it by one
-    terms call and recorded by one `chain_blocks` call."""
+    `generate_instance` would, and its case of lemma id number li from seed
+    derive_seed(derive_seed(base_seed, i), li) as `random_case` would, all
+    from streams made by one `generators` call.  Each kind's instances are
+    one stack, and each chain (commuting variant) is evaluated on it by one
+    terms call and recorded by one `chain_blocks` call; each lemma id's
+    cases are drawn, evaluated and recorded as one stack."""
     seeds = derive_seed(cfg.base_seed, np.array(tasks, np.uint64))
     K = len(seeds)  # a lone task gets no stack axis, which every array op would carry
     stack, lead = (tuple(seeds.tolist()), (K,)) if K > 1 else (int(seeds[0]), ())
     chains = [c for c in cfg.chains if c != "lemmas"]
     kinds = list(dict.fromkeys(table[c][0] for c in chains))
-    streams = generators(np.tile(seeds, len(kinds)))  # a fresh stream per task and kind
+    lemma_ids = table["lemmas"][2] if "lemmas" in cfg.chains else []
+    groups = [seeds] * len(kinds) + [derive_seed(seeds, li) for li in range(len(lemma_ids))]
+    streams = generators(np.concatenate([seeds[:0], *groups]))  # K fresh streams per group
     instances = {}
     for j, kind in enumerate(kinds):
-        drawn = draw_instances(kind, n, m, streams[j * K:(j + 1) * K], cfg.spectrum_law)
-        A, B = (X.reshape(lead + X.shape[1:]) for X in assemble_instances(kind, *drawn))
+        A, B = (X.reshape(lead + X.shape[1:]) for X in
+                draw_instances(kind, n, m, streams[j * K:(j + 1) * K], cfg.spectrum_law))
         instances[kind] = InstanceSet(m, n, A, B, stack, kind)
     blocks = []
     for chain in chains:
@@ -168,23 +173,10 @@ def _shape_blocks(cfg: SweepConfig, table: dict, tasks: range, n: int, m: int) -
             blocks.extend(chain_blocks(terms, inst, points,
                                        expand_norm_tokens(cfg.norms, terms.max_dim),
                                        cfg.tol_rel, cfg.condition_cap))
-    if "lemmas" in cfg.chains:
-        blocks.extend(_lemma_blocks(cfg, table["lemmas"][2], seeds, n, m))
-    return blocks
-
-
-def _lemma_blocks(cfg: SweepConfig, lemma_ids: list, task_seeds: np.ndarray, n: int,
-                  m: int) -> list:
-    """The lemma record blocks of the tasks of shape (n, m) whose seeds are
-    `task_seeds`: task i's case of lemma id number li draws from seed
-    derive_seed(derive_seed(base_seed, i), li), and each id's cases are
-    drawn, evaluated and recorded as one stack."""
-    blocks = []
-    for li, lid in enumerate(lemma_ids):
-        seeds = derive_seed(task_seeds, li)
-        cases = random_cases(lid, generators(seeds), n, m, cfg.spectrum_law)
+    for j, lid in enumerate(lemma_ids, start=len(kinds)):
+        cases = random_cases(lid, streams[j * K:(j + 1) * K], n, m, cfg.spectrum_law)
         terms = lemma_stack_terms(cases)
-        blocks.extend(lemma_blocks(cases, terms, seeds.tolist(), n, m,
+        blocks.extend(lemma_blocks(cases, terms, groups[j].tolist(), n, m,
                                    expand_norm_tokens(cfg.norms, terms.max_dim), cfg.tol_rel))
     return blocks
 

@@ -452,14 +452,16 @@ class TestStackedInstances:
                         assert_rows(terms, (k, i), grid_terms(fresh, chain, [q]), (0,))
 
     def test_grid_and_instance_rows_told_apart_when_p_equals_k(self):
-        """Three grid points on a stack of three instances give (3, 3, d)
-        spectra; the hunt's spectra, one point per instance, take the
-        diagonal of that grid from the same arrays."""
+        """On a stack of three instances, (3, 1) exponents have more axes
+        than the stack's and are three grid points, giving (3, 3, d)
+        spectra; (3,) exponents have exactly the stack's axes and are the
+        hunt's one point per instance, which take the diagonal of that grid
+        from the same arrays."""
         insts = [generate_instance("generic", 2, 2, 95 + i) for i in range(3)]
         stack = _stack_of(insts)
         x = np.array([0.5, 1.0, 1.5])
-        grid = stack.spectra.z_sv(x)
-        per_instance = InstanceSpectra(stack.A, stack.B).z_sv(x)
+        grid = stack.spectra.z_sv(x[:, None])
+        per_instance = stack.spectra.z_sv(x)
         assert grid.shape == (3, 3, 4) and per_instance.shape == (3, 4)
         for k in range(3):
             assert _bitwise_equal(grid[k, k], per_instance[k])

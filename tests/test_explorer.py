@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmineq import cli, errors
+from gmineq import cli, errors, sweep
 from gmineq.chains import ChainParams, commuting_terms, geo_z_terms, main_chain_terms, t_chain_terms
-from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, splitmix64
+from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, generators, splitmix64
 from gmineq.highprec import t_chain_margin
 from gmineq.hunt import SearchConfig, evaluate_argmin, hunt
+from gmineq.lemmas import LEMMA_IDS
 from gmineq.norms import NormSpec
 from gmineq.reports import (
     SCHEMA_VERSION,
+    _block_key,
     build_report_set,
     chain_records,
     dumps,
     read_reports,
     write_reports,
 )
-from gmineq.sweep import SweepConfig, _chain_table, has_proven_failure, run_sweep
+from gmineq.sweep import KNOWN_CHAINS, SweepConfig, _chain_table, has_proven_failure, run_sweep
 
 
 class TestSeeds:
@@ -133,6 +135,7 @@ class TestSweep:
         {"spectrum_law": 3}, {"spectrum_law": {"lo": "a", "hi": 2}},
         {"tol_rel": -1.0}, {"tol_rel": float("inf")}, {"tol_rel": float("nan")},
         {"norms": []}, {"norms": ["bogus"]}, {"norms": ["kyfan:x"]},
+        {"s_values": [2.0, float("nan")]}, {"t_values": [0.5, float("nan")]},
     ])
     def test_config_type_validation(self, bad):
         with pytest.raises(errors.ConfigError):
@@ -255,6 +258,37 @@ class TestSweep:
             counts[K] = (len(calls), sum(int(np.prod(lead)) for lead in calls))
         assert counts[2][0] == counts[4][0] == counts[1][0]
         assert counts[2][1] == 2 * counts[1][1] and counts[4][1] == 4 * counts[1][1]
+
+    def test_one_stream_call_per_shape(self, monkeypatch):
+        """A shape's streams, K per instance kind and K per lemma id, are
+        made by one `generators` call."""
+        calls = []
+
+        def counted(seeds):
+            calls.append(len(seeds))
+            return generators(seeds)
+
+        monkeypatch.setattr(sweep, "generators", counted)
+        run_sweep(SweepConfig(**SMALL))
+        assert calls == [SMALL["instance_count"] * (2 + len(LEMMA_IDS))]
+
+    @settings(max_examples=25, deadline=None)
+    @given(chains=st.lists(st.sampled_from(KNOWN_CHAINS), min_size=1, unique=True),
+           n_values=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+           m_values=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+           lemma_ids=st.lists(st.sampled_from(LEMMA_IDS), min_size=1, max_size=3),
+           generator=st.sampled_from(["generic", "commuting"]), per_shape=st.integers(1, 4))
+    def test_block_keys_distinct(self, chains, n_values, m_values, lemma_ids, generator,
+                                 per_shape):
+        """A validated sweep's blocks have pairwise distinct keys, also with
+        a repeated n or lemma id and on commuting instances, so sorting
+        them by key puts every record in place."""
+        cfg = SweepConfig(chains=chains, n_values=n_values, m_values=m_values,
+                          instance_count=per_shape * len(n_values) * len(m_values),
+                          generator=generator, s_values=[1.5, 2.0], t_values=[0.3, 0.5],
+                          norms=["trace"], lemma_ids=lemma_ids)
+        keys = [_block_key(block.head) for block in run_sweep(cfg).blocks]
+        assert keys and len(set(keys)) == len(keys)
 
     def test_records_independent_of_group_size(self):
         """A task's records, of every chain and both commuting variants, are
@@ -543,10 +577,14 @@ class TestCli:
         (["verify", "--chain", "geo-z", "--count", "1", "--s", "inf"], "s_values"),
         (["verify", "--chain", "t-chain", "--count", "1", "--p", "inf"], "p_values"),
         (["verify", "--chain", "main", "--count", "1", "--s", "2,inf"], "s_values"),
+        (["verify", "--chain", "main", "--n", "2", "--m", "2", "--count", "2", "--s", "2,nan",
+          "--norms", "trace"], "s_values"),
+        (["verify", "--chain", "t-chain", "--count", "1", "--t", "0.5,nan"], "t_values"),
     ])
     def test_infinite_parameter_exit_code(self, argv, field, capsys):
-        """An infinite exponent or range end is a configuration error that
-        names its field, not a failure of the evaluation."""
+        """An infinite or NaN exponent or range end is a configuration error
+        that names its field, not a failure of the evaluation (a NaN point
+        is not dropped from the grid)."""
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite, got ")

@@ -7,15 +7,14 @@ stream's first raw words; the array forms of `splitmix64` and
 a stack of instances, each from its own generator, and must give each the
 bytes of the one-instance draw it replaced, kept here as `_oracle_draw`: a
 fresh `default_rng`, then per matrix a Ginibre matrix and the law's
-eigenvalues.
+eigenvalues, made into matrices by `_oracle_assemble`.
 """
 
 import numpy as np
 import pytest
 
-from gmineq.generate import (SpectrumLaw, assemble_instances, derive_seed, draw_instances,
-                             generate_instance, generators, haar, pcg64_outputs, splitmix64,
-                             spd_draws)
+from gmineq.generate import (SpectrumLaw, derive_seed, draw_instances, generate_instance,
+                             generators, haar, pcg64_outputs, splitmix64, spd_draws)
 from gmineq.linalg import from_spectrum
 
 MASK64 = (1 << 64) - 1
@@ -45,6 +44,16 @@ def _oracle_draw(kind, n, m, seed, law):
             G.append(_oracle_ginibre(n, rng))
             lam.extend(_oracle_eigenvalues(law, n, rng) for _ in range(2))
     return np.stack(G), np.stack(lam)
+
+
+def _oracle_assemble(kind, G, lam):
+    """(A, B) of one instance's draws, each matrix Q diag(lam) Q* with Q
+    from one stacked QR (the matrices a stacked draw must reproduce)."""
+    Q = haar(G)
+    if kind == "commuting":
+        Q = np.repeat(Q, 2, axis=-3)  # A_i and B_i share one eigenbasis
+    X = from_spectrum(Q, lam)
+    return X[..., 0::2, :, :], X[..., 1::2, :, :]
 
 
 def _same_stream(rng, seed):
@@ -128,13 +137,12 @@ def test_spd_draws_match_oracle(law):
 def test_stacked_draws_match_oracle(kind, law):
     for n in range(1, 7):
         for m in range(1, 4):
-            G, lam = draw_instances(kind, n, m, generators(SEEDS), law)
-            assert G.shape == (len(SEEDS), 2 * m if kind == "generic" else m, n, n)
-            assert lam.shape == (len(SEEDS), 2 * m, n)
+            A, B = draw_instances(kind, n, m, generators(SEEDS), law)
+            assert A.shape == B.shape == (len(SEEDS), m, n, n)
             for row, seed in enumerate(SEEDS):
-                want_G, want_lam = _oracle_draw(kind, n, m, seed, law)
-                assert G[row].tobytes() == want_G.tobytes(), (n, m, seed)
-                assert lam[row].tobytes() == want_lam.tobytes(), (n, m, seed)
+                want_A, want_B = _oracle_assemble(kind, *_oracle_draw(kind, n, m, seed, law))
+                assert A[row].tobytes() == want_A.tobytes(), (n, m, seed)
+                assert B[row].tobytes() == want_B.tobytes(), (n, m, seed)
 
 
 @pytest.mark.parametrize("kind", ["generic", "commuting"])
@@ -144,6 +152,6 @@ def test_generate_instance_matches_oracle(kind, law):
         for m in range(1, 4):
             for seed in SEEDS:
                 inst = generate_instance(kind, n, m, seed, law)
-                A, B = assemble_instances(kind, *_oracle_draw(kind, n, m, seed, law))
+                A, B = _oracle_assemble(kind, *_oracle_draw(kind, n, m, seed, law))
                 assert np.stack(inst.A).tobytes() == A.tobytes(), (n, m, seed)
                 assert np.stack(inst.B).tobytes() == B.tobytes(), (n, m, seed)

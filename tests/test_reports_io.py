@@ -187,13 +187,14 @@ _SORT_TOKENS = ["kyfan:1", "kyfan:2", "kyfan:10", "schatten:2", "schatten:inf", 
 
 @st.composite
 def _term_set_blocks(draw):
-    """Blocks with few distinct keys, so that many tie: each a term set's
+    """Blocks with distinct keys, as a sweep makes them: each a term set's
     `Block` over an ordered norm list with repeated norms, or a lone record."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([7, 2]),
+                                   st.sampled_from([2.0, 3.0])), max_size=8, unique=True))
     blocks = []
-    for _ in range(draw(st.integers(0, 10))):
-        head = {draw(st.sampled_from(["chain_id", "lemma_id"])): draw(st.sampled_from(["a", "b"])),
-                "instance_seed": draw(st.sampled_from([7, 2])),
-                "params": {"s": draw(st.sampled_from([2.0, 3.0])), "r": 1.0}}
+    for name, seed, s in keys:
+        head = {draw(st.sampled_from(["chain_id", "lemma_id"])): name, "instance_seed": seed,
+                "params": {"s": s, "r": 1.0}}
         tokens = draw(st.lists(st.sampled_from(_SORT_TOKENS), min_size=1, max_size=5))
         norms = [spec.to_record() for spec in order_norms([NormSpec.parse(tok) for tok in tokens])]
         block = Block(head, {"norm": norms, "margins": [[0.0]] * len(norms),
@@ -215,19 +216,21 @@ class TestBlockSort:
 
     @settings(max_examples=200, deadline=None)
     @given(_term_set_blocks())
-    def test_equals_record_sort_with_tied_keys(self, blocks):
+    def test_equals_record_sort(self, blocks):
         self._assert_record_order(blocks)
 
-    def test_repeated_grid_points_and_norms(self):
-        """A grid that repeats its points, over a norm list that repeats
-        norms: the tied blocks are merged by norm, first block first."""
+    def test_repeated_key_raises(self):
+        """Two blocks with one key, from a grid that repeats a point or
+        from a term set split into its records, are refused: a validated
+        sweep never makes them."""
         inst = generate_instance("generic", 2, 2, 60)
-        grid = [ChainParams(s=3.0), ChainParams(s=2.0), ChainParams(s=3.0), ChainParams(s=2.0)]
+        grid = [ChainParams(s=3.0), ChainParams(s=2.0), ChainParams(s=3.0)]
         terms = grid_terms(inst, "main", grid)
-        norms = expand_norm_tokens(["trace", "kyfan:2", "kyfan:all", "kyfan:2"], 4)
-        blocks = chain_blocks(terms, inst, grid, norms)
-        self._assert_record_order(blocks[::-1] + blocks)
-        self._assert_record_order([rec for block in blocks for rec in block.records])
+        blocks = chain_blocks(terms, inst, grid, expand_norm_tokens(["trace", "kyfan:2"], 4))
+        build_report_set(blocks[:2])
+        for repeated in (blocks, blocks[:1] + blocks[:1], blocks[0].records):
+            with pytest.raises(ValueError, match="two blocks have the key"):
+                build_report_set(repeated)
 
     def test_builders_order_a_term_set_themselves(self):
         """A key's lone block is taken as built, so each record builder

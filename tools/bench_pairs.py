@@ -22,18 +22,23 @@ gain would pass the claim rule (wins in at least nine tenths of the pairs
 and a median gain larger than the base's interquartile range).  It also
 counts the report SHA-256 digests that both sides wrote on the same pass
 and how many of those are equal, and records each side's line count of
-`src/**/*.py` (as `wc -l` counts them), so that a refactor's change in
-size is recorded with its measurement.
+`src/**/*.py`, both as `wc -l` counts them (`src_lines`) and counting only
+the lines that hold code (`src_code_lines`: not blank, not only a comment,
+not part of a docstring), so that a refactor's change in size is recorded
+with its measurement, and a deleted comment does not count as a reduction.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 
@@ -68,6 +73,30 @@ def revision(checkout: Path) -> str:
 def src_lines(checkout: Path) -> int:
     """Newline count of the checkout's `src/**/*.py` files."""
     return sum(p.read_bytes().count(b"\n") for p in checkout.glob("src/**/*.py"))
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+
+
+def src_code_lines(checkout: Path) -> int:
+    """Count of the lines of the checkout's `src/**/*.py` files that hold a
+    token other than a comment, and are not part of a module, class or
+    function docstring."""
+    total = 0
+    for path in checkout.glob("src/**/*.py"):
+        text = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docstrings)
+    return total
 
 
 def quartiles(values: list) -> dict:
@@ -154,6 +183,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "held_out_seeds": args.held_out,
         "src_lines": {"base": src_lines(base), "change": src_lines(change)},
+        "src_code_lines": {"base": src_code_lines(base), "change": src_code_lines(change)},
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
