@@ -30,7 +30,10 @@ class InstanceSet:
     (K, m, n, n) for a stack, copies of what it was given, so neither the
     spectra cache `spectra` nor a passed `validate` can go stale.  A
     non-integer m or n, a pair count or matrix size other than m and n, or
-    ragged input is refused when it is built.
+    ragged input is refused when it is built.  A stack holds one m: the
+    sweep evaluates the stacks of every m of one n as one ragged stack of
+    their pairs (`chains.InstanceSpectra`) and records each m's rows
+    against its own `InstanceSet`, Z's zeros cut to that m.
     """
 
     m: int

@@ -9,15 +9,19 @@ mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
 An instance's spectral data live in its `InstanceSpectra`, which works on
-the instance's two read-only (m, n, n) stacks as they are, or on the
-(K, m, n, n) stacks of K instances (an `InstanceSet` stack, or the hunt's);
-each spectral value is defined once, as one memoized method.  `grid_terms`
-evaluates a chain's whole parameter grid on an instance or a stack at
-once: the same `InstanceSpectra` methods as the one-point evaluators
-(`main_chain_terms`, `geo_z_terms`, `t_chain_terms`) take one (s, t, r, p)
-per grid point, which `linalg` broadcasts against every instance's own
-decompositions, and each row is bitwise the one-point terms of its
-instance.  `commuting_terms` runs on a stack the same way.
+the instance's two read-only (m, n, n) stacks as they are, or on a stack
+of K instances of one n: their pairs laid end to end and each instance's
+pair count, so that the instances of one n share one stack whatever
+their m (the sweep's n-groups and the hunt's), and K instances of one m
+(an `InstanceSet` stack) are the equal-count case.  Each spectral value
+is defined once, as one memoized method.  `grid_terms` evaluates a
+chain's whole parameter grid on an instance or a stack at once: the same
+`InstanceSpectra` methods as the one-point evaluators (`main_chain_terms`,
+`geo_z_terms`, `t_chain_terms`) take one (s, t, r, p) per grid point,
+which `linalg` broadcasts against every instance's own decompositions,
+and each row is bitwise the one-point terms of its instance.
+`ChainTerms.take` splits a stack's terms by m, Z's spectrum cut to each
+instance's m n.  `commuting_terms` runs on a stack the same way.
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -36,8 +40,8 @@ import numpy as np
 from . import errors
 from .blocks import InstanceSet
 from .generate import SpectrumLaw
-from .linalg import (EigenDecomposition, hermitian_eig, power_from_eig, power_rows, psd_sv,
-                     sum_pairs, svd)
+from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
+                     psd_sv, svd)
 from .means import mean_factor
 from .norms import NormSpec, singular_values
 
@@ -82,16 +86,21 @@ class ChainTerms:
             dims.append(self.mid_sv.shape[-1])
         return max(dims)
 
+    def take(self, rows: slice, width: int) -> "ChainTerms":
+        """The grid terms of the instances `rows` of a stack, (P, K, d)
+        spectra cut to their first `width` values: on an n-group's ragged
+        stack, the rows of the instances of one m, with Z's spectrum cut
+        to its m n values."""
+        def cut(sv):
+            return None if sv is None else np.ascontiguousarray(sv[:, rows, :width])
+
+        return ChainTerms(self.chain_id, cut(self.lhs_sv), cut(self.rhs_sv), cut(self.mid_sv),
+                          self.status, self.condition_max[rows])
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _per_pair(x):
-    """One exponent per row (a grid point or an instance of a stack),
-    spread over the m pairs."""
-    return x if np.ndim(x) == 0 else np.asarray(x)[..., None]
 
 
 def _row(value, k: int):
@@ -131,14 +140,28 @@ def _memoized(method):
 
 
 class InstanceSpectra:
-    """Spectral data of one instance, or of a stack of equal-shape instances,
+    """Spectral data of one instance, or of a stack of instances of one n,
     each piece computed on first use.
 
-    A and B are the read-only stacks (*L, m, n, n) of an `InstanceSet` or
-    of the hunt, used as they are: L is () for one instance and (K,) for a
-    stack of K, and every value has the leading axes L.  Each value is one
-    method, memoized by `_memoized` in one memo.  Parameters are scalars,
-    or arrays whose shape says what a row is (the rule of `linalg`):
+    A stack holds its pairs laid end to end, A and B (sum(counts), n, n),
+    and each instance's pair count: `counts` (K,) says that instance k
+    owns the next counts[k] pairs, so instances of one n with different m
+    share one stack.  Without `counts`, A and B are the read-only (*L, m, n, n)
+    stacks of an `InstanceSet` or of the hunt, used as they are: L is ()
+    for one instance and (K,) for K instances of m pairs each, the
+    equal-count case of the same layout.  Every per-instance value has
+    the leading axes L, (K,) for a stack given by its counts.  Values of
+    the pairs (the decompositions of A_i and B_i, the mean factors) run
+    on the pair axis, each instance's exponent repeated over its pairs;
+    values of an instance (both sums, the left side, the condition
+    number, the commuting sides) add its own pairs in order, starting
+    from zeros (`_by_instance`).  Z's spectrum carries the zeros of the
+    stack's largest m (`z_sv`); `ChainTerms.take` cuts each instance's
+    row to its own m n.
+
+    Each value is one method, memoized by `_memoized` in one memo.
+    Parameters are scalars, or arrays whose shape says what a row is (the
+    rule of `linalg`):
 
     - more axes than L ((P,) or (P, 1), a grid): a row is a grid point,
       broadcast against every instance's decompositions to give values
@@ -153,13 +176,22 @@ class InstanceSpectra:
     Values at scalar parameters are memoized and shared by every chain and
     point.  Each value is computed exactly as a direct evaluation computes
     it (the same decomposition of the same array, the same linalg zeroing
-    rule, each exponent applied as a scalar), so each row and instance
-    gets the bytes it gets alone.  Every decomposition is of an n x n
-    matrix.
+    rule, each exponent applied as a scalar, each sum added in pair
+    order), so each row and instance gets the bytes it gets alone.  Every
+    decomposition is of an n x n matrix.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray):
-        self._A, self._B, self._lead = A, B, A.ndim - 3
+    def __init__(self, A: np.ndarray, B: np.ndarray, counts=None):
+        if counts is None:
+            shape = A.shape[:-3]
+            counts = [A.shape[-3]] * math.prod(shape)
+            A, B = (X.reshape((-1,) + X.shape[-2:]) for X in (A, B))
+        else:
+            shape = (len(counts),)
+        self._A, self._B, self._shape, self._lead = A, B, shape, len(shape)
+        self._counts = np.asarray(counts, dtype=np.intp)
+        self._starts = np.cumsum(self._counts) - self._counts
+        self._owner = np.repeat(np.arange(len(self._counts)), self._counts)  # pair -> instance
         self._memo = {}
 
     def _per_row(self, key: tuple, compute):
@@ -183,19 +215,42 @@ class InstanceSpectra:
                 return values
         return _stack([self._memo[k] for k in slots], rows)
 
+    def _per_pair(self, x):
+        """An exponent for every pair: a scalar as it is, grid points
+        ((P,) or (P, 1)) as a (P, 1) column, and one exponent per instance
+        repeated over the instance's pairs."""
+        if np.ndim(x) == 0:
+            return x
+        if np.ndim(x) > self._lead:
+            return np.reshape(x, (-1, 1))
+        return np.repeat(x, self._counts)
+
+    def _by_instance(self, X: np.ndarray) -> np.ndarray:
+        """Each instance's sum of its pairs' X (..., sum(counts), n, n),
+        added in pair order starting from zeros (`np.add.at` adds in index
+        order): (..., *L, n, n)."""
+        acc = np.zeros(X.shape[:-3] + self._counts.shape + X.shape[-2:], dtype=np.complex128)
+        np.add.at(acc, (..., self._owner, slice(None), slice(None)), X)
+        return acc.reshape(X.shape[:-3] + self._shape + X.shape[-2:])
+
     def select(self, rows) -> "InstanceSpectra":
-        """The spectra of the instances `rows` of a stack, keeping the
-        input decompositions computed so far."""
-        sub = InstanceSpectra(self._A[rows], self._B[rows])
-        for key in (("eig_A",), ("eig_B",), ("eig_sum_A",), ("eig_sum_B",)):
-            if key in self._memo:
-                sub._memo[key] = self._memo[key][rows]
+        """The spectra of the instances `rows` of a stack, their pairs
+        kept, with the input decompositions computed so far."""
+        counts = self._counts[rows]
+        pairs = (np.repeat(self._starts[rows] - (np.cumsum(counts) - counts), counts)
+                 + np.arange(counts.sum()))
+        sub = InstanceSpectra(self._A[pairs], self._B[pairs], counts)
+        for name, index in (("eig_A", pairs), ("eig_B", pairs), ("eig_sum_A", rows),
+                            ("eig_sum_B", rows)):
+            if (name,) in self._memo:
+                sub._memo[(name,)] = self._memo[(name,)][index]
         return sub
 
     @property
     @_memoized
     def eig_A(self) -> EigenDecomposition:
-        """Decompositions of every A_i, stacked (..., m, n, n)."""
+        """Decompositions of every A_i, stacked (sum(counts), n, n) in pair
+        order."""
         return hermitian_eig(self._A)
 
     @property
@@ -206,44 +261,43 @@ class InstanceSpectra:
     @property
     @_memoized
     def eig_sum_A(self) -> EigenDecomposition:
-        return hermitian_eig(sum_pairs(self._A))
+        return hermitian_eig(hermitize(self._by_instance(self._A)))
 
     @property
     @_memoized
     def eig_sum_B(self) -> EigenDecomposition:
-        return hermitian_eig(sum_pairs(self._B))
+        return hermitian_eig(hermitize(self._by_instance(self._B)))
 
     @property
     @_memoized
     def condition_max(self):
         """Largest condition number over the inputs and both sums: a float,
         or one per instance of a stack."""
-        pairs = self.eig_A.eigenvalues.shape[:-1]
-        w = np.concatenate([self.eig_A.eigenvalues, self.eig_B.eigenvalues,
-                            self.eig_sum_A.eigenvalues.reshape(pairs[:-1] + (1, -1)),
-                            self.eig_sum_B.eigenvalues.reshape(pairs[:-1] + (1, -1))], axis=-2)
-        lo, hi = w[..., -1], w[..., 0]
-        ratio = np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
-        worst = np.maximum(ratio.max(axis=-1), 1.0)
+        def ratio(eig):
+            lo, hi = eig.eigenvalues[..., -1], eig.eigenvalues[..., 0]
+            return np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
+
+        pairs = np.maximum(ratio(self.eig_A), ratio(self.eig_B))
+        worst = np.maximum.reduce([np.maximum.reduceat(pairs, self._starts).reshape(self._shape),
+                                   ratio(self.eig_sum_A), ratio(self.eig_sum_B),
+                                   np.ones(self._shape)])
         return float(worst) if worst.ndim == 0 else worst
 
     @_memoized
     def _mean_svds(self, s, t) -> tuple:
         """(W, sigma) of each mean factor F_i = W diag(sigma) Q*, where
-        F_i F_i* = A_i^s #_t B_i^s, stacked (..., m, n, n) and (..., m, n)."""
-        return svd(mean_factor(self.eig_A, self.eig_B, _per_pair(s), _per_pair(t)))[:2]
+        F_i F_i* = A_i^s #_t B_i^s, stacked on the pair axis, (..., n, n) and
+        (..., n)."""
+        return svd(mean_factor(self.eig_A, self.eig_B, self._per_pair(s),
+                               self._per_pair(t)))[:2]
 
     @_memoized
     def lhs_sv(self, s, t, r) -> np.ndarray:
         """Singular values of sum_i (A_i^s #_t B_i^s)^r, each power taken as
         W diag(sigma^{2r}) W* from its mean factor."""
         W, sigma = self._mean_svds(s, t)
-        weights = power_rows(sigma, 2.0 * _per_pair(r))
-        acc = np.zeros(weights.shape[:-2] + W.shape[-2:], dtype=np.complex128)
-        for i in range(W.shape[-3]):
-            Wi = W[..., i, :, :]
-            acc += (Wi * weights[..., i, None, :]) @ Wi.conj().mT
-        return _read_only(psd_sv(acc))
+        weights = power_rows(sigma, 2.0 * self._per_pair(r))
+        return _read_only(psd_sv(self._by_instance((W * weights[..., None, :]) @ W.conj().mT)))
 
     @_memoized
     def _factor_sv(self, a_exp, b_exp) -> np.ndarray:
@@ -262,23 +316,19 @@ class InstanceSpectra:
     def z_sv(self, x) -> np.ndarray:
         """Singular values of Z^x: Z's nonzero spectrum is that of the core
         (sum A)^{1/2} (sum B) (sum A)^{1/2}, the sandwich with (a, b) =
-        (1/2, 1), followed by (m - 1) n exact zeros."""
-        m, n = self._A.shape[-3:-1]
+        (1/2, 1), followed by (m - 1) n exact zeros, m the largest pair
+        count of the stack."""
         core = self.sandwich_sv(0.5, 1.0, x)
-        return _read_only(np.concatenate([core, np.zeros(core.shape[:-1] + ((m - 1) * n,))],
-                                         axis=-1))
+        zeros = (int(self._counts.max()) - 1) * self._A.shape[-1]
+        return _read_only(np.concatenate([core, np.zeros(core.shape[:-1] + (zeros,))], axis=-1))
 
     @_memoized
     def commuting_sv(self) -> tuple:
         """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
-        summed pair by pair over every instance at once."""
-        lhs = np.zeros(self._A.shape[:-3] + self._A.shape[-2:], dtype=np.complex128)
-        mid_root = np.zeros_like(lhs)
+        each product taken for every pair at once and summed by instance."""
         A_half, B_half = power_from_eig(self.eig_A, 0.5), power_from_eig(self.eig_B, 0.5)
-        for i in range(self._A.shape[-3]):
-            lhs += self._A[..., i, :, :] @ self._B[..., i, :, :]
-            mid_root += A_half[..., i, :, :] @ B_half[..., i, :, :]
-        return _read_only(psd_sv(lhs)), _read_only(psd_sv(mid_root, 2.0))
+        return (_read_only(psd_sv(self._by_instance(self._A @ self._B))),
+                _read_only(psd_sv(self._by_instance(A_half @ B_half), 2.0)))
 
 
 def condition_max(inst: InstanceSet):
@@ -359,22 +409,24 @@ def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, status(q), condition_max(inst))
 
 
-def grid_terms(inst: InstanceSet, chain_id: str, points: list) -> ChainTerms:
+def grid_terms(inst, chain_id: str, points: list) -> ChainTerms:
     """Terms of chain `chain_id` ("main", "geo-z" or "t-chain") at every
-    ChainParams of `points`, on an instance or a stack of K: spectra
-    (P, d) or (P, K, d), row k for point k, `status` one per point and
-    `condition_max` one per instance.  Every point must satisfy the
-    chain's hypotheses.  The points are evaluated on `inst.spectra` with
-    one (s, t, r, p) per row, as grid rows ((P,) or (P, 1) columns), so
-    row k of instance i is bitwise the terms `*_terms` gives at point k on
-    instance i alone, and each distinct factor is decomposed once per
-    instance."""
+    ChainParams of `points`, on an `InstanceSet` (one instance or a stack
+    of K) or on the `InstanceSpectra` of a stack of K instances of one n:
+    spectra (P, d) or (P, K, d), row k for point k, `status` one per point
+    and `condition_max` one per instance.  Every point must satisfy the
+    chain's hypotheses.  The points are evaluated on the instances'
+    spectra with one (s, t, r, p) per row, as grid rows ((P,) or (P, 1)
+    columns), so row k of instance i is bitwise the terms `*_terms` gives
+    at point k on instance i alone, and each distinct factor is
+    decomposed once per instance."""
+    spectra = inst if isinstance(inst, InstanceSpectra) else inst.spectra
     sides, status = _require(chain_id, points)
     columns = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
-    s, t, r, p = columns.reshape(columns.shape + (1,) * (inst.A.ndim - 3))
-    lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, s, t, r, p)
+    s, t, r, p = columns.reshape(columns.shape + (1,) * spectra._lead)
+    lhs_sv, mid_sv, rhs_sv = sides(spectra, s, t, r, p)
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, tuple(status(q) for q in points),
-                      condition_max(inst))
+                      spectra.condition_max)
 
 
 def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:

@@ -2,20 +2,22 @@
 
 Used to confirm or dismiss violation candidates before they surface in a
 summary: a conjectured inequality must not be "refuted" by double-precision
-rounding.  Slow; intended for single small instances only.
+rounding.  Slow; intended for single small instances only.  mpmath is
+imported by the first recheck (`t_chain_margin`), not with the package:
+sweeps, `verify` and hunts without a candidate never load it.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
 
 from .chains import ChainParams
 from .norms import NormSpec
 
 DEFAULT_DPS = 60
+mp = None  # the mpmath module, bound by the first `t_chain_margin` call
 
 
 def _to_mp(M) -> mp.matrix:
@@ -73,6 +75,9 @@ def _norm_from_vals(vals: list, spec: NormSpec):
 def t_chain_margin(A_list, B_list, params: ChainParams, norm: NormSpec) -> float:
     """Normalized margin (rhs - lhs) / max(1, rhs) of the weighted chain,
     computed at DEFAULT_DPS decimal digits."""
+    global mp
+    import mpmath as mp
+
     with mp.workdps(DEFAULT_DPS):
         s, r, p, t = (mp.mpf(params.s), mp.mpf(params.r), mp.mpf(params.p), mp.mpf(params.t))
         As = [_to_mp(X) for X in A_list]

@@ -7,8 +7,10 @@ reported as a violation candidate.
 
 The sampling phase is bucketed: each sample draws from its own streams, those
 of `np.random.default_rng` at seeds derived from its index, the samples are
-grouped by (n, m), and each group is generated and evaluated as one stack (one
-call per kernel step; see `linalg`).  The samples are taken in chunks of at
+grouped by n, each (n, m) group is generated as one stack, and each n's
+groups are evaluated as one stack of their pairs laid end to end (one call
+per kernel step; see `chains.InstanceSpectra` and `linalg`).  The samples
+are taken in chunks of at
 most _CHUNK_ENTRIES matrix entries of the largest instances.  A chunk's
 parameters come from arrays of its streams' first PCG64 (XSL-RR) outputs, as
 numpy's `Generator` makes them: Lemire's bounded integers from 32-bit halves,
@@ -234,14 +236,17 @@ def _sample_points(cfg: SearchConfig, block: range) -> list:
             for i in range(len(ks))]
 
 
-def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap) -> tuple:
-    """The weighted chain on a stack of K equal-shape instances (A and B
-    are (K, m, n, n)), one parameter point each: (gated, margin, spec) per
-    instance.  margin is the smallest over the norms of min margin / scale
-    under `chain_margins`, (rhs - lhs) / max(1, rhs); the first such norm
-    wins a tie.  Gated instances (over the condition cap) are not
-    evaluated; their margin is inf and their spec None."""
-    spectra = InstanceSpectra(A, B)
+def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap,
+                   counts=None) -> tuple:
+    """The weighted chain on a stack of K instances of one n, one
+    parameter point each: (gated, margin, spec) per instance.  A and B are
+    (K, m, n, n), or the pairs (sum(counts), n, n) of instances of
+    `counts` pairs each, laid end to end (see `InstanceSpectra`).  margin is the smallest
+    over the norms of min margin / scale under `chain_margins`,
+    (rhs - lhs) / max(1, rhs); the first such norm wins a tie.  Gated
+    instances (over the condition cap) are not evaluated; their margin is
+    inf and their spec None."""
+    spectra = InstanceSpectra(A, B, counts)
     gated = spectra.condition_max > condition_cap
     margin = np.full(gated.shape, np.inf)
     winner = np.full(gated.shape, -1)
@@ -267,10 +272,12 @@ def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
 
 def _sampling_phase(cfg: SearchConfig):
     """(margin or None when gated, point) for every sample, in sample
-    order, chunk by chunk (see the module docstring); a group's instances
-    are evaluated by one `_stack_margins` call.  A point is (A, B, row,
-    sample, spec): the sample's instance is row `row` of the stacks A and
-    B, and `sample` is as `_sample_point` draws it."""
+    order, chunk by chunk (see the module docstring): each (n, m) group's
+    instances are drawn as one stack, and each n's groups are evaluated
+    by one `_stack_margins` call, their pairs laid end to end.  A point is
+    (A, B, row, sample, spec): the sample's instance is row `row` of the
+    (n, m) group's stacks A and B, and `sample` is as `_sample_point`
+    draws it."""
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):
         block = range(start, min(start + size, cfg.samples))
@@ -278,16 +285,20 @@ def _sampling_phase(cfg: SearchConfig):
         streams = generators([seed for *_, seed in chunk])
         buckets = {}
         for i, (n, m, _, _) in enumerate(chunk):
-            buckets.setdefault((n, m), []).append(i)
+            buckets.setdefault(n, {}).setdefault(m, []).append(i)
         results = [None] * len(chunk)
-        for (n, m), members in buckets.items():
-            A, B = draw_instances("generic", n, m, [streams[i] for i in members],
-                                  cfg.spectrum_law)
+        for n, groups in buckets.items():
+            draws = [draw_instances("generic", n, m, [streams[i] for i in members],
+                                    cfg.spectrum_law) for m, members in groups.items()]
+            members = [i for group in groups.values() for i in group]
+            A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
             gated, margin, specs = _stack_margins(A, B, [chunk[i][2] for i in members],
-                                                  cfg.norms, cfg.condition_cap)
-            for row, i in enumerate(members):
-                point = (A, B, row, chunk[i], specs[row])
-                results[i] = (None if gated[row] else float(margin[row]), point)
+                                                  cfg.norms, cfg.condition_cap,
+                                                  [chunk[i][1] for i in members])
+            rows = [(Am, Bm, row) for Am, Bm in draws for row in range(len(Am))]
+            for k, (i, (Am, Bm, row)) in enumerate(zip(members, rows)):
+                point = (Am, Bm, row, chunk[i], specs[k])
+                results[i] = (None if gated[k] else float(margin[k]), point)
         yield from results
 
 

@@ -2,12 +2,15 @@
 parameter grids, with deterministic per-task seeds and blocks sorted by
 key, so a report is a pure function of its config.
 
-The tasks of one (n, m) are taken together: every stream they draw from
-is made by one `generators` call, their instances are drawn as one stack
-per instance kind, each grid chain's whole (s, r, p, t) grid
-is evaluated on the stack at once (`chains.grid_terms`) and recorded with
-one `reports.chain_blocks` call, each commuting variant likewise, and
-each lemma id's cases are one stack.  Each term set is one
+The tasks of one n are taken together, whatever their m: every stream
+they draw from is made by one `generators` call, and each (n, m)'s
+instances are drawn as one stack per instance kind.  Each grid chain's
+whole (s, r, p, t) grid is evaluated once per (n, kind), on one ragged
+stack of every m's pairs (`chains.InstanceSpectra`, `chains.grid_terms`),
+then split by m (`ChainTerms.take`, which cuts Z's zeros to each m) and
+recorded with one `reports.chain_blocks` call per (n, m).  Commuting
+variants are evaluated and recorded per (n, m), and each lemma id's cases
+of one (n, m) are one stack.  Each term set is one
 `reports.Block`, and a sweep builds no record dict: `build_report_set`,
 the summary, the writer and `has_proven_failure` read the blocks.
 """
@@ -20,8 +23,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import errors
-from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, admissible,
-                     commuting_terms, expand_norm_tokens, grid_terms, validate_run_fields)
+from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, InstanceSpectra,
+                     admissible, commuting_terms, expand_norm_tokens, grid_terms,
+                     validate_run_fields)
 from .blocks import InstanceSet
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
 from .lemmas import LEMMA_IDS, lemma_stack_terms, random_cases
@@ -75,6 +79,8 @@ class SweepConfig:
             if specs & seen:  # each record of that norm would be written twice
                 raise errors.ConfigError(f"norm {tok!r} is listed twice")
             seen |= specs
+        if not self.chains:  # the sweep would write a report with no record
+            raise errors.ConfigError(f"chains must list at least one chain; known: {KNOWN_CHAINS}")
         for i, c in enumerate(self.chains):
             if c not in KNOWN_CHAINS:
                 raise errors.ConfigError(f"unknown chain {c!r}; known: {KNOWN_CHAINS}")
@@ -141,43 +147,59 @@ def _chain_table(cfg: SweepConfig) -> dict:
     return table
 
 
-def _shape_blocks(cfg: SweepConfig, table: dict, tasks: range, n: int, m: int) -> list:
-    """The record blocks of the tasks `tasks`, all of shape (n, m): task i
-    draws its instance of each kind from seed derive_seed(base_seed, i) as
-    `generate_instance` would, and its case of lemma id number li from seed
-    derive_seed(derive_seed(base_seed, i), li) as `random_case` would, all
-    from streams made by one `generators` call.  Each kind's instances are
-    one stack, and each chain (commuting variant) is evaluated on it by one
-    terms call and recorded by one `chain_blocks` call; each lemma id's
-    cases are drawn, evaluated and recorded as one stack."""
-    seeds = derive_seed(cfg.base_seed, np.array(tasks, np.uint64))
-    K = len(seeds)  # a lone task gets no stack axis, which every array op would carry
-    stack, lead = (tuple(seeds.tolist()), (K,)) if K > 1 else (int(seeds[0]), ())
+def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
+    """The record blocks of every shape (n, m) of one n, `shapes` a list
+    of (m, tasks): task i draws its instance of each kind from seed
+    derive_seed(base_seed, i) as `generate_instance` would, and its case
+    of lemma id number li from seed derive_seed(derive_seed(base_seed, i),
+    li) as `random_case` would, all from streams made by one `generators`
+    call.  Each shape's instances of a kind are one `InstanceSet` stack,
+    and each grid chain is evaluated by one terms call on the n-group,
+    every shape's pairs of its kind laid end to end (`InstanceSpectra`),
+    then split by shape (`ChainTerms.take`) and recorded by one
+    `chain_blocks` call per shape; each commuting variant is evaluated and
+    recorded per shape, and each lemma id's cases of a shape are drawn,
+    evaluated and recorded as one stack."""
+    seeds = [derive_seed(cfg.base_seed, np.array(tasks, np.uint64)) for _, tasks in shapes]
+    tasks = np.concatenate(seeds)
+    K, bounds = len(tasks), np.cumsum([0] + [len(part) for part in seeds]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     chains = [c for c in cfg.chains if c != "lemmas"]
     kinds = list(dict.fromkeys(table[c][0] for c in chains))
     lemma_ids = table["lemmas"][2] if "lemmas" in cfg.chains else []
-    groups = [seeds] * len(kinds) + [derive_seed(seeds, li) for li in range(len(lemma_ids))]
-    streams = generators(np.concatenate([seeds[:0], *groups]))  # K fresh streams per group
-    instances = {}
+    groups = [tasks] * len(kinds) + [derive_seed(tasks, li) for li in range(len(lemma_ids))]
+    streams = generators(np.concatenate([tasks[:0], *groups]))  # K fresh streams per group
+    instances, spectra = {}, {}
     for j, kind in enumerate(kinds):
-        A, B = (X.reshape(lead + X.shape[1:]) for X in
-                draw_instances(kind, n, m, streams[j * K:(j + 1) * K], cfg.spectrum_law))
-        instances[kind] = InstanceSet(m, n, A, B, stack, kind)
+        kind_streams = streams[j * K:(j + 1) * K]
+        stacks = instances[kind] = [
+            InstanceSet(m, n, *draw_instances(kind, n, m, kind_streams[part], cfg.spectrum_law),
+                        tuple(part_seeds.tolist()), kind)
+            for (m, _), part, part_seeds in zip(shapes, rows, seeds)]
+        spectra[kind] = InstanceSpectra(np.concatenate([s.A.reshape(-1, n, n) for s in stacks]),
+                                        np.concatenate([s.B.reshape(-1, n, n) for s in stacks]),
+                                        [s.m for s in stacks for _ in s.seed])
     blocks = []
     for chain in chains:
         kind, _, grid = table[chain]
-        inst = instances[kind]
-        evaluations = ([(commuting_terms(inst, variant), [_UNIT]) for variant in grid]
-                       if chain == "commuting" else [(grid_terms(inst, chain, grid), grid)])
-        for terms, points in evaluations:
+        if chain == "commuting":
+            evaluations = [(commuting_terms(inst, variant), inst, [_UNIT])
+                           for inst in instances[kind] for variant in grid]
+        else:
+            terms = grid_terms(spectra[kind], chain, grid)
+            evaluations = [(terms.take(part, inst.m * n), inst, grid)
+                           for inst, part in zip(instances[kind], rows)]
+        for terms, inst, points in evaluations:
             blocks.extend(chain_blocks(terms, inst, points,
                                        expand_norm_tokens(cfg.norms, terms.max_dim),
                                        cfg.tol_rel, cfg.condition_cap))
     for j, lid in enumerate(lemma_ids, start=len(kinds)):
-        cases = random_cases(lid, streams[j * K:(j + 1) * K], n, m, cfg.spectrum_law)
-        terms = lemma_stack_terms(cases)
-        blocks.extend(lemma_blocks(cases, terms, groups[j].tolist(), n, m,
-                                   expand_norm_tokens(cfg.norms, terms.max_dim), cfg.tol_rel))
+        for (m, _), part in zip(shapes, rows):
+            cases = random_cases(lid, streams[j * K:(j + 1) * K][part], n, m, cfg.spectrum_law)
+            terms = lemma_stack_terms(cases)
+            blocks.extend(lemma_blocks(cases, terms, groups[j][part].tolist(), n, m,
+                                       expand_norm_tokens(cfg.norms, terms.max_dim),
+                                       cfg.tol_rel))
     return blocks
 
 
@@ -185,18 +207,22 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
     """Evaluate every configured chain at every (instance, params, norm)
     point.  Output is deterministic given the config.
 
-    The tasks of the j-th of P shapes, range(j, instance_count, P), run
-    together (`_shape_blocks`), and a task's records do not depend on how
-    many share its shape.  `workers` is accepted for existing callers and
-    does not change the work done or the output: a thread pool ran slower
-    than this loop, because the evaluation is many small numpy calls and
-    the Python between them holds the interpreter lock."""
+    The j-th of P shapes (n, m) takes the tasks range(j, instance_count,
+    P), and the shapes of each n run together (`_group_blocks`); a
+    task's records depend neither on how many tasks share its shape nor
+    on which shapes share its n.  `workers` is accepted for existing
+    callers and does not change the work done or the output: a thread
+    pool ran slower than this loop, because the evaluation is many small
+    numpy calls and the Python between them holds the interpreter lock."""
     cfg.validate()
     table = _chain_table(cfg)
     pairs = [(n, m) for n in cfg.n_values for m in cfg.m_values]
-    blocks = []
+    groups = {}
     for j, (n, m) in enumerate(pairs[:cfg.instance_count]):
-        blocks.extend(_shape_blocks(cfg, table, range(j, cfg.instance_count, len(pairs)), n, m))
+        groups.setdefault(n, []).append((m, range(j, cfg.instance_count, len(pairs))))
+    blocks = []
+    for n, shapes in groups.items():
+        blocks.extend(_group_blocks(cfg, table, n, shapes))
     return build_report_set(blocks)
 
 

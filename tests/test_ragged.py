@@ -1,0 +1,217 @@
+"""Ragged stacks: the instances of one n with different m in one stack.
+
+`InstanceSpectra` holds a stack's pairs laid end to end and each
+instance's pair count.  Every row of such a stack must be bitwise the
+instance alone, the sweep and the hunt evaluate each n once, and a failing
+instance in an n-group still ends a run as it does alone.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gmineq
+from gmineq import cli, errors
+from gmineq.blocks import InstanceSet
+from gmineq.chains import ChainParams, InstanceSpectra, grid_terms
+from gmineq.generate import derive_seed, generate_instance
+from gmineq.hunt import SearchConfig, _sampling_phase
+from gmineq.sweep import SweepConfig, run_sweep
+
+hunt_module = importlib.import_module("gmineq.hunt")
+
+# The boundaries s = 1, 2 and t = 0, 1, a fast-path exponent, and weighted
+# points with sr < 1.
+GRIDS = {
+    "main": [ChainParams(s=2.0, r=1.0, p=1.0), ChainParams(s=3.0, r=2.0, p=0.5),
+             ChainParams(s=2.5, r=1.0, p=2.0)],
+    "geo-z": [ChainParams(s=1.0, r=1.0, p=1.0), ChainParams(s=1.5, r=1.0, p=1.0)],
+    "t-chain": [ChainParams(s=0.5, r=1.0, p=1.0, t=0.5), ChainParams(s=1.5, r=1.0, p=2.0, t=0.3),
+                ChainParams(s=2.0, r=0.5, p=1.0, t=0.0), ChainParams(s=1.0, r=2.0, p=0.5, t=1.0)],
+}
+
+# Sweep-main's config: criterion 1's shapes, one instance each.
+SWEEP_MAIN = dict(chains=["main"], n_values=[1, 2, 3, 4, 5], m_values=[1, 2, 3, 4],
+                  instance_count=20, base_seed=11, s_values=[2.0, 2.5, 3.0, 4.0],
+                  r_values=[1.0, 1.5, 2.0], p_values=[0.5, 1.0, 2.0], norms=["kyfan:all"])
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def _group(insts: list) -> InstanceSpectra:
+    """The ragged stack of instances of one n: their pairs end to end."""
+    return InstanceSpectra(np.concatenate([inst.A for inst in insts]),
+                           np.concatenate([inst.B for inst in insts]),
+                           [inst.m for inst in insts])
+
+
+def _identity(n: int, m: int) -> InstanceSet:
+    eye = np.broadcast_to(np.eye(n), (m, n, n))
+    return InstanceSet(m=m, n=n, A=eye, B=eye, seed=7)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mixed_m_rows_are_each_instance_alone(n):
+    """One stack of m = 1..4 with the identity instance at m = 2 and 4:
+    every row of every grid chain is bitwise the instance alone, Z cut to
+    its own m n, with its own condition number; the identity gives
+    rho = m^{1 - sr} to 1e-12."""
+    ms = [1, 2, 3, 4, 2, 1, 4, 3]
+    insts = [_identity(n, m) if i in (4, 6) else generate_instance("generic", n, m, 200 + i)
+             for i, m in enumerate(ms)]
+    spectra = _group(insts)
+    fresh = [inst if i in (4, 6) else generate_instance("generic", n, inst.m, inst.seed)
+             for i, inst in enumerate(insts)]
+    np.testing.assert_array_equal(spectra.condition_max,
+                                  [inst.spectra.condition_max for inst in fresh])
+    for chain, grid in GRIDS.items():
+        terms = grid_terms(spectra, chain, grid)
+        for i, inst in enumerate(fresh):
+            row = terms.take(slice(i, i + 1), inst.m * n)
+            assert row.max_dim == (n if chain == "t-chain" else inst.m * n)
+            assert row.condition_max[0] == inst.spectra.condition_max
+            for k, q in enumerate(grid):
+                alone = grid_terms(inst, chain, [q])
+                for name in ("lhs_sv", "mid_sv", "rhs_sv"):
+                    have, want = getattr(row, name), getattr(alone, name)
+                    assert (have is None) == (want is None)
+                    if have is not None:
+                        assert _bitwise_equal(have[k, 0], want[0]), (chain, i, k, name)
+                if i in (4, 6):
+                    lhs, rhs = row.lhs_sv[k, 0], row.rhs_sv[k, 0]
+                    size = max(lhs.size, rhs.size)
+                    ky_fan = [np.cumsum(np.pad(sv, (0, size - sv.size))) for sv in (lhs, rhs)]
+                    rho = np.max(ky_fan[0] / ky_fan[1])
+                    assert rho == pytest.approx(inst.m ** (1.0 - q.s * q.r), rel=1e-12)
+
+
+def test_select_keeps_each_instances_pairs():
+    """`select` of a ragged stack keeps the chosen instances' own pairs and
+    decompositions: its rows are those of the instances alone."""
+    insts = [generate_instance("generic", 2, m, 300 + m) for m in (3, 1, 2, 4)]
+    spectra = _group(insts)
+    spectra.condition_max  # decompose the inputs before selecting
+    rows = np.array([3, 0])
+    sub = spectra.select(rows)
+    s, t, r, p = (np.array([1.5, 1.2]), np.array([0.5, 0.3]), np.ones(2), np.ones(2))
+    got = sub.lhs_sv(s, t, r)
+    for k, i in enumerate(rows):
+        alone = insts[i].spectra
+        assert sub.condition_max[k] == alone.condition_max
+        assert _bitwise_equal(got[k], alone.lhs_sv(float(s[k]), float(t[k]), 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), ms=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+       seed=st.integers(0, 2 ** 32),
+       point=st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+                       st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]),
+                       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0])))
+def test_swap_symmetry(n, ms, seed, point):
+    """(t, A, B) -> (1 - t, B, A) leaves the weighted chain's spectra
+    unchanged, on a mixed-m stack: A #_t B = B #_{1-t} A, and the swapped
+    sandwich is F F* for the sandwich F* F.  Every lhs and rhs spectrum
+    agrees to 1e-10 of its largest value."""
+    s, t, r, p = point
+    insts = [generate_instance("generic", n, m, derive_seed(seed, i)) for i, m in enumerate(ms)]
+    swapped = [InstanceSet(m=i.m, n=n, A=i.B, B=i.A, seed=i.seed) for i in insts]
+    base = grid_terms(_group(insts), "t-chain", [ChainParams(s=s, r=r, p=p, t=t)])
+    turned = grid_terms(_group(swapped), "t-chain", [ChainParams(s=s, r=r, p=p, t=1.0 - t)])
+    for want, have in ((base.lhs_sv, turned.lhs_sv), (base.rhs_sv, turned.rhs_sv)):
+        scale = want.max(axis=-1, keepdims=True)
+        assert np.all(np.abs(have - want) <= 1e-10 * scale)
+
+
+def test_sweep_main_decompositions_per_n(monkeypatch):
+    """Sweep-main's 20 shapes make at most 9 eigh plus svd calls per n:
+    each n's four shapes are one stack."""
+    calls = []
+
+    def counted(decompose):
+        def call(*args, **kwargs):
+            calls.append(decompose.__name__)
+            return decompose(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    rs = run_sweep(SweepConfig(**SWEEP_MAIN))
+    assert len(rs.blocks) == 20 * 28
+    assert len(calls) <= 9 * len(SWEEP_MAIN["n_values"]), calls
+
+
+def test_hunt_sampling_one_evaluation_per_n(monkeypatch):
+    """A 600-sample hunt at n_max = 4, m_max = 3 evaluates its sampling
+    phase with one `_stack_margins` call per sampled n."""
+    cfg = SearchConfig(base_seed=5, samples=600, n_max=4, m_max=3).validate()
+    real, calls = hunt_module._stack_margins, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hunt_module, "_stack_margins", counted)
+    results = list(_sampling_phase(cfg))
+    assert len(results) == cfg.samples and sum(calls) == cfg.samples
+    assert len(calls) == len({point[3][0] for _, point in results}) <= 4
+
+
+def test_failing_instance_in_a_mixed_group(tmp_path, capsys):
+    """An instance of a mixed-m n-group that the wide law makes singular
+    raises SingularForNegativePower, as it does alone, and the CLI exits
+    3 with one line."""
+    config = dict(chains=["t-chain"], n_values=[3], m_values=[1, 2, 3], instance_count=60,
+                  base_seed=1, s_values=[1.5, 2.0], spectrum_law={"lo": 1e-6, "hi": 1e6})
+    with pytest.raises(errors.SingularForNegativePower):
+        run_sweep(SweepConfig.from_dict(config))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: SingularForNegativePower: ") and err.count("\n") == 1
+
+
+def test_empty_chains_rejected():
+    with pytest.raises(errors.ConfigError, match="chains must list at least one chain"):
+        SweepConfig(chains=[]).validate()
+
+
+def test_empty_chains_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"chains": []}')
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.jsonl")]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: chains must list at least one chain") and err.count("\n") == 1
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_mpmath_imported_by_the_first_recheck():
+    """`import gmineq` leaves mpmath unloaded; a recheck loads it and
+    works."""
+    code = """
+import sys
+import gmineq
+assert "mpmath" not in sys.modules, "imported with the package"
+from gmineq.chains import ChainParams
+from gmineq.highprec import t_chain_margin
+from gmineq.norms import NormSpec
+inst = gmineq.generate_instance("generic", 2, 2, 77)
+margin = t_chain_margin(inst.A, inst.B, ChainParams(s=1.5), NormSpec.trace())
+assert "mpmath" in sys.modules and margin == margin
+print(margin)
+"""
+    src = os.path.dirname(os.path.dirname(gmineq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(0.0, abs=1.0)
