@@ -172,30 +172,6 @@ def _pcg64_seed_words(seeds) -> np.ndarray:
     return np.ascontiguousarray((words[0::2] | (words[1::2] << 32)).T)
 
 
-def pcg64_outputs(seeds, count: int) -> np.ndarray:
-    """(K, count) uint64: `default_rng(seed).bit_generator.random_raw(count)`
-    of each of K seeds in [0, 2**64).  PCG64's 128-bit LCG takes its state and
-    increment from `_pcg64_seed_words`; each output steps it and is its XSL-RR
-    output, the state's two 64-bit words xored and rotated right by its top 6
-    bits.  Products are summed from 32-bit limbs, so none exceeds 64 bits."""
-    state_hi, state_lo, inc_hi, inc_lo = _pcg64_seed_words(seeds).T
-    inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1
-    lo = inc_lo + state_lo  # the first step takes 0 to the increment
-    hi = inc_hi + state_hi + (lo < state_lo)
-    mult_hi, mult_lo = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # pcg64.h
-    m0, m1 = mult_lo & _MASK32, mult_lo >> 32
-    out = np.empty((len(lo), count + 1), dtype=np.uint64)
-    for j in range(count + 1):  # step 0 is seeding's second step
-        a0, a1 = lo & _MASK32, lo >> 32
-        mid = a1 * m0 + ((a0 * m0) >> 32)
-        carry = a1 * m1 + (mid >> 32) + (((mid & _MASK32) + a0 * m1) >> 32)
-        hi, lo = carry + hi * mult_lo + lo * mult_hi + inc_hi, lo * mult_lo + inc_lo
-        hi += lo < inc_lo
-        x, rot = hi ^ lo, hi >> 58
-        out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
-    return out[:, 1:]
-
-
 class _SeedWords(ISeedSequence):
     """A seed whose SeedSequence state is already computed: PCG64 asks for
     four uint64 words and gets them."""

@@ -5,19 +5,17 @@ descent from the worst point.  A negative margin beyond tolerance is never
 claimed as a counterexample: it is re-evaluated in extended precision and
 reported as a violation candidate.
 
-The sampling phase is bucketed: each sample draws from its own streams, those
-of `np.random.default_rng` at seeds derived from its index, the samples are
-grouped by n, each (n, m) group is generated as one stack, and each n's
-groups are evaluated as one stack of their pairs laid end to end (one call
-per kernel step; see `chains.InstanceSpectra` and `linalg`).  The samples
-are taken in chunks of at
-most _CHUNK_ENTRIES matrix entries of the largest instances.  A chunk's
-parameters come from arrays of its streams' first PCG64 (XSL-RR) outputs, as
-numpy's `Generator` makes them: Lemire's bounded integers from 32-bit halves,
-the high half kept across a uniform draw; uniforms from `next_double`'s top 53
-bits; no draw for a one-value range; a sample with a rejected 32-bit value
-goes through `_sample_point`.  The arg-min is taken in sample order, the first
-sample winning a tie.
+The sampling phase is bucketed: the samples are grouped by n, each (n, m)
+group is generated as one stack, and each n's groups are evaluated as one
+stack of their pairs laid end to end (one call per kernel step; see
+`chains.InstanceSpectra` and `linalg`).  The samples are taken in chunks of
+at most _CHUNK_ENTRIES matrix entries of the largest instances.  A sample's
+parameters are counter-based: each is one `derive_seed` word of the sample's
+index and the field's, computed for a whole chunk on `uint64` arrays (see
+`_sample_points`).  Its instance is drawn from the stream of
+`np.random.default_rng` at its instance seed, so `generate_instance`
+regenerates it.  The arg-min is taken in sample order, the first sample
+winning a tie.
 Refinement is keep-if-smaller, evaluated in windows: until a step is
 accepted every step perturbs the same point from its own seeded stream,
 so the candidates of a window of steps are drawn and evaluated as one
@@ -50,8 +48,7 @@ from .chains import (
     t_chain_status,
     validate_run_fields,
 )
-from .generate import (DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators,
-                       pcg64_outputs)
+from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
@@ -193,47 +190,28 @@ class SearchResult:
                 f"search result min_margin is not a number: {rec['min_margin']!r}") from None
 
 
-def _sample_point(cfg: SearchConfig, k: int) -> tuple:
-    """(n, m, params, instance seed) of sample k, drawn from the stream of
-    seed `derive_seed(cfg.base_seed, k)`: the reference of `_sample_points`."""
-    rng = np.random.default_rng(derive_seed(cfg.base_seed, k))
-    n = int(rng.integers(1, cfg.n_max + 1))
-    m = int(rng.integers(1, cfg.m_max + 1))
-    s = float(rng.uniform(*cfg.s_range))
-    t = float(rng.uniform(*cfg.t_range))
-    r = float(cfg.r_values[int(rng.integers(0, len(cfg.r_values)))])
-    p = float(cfg.p_values[int(rng.integers(0, len(cfg.p_values)))])
-    return n, m, ChainParams(s=s, r=r, p=p, t=t), derive_seed(cfg.base_seed, (k << 1) | 1)
-
-
 def _sample_points(cfg: SearchConfig, block: range) -> list:
-    """`_sample_point` of every sample in `block`, computed on arrays of their
-    streams' first words (see the module docstring)."""
+    """(n, m, params, instance seed) of every sample k in `block`.  Field f
+    of sample k, in the order n, m, s, t, r, p, is the word
+    `derive_seed(derive_seed(base_seed, k), f)`: an integer in [0, b) is the
+    word modulo b, and a uniform is lo + (hi - lo) times the word's top 53
+    bits over 2**53.  The instance seed is
+    `derive_seed(base_seed, 2k + 1)`."""
     ks = np.array(block, np.uint64)
-    words = iter(pcg64_outputs(derive_seed(cfg.base_seed, ks), 4).T)
-    high, rejected, draws = None, np.zeros(len(ks), dtype=bool), []
-    for bound in (cfg.n_max, cfg.m_max, cfg.s_range, cfg.t_range, len(cfg.r_values),
-                  len(cfg.p_values)):
-        if isinstance(bound, (list, tuple)):  # uniform on [lo, hi]
+    keys = derive_seed(cfg.base_seed, ks)
+    fields = []
+    for f, bound in enumerate((cfg.n_max, cfg.m_max, cfg.s_range, cfg.t_range,
+                               len(cfg.r_values), len(cfg.p_values))):
+        word = derive_seed(keys, f)
+        if isinstance(bound, (list, tuple)):
             lo, hi = float(bound[0]), float(bound[1])
-            draws.append(lo + (hi - lo) * ((next(words) >> 11) * 2.0 ** -53))
-        elif bound == 1:
-            draws.append(np.zeros(len(ks), dtype=np.uint64))
-        else:  # Lemire's bounded integer in [0, bound) from 32 bits
-            if high is None:
-                word = next(words)
-                u, high = word & 0xFFFFFFFF, word >> 32
-            else:
-                u, high = high, None
-            scaled = u * int(bound)
-            rejected |= (scaled & 0xFFFFFFFF) < (2 ** 32 - bound) % bound
-            draws.append(scaled >> 32)
-    n, m, s, t, r, p = (d.tolist() for d in draws)
+            fields.append((lo + (hi - lo) * ((word >> 11) * 2.0 ** -53)).tolist())
+        else:
+            fields.append((word % int(bound)).tolist())
     seeds = derive_seed(cfg.base_seed, (ks << 1) | 1).tolist()
-    return [_sample_point(cfg, block[i]) if rejected[i] else
-            (1 + n[i], 1 + m[i], ChainParams(s=s[i], r=float(cfg.r_values[r[i]]),
-                                              p=float(cfg.p_values[p[i]]), t=t[i]), seeds[i])
-            for i in range(len(ks))]
+    return [(1 + n, 1 + m, ChainParams(s=s, r=float(cfg.r_values[r]), p=float(cfg.p_values[p]),
+                                       t=t), seed)
+            for n, m, s, t, r, p, seed in zip(*fields, seeds)]
 
 
 def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap,
@@ -276,7 +254,7 @@ def _sampling_phase(cfg: SearchConfig):
     instances are drawn as one stack, and each n's groups are evaluated
     by one `_stack_margins` call, their pairs laid end to end.  A point is
     (A, B, row, sample, spec): the sample's instance is row `row` of the
-    (n, m) group's stacks A and B, and `sample` is as `_sample_point`
+    (n, m) group's stacks A and B, and `sample` is as `_sample_points`
     draws it."""
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):

@@ -10,7 +10,7 @@ from gmineq import cli, errors, sweep
 from gmineq.chains import ChainParams, commuting_terms, geo_z_terms, main_chain_terms, t_chain_terms
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, generators, splitmix64
 from gmineq.highprec import t_chain_margin
-from gmineq.hunt import SearchConfig, evaluate_argmin, hunt
+from gmineq.hunt import SearchConfig, _sample_points, evaluate_argmin, hunt
 from gmineq.lemmas import LEMMA_IDS
 from gmineq.norms import NormSpec
 from gmineq.reports import (
@@ -464,10 +464,14 @@ class TestCli:
         assert "argmin re-evaluation: gated" in capsys.readouterr().out
 
     def test_show_all_gated_hunt(self, tmp_path, capsys):
-        """A law of condition 1e18 gates every sample: min_margin is inf,
-        written as "inf", and must read back as a float."""
-        r = hunt(SearchConfig(base_seed=7, samples=4, n_max=4, m_max=2,
-                              spectrum_law=SpectrumLaw(1e-9, 1e9)))
+        """A hunt whose every sample is gated has min_margin inf, written
+        as "inf", which must read back as a float.  No law gates an n = 1
+        sample (its condition number is 1); base seed 9 draws four samples
+        with n >= 2, which this law of condition 1e18 all gates."""
+        cfg = SearchConfig(base_seed=9, samples=4, n_max=4, m_max=2,
+                           spectrum_law=SpectrumLaw(1e-9, 1e9))
+        assert all(n >= 2 for n, *_ in _sample_points(cfg, range(cfg.samples)))
+        r = hunt(cfg)
         assert r.gated_count == 4 and r.argmin is None and r.min_margin == float("inf")
         out = tmp_path / "h.json"
         write_reports(r, out)

@@ -1,9 +1,8 @@
 """Stacked instance draws and stacked seeding against the one-seed path.
 
 `generators` hashes many seeds at once and must give each the state and
-stream of `np.random.default_rng(seed)`, and `pcg64_outputs` that
-stream's first raw words; the array forms of `splitmix64` and
-`derive_seed` must agree with their scalar forms.  `draw_instances` draws
+stream of `np.random.default_rng(seed)`; the array forms of `splitmix64`
+and `derive_seed` must agree with their scalar forms.  `draw_instances` draws
 a stack of instances, each from its own generator, and must give each the
 bytes of the one-instance draw it replaced, kept here as `_oracle_draw`: a
 fresh `default_rng`, then per matrix a Ginibre matrix and the law's
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from gmineq.generate import (SpectrumLaw, derive_seed, draw_instances, generate_instance,
-                             generators, haar, pcg64_outputs, splitmix64, spd_draws)
+                             generators, haar, splitmix64, spd_draws)
 from gmineq.linalg import from_spectrum
 
 MASK64 = (1 << 64) - 1
@@ -91,15 +90,6 @@ def test_generators_of_a_few_seeds(count):
     assert len(streams) == count
     assert all(_same_stream(rng, seed) for rng, seed in zip(streams, seeds))
     assert len(generators(np.array(seeds, dtype=np.uint64))) == count
-
-
-def test_pcg64_outputs_match_random_raw():
-    seeds = EDGE_SEEDS + [derive_seed(31, k) for k in range(5000)]
-    words = pcg64_outputs(seeds, 6)
-    assert words.dtype == np.uint64 and words.shape == (len(seeds), 6)
-    want = np.array([np.random.default_rng(seed).bit_generator.random_raw(6) for seed in seeds])
-    assert np.array_equal(words, want)
-    assert pcg64_outputs([], 3).shape == (0, 3)
 
 
 def test_array_derive_seed_matches_scalar():

@@ -1,12 +1,13 @@
 """The hunt's stacked phases against one-at-a-time evaluation.
 
-The sampling phase computes its samples' parameters on the raw words of
-their streams, and generates and evaluates each (n, m) group of samples as
-one stack.  Every sample must come out bitwise as it does alone: the same
-parameters as `_sample_point`'s numpy `Generator` calls, the same
+The sampling phase computes its samples' parameters from counter-based
+words, and generates and evaluates each (n, m) group of samples as one
+stack.  Every sample must come out bitwise as it does alone: the same
+parameters as `_sample_points` gives it in a block of one, the same
 instance bytes as `generate_instance`, and the same gated flag, margin and
 winning norm as a direct evaluation through `t_chain_terms` and
-`reports.chain_records`.
+`reports.chain_records`.  The parameters themselves must be uniform on
+their ranges, and must not depend on the blocks they are computed in.
 
 Refinement draws and evaluates windows of steps as one stack.  It must
 come out bitwise as the step-by-step keep-if-smaller loop it replaced,
@@ -23,8 +24,7 @@ from gmineq import errors
 from gmineq.blocks import InstanceSet
 from gmineq.chains import ChainParams, expand_norm_tokens, t_chain_terms
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
-from gmineq.hunt import (SearchConfig, _point_margin, _sample_point, _sample_points,
-                         _sampling_phase, hunt)
+from gmineq.hunt import SearchConfig, _point_margin, _sample_points, _sampling_phase, hunt
 from gmineq.linalg import hermitian_eig, hermitize
 from gmineq.reports import chain_records
 
@@ -60,7 +60,7 @@ def test_bucketed_sampling_matches_sample_by_sample(seed):
     assert len(results) == cfg.samples
     gated_seen, dims_seen = 0, set()
     for k, (margin, (A, B, row, sample, spec)) in enumerate(results):
-        assert sample == _sample_point(cfg, k)
+        assert sample == _sample_points(cfg, range(k, k + 1))[0]
         n, m, params, inst_seed = sample
         inst = generate_instance("generic", n, m, inst_seed, cfg.spectrum_law)
         assert np.array_equal(A[row], np.stack(inst.A)) and np.array_equal(B[row], np.stack(inst.B))
@@ -84,7 +84,7 @@ def test_sampling_phase_lapack_calls_per_bucket(monkeypatch):
     per (n, m) bucket; evaluating sample by sample makes about 13 per
     sample."""
     cfg = SearchConfig(base_seed=4, samples=200, refine_steps=0, n_max=4, m_max=3)
-    buckets = {_sample_point(cfg, k)[:2] for k in range(cfg.samples)}
+    buckets = {_sample_points(cfg, range(k, k + 1))[0][:2] for k in range(cfg.samples)}
     calls = []
 
     def counting(name, decompose):
@@ -100,56 +100,83 @@ def test_sampling_phase_lapack_calls_per_bucket(monkeypatch):
     assert len(calls) <= 10 * len(buckets), (len(calls), len(buckets))
 
 
-# One-value ranges draw nothing from numpy's integers (n_max = 1, one r or p
-# value) and a buffered 32-bit half outlives a uniform draw; bounds 3, 5 and
-# 7 have a nonzero Lemire threshold, powers of two none.
-STREAM_CONFIGS = [
-    dict(base_seed=0, n_max=1, p_values=[1.0, 2.0, 3.0]),
-    dict(base_seed=2**64 - 1, m_max=1, r_values=[0.5, 1.0, 2.0]),
-    dict(base_seed=0, n_max=1, m_max=1, r_values=[1.0, 2.0], p_values=[1.0, 2.0, 3.0]),
-    dict(base_seed=2**64 - 1, n_max=7, m_max=5, r_values=[1.0] * 5, p_values=[0.5, 1.0],
-         s_range=(1.5, 1.5), t_range=(0.0, 1.0)),
-    dict(base_seed=0, n_max=np.int64(3), m_max=2, p_values=[1.0, 2.0, 4.0], s_range=(1e-9, 1e9),
-         t_range=(0.25, 0.25)),
-    dict(base_seed=2**64 - 1, n_max=2, m_max=1, s_range=(1, 2), t_range=[0, 1]),
-]
+def _binomial_ok(values, bound, offset=0):
+    """Each of the `bound` values offset, ..., offset + bound - 1 occurs in
+    `values` within 5 binomial standard deviations of its expected count."""
+    counts = np.bincount(np.asarray(values) - offset, minlength=bound)
+    mean = len(values) / bound
+    sigma = math.sqrt(mean * (1.0 - 1.0 / bound))
+    return len(counts) == bound and bool(np.all(np.abs(counts - mean) < 5.0 * sigma))
 
 
-@pytest.mark.parametrize("options", STREAM_CONFIGS)
-def test_sample_points_match_sample_point(options):
-    cfg = SearchConfig(**options).validate()
-    block = range(2**40, 2**40 + 5000)
-    got = _sample_points(cfg, block)
-    want = [_sample_point(cfg, k) for k in block]
-    assert got == want
-    assert [tuple(map(type, g)) for g in got] == [tuple(map(type, w)) for w in want]
+@pytest.mark.parametrize("n_max, m_max", [(4, 3), (7, 5)])
+def test_sample_fields_uniform(n_max, m_max):
+    cfg = SearchConfig(base_seed=13, n_max=n_max, m_max=m_max, r_values=[0.5, 1.0, 2.0],
+                       p_values=[1.0, 2.0]).validate()
+    samples = _sample_points(cfg, range(100_000))
+    n, m = (np.array([sample[i] for sample in samples]) for i in (0, 1))
+    assert _binomial_ok(n, n_max, 1) and _binomial_ok(m, m_max, 1)
+    r = [cfg.r_values.index(params.r) for _, _, params, _ in samples]
+    p = [cfg.p_values.index(params.p) for _, _, params, _ in samples]
+    assert _binomial_ok(r, 3) and _binomial_ok(p, 2)
+    s = np.array([params.s for _, _, params, _ in samples])
+    assert _binomial_ok(np.floor((s - 1.0) * 10).astype(int), 10)
 
 
-@pytest.mark.parametrize("draw", [0, 1])
-def test_rejected_bounded_draw_matches_sample_point(monkeypatch, draw):
-    """A 32-bit value of 0 under bound 3 is below Lemire's threshold (1), so
-    numpy rejects it and draws again; a sample whose n (the low half of its
-    first word) or m (the high half) is such a value comes out as
-    `_sample_point` draws it, not as the rejected value's 1."""
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    state = rng.bit_generator.state
-    state.update(has_uint32=1, uinteger=0)
-    rng.bit_generator.state = state
-    assert rng.integers(0, 3) == ref.integers(0, 3)  # the buffered 0 was redrawn
+@pytest.mark.parametrize("s_range, t_range", [((1.0, 2.0), (0.2, 0.8)), ((1e-9, 1e9), (0, 1))])
+def test_uniforms_in_range(s_range, t_range):
+    cfg = SearchConfig(base_seed=2**64 - 1, s_range=s_range, t_range=t_range).validate()
+    samples = _sample_points(cfg, range(2**40, 2**40 + 20_000))
+    s, t = np.array([(params.s, params.t) for _, _, params, _ in samples]).T
+    assert s_range[0] <= s.min() and s.max() < s_range[1]
+    assert t_range[0] <= t.min() and t.max() < t_range[1]
 
-    cfg = SearchConfig(base_seed=11, n_max=3, m_max=3).validate()
-    block = range(40)
-    want = [_sample_point(cfg, k) for k in block]
-    row = next(i for i, sample in enumerate(want) if sample[draw] != 1)
-    outputs = hunt_module.pcg64_outputs
 
-    def crafted(seeds, count):
-        words = outputs(seeds, count)
-        words[row, 0] &= np.uint64(0xFFFFFFFF << 32 if draw == 0 else 0xFFFFFFFF)
-        return words
+def test_one_value_ranges_give_their_value():
+    cfg = SearchConfig(base_seed=0, n_max=1, m_max=1, s_range=(1.5, 1.5), t_range=(0.3, 0.3),
+                       r_values=[2.0], p_values=[0.5]).validate()
+    want = ChainParams(s=1.5, r=2.0, p=0.5, t=0.3)
+    assert all(sample[:3] == (1, 1, want) for sample in _sample_points(cfg, range(1000)))
 
-    monkeypatch.setattr(hunt_module, "pcg64_outputs", crafted)
-    assert _sample_points(cfg, block) == want
+
+def test_sample_types():
+    cfg = SearchConfig(base_seed=3, n_max=np.int64(3), m_max=2, s_range=(1, 2), t_range=[0, 1],
+                       r_values=[1, 2], p_values=[np.float32(0.5), 1]).validate()
+    for n, m, params, seed in _sample_points(cfg, range(200)):
+        assert (type(n), type(m), type(params), type(seed)) == (int, int, ChainParams, int)
+        assert all(type(v) is float for v in (params.s, params.t, params.r, params.p))
+
+
+@pytest.mark.parametrize("base_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**40 - 500])
+def test_samples_independent_of_blocks(base_seed, start):
+    """One call, a call per arbitrary sub-block and a call per sample give
+    the same samples, as does a second call."""
+    cfg = SearchConfig(base_seed=base_seed, n_max=5, m_max=3, t_range=(0.0, 1.0),
+                       r_values=[1.0, 2.0], p_values=[0.5, 1.0, 2.0]).validate()
+    block = range(start, start + 1000)
+    whole = _sample_points(cfg, block)
+    assert len(whole) == len(block) and _sample_points(cfg, block) == whole
+    cuts = [0, 1, 2, 7, 300, 301, 999, 1000]
+    assert [x for a, b in zip(cuts, cuts[1:]) for x in _sample_points(cfg, block[a:b])] == whole
+    assert [_sample_points(cfg, range(k, k + 1))[0] for k in block] == whole
+    assert _sample_points(cfg, range(start, start)) == []
+
+
+def test_parameters_do_not_share_the_instance_streams():
+    """The instance seed of sample j, derive_seed(base, 2j + 1), is not a
+    seed of the parameters of sample 2j + 1: their (n, m) agrees with the
+    first two bounded draws of that instance stream about as often as
+    chance, 1 / 12, where a sampler that drew them from the stream at
+    derive_seed(base, k) agreed every time."""
+    cfg = SearchConfig(base_seed=7, n_max=4, m_max=3).validate()
+    samples = _sample_points(cfg, range(2000))
+    agree = 0
+    for j in range(1000):
+        rng = np.random.default_rng(samples[j][3])
+        drawn = (int(rng.integers(1, cfg.n_max + 1)), int(rng.integers(1, cfg.m_max + 1)))
+        agree += samples[2 * j + 1][:2] == drawn
+    assert agree / 1000 < 0.2
 
 
 # The step-by-step refinement that windowed refinement replaced, frozen as
@@ -365,9 +392,10 @@ def test_failure_at_a_reached_step_raises(monkeypatch):
 
 
 # (base seed, samples, fewest accepted steps) of two hunts: the first's
-# refinement accepts no step, the second's arg-min is an n = 4, m = 1
-# sample whose refinement accepts many.
-@pytest.mark.parametrize("base_seed, samples, least_accepts", [(4, 200, 0), (1, 10, 10)])
+# refinement accepts no step; the second's arg-min is an n = 4, m = 2
+# sample whose refinement accepts 16, at the smallest base seed >= 1 whose
+# refinement accepts 10 or more.
+@pytest.mark.parametrize("base_seed, samples, least_accepts", [(4, 200, 0), (5, 10, 10)])
 def test_refinement_lapack_calls_per_window(monkeypatch, base_seed, samples, least_accepts):
     """eigh, svd and qr calls of refinement stay within 12 per window, and
     a window of 8 steps doubles until a step is accepted, so there are at

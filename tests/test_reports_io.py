@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmineq import errors, reports
 from gmineq.generate import SpectrumLaw
-from gmineq.hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
+from gmineq.hunt import SearchConfig, SearchResult, _sample_points, evaluate_argmin, hunt
 from gmineq.chains import ChainParams, expand_norm_tokens, grid_terms
 from gmineq.generate import generate_instance
 from gmineq.norms import NormSpec
@@ -382,11 +382,16 @@ class TestReader:
 
 
 class TestAllGatedHunt:
-    # every sample of this hunt has a condition number over the 1e8 cap
-    CFG = dict(base_seed=7, samples=4, n_max=4, m_max=2, spectrum_law=SpectrumLaw(1e-9, 1e9))
+    # A 1 x 1 instance and its sums have condition number 1, so no law gates
+    # a sample with n = 1.  Base seed 9 is the smallest >= 7 whose four
+    # samples all have n >= 2, and this law of condition 1e18 puts each of
+    # them over the 1e8 cap.
+    CFG = dict(base_seed=9, samples=4, n_max=4, m_max=2, spectrum_law=SpectrumLaw(1e-9, 1e9))
 
     def test_written_read_back_and_reevaluated(self, tmp_path):
-        result = hunt(SearchConfig(**self.CFG))
+        cfg = SearchConfig(**self.CFG)
+        assert all(n >= 2 for n, *_ in _sample_points(cfg, range(cfg.samples)))
+        result = hunt(cfg)
         assert result.argmin is None and result.gated_count == 4
         path = tmp_path / "hunt.json"
         write_reports(result, path)
