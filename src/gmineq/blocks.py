@@ -12,9 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .linalg import hermitian_eig, hermitize, power_from_eig, require_pd, sum_pairs
-
-COMMUTING_RTOL = 1e-12
+from .linalg import hermitian_eig, hermitize, power_from_eig, sum_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +71,12 @@ class InstanceSet:
     @cached_property
     def _checked(self) -> bool:
         """The kind, then per stack the finite entries and Hermitian defect
-        of its matrices and their PD floor, read from the decompositions
-        the spectra cache keeps, then the commutation of every pair, in
-        Frobenius norm; the message names the first failing pair."""
+        of its matrices and their PD floor, then for a commuting instance
+        the commutation of every pair (`InstanceSpectra.check`, on the
+        decompositions the spectra cache keeps)."""
         if self.kind not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown instance kind {self.kind!r}")
-        require_pd(self.spectra.eig_A)
-        require_pd(self.spectra.eig_B)
-        if self.kind == "commuting":
-            defect = np.linalg.norm(self.A @ self.B - self.B @ self.A, axis=(-2, -1))
-            scale = np.linalg.norm(self.A, axis=(-2, -1)) * np.linalg.norm(self.B, axis=(-2, -1))
-            bad = defect > COMMUTING_RTOL * scale
-            if bad.any():
-                raise errors.NotCommuting(
-                    f"pair commutator norm {defect[bad][0]:.3e} exceeds {COMMUTING_RTOL:.1e}"
-                    f" * {scale[bad][0]:.3e}")
-        return True
+        return self.spectra.check(self.kind == "commuting")
 
     def sum_A(self) -> np.ndarray:
         return sum_pairs(self.A)

@@ -21,7 +21,8 @@ chain's whole parameter grid on an instance or a stack at once: the same
 which `linalg` broadcasts against every instance's own decompositions,
 and each row is bitwise the one-point terms of its instance.
 `ChainTerms.take` splits a stack's terms by m, Z's spectrum cut to each
-instance's m n.  `commuting_terms` runs on a stack the same way.
+instance's m n.  `commuting_terms` runs on a stack the same way, after
+the stack's PD floor and commutator checks (`InstanceSpectra.check`).
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -41,12 +42,14 @@ from . import errors
 from .blocks import InstanceSet
 from .generate import SpectrumLaw
 from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
-                     psd_sv, svd)
+                     psd_sv, require_pd, svd)
 from .means import mean_factor
 from .norms import NormSpec, singular_values
 
 DEFAULT_TOL_REL = 1e-8
 DEFAULT_CONDITION_CAP = 1e8
+# A commuting pair's commutator may be this much of |A_i| |B_i| (Frobenius).
+COMMUTING_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,12 @@ class ChainTerms:
         return max(dims)
 
     def take(self, rows: slice, width: int) -> "ChainTerms":
-        """The grid terms of the instances `rows` of a stack, (P, K, d)
-        spectra cut to their first `width` values: on an n-group's ragged
-        stack, the rows of the instances of one m, with Z's spectrum cut
-        to its m n values."""
+        """The terms of the instances `rows` of a stack, (P, K, d) grid or
+        (K, d) spectra cut to their first `width` values: on an n-group's
+        ragged stack, the rows of the instances of one m, with Z's
+        spectrum cut to its m n values."""
         def cut(sv):
-            return None if sv is None else np.ascontiguousarray(sv[:, rows, :width])
+            return None if sv is None else np.ascontiguousarray(sv[..., rows, :width])
 
         return ChainTerms(self.chain_id, cut(self.lhs_sv), cut(self.rhs_sv), cut(self.mid_sv),
                           self.status, self.condition_max[rows])
@@ -260,13 +263,37 @@ class InstanceSpectra:
 
     @property
     @_memoized
+    def sums(self) -> tuple:
+        """Each instance's sum A and sum B, Hermitized, (*L, n, n) each."""
+        return hermitize(self._by_instance(self._A)), hermitize(self._by_instance(self._B))
+
+    @property
+    @_memoized
     def eig_sum_A(self) -> EigenDecomposition:
-        return hermitian_eig(hermitize(self._by_instance(self._A)))
+        return hermitian_eig(self.sums[0])
 
     @property
     @_memoized
     def eig_sum_B(self) -> EigenDecomposition:
-        return hermitian_eig(hermitize(self._by_instance(self._B)))
+        return hermitian_eig(self.sums[1])
+
+    @_memoized
+    def check(self, commuting: bool) -> bool:
+        """True, after the PD floor of every A_i and B_i, read from their
+        decompositions, then (if `commuting`) the commutation of every
+        pair, in Frobenius norm; the message names the first failing pair."""
+        require_pd(self.eig_A)
+        require_pd(self.eig_B)
+        if commuting:
+            A, B = self._A, self._B
+            defect = np.linalg.norm(A @ B - B @ A, axis=(-2, -1))
+            scale = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
+            bad = defect > COMMUTING_RTOL * scale
+            if bad.any():
+                raise errors.NotCommuting(
+                    f"pair commutator norm {defect[bad][0]:.3e} exceeds {COMMUTING_RTOL:.1e}"
+                    f" * {scale[bad][0]:.3e}")
+        return True
 
     @property
     @_memoized
@@ -447,18 +474,23 @@ def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
     return _point_terms("t-chain", inst, params)
 
 
-def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
+def commuting_terms(inst, variant: str) -> ChainTerms:
     """Commuting-pair chains: ||sum A_i B_i|| <= ||(sum A_i^{1/2} B_i^{1/2})^2||
-    <= ||(sum A)(sum B)|| (product) or the symmetrized right side, on an
-    instance or a stack (spectra (K, d) and one condition_max each)."""
+    <= ||(sum A)(sum B)|| (product) or the symmetrized right side, on a
+    commuting `InstanceSet` (one instance or a stack) or on the
+    `InstanceSpectra` of a stack of commuting instances of one n (spectra
+    (K, d) and one condition_max each), once its pairs pass
+    `InstanceSpectra.check`."""
     if variant not in ("product", "symmetrized"):
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
-    if inst.kind != "commuting":
+    if isinstance(inst, InstanceSet) and inst.kind != "commuting":
         raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need 'commuting'")
-    sp = inst.validate().spectra
+    sp = inst if isinstance(inst, InstanceSpectra) else inst.spectra
+    sp.check(True)
     lhs_sv, mid_sv = sp.commuting_sv()
     if variant == "product":
-        rhs_sv = singular_values(inst.sum_A() @ inst.sum_B())
+        sum_A, sum_B = sp.sums
+        rhs_sv = singular_values(sum_A @ sum_B)
     else:
         rhs_sv = sp.sandwich_sv(0.5, 1.0, 1.0)
     return ChainTerms(f"commuting-{variant}", lhs_sv, rhs_sv, mid_sv, "proven", sp.condition_max)

@@ -200,6 +200,8 @@ def _terms_block_diag_step(case) -> _LemmaTerms:
 
 # Lemma id -> (operand names, predicate on one case's params, its text, terms
 # function), in the order of LEMMA_IDS, which numbers a sweep's lemma case seeds.
+# An operand named Z (mn x mn) or *_list (m matrices) is the only kind that
+# carries m (`m_free`).
 _LEMMAS = {
     "Araki": (("A", "B"), lambda x: x["q"] >= 1 and x["p"] > 0, "q >= 1 and p > 0", _terms_araki),
     "BlockNormal": (("Z",), lambda x: x["n"] >= 1 and x["n"] % 1 == 0, "integer n >= 1",
@@ -217,6 +219,12 @@ _LEMMAS = {
     "BlockDiagStep": (("A_list", "B_list"), lambda x: x["s"] > 1, "s > 1", _terms_block_diag_step),
 }
 LEMMA_IDS = tuple(_LEMMAS)
+
+
+def m_free(lemma_id: str) -> bool:
+    """Whether no operand of the lemma carries m, so that `random_cases`
+    draws its cases alike at every m and a sweep stacks every m of one n."""
+    return not any(name == "Z" or name.endswith("_list") for name in _LEMMAS[lemma_id][0])
 
 
 def lemma_stack_terms(cases: LemmaCase) -> _LemmaTerms:

@@ -219,16 +219,19 @@ def chain_records(terms: ChainTerms, inst: InstanceSet, params: ChainParams, nor
     return chain_blocks(terms, inst, [params], norms, tol_rel, condition_cap)[0]
 
 
-def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int, norms: list,
+def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int | list, norms: list,
                  tol_rel: float = DEFAULT_TOL_REL) -> list:
     """One `Block` per case of a stack of lemma cases (row k of `terms` is
     `instance_seeds[k]`'s), as `chain_blocks` builds them, under
-    `lemmas.lemma_margins`; `n` and `m` are the sizes the cases were drawn at."""
+    `lemmas.lemma_margins`; `n` is the size the cases were drawn at and `m`
+    the m recorded, one for every case or one per case (a sweep stacks an
+    m-free lemma's cases of every m of one n, see `lemmas.m_free`)."""
     norms = order_norms(norms)
+    ms = np.broadcast_to(m, len(instance_seeds)).tolist()
     params = sorted((k, np.reshape(v, -1).tolist()) for k, v in case.params.items())
     lhs, rhs, margin, passed = (np.reshape(v, (len(instance_seeds), -1))
                                 for v in lemma_margins(terms, norms, tol_rel))
-    rows = zip(instance_seeds, lhs.tolist(), rhs.tolist(), margin[..., None].tolist(),
+    rows = zip(instance_seeds, ms, lhs.tolist(), rhs.tolist(), margin[..., None].tolist(),
                passed.tolist())
     norm_dicts = [norm.to_record() for norm in norms]
     tail = {"gated": False, "status": "proven"}
@@ -236,7 +239,7 @@ def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int, n
                    "instance_seed": seed, "n": n, "m": m,
                    "params": {k: float(v[row]) for k, v in params}},
                   {"norm": norm_dicts, "lhs": los, "rhs": his, "margins": mgs, "pass": oks}, tail)
-            for row, (seed, los, his, mgs, oks) in enumerate(rows)]
+            for row, (seed, m, los, his, mgs, oks) in enumerate(rows)]
 
 
 def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,

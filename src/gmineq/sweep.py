@@ -5,14 +5,16 @@ key, so a report is a pure function of its config.
 The tasks of one n are taken together, whatever their m: every stream
 they draw from is made by one `generators` call, and each (n, m)'s
 instances are drawn as one stack per instance kind.  Each grid chain's
-whole (s, r, p, t) grid is evaluated once per (n, kind), on one ragged
-stack of every m's pairs (`chains.InstanceSpectra`, `chains.grid_terms`),
+whole (s, r, p, t) grid, and each commuting variant, is evaluated once
+per n, on one ragged stack of every m's pairs of its kind
+(`chains.InstanceSpectra`, `chains.grid_terms`, `chains.commuting_terms`),
 then split by m (`ChainTerms.take`, which cuts Z's zeros to each m) and
-recorded with one `reports.chain_blocks` call per (n, m).  Commuting
-variants are evaluated and recorded per (n, m), and each lemma id's cases
-of one (n, m) are one stack.  Each term set is one
-`reports.Block`, and a sweep builds no record dict: `build_report_set`,
-the summary, the writer and `has_proven_failure` read the blocks.
+recorded with one `reports.chain_blocks` call per (n, m).  An m-free
+lemma id's cases (`lemmas.m_free`) are drawn, evaluated and recorded as
+one stack per n, and the other ids' as one stack per (n, m).  Each term
+set is one `reports.Block`, and a sweep builds no record dict:
+`build_report_set`, the summary, the writer and `has_proven_failure`
+read the blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, Instan
                      validate_run_fields)
 from .blocks import InstanceSet
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
-from .lemmas import LEMMA_IDS, lemma_stack_terms, random_cases
+from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
 from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
@@ -94,9 +96,11 @@ class SweepConfig:
             raise errors.ConfigError("n_values and m_values must be nonempty")
         if any(n < 1 for n in self.n_values) or any(m < 1 for m in self.m_values):
             raise errors.ConfigError("n and m values must be >= 1")
-        for lid in self.lemma_ids:
+        for i, lid in enumerate(self.lemma_ids):
             if lid not in LEMMA_IDS:
                 raise errors.ConfigError(f"unknown lemma id {lid!r}")
+            if lid in self.lemma_ids[:i]:  # its second copy would draw other cases
+                raise errors.ConfigError(f"lemma_ids lists {lid!r} twice")
         table = _chain_table(self)
         for c in self.chains:
             _, needs, grid = table[c]
@@ -154,16 +158,18 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     of lemma id number li from seed derive_seed(derive_seed(base_seed, i),
     li) as `random_case` would, all from streams made by one `generators`
     call.  Each shape's instances of a kind are one `InstanceSet` stack,
-    and each grid chain is evaluated by one terms call on the n-group,
-    every shape's pairs of its kind laid end to end (`InstanceSpectra`),
-    then split by shape (`ChainTerms.take`) and recorded by one
-    `chain_blocks` call per shape; each commuting variant is evaluated and
-    recorded per shape, and each lemma id's cases of a shape are drawn,
-    evaluated and recorded as one stack."""
+    and each grid chain and commuting variant is evaluated by one terms
+    call on the n-group, every shape's pairs of its kind laid end to end
+    (`InstanceSpectra`), then split by shape (`ChainTerms.take`) and
+    recorded by one `chain_blocks` call per shape.  An m-free lemma id's
+    cases are drawn, evaluated and recorded as one stack of every task of
+    the n-group, each recorded with its task's m, and another id's as one
+    stack per shape."""
     seeds = [derive_seed(cfg.base_seed, np.array(tasks, np.uint64)) for _, tasks in shapes]
     tasks = np.concatenate(seeds)
     K, bounds = len(tasks), np.cumsum([0] + [len(part) for part in seeds]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    ms = np.repeat([m for m, _ in shapes], np.diff(bounds)).tolist()  # each task's m
     chains = [c for c in cfg.chains if c != "lemmas"]
     kinds = list(dict.fromkeys(table[c][0] for c in chains))
     lemma_ids = table["lemmas"][2] if "lemmas" in cfg.chains else []
@@ -183,21 +189,21 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     for chain in chains:
         kind, _, grid = table[chain]
         if chain == "commuting":
-            evaluations = [(commuting_terms(inst, variant), inst, [_UNIT])
-                           for inst in instances[kind] for variant in grid]
+            evaluations = [(commuting_terms(spectra[kind], variant), [_UNIT]) for variant in grid]
         else:
-            terms = grid_terms(spectra[kind], chain, grid)
-            evaluations = [(terms.take(part, inst.m * n), inst, grid)
-                           for inst, part in zip(instances[kind], rows)]
-        for terms, inst, points in evaluations:
-            blocks.extend(chain_blocks(terms, inst, points,
-                                       expand_norm_tokens(cfg.norms, terms.max_dim),
-                                       cfg.tol_rel, cfg.condition_cap))
+            evaluations = [(grid_terms(spectra[kind], chain, grid), grid)]
+        for terms, points in evaluations:
+            for inst, part in zip(instances[kind], rows):
+                shape_terms = terms.take(part, inst.m * n)
+                blocks.extend(chain_blocks(shape_terms, inst, points,
+                                           expand_norm_tokens(cfg.norms, shape_terms.max_dim),
+                                           cfg.tol_rel, cfg.condition_cap))
     for j, lid in enumerate(lemma_ids, start=len(kinds)):
-        for (m, _), part in zip(shapes, rows):
-            cases = random_cases(lid, streams[j * K:(j + 1) * K][part], n, m, cfg.spectrum_law)
+        for part in [slice(0, K)] if m_free(lid) else rows:
+            cases = random_cases(lid, streams[j * K:(j + 1) * K][part], n, ms[part][0],
+                                 cfg.spectrum_law)
             terms = lemma_stack_terms(cases)
-            blocks.extend(lemma_blocks(cases, terms, groups[j][part].tolist(), n, m,
+            blocks.extend(lemma_blocks(cases, terms, groups[j][part].tolist(), n, ms[part],
                                        expand_norm_tokens(cfg.norms, terms.max_dim),
                                        cfg.tol_rel))
     return blocks

@@ -162,6 +162,23 @@ class TestSweep:
             with pytest.raises(errors.ConfigError, match=rf"{name} lists {values[-1]!r} twice"):
                 call()
 
+    @pytest.mark.parametrize("lemma_ids", [["Araki", "Araki"], ["GramSwap", "Hoelder", "GramSwap"]])
+    def test_lemma_id_listed_twice_rejected(self, lemma_ids, tmp_path, capsys):
+        """A repeated lemma id would write a second set of records, drawn
+        from other case seeds (a case seed numbers the id's list place);
+        the CLI exits 3 with one line and writes no report."""
+        config = {"chains": ["lemmas"], "lemma_ids": lemma_ids, "instance_count": 2}
+        message = f"lemma_ids lists {lemma_ids[-1]!r} twice"
+        cfg = SweepConfig(**config)
+        for call in (cfg.validate, lambda: run_sweep(cfg)):
+            with pytest.raises(errors.ConfigError, match=message):
+                call()
+        path, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+        path.write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n" and not out.exists()
+
     @pytest.mark.parametrize("norms, twice", [
         (["trace", "trace"], "trace"), (["Trace", "trace "], "trace "),
         (["kyfan:2", "schatten:2", "kyfan:all"], "kyfan:all"),
@@ -276,13 +293,13 @@ class TestSweep:
     @given(chains=st.lists(st.sampled_from(KNOWN_CHAINS), min_size=1, unique=True),
            n_values=st.lists(st.integers(1, 2), min_size=1, max_size=3),
            m_values=st.lists(st.integers(1, 2), min_size=1, max_size=2),
-           lemma_ids=st.lists(st.sampled_from(LEMMA_IDS), min_size=1, max_size=3),
+           lemma_ids=st.lists(st.sampled_from(LEMMA_IDS), min_size=1, max_size=3, unique=True),
            generator=st.sampled_from(["generic", "commuting"]), per_shape=st.integers(1, 4))
     def test_block_keys_distinct(self, chains, n_values, m_values, lemma_ids, generator,
                                  per_shape):
         """A validated sweep's blocks have pairwise distinct keys, also with
-        a repeated n or lemma id and on commuting instances, so sorting
-        them by key puts every record in place."""
+        a repeated n and on commuting instances, so sorting them by key puts
+        every record in place (a repeated lemma id is refused)."""
         cfg = SweepConfig(chains=chains, n_values=n_values, m_values=m_values,
                           instance_count=per_shape * len(n_values) * len(m_values),
                           generator=generator, s_values=[1.5, 2.0], t_values=[0.3, 0.5],

@@ -6,7 +6,7 @@ from gmineq import errors
 from gmineq.chains import expand_norm_tokens
 from gmineq.generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generators, haar_unitary, random_spd
 from gmineq.lemmas import (LEMMA_IDS, LemmaCase, eval_lemma, lemma_stack_terms, lemma_terms,
-                           random_case, random_cases)
+                           m_free, random_case, random_cases)
 from gmineq.linalg import hermitize, matrix_power, psd_sv
 from gmineq.norms import NormSpec
 from gmineq.reports import dumps, lemma_blocks, lemma_records
@@ -28,6 +28,28 @@ class TestRandomCases:
             else:
                 np.testing.assert_array_equal(val, c2.operands[key])
         assert c1.params == c2.params
+
+    def test_m_free_rule(self):
+        """An m-free id (no operand named Z or *_list) draws byte-identical
+        operands and params at m = 1 and m = 4; the three ids whose
+        operands carry m draw other shapes."""
+        carry_m = {"BlockNormal", "ConvexSubadd", "BlockDiagStep"}
+        assert {lid for lid in LEMMA_IDS if not m_free(lid)} == carry_m
+        seeds = [derive_seed(12, k) for k in range(3)]
+        for lid in LEMMA_IDS:
+            one, four = (random_cases(lid, generators(seeds), 3, m) for m in (1, 4))
+            assert one.operands.keys() == four.operands.keys()
+            shapes = {name: (np.shape(one.operands[name]), np.shape(four.operands[name]))
+                      for name in one.operands}
+            if lid in carry_m:
+                assert all(a != b for a, b in shapes.values()), (lid, shapes)
+                continue
+            for name, (a, b) in shapes.items():
+                assert a == b and one.operands[name].tobytes() == four.operands[name].tobytes(), \
+                    (lid, name)
+            assert one.params.keys() == four.params.keys()
+            for name in one.params:
+                assert one.params[name].tobytes() == four.params[name].tobytes(), (lid, name)
 
     def test_rejects_unknown_id(self):
         with pytest.raises(errors.ConfigError):

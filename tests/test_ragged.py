@@ -2,8 +2,9 @@
 
 `InstanceSpectra` holds a stack's pairs laid end to end and each
 instance's pair count.  Every row of such a stack must be bitwise the
-instance alone, the sweep and the hunt evaluate each n once, and a failing
-instance in an n-group still ends a run as it does alone.
+instance alone, the sweep and the hunt evaluate each n once (the sweep's
+commuting variants and m-free lemma ids too), and a failing instance in an
+n-group still ends a run as it does alone.
 """
 
 import importlib
@@ -19,12 +20,16 @@ from hypothesis import given, settings, strategies as st
 import gmineq
 from gmineq import cli, errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import ChainParams, InstanceSpectra, grid_terms
+from gmineq.chains import ChainParams, InstanceSpectra, commuting_terms, expand_norm_tokens, grid_terms
 from gmineq.generate import derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _sampling_phase
+from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
+from gmineq.linalg import sum_pairs
+from gmineq.reports import chain_records, dumps, lemma_records
 from gmineq.sweep import SweepConfig, run_sweep
 
 hunt_module = importlib.import_module("gmineq.hunt")
+sweep_module = importlib.import_module("gmineq.sweep")
 
 # The boundaries s = 1, 2 and t = 0, 1, a fast-path exponent, and weighted
 # points with sr < 1.
@@ -146,6 +151,82 @@ def test_sweep_main_decompositions_per_n(monkeypatch):
     rs = run_sweep(SweepConfig(**SWEEP_MAIN))
     assert len(rs.blocks) == 20 * 28
     assert len(calls) <= 9 * len(SWEEP_MAIN["n_values"]), calls
+
+
+def test_mixed_m_group_records_are_each_case_alone():
+    """Every record block of an n = 3 group with m = 1, 2 and 4 is
+    byte-equal to its one-case form: each lemma block to `lemma_records` of
+    `random_case` at its seed and m, each commuting block of both variants
+    to `commuting_terms` on its instance alone."""
+    cfg = SweepConfig(chains=["commuting", "lemmas"], n_values=[3], m_values=[1, 2, 4],
+                      instance_count=9, base_seed=23,
+                      norms=["kyfan:all", "schatten:1", "schatten:3.5", "operator"])
+    blocks = run_sweep(cfg).blocks
+    assert len(blocks) == 9 * (2 + len(LEMMA_IDS))
+    variants = set()
+    for block in blocks:
+        head = block.head
+        n, m, seed = head["n"], head["m"], head["instance_seed"]
+        if head["kind"] == "lemma":
+            case = random_case(head["lemma_id"], seed, n, m)
+            terms = lemma_terms(case)
+            alone = lemma_records(case, terms, seed, n, m,
+                                  expand_norm_tokens(cfg.norms, terms.max_dim))
+        else:
+            variant = head["chain_id"].removeprefix("commuting-")
+            variants.add(variant)
+            inst = generate_instance("commuting", n, m, seed)
+            terms = commuting_terms(inst, variant)
+            alone = chain_records(terms, inst, ChainParams(s=1.0),
+                                  expand_norm_tokens(cfg.norms, terms.max_dim))
+        assert dumps(block.records) == dumps(alone.records), head
+    assert variants == {"product", "symmetrized"}
+
+
+def test_commuting_pairs_decomposed_once(monkeypatch):
+    """A sweep of `main` and `commuting` on commuting instances decomposes
+    each pair matrix A_i, B_i and each instance sum once: both chains read
+    the n-group's one stack."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        seen.extend(x.tobytes() for x in np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    run_sweep(SweepConfig(chains=["main", "commuting"], generator="commuting", n_values=[3],
+                          m_values=[1, 2], instance_count=4, base_seed=8))
+    insts = [generate_instance("commuting", 3, (1, 2)[i % 2], derive_seed(8, i)) for i in range(4)]
+    # an m = 1 instance's sum is its one pair matrix, so it is decomposed twice
+    matrices = [x.tobytes() for inst in insts
+                for x in [*inst.A, *inst.B, sum_pairs(inst.A), sum_pairs(inst.B)]]
+    assert {x: seen.count(x) for x in matrices} == {x: matrices.count(x) for x in matrices}
+
+
+def test_sweep_mixed_evaluations_per_n(monkeypatch):
+    """On sweep-mixed's config an n-group makes one lemma terms call per
+    m-free lemma id and one per other id and m (7 + 3 |m_values|), and one
+    commuting terms call per variant."""
+    calls = []
+
+    def counted(name):
+        real = getattr(sweep_module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("lemma_stack_terms", "commuting_terms"):
+        monkeypatch.setattr(sweep_module, name, counted(name))
+    cfg = SweepConfig(chains=["main", "geo-z", "t-chain", "commuting", "lemmas"],
+                      n_values=[2, 3, 4], m_values=[2, 3], instance_count=24, base_seed=31,
+                      s_values=[1.5, 2.0, 3.0], r_values=[1.0, 2.0], p_values=[1.0],
+                      t_values=[0.3, 0.5], norms=["kyfan:all", "schatten:1"])
+    run_sweep(cfg)
+    assert calls.count("lemma_stack_terms") == 3 * (7 + 3 * 2)
+    assert calls.count("commuting_terms") == 3 * 2
 
 
 def test_hunt_sampling_one_evaluation_per_n(monkeypatch):
