@@ -1,6 +1,8 @@
-"""The block matrix Z with blocks B_i^{1/2} (sum_k A_k) B_j^{1/2}, its
-rank-revealing factorizations, and the reduced n x n core carrying its
-nonzero spectrum.
+"""One experiment instance (`InstanceSet`), the block matrix Z with blocks
+B_i^{1/2} (sum_k A_k) B_j^{1/2}, its rank-revealing factorizations, and
+the reduced n x n core carrying its nonzero spectrum.  Z and the core
+read the instance's decompositions and sums from its spectra cache, the
+`chains.InstanceSpectra` stack of that one instance.
 """
 
 from __future__ import annotations
@@ -12,26 +14,22 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .linalg import hermitian_eig, hermitize, power_from_eig, sum_pairs
+from .linalg import hermitian_eig, hermitize, power_from_eig
 
 
 @dataclass(frozen=True, eq=False)
 class InstanceSet:
-    """One experiment instance: m pairs of n x n positive definite matrices;
-    or a stack of K equal-shape instances, when `seed` is a tuple of their
-    K seeds.
+    """One experiment instance: m pairs of n x n positive definite matrices.
 
     kind is 'generic' or 'commuting'; commuting instances satisfy
     A_i B_i = B_i A_i pairwise (shared eigenbasis by construction).
 
-    Immutable: A and B are read-only complex128 stacks (m, n, n), or
-    (K, m, n, n) for a stack, copies of what it was given, so neither the
-    spectra cache `spectra` nor a passed `validate` can go stale.  A
-    non-integer m or n, a pair count or matrix size other than m and n, or
-    ragged input is refused when it is built.  A stack holds one m: the
-    sweep evaluates the stacks of every m of one n as one ragged stack of
-    their pairs (`chains.InstanceSpectra`) and records each m's rows
-    against its own `InstanceSet`, Z's zeros cut to that m.
+    Immutable: A and B are read-only complex128 stacks (m, n, n), copies of
+    what it was given, so neither the spectra cache `spectra` nor a passed
+    `validate` can go stale.  A non-integer m or n, a pair count or matrix
+    size other than m and n, or ragged input is refused when it is built.
+    Its `spectra` is the stack of one instance (`chains.InstanceSpectra`),
+    the layout on which the sweep and the hunt evaluate many.
     """
 
     m: int
@@ -44,13 +42,12 @@ class InstanceSet:
     def __post_init__(self):
         errors.require_all(numbers.Integral, [self.m, self.n],
                            f"m and n must be integers, got m={self.m!r}, n={self.n!r}")
-        lead = (len(self.seed),) if isinstance(self.seed, tuple) else ()
         for name in ("A", "B"):
             try:
                 X = np.array(getattr(self, name), dtype=np.complex128, order="C")
             except ValueError as exc:  # ragged nesting
                 raise errors.DimensionMismatch(f"{name} is not a stack of matrices: {exc}") from None
-            if X.shape != lead + (self.m, self.n, self.n):
+            if X.shape != (self.m, self.n, self.n):
                 raise errors.DimensionMismatch(
                     f"expected {name} of {self.m} {self.n}x{self.n} matrices, got shape {X.shape}")
             X.flags.writeable = False
@@ -58,10 +55,11 @@ class InstanceSet:
 
     @cached_property
     def spectra(self):
-        """The spectra cache (chains.InstanceSpectra), built on first use."""
+        """The spectra cache, built on first use: the
+        `chains.InstanceSpectra` of a stack of this one instance."""
         from .chains import InstanceSpectra  # chains imports this module
 
-        return InstanceSpectra(self.A, self.B)
+        return InstanceSpectra(self.A, self.B, [self.m])
 
     def validate(self) -> "InstanceSet":
         """self, after the checks of `_checked`, which run once."""
@@ -70,26 +68,20 @@ class InstanceSet:
 
     @cached_property
     def _checked(self) -> bool:
-        """The kind, then per stack the finite entries and Hermitian defect
-        of its matrices and their PD floor, then for a commuting instance
-        the commutation of every pair (`InstanceSpectra.check`, on the
+        """The kind, then the finite entries and Hermitian defect of every
+        matrix and its PD floor, then for a commuting instance the
+        commutation of every pair (`InstanceSpectra.check`, on the
         decompositions the spectra cache keeps)."""
         if self.kind not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown instance kind {self.kind!r}")
         return self.spectra.check(self.kind == "commuting")
-
-    def sum_A(self) -> np.ndarray:
-        return sum_pairs(self.A)
-
-    def sum_B(self) -> np.ndarray:
-        return sum_pairs(self.B)
 
 
 def build_Z(inst: InstanceSet) -> np.ndarray:
     """The mn x mn Hermitian PSD block matrix with blocks
     B_i^{1/2} (sum_k A_k) B_j^{1/2}."""
     m, n = inst.m, inst.n
-    sA = inst.sum_A()
+    sA = inst.spectra.sums[0][0]
     Bh = power_from_eig(inst.spectra.eig_B, 0.5)
     Z = np.empty((m * n, m * n), dtype=np.complex128)
     for i in range(m):
@@ -113,8 +105,8 @@ def build_Y(inst: InstanceSet) -> np.ndarray:
 def reduced_core(inst: InstanceSet) -> np.ndarray:
     """(sum A)^{1/2} (sum B) (sum A)^{1/2}: the n x n SPD matrix unitarily
     equivalent to Z's nonzero part."""
-    sAh = power_from_eig(inst.spectra.eig_sum_A, 0.5)
-    return hermitize(sAh @ inst.sum_B() @ sAh)
+    sAh = power_from_eig(inst.spectra.eig_sum_A[0], 0.5)
+    return hermitize(sAh @ inst.spectra.sums[1][0] @ sAh)
 
 
 @dataclass(frozen=True)

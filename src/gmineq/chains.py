@@ -8,21 +8,20 @@ Hermitian PSD (except the commuting product right side).  Each power of a
 mean and each sandwich spectrum is taken from the singular values of one
 n x n factor, so no positive eigenvalue is ever zeroed or squared away.
 
-An instance's spectral data live in its `InstanceSpectra`, which works on
-the instance's two read-only (m, n, n) stacks as they are, or on a stack
-of K instances of one n: their pairs laid end to end and each instance's
+Spectral data live in an `InstanceSpectra`, which has one layout: a stack
+of K instances of one n, their pairs laid end to end and each instance's
 pair count, so that the instances of one n share one stack whatever
-their m (the sweep's n-groups and the hunt's), and K instances of one m
-(an `InstanceSet` stack) are the equal-count case.  Each spectral value
-is defined once, as one memoized method.  `grid_terms` evaluates a
-chain's whole parameter grid on an instance or a stack at once: the same
-`InstanceSpectra` methods as the one-point evaluators (`main_chain_terms`,
-`geo_z_terms`, `t_chain_terms`) take one (s, t, r, p) per grid point,
-which `linalg` broadcasts against every instance's own decompositions,
-and each row is bitwise the one-point terms of its instance.
-`ChainTerms.take` splits a stack's terms by m, Z's spectrum cut to each
-instance's m n.  `commuting_terms` runs on a stack the same way, after
-the stack's PD floor and commutator checks (`InstanceSpectra.check`).
+their m (the sweep's n-groups and the hunt's).  An `InstanceSet`'s
+spectra are the stack of that one instance.  Each spectral value is
+defined once, as one memoized method.  `grid_terms` evaluates a chain's
+whole parameter grid on a stack at once: the same `InstanceSpectra`
+methods as the one-point evaluators (`main_chain_terms`, `geo_z_terms`,
+`t_chain_terms`) take one (s, t, r, p) per grid point, which `linalg`
+broadcasts against every instance's own decompositions, and each row is
+bitwise the one-point terms of its instance.  `ChainTerms.take` splits a
+stack's terms by m, Z's spectrum cut to each instance's m n.
+`commuting_terms` runs on a stack the same way, after the stack's PD
+floor and commutator checks (`InstanceSpectra.check`).
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -68,10 +67,10 @@ class ChainParams:
 @dataclass(frozen=True)
 class ChainTerms:
     """Singular values of every chain term, shared across norm evaluations:
-    spectra (*L, d) at one point, or (P, *L, d) with one status per point
-    for a parameter grid (`grid_terms`), where L is () for one instance
-    and (K,) for a stack, whose `condition_max` holds one value per
-    instance."""
+    spectra (d,) and a float `condition_max` for one instance at one
+    point, or (P, K, d) with one status per point and one `condition_max`
+    per instance for a parameter grid on a stack of K (`grid_terms`), or
+    (K, d) for the commuting chains on a stack."""
 
     chain_id: str
     lhs_sv: np.ndarray
@@ -83,7 +82,7 @@ class ChainTerms:
     @property
     def max_dim(self) -> int:
         """The largest term's dimension: the length of a spectrum, also on
-        the (P, d) spectra of a parameter grid."""
+        the (P, K, d) spectra of a parameter grid."""
         dims = [self.lhs_sv.shape[-1], self.rhs_sv.shape[-1]]
         if self.mid_sv is not None:
             dims.append(self.mid_sv.shape[-1])
@@ -123,7 +122,7 @@ def _memoized(method):
     """An InstanceSpectra value: the method's result, memoized at scalar
     parameters under the key (method name, *parameters); with parameter
     arrays, memoized row by row as grid points (see `InstanceSpectra`) if
-    they have more axes than the stack, or else evaluated once."""
+    one of them is a (P, 1) column, or else evaluated once."""
     name = method.__name__
 
     @wraps(method)
@@ -132,7 +131,7 @@ def _memoized(method):
         try:
             return self._memo[key]
         except TypeError:  # parameter arrays
-            grid = max([getattr(x, "ndim", 0) for x in params]) > self._lead
+            grid = max([getattr(x, "ndim", 0) for x in params]) > 1
             return self._per_row(key, method) if grid else method(self, *params)
         except KeyError:
             pass
@@ -143,38 +142,34 @@ def _memoized(method):
 
 
 class InstanceSpectra:
-    """Spectral data of one instance, or of a stack of instances of one n,
-    each piece computed on first use.
+    """Spectral data of a stack of K instances of one n, each piece computed
+    on first use.
 
-    A stack holds its pairs laid end to end, A and B (sum(counts), n, n),
+    The stack holds its pairs laid end to end, A and B (sum(counts), n, n),
     and each instance's pair count: `counts` (K,) says that instance k
     owns the next counts[k] pairs, so instances of one n with different m
-    share one stack.  Without `counts`, A and B are the read-only (*L, m, n, n)
-    stacks of an `InstanceSet` or of the hunt, used as they are: L is ()
-    for one instance and (K,) for K instances of m pairs each, the
-    equal-count case of the same layout.  Every per-instance value has
-    the leading axes L, (K,) for a stack given by its counts.  Values of
-    the pairs (the decompositions of A_i and B_i, the mean factors) run
-    on the pair axis, each instance's exponent repeated over its pairs;
-    values of an instance (both sums, the left side, the condition
-    number, the commuting sides) add its own pairs in order, starting
-    from zeros (`_by_instance`).  Z's spectrum carries the zeros of the
-    stack's largest m (`z_sv`); `ChainTerms.take` cuts each instance's
-    row to its own m n.
+    share one stack.  One instance is the stack of one, counts [m].
+    Values of the pairs (the decompositions of A_i and B_i, the mean
+    factors) run on the pair axis, each instance's exponent repeated over
+    its pairs; values of an instance (both sums, the left side, the
+    condition number, the commuting sides) add its own pairs in order,
+    starting from zeros (`_by_instance`), and have the axis (K,).  Z's
+    spectrum carries the zeros of the stack's largest m (`z_sv`);
+    `ChainTerms.take` cuts each instance's row to its own m n.
 
     Each value is one method, memoized by `_memoized` in one memo.
     Parameters are scalars, or arrays whose shape says what a row is (the
     rule of `linalg`):
 
-    - more axes than L ((P,) or (P, 1), a grid): a row is a grid point,
-      broadcast against every instance's decompositions to give values
-      (P, *L, ...).  Each row's value is memoized as an L stack under the
-      row's scalar key, the key of a one-point evaluation, and only the
-      distinct rows not there yet are evaluated, together; so each
-      distinct mean, sandwich factor and sum of mean powers is decomposed
-      once per instance, however many points and chains share it.
-    - the axes L (the hunt's): one point per instance, evaluated once and
-      not memoized.
+    - (P, 1) columns, a grid: a row is a grid point, broadcast against
+      every instance's decompositions to give values (P, K, ...).  Each
+      row's value is memoized as a (K, ...) stack under the row's scalar
+      key, the key of a one-point evaluation, and only the distinct rows
+      not there yet are evaluated, together; so each distinct mean,
+      sandwich factor and sum of mean powers is decomposed once per
+      instance, however many points and chains share it.
+    - (K,), the hunt's: one point per instance, evaluated once and not
+      memoized.
 
     Values at scalar parameters are memoized and shared by every chain and
     point.  Each value is computed exactly as a direct evaluation computes
@@ -184,14 +179,8 @@ class InstanceSpectra:
     decomposition is of an n x n matrix.
     """
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, counts=None):
-        if counts is None:
-            shape = A.shape[:-3]
-            counts = [A.shape[-3]] * math.prod(shape)
-            A, B = (X.reshape((-1,) + X.shape[-2:]) for X in (A, B))
-        else:
-            shape = (len(counts),)
-        self._A, self._B, self._shape, self._lead = A, B, shape, len(shape)
+    def __init__(self, A: np.ndarray, B: np.ndarray, counts):
+        self._A, self._B = A, B
         self._counts = np.asarray(counts, dtype=np.intp)
         self._starts = np.cumsum(self._counts) - self._counts
         self._owner = np.repeat(np.arange(len(self._counts)), self._counts)  # pair -> instance
@@ -209,8 +198,7 @@ class InstanceSpectra:
         rows = [slots.setdefault((name, *row), len(slots)) for row in zip(*columns)]
         missing = [k for k in slots if k not in self._memo]
         if missing:
-            shape = (len(missing),) + (1,) * self._lead
-            values = compute(self, *(np.array([k[c] for k in missing]).reshape(shape)
+            values = compute(self, *(np.array([k[c] for k in missing]).reshape(-1, 1)
                                      if np.ndim(x) else x for c, x in enumerate(params, start=1)))
             for i, k in enumerate(missing):
                 self._memo[k] = _row(values, i)
@@ -219,22 +207,18 @@ class InstanceSpectra:
         return _stack([self._memo[k] for k in slots], rows)
 
     def _per_pair(self, x):
-        """An exponent for every pair: a scalar as it is, grid points
-        ((P,) or (P, 1)) as a (P, 1) column, and one exponent per instance
-        repeated over the instance's pairs."""
-        if np.ndim(x) == 0:
-            return x
-        if np.ndim(x) > self._lead:
-            return np.reshape(x, (-1, 1))
-        return np.repeat(x, self._counts)
+        """An exponent for every pair: a scalar or a (P, 1) grid column as
+        it is, and one exponent per instance repeated over the instance's
+        pairs."""
+        return x if np.ndim(x) != 1 else np.repeat(x, self._counts)
 
     def _by_instance(self, X: np.ndarray) -> np.ndarray:
         """Each instance's sum of its pairs' X (..., sum(counts), n, n),
         added in pair order starting from zeros (`np.add.at` adds in index
-        order): (..., *L, n, n)."""
+        order): (..., K, n, n)."""
         acc = np.zeros(X.shape[:-3] + self._counts.shape + X.shape[-2:], dtype=np.complex128)
         np.add.at(acc, (..., self._owner, slice(None), slice(None)), X)
-        return acc.reshape(X.shape[:-3] + self._shape + X.shape[-2:])
+        return acc
 
     def select(self, rows) -> "InstanceSpectra":
         """The spectra of the instances `rows` of a stack, their pairs
@@ -264,7 +248,7 @@ class InstanceSpectra:
     @property
     @_memoized
     def sums(self) -> tuple:
-        """Each instance's sum A and sum B, Hermitized, (*L, n, n) each."""
+        """Each instance's sum A and sum B, Hermitized, (K, n, n) each."""
         return hermitize(self._by_instance(self._A)), hermitize(self._by_instance(self._B))
 
     @property
@@ -298,17 +282,15 @@ class InstanceSpectra:
     @property
     @_memoized
     def condition_max(self):
-        """Largest condition number over the inputs and both sums: a float,
-        or one per instance of a stack."""
+        """Largest condition number over the inputs and both sums, one per
+        instance (K,)."""
         def ratio(eig):
             lo, hi = eig.eigenvalues[..., -1], eig.eigenvalues[..., 0]
             return np.where(lo <= 0.0, np.inf, hi / np.where(lo <= 0.0, 1.0, lo))
 
         pairs = np.maximum(ratio(self.eig_A), ratio(self.eig_B))
-        worst = np.maximum.reduce([np.maximum.reduceat(pairs, self._starts).reshape(self._shape),
-                                   ratio(self.eig_sum_A), ratio(self.eig_sum_B),
-                                   np.ones(self._shape)])
-        return float(worst) if worst.ndim == 0 else worst
+        return np.maximum.reduce([np.maximum.reduceat(pairs, self._starts), ratio(self.eig_sum_A),
+                                  ratio(self.eig_sum_B), np.ones(len(self._counts))])
 
     @_memoized
     def _mean_svds(self, s, t) -> tuple:
@@ -358,17 +340,16 @@ class InstanceSpectra:
                 _read_only(psd_sv(self._by_instance(A_half @ B_half), 2.0)))
 
 
-def condition_max(inst: InstanceSet):
-    """Largest condition number over the inputs and both sums: a float, or
-    one per instance of a stack."""
-    return inst.spectra.condition_max
+def condition_max(inst: InstanceSet) -> float:
+    """Largest condition number over the instance's inputs and both sums."""
+    return float(inst.spectra.condition_max[0])
 
 
 def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
     """(lhs_sv, rhs_sv) of the weighted chain: sum (A_i^s #_t B_i^s)^r
-    against the sandwich with exponents (1-t)srp/2 and tsrp, for one
-    instance at one point or one (s, t, r, p) per grid point, or for a
-    stack with one (s, t, r, p) per instance."""
+    against the sandwich with exponents (1-t)srp/2 and tsrp, on a stack
+    at one point, at one (s, t, r, p) per grid point or with one
+    (s, t, r, p) per instance."""
     return (spectra.lhs_sv(s, t, r),
             spectra.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p))
 
@@ -430,28 +411,31 @@ def _require(chain_id: str, points: list) -> tuple:
     return sides, status
 
 
+def _alone(chain_id: str, inst: InstanceSet, sides: tuple, status: str) -> ChainTerms:
+    """The terms of `inst` from the (lhs, mid, rhs) spectra of its stack
+    of one: spectra (d,) and a float condition_max."""
+    lhs_sv, mid_sv, rhs_sv = (None if sv is None else sv[0] for sv in sides)
+    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, status, condition_max(inst))
+
+
 def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms:
     sides, status = _require(chain_id, [q])
-    lhs_sv, mid_sv, rhs_sv = sides(inst.spectra, q.s, q.t, q.r, q.p)
-    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, status(q), condition_max(inst))
+    return _alone(chain_id, inst, sides(inst.spectra, q.s, q.t, q.r, q.p), status(q))
 
 
-def grid_terms(inst, chain_id: str, points: list) -> ChainTerms:
+def grid_terms(spectra: InstanceSpectra, chain_id: str, points: list) -> ChainTerms:
     """Terms of chain `chain_id` ("main", "geo-z" or "t-chain") at every
-    ChainParams of `points`, on an `InstanceSet` (one instance or a stack
-    of K) or on the `InstanceSpectra` of a stack of K instances of one n:
-    spectra (P, d) or (P, K, d), row k for point k, `status` one per point
-    and `condition_max` one per instance.  Every point must satisfy the
+    ChainParams of `points` on a stack of K instances of one n: spectra
+    (P, K, d), row k for point k, `status` one per point and
+    `condition_max` one per instance.  Every point must satisfy the
     chain's hypotheses.  The points are evaluated on the instances'
-    spectra with one (s, t, r, p) per row, as grid rows ((P,) or (P, 1)
-    columns), so row k of instance i is bitwise the terms `*_terms` gives
-    at point k on instance i alone, and each distinct factor is
-    decomposed once per instance."""
-    spectra = inst if isinstance(inst, InstanceSpectra) else inst.spectra
+    spectra with one (s, t, r, p) per row, as (P, 1) grid columns, so row
+    k of instance i is bitwise the terms `*_terms` gives at point k on
+    instance i alone, and each distinct factor is decomposed once per
+    instance."""
     sides, status = _require(chain_id, points)
     columns = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
-    s, t, r, p = columns.reshape(columns.shape + (1,) * spectra._lead)
-    lhs_sv, mid_sv, rhs_sv = sides(spectra, s, t, r, p)
+    lhs_sv, mid_sv, rhs_sv = sides(spectra, *columns[..., None])
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, tuple(status(q) for q in points),
                       spectra.condition_max)
 
@@ -477,9 +461,9 @@ def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
 def commuting_terms(inst, variant: str) -> ChainTerms:
     """Commuting-pair chains: ||sum A_i B_i|| <= ||(sum A_i^{1/2} B_i^{1/2})^2||
     <= ||(sum A)(sum B)|| (product) or the symmetrized right side, on a
-    commuting `InstanceSet` (one instance or a stack) or on the
-    `InstanceSpectra` of a stack of commuting instances of one n (spectra
-    (K, d) and one condition_max each), once its pairs pass
+    commuting `InstanceSet` (spectra (d,) and a float condition_max) or on
+    the `InstanceSpectra` of a stack of commuting instances of one n
+    (spectra (K, d) and one condition_max each), once its pairs pass
     `InstanceSpectra.check`."""
     if variant not in ("product", "symmetrized"):
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
@@ -493,7 +477,10 @@ def commuting_terms(inst, variant: str) -> ChainTerms:
         rhs_sv = singular_values(sum_A @ sum_B)
     else:
         rhs_sv = sp.sandwich_sv(0.5, 1.0, 1.0)
-    return ChainTerms(f"commuting-{variant}", lhs_sv, rhs_sv, mid_sv, "proven", sp.condition_max)
+    chain_id = f"commuting-{variant}"
+    if isinstance(inst, InstanceSet):
+        return _alone(chain_id, inst, (lhs_sv, mid_sv, rhs_sv), "proven")
+    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, "proven", sp.condition_max)
 
 
 def chain_margins(lhs, mid, rhs, tol_rel: float = DEFAULT_TOL_REL) -> tuple:

@@ -215,12 +215,12 @@ def _sample_points(cfg: SearchConfig, block: range) -> list:
 
 
 def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap,
-                   counts=None) -> tuple:
+                   counts) -> tuple:
     """The weighted chain on a stack of K instances of one n, one
     parameter point each: (gated, margin, spec) per instance.  A and B are
-    (K, m, n, n), or the pairs (sum(counts), n, n) of instances of
-    `counts` pairs each, laid end to end (see `InstanceSpectra`).  margin is the smallest
-    over the norms of min margin / scale under `chain_margins`,
+    the pairs (sum(counts), n, n) of instances of `counts` pairs each,
+    laid end to end (see `InstanceSpectra`).  margin is the smallest over
+    the norms of min margin / scale under `chain_margins`,
     (rhs - lhs) / max(1, rhs); the first such norm wins a tie.  Gated
     instances (over the condition cap) are not evaluated; their margin is
     inf and their spec None."""
@@ -243,8 +243,8 @@ def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap,
 def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
     """(margin, spec) of one point through `_stack_margins`, a stack of
     one; (None, None) when gated."""
-    gated, margin, specs = _stack_margins(inst.A[None], inst.B[None], [params], norms,
-                                          condition_cap)
+    gated, margin, specs = _stack_margins(inst.A, inst.B, [params], norms, condition_cap,
+                                          [inst.m])
     return (None, None) if gated[0] else (float(margin[0]), specs[0])
 
 
@@ -322,21 +322,23 @@ def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: Sear
 
 def _window_margins(A: np.ndarray, B: np.ndarray, params: list, cfg: SearchConfig):
     """(gated, margin, spec) of each candidate of a window, in step order,
-    from one `_stack_margins` call.  If that call raises, the candidates
-    are evaluated one at a time, as far as the caller reads: a candidate
-    past an accepted step, which step-by-step refinement never evaluates,
-    then ends no run, and a step it does evaluate raises as it would
-    there."""
+    from one `_stack_margins` call on the window's stacks A and B
+    (W, m, n, n).  If that call raises, the candidates are evaluated one
+    at a time, as far as the caller reads: a candidate past an accepted
+    step, which step-by-step refinement never evaluates, then ends no
+    run, and a step it does evaluate raises as it would there."""
+    m, n = A.shape[1], A.shape[-1]
     try:
-        results = _stack_margins(A, B, params, cfg.norms, cfg.condition_cap)
+        results = _stack_margins(A.reshape(-1, n, n), B.reshape(-1, n, n), params, cfg.norms,
+                                 cfg.condition_cap, [m] * len(params))
     except (errors.Error, ValueError):  # numpy's LinAlgError is a ValueError
         results = None
     if results is not None:
         yield from zip(*results)
         return
     for w in range(len(params)):
-        gated, margin, specs = _stack_margins(A[w:w + 1], B[w:w + 1], params[w:w + 1],
-                                              cfg.norms, cfg.condition_cap)
+        gated, margin, specs = _stack_margins(A[w], B[w], params[w:w + 1], cfg.norms,
+                                              cfg.condition_cap, [m])
         yield gated[0], margin[0], specs[0]
 
 

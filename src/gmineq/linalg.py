@@ -12,10 +12,10 @@ The spectral path is stack-aware: `hermitize`, `require_hermitian`,
 and run each check (finite entries, Hermitian defect, the zeroing rule,
 the PD floor) per matrix.  An exponent is a scalar, one value per matrix
 of a stack, or an array of per-row exponents with more axes than the
-spectrum's leading ones, which broadcasts against a spectrum that is not
-stacked: (K, 1) exponents against the (m, n) spectra of m matrices give
-(K, m, n), and (K,) exponents against the (n,) spectrum of one matrix give
-(K, n).  A scalar takes the 2-d code path unchanged.  Per-row exponents
+spectrum's leading ones, which broadcasts against the whole stack: the
+(P, 1) grid columns of `chains.InstanceSpectra` against the (N, n)
+spectra of N stacked matrices give (P, N, n).  A scalar takes the 2-d
+code path unchanged.  Per-row exponents
 are applied by one array power call (see `power_rows`), and each row gets
 bitwise the result that its matrix gets alone at its exponent.
 """

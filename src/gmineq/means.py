@@ -11,8 +11,9 @@ of sigma keep the accuracy that the eigenvalues of C* C lose; no
 iterative algorithms.  PSD-but-not-PD inputs are rejected, not extended
 by continuity.  `mean_factor` and `mean_unitary` are stack-aware like
 `linalg`: they take stacked decompositions, `mean_factor` with one (s, t)
-per matrix, or with per-row (s, t) of shape (K, 1) that broadcast against
-the (m, n, n) decompositions of one instance.
+per matrix, or with (s, t) grid columns of shape (P, 1) that broadcast
+against the decompositions of a whole stack of pairs (see
+`chains.InstanceSpectra`).
 """
 
 from __future__ import annotations

@@ -174,15 +174,16 @@ class Block:
         return [{**head, **dict(zip(names, row)), **tail} for row in zip(*self.columns.values())]
 
 
-def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list,
-                 tol_rel: float = DEFAULT_TOL_REL,
+def chain_blocks(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
+                 norms: list, tol_rel: float = DEFAULT_TOL_REL,
                  condition_cap: float = DEFAULT_CONDITION_CAP) -> list:
-    """One `Block` per parameter point and instance of a grid's stacked
-    terms on an instance or a stack (`chains.grid_terms`; spectra row
-    (k, i) belongs to `points[k]` and instance i), over the norms of
-    `norms` in report order (`order_norms`): one `norm_values` call per
-    term for the whole grid and stack, margins and pass flags from
-    `chains.chain_margins`.  Every block shares the norm column."""
+    """One `Block` per parameter point and instance of a grid's terms on
+    a stack of instances of shape (n, m) (`chains.grid_terms`, cut to the
+    shape by `ChainTerms.take`; spectra row (k, i) belongs to `points[k]`
+    and the instance of seed `seeds[i]`, seeds a list of ints), over the
+    norms of `norms` in report order (`order_norms`): one `norm_values`
+    call per term for the whole grid and stack, margins and pass flags
+    from `chains.chain_margins`.  Every block shares the norm column."""
     norms = order_norms(norms)
 
     def values(sv):
@@ -191,9 +192,6 @@ def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list
     lhs, rhs = values(terms.lhs_sv), values(terms.rhs_sv)
     mid = None if terms.mid_sv is None else values(terms.mid_sv)
     margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
-    cid, n, m = terms.chain_id, inst.n, inst.m
-    # not np.ravel: it makes seeds below and above 2**63 one float64 array
-    seeds = list(inst.seed) if isinstance(inst.seed, tuple) else [inst.seed]
     tails = [(bool(c > condition_cap), "inf" if math.isinf(c) else c)
              for c in np.ravel(terms.condition_max).tolist()]
     statuses = [terms.status] * len(points) if isinstance(terms.status, str) else terms.status
@@ -203,7 +201,7 @@ def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list
     rows = zip([q for q in params for _ in seeds], [s for s in statuses for _ in seeds],
                seeds * len(points), tails * len(points), lhs.tolist(), mids, rhs.tolist(),
                np.stack(margins, axis=-1).tolist(), passed.tolist())  # point-major rows
-    return [Block({"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": cid,
+    return [Block({"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": terms.chain_id,
                    "instance_seed": seed, "n": n, "m": m, "params": q},
                   {"norm": norm_dicts, "lhs": los, "mid": mis, "rhs": his, "margins": mgs,
                    "pass": oks},
@@ -214,9 +212,10 @@ def chain_blocks(terms: ChainTerms, inst: InstanceSet, points: list, norms: list
 def chain_records(terms: ChainTerms, inst: InstanceSet, params: ChainParams, norms: list,
                   tol_rel: float = DEFAULT_TOL_REL,
                   condition_cap: float = DEFAULT_CONDITION_CAP) -> Block:
-    """The block of one chain's precomputed terms at one point:
+    """The block of one chain's precomputed terms on `inst` at one point:
     `chain_blocks` on a grid of one."""
-    return chain_blocks(terms, inst, [params], norms, tol_rel, condition_cap)[0]
+    return chain_blocks(terms, inst.n, inst.m, [inst.seed], [params], norms, tol_rel,
+                        condition_cap)[0]
 
 
 def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int | list, norms: list,

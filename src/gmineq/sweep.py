@@ -4,12 +4,13 @@ key, so a report is a pure function of its config.
 
 The tasks of one n are taken together, whatever their m: every stream
 they draw from is made by one `generators` call, and each (n, m)'s
-instances are drawn as one stack per instance kind.  Each grid chain's
-whole (s, r, p, t) grid, and each commuting variant, is evaluated once
-per n, on one ragged stack of every m's pairs of its kind
-(`chains.InstanceSpectra`, `chains.grid_terms`, `chains.commuting_terms`),
-then split by m (`ChainTerms.take`, which cuts Z's zeros to each m) and
-recorded with one `reports.chain_blocks` call per (n, m).  An m-free
+instances of a kind are drawn as one stack into the n-group's stack of
+that kind, every m's pairs laid end to end (`chains.InstanceSpectra`).
+Each grid chain's whole (s, r, p, t) grid, and each commuting variant, is
+evaluated once per n on that stack (`chains.grid_terms`,
+`chains.commuting_terms`), then split by m (`ChainTerms.take`, which cuts
+Z's zeros to each m) and recorded with one `reports.chain_blocks` call
+per (n, m).  An m-free
 lemma id's cases (`lemmas.m_free`) are drawn, evaluated and recorded as
 one stack per n, and the other ids' as one stack per (n, m).  Each term
 set is one `reports.Block`, and a sweep builds no record dict:
@@ -28,7 +29,6 @@ from . import errors
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, InstanceSpectra,
                      admissible, commuting_terms, expand_norm_tokens, grid_terms,
                      validate_run_fields)
-from .blocks import InstanceSet
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
 from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
 from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
@@ -157,9 +157,9 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     derive_seed(base_seed, i) as `generate_instance` would, and its case
     of lemma id number li from seed derive_seed(derive_seed(base_seed, i),
     li) as `random_case` would, all from streams made by one `generators`
-    call.  Each shape's instances of a kind are one `InstanceSet` stack,
-    and each grid chain and commuting variant is evaluated by one terms
-    call on the n-group, every shape's pairs of its kind laid end to end
+    call.  Each shape's instances of a kind are drawn as one stack, and
+    each grid chain and commuting variant is evaluated by one terms call
+    on the n-group, every shape's pairs of its kind laid end to end
     (`InstanceSpectra`), then split by shape (`ChainTerms.take`) and
     recorded by one `chain_blocks` call per shape.  An m-free lemma id's
     cases are drawn, evaluated and recorded as one stack of every task of
@@ -175,16 +175,13 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     lemma_ids = table["lemmas"][2] if "lemmas" in cfg.chains else []
     groups = [tasks] * len(kinds) + [derive_seed(tasks, li) for li in range(len(lemma_ids))]
     streams = generators(np.concatenate([tasks[:0], *groups]))  # K fresh streams per group
-    instances, spectra = {}, {}
+    spectra = {}
     for j, kind in enumerate(kinds):
         kind_streams = streams[j * K:(j + 1) * K]
-        stacks = instances[kind] = [
-            InstanceSet(m, n, *draw_instances(kind, n, m, kind_streams[part], cfg.spectrum_law),
-                        tuple(part_seeds.tolist()), kind)
-            for (m, _), part, part_seeds in zip(shapes, rows, seeds)]
-        spectra[kind] = InstanceSpectra(np.concatenate([s.A.reshape(-1, n, n) for s in stacks]),
-                                        np.concatenate([s.B.reshape(-1, n, n) for s in stacks]),
-                                        [s.m for s in stacks for _ in s.seed])
+        draws = [draw_instances(kind, n, m, kind_streams[part], cfg.spectrum_law)
+                 for (m, _), part in zip(shapes, rows)]
+        A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
+        spectra[kind] = InstanceSpectra(A, B, ms)
     blocks = []
     for chain in chains:
         kind, _, grid = table[chain]
@@ -193,9 +190,9 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
         else:
             evaluations = [(grid_terms(spectra[kind], chain, grid), grid)]
         for terms, points in evaluations:
-            for inst, part in zip(instances[kind], rows):
-                shape_terms = terms.take(part, inst.m * n)
-                blocks.extend(chain_blocks(shape_terms, inst, points,
+            for (m, _), part in zip(shapes, rows):
+                shape_terms = terms.take(part, m * n)
+                blocks.extend(chain_blocks(shape_terms, n, m, tasks[part].tolist(), points,
                                            expand_norm_tokens(cfg.norms, shape_terms.max_dim),
                                            cfg.tol_rel, cfg.condition_cap))
     for j, lid in enumerate(lemma_ids, start=len(kinds)):

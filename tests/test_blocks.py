@@ -44,6 +44,13 @@ class TestInstanceSet:
         with pytest.raises(errors.ConfigError, match=f"^m and n must be integers, got {got}$"):
             InstanceSet(m=m, n=n, A=[np.eye(2)], B=[np.eye(2)])
 
+    def test_rejects_a_stack_of_instances(self):
+        """An instance set is one instance: K instances' (K, m, n, n)
+        stacks are refused, with a tuple of seeds too."""
+        A = np.broadcast_to(np.eye(2), (3, 2, 2, 2))
+        with pytest.raises(errors.DimensionMismatch, match=r"got shape \(3, 2, 2, 2\)"):
+            InstanceSet(m=2, n=2, A=A, B=A, seed=(1, 2, 3))
+
     def test_stacks_are_read_only(self):
         inst = InstanceSet(m=2, n=2, A=[np.eye(2), 2 * np.eye(2)], B=np.ones((2, 2, 2)) + np.eye(2))
         for X in (inst.A, inst.B):
@@ -83,8 +90,9 @@ class TestInstanceSet:
 
     def test_sums(self):
         inst = InstanceSet(m=2, n=2, A=[np.eye(2), 2 * np.eye(2)], B=[3 * np.eye(2), np.eye(2)])
-        np.testing.assert_allclose(inst.sum_A(), 3 * np.eye(2))
-        np.testing.assert_allclose(inst.sum_B(), 4 * np.eye(2))
+        sum_A, sum_B = inst.spectra.sums
+        np.testing.assert_allclose(sum_A[0], 3 * np.eye(2))
+        np.testing.assert_allclose(sum_B[0], 4 * np.eye(2))
 
 
 class TestBlockMatrix:

@@ -185,8 +185,10 @@ def _direct_main_sv(inst, params):
     w = hermitian_eig(hermitize(acc)).eigenvalues
     lhs_sv = np.where((w < 0.0) & (w >= -1e-12 * max(w.max(), 0.0)), 0.0, w) ** 1.0
 
+    sum_A, sum_B = (total[0] for total in inst.spectra.sums)
+
     def sandwich_sv(a, b, inv_p):
-        F = matrix_power(inst.sum_B(), b / 2.0) @ matrix_power(inst.sum_A(), a)
+        F = matrix_power(sum_B, b / 2.0) @ matrix_power(sum_A, a)
         return np.linalg.svd(F, compute_uv=False) ** (2.0 * inv_p)
 
     mid_sv = np.concatenate([sandwich_sv(0.5, 1.0, s * r / 2.0), np.zeros((inst.m - 1) * inst.n)])
@@ -288,7 +290,7 @@ class TestSpectraCache:
         for name in ("eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         inst = generate_instance("generic", 3, 2, 38)
-        grid_terms(inst, "main", MAIN_GRID)
+        grid_terms(inst.spectra, "main", MAIN_GRID)
         matrices = [shape[-2:] for shape in calls for _ in range(int(np.prod(shape[:-2])))]
         assert len(matrices) <= 4 * len(MAIN_GRID), len(matrices)
         assert set(matrices) == {(3, 3)}, set(calls)
@@ -299,8 +301,8 @@ class TestStacks:
 
     def test_max_dim_of_stacked_terms(self):
         inst = generate_instance("generic", 3, 2, 50)
-        terms = grid_terms(inst, "main", MAIN_GRID)
-        assert terms.mid_sv.shape == (len(MAIN_GRID), 6)
+        terms = grid_terms(inst.spectra, "main", MAIN_GRID)
+        assert terms.mid_sv.shape == (len(MAIN_GRID), 1, 6)
         assert terms.max_dim == 6
         stacked = ChainTerms("t-chain", np.ones((5, 3)), np.ones((5, 3)))
         assert stacked.max_dim == 3
@@ -309,15 +311,14 @@ class TestStacks:
         """Z's spectrum on a stack of instances, one exponent each: every
         row is bitwise the instance's own, zeros included."""
         insts = [generate_instance("generic", 2, 3, seed) for seed in (51, 52, 53)]
-        spectra = InstanceSpectra(np.stack([np.stack(i.A) for i in insts]),
-                                  np.stack([np.stack(i.B) for i in insts]))
+        spectra = _stack_of(insts)
         x = np.array([1.0, 1.5, 0.5])
         got = spectra.z_sv(x)
         assert got.shape == (3, 6)
         for row, inst, xk in zip(got, insts, x.tolist()):
             fresh = generate_instance("generic", 2, 3, inst.seed)
-            assert _bitwise_equal(row, fresh.spectra.z_sv(xk))
-        assert _bitwise_equal(spectra.z_sv(1.0)[1], insts[1].spectra.z_sv(1.0))
+            assert _bitwise_equal(row, fresh.spectra.z_sv(xk)[0])
+        assert _bitwise_equal(spectra.z_sv(1.0)[1], insts[1].spectra.z_sv(1.0)[0])
 
 
 _S = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0])
@@ -373,10 +374,10 @@ def test_grid_records_match_point_by_point(n, m, seed, s_, r_, p_, t_, tokens):
     for chain, grid in grids.items():
         if not grid:
             continue
-        terms = grid_terms(inst, chain, grid)
+        terms = grid_terms(inst.spectra, chain, grid)
         norms = expand_norm_tokens(tokens, terms.max_dim)
         got = [[dumps(rec) for rec in block.records]
-               for block in chain_blocks(terms, inst, grid, norms)]
+               for block in chain_blocks(terms, n, m, [inst.seed], grid, norms)]
         want = []
         for q in grid:
             fresh = generate_instance("generic", n, m, seed)
@@ -397,22 +398,22 @@ STACK_GRIDS = {
 }
 
 
-def _stack_of(insts: list, kind: str = "generic") -> InstanceSet:
-    """The stack of equal-shape instances `insts`, one seed each."""
-    return InstanceSet(m=insts[0].m, n=insts[0].n, A=np.stack([i.A for i in insts]),
-                       B=np.stack([i.B for i in insts]), seed=tuple(i.seed for i in insts),
-                       kind=kind)
+def _stack_of(insts: list) -> InstanceSpectra:
+    """The spectra of the stack of instances `insts` of one n, their pairs
+    laid end to end."""
+    return InstanceSpectra(np.concatenate([i.A for i in insts]),
+                           np.concatenate([i.B for i in insts]), [i.m for i in insts])
 
 
-def _scaled(stack: InstanceSet, c, d, U=None) -> InstanceSet:
-    """c A and d B for every pair of every instance, after the congruence
-    X -> U X U* when U is given."""
+def _scaled(insts: list, c, d, U=None) -> InstanceSpectra:
+    """The stack of `insts` with c A and d B for every pair of every
+    instance, after the congruence X -> U X U* when U is given."""
     def map_(X, factor):
         if U is not None:
             X = hermitize(U @ X @ U.conj().T)
         return factor * X
-    return InstanceSet(m=stack.m, n=stack.n, A=map_(stack.A, c), B=map_(stack.B, d),
-                       seed=stack.seed)
+    return _stack_of([InstanceSet(m=i.m, n=i.n, A=map_(i.A, c), B=map_(i.B, d), seed=i.seed)
+                      for i in insts])
 
 
 def _side_spectra(terms: ChainTerms) -> list:
@@ -420,8 +421,8 @@ def _side_spectra(terms: ChainTerms) -> list:
 
 
 class TestStackedInstances:
-    """A stack of K instances (an `InstanceSet` whose seed is a tuple):
-    grids evaluated on it at once, with one terms call per chain."""
+    """A stack of K instances of one m (an `InstanceSpectra`): grids
+    evaluated on it at once, with one terms call per chain."""
 
     @pytest.mark.parametrize("n, m, count", [(1, 1, 3), (2, 3, 1), (2, 3, 3), (4, 2, 4)])
     def test_rows_are_each_instance_alone(self, n, m, count):
@@ -433,11 +434,11 @@ class TestStackedInstances:
                 have, want = getattr(stacked, name), getattr(alone, name)
                 assert _bitwise_equal(None if have is None else have[at],
                                       None if want is None else want[alone_at]), name
-            assert stacked.condition_max[at[-1]] == alone.condition_max
+            assert stacked.condition_max[at[-1]] == np.ravel(alone.condition_max)[0]
 
         for kind in ("generic", "commuting"):
             insts = [generate_instance(kind, n, m, 90 + i) for i in range(count)]
-            stack = _stack_of(insts, kind)
+            stack = _stack_of(insts)
             for i, inst in enumerate(insts):
                 fresh = generate_instance(kind, n, m, inst.seed)
                 if kind == "commuting":
@@ -449,24 +450,23 @@ class TestStackedInstances:
                     terms = grid_terms(stack, chain, grid)
                     assert terms.lhs_sv.shape[:2] == (len(grid), count)
                     for k, q in enumerate(grid):
-                        assert_rows(terms, (k, i), grid_terms(fresh, chain, [q]), (0,))
+                        assert_rows(terms, (k, i), grid_terms(fresh.spectra, chain, [q]), (0, 0))
 
     def test_grid_and_instance_rows_told_apart_when_p_equals_k(self):
-        """On a stack of three instances, (3, 1) exponents have more axes
-        than the stack's and are three grid points, giving (3, 3, d)
-        spectra; (3,) exponents have exactly the stack's axes and are the
-        hunt's one point per instance, which take the diagonal of that grid
-        from the same arrays."""
+        """On a stack of three instances, (3, 1) exponents are grid columns
+        and three grid points, giving (3, 3, d) spectra; (3,) exponents are
+        the hunt's one point per instance, which take the diagonal of that
+        grid from the same arrays."""
         insts = [generate_instance("generic", 2, 2, 95 + i) for i in range(3)]
         stack = _stack_of(insts)
         x = np.array([0.5, 1.0, 1.5])
-        grid = stack.spectra.z_sv(x[:, None])
-        per_instance = stack.spectra.z_sv(x)
+        grid = stack.z_sv(x[:, None])
+        per_instance = stack.z_sv(x)
         assert grid.shape == (3, 3, 4) and per_instance.shape == (3, 4)
         for k in range(3):
             assert _bitwise_equal(grid[k, k], per_instance[k])
             for i, inst in enumerate(insts):
-                assert _bitwise_equal(grid[k, i], inst.spectra.z_sv(float(x[k])))
+                assert _bitwise_equal(grid[k, i], inst.spectra.z_sv(float(x[k]))[0])
 
     @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (2, 3)])
     def test_identity_instance_closed_form(self, n, m):
@@ -497,10 +497,10 @@ class TestStackedInstances:
                 rho = np.max(ky_fan[0] / ky_fan[1])
                 assert rho == pytest.approx(m ** (1.0 - sr), rel=1e-12), (chain, q)
                 for i in (0, 2):
-                    alone = grid_terms(generate_instance("generic", n, m, insts[i].seed), chain,
-                                       [q])
-                    assert _bitwise_equal(terms.lhs_sv[k, i], alone.lhs_sv[0])
-                    assert _bitwise_equal(terms.rhs_sv[k, i], alone.rhs_sv[0])
+                    alone = grid_terms(generate_instance("generic", n, m, insts[i].seed).spectra,
+                                       chain, [q])
+                    assert _bitwise_equal(terms.lhs_sv[k, i], alone.lhs_sv[0, 0])
+                    assert _bitwise_equal(terms.rhs_sv[k, i], alone.rhs_sv[0, 0])
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
@@ -509,9 +509,8 @@ class TestStackedInstances:
         """A -> cA and B -> dB scale every term of a stack, at every grid
         point, by c^{(1-t)sr} d^{tsr} (Z^{sr/2} by (cd)^{sr/2}), to 1e-9 of
         the largest singular value."""
-        stack = _stack_of([generate_instance("generic", n, m, derive_seed(seed, i))
-                           for i in range(3)])
-        scaled = _scaled(stack, c, d)
+        insts = [generate_instance("generic", n, m, derive_seed(seed, i)) for i in range(3)]
+        stack, scaled = _stack_of(insts), _scaled(insts, c, d)
         for chain, grid in STACK_GRIDS.items():
             base, got = grid_terms(stack, chain, grid), grid_terms(scaled, chain, grid)
             for k, q in enumerate(grid):
@@ -528,10 +527,9 @@ class TestStackedInstances:
         """X -> U X U* for every A_i and B_i of every instance, with one
         unitary U, leaves every term's spectrum unchanged, to 1e-9 of the
         largest singular value."""
-        stack = _stack_of([generate_instance("generic", n, m, derive_seed(seed, i))
-                           for i in range(3)])
+        insts = [generate_instance("generic", n, m, derive_seed(seed, i)) for i in range(3)]
         U = haar_unitary(n, np.random.default_rng(seed))
-        turned = _scaled(stack, 1.0, 1.0, U)
+        stack, turned = _stack_of(insts), _scaled(insts, 1.0, 1.0, U)
         for chain, grid in STACK_GRIDS.items():
             base, got = grid_terms(stack, chain, grid), grid_terms(turned, chain, grid)
             for want, have in zip(_side_spectra(base), _side_spectra(got)):
@@ -544,8 +542,7 @@ class TestStackedInstances:
         insts = [generate_instance("commuting", 2, 2, 98 + i) for i in range(3)]
         B = np.stack([i.B for i in insts])
         B[1, 0] = generate_instance("generic", 2, 1, 99).B[0]
-        bad = InstanceSet(m=2, n=2, A=np.stack([i.A for i in insts]), B=B,
-                          seed=(98, 99, 100), kind="commuting")
+        bad = InstanceSpectra(np.concatenate([i.A for i in insts]), B.reshape(-1, 2, 2), [2] * 3)
         alone = InstanceSet(m=2, n=2, A=insts[1].A, B=B[1], seed=99, kind="commuting")
         with pytest.raises(errors.NotCommuting) as lone:
             commuting_terms(alone, "product")
@@ -557,4 +554,4 @@ class TestStackedInstances:
         defect = np.linalg.norm(Ai @ Bi - Bi @ Ai)
         scale = np.linalg.norm(Ai) * np.linalg.norm(Bi)
         assert str(lone.value) == f"pair commutator norm {defect:.3e} exceeds 1.0e-12 * {scale:.3e}"
-        commuting_terms(_stack_of([insts[0], insts[2]], "commuting"), "symmetrized")
+        commuting_terms(_stack_of([insts[0], insts[2]]), "symmetrized")

@@ -22,7 +22,7 @@ import pytest
 
 from gmineq import errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import ChainParams, expand_norm_tokens, t_chain_terms
+from gmineq.chains import ChainParams, condition_max, expand_norm_tokens, t_chain_terms
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_points, _sampling_phase, hunt
 from gmineq.linalg import hermitian_eig, hermitize
@@ -294,7 +294,7 @@ def test_windowed_refinement_with_gated_candidates():
     # a cap just over the start's condition number gates part of its perturbations
     inst, params = _start(3, 2, 11, SpectrumLaw(1e-4, 1e4))
     cfg = SearchConfig(base_seed=5, refine_steps=60,
-                       condition_cap=1.001 * inst.spectra.condition_max).validate()
+                       condition_cap=1.001 * condition_max(inst)).validate()
     *_, evaluated, gated, accepted = _assert_matches_oracle(cfg, inst, params)
     assert gated > 0 and evaluated > 0 and accepted
 
@@ -326,11 +326,11 @@ def _poisoned(monkeypatch, poison):
     real = hunt_module._stack_margins
     raised = []
 
-    def stack_margins(A, B, params, norms, condition_cap):
-        if any(np.array_equal(Ai, poison) for Ai in A):
+    def stack_margins(A, B, params, norms, condition_cap, counts):
+        if any(np.array_equal(Ai, poison) for Ai in np.split(A, np.cumsum(counts)[:-1])):
             raised.append(len(params))
             raise errors.NonConvergence("poisoned candidate")
-        return real(A, B, params, norms, condition_cap)
+        return real(A, B, params, norms, condition_cap, counts)
 
     monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
     return raised

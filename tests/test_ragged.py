@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 import gmineq
 from gmineq import cli, errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import ChainParams, InstanceSpectra, commuting_terms, expand_norm_tokens, grid_terms
+from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms, condition_max,
+                           expand_norm_tokens, geo_z_terms, grid_terms, main_chain_terms,
+                           t_chain_terms)
 from gmineq.generate import derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _sampling_phase
 from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
@@ -76,26 +78,61 @@ def test_mixed_m_rows_are_each_instance_alone(n):
     fresh = [inst if i in (4, 6) else generate_instance("generic", n, inst.m, inst.seed)
              for i, inst in enumerate(insts)]
     np.testing.assert_array_equal(spectra.condition_max,
-                                  [inst.spectra.condition_max for inst in fresh])
+                                  [inst.spectra.condition_max[0] for inst in fresh])
     for chain, grid in GRIDS.items():
         terms = grid_terms(spectra, chain, grid)
         for i, inst in enumerate(fresh):
             row = terms.take(slice(i, i + 1), inst.m * n)
             assert row.max_dim == (n if chain == "t-chain" else inst.m * n)
-            assert row.condition_max[0] == inst.spectra.condition_max
+            assert row.condition_max[0] == inst.spectra.condition_max[0]
             for k, q in enumerate(grid):
-                alone = grid_terms(inst, chain, [q])
+                alone = grid_terms(inst.spectra, chain, [q])
                 for name in ("lhs_sv", "mid_sv", "rhs_sv"):
                     have, want = getattr(row, name), getattr(alone, name)
                     assert (have is None) == (want is None)
                     if have is not None:
-                        assert _bitwise_equal(have[k, 0], want[0]), (chain, i, k, name)
+                        assert _bitwise_equal(have[k, 0], want[0, 0]), (chain, i, k, name)
                 if i in (4, 6):
                     lhs, rhs = row.lhs_sv[k, 0], row.rhs_sv[k, 0]
                     size = max(lhs.size, rhs.size)
                     ky_fan = [np.cumsum(np.pad(sv, (0, size - sv.size))) for sv in (lhs, rhs)]
                     rho = np.max(ky_fan[0] / ky_fan[1])
                     assert rho == pytest.approx(inst.m ** (1.0 - q.s * q.r), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_point_contract(n):
+    """On an `InstanceSet` the four chain evaluators give 1-D spectra and a
+    Python float condition_max, each bitwise the instance's row of its
+    mixed-m n-group (m = 1, 2, 4): of `grid_terms` for the grid chains
+    and of `commuting_terms` on the group's stack for the commuting
+    variants, Z cut to the instance's own m n."""
+    point_terms = {"main": main_chain_terms, "t-chain": t_chain_terms,
+                   "geo-z": lambda inst, q: geo_z_terms(inst, q.s)}
+
+    def assert_row(one, row, at):
+        for name in ("lhs_sv", "mid_sv", "rhs_sv"):
+            have, want = getattr(one, name), getattr(row, name)
+            assert (have is None) == (want is None), name
+            if have is not None:
+                assert have.ndim == 1 and _bitwise_equal(have, want[at]), name
+        assert type(one.condition_max) is float and one.condition_max == row.condition_max[0]
+
+    for kind in ("generic", "commuting"):
+        insts = [generate_instance(kind, n, m, 400 + m) for m in (1, 2, 4)]
+        spectra = _group(insts)
+        group = ([(variant, commuting_terms(spectra, variant)) for variant in
+                  ("product", "symmetrized")] if kind == "commuting" else
+                 [(chain, grid_terms(spectra, chain, grid)) for chain, grid in GRIDS.items()])
+        for i, inst in enumerate(insts):
+            assert type(condition_max(inst)) is float
+            for name, terms in group:
+                row = terms.take(slice(i, i + 1), inst.m * n)
+                if kind == "commuting":
+                    assert_row(commuting_terms(inst, name), row, 0)
+                    continue
+                for k, q in enumerate(GRIDS[name]):
+                    assert_row(point_terms[name](inst, q), row, (k, 0))
 
 
 def test_select_keeps_each_instances_pairs():
@@ -110,8 +147,8 @@ def test_select_keeps_each_instances_pairs():
     got = sub.lhs_sv(s, t, r)
     for k, i in enumerate(rows):
         alone = insts[i].spectra
-        assert sub.condition_max[k] == alone.condition_max
-        assert _bitwise_equal(got[k], alone.lhs_sv(float(s[k]), float(t[k]), 1.0))
+        assert sub.condition_max[k] == alone.condition_max[0]
+        assert _bitwise_equal(got[k], alone.lhs_sv(float(s[k]), float(t[k]), 1.0)[0])
 
 
 @settings(max_examples=25, deadline=None)

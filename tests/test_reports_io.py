@@ -225,8 +225,9 @@ class TestBlockSort:
         sweep never makes them."""
         inst = generate_instance("generic", 2, 2, 60)
         grid = [ChainParams(s=3.0), ChainParams(s=2.0), ChainParams(s=3.0)]
-        terms = grid_terms(inst, "main", grid)
-        blocks = chain_blocks(terms, inst, grid, expand_norm_tokens(["trace", "kyfan:2"], 4))
+        terms = grid_terms(inst.spectra, "main", grid)
+        blocks = chain_blocks(terms, 2, 2, [inst.seed], grid,
+                              expand_norm_tokens(["trace", "kyfan:2"], 4))
         build_report_set(blocks[:2])
         for repeated in (blocks, blocks[:1] + blocks[:1], blocks[0].records):
             with pytest.raises(ValueError, match="two blocks have the key"):
@@ -238,8 +239,8 @@ class TestBlockSort:
         tokens = ["trace", "schatten:inf", "kyfan:2", "operator", "schatten:2", "kyfan:1"]
         inst = generate_instance("generic", 2, 2, 61)
         grid = [ChainParams(s=1.5, t=0.3)]
-        terms = grid_terms(inst, "t-chain", grid)
-        self._assert_record_order(chain_blocks(terms, inst, grid,
+        terms = grid_terms(inst.spectra, "t-chain", grid)
+        self._assert_record_order(chain_blocks(terms, 2, 2, [inst.seed], grid,
                                                expand_norm_tokens(tokens, terms.max_dim)))
         case = random_case("Araki", 62, n=2, m=2)
         lterms = lemma_terms(case)
