@@ -16,14 +16,13 @@ index and the field's, computed for a whole chunk on `uint64` arrays (see
 `np.random.default_rng` at its instance seed, so `generate_instance`
 regenerates it.  The arg-min is taken in sample order, the first sample
 winning a tie.
-Refinement is keep-if-smaller, evaluated in windows: until a step is
-accepted every step perturbs the same point from its own seeded stream,
-so the candidates of a window of steps are drawn and evaluated as one
-stack, then read in step order up to the first accepted one.  Sampling,
-refinement and `evaluate_argmin` all evaluate through `_stack_margins`, so
-every point gets the bytes it gets alone, and the report depends neither
-on the bucketing nor on the windows.  A gated point (condition number over
-the cap) is counted and not evaluated.
+Refinement runs in generations: each perturbs the current point
+_GENERATION times from one seeded stream, evaluates the candidates as one
+stack, and moves to the best of them if it improves the margin (see
+`_refine`).  Sampling, refinement and `evaluate_argmin` all evaluate
+through `_stack_margins`, so every point gets the bytes it gets alone, and
+the report does not depend on the bucketing.  A gated point (condition
+number over the cap) is counted and not evaluated.
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
 
-_REFINE_TAG = 0x52464E45  # distinct seed stream for refinement steps
-# Refinement steps evaluated as one stack at first; the window doubles
-# after each window with no accepted step.
-_WINDOW = 8
+_REFINE_TAG = 0x52464E45  # distinct seed stream for refinement generations
+# Candidates of one refinement generation, drawn and evaluated as one stack.
+_GENERATION = 16
 # A chunk of the sampling phase holds at most this many matrix entries (16
 # bytes each) of instances, or one sample when a single one holds more.
 _CHUNK_ENTRIES = 1 << 18
@@ -232,7 +230,8 @@ def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap,
     keep = np.flatnonzero(~gated)
     if keep.size and specs:
         s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in (params[i] for i in keep)]).T
-        lhs_sv, rhs_sv = t_chain_sides(spectra.select(keep), s, t, r, p)
+        kept = spectra if keep.size == gated.size else spectra.select(keep)
+        lhs_sv, rhs_sv = t_chain_sides(kept, s, t, r, p)
         _, least, scale, _ = chain_margins(norm_values(lhs_sv, specs), None,
                                            norm_values(rhs_sv, specs))
         value = least / scale
@@ -280,37 +279,36 @@ def _sampling_phase(cfg: SearchConfig):
         yield from results
 
 
-def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfig,
-                    steps: range) -> tuple:
-    """The candidates of refinement steps `steps`, each a perturbation of
-    the point (A, B, params), A and B (m, n, n): stacks (W, m, n, n) and one
-    ChainParams per step.  Every matrix gets a multiplicative eigenvalue
-    jitter and a small basis rotation, which preserve positive
-    definiteness; s and t get a clipped jitter where their range is not a
-    single value.  Step k draws from its own stream, per matrix (the A_i,
-    then the B_i) n eigenvalue factors and the real and imaginary parts
-    of an n x n Ginibre matrix, then the s and t jitters, so its candidate
-    does not depend on the window it is drawn in; the window's streams are
-    made by one `generators` call.  The point is decomposed once, and the
-    rotations and products are one stacked call each.  A scale so large
-    that the arithmetic overflows raises no warning here: the evaluation
-    of the candidate it spoils raises `errors.NonFiniteInput`."""
+def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfig,
+             generation: int, size: int) -> tuple:
+    """The `size` candidates of refinement generation `generation`, each a
+    perturbation of the point (A, B, params), A and B (m, n, n): stacks
+    (size, m, n, n) and one ChainParams per candidate.  Every matrix gets a
+    multiplicative eigenvalue jitter and a small basis rotation, which
+    preserve positive definiteness; s and t get a clipped jitter where
+    their range is not a single value.  All the generation's noise is one
+    `standard_normal` call on the stream at
+    `derive_seed(base_seed ^ _REFINE_TAG, generation)`: candidate by
+    candidate, per matrix (the A_i, then the B_i) n eigenvalue factors and
+    the real and imaginary parts of an n x n Ginibre matrix, then the s
+    and t jitters.  The point is decomposed once, and the rotations and
+    products are one stacked call each.  A scale so large that the
+    arithmetic overflows raises no warning here: the evaluation of the
+    candidate it spoils raises `errors.NonFiniteInput`."""
     m, n = A.shape[0], A.shape[-1]
     scale = cfg.refine_scale
-    s, t = np.full(len(steps), params.s), np.full(len(steps), params.t)
+    s, t = np.full(size, params.s), np.full(size, params.t)
     jittered = [(v, lo, hi) for v, (lo, hi) in ((s, cfg.s_range), (t, cfg.t_range)) if hi > lo]
-    size = 2 * m * (n + 2 * n * n)
-    draws = np.empty((len(steps), size + len(jittered)))
-    for rng, row in zip(generators(derive_seed(cfg.base_seed ^ _REFINE_TAG,
-                                               np.array(steps, np.uint64))), draws):
-        rng.standard_normal(out=row)
-    noise = draws[:, :size].reshape(len(steps), 2 * m, n + 2 * n * n)
+    width = 2 * m * (n + 2 * n * n)
+    rng = np.random.default_rng(derive_seed(cfg.base_seed ^ _REFINE_TAG, generation))
+    draws = rng.standard_normal((size, width + len(jittered)))
+    noise = draws[:, :width].reshape(size, 2 * m, n + 2 * n * n)
     shape = noise.shape[:2] + (n, n)
     G = (noise[..., n:n + n * n].reshape(shape)
          + 1j * noise[..., n + n * n:].reshape(shape)) / np.sqrt(2.0)
     eig = hermitian_eig(np.concatenate([A, B]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for (values, lo, hi), z in zip(jittered, draws[:, size:].T):
+        for (values, lo, hi), z in zip(jittered, draws[:, width:].T):
             values[:] = np.clip(values + scale * (hi - lo) * z, lo, hi)
         lam = eig.eigenvalues * np.exp(scale * noise[..., :n])
         Q, _ = np.linalg.qr(np.eye(n) + scale * G)
@@ -320,56 +318,30 @@ def _perturb_window(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: Sear
     return X[:, :m], X[:, m:], candidate_params
 
 
-def _window_margins(A: np.ndarray, B: np.ndarray, params: list, cfg: SearchConfig):
-    """(gated, margin, spec) of each candidate of a window, in step order,
-    from one `_stack_margins` call on the window's stacks A and B
-    (W, m, n, n).  If that call raises, the candidates are evaluated one
-    at a time, as far as the caller reads: a candidate past an accepted
-    step, which step-by-step refinement never evaluates, then ends no
-    run, and a step it does evaluate raises as it would there."""
-    m, n = A.shape[1], A.shape[-1]
-    try:
-        results = _stack_margins(A.reshape(-1, n, n), B.reshape(-1, n, n), params, cfg.norms,
-                                 cfg.condition_cap, [m] * len(params))
-    except (errors.Error, ValueError):  # numpy's LinAlgError is a ValueError
-        results = None
-    if results is not None:
-        yield from zip(*results)
-        return
-    for w in range(len(params)):
-        gated, margin, specs = _stack_margins(A[w], B[w], params[w:w + 1], cfg.norms,
-                                              cfg.condition_cap, [m])
-        yield gated[0], margin[0], specs[0]
-
-
 def _refine(cfg: SearchConfig, A: np.ndarray, B: np.ndarray, params: ChainParams,
             spec: NormSpec, margin: float) -> tuple:
-    """Keep-if-smaller refinement of the point (A, B, params), whose margin
-    `margin` is won by `spec`: each step perturbs the current point and
-    the candidate replaces it when its margin is smaller.  Until a step is
-    accepted every step perturbs the same point, so the candidates of a
-    window of steps are drawn and evaluated as one stack, then read in
-    step order; the window after an accepted step starts at the step
-    after it.  A window has _WINDOW steps, twice as many after each window
-    with no accepted step.  Returns (A, B, params, spec, margin, evaluated,
-    gated), the counts over the refinement steps."""
+    """Refinement of the point (A, B, params), whose margin `margin` is won
+    by `spec`, in generations of _GENERATION candidates (the last one
+    holds what is left of cfg.refine_steps).  Each generation perturbs the
+    current point (`_perturb`), evaluates its candidates by one
+    `_stack_margins` call, and moves the point to the first smallest
+    candidate when that margin is below the current one.  A candidate that
+    raises ends the run.  Returns (A, B, params, spec, margin, evaluated,
+    gated), the counts over the candidates."""
+    m, n = A.shape[0], A.shape[-1]
     evaluated = gated = 0
-    start, size = 0, _WINDOW
-    while start < cfg.refine_steps:
-        steps = range(start, min(start + size, cfg.refine_steps))
-        cand_A, cand_B, cand_params = _perturb_window(A, B, params, cfg, steps)
-        start, size = steps.stop, 2 * size
-        for w, (is_gated, value, cand_spec) in enumerate(
-                _window_margins(cand_A, cand_B, cand_params, cfg)):
-            if is_gated:
-                gated += 1
-                continue
-            evaluated += 1
-            if value < margin:
-                A, B, params = cand_A[w], cand_B[w], cand_params[w]
-                spec, margin = cand_spec, float(value)
-                start, size = steps[w] + 1, _WINDOW
-                break
+    for generation, start in enumerate(range(0, cfg.refine_steps, _GENERATION)):
+        size = min(_GENERATION, cfg.refine_steps - start)
+        cand_A, cand_B, cand_params = _perturb(A, B, params, cfg, generation, size)
+        is_gated, values, specs = _stack_margins(
+            cand_A.reshape(-1, n, n), cand_B.reshape(-1, n, n), cand_params, cfg.norms,
+            cfg.condition_cap, [m] * size)
+        gated_here = int(is_gated.sum())
+        gated, evaluated = gated + gated_here, evaluated + size - gated_here
+        best = int(values.argmin())
+        if values[best] < margin:
+            A, B, params = cand_A[best], cand_B[best], cand_params[best]
+            spec, margin = specs[best], float(values[best])
     return A, B, params, spec, margin, evaluated, gated
 
 
@@ -408,8 +380,8 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_C
 
 
 def hunt(cfg: SearchConfig) -> SearchResult:
-    """Random search plus keep-if-smaller refinement over the configured
-    conjecture region."""
+    """Random search over the configured conjecture region, then
+    generation refinement (`_refine`) of the best sample."""
     cfg.validate()
     t0 = time.perf_counter()
     best_margin = np.inf

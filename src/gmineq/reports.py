@@ -425,7 +425,12 @@ def write_reports(obj, path) -> None:
         fh.write("".join(parts))
 
 
-def _check_version(rec: dict, path) -> None:
+def _check_version(rec, path, line: str) -> None:
+    """Refuse the decoded `line` when it is not a JSON object
+    (MalformedRecord, quoting its first 40 characters) or is of another
+    schema version."""
+    if not isinstance(rec, dict):
+        raise errors.MalformedRecord(f"{path}: line {line[:40]!r} is not a JSON object")
     v = rec.get("schema_version")
     if v != SCHEMA_VERSION:
         raise errors.SchemaVersionMismatch(f"{path}: schema_version {v!r}, expected {SCHEMA_VERSION}")
@@ -441,7 +446,7 @@ def read_reports(path):
     if not lines:
         return ReportSet(records=[], summary=summarize([]))
     first = json.loads(lines[0])
-    _check_version(first, path)
+    _check_version(first, path, lines[0])
     if first.get("kind") == "search_result":
         from .hunt import SearchResult  # local import avoids a cycle
         return SearchResult.from_record(first)
@@ -450,8 +455,8 @@ def read_reports(path):
         decoded = [json.loads(ln) for ln in lines]
     records = []
     summary = summarize([])
-    for rec in decoded:
-        _check_version(rec, path)
+    for rec, line in zip(decoded, lines):
+        _check_version(rec, path, line)
         if rec.get("kind") == "summary":
             summary = rec
         else:

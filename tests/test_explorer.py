@@ -698,6 +698,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: m and n must be integers, got m={m!r}, n={n!r}\n"
 
+    @pytest.mark.parametrize("text, line", [
+        ("[1, 2]\n", "[1, 2]"),
+        ('{"schema_version": 1, "kind": "summary", "groups": []}\n7\n', "7"),
+    ], ids=["array", "summary_then_number"])
+    def test_show_non_object_line(self, text, line, tmp_path, capsys):
+        """A report line that is JSON but not an object is refused naming
+        the line: exit 3, one stderr line."""
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: MalformedRecord: {path}: line {line!r} is not a JSON object\n"
+
     def test_usage_error_exits_config(self, capsys):
         """An argparse usage error exits 3, not argparse's 2 (which means a
         violation in a proven regime here); --help still exits 0."""

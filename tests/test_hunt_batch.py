@@ -9,9 +9,10 @@ winning norm as a direct evaluation through `t_chain_terms` and
 `reports.chain_records`.  The parameters themselves must be uniform on
 their ranges, and must not depend on the blocks they are computed in.
 
-Refinement draws and evaluates windows of steps as one stack.  It must
-come out bitwise as the step-by-step keep-if-smaller loop it replaced,
-kept here as `_oracle_refine`.
+Refinement runs in generations, each drawn from one stream and evaluated
+as one stack.  It must come out bitwise as `_reference_refine`, which
+draws each candidate in turn from the generation's stream and evaluates it
+alone.
 """
 
 import importlib
@@ -22,7 +23,8 @@ import pytest
 
 from gmineq import errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import ChainParams, condition_max, expand_norm_tokens, t_chain_terms
+from gmineq.chains import (ChainParams, InstanceSpectra, condition_max, expand_norm_tokens,
+                           t_chain_terms)
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_points, _sampling_phase, hunt
 from gmineq.linalg import hermitian_eig, hermitize
@@ -179,10 +181,13 @@ def test_parameters_do_not_share_the_instance_streams():
     assert agree / 1000 < 0.2
 
 
-# The step-by-step refinement that windowed refinement replaced, frozen as
-# the oracle: one candidate per step, evaluated as a stack of one.
+# The reference generation loop: each candidate drawn in turn from the
+# generation's stream, matrix by matrix, and evaluated as a stack of one.
 
-def _oracle_perturb_matrix(H, rng, scale):
+GENERATION = 16
+
+
+def _reference_perturb_matrix(H, rng, scale):
     eig = hermitian_eig(H)
     n = H.shape[0]
     lam = eig.eigenvalues * np.exp(scale * rng.standard_normal(n))
@@ -192,9 +197,9 @@ def _oracle_perturb_matrix(H, rng, scale):
     return hermitize((V * lam) @ V.conj().T)
 
 
-def _oracle_perturb_point(inst, params, cfg, rng):
-    A = [_oracle_perturb_matrix(Ai, rng, cfg.refine_scale) for Ai in inst.A]
-    B = [_oracle_perturb_matrix(Bi, rng, cfg.refine_scale) for Bi in inst.B]
+def _reference_perturb_point(inst, params, cfg, rng):
+    A = [_reference_perturb_matrix(Ai, rng, cfg.refine_scale) for Ai in inst.A]
+    B = [_reference_perturb_matrix(Bi, rng, cfg.refine_scale) for Bi in inst.B]
     new_inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind="generic")
 
     def jitter(v, lo, hi):
@@ -207,21 +212,28 @@ def _oracle_perturb_point(inst, params, cfg, rng):
     return new_inst, new_params
 
 
-def _oracle_refine(cfg, inst, params, spec, best_margin):
+def _reference_refine(cfg, inst, params, spec, best_margin):
     """(inst, params, spec, margin, evaluated, gated, accepted), accepted
-    the accepted candidates in step order."""
+    the accepted candidates in generation order."""
     evaluated = gated = 0
     accepted = []
-    for step in range(cfg.refine_steps):
-        rng = np.random.default_rng(derive_seed(cfg.base_seed ^ hunt_module._REFINE_TAG, step))
-        cand_inst, cand_params = _oracle_perturb_point(inst, params, cfg, rng)
-        margin, cand_spec = _point_margin(cand_inst, cand_params, cfg.norms, cfg.condition_cap)
-        evaluated += 1 if margin is not None else 0
-        gated += 1 if margin is None else 0
-        if margin is not None and margin < best_margin:
-            best_margin = margin
-            inst, params, spec = cand_inst, cand_params, cand_spec
-            accepted.append(cand_inst)
+    for generation, start in enumerate(range(0, cfg.refine_steps, GENERATION)):
+        rng = np.random.default_rng(
+            derive_seed(cfg.base_seed ^ hunt_module._REFINE_TAG, generation))
+        best = None
+        for _ in range(min(GENERATION, cfg.refine_steps - start)):
+            cand_inst, cand_params = _reference_perturb_point(inst, params, cfg, rng)
+            margin, cand_spec = _point_margin(cand_inst, cand_params, cfg.norms,
+                                              cfg.condition_cap)
+            if margin is None:
+                gated += 1
+                continue
+            evaluated += 1
+            if best is None or margin < best[0]:
+                best = (margin, cand_inst, cand_params, cand_spec)
+        if best is not None and best[0] < best_margin:
+            best_margin, inst, params, spec = best
+            accepted.append(inst)
     return inst, params, spec, best_margin, evaluated, gated, accepted
 
 
@@ -239,12 +251,12 @@ def _forced_sampling(inst, params):
     return sampling_phase
 
 
-def _assert_matches_oracle(cfg, inst, params):
-    """Windowed refinement from (inst, params) equals the oracle bitwise;
-    returns the oracle's result."""
+def _assert_matches_reference(cfg, inst, params):
+    """Refinement from (inst, params) equals the reference bitwise;
+    returns the reference's result."""
     margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
     assert margin is not None
-    want = _oracle_refine(cfg, inst, params, spec, margin)
+    want = _reference_refine(cfg, inst, params, spec, margin)
     got = hunt_module._refine(cfg, np.stack(inst.A), np.stack(inst.B), params, spec, margin)
     want_inst, want_params, want_spec, want_margin, want_evaluated, want_gated, _ = want
     A, B, got_params, got_spec, got_margin, evaluated, gated = got
@@ -267,42 +279,46 @@ OPEN_T = dict(t_range=(0.2, 0.8), norms=["kyfan:all", "schatten:2"])
     (3, 2, OPEN_T),
     (4, 3, OPEN_T),
 ])
-def test_windowed_refinement_matches_step_by_step(n, m, options):
+def test_refinement_matches_reference(n, m, options):
     cfg = SearchConfig(base_seed=5, refine_steps=60, **options).validate()
-    *_, accepted = _assert_matches_oracle(cfg, *_start(n, m, 11))
+    *_, accepted = _assert_matches_reference(cfg, *_start(n, m, 11))
     assert accepted
 
 
-def test_windowed_refinement_accept_heavy():
+def test_refinement_accept_heavy():
     cfg = SearchConfig(base_seed=9, refine_steps=150, refine_scale=0.02, **OPEN_T).validate()
-    *_, accepted = _assert_matches_oracle(cfg, *_start(3, 2, 13))
-    assert len(accepted) >= 30, accepted
+    *_, accepted = _assert_matches_reference(cfg, *_start(3, 2, 13))
+    assert len(accepted) >= 8, accepted  # of 10 generations
 
 
-def test_windowed_refinement_no_acceptance():
+def test_refinement_no_acceptance():
     # a point refined once, then perturbed with steps too wide to improve it
     inst, params = _start(4, 3, 11)
-    first = SearchConfig(base_seed=5, refine_steps=60).validate()
+    first = SearchConfig(base_seed=5, refine_steps=200).validate()
     margin, spec = _point_margin(inst, params, first.norms, first.condition_cap)
-    inst, params, *_ = _oracle_refine(first, inst, params, spec, margin)
+    inst, params, *_ = _reference_refine(first, inst, params, spec, margin)
     cfg = SearchConfig(base_seed=6, refine_steps=60, refine_scale=1.0).validate()
-    *_, accepted = _assert_matches_oracle(cfg, inst, params)
+    *_, accepted = _assert_matches_reference(cfg, inst, params)
     assert accepted == []
 
 
-def test_windowed_refinement_with_gated_candidates():
+def test_refinement_with_gated_candidates():
     # a cap just over the start's condition number gates part of its perturbations
     inst, params = _start(3, 2, 11, SpectrumLaw(1e-4, 1e4))
     cfg = SearchConfig(base_seed=5, refine_steps=60,
                        condition_cap=1.001 * condition_max(inst)).validate()
-    *_, evaluated, gated, accepted = _assert_matches_oracle(cfg, inst, params)
+    *_, evaluated, gated, accepted = _assert_matches_reference(cfg, inst, params)
     assert gated > 0 and evaluated > 0 and accepted
 
 
-def _assert_result_matches(result, oracle):
-    """A forced hunt's result (one sample, then refinement) equals the
-    oracle's refinement bitwise."""
-    want_inst, want_params, want_spec, want_margin, evaluated, gated, _ = oracle
+def test_forced_hunt_matches_reference(monkeypatch):
+    inst, params = _start(3, 2, 12)
+    cfg = SearchConfig(base_seed=3, samples=1, refine_steps=60, **OPEN_T).validate()
+    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    want_inst, want_params, want_spec, want_margin, evaluated, gated, _ = _reference_refine(
+        cfg, inst, params, spec, margin)
+    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+    result = hunt(cfg)
     assert result.min_margin == want_margin
     assert (result.samples_evaluated, result.gated_count) == (1 + evaluated, gated)
     arg = result.argmin
@@ -311,20 +327,38 @@ def _assert_result_matches(result, oracle):
         assert np.array_equal(hunt_module._lists_to_complex(got), want)
 
 
-def test_forced_hunt_matches_step_by_step(monkeypatch):
-    inst, params = _start(3, 2, 12)
-    cfg = SearchConfig(base_seed=3, samples=1, refine_steps=60, **OPEN_T).validate()
+@pytest.mark.parametrize("refine_steps", [1, 16, 17, 60, 150])
+def test_refinement_generations(monkeypatch, refine_steps):
+    """Refinement evaluates exactly refine_steps candidates, in
+    ceil(refine_steps / 16) stacked calls of 16, the last one holding
+    what is left."""
+    inst, params = _start(3, 2, 13)
+    cfg = SearchConfig(base_seed=9, refine_steps=refine_steps, refine_scale=0.02,
+                       **OPEN_T).validate()
     margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
-    oracle = _oracle_refine(cfg, inst, params, spec, margin)
-    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
-    _assert_result_matches(hunt(cfg), oracle)
+    real, sizes = hunt_module._stack_margins, []
+
+    def stack_margins(A, B, params, norms, condition_cap, counts):
+        sizes.append(len(params))
+        assert list(counts) == [inst.m] * len(params)
+        return real(A, B, params, norms, condition_cap, counts)
+
+    monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
+    *_, evaluated, gated = hunt_module._refine(cfg, np.stack(inst.A), np.stack(inst.B), params,
+                                               spec, margin)
+    calls = math.ceil(refine_steps / 16)
+    assert sizes == [16] * (calls - 1) + [refine_steps - 16 * (calls - 1)]
+    assert evaluated + gated == refine_steps
 
 
-def _poisoned(monkeypatch, poison):
-    """Make `_stack_margins` raise NonConvergence on any stack holding a
-    candidate whose A equals `poison`; returns the list of raised calls."""
-    real = hunt_module._stack_margins
-    raised = []
+def test_failure_at_a_reached_step_raises(monkeypatch):
+    """Every candidate of a generation is evaluated, so a candidate that
+    raises ends the hunt with its error, also one that would not be
+    accepted: here the last candidate of the first generation."""
+    inst, params = _start(3, 2, 12)
+    cfg = SearchConfig(base_seed=3, samples=1, refine_steps=60).validate()
+    poison = hunt_module._perturb(np.stack(inst.A), np.stack(inst.B), params, cfg, 0, 16)[0][-1]
+    real, raised = hunt_module._stack_margins, []
 
     def stack_margins(A, B, params, norms, condition_cap, counts):
         if any(np.array_equal(Ai, poison) for Ai in np.split(A, np.cumsum(counts)[:-1])):
@@ -332,78 +366,51 @@ def _poisoned(monkeypatch, poison):
             raise errors.NonConvergence("poisoned candidate")
         return real(A, B, params, norms, condition_cap, counts)
 
+    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
     monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
-    return raised
-
-
-def _windows(monkeypatch, inst, params, cfg):
-    """The candidate stacks A of every window of a forced hunt."""
-    real = hunt_module._perturb_window
-    windows = []
-
-    def perturb_window(*args):
-        out = real(*args)
-        windows.append(out[0])
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
-        patch.setattr(hunt_module, "_perturb_window", perturb_window)
-        hunt(cfg)
-    return windows
-
-
-def _failure_case(monkeypatch):
-    """A forced hunt, its oracle refinement, and the A stacks of the
-    candidates in each of its windows."""
-    inst, params = _start(3, 2, 12)
-    cfg = SearchConfig(base_seed=3, samples=1, refine_steps=60).validate()
-    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
-    oracle = _oracle_refine(cfg, inst, params, spec, margin)
-    return inst, params, cfg, oracle, _windows(monkeypatch, inst, params, cfg)
-
-
-def test_failure_past_accepted_step_ends_no_run(monkeypatch):
-    inst, params, cfg, oracle, windows = _failure_case(monkeypatch)
-    accepted = oracle[-1]
-    # the last candidate of a window in which an earlier candidate is accepted
-    poison = next(window[-1] for window in windows
-                  if any(np.array_equal(window[w], np.stack(a.A))
-                         for a in accepted for w in range(len(window) - 1)))
-    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
-    raised = _poisoned(monkeypatch, poison)
-    result = hunt(cfg)
-    assert raised == [raised[0]] and raised[0] > 1  # only the stacked call raised
-    _assert_result_matches(result, oracle)
-
-
-def test_failure_at_a_reached_step_raises(monkeypatch):
-    inst, params, cfg, oracle, _ = _failure_case(monkeypatch)
-    accepted = oracle[-1]
-    poison = np.stack(accepted[len(accepted) // 2].A)  # step-by-step refinement evaluates it
-    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
-    raised = _poisoned(monkeypatch, poison)
     with pytest.raises(errors.NonConvergence, match="poisoned candidate"):
         hunt(cfg)
-    assert raised[-1] == 1  # raised again by the one-at-a-time fallback
-    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
-    with pytest.raises(errors.NonConvergence, match="poisoned candidate"):
-        _oracle_refine(cfg, inst, params, spec, margin)
+    assert raised == [16]  # the first generation's stacked call, and nothing after it
 
 
-# (base seed, samples, fewest accepted steps) of two hunts: the first's
-# refinement accepts no step; the second's arg-min is an n = 4, m = 2
-# sample whose refinement accepts 16, at the smallest base seed >= 1 whose
-# refinement accepts 10 or more.
-@pytest.mark.parametrize("base_seed, samples, least_accepts", [(4, 200, 0), (5, 10, 10)])
-def test_refinement_lapack_calls_per_window(monkeypatch, base_seed, samples, least_accepts):
-    """eigh, svd and qr calls of refinement stay within 12 per window, and
-    a window of 8 steps doubles until a step is accepted, so there are at
-    most (accepts + 1) (1 + ceil(log2(steps / 8))) windows; refining step
-    by step makes about 13 calls per step."""
+def test_ungated_stack_selects_nothing(monkeypatch):
+    """`_stack_margins` evaluates an ungated stack on its spectra as they
+    are, and selects the kept instances only when some are gated, with
+    the margins each instance gets alone either way."""
+    insts = [generate_instance("generic", 3, m, seed) for m, seed in ((1, 3), (2, 4), (3, 5))]
+    params = [ChainParams(s=1.5, t=0.3), ChainParams(s=1.2, t=0.5), ChainParams(s=1.9, t=0.7)]
+    A, B = (np.concatenate([getattr(inst, X) for inst in insts]) for X in "AB")
+    real, selected = InstanceSpectra.select, []
+
+    def select(self, rows):
+        selected.append(rows.tolist())
+        return real(self, rows)
+
+    alone = [_point_margin(inst, q, ["kyfan:all"], 1e8) for inst, q in zip(insts, params)]
+    monkeypatch.setattr(InstanceSpectra, "select", select)
+    kappa = np.array([condition_max(inst) for inst in insts])
+    median = np.median(kappa)  # a cap that gates the worst-conditioned instance
+    for cap, want_selected in ((1e8, []), (median, [np.flatnonzero(kappa <= median).tolist()])):
+        selected.clear()
+        gated, margin, specs = hunt_module._stack_margins(A, B, params, ["kyfan:all"], cap,
+                                                          [inst.m for inst in insts])
+        assert gated.tolist() == (kappa > cap).tolist() and selected == want_selected
+        for k in np.flatnonzero(~gated):
+            assert (margin[k], specs[k]) == alone[k]
+
+
+# (base seed, samples, fewest accepted generations) of two hunts: the
+# first's refinement accepts no generation; the second's arg-min is an
+# n = 4, m = 2 sample whose refinement accepts all 4.
+@pytest.mark.parametrize("base_seed, samples, least_accepts", [(4, 200, 0), (5, 10, 4)])
+def test_refinement_lapack_calls_per_generation(monkeypatch, base_seed, samples,
+                                                least_accepts):
+    """eigh, svd and qr calls of refinement stay within 12 per generation,
+    and 60 steps take 4 generations; refining candidate by candidate makes
+    about 13 calls per candidate."""
     cfg = SearchConfig(base_seed=base_seed, samples=samples, refine_steps=60, n_max=4, m_max=3,
                        t_range=(0.3, 0.7)).validate()
-    calls, windows, accepts = [], [], []
+    calls, generations, accepts = [], [], []
     counting = [False]
 
     def counted(name, decompose):
@@ -413,28 +420,26 @@ def test_refinement_lapack_calls_per_window(monkeypatch, base_seed, samples, lea
             return decompose(*args, **kwargs)
         return call
 
-    real_refine, real_window = hunt_module._refine, hunt_module._perturb_window
+    real_refine, real_perturb = hunt_module._refine, hunt_module._perturb
 
     def refine(cfg, A, B, params, spec, margin):
         inst = InstanceSet(m=A.shape[0], n=A.shape[-1], A=A, B=B)
-        accepts.append(len(_oracle_refine(cfg, inst, params, spec, margin)[-1]))
+        accepts.append(len(_reference_refine(cfg, inst, params, spec, margin)[-1]))
         counting[0] = True
         try:
             return real_refine(cfg, A, B, params, spec, margin)
         finally:
             counting[0] = False
 
-    def perturb_window(*args):
-        windows.append(len(args[-1]))
-        return real_window(*args)
+    def perturb(*args):
+        generations.append(args[-1])
+        return real_perturb(*args)
 
     for name in ("eigh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(hunt_module, "_refine", refine)
-    monkeypatch.setattr(hunt_module, "_perturb_window", perturb_window)
+    monkeypatch.setattr(hunt_module, "_perturb", perturb)
     result = hunt(cfg)
     assert result.samples_evaluated + result.gated_count == cfg.samples + cfg.refine_steps
-    assert sum(windows) >= cfg.refine_steps and accepts[0] >= least_accepts
-    bound = (accepts[0] + 1) * (1 + math.ceil(math.log2(cfg.refine_steps / 8)))
-    assert len(windows) <= bound, (windows, accepts)
-    assert len(calls) <= 12 * len(windows), (len(calls), len(windows))
+    assert generations == [16, 16, 16, 12] and accepts[0] >= least_accepts
+    assert len(calls) <= 12 * len(generations), (len(calls), len(generations))
