@@ -220,19 +220,6 @@ class InstanceSpectra:
         np.add.at(acc, (..., self._owner, slice(None), slice(None)), X)
         return acc
 
-    def select(self, rows) -> "InstanceSpectra":
-        """The spectra of the instances `rows` of a stack, their pairs
-        kept, with the input decompositions computed so far."""
-        counts = self._counts[rows]
-        pairs = (np.repeat(self._starts[rows] - (np.cumsum(counts) - counts), counts)
-                 + np.arange(counts.sum()))
-        sub = InstanceSpectra(self._A[pairs], self._B[pairs], counts)
-        for name, index in (("eig_A", pairs), ("eig_B", pairs), ("eig_sum_A", rows),
-                            ("eig_sum_B", rows)):
-            if (name,) in self._memo:
-                sub._memo[(name,)] = self._memo[(name,)][index]
-        return sub
-
     @property
     @_memoized
     def eig_A(self) -> EigenDecomposition:
@@ -361,8 +348,6 @@ def t_chain_status(params: ChainParams) -> str:
     if s == 1.0 and r >= 1.0 and p > 0.0:
         return "proven"
     if s >= 2.0 and t == 0.5 and r >= 1.0 and r * p >= 1.0:
-        return "proven"
-    if s == 2.0 and t == 0.5 and r * p >= 1.0:
         return "proven"
     return "conjectured"
 

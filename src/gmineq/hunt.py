@@ -5,24 +5,23 @@ descent from the worst point.  A negative margin beyond tolerance is never
 claimed as a counterexample: it is re-evaluated in extended precision and
 reported as a violation candidate.
 
-The sampling phase is bucketed: the samples are grouped by n, each (n, m)
-group is generated as one stack, and each n's groups are evaluated as one
-stack of their pairs laid end to end (one call per kernel step; see
-`chains.InstanceSpectra` and `linalg`).  The samples are taken in chunks of
-at most _CHUNK_ENTRIES matrix entries of the largest instances.  A sample's
-parameters are counter-based: each is one `derive_seed` word of the sample's
-index and the field's, computed for a whole chunk on `uint64` arrays (see
-`_sample_points`).  Its instance is drawn from the stream of
-`np.random.default_rng` at its instance seed, so `generate_instance`
-regenerates it.  The arg-min is taken in sample order, the first sample
-winning a tie.
-Refinement runs in generations: each perturbs the current point
-_GENERATION times from one seeded stream, evaluates the candidates as one
-stack, and moves to the best of them if it improves the margin (see
-`_refine`).  Sampling, refinement and `evaluate_argmin` all evaluate
-through `_stack_margins`, so every point gets the bytes it gets alone, and
-the report does not depend on the bucketing.  A gated point (condition
-number over the cap) is counted and not evaluated.
+The hunt is a table of columns from the draw to the arg-min.  A chunk of
+samples (at most _CHUNK_ENTRIES matrix entries of the largest instances)
+is the columns n, m, s, t, r, p and seed, each field one counter-based
+`derive_seed` word of the sample's index (`_sample_points`).  Each (n, m)
+group is drawn as one stack, and each n's groups are evaluated as one
+stack of their pairs laid end to end (`_stack_margins`, one call per
+kernel step), which gives the chunk's gated, margin and winner columns.
+The arg-min is the first smallest margin in sample order.  Only its row
+is kept: `generate_instance` regenerates its instance from its seed, on
+the stream the stack drew it from.  Refinement runs in generations: each
+perturbs the current point _GENERATION times from one seeded stream,
+evaluates the candidates as one stack, and moves to the best of them if
+it improves the margin (`_refine`).  Sampling, refinement and
+`evaluate_argmin` all evaluate through `_stack_margins`, so every point
+gets the bytes it gets alone, and the report does not depend on the
+chunks.  A gated point (condition number over the cap) is counted and not
+evaluated.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from .chains import (
     t_chain_status,
     validate_run_fields,
 )
-from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
+from .generate import (DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generate_instance,
+                       generators)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
@@ -171,123 +171,119 @@ class SearchResult:
     def from_record(cls, rec: dict) -> "SearchResult":
         """Inverse of `to_record`; a missing field, or a min_margin that is
         not a number, raises MalformedRecord."""
+        min_margin, *rest = _fields(rec, "search result", (
+            "min_margin", "argmin", "samples_evaluated", "gated_count", "base_seed", "candidate",
+            "recheck_margin"))
         try:
-            return cls(
-                min_margin=float(rec["min_margin"]),  # "inf" when every sample was gated
-                argmin=rec["argmin"],
-                samples_evaluated=rec["samples_evaluated"],
-                gated_count=rec["gated_count"],
-                base_seed=rec["base_seed"],
-                candidate=rec["candidate"],
-                recheck_margin=rec["recheck_margin"],
-            )
-        except KeyError as exc:
-            raise errors.MalformedRecord(f"search result lacks field {exc.args[0]!r}") from None
+            return cls(float(min_margin), *rest)  # "inf" when every sample was gated
         except (TypeError, ValueError):  # only float() raises these
             raise errors.MalformedRecord(
-                f"search result min_margin is not a number: {rec['min_margin']!r}") from None
+                f"search result min_margin is not a number: {min_margin!r}") from None
 
 
-def _sample_points(cfg: SearchConfig, block: range) -> list:
-    """(n, m, params, instance seed) of every sample k in `block`.  Field f
-    of sample k, in the order n, m, s, t, r, p, is the word
+def _sample_points(cfg: SearchConfig, block: range) -> dict:
+    """The columns of the samples k in `block`: n and m (int64), s, t, r
+    and p (float64), and the instance seed (uint64).  Field f of sample k,
+    in the order n, m, s, t, r, p, is the word
     `derive_seed(derive_seed(base_seed, k), f)`: an integer in [0, b) is the
-    word modulo b, and a uniform is lo + (hi - lo) times the word's top 53
-    bits over 2**53.  The instance seed is
-    `derive_seed(base_seed, 2k + 1)`."""
+    word modulo b (n and m count from 1, r and p index their lists), and a
+    uniform is lo + (hi - lo) times the word's top 53 bits over 2**53.  The
+    instance seed is `derive_seed(base_seed, 2k + 1)`."""
     ks = np.array(block, np.uint64)
     keys = derive_seed(cfg.base_seed, ks)
-    fields = []
-    for f, bound in enumerate((cfg.n_max, cfg.m_max, cfg.s_range, cfg.t_range,
-                               len(cfg.r_values), len(cfg.p_values))):
-        word = derive_seed(keys, f)
-        if isinstance(bound, (list, tuple)):
-            lo, hi = float(bound[0]), float(bound[1])
-            fields.append((lo + (hi - lo) * ((word >> 11) * 2.0 ** -53)).tolist())
-        else:
-            fields.append((word % int(bound)).tolist())
-    seeds = derive_seed(cfg.base_seed, (ks << 1) | 1).tolist()
-    return [(1 + n, 1 + m, ChainParams(s=s, r=float(cfg.r_values[r]), p=float(cfg.p_values[p]),
-                                       t=t), seed)
-            for n, m, s, t, r, p, seed in zip(*fields, seeds)]
+    n, m, s, t, r, p = (derive_seed(keys, f) for f in range(6))
+
+    def below(word, bound):
+        return (word % int(bound)).astype(np.int64)
+
+    def uniform(word, bounds):
+        lo, hi = float(bounds[0]), float(bounds[1])
+        return lo + (hi - lo) * ((word >> 11) * 2.0 ** -53)
+
+    return {"n": 1 + below(n, cfg.n_max), "m": 1 + below(m, cfg.m_max),
+            "s": uniform(s, cfg.s_range), "t": uniform(t, cfg.t_range),
+            "r": np.array(cfg.r_values, np.float64)[below(r, len(cfg.r_values))],
+            "p": np.array(cfg.p_values, np.float64)[below(p, len(cfg.p_values))],
+            "seed": derive_seed(cfg.base_seed, (ks << 1) | 1)}
 
 
-def _stack_margins(A: np.ndarray, B: np.ndarray, params, norms, condition_cap,
-                   counts) -> tuple:
-    """The weighted chain on a stack of K instances of one n, one
-    parameter point each: (gated, margin, spec) per instance.  A and B are
-    the pairs (sum(counts), n, n) of instances of `counts` pairs each,
-    laid end to end (see `InstanceSpectra`).  margin is the smallest over
-    the norms of min margin / scale under `chain_margins`,
-    (rhs - lhs) / max(1, rhs); the first such norm wins a tie.  Gated
-    instances (over the condition cap) are not evaluated; their margin is
-    inf and their spec None."""
+def _first_least(values: np.ndarray) -> int:
+    """Index of the first smallest value that is not NaN (0 if all are)."""
+    return int(np.where(np.isnan(values), np.inf, values).argmin())
+
+
+def _stack_margins(A: np.ndarray, B: np.ndarray, rows: dict, norms, condition_cap) -> tuple:
+    """The weighted chain on a stack of K instances of one n, one point
+    each: (gated, margin, winner), arrays (K,).  A and B are the
+    instances' pairs (sum(m), n, n) laid end to end (`InstanceSpectra`),
+    and `rows` has the columns m (the pair counts), s, t, r and p.  margin
+    is the least over the norms of (rhs - lhs) / max(1, rhs)
+    (`chain_margins`), and winner the index in
+    `expand_norm_tokens(norms, n)` of the first norm attaining it.  A gated
+    instance (over the condition cap) is not evaluated: margin inf, winner
+    -1; the kept ones are evaluated on a stack of their own pairs."""
+    counts = rows["m"]
     spectra = InstanceSpectra(A, B, counts)
     gated = spectra.condition_max > condition_cap
-    margin = np.full(gated.shape, np.inf)
-    winner = np.full(gated.shape, -1)
-    specs = expand_norm_tokens(norms, A.shape[-1])
-    keep = np.flatnonzero(~gated)
-    if keep.size and specs:
-        s, t, r, p = np.array([(q.s, q.t, q.r, q.p) for q in (params[i] for i in keep)]).T
-        kept = spectra if keep.size == gated.size else spectra.select(keep)
-        lhs_sv, rhs_sv = t_chain_sides(kept, s, t, r, p)
+    margin, winner = np.full(gated.shape, np.inf), np.full(gated.shape, -1)
+    keep = ~gated
+    if keep.any():
+        if not keep.all():
+            pairs = np.repeat(keep, counts)
+            spectra = InstanceSpectra(A[pairs], B[pairs], counts[keep])
+        lhs_sv, rhs_sv = t_chain_sides(spectra, *(rows[name][keep] for name in "strp"))
+        specs = expand_norm_tokens(norms, A.shape[-1])
         _, least, scale, _ = chain_margins(norm_values(lhs_sv, specs), None,
                                            norm_values(rhs_sv, specs))
         value = least / scale
         winner[keep], margin[keep] = value.argmin(axis=-1), value.min(axis=-1)
-    return gated, margin, [specs[j] if j >= 0 else None for j in winner.tolist()]
+    return gated, margin, winner
 
 
 def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
-    """(margin, spec) of one point through `_stack_margins`, a stack of
-    one; (None, None) when gated."""
-    gated, margin, specs = _stack_margins(inst.A, inst.B, [params], norms, condition_cap,
-                                          [inst.m])
-    return (None, None) if gated[0] else (float(margin[0]), specs[0])
+    """(margin, spec) of one point through `_stack_margins`, a table of
+    one row; (None, None) when gated."""
+    row = {"m": np.array([inst.m]),
+           **{name: np.array([getattr(params, name)], np.float64) for name in "strp"}}
+    gated, margin, winner = _stack_margins(inst.A, inst.B, row, norms, condition_cap)
+    return (None, None) if gated[0] else (float(margin[0]),
+                                          expand_norm_tokens(norms, inst.n)[winner[0]])
 
 
 def _sampling_phase(cfg: SearchConfig):
-    """(margin or None when gated, point) for every sample, in sample
-    order, chunk by chunk (see the module docstring): each (n, m) group's
-    instances are drawn as one stack, and each n's groups are evaluated
-    by one `_stack_margins` call, their pairs laid end to end.  A point is
-    (A, B, row, sample, spec): the sample's instance is row `row` of the
-    (n, m) group's stacks A and B, and `sample` is as `_sample_points`
-    draws it."""
+    """(columns, gated, margin, winner) of each chunk of samples, in
+    sample order: `_sample_points`'s columns and `_stack_margins`'s
+    arrays.  Each (n, m) group is drawn as one stack, and each n's groups
+    are evaluated by one `_stack_margins` call."""
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):
-        block = range(start, min(start + size, cfg.samples))
-        chunk = _sample_points(cfg, block)
-        streams = generators([seed for *_, seed in chunk])
-        buckets = {}
-        for i, (n, m, _, _) in enumerate(chunk):
-            buckets.setdefault(n, {}).setdefault(m, []).append(i)
-        results = [None] * len(chunk)
-        for n, groups in buckets.items():
-            draws = [draw_instances("generic", n, m, [streams[i] for i in members],
-                                    cfg.spectrum_law) for m, members in groups.items()]
-            members = [i for group in groups.values() for i in group]
+        columns = _sample_points(cfg, range(start, min(start + size, cfg.samples)))
+        streams = generators(columns["seed"])
+        gated = np.zeros(len(streams), bool)
+        margin, winner = np.full(len(streams), np.inf), np.full(len(streams), -1)
+        for n in sorted(set(columns["n"].tolist())):
+            at_n = columns["n"] == n
+            groups = {m: np.flatnonzero(at_n & (columns["m"] == m))
+                      for m in sorted(set(columns["m"][at_n].tolist()))}
+            draws = [draw_instances("generic", n, m, [streams[i] for i in group],
+                                    cfg.spectrum_law) for m, group in groups.items()]
+            rows = np.concatenate(list(groups.values()))
             A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
-            gated, margin, specs = _stack_margins(A, B, [chunk[i][2] for i in members],
-                                                  cfg.norms, cfg.condition_cap,
-                                                  [chunk[i][1] for i in members])
-            rows = [(Am, Bm, row) for Am, Bm in draws for row in range(len(Am))]
-            for k, (i, (Am, Bm, row)) in enumerate(zip(members, rows)):
-                point = (Am, Bm, row, chunk[i], specs[k])
-                results[i] = (None if gated[k] else float(margin[k]), point)
-        yield from results
+            gated[rows], margin[rows], winner[rows] = _stack_margins(
+                A, B, {name: column[rows] for name, column in columns.items()}, cfg.norms,
+                cfg.condition_cap)
+        yield columns, gated, margin, winner
 
 
 def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfig,
              generation: int, size: int) -> tuple:
     """The `size` candidates of refinement generation `generation`, each a
     perturbation of the point (A, B, params), A and B (m, n, n): stacks
-    (size, m, n, n) and one ChainParams per candidate.  Every matrix gets a
-    multiplicative eigenvalue jitter and a small basis rotation, which
-    preserve positive definiteness; s and t get a clipped jitter where
-    their range is not a single value.  All the generation's noise is one
-    `standard_normal` call on the stream at
+    (size, m, n, n) and the candidates' s and t, arrays (size,).  Every
+    matrix gets a multiplicative eigenvalue jitter and a small basis
+    rotation, which preserve positive definiteness; s and t get a clipped
+    jitter where their range is not a single value.  All the generation's
+    noise is one `standard_normal` call on the stream at
     `derive_seed(base_seed ^ _REFINE_TAG, generation)`: candidate by
     candidate, per matrix (the A_i, then the B_i) n eigenvalue factors and
     the real and imaginary parts of an n x n Ginibre matrix, then the s
@@ -313,9 +309,7 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
         lam = eig.eigenvalues * np.exp(scale * noise[..., :n])
         Q, _ = np.linalg.qr(np.eye(n) + scale * G)
         X = from_spectrum(eig.vectors @ Q, lam)
-    candidate_params = [ChainParams(s=sk, r=params.r, p=params.p, t=tk)
-                        for sk, tk in zip(s.tolist(), t.tolist())]
-    return X[:, :m], X[:, m:], candidate_params
+    return X[:, :m], X[:, m:], s, t
 
 
 def _refine(cfg: SearchConfig, A: np.ndarray, B: np.ndarray, params: ChainParams,
@@ -329,19 +323,23 @@ def _refine(cfg: SearchConfig, A: np.ndarray, B: np.ndarray, params: ChainParams
     raises ends the run.  Returns (A, B, params, spec, margin, evaluated,
     gated), the counts over the candidates."""
     m, n = A.shape[0], A.shape[-1]
+    specs = expand_norm_tokens(cfg.norms, n)
     evaluated = gated = 0
     for generation, start in enumerate(range(0, cfg.refine_steps, _GENERATION)):
         size = min(_GENERATION, cfg.refine_steps - start)
-        cand_A, cand_B, cand_params = _perturb(A, B, params, cfg, generation, size)
-        is_gated, values, specs = _stack_margins(
-            cand_A.reshape(-1, n, n), cand_B.reshape(-1, n, n), cand_params, cfg.norms,
-            cfg.condition_cap, [m] * size)
+        cand_A, cand_B, s, t = _perturb(A, B, params, cfg, generation, size)
+        rows = {"m": np.full(size, m), "s": s, "t": t, "r": np.full(size, params.r),
+                "p": np.full(size, params.p)}
+        is_gated, values, winner = _stack_margins(
+            cand_A.reshape(-1, n, n), cand_B.reshape(-1, n, n), rows, cfg.norms,
+            cfg.condition_cap)
         gated_here = int(is_gated.sum())
         gated, evaluated = gated + gated_here, evaluated + size - gated_here
-        best = int(values.argmin())
+        best = _first_least(values)
         if values[best] < margin:
-            A, B, params = cand_A[best], cand_B[best], cand_params[best]
-            spec, margin = specs[best], float(values[best])
+            A, B, spec = cand_A[best], cand_B[best], specs[winner[best]]
+            margin = float(values[best])
+            params = ChainParams(s=float(s[best]), r=params.r, p=params.p, t=float(t[best]))
     return A, B, params, spec, margin, evaluated, gated
 
 
@@ -381,29 +379,27 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_C
 
 def hunt(cfg: SearchConfig) -> SearchResult:
     """Random search over the configured conjecture region, then
-    generation refinement (`_refine`) of the best sample."""
+    generation refinement (`_refine`) of the best sample, regenerated
+    from its instance seed."""
     cfg.validate()
     t0 = time.perf_counter()
-    best_margin = np.inf
-    best_point = None
-    gated = 0
-    evaluated = 0
-    for margin, point in _sampling_phase(cfg):
-        if margin is None:
-            gated += 1
-            continue
-        evaluated += 1
-        if margin < best_margin:
-            best_margin, best_point = margin, point
+    best_margin, best, gated, evaluated = np.inf, None, 0, 0
+    for columns, is_gated, margin, winner in _sampling_phase(cfg):
+        gated_here = int(is_gated.sum())
+        gated, evaluated = gated + gated_here, evaluated + is_gated.size - gated_here
+        k = _first_least(margin)
+        if margin[k] < best_margin:
+            best_margin = float(margin[k])
+            best = {name: col[k].item() for name, col in [*columns.items(), ("winner", winner)]}
 
     candidate, recheck, argmin = False, None, None
-    if best_point is not None:
-        A, B, row, (n, m, params, seed), spec = best_point
+    if best is not None:
+        inst = generate_instance("generic", best["n"], best["m"], best["seed"], cfg.spectrum_law)
         A, B, params, spec, best_margin, refine_evaluated, refine_gated = _refine(
-            cfg, A[row], B[row], params, spec, best_margin)
-        evaluated += refine_evaluated
-        gated += refine_gated
-        inst = InstanceSet(m=m, n=n, A=A, B=B, seed=seed, kind="generic")
+            cfg, inst.A, inst.B, ChainParams(**{name: best[name] for name in "srpt"}),
+            expand_norm_tokens(cfg.norms, inst.n)[best["winner"]], best_margin)
+        evaluated, gated = evaluated + refine_evaluated, gated + refine_gated
+        inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind=inst.kind)
         argmin = _argmin_record(inst, params, spec, float(best_margin))
         if best_margin < -cfg.tol_rel:
             # confirm in extended precision before surfacing

@@ -437,8 +437,9 @@ def _check_version(rec, path, line: str) -> None:
 
 
 def read_reports(path):
-    """Read back a report file; returns ReportSet or SearchResult.  A report
-    set's non-blank lines are decoded by one `json.loads` call, as one
+    """Read back a report file; returns ReportSet or SearchResult.  A search
+    result is one non-blank line, and a line after it raises
+    MalformedRecord.  A report set's non-blank lines are decoded by one `json.loads` call, as one
     array; if that does not give one value per line, some line is not one
     JSON value, and decoding line by line raises its error."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -448,6 +449,9 @@ def read_reports(path):
     first = json.loads(lines[0])
     _check_version(first, path, lines[0])
     if first.get("kind") == "search_result":
+        if len(lines) > 1:
+            raise errors.MalformedRecord(
+                f"{path}: search result followed by line {lines[1][:40]!r}")
         from .hunt import SearchResult  # local import avoids a cycle
         return SearchResult.from_record(first)
     decoded = json.loads("[" + ",".join(lines) + "]")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmineq import errors
+from gmineq import errors, highprec
 from gmineq.blocks import InstanceSet
 from gmineq.chains import (
     ChainParams,
@@ -95,9 +95,33 @@ class TestTChain:
     def test_status_table(self):
         assert t_chain_status(ChainParams(s=1.0, r=2.0, p=0.5, t=0.3)) == "proven"
         assert t_chain_status(ChainParams(s=2.5, r=1.0, p=1.0, t=0.5)) == "proven"
-        assert t_chain_status(ChainParams(s=2.0, r=0.75, p=2.0, t=0.5)) == "proven"
+        # r < 1 is outside the theorem's r >= 1, so s = 2 with rp >= 1 is not enough
+        assert t_chain_status(ChainParams(s=2.0, r=0.75, p=2.0, t=0.5)) == "conjectured"
         assert t_chain_status(ChainParams(s=1.5, r=1.0, p=1.0, t=0.5)) == "conjectured"
         assert t_chain_status(ChainParams(s=2.5, r=1.0, p=1.0, t=0.3)) == "conjectured"
+
+    def test_witness_below_r_one_is_not_proven(self):
+        """W(2, 15 deg): D = diag(2, 1/2), A_1 = B_1 = D, and A_2, B_2 the
+        rotations of D by 75 and 105 degrees.  At (s, t, r, p) =
+        (2, 1/2, 1/2, 2), where sr = rp = 1 but r < 1, the Ky Fan 1 margin
+        is negative, as the extended-precision oracle confirms, so the
+        point must not be labelled proven."""
+        D = np.diag([2.0, 0.5])
+
+        def rotated(degrees):
+            c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+            R = np.array([[c, -s], [s, c]])
+            return R @ D @ R.T
+
+        inst = InstanceSet(m=2, n=2, A=[D, rotated(75.0)], B=[D, rotated(105.0)])
+        params = ChainParams(s=2.0, r=0.5, p=2.0, t=0.5)
+        rec, = chain_records(t_chain_terms(inst, params), inst, params,
+                             [NormSpec.ky_fan(1)]).records
+        margin = min(rec["margins"]) / max(1.0, rec["rhs"])
+        assert margin == pytest.approx(-1.2631e-2, abs=1e-6)
+        oracle = highprec.t_chain_margin(inst.A, inst.B, params, NormSpec.ky_fan(1))
+        assert abs(margin - oracle) < 1e-8
+        assert t_chain_status(params) != "proven" and rec["status"] != "proven"
 
     def test_rejects_bad_params(self):
         inst = generate_instance("generic", 2, 2, 0)

@@ -487,7 +487,7 @@ class TestCli:
         with n >= 2, which this law of condition 1e18 all gates."""
         cfg = SearchConfig(base_seed=9, samples=4, n_max=4, m_max=2,
                            spectrum_law=SpectrumLaw(1e-9, 1e9))
-        assert all(n >= 2 for n, *_ in _sample_points(cfg, range(cfg.samples)))
+        assert (_sample_points(cfg, range(cfg.samples))["n"] >= 2).all()
         r = hunt(cfg)
         assert r.gated_count == 4 and r.argmin is None and r.min_margin == float("inf")
         out = tmp_path / "h.json"
@@ -710,6 +710,20 @@ class TestCli:
         assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: MalformedRecord: {path}: line {line!r} is not a JSON object\n"
+
+    def test_show_search_result_with_trailing_lines(self, tmp_path, capsys):
+        """A search result is one line: a file with lines after it is
+        refused naming the first of them (exit 3, one stderr line), and
+        blank lines after it are not lines."""
+        path = self._written(hunt(SearchConfig(base_seed=3, samples=30)), tmp_path)
+        text = path.read_text()
+        path.write_text(text + "\n\n")
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_OK
+        path.write_text(text + "7\n[1,2]\n")
+        capsys.readouterr()
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: MalformedRecord: {path}: search result followed by line '7'\n"
 
     def test_usage_error_exits_config(self, capsys):
         """An argparse usage error exits 3, not argparse's 2 (which means a

@@ -1,13 +1,14 @@
 """The hunt's stacked phases against one-at-a-time evaluation.
 
-The sampling phase computes its samples' parameters from counter-based
+The sampling phase computes its samples' columns from counter-based
 words, and generates and evaluates each (n, m) group of samples as one
 stack.  Every sample must come out bitwise as it does alone: the same
-parameters as `_sample_points` gives it in a block of one, the same
-instance bytes as `generate_instance`, and the same gated flag, margin and
-winning norm as a direct evaluation through `t_chain_terms` and
-`reports.chain_records`.  The parameters themselves must be uniform on
-their ranges, and must not depend on the blocks they are computed in.
+columns as `_sample_points` gives it in a block of one, and the same
+gated flag, margin and winning norm as a direct evaluation of the
+instance `generate_instance` regenerates from its seed, through
+`t_chain_terms` and `reports.chain_records`.  The parameters themselves
+must be uniform on their ranges, and must not depend on the blocks they
+are computed in.  A stack with no gated instance is evaluated as it is.
 
 Refinement runs in generations, each drawn from one stream and evaluated
 as one stack.  It must come out bitwise as `_reference_refine`, which
@@ -23,8 +24,7 @@ import pytest
 
 from gmineq import errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import (ChainParams, InstanceSpectra, condition_max, expand_norm_tokens,
-                           t_chain_terms)
+from gmineq.chains import ChainParams, condition_max, expand_norm_tokens, t_chain_terms
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_points, _sampling_phase, hunt
 from gmineq.linalg import hermitian_eig, hermitize
@@ -55,28 +55,55 @@ def _direct_margin(inst, params, norms, condition_cap):
     return False, float(best), best_spec
 
 
+def _row(columns, k):
+    """Sample k of a table of columns, as Python scalars."""
+    return {name: column[k].item() for name, column in columns.items()}
+
+
+def _params(row):
+    return ChainParams(**{name: row[name] for name in "srpt"})
+
+
+def _concat(tables):
+    """The tables' columns laid end to end."""
+    return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
+
+
+def _same_columns(got, want):
+    """The same column names, and each column bitwise with its dtype."""
+    return got.keys() == want.keys() and all(
+        got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name])
+        for name in want)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_bucketed_sampling_matches_sample_by_sample(seed):
+def test_bucketed_sampling_matches_sample_by_sample(monkeypatch, seed):
+    # chunks of 50 samples, so that the 160 samples take four of them
+    monkeypatch.setattr(hunt_module, "_CHUNK_ENTRIES", 50 * 2 * 3 * 9 ** 2)
     cfg = SearchConfig(base_seed=seed, **WIDE).validate()
-    results = list(_sampling_phase(cfg))
-    assert len(results) == cfg.samples
+    chunks = list(_sampling_phase(cfg))
+    assert [len(gated) for _, gated, _, _ in chunks] == [50, 50, 50, 10]
+    columns = _concat([chunk[0] for chunk in chunks])
+    gated, margin, winner = (np.concatenate(part) for part in zip(*(c[1:] for c in chunks)))
     gated_seen, dims_seen = 0, set()
-    for k, (margin, (A, B, row, sample, spec)) in enumerate(results):
-        assert sample == _sample_points(cfg, range(k, k + 1))[0]
-        n, m, params, inst_seed = sample
-        inst = generate_instance("generic", n, m, inst_seed, cfg.spectrum_law)
-        assert np.array_equal(A[row], np.stack(inst.A)) and np.array_equal(B[row], np.stack(inst.B))
+    for k in range(cfg.samples):
+        assert _same_columns({name: column[k:k + 1] for name, column in columns.items()},
+                             _sample_points(cfg, range(k, k + 1)))
+        row = _row(columns, k)
+        inst = generate_instance("generic", row["n"], row["m"], row["seed"], cfg.spectrum_law)
+        params = _params(row)
         # gated samples can be too ill-conditioned for their terms: check the cap first
         if inst.spectra.condition_max > cfg.condition_cap:
             gated_seen += 1
-            assert margin is None and spec is None
+            assert gated[k] and margin[k] == np.inf and winner[k] == -1
             assert _point_margin(inst, params, cfg.norms, cfg.condition_cap) == (None, None)
             continue
-        gated, want, want_spec = _direct_margin(inst, params, cfg.norms, cfg.condition_cap)
-        assert not gated
-        assert margin == want and spec == want_spec, k
+        is_gated, want, want_spec = _direct_margin(inst, params, cfg.norms, cfg.condition_cap)
+        assert not is_gated and not gated[k]
+        spec = expand_norm_tokens(cfg.norms, row["n"])[winner[k]]
+        assert margin[k] == want and spec == want_spec, k
         assert _point_margin(inst, params, cfg.norms, cfg.condition_cap) == (want, want_spec)
-        dims_seen.add(n)
+        dims_seen.add(row["n"])
     assert gated_seen > 0
     assert 9 in dims_seen
 
@@ -86,7 +113,8 @@ def test_sampling_phase_lapack_calls_per_bucket(monkeypatch):
     per (n, m) bucket; evaluating sample by sample makes about 13 per
     sample."""
     cfg = SearchConfig(base_seed=4, samples=200, refine_steps=0, n_max=4, m_max=3)
-    buckets = {_sample_points(cfg, range(k, k + 1))[0][:2] for k in range(cfg.samples)}
+    columns = _sample_points(cfg, range(cfg.samples))
+    buckets = set(zip(columns["n"].tolist(), columns["m"].tolist()))
     calls = []
 
     def counting(name, decompose):
@@ -116,20 +144,20 @@ def test_sample_fields_uniform(n_max, m_max):
     cfg = SearchConfig(base_seed=13, n_max=n_max, m_max=m_max, r_values=[0.5, 1.0, 2.0],
                        p_values=[1.0, 2.0]).validate()
     samples = _sample_points(cfg, range(100_000))
-    n, m = (np.array([sample[i] for sample in samples]) for i in (0, 1))
-    assert _binomial_ok(n, n_max, 1) and _binomial_ok(m, m_max, 1)
-    r = [cfg.r_values.index(params.r) for _, _, params, _ in samples]
-    p = [cfg.p_values.index(params.p) for _, _, params, _ in samples]
+    assert _binomial_ok(samples["n"], n_max, 1) and _binomial_ok(samples["m"], m_max, 1)
+    r = np.searchsorted(cfg.r_values, samples["r"])
+    p = np.searchsorted(cfg.p_values, samples["p"])
+    assert np.array_equal(np.take(cfg.r_values, r), samples["r"])
+    assert np.array_equal(np.take(cfg.p_values, p), samples["p"])
     assert _binomial_ok(r, 3) and _binomial_ok(p, 2)
-    s = np.array([params.s for _, _, params, _ in samples])
-    assert _binomial_ok(np.floor((s - 1.0) * 10).astype(int), 10)
+    assert _binomial_ok(np.floor((samples["s"] - 1.0) * 10).astype(int), 10)
 
 
 @pytest.mark.parametrize("s_range, t_range", [((1.0, 2.0), (0.2, 0.8)), ((1e-9, 1e9), (0, 1))])
 def test_uniforms_in_range(s_range, t_range):
     cfg = SearchConfig(base_seed=2**64 - 1, s_range=s_range, t_range=t_range).validate()
     samples = _sample_points(cfg, range(2**40, 2**40 + 20_000))
-    s, t = np.array([(params.s, params.t) for _, _, params, _ in samples]).T
+    s, t = samples["s"], samples["t"]
     assert s_range[0] <= s.min() and s.max() < s_range[1]
     assert t_range[0] <= t.min() and t.max() < t_range[1]
 
@@ -137,16 +165,23 @@ def test_uniforms_in_range(s_range, t_range):
 def test_one_value_ranges_give_their_value():
     cfg = SearchConfig(base_seed=0, n_max=1, m_max=1, s_range=(1.5, 1.5), t_range=(0.3, 0.3),
                        r_values=[2.0], p_values=[0.5]).validate()
-    want = ChainParams(s=1.5, r=2.0, p=0.5, t=0.3)
-    assert all(sample[:3] == (1, 1, want) for sample in _sample_points(cfg, range(1000)))
+    samples = _sample_points(cfg, range(1000))
+    want = dict(n=1, m=1, s=1.5, t=0.3, r=2.0, p=0.5)
+    assert all(np.all(samples[name] == value) for name, value in want.items())
 
 
 def test_sample_types():
     cfg = SearchConfig(base_seed=3, n_max=np.int64(3), m_max=2, s_range=(1, 2), t_range=[0, 1],
                        r_values=[1, 2], p_values=[np.float32(0.5), 1]).validate()
-    for n, m, params, seed in _sample_points(cfg, range(200)):
-        assert (type(n), type(m), type(params), type(seed)) == (int, int, ChainParams, int)
-        assert all(type(v) is float for v in (params.s, params.t, params.r, params.p))
+    samples = _sample_points(cfg, range(200))
+    assert {name: column.dtype for name, column in samples.items()} == dict(
+        n=np.int64, m=np.int64, s=np.float64, t=np.float64, r=np.float64, p=np.float64,
+        seed=np.uint64)
+    assert all(column.shape == (200,) for column in samples.values())
+    assert set(samples["p"].tolist()) == {0.5, 1.0}
+    row = _row(samples, 0)
+    assert all(type(row[name]) is int for name in ("n", "m", "seed"))
+    assert all(type(row[name]) is float for name in "strp")
 
 
 @pytest.mark.parametrize("base_seed", [0, 2**64 - 1])
@@ -158,11 +193,14 @@ def test_samples_independent_of_blocks(base_seed, start):
                        r_values=[1.0, 2.0], p_values=[0.5, 1.0, 2.0]).validate()
     block = range(start, start + 1000)
     whole = _sample_points(cfg, block)
-    assert len(whole) == len(block) and _sample_points(cfg, block) == whole
+    assert all(len(column) == len(block) for column in whole.values())
+    assert _same_columns(_sample_points(cfg, block), whole)
     cuts = [0, 1, 2, 7, 300, 301, 999, 1000]
-    assert [x for a, b in zip(cuts, cuts[1:]) for x in _sample_points(cfg, block[a:b])] == whole
-    assert [_sample_points(cfg, range(k, k + 1))[0] for k in block] == whole
-    assert _sample_points(cfg, range(start, start)) == []
+    assert _same_columns(_concat([_sample_points(cfg, block[a:b])
+                                  for a, b in zip(cuts, cuts[1:])]), whole)
+    assert _same_columns(_concat([_sample_points(cfg, range(k, k + 1)) for k in block]), whole)
+    empty = _sample_points(cfg, range(start, start))
+    assert _same_columns(empty, {name: column[:0] for name, column in whole.items()})
 
 
 def test_parameters_do_not_share_the_instance_streams():
@@ -175,9 +213,9 @@ def test_parameters_do_not_share_the_instance_streams():
     samples = _sample_points(cfg, range(2000))
     agree = 0
     for j in range(1000):
-        rng = np.random.default_rng(samples[j][3])
+        rng = np.random.default_rng(_row(samples, j)["seed"])
         drawn = (int(rng.integers(1, cfg.n_max + 1)), int(rng.integers(1, cfg.m_max + 1)))
-        agree += samples[2 * j + 1][:2] == drawn
+        agree += (samples["n"][2 * j + 1], samples["m"][2 * j + 1]) == drawn
     assert agree / 1000 < 0.2
 
 
@@ -242,12 +280,15 @@ def _start(n, m, seed, law=SpectrumLaw()):
 
 
 def _forced_sampling(inst, params):
-    """A sampling phase of one sample, the point (inst, params)."""
+    """A sampling phase of one sample, the point (inst, params); the hunt
+    regenerates inst from its seed."""
     def sampling_phase(cfg):
         margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
-        point = (np.stack(inst.A)[None], np.stack(inst.B)[None], 0,
-                 (inst.n, inst.m, params, inst.seed), spec)
-        yield margin, point
+        columns = {"n": np.array([inst.n]), "m": np.array([inst.m]),
+                   **{name: np.array([getattr(params, name)]) for name in "strp"},
+                   "seed": np.array([inst.seed], np.uint64)}
+        yield (columns, np.array([False]), np.array([margin]),
+               np.array([expand_norm_tokens(cfg.norms, inst.n).index(spec)]))
     return sampling_phase
 
 
@@ -338,10 +379,10 @@ def test_refinement_generations(monkeypatch, refine_steps):
     margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
     real, sizes = hunt_module._stack_margins, []
 
-    def stack_margins(A, B, params, norms, condition_cap, counts):
-        sizes.append(len(params))
-        assert list(counts) == [inst.m] * len(params)
-        return real(A, B, params, norms, condition_cap, counts)
+    def stack_margins(A, B, rows, norms, condition_cap):
+        sizes.append(len(rows["m"]))
+        assert rows["m"].tolist() == [inst.m] * len(rows["m"])
+        return real(A, B, rows, norms, condition_cap)
 
     monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
     *_, evaluated, gated = hunt_module._refine(cfg, np.stack(inst.A), np.stack(inst.B), params,
@@ -360,11 +401,11 @@ def test_failure_at_a_reached_step_raises(monkeypatch):
     poison = hunt_module._perturb(np.stack(inst.A), np.stack(inst.B), params, cfg, 0, 16)[0][-1]
     real, raised = hunt_module._stack_margins, []
 
-    def stack_margins(A, B, params, norms, condition_cap, counts):
-        if any(np.array_equal(Ai, poison) for Ai in np.split(A, np.cumsum(counts)[:-1])):
-            raised.append(len(params))
+    def stack_margins(A, B, rows, norms, condition_cap):
+        if any(np.array_equal(Ai, poison) for Ai in np.split(A, np.cumsum(rows["m"])[:-1])):
+            raised.append(len(rows["m"]))
             raise errors.NonConvergence("poisoned candidate")
-        return real(A, B, params, norms, condition_cap, counts)
+        return real(A, B, rows, norms, condition_cap)
 
     monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
     monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
@@ -374,29 +415,29 @@ def test_failure_at_a_reached_step_raises(monkeypatch):
 
 
 def test_ungated_stack_selects_nothing(monkeypatch):
-    """`_stack_margins` evaluates an ungated stack on its spectra as they
-    are, and selects the kept instances only when some are gated, with
-    the margins each instance gets alone either way."""
+    """`_stack_margins` evaluates a mixed-m stack with no gated instance on
+    its one `InstanceSpectra`, building no stack of kept instances, and
+    gives each instance the margin and winning norm it gets alone."""
     insts = [generate_instance("generic", 3, m, seed) for m, seed in ((1, 3), (2, 4), (3, 5))]
-    params = [ChainParams(s=1.5, t=0.3), ChainParams(s=1.2, t=0.5), ChainParams(s=1.9, t=0.7)]
+    points = [ChainParams(s=1.5, t=0.3), ChainParams(s=1.2, t=0.5, r=2.0),
+              ChainParams(s=1.9, t=0.7, p=0.5)]
+    rows = {"m": np.array([inst.m for inst in insts]),
+            **{name: np.array([getattr(q, name) for q in points]) for name in "strp"}}
     A, B = (np.concatenate([getattr(inst, X) for inst in insts]) for X in "AB")
-    real, selected = InstanceSpectra.select, []
+    specs = expand_norm_tokens(["kyfan:all", "schatten:2"], 3)
+    alone = [_point_margin(inst, q, specs, 1e8) for inst, q in zip(insts, points)]
+    real, built = hunt_module.InstanceSpectra, []
 
-    def select(self, rows):
-        selected.append(rows.tolist())
-        return real(self, rows)
+    def spectra(A, B, counts):
+        built.append(np.asarray(counts).tolist())
+        return real(A, B, counts)
 
-    alone = [_point_margin(inst, q, ["kyfan:all"], 1e8) for inst, q in zip(insts, params)]
-    monkeypatch.setattr(InstanceSpectra, "select", select)
-    kappa = np.array([condition_max(inst) for inst in insts])
-    median = np.median(kappa)  # a cap that gates the worst-conditioned instance
-    for cap, want_selected in ((1e8, []), (median, [np.flatnonzero(kappa <= median).tolist()])):
-        selected.clear()
-        gated, margin, specs = hunt_module._stack_margins(A, B, params, ["kyfan:all"], cap,
-                                                          [inst.m for inst in insts])
-        assert gated.tolist() == (kappa > cap).tolist() and selected == want_selected
-        for k in np.flatnonzero(~gated):
-            assert (margin[k], specs[k]) == alone[k]
+    monkeypatch.setattr(hunt_module, "InstanceSpectra", spectra)
+    gated, margin, winner = hunt_module._stack_margins(A, B, rows, specs, 1e8)
+    assert max(condition_max(inst) for inst in insts) <= 1e8
+    assert not gated.any() and built == [rows["m"].tolist()]
+    for k in range(len(insts)):
+        assert (margin[k], specs[winner[k]]) == alone[k]
 
 
 # (base seed, samples, fewest accepted generations) of two hunts: the

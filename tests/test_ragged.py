@@ -3,8 +3,9 @@
 `InstanceSpectra` holds a stack's pairs laid end to end and each
 instance's pair count.  Every row of such a stack must be bitwise the
 instance alone, the sweep and the hunt evaluate each n once (the sweep's
-commuting variants and m-free lemma ids too), and a failing instance in an
-n-group still ends a run as it does alone.
+commuting variants and m-free lemma ids too), a hunt stack with gated
+instances gives the kept ones their margins alone, and a failing instance
+in an n-group still ends a run as it does alone.
 """
 
 import importlib
@@ -23,8 +24,8 @@ from gmineq.blocks import InstanceSet
 from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms, condition_max,
                            expand_norm_tokens, geo_z_terms, grid_terms, main_chain_terms,
                            t_chain_terms)
-from gmineq.generate import derive_seed, generate_instance
-from gmineq.hunt import SearchConfig, _sampling_phase
+from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
+from gmineq.hunt import SearchConfig, _point_margin, _sampling_phase
 from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
 from gmineq.linalg import sum_pairs
 from gmineq.reports import chain_records, dumps, lemma_records
@@ -135,20 +136,42 @@ def test_one_point_contract(n):
                     assert_row(point_terms[name](inst, q), row, (k, 0))
 
 
-def test_select_keeps_each_instances_pairs():
-    """`select` of a ragged stack keeps the chosen instances' own pairs and
-    decompositions: its rows are those of the instances alone."""
-    insts = [generate_instance("generic", 2, m, 300 + m) for m in (3, 1, 2, 4)]
-    spectra = _group(insts)
-    spectra.condition_max  # decompose the inputs before selecting
-    rows = np.array([3, 0])
-    sub = spectra.select(rows)
-    s, t, r, p = (np.array([1.5, 1.2]), np.array([0.5, 0.3]), np.ones(2), np.ones(2))
-    got = sub.lhs_sv(s, t, r)
-    for k, i in enumerate(rows):
-        alone = insts[i].spectra
-        assert sub.condition_max[k] == alone.condition_max[0]
-        assert _bitwise_equal(got[k], alone.lhs_sv(float(s[k]), float(t[k]), 1.0)[0])
+def test_select_keeps_each_instances_pairs(monkeypatch):
+    """`_stack_margins` on a mixed-m stack with gated instances builds the
+    stack of the kept instances' own pairs, and gives each kept instance
+    the margin and winning norm it gets alone, each gated one margin inf
+    and winner -1."""
+    law = SpectrumLaw(1e-3, 1e3)
+    insts = [generate_instance("generic", 2, m, seed, law)
+             for m, seed in ((3, 1), (1, 2), (2, 3), (4, 4), (2, 5))]
+    points = [ChainParams(s=1.5, t=0.3), ChainParams(s=1.2, t=0.5, r=2.0),
+              ChainParams(s=1.9, t=0.7, p=0.5), ChainParams(s=1.1, t=0.1),
+              ChainParams(s=2.0, t=0.5, r=2.0, p=2.0)]
+    rows = {"m": np.array([inst.m for inst in insts]),
+            **{name: np.array([getattr(q, name) for q in points]) for name in "strp"}}
+    A, B = (np.concatenate([getattr(inst, X) for inst in insts]) for X in "AB")
+    specs = expand_norm_tokens(["kyfan:all", "schatten:2"], 2)
+    alone = [_point_margin(inst, q, specs, 1e8) for inst, q in zip(insts, points)]
+    real, built = hunt_module.InstanceSpectra, []
+
+    def spectra(A, B, counts):
+        built.append(np.asarray(counts).tolist())
+        return real(A, B, counts)
+
+    monkeypatch.setattr(hunt_module, "InstanceSpectra", spectra)
+    kappa = np.array([condition_max(inst) for inst in insts])
+    assert len(set(kappa.tolist())) == len(insts)
+    for cap in np.sort(kappa)[:-1]:  # 4, 3, 2, then 1 of the 5 instances gated
+        built.clear()
+        gated, margin, winner = hunt_module._stack_margins(A, B, rows, specs, cap)
+        kept = kappa <= cap
+        assert gated.tolist() == (~kept).tolist()
+        assert built == [rows["m"].tolist(), rows["m"][kept].tolist()]
+        for k in range(len(insts)):
+            if gated[k]:
+                assert margin[k] == np.inf and winner[k] == -1
+            else:
+                assert (margin[k], specs[winner[k]]) == alone[k]
 
 
 @settings(max_examples=25, deadline=None)
@@ -273,13 +296,13 @@ def test_hunt_sampling_one_evaluation_per_n(monkeypatch):
     real, calls = hunt_module._stack_margins, []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[2]))
+        calls.append(len(args[2]["m"]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hunt_module, "_stack_margins", counted)
-    results = list(_sampling_phase(cfg))
-    assert len(results) == cfg.samples and sum(calls) == cfg.samples
-    assert len(calls) == len({point[3][0] for _, point in results}) <= 4
+    (columns, gated, _, _), = _sampling_phase(cfg)  # one chunk
+    assert len(gated) == cfg.samples and sum(calls) == cfg.samples
+    assert len(calls) == len(set(columns["n"].tolist())) <= 4
 
 
 def test_failing_instance_in_a_mixed_group(tmp_path, capsys):

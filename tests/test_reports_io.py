@@ -391,7 +391,7 @@ class TestAllGatedHunt:
 
     def test_written_read_back_and_reevaluated(self, tmp_path):
         cfg = SearchConfig(**self.CFG)
-        assert all(n >= 2 for n, *_ in _sample_points(cfg, range(cfg.samples)))
+        assert (_sample_points(cfg, range(cfg.samples))["n"] >= 2).all()
         result = hunt(cfg)
         assert result.argmin is None and result.gated_count == 4
         path = tmp_path / "hunt.json"
