@@ -184,6 +184,7 @@ class InstanceSpectra:
         self._counts = np.asarray(counts, dtype=np.intp)
         self._starts = np.cumsum(self._counts) - self._counts
         self._owner = np.repeat(np.arange(len(self._counts)), self._counts)  # pair -> instance
+        self._slot = np.arange(len(self._owner)) - self._starts[self._owner]  # pair -> its i
         self._memo = {}
 
     def _per_row(self, key: tuple, compute):
@@ -214,10 +215,15 @@ class InstanceSpectra:
 
     def _by_instance(self, X: np.ndarray) -> np.ndarray:
         """Each instance's sum of its pairs' X (..., sum(counts), n, n),
-        added in pair order starting from zeros (`np.add.at` adds in index
-        order): (..., K, n, n)."""
+        added in pair order starting from zeros: the pairs are laid out
+        (..., K, max m, n, n), padded with zeros, and the slots added in
+        turn.  Returns (..., K, n, n)."""
         acc = np.zeros(X.shape[:-3] + self._counts.shape + X.shape[-2:], dtype=np.complex128)
-        np.add.at(acc, (..., self._owner, slice(None), slice(None)), X)
+        padded = np.zeros(acc.shape[:-2] + (int(self._counts.max(initial=0)),) + X.shape[-2:],
+                          dtype=np.complex128)
+        padded[..., self._owner, self._slot, :, :] = X
+        for i in range(padded.shape[-3]):
+            acc += padded[..., i, :, :]
         return acc
 
     @property
