@@ -349,9 +349,14 @@ def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
 
 def t_chain_status(params: ChainParams) -> str:
     """Proven parameter regimes of the weighted chain; everything else is
-    the open conjecture region."""
+    the open conjecture region.  At t in {0, 1} the chain reads
+    |||sum A_i^{sr}||| <= |||(sum A)^{sr}||| (or the same with B), which
+    holds for sr >= 1 because x^{sr} is superadditive under every unitarily
+    invariant norm (Ando-Zhan 1999; Bourin-Uchiyama 2007)."""
     s, r, p, t = params.s, params.r, params.p, params.t
     if s == 1.0 and r >= 1.0 and p > 0.0:
+        return "proven"
+    if t in (0.0, 1.0) and s * r >= 1.0:
         return "proven"
     if s >= 2.0 and t == 0.5 and r >= 1.0 and r * p >= 1.0:
         return "proven"

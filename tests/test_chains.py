@@ -25,6 +25,7 @@ from gmineq.generate import derive_seed, generate_instance, haar_unitary
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
 from gmineq.reports import SCHEMA_VERSION, chain_blocks, chain_records, dumps, order_norms
+from gmineq.sweep import SweepConfig, has_proven_failure, run_sweep
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.schatten(1),
          NormSpec.schatten(2), NormSpec.schatten(np.inf)]
@@ -99,6 +100,22 @@ class TestTChain:
         assert t_chain_status(ChainParams(s=2.0, r=0.75, p=2.0, t=0.5)) == "conjectured"
         assert t_chain_status(ChainParams(s=1.5, r=1.0, p=1.0, t=0.5)) == "conjectured"
         assert t_chain_status(ChainParams(s=2.5, r=1.0, p=1.0, t=0.3)) == "conjectured"
+        # t in {0, 1}: superadditivity of x^{sr}, which needs sr >= 1 only
+        for t in (0.0, 1.0):
+            for s, r in ((1.5, 1.0), (2.0, 0.5), (4.0, 0.3), (1.0, 1.0), (3.0, 2.0)):
+                assert t_chain_status(ChainParams(s=s, r=r, p=0.5, t=t)) == "proven"
+            assert t_chain_status(ChainParams(s=1.5, r=0.5, p=1.0, t=t)) == "conjectured"
+
+    def test_endpoint_rule_holds_on_instances(self):
+        """Every record the t in {0, 1} rule labels proven passes, at sr from
+        1 up to 6 and r below and above 1."""
+        cfg = SweepConfig(chains=["t-chain"], n_values=[2, 3], m_values=[1, 2, 3],
+                          instance_count=12, base_seed=3, s_values=[1.5, 2.0, 4.0],
+                          r_values=[0.3, 0.5, 1.0, 2.0], p_values=[0.5, 1.0, 2.0],
+                          t_values=[0.0, 1.0], norms=["kyfan:all"])
+        rs = run_sweep(cfg)
+        proven = [rec for rec in rs.records if rec["status"] == "proven"]
+        assert len(proven) > len(rs.records) // 2 and not has_proven_failure(rs)
 
     def test_witness_below_r_one_is_not_proven(self):
         """W(2, 15 deg): D = diag(2, 1/2), A_1 = B_1 = D, and A_2, B_2 the
