@@ -1,19 +1,25 @@
-"""Seeded instance generation.
+"""Seeded instance generation from counter-based words.
 
 Random matrices are Q diag(lambda) Q* with Q from orthonormalized complex
-Gaussians (Haar-like) and eigenvalues drawn from a log-uniform law.
-Identical arguments produce bit-identical instances.
+Gaussians (Haar) and eigenvalues drawn from a log-uniform law.  Identical
+arguments produce bit-identical instances.
 
 Per-task seeds are derived with a splitmix64 mix of (base_seed, index),
 so each task's instance depends on its index alone, not on run order.
 
-`draw_instances` draws a stack of equal-shape instances, each from its
-own stream, and builds their matrices with one QR call.  Each stream is
-that of `np.random.default_rng(seed)`; `generators` makes the
-streams of many seeds at once, hashing all their seeds together.
-`generate_instance` is a stack of one, and every instance of a stack gets
-the bytes it gets alone, as do `ginibre_draws` and `spd_draws` for
-matrices drawn one after another from each generator.
+Every random number is a counter-based word, in the style of Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011): a stream is
+a 64-bit key, and its word j is `derive_seed(key, j)`.  A uniform is the
+word's top 53 bits over 2**53, and a complex normal is Box-Muller of two
+uniforms u, v, sqrt(-log(1 - u)) exp(2 pi i v), whose real and imaginary
+parts, times sqrt(2), are two standard normals.  A stream has no state:
+`Words` hands out the next words of K streams at once, so a stack of K
+instances computes its whole (K, W) block of words with one set of array
+operations, and every instance gets the bytes it gets alone.  Each
+purpose tags its key, so that no two purposes read one stream: the
+instance of kind `kind` from seed s reads the stream of key
+s ^ KIND_TAGS[kind], so a generic and a commuting instance of one seed
+share no matrix.
 """
 
 from __future__ import annotations
@@ -23,15 +29,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import errors
 from .blocks import InstanceSet
 from .linalg import from_spectrum
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The tag of each instance kind's stream keys.
+KIND_TAGS = {"generic": 0x47454E52, "commuting": 0x434F4D4D}
 
 
 def splitmix64(x):
@@ -46,6 +52,40 @@ def splitmix64(x):
 def derive_seed(base_seed, index):
     """Stable 64-bit per-task seed from (base_seed, task index), also of uint64 arrays."""
     return splitmix64((base_seed & _MASK64) ^ splitmix64(index & _MASK64))
+
+
+class Words:
+    """A cursor over the streams of K keys, each key a seed xored with a
+    purpose's tag: `take(count)` returns the next `count` words of every
+    stream, (K, count) uint64, word j of stream k being
+    `derive_seed(keys[k], j)`."""
+
+    def __init__(self, seeds, tag: int = 0):
+        self.keys = (np.array(seeds, dtype=np.uint64, ndmin=1) ^ np.uint64(tag))[:, None]
+        self.used = 0
+
+    def take(self, count: int) -> np.ndarray:
+        start, self.used = self.used, self.used + count
+        return splitmix64(self.keys ^ splitmix64(np.arange(start, self.used, dtype=np.uint64)))
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1): each word's top 53 bits over 2**53."""
+    return (words >> 11) * 2.0 ** -53
+
+
+def complex_normals(words: np.ndarray) -> np.ndarray:
+    """(..., k) complex normals with E|z|^2 = 1 from (..., 2k) words, z_i
+    Box-Muller of the uniforms u, v of words 2i and 2i + 1:
+    sqrt(-log(1 - u)) exp(2 pi i v), the log never of 0."""
+    u = uniforms(words)
+    return np.sqrt(-np.log(1.0 - u[..., 0::2])) * np.exp(2j * np.pi * u[..., 1::2])
+
+
+def normals(words: np.ndarray) -> np.ndarray:
+    """(..., 2k) standard normals from (..., 2k) words: sqrt(2) times the
+    real and imaginary parts of each complex normal."""
+    return (math.sqrt(2.0) * complex_normals(words)).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -64,9 +104,10 @@ class SpectrumLaw:
     def _log_bounds(self) -> tuple:
         return np.log(self.lo), np.log(self.hi)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """Eigenvalues of the law from uniforms u on [0, 1), elementwise."""
         log_lo, log_hi = self._log_bounds
-        return np.exp(rng.uniform(log_lo, log_hi, size=size))
+        return np.exp(log_lo + (log_hi - log_lo) * u)
 
     def to_dict(self) -> dict:
         return {"law": "loguniform", "lo": self.lo, "hi": self.hi}
@@ -81,25 +122,21 @@ class SpectrumLaw:
 DEFAULT_LAW = SpectrumLaw()
 
 
-def _draw(rngs: list, n: int, count: int, law: SpectrumLaw = DEFAULT_LAW, rows: int = 1) -> tuple:
-    """(G (K, count, n, n), lam (K, count * rows, n)): per generator, `count`
-    Ginibre matrices, real parts drawn first, each followed by `rows` rows
-    of n eigenvalues of the law; parts combined, uniforms scaled as `rng.uniform`
-    scales them and exp taken, once for all."""
-    normal = np.empty((len(rngs), count, 2, n, n))
-    u = np.empty((len(rngs), count, rows, n))
-    for rng, parts, uniforms in zip(rngs, normal, u):
-        for j in range(count):
-            rng.standard_normal(out=parts[j])
-            rng.random(out=uniforms[j])
-    G = (normal[:, :, 0] + 1j * normal[:, :, 1]) / np.sqrt(2.0)
-    log_lo, log_hi = law._log_bounds
-    return G, np.exp(log_lo + (log_hi - log_lo) * u).reshape(len(rngs), count * rows, n)
+def _draw(words: Words, n: int, count: int, law: SpectrumLaw = DEFAULT_LAW, rows: int = 1) -> tuple:
+    """(G (K, count, n, n), lam (K, count * rows, n)) from the next words of
+    every stream: `count` complex Ginibre matrices (2 n^2 words each), then
+    `count * rows` rows of n eigenvalues of the law (a word each), all
+    from one `take`."""
+    ginibre = 2 * n * n * count
+    block = words.take(ginibre + count * rows * n)
+    K = len(block)
+    G = complex_normals(block[:, :ginibre].reshape(K, count, 2 * n * n)).reshape(K, count, n, n)
+    return G, law.sample(uniforms(block[:, ginibre:])).reshape(K, count * rows, n)
 
 
-def ginibre_draws(rngs: list, n: int, count: int = 1) -> np.ndarray:
-    """(K, count, n, n): `count` complex Ginibre matrices per generator."""
-    return _draw(rngs, n, count, rows=0)[0]
+def ginibre_draws(words: Words, n: int, count: int = 1) -> np.ndarray:
+    """(K, count, n, n): `count` complex Ginibre matrices per stream."""
+    return _draw(words, n, count, rows=0)[0]
 
 
 def haar(G: np.ndarray) -> np.ndarray:
@@ -110,106 +147,40 @@ def haar(G: np.ndarray) -> np.ndarray:
     return Q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return haar(ginibre_draws([rng], n)[0, 0])
+def haar_unitary(n: int, seed: int) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix drawn
+    from the stream of key `seed`."""
+    return haar(ginibre_draws(Words(seed & _MASK64), n)[0, 0])
 
 
-def spd_draws(rngs: list, n: int, count: int = 1, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
-    """(K, count, n, n): `count` SPD matrices per generator, each a Ginibre
+def spd_draws(words: Words, n: int, count: int = 1, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
+    """(K, count, n, n): `count` SPD matrices per stream, each a Ginibre
     matrix and its eigenvalues; one QR and one `from_spectrum` for all."""
-    G, lam = _draw(rngs, n, count, law)
+    G, lam = _draw(words, n, count, law)
     return from_spectrum(haar(G), lam)
 
 
-def random_spd(n: int, rng: np.random.Generator, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
-    """Random SPD matrix with eigenvalues from the spectrum law."""
-    return spd_draws([rng], n, 1, law)[0, 0]
+def random_spd(n: int, seed: int, law: SpectrumLaw = DEFAULT_LAW) -> np.ndarray:
+    """Random SPD matrix with eigenvalues from the spectrum law, drawn from
+    the stream of key `seed`."""
+    return spd_draws(Words(seed & _MASK64), n, 1, law)[0, 0]
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """(count + 1, 1) uint32: init, then each times mult modulo 2**32."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return np.array(h, dtype=np.uint32)[:, None]
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
-# its hashmix steps take in turn while the pool is mixed (A) and while the
-# state is read out (B), and those of its mix function.
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(value: np.ndarray, constants: np.ndarray, k: int) -> np.ndarray:
-    """SeedSequence's hashmix of the rows of `value` with hash steps k,
-    k + 1, ...: row j is xored with constant k + j and multiplied by
-    constant k + j + 1, modulo 2**32."""
-    value = (value ^ constants[k:k + len(value)]) * constants[k + 1:k + len(value) + 1]
-    return value ^ (value >> 16)
-
-
-def _pcg64_seed_words(seeds) -> np.ndarray:
-    """(K, 4) uint64: for each seed in [0, 2**64), the four words
-    `np.random.SeedSequence(seed).generate_state(4, np.uint64)` gives, which
-    PCG64 takes as its initial state and increment.  A seed's entropy is
-    its 32-bit words, low first, in a pool of four words padded with zeros;
-    a seed below 2**32 pads its one word with a zero too, so every seed
-    hashes as two words and the whole list is hashed as (4, K) arrays."""
-    s = np.array(seeds, dtype=np.uint64)
-    pool = np.zeros((4, s.size), dtype=np.uint32)
-    pool[0], pool[1] = s & _MASK32, s >> 32
-    pool = _hashmix(pool, _HASH_A, 0)
-    k = 4
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[[src] * 3], _HASH_A, k)
-        pool[dst] = mixed ^ (mixed >> 16)
-        k += 3
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | (words[1::2] << 32)).T)
-
-
-class _SeedWords(ISeedSequence):
-    """A seed whose SeedSequence state is already computed: PCG64 asks for
-    four uint64 words and gets them."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def generators(seeds) -> list:
-    """One `np.random.Generator` per seed in [0, 2**64), each with the
-    state and stream of `np.random.default_rng(seed)`: made by it for a
-    few seeds, and from seeds hashed together for more."""
-    seeds = np.array(seeds, dtype=np.uint64, ndmin=1)
-    if seeds.size < 8:  # hashing the seeds together pays off from about 8 on
-        return [np.random.default_rng(seed) for seed in seeds.tolist()]
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in _pcg64_seed_words(seeds)]
-
-
-def draw_instances(kind: str, n: int, m: int, rngs: list, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
-    """(A, B), each (K, m, n, n): one instance per generator of `rngs`.
-    Each instance draws from its generator per matrix (per pair for
-    commuting instances) the real then imaginary parts of a Ginibre
-    matrix, then its n eigenvalues (both rows of the pair), A_1's first,
-    then B_1's, so it gets the bytes of `ginibre_draws` and
-    `SpectrumLaw.sample` on that stream; the parts are combined, the
-    eigenvalues exponentiated, and every matrix made Q diag(lam) Q* with Q
-    from one stacked QR, once for the whole stack.  The A_i and B_i of a
-    commuting instance share one eigenbasis per pair."""
-    if kind not in ("generic", "commuting"):
+def draw_instances(kind: str, n: int, m: int, seeds, law: SpectrumLaw = DEFAULT_LAW) -> tuple:
+    """(A, B), each (K, m, n, n): one instance per seed of `seeds`, from
+    the stream of key seed ^ KIND_TAGS[kind].  An instance's words are its
+    Ginibre matrices, then its eigenvalue rows (`_draw`): one matrix and
+    one row per A_i and B_i in the order A_1, B_1, A_2, ..., or for a
+    commuting instance one matrix per pair, whose A_i and B_i share its
+    eigenbasis, and the pair's two rows.  Every matrix is Q diag(lam) Q*
+    with Q from one stacked QR, once for the whole stack."""
+    if kind not in KIND_TAGS:
         raise errors.ConfigError(f"unknown instance kind {kind!r}")
     if n < 1 or m < 1:
         raise errors.ConfigError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     shared = kind == "commuting"
-    G, lam = _draw(rngs, n, m if shared else 2 * m, law, 2 if shared else 1)
+    G, lam = _draw(Words(seeds, KIND_TAGS[kind]), n, m if shared else 2 * m, law,
+                   2 if shared else 1)
     Q = haar(G)
     if shared:
         Q = np.repeat(Q, 2, axis=-3)
@@ -229,5 +200,5 @@ def generate_instance(
     generic: all 2m matrices independent.  commuting: A_i and B_i share
     one eigenbasis per pair, so they commute exactly up to round-off.
     """
-    A, B = draw_instances(kind, n, m, [np.random.default_rng(seed & _MASK64)], law)
+    A, B = draw_instances(kind, n, m, [seed & _MASK64], law)
     return InstanceSet(m=m, n=n, A=A[0], B=B[0], seed=int(seed), kind=kind)

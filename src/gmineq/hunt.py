@@ -46,8 +46,8 @@ from .chains import (
     t_chain_status,
     validate_run_fields,
 )
-from .generate import (DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generate_instance,
-                       generators)
+from .generate import (DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instances,
+                       generate_instance, normals)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SCHEMA_VERSION
@@ -258,15 +258,14 @@ def _sampling_phase(cfg: SearchConfig):
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):
         columns = _sample_points(cfg, range(start, min(start + size, cfg.samples)))
-        streams = generators(columns["seed"])
-        gated = np.zeros(len(streams), bool)
-        margin, winner = np.full(len(streams), np.inf), np.full(len(streams), -1)
+        count = len(columns["seed"])
+        gated, margin, winner = np.zeros(count, bool), np.full(count, np.inf), np.full(count, -1)
         for n in sorted(set(columns["n"].tolist())):
             at_n = columns["n"] == n
             groups = {m: np.flatnonzero(at_n & (columns["m"] == m))
                       for m in sorted(set(columns["m"][at_n].tolist()))}
-            draws = [draw_instances("generic", n, m, [streams[i] for i in group],
-                                    cfg.spectrum_law) for m, group in groups.items()]
+            draws = [draw_instances("generic", n, m, columns["seed"][group], cfg.spectrum_law)
+                     for m, group in groups.items()]
             rows = np.concatenate(list(groups.values()))
             A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
             gated[rows], margin[rows], winner[rows] = _stack_margins(
@@ -283,12 +282,14 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
     matrix gets a multiplicative eigenvalue jitter and a small basis
     rotation, which preserve positive definiteness; s and t get a clipped
     jitter where their range is not a single value.  All the generation's
-    noise is one `standard_normal` call on the stream at
-    `derive_seed(base_seed ^ _REFINE_TAG, generation)`: candidate by
-    candidate, per matrix (the A_i, then the B_i) n eigenvalue factors and
-    the real and imaginary parts of an n x n Ginibre matrix, then the s
-    and t jitters.  The point is decomposed once, and the rotations and
-    products are one stacked call each.  A scale so large that the
+    noise is normals (`generate.normals`) of one `take` of words of the
+    stream of key `derive_seed(base_seed ^ _REFINE_TAG, generation)`:
+    candidate by candidate, per matrix (the A_i, then the B_i) n
+    eigenvalue factors and the real and imaginary parts of an n x n
+    Ginibre matrix, then two normals, taken in turn by the s and t jitters
+    that apply.  The point
+    is decomposed once, and the rotations and products are one stacked
+    call each.  A scale so large that the
     arithmetic overflows raises no warning here: the evaluation of the
     candidate it spoils raises `errors.NonFiniteInput`."""
     m, n = A.shape[0], A.shape[-1]
@@ -296,8 +297,8 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
     s, t = np.full(size, params.s), np.full(size, params.t)
     jittered = [(v, lo, hi) for v, (lo, hi) in ((s, cfg.s_range), (t, cfg.t_range)) if hi > lo]
     width = 2 * m * (n + 2 * n * n)
-    rng = np.random.default_rng(derive_seed(cfg.base_seed ^ _REFINE_TAG, generation))
-    draws = rng.standard_normal((size, width + len(jittered)))
+    words = Words(derive_seed(cfg.base_seed ^ _REFINE_TAG, generation))
+    draws = normals(words.take(size * (width + 2)).reshape(size, width + 2))
     noise = draws[:, :width].reshape(size, 2 * m, n + 2 * n * n)
     shape = noise.shape[:2] + (n, n)
     G = (noise[..., n:n + n * n].reshape(shape)

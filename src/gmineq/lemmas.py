@@ -30,13 +30,15 @@ import numpy as np
 
 from . import errors
 from .chains import DEFAULT_TOL_REL, chain_margins
-from .generate import DEFAULT_LAW, SpectrumLaw, ginibre_draws, haar, spd_draws
+from .generate import DEFAULT_LAW, SpectrumLaw, Words, ginibre_draws, haar, spd_draws, uniforms
 from .linalg import (from_spectrum, hermitian_eig, hermitize, matrix_power, power_from_eig,
                      power_rows, psd_sv, sum_pairs, svd)
 from .means import mean_unitary
 from .norms import NormSpec, ky_fan_dominance, norm_values, singular_values
 
 UNITARY_TOL = 1e-10
+# The tag of the lemma cases' stream keys.
+LEMMA_TAG = 0x4C454D41
 # The normality premise: max|XX* - X*X| <= NORMAL_RTOL * max(1, max|X|^2).
 NORMAL_RTOL = 1e-10
 
@@ -279,49 +281,53 @@ def eval_lemma(case: LemmaCase, norm: NormSpec, tol_rel: float = DEFAULT_TOL_REL
     return lemma_report_from_terms(case.lemma_id, lemma_terms(case), norm, tol_rel)
 
 
-def random_cases(lemma_id: str, rngs: list, n: int = 2, m: int = 2,
+def random_cases(lemma_id: str, seeds, n: int = 2, m: int = 2,
                  law: SpectrumLaw = DEFAULT_LAW) -> LemmaCase:
-    """A stack of admissible cases of the given lemma, case k drawn from
-    generator rngs[k] in the order that `random_case` draws it."""
+    """A stack of admissible cases of the given lemma, case k drawn from the
+    stream of key seeds[k] ^ LEMMA_TAG: every operand and parameter, in
+    the order below, from consecutive words of every case's stream."""
+    words = Words(seeds, LEMMA_TAG)
+
     def uniform(lo, hi, size=None):
-        return np.array([rng.uniform(lo, hi, size) for rng in rngs])
+        u = uniforms(words.take(size or 1))
+        return lo + (hi - lo) * (u if size else u[:, 0])
 
     if lemma_id in ("Araki", "ConcaveSubaddBU", "AUBPower"):
-        pair = dict(zip("AB", spd_draws(rngs, n, 2, law).swapaxes(0, 1)))
+        pair = dict(zip("AB", spd_draws(words, n, 2, law).swapaxes(0, 1)))
     if lemma_id == "Araki":
         return LemmaCase(lemma_id, pair, {"p": uniform(0.25, 2.0), "q": uniform(1.0, 3.0)})
     if lemma_id == "BlockNormal":
         # Hermitian block matrix: H = G + G* in mn x mn
-        return LemmaCase(lemma_id, {"Z": hermitize(ginibre_draws(rngs, m * n)[:, 0])},
-                         {"n": np.full(len(rngs), n)})
+        return LemmaCase(lemma_id, {"Z": hermitize(ginibre_draws(words, m * n)[:, 0])},
+                         {"n": np.full(len(words.keys), n)})
     if lemma_id == "Hoelder":
         q = uniform(1.2, 4.0)
-        X, Y = ginibre_draws(rngs, n, 2).swapaxes(0, 1)
+        X, Y = ginibre_draws(words, n, 2).swapaxes(0, 1)
         return LemmaCase(lemma_id, {"X": X, "Y": Y}, {"q": q, "s": q / (q - 1.0)})
     if lemma_id == "NormalProduct":
         # commuting Hermitian pair: the product is Hermitian, hence normal
-        Q = haar(ginibre_draws(rngs, n)[:, 0])
+        Q = haar(ginibre_draws(words, n)[:, 0])
         a, b = uniform(-2.0, 2.0, n), uniform(-2.0, 2.0, n)
         return LemmaCase(lemma_id, {"A": from_spectrum(Q, a), "B": from_spectrum(Q, b)}, {})
     if lemma_id == "PowerMonotoneFamily":
         # B random SPD; A gets entrywise-smaller eigenvalues in its own basis,
         # which gives weak majorization of singular values (the premise)
-        lam_b = np.sort([law.sample(rng, n) for rng in rngs])[:, ::-1]
+        lam_b = np.sort(law.sample(uniforms(words.take(n))))[:, ::-1]
         frac = uniform(0.1, 1.0, n)
-        Qa, Qb = haar(ginibre_draws(rngs, n, 2)).swapaxes(0, 1)
+        Qa, Qb = haar(ginibre_draws(words, n, 2)).swapaxes(0, 1)
         return LemmaCase(lemma_id, {"A": from_spectrum(Qa, lam_b * frac),
                                     "B": from_spectrum(Qb, lam_b)}, {"r": uniform(1.0, 3.0)})
     if lemma_id == "GramSwap":
-        return LemmaCase(lemma_id, {"Y": ginibre_draws(rngs, n)[:, 0]}, {"a": uniform(0.25, 2.5)})
+        return LemmaCase(lemma_id, {"Y": ginibre_draws(words, n)[:, 0]}, {"a": uniform(0.25, 2.5)})
     if lemma_id == "ConvexSubadd":
-        return LemmaCase(lemma_id, {"A_list": spd_draws(rngs, n, m, law)}, {"r": uniform(1.0, 3.0)})
+        return LemmaCase(lemma_id, {"A_list": spd_draws(words, n, m, law)}, {"r": uniform(1.0, 3.0)})
     if lemma_id == "ConcaveSubaddBU":
         return LemmaCase(lemma_id, pair, {"theta": uniform(0.05, 1.0)})
     if lemma_id == "AUBPower":
-        pair["U"] = haar(ginibre_draws(rngs, n)[:, 0])
+        pair["U"] = haar(ginibre_draws(words, n)[:, 0])
         return LemmaCase(lemma_id, pair, {"q": uniform(1.0, 3.0)})
     if lemma_id == "BlockDiagStep":
-        X = spd_draws(rngs, n, 2 * m, law)
+        X = spd_draws(words, n, 2 * m, law)
         return LemmaCase(lemma_id, {"A_list": X[:, :m], "B_list": X[:, m:]},
                          {"s": uniform(1.1, 3.0)})
     raise errors.ConfigError(f"unknown lemma id {lemma_id!r}")
@@ -329,8 +335,8 @@ def random_cases(lemma_id: str, rngs: list, n: int = 2, m: int = 2,
 
 def random_case(lemma_id: str, seed: int, n: int = 2, m: int = 2,
                 law: SpectrumLaw = DEFAULT_LAW) -> LemmaCase:
-    """Seeded admissible case for the given lemma: `random_cases` on the
-    one generator `np.random.default_rng(seed)`."""
-    cases = random_cases(lemma_id, [np.random.default_rng(seed)], n, m, law)
+    """Seeded admissible case for the given lemma: `random_cases` on a
+    stack of one."""
+    cases = random_cases(lemma_id, [seed], n, m, law)
     return LemmaCase(lemma_id, {k: v[0] for k, v in cases.operands.items()},
                      {k: v[0].item() for k, v in cases.params.items()})

@@ -2,10 +2,10 @@
 parameter grids, with deterministic per-task seeds and blocks sorted by
 key, so a report is a pure function of its config.
 
-The tasks of one n are taken together, whatever their m: every stream
-they draw from is made by one `generators` call, and each (n, m)'s
-instances of a kind are drawn as one stack into the n-group's stack of
-that kind, every m's pairs laid end to end (`chains.InstanceSpectra`).
+The tasks of one n are taken together, whatever their m: each (n, m)'s
+instances of a kind are drawn from their task seeds as one stack
+(`generate.draw_instances`) into the n-group's stack of that kind, every
+m's pairs laid end to end (`chains.InstanceSpectra`).
 Each grid chain's whole (s, r, p, t) grid, and each commuting variant, is
 evaluated once per n on that stack (`chains.grid_terms`,
 `chains.commuting_terms`), then split by m (`ChainTerms.take`, which cuts
@@ -29,7 +29,7 @@ from . import errors
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, InstanceSpectra,
                      admissible, commuting_terms, expand_norm_tokens, grid_terms,
                      validate_run_fields)
-from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances, generators
+from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances
 from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
 from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
 
@@ -154,31 +154,25 @@ def _chain_table(cfg: SweepConfig) -> dict:
 def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     """The record blocks of every shape (n, m) of one n, `shapes` a list
     of (m, tasks): task i draws its instance of each kind from seed
-    derive_seed(base_seed, i) as `generate_instance` would, and its case
-    of lemma id number li from seed derive_seed(derive_seed(base_seed, i),
-    li) as `random_case` would, all from streams made by one `generators`
-    call.  Each shape's instances of a kind are drawn as one stack, and
-    each grid chain and commuting variant is evaluated by one terms call
-    on the n-group, every shape's pairs of its kind laid end to end
-    (`InstanceSpectra`), then split by shape (`ChainTerms.take`) and
-    recorded by one `chain_blocks` call per shape.  An m-free lemma id's
-    cases are drawn, evaluated and recorded as one stack of every task of
-    the n-group, each recorded with its task's m, and another id's as one
-    stack per shape."""
+    derive_seed(base_seed, i), and its case of lemma id number li from
+    seed derive_seed(derive_seed(base_seed, i), li), as `generate_instance`
+    and `random_case` would.  Each shape's instances of a kind are drawn
+    as one stack, and each grid chain and commuting variant is evaluated
+    by one terms call on the n-group, every shape's pairs of its kind laid
+    end to end (`InstanceSpectra`), then split by shape
+    (`ChainTerms.take`) and recorded by one `chain_blocks` call per shape.
+    An m-free lemma id's cases are drawn, evaluated and recorded as one
+    stack of every task of the n-group, each recorded with its task's m,
+    and another id's as one stack per shape."""
     seeds = [derive_seed(cfg.base_seed, np.array(tasks, np.uint64)) for _, tasks in shapes]
     tasks = np.concatenate(seeds)
     K, bounds = len(tasks), np.cumsum([0] + [len(part) for part in seeds]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     ms = np.repeat([m for m, _ in shapes], np.diff(bounds)).tolist()  # each task's m
     chains = [c for c in cfg.chains if c != "lemmas"]
-    kinds = list(dict.fromkeys(table[c][0] for c in chains))
-    lemma_ids = table["lemmas"][2] if "lemmas" in cfg.chains else []
-    groups = [tasks] * len(kinds) + [derive_seed(tasks, li) for li in range(len(lemma_ids))]
-    streams = generators(np.concatenate([tasks[:0], *groups]))  # K fresh streams per group
     spectra = {}
-    for j, kind in enumerate(kinds):
-        kind_streams = streams[j * K:(j + 1) * K]
-        draws = [draw_instances(kind, n, m, kind_streams[part], cfg.spectrum_law)
+    for kind in dict.fromkeys(table[c][0] for c in chains):
+        draws = [draw_instances(kind, n, m, tasks[part], cfg.spectrum_law)
                  for (m, _), part in zip(shapes, rows)]
         A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
         spectra[kind] = InstanceSpectra(A, B, ms)
@@ -195,12 +189,12 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
                 blocks.extend(chain_blocks(shape_terms, n, m, tasks[part].tolist(), points,
                                            expand_norm_tokens(cfg.norms, shape_terms.max_dim),
                                            cfg.tol_rel, cfg.condition_cap))
-    for j, lid in enumerate(lemma_ids, start=len(kinds)):
+    for li, lid in enumerate(table["lemmas"][2] if "lemmas" in cfg.chains else []):
+        case_seeds = derive_seed(tasks, li)
         for part in [slice(0, K)] if m_free(lid) else rows:
-            cases = random_cases(lid, streams[j * K:(j + 1) * K][part], n, ms[part][0],
-                                 cfg.spectrum_law)
+            cases = random_cases(lid, case_seeds[part], n, ms[part][0], cfg.spectrum_law)
             terms = lemma_stack_terms(cases)
-            blocks.extend(lemma_blocks(cases, terms, groups[j][part].tolist(), n, ms[part],
+            blocks.extend(lemma_blocks(cases, terms, case_seeds[part].tolist(), n, ms[part],
                                        expand_norm_tokens(cfg.norms, terms.max_dim),
                                        cfg.tol_rel))
     return blocks

@@ -569,7 +569,7 @@ class TestStackedInstances:
         unitary U, leaves every term's spectrum unchanged, to 1e-9 of the
         largest singular value."""
         insts = [generate_instance("generic", n, m, derive_seed(seed, i)) for i in range(3)]
-        U = haar_unitary(n, np.random.default_rng(seed))
+        U = haar_unitary(n, seed)
         stack, turned = _stack_of(insts), _scaled(insts, 1.0, 1.0, U)
         for chain, grid in STACK_GRIDS.items():
             base, got = grid_terms(stack, chain, grid), grid_terms(turned, chain, grid)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmineq import cli, errors, sweep
 from gmineq.chains import ChainParams, commuting_terms, geo_z_terms, main_chain_terms, t_chain_terms
-from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, generators, splitmix64
+from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, splitmix64
 from gmineq.highprec import t_chain_margin
 from gmineq.hunt import SearchConfig, _sample_points, evaluate_argmin, hunt
 from gmineq.lemmas import LEMMA_IDS
@@ -56,17 +56,17 @@ class TestGeneration:
 
     def test_spectrum_law_bounds(self):
         law = SpectrumLaw(0.5, 2.0)
-        lam = law.sample(np.random.default_rng(0), 1000)
+        lam = law.sample(np.linspace(0.0, 1.0 - 2.0 ** -53, 1000))
         assert lam.min() >= 0.5 and lam.max() <= 2.0
 
     def test_spectrum_law_draws_are_the_log_uniform_formula(self):
         # the law keeps its log bounds; every draw, the first and the later
         # ones, has the bits of the formula evaluated afresh
         law = SpectrumLaw(1e-3, 7.5)
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
         for size in (1, 5, 40):
-            expected = np.exp(ref.uniform(np.log(law.lo), np.log(law.hi), size))
-            assert law.sample(rng, size).tobytes() == expected.tobytes()
+            u = np.arange(size) / 40.0
+            expected = np.exp(np.log(law.lo) + (np.log(law.hi) - np.log(law.lo)) * u)
+            assert law.sample(u).tobytes() == expected.tobytes()
 
     def test_law_round_trip(self):
         law = SpectrumLaw(0.25, 4.0)
@@ -277,17 +277,22 @@ class TestSweep:
         assert counts[2][1] == 2 * counts[1][1] and counts[4][1] == 4 * counts[1][1]
 
     def test_one_stream_call_per_shape(self, monkeypatch):
-        """A shape's streams, K per instance kind and K per lemma id, are
-        made by one `generators` call."""
+        """A shape's instances of each kind are drawn by one
+        `draw_instances` call, and its cases of each lemma id by one
+        `random_cases` call, each of all its K task seeds."""
         calls = []
 
-        def counted(seeds):
-            calls.append(len(seeds))
-            return generators(seeds)
+        def counted(name, draw, at):
+            def call(*args):
+                calls.append((name, len(args[at])))  # the seeds
+                return draw(*args)
+            return call
 
-        monkeypatch.setattr(sweep, "generators", counted)
+        for name, at in (("draw_instances", 3), ("random_cases", 1)):
+            monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name), at))
         run_sweep(SweepConfig(**SMALL))
-        assert calls == [SMALL["instance_count"] * (2 + len(LEMMA_IDS))]
+        K = SMALL["instance_count"]
+        assert calls == [("draw_instances", K)] * 2 + [("random_cases", K)] * len(LEMMA_IDS)
 
     @settings(max_examples=25, deadline=None)
     @given(chains=st.lists(st.sampled_from(KNOWN_CHAINS), min_size=1, unique=True),

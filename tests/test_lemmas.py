@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmineq import errors
 from gmineq.chains import expand_norm_tokens
-from gmineq.generate import DEFAULT_LAW, SpectrumLaw, derive_seed, generators, haar_unitary, random_spd
+from gmineq.generate import DEFAULT_LAW, SpectrumLaw, derive_seed, haar_unitary, random_spd
 from gmineq.lemmas import (LEMMA_IDS, LemmaCase, eval_lemma, lemma_stack_terms, lemma_terms,
                            m_free, random_case, random_cases)
 from gmineq.linalg import hermitize, matrix_power, psd_sv
@@ -37,7 +37,7 @@ class TestRandomCases:
         assert {lid for lid in LEMMA_IDS if not m_free(lid)} == carry_m
         seeds = [derive_seed(12, k) for k in range(3)]
         for lid in LEMMA_IDS:
-            one, four = (random_cases(lid, generators(seeds), 3, m) for m in (1, 4))
+            one, four = (random_cases(lid, seeds, 3, m) for m in (1, 4))
             assert one.operands.keys() == four.operands.keys()
             shapes = {name: (np.shape(one.operands[name]), np.shape(four.operands[name]))
                       for name in one.operands}
@@ -115,9 +115,8 @@ class TestHypothesisChecks:
             eval_lemma(case, NormSpec.trace())
 
     def test_normal_product_premise(self):
-        rng = np.random.default_rng(0)
-        A = random_spd(3, rng)
-        B = random_spd(3, rng)  # generic pair: AB is not normal
+        A = random_spd(3, 0)
+        B = random_spd(3, 1)  # generic pair: AB is not normal
         with pytest.raises(errors.HypothesisViolation):
             eval_lemma(LemmaCase("NormalProduct", {"A": A, "B": B}, {}), NormSpec.trace())
 
@@ -131,10 +130,9 @@ class TestHypothesisChecks:
             eval_lemma(case, NormSpec.trace())
 
     def test_aub_power_requires_unitary(self):
-        rng = np.random.default_rng(1)
         case = LemmaCase(
             "AUBPower",
-            {"A": random_spd(2, rng), "B": random_spd(2, rng), "U": np.diag([1.0, 2.0])},
+            {"A": random_spd(2, 1), "B": random_spd(2, 2), "U": np.diag([1.0, 2.0])},
             {"q": 2.0},
         )
         with pytest.raises(errors.NotUnitary):
@@ -171,8 +169,7 @@ class TestClosedForms:
         assert rep.margin == pytest.approx(0.0, abs=1e-10 * max(1.0, rep.rhs))
 
     def test_block_normal_unitary_blocks(self):
-        rng = np.random.default_rng(3)
-        U1, U2 = haar_unitary(2, rng), haar_unitary(2, rng)
+        U1, U2 = haar_unitary(2, 3), haar_unitary(2, 4)
         Z = np.zeros((4, 4), dtype=np.complex128)
         Z[:2, 2:] = U1
         Z[2:, :2] = U2  # normal blocks, non-Hermitian Z
@@ -241,8 +238,7 @@ class TestStackedCases:
     def test_row_matches_one_case(self, lemma_id, n, m, law):
         self._assert_rows_match(lemma_id, [derive_seed(5, k) for k in range(4)], n, m, law)
 
-    @pytest.mark.parametrize("n, m, seed", [(3, 2, 6836645759943011156),
-                                            (2, 4, 7164073368447176281)])
+    @pytest.mark.parametrize("n, m, seed", [(3, 2, 12), (2, 4, 67)])
     def test_block_diag_step_schatten_rows(self, n, m, seed):
         """Cases whose Schatten 3.5 lhs differed in the last bit between a
         stack and a lone case while the descending lhs list was a reversed
@@ -252,7 +248,7 @@ class TestStackedCases:
 
     @staticmethod
     def _assert_rows_match(lemma_id, seeds, n, m, law):
-        cases = random_cases(lemma_id, generators(seeds), n, m, law)
+        cases = random_cases(lemma_id, seeds, n, m, law)
         terms = lemma_stack_terms(cases)
         norms = expand_norm_tokens(STACK_PANEL, terms.max_dim)
         blocks = lemma_blocks(cases, terms, seeds, n, m, norms)
@@ -276,7 +272,7 @@ class TestStackedCases:
     ])
     def test_premise_checked_per_case(self, lemma_id, name, row, error):
         """One case of a stack that breaks its premise refuses the stack."""
-        cases = random_cases(lemma_id, generators([1, 2, 3]), 3, 2)
+        cases = random_cases(lemma_id, [1, 2, 3], 3, 2)
         lemma_stack_terms(cases)
         operand = cases.operands[name].copy()
         operand[row] = 10.0 * operand[row] + np.diag([1.0, 2.0, 3.0])

@@ -50,7 +50,7 @@ class TestHermitianEig:
     def test_eigenvalues_invariant_under_conjugation(self, seed):
         rng = np.random.default_rng(seed)
         H = random_hermitian(3, rng)
-        U = haar_unitary(3, rng)
+        U = haar_unitary(3, seed)
         w1 = hermitian_eig(H).eigenvalues
         w2 = hermitian_eig(0.5 * (U @ H @ U.conj().T + (U @ H @ U.conj().T).conj().T)).eigenvalues
         np.testing.assert_allclose(w1, w2, atol=1e-10 * (1 + np.abs(w1).max()))
@@ -61,8 +61,7 @@ class TestMatrixPower:
         np.testing.assert_allclose(matrix_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_identity_exponent(self):
-        rng = np.random.default_rng(0)
-        H = random_spd(3, rng)
+        H = random_spd(3, 0)
         assert np.abs(matrix_power(H, 1.0) - H).max() <= 1e-14 * np.abs(H).max()
 
     def test_closed_form_2x2(self):
@@ -75,8 +74,7 @@ class TestMatrixPower:
         np.testing.assert_allclose(matrix_power(H, 0.5), expected, atol=1e-13)
 
     def test_integer_power_matches_repeated_multiplication(self):
-        rng = np.random.default_rng(7)
-        H = random_spd(3, rng)
+        H = random_spd(3, 7)
         direct = H @ H @ H
         np.testing.assert_allclose(matrix_power(H, 3), direct, rtol=1e-10)
 
@@ -98,8 +96,7 @@ class TestMatrixPower:
     @given(st.integers(0, 500), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_power_composition(self, seed, x, y):
-        rng = np.random.default_rng(seed)
-        H = random_spd(3, rng)
+        H = random_spd(3, seed)
         left = matrix_power(matrix_power(H, x), y)
         right = matrix_power(H, x * y)
         assert np.linalg.norm(left - right) <= 1e-9 * max(1.0, np.linalg.norm(right))
@@ -131,7 +128,7 @@ class TestDefiniteness:
     def test_condition_bounded_by_spectrum_law(self):
         # spectrum drawn in [0.1, 10] bounds the ratio by 100
         for seed in range(20):
-            H = random_spd(4, np.random.default_rng(seed))
+            H = random_spd(4, seed)
             assert 1.0 <= _condition(H) <= 100.0 + 1e-6
 
 
@@ -148,8 +145,7 @@ class TestBroadcastExponents:
     X = [0.5, 2.0, -1.0, 1.7, 0.5, -0.35, 3.0]
 
     def test_column_exponents_against_pairs(self):
-        rng = np.random.default_rng(60)
-        eig = hermitian_eig(np.stack([random_spd(4, rng) for _ in range(3)]))
+        eig = hermitian_eig(np.stack([random_spd(4, seed) for seed in (60, 61, 62)]))
         x = np.array(self.X)[:, None]
         got, got_rows = power_from_eig(eig, x), power_rows(eig.eigenvalues, x)
         assert got.shape == (len(self.X), 3, 4, 4) and got_rows.shape == (len(self.X), 3, 4)
@@ -158,7 +154,7 @@ class TestBroadcastExponents:
             assert _bitwise_equal(got_rows[k], power_rows(eig.eigenvalues, xk))
 
     def test_row_exponents_against_one_matrix(self):
-        eig = hermitian_eig(random_spd(6, np.random.default_rng(61)))
+        eig = hermitian_eig(random_spd(6, 61))
         x = np.array(self.X)
         got, got_rows = power_from_eig(eig, x), power_rows(eig.eigenvalues, x)
         assert got.shape == (len(self.X), 6, 6) and got_rows.shape == (len(self.X), 6)

@@ -9,8 +9,7 @@ from gmineq.means import geometric_mean, mean_unitary, t_geometric_mean
 
 
 def spd_pair(seed, n=3):
-    rng = np.random.default_rng(seed)
-    return random_spd(n, rng), random_spd(n, rng)
+    return random_spd(n, 2 * seed), random_spd(n, 2 * seed + 1)
 
 
 class TestTGeometricMean:
@@ -76,7 +75,7 @@ class TestTGeometricMean:
         from gmineq.generate import haar_unitary
         from gmineq.linalg import hermitize
 
-        Q = haar_unitary(3, rng)
+        Q = haar_unitary(3, seed)
         a = rng.uniform(0.1, 10.0, 3)
         b = rng.uniform(0.1, 10.0, 3)
         A = hermitize((Q * a) @ Q.conj().T)
