@@ -66,7 +66,7 @@ class Words:
 
     def take(self, count: int) -> np.ndarray:
         start, self.used = self.used, self.used + count
-        return splitmix64(self.keys ^ splitmix64(np.arange(start, self.used, dtype=np.uint64)))
+        return derive_seed(self.keys, np.arange(start, self.used, dtype=np.uint64))
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:

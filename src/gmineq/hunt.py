@@ -287,9 +287,8 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
     candidate by candidate, per matrix (the A_i, then the B_i) n
     eigenvalue factors and the real and imaginary parts of an n x n
     Ginibre matrix, then two normals, taken in turn by the s and t jitters
-    that apply.  The point
-    is decomposed once, and the rotations and products are one stacked
-    call each.  A scale so large that the
+    that apply.  The point is decomposed once, and the rotations and
+    products are one stacked call each.  A scale so large that the
     arithmetic overflows raises no warning here: the evaluation of the
     candidate it spoils raises `errors.NonFiniteInput`."""
     m, n = A.shape[0], A.shape[-1]
