@@ -62,19 +62,13 @@ class InstanceSet:
         return InstanceSpectra(self.A, self.B, [self.m])
 
     def validate(self) -> "InstanceSet":
-        """self, after the checks of `_checked`, which run once."""
-        self._checked  # raises on the first failing check
-        return self
-
-    @cached_property
-    def _checked(self) -> bool:
-        """The kind, then the finite entries and Hermitian defect of every
-        matrix and its PD floor, then for a commuting instance the
-        commutation of every pair (`InstanceSpectra.check`, on the
-        decompositions the spectra cache keeps)."""
+        """self, after checking its kind, then (once: `InstanceSpectra.check`
+        is memoized) every matrix's entries, Hermitian defect and PD floor
+        and, for a commuting instance, the commutation of every pair."""
         if self.kind not in ("generic", "commuting"):
             raise errors.ConfigError(f"unknown instance kind {self.kind!r}")
-        return self.spectra.check(self.kind == "commuting")
+        self.spectra.check(self.kind == "commuting")
+        return self
 
 
 def build_Z(inst: InstanceSet) -> np.ndarray:

@@ -13,15 +13,17 @@ of K instances of one n, their pairs laid end to end and each instance's
 pair count, so that the instances of one n share one stack whatever
 their m (the sweep's n-groups and the hunt's).  An `InstanceSet`'s
 spectra are the stack of that one instance.  Each spectral value is
-defined once, as one memoized method.  `grid_terms` evaluates a chain's
-whole parameter grid on a stack at once: the same `InstanceSpectra`
-methods as the one-point evaluators (`main_chain_terms`, `geo_z_terms`,
-`t_chain_terms`) take one (s, t, r, p) per grid point, which `linalg`
-broadcasts against every instance's own decompositions, and each row is
-bitwise the one-point terms of its instance.  `ChainTerms.take` splits a
-stack's terms by m, Z's spectrum cut to each instance's m n.
-`commuting_terms` runs on a stack the same way, after the stack's PD
-floor and commutator checks (`InstanceSpectra.check`).
+defined once, as one memoized method.  Every chain, the two commuting
+ones included, is a row of `_PARAM_CHAINS`: its hypothesis, its sides
+and the status of a point on an instance of m pairs (`point_status`).
+`grid_terms` evaluates a chain's whole parameter grid on a stack at
+once: the sides take one (s, t, r, p) per grid point, which `linalg`
+broadcasts against every instance's own decompositions, and the
+one-point evaluators (`main_chain_terms`, `geo_z_terms`,
+`t_chain_terms`, `commuting_terms`) take their instance's row of the
+same sides, so each row is bitwise the one-point terms of its instance.
+`ChainTerms.take` splits a stack's terms by m, Z's spectrum cut to each
+instance's m n.
 
 Terms of different sizes (the block matrix Z is mn x mn, the outer terms
 n x n) are compared under the direct-sum convention ||A|| = ||A (+) 0||:
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 
 import numpy as np
 
@@ -68,15 +70,14 @@ class ChainParams:
 class ChainTerms:
     """Singular values of every chain term, shared across norm evaluations:
     spectra (d,) and a float `condition_max` for one instance at one
-    point, or (P, K, d) with one status per point and one `condition_max`
-    per instance for a parameter grid on a stack of K (`grid_terms`), or
-    (K, d) for the commuting chains on a stack."""
+    point, or (P, K, d) and one `condition_max` per instance for a grid
+    of P points on a stack of K (`grid_terms`).  A point's status is not
+    here: it needs the instance's m (`point_status`)."""
 
     chain_id: str
     lhs_sv: np.ndarray
     rhs_sv: np.ndarray
     mid_sv: np.ndarray | None = None
-    status: str | tuple = "proven"
     condition_max: float | np.ndarray = 1.0
 
     @property
@@ -89,15 +90,15 @@ class ChainTerms:
         return max(dims)
 
     def take(self, rows: slice, width: int) -> "ChainTerms":
-        """The terms of the instances `rows` of a stack, (P, K, d) grid or
-        (K, d) spectra cut to their first `width` values: on an n-group's
-        ragged stack, the rows of the instances of one m, with Z's
-        spectrum cut to its m n values."""
+        """The terms of the instances `rows` of a stack, (P, K, d) grid
+        spectra cut to their first `width` values: on an n-group's ragged
+        stack, the rows of the instances of one m, with Z's spectrum cut
+        to its m n values."""
         def cut(sv):
             return None if sv is None else np.ascontiguousarray(sv[..., rows, :width])
 
         return ChainTerms(self.chain_id, cut(self.lhs_sv), cut(self.rhs_sv), cut(self.mid_sv),
-                          self.status, self.condition_max[rows])
+                          self.condition_max[rows])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -228,31 +229,26 @@ class InstanceSpectra:
 
     @property
     @_memoized
-    def eig_A(self) -> EigenDecomposition:
-        """Decompositions of every A_i, stacked (sum(counts), n, n) in pair
-        order."""
-        return hermitian_eig(self._A)
-
-    @property
-    @_memoized
-    def eig_B(self) -> EigenDecomposition:
-        return hermitian_eig(self._B)
-
-    @property
-    @_memoized
     def sums(self) -> tuple:
-        """Each instance's sum A and sum B, Hermitized, (K, n, n) each."""
-        return hermitize(self._by_instance(self._A)), hermitize(self._by_instance(self._B))
+        """Each instance's sum A and sum B, Hermitized, (K, n, n) each; one
+        that is not finite raises NonFiniteInput in `_eigs`, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return hermitize(self._by_instance(self._A)), hermitize(self._by_instance(self._B))
 
     @property
     @_memoized
-    def eig_sum_A(self) -> EigenDecomposition:
-        return hermitian_eig(self.sums[0])
+    def _eigs(self) -> tuple:
+        """(eig_A, eig_B, eig_sum_A, eig_sum_B): the decompositions of every
+        A_i and every B_i, (sum(counts), n, n) in pair order, and of each
+        sum A and sum B, (K, n, n), by one `hermitian_eig` call."""
+        P, K = len(self._owner), len(self._counts)
+        eig = hermitian_eig(np.concatenate([self._A, self._B, *self.sums]))
+        return eig[:P], eig[P:2 * P], eig[2 * P:2 * P + K], eig[2 * P + K:]
 
-    @property
-    @_memoized
-    def eig_sum_B(self) -> EigenDecomposition:
-        return hermitian_eig(self.sums[1])
+    eig_A = property(lambda self: self._eigs[0])
+    eig_B = property(lambda self: self._eigs[1])
+    eig_sum_A = property(lambda self: self._eigs[2])
+    eig_sum_B = property(lambda self: self._eigs[3])
 
     @_memoized
     def check(self, commuting: bool) -> bool:
@@ -339,11 +335,11 @@ def condition_max(inst: InstanceSet) -> float:
 
 
 def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
-    """(lhs_sv, rhs_sv) of the weighted chain: sum (A_i^s #_t B_i^s)^r
+    """(lhs_sv, None, rhs_sv) of the weighted chain: sum (A_i^s #_t B_i^s)^r
     against the sandwich with exponents (1-t)srp/2 and tsrp, on a stack
     at one point, at one (s, t, r, p) per grid point or with one
     (s, t, r, p) per instance."""
-    return (spectra.lhs_sv(s, t, r),
+    return (spectra.lhs_sv(s, t, r), None,
             spectra.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p))
 
 
@@ -372,21 +368,40 @@ def _geo_z_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
     return sp.lhs_sv(s, 0.5, 1.0), None, sp.z_sv(s / 2.0)
 
 
-def _weighted_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
-    lhs_sv, rhs_sv = t_chain_sides(sp, s, t, r, p)
-    return lhs_sv, None, rhs_sv
+def _commuting_sides(sp: InstanceSpectra, s, t, r, p, product: bool) -> tuple:
+    """The sides of a commuting chain, after the stack's commutator check:
+    sum A_i B_i, (sum A_i^{1/2} B_i^{1/2})^2, and (sum A)(sum B) if
+    `product`, else the symmetrized sandwich.  They ignore (s, t, r, p),
+    and repeat their (K, d) spectra over the grid's points."""
+    sp.check(True)
+    rhs_sv = singular_values(sp.sums[0] @ sp.sums[1]) if product else sp.sandwich_sv(0.5, 1.0, 1.0)
+    points = np.shape(s)[:-1]  # (P,) for (P, 1) grid columns, () at one point
+    return tuple(np.broadcast_to(sv, points + sv.shape) for sv in (*sp.commuting_sv(), rhs_sv))
 
 
-# The chains evaluated at (s, t, r, p) points: id -> (hypothesis of a point,
-# its text, (lhs, mid, rhs) spectra at scalar or per-row (s, t, r, p),
-# status of a point).  The same sides serve one point and a whole grid.
+def _proven(q: ChainParams, m: int) -> str:
+    return "proven"
+
+
+# The chains: id -> (hypothesis of a point, its text, (lhs, mid, rhs)
+# spectra of a stack at scalar or per-row (s, t, r, p), status of a point
+# on an instance of m pairs).  The same sides serve one point and a grid.
+# The weighted chain is refuted at m >= 2 and sr < 1: A_i = B_i = I gives
+# lhs m I against rhs m^{sr} I at every t, p and n.
 _PARAM_CHAINS = {
     "main": (lambda q: q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0,
-             "s >= 2, r >= 1, p > 0 with rp >= 1", _main_sides, lambda q: "proven"),
-    "geo-z": (lambda q: q.s >= 1.0, "s >= 1", _geo_z_sides, lambda q: "proven"),
+             "s >= 2, r >= 1, p > 0 with rp >= 1", _main_sides, _proven),
+    "geo-z": (lambda q: q.s >= 1.0, "s >= 1", _geo_z_sides, _proven),
     "t-chain": (lambda q: q.s > 0.0 and q.r > 0.0 and q.p > 0.0 and 0.0 <= q.t <= 1.0,
-                "s, r, p > 0 and t in [0, 1]", _weighted_sides, t_chain_status),
+                "s, r, p > 0 and t in [0, 1]", t_chain_sides,
+                lambda q, m: "refuted" if m >= 2 and q.s * q.r < 1.0 else t_chain_status(q)),
+    "commuting-product": (lambda q: True, "commuting pairs",
+                          partial(_commuting_sides, product=True), _proven),
+    "commuting-symmetrized": (lambda q: True, "commuting pairs",
+                              partial(_commuting_sides, product=False), _proven),
 }
+# The parameters recorded for the commuting chains, which take none.
+COMMUTING_PARAMS = ChainParams(s=1.0)
 
 
 def admissible(chain_id: str, points) -> tuple:
@@ -396,44 +411,44 @@ def admissible(chain_id: str, points) -> tuple:
     return [q for q in points if holds(q)], needs
 
 
-def _require(chain_id: str, points: list) -> tuple:
-    """(sides, status) of chain `chain_id`, after checking that every point
+def point_status(chain_id: str, params: ChainParams, m: int) -> str:
+    """The status of chain `chain_id` at `params` on an instance of m pairs:
+    "proven", "conjectured" or "refuted"."""
+    return _PARAM_CHAINS[chain_id][3](params, m)
+
+
+def _require(chain_id: str, points: list):
+    """The sides of chain `chain_id`, after checking that every point
     satisfies its hypothesis."""
-    holds, needs, sides, status = _PARAM_CHAINS[chain_id]
+    holds, needs, sides, _ = _PARAM_CHAINS[chain_id]
     for q in points:
         if not holds(q):
             raise errors.HypothesisViolation(
                 f"{chain_id} requires {needs}; got s={q.s}, r={q.r}, p={q.p}, t={q.t}")
-    return sides, status
-
-
-def _alone(chain_id: str, inst: InstanceSet, sides: tuple, status: str) -> ChainTerms:
-    """The terms of `inst` from the (lhs, mid, rhs) spectra of its stack
-    of one: spectra (d,) and a float condition_max."""
-    lhs_sv, mid_sv, rhs_sv = (None if sv is None else sv[0] for sv in sides)
-    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, status, condition_max(inst))
+    return sides
 
 
 def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms:
-    sides, status = _require(chain_id, [q])
-    return _alone(chain_id, inst, sides(inst.spectra, q.s, q.t, q.r, q.p), status(q))
+    """The terms of `inst` at one point, its row of the sides on its stack
+    of one: spectra (d,) and a float condition_max."""
+    sides = _require(chain_id, [q])(inst.spectra, q.s, q.t, q.r, q.p)
+    lhs_sv, mid_sv, rhs_sv = (None if sv is None else sv[0] for sv in sides)
+    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, condition_max(inst))
 
 
 def grid_terms(spectra: InstanceSpectra, chain_id: str, points: list) -> ChainTerms:
-    """Terms of chain `chain_id` ("main", "geo-z" or "t-chain") at every
+    """Terms of chain `chain_id` (a key of `_PARAM_CHAINS`) at every
     ChainParams of `points` on a stack of K instances of one n: spectra
-    (P, K, d), row k for point k, `status` one per point and
-    `condition_max` one per instance.  Every point must satisfy the
-    chain's hypotheses.  The points are evaluated on the instances'
-    spectra with one (s, t, r, p) per row, as (P, 1) grid columns, so row
-    k of instance i is bitwise the terms `*_terms` gives at point k on
-    instance i alone, and each distinct factor is decomposed once per
-    instance."""
-    sides, status = _require(chain_id, points)
+    (P, K, d), row k for point k, and `condition_max` one per instance.
+    Every point must satisfy the chain's hypotheses.  The points are
+    evaluated on the instances' spectra with one (s, t, r, p) per row, as
+    (P, 1) grid columns, so row k of instance i is bitwise the terms
+    `*_terms` gives at point k on instance i alone, and each distinct
+    factor is decomposed once per instance."""
+    sides = _require(chain_id, points)
     columns = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
     lhs_sv, mid_sv, rhs_sv = sides(spectra, *columns[..., None])
-    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, tuple(status(q) for q in points),
-                      spectra.condition_max)
+    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, spectra.condition_max)
 
 
 def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
@@ -454,29 +469,16 @@ def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
     return _point_terms("t-chain", inst, params)
 
 
-def commuting_terms(inst, variant: str) -> ChainTerms:
+def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
     """Commuting-pair chains: ||sum A_i B_i|| <= ||(sum A_i^{1/2} B_i^{1/2})^2||
     <= ||(sum A)(sum B)|| (product) or the symmetrized right side, on a
-    commuting `InstanceSet` (spectra (d,) and a float condition_max) or on
-    the `InstanceSpectra` of a stack of commuting instances of one n
-    (spectra (K, d) and one condition_max each), once its pairs pass
-    `InstanceSpectra.check`."""
+    commuting instance, once its pairs pass `InstanceSpectra.check`: its
+    row of chain "commuting-<variant>", which `grid_terms` takes on a stack."""
     if variant not in ("product", "symmetrized"):
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
-    if isinstance(inst, InstanceSet) and inst.kind != "commuting":
+    if inst.kind != "commuting":
         raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need 'commuting'")
-    sp = inst if isinstance(inst, InstanceSpectra) else inst.spectra
-    sp.check(True)
-    lhs_sv, mid_sv = sp.commuting_sv()
-    if variant == "product":
-        sum_A, sum_B = sp.sums
-        rhs_sv = singular_values(sum_A @ sum_B)
-    else:
-        rhs_sv = sp.sandwich_sv(0.5, 1.0, 1.0)
-    chain_id = f"commuting-{variant}"
-    if isinstance(inst, InstanceSet):
-        return _alone(chain_id, inst, (lhs_sv, mid_sv, rhs_sv), "proven")
-    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, "proven", sp.condition_max)
+    return _point_terms(f"commuting-{variant}", inst, COMMUTING_PARAMS)
 
 
 def chain_margins(lhs, mid, rhs, tol_rel: float = DEFAULT_TOL_REL) -> tuple:

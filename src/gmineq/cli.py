@@ -70,7 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out", default=None)
 
-    h = sub.add_parser("hunt", help="search the conjectured region")
+    h = sub.add_parser("hunt", help="search the conjectured region", description=(
+        "Random search, then refinement, of the weighted chain's conjectured region.  In the"
+        " paper's domain (r >= 1, rp >= 1) the conjecture is decided at r = p = 1 and t in"
+        " [0, 1/2] (Ando-Zhan 1999, Araki 1990, and swapping A, t with B, 1 - t), so other"
+        " --r and --p values add only dominated points there."))
     h.add_argument("--s-lo", type=float, default=1.0)
     h.add_argument("--s-hi", type=float, default=2.0)
     h.add_argument("--t", type=float, default=0.5)

@@ -42,8 +42,8 @@ from .chains import (
     InstanceSpectra,
     chain_margins,
     expand_norm_tokens,
+    point_status,
     t_chain_sides,
-    t_chain_status,
     validate_run_fields,
 )
 from .generate import (DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instances,
@@ -231,7 +231,7 @@ def _stack_margins(A: np.ndarray, B: np.ndarray, rows: dict, norms, condition_ca
         if not keep.all():
             pairs = np.repeat(keep, counts)
             spectra = InstanceSpectra(A[pairs], B[pairs], counts[keep])
-        lhs_sv, rhs_sv = t_chain_sides(spectra, *(rows[name][keep] for name in "strp"))
+        lhs_sv, _, rhs_sv = t_chain_sides(spectra, *(rows[name][keep] for name in "strp"))
         specs = expand_norm_tokens(norms, A.shape[-1])
         _, least, scale, _ = chain_margins(norm_values(lhs_sv, specs), None,
                                            norm_values(rhs_sv, specs))
@@ -352,7 +352,7 @@ def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margi
         "params": params.as_dict(),
         "norm": spec.to_record(),
         "margin": margin,
-        "status": t_chain_status(params),
+        "status": point_status("t-chain", params, inst.m),
         "A": _complex_to_lists(inst.A),
         "B": _complex_to_lists(inst.B),
     }

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import errors
 from .blocks import InstanceSet
-from .chains import DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, ChainTerms, chain_margins
+from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, ChainTerms,
+                     chain_margins, point_status)
 from .lemmas import LemmaCase, lemma_margins
 from .norms import norm_values
 
@@ -183,7 +184,9 @@ def chain_blocks(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
     and the instance of seed `seeds[i]`, seeds a list of ints), over the
     norms of `norms` in report order (`order_norms`): one `norm_values`
     call per term for the whole grid and stack, margins and pass flags
-    from `chains.chain_margins`.  Every block shares the norm column."""
+    from `chains.chain_margins`, and each point's status from its chain's
+    row at the shape's m (`chains.point_status`).  Every block shares the
+    norm column."""
     norms = order_norms(norms)
 
     def values(sv):
@@ -194,7 +197,7 @@ def chain_blocks(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
     margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
     tails = [(bool(c > condition_cap), "inf" if math.isinf(c) else c)
              for c in np.ravel(terms.condition_max).tolist()]
-    statuses = [terms.status] * len(points) if isinstance(terms.status, str) else terms.status
+    statuses = [point_status(terms.chain_id, q, m) for q in points]
     norm_dicts = [norm.to_record() for norm in norms]
     mids = [[None] * len(norms)] * len(lhs) if mid is None else mid.tolist()
     params = [{k: float(v) for k, v in q.as_dict().items()} for q in points]

@@ -5,17 +5,16 @@ key, so a report is a pure function of its config.
 The tasks of one n are taken together, whatever their m: each (n, m)'s
 instances of a kind are drawn from their task seeds as one stack
 (`generate.draw_instances`) into the n-group's stack of that kind, every
-m's pairs laid end to end (`chains.InstanceSpectra`).
-Each grid chain's whole (s, r, p, t) grid, and each commuting variant, is
-evaluated once per n on that stack (`chains.grid_terms`,
-`chains.commuting_terms`), then split by m (`ChainTerms.take`, which cuts
-Z's zeros to each m) and recorded with one `reports.chain_blocks` call
-per (n, m).  An m-free
-lemma id's cases (`lemmas.m_free`) are drawn, evaluated and recorded as
-one stack per n, and the other ids' as one stack per (n, m).  Each term
-set is one `reports.Block`, and a sweep builds no record dict:
-`build_report_set`, the summary, the writer and `has_proven_failure`
-read the blocks.
+m's pairs laid end to end (`chains.InstanceSpectra`).  A configured
+chain is one chain id, or two for "commuting" (`_CHAIN_IDS`), and each
+id's whole grid is evaluated once per n on that
+stack by one `chains.grid_terms` call, then split by m
+(`ChainTerms.take`, which cuts Z's zeros to each m) and recorded with
+one `reports.chain_blocks` call per (n, m).  An m-free lemma id's cases
+(`lemmas.m_free`) are drawn, evaluated and recorded as one stack per n,
+and the other ids' as one stack per (n, m).  Each term set is one
+`reports.Block`, and a sweep builds no record dict: `build_report_set`,
+the summary, the writer and `has_proven_failure` read the blocks.
 """
 
 from __future__ import annotations
@@ -26,16 +25,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import errors
-from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, InstanceSpectra,
-                     admissible, commuting_terms, expand_norm_tokens, grid_terms,
+from .chains import (COMMUTING_PARAMS, DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams,
+                     InstanceSpectra, admissible, expand_norm_tokens, grid_terms,
                      validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances
 from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
 from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
 
 KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
-# The parameters recorded for the commuting chains, which take none.
-_UNIT = ChainParams(s=1.0, r=1.0, p=1.0)
+# The chain ids of a configured chain that is not its own one id.
+_CHAIN_IDS = {"commuting": ("commuting-product", "commuting-symmetrized")}
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
                "t_values", "norms", "lemma_ids")
 
@@ -102,10 +101,10 @@ class SweepConfig:
             if lid in self.lemma_ids[:i]:  # its second copy would draw other cases
                 raise errors.ConfigError(f"lemma_ids lists {lid!r} twice")
         table = _chain_table(self)
-        for c in self.chains:
-            _, needs, grid = table[c]
+        for cid in [cid for c in self.chains for cid in _CHAIN_IDS.get(c, [c])]:
+            _, needs, grid = table[cid]
             if not grid:
-                raise errors.ConfigError(f"chain {c!r} has no point to evaluate: it needs {needs}")
+                raise errors.ConfigError(f"chain {cid!r} has no point to evaluate: it needs {needs}")
         return self
 
     def to_dict(self) -> dict:
@@ -131,10 +130,10 @@ class SweepConfig:
 
 
 def _chain_table(cfg: SweepConfig) -> dict:
-    """Chain id -> (instance kind, hypothesis, grid).  A grid chain's grid
-    holds the ChainParams built from the configured values that satisfy
-    its hypothesis (`chains.admissible`), in config order; the commuting
-    grid holds variants and the lemmas grid ids."""
+    """Id -> (instance kind, hypothesis, grid).  A chain id's grid holds
+    the ChainParams built from the configured values that satisfy its
+    hypothesis (`chains.admissible`), in config order, a commuting
+    chain's the one `COMMUTING_PARAMS`; the lemmas grid holds lemma ids."""
     s_, r_, p_, t_ = cfg.s_values, cfg.r_values, cfg.p_values, cfg.t_values
     products = {
         "main": [ChainParams(s=s, r=r, p=p) for s in s_ for r in r_ for p in p_],
@@ -146,7 +145,8 @@ def _chain_table(cfg: SweepConfig) -> dict:
     for chain, points in products.items():
         grid, needs = admissible(chain, points)
         table[chain] = (cfg.generator, f"some {needs}", grid)
-    table["commuting"] = ("commuting", "nothing", ["product", "symmetrized"])
+    for cid in _CHAIN_IDS["commuting"]:
+        table[cid] = ("commuting", "nothing", [COMMUTING_PARAMS])
     table["lemmas"] = (None, "some lemma id", list(cfg.lemma_ids))
     return table
 
@@ -157,38 +157,34 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     derive_seed(base_seed, i), and its case of lemma id number li from
     seed derive_seed(derive_seed(base_seed, i), li), as `generate_instance`
     and `random_case` would.  Each shape's instances of a kind are drawn
-    as one stack, and each grid chain and commuting variant is evaluated
-    by one terms call on the n-group, every shape's pairs of its kind laid
-    end to end (`InstanceSpectra`), then split by shape
-    (`ChainTerms.take`) and recorded by one `chain_blocks` call per shape.
-    An m-free lemma id's cases are drawn, evaluated and recorded as one
-    stack of every task of the n-group, each recorded with its task's m,
-    and another id's as one stack per shape."""
+    as one stack, and each chain id is evaluated by one `grid_terms` call
+    on the n-group, every shape's pairs of its kind laid end to end
+    (`InstanceSpectra`), then split by shape (`ChainTerms.take`) and
+    recorded by one `chain_blocks` call per shape.  An m-free lemma id's
+    cases are drawn, evaluated and recorded as one stack of every task of
+    the n-group, each recorded with its task's m, and another id's as one
+    stack per shape."""
     seeds = [derive_seed(cfg.base_seed, np.array(tasks, np.uint64)) for _, tasks in shapes]
     tasks = np.concatenate(seeds)
     K, bounds = len(tasks), np.cumsum([0] + [len(part) for part in seeds]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     ms = np.repeat([m for m, _ in shapes], np.diff(bounds)).tolist()  # each task's m
-    chains = [c for c in cfg.chains if c != "lemmas"]
+    ids = [cid for c in cfg.chains if c != "lemmas" for cid in _CHAIN_IDS.get(c, [c])]
     spectra = {}
-    for kind in dict.fromkeys(table[c][0] for c in chains):
+    for kind in dict.fromkeys(table[cid][0] for cid in ids):
         draws = [draw_instances(kind, n, m, tasks[part], cfg.spectrum_law)
                  for (m, _), part in zip(shapes, rows)]
         A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
         spectra[kind] = InstanceSpectra(A, B, ms)
     blocks = []
-    for chain in chains:
-        kind, _, grid = table[chain]
-        if chain == "commuting":
-            evaluations = [(commuting_terms(spectra[kind], variant), [_UNIT]) for variant in grid]
-        else:
-            evaluations = [(grid_terms(spectra[kind], chain, grid), grid)]
-        for terms, points in evaluations:
-            for (m, _), part in zip(shapes, rows):
-                shape_terms = terms.take(part, m * n)
-                blocks.extend(chain_blocks(shape_terms, n, m, tasks[part].tolist(), points,
-                                           expand_norm_tokens(cfg.norms, shape_terms.max_dim),
-                                           cfg.tol_rel, cfg.condition_cap))
+    for cid in ids:
+        kind, _, grid = table[cid]
+        terms = grid_terms(spectra[kind], cid, grid)
+        for (m, _), part in zip(shapes, rows):
+            shape_terms = terms.take(part, m * n)
+            blocks.extend(chain_blocks(shape_terms, n, m, tasks[part].tolist(), grid,
+                                       expand_norm_tokens(cfg.norms, shape_terms.max_dim),
+                                       cfg.tol_rel, cfg.condition_cap))
     for li, lid in enumerate(table["lemmas"][2] if "lemmas" in cfg.chains else []):
         case_seeds = derive_seed(tasks, li)
         for part in [slice(0, K)] if m_free(lid) else rows:

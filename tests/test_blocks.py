@@ -58,8 +58,9 @@ class TestInstanceSet:
 
     def test_validate_decomposes_nothing_new(self, monkeypatch):
         """validate() reads positive definiteness from the stacked
-        decompositions the chains use: with both commuting variants, 6
-        eigh calls (A, B, both sums and the two commuting left sides)."""
+        decompositions the chains use: with both commuting variants, 3
+        eigh calls (A, B and both sums in one, and the two commuting left
+        sides)."""
         calls = []
         eigh = np.linalg.eigh
 
@@ -72,7 +73,7 @@ class TestInstanceSet:
         inst.validate()
         for variant in ("product", "symmetrized"):
             commuting_terms(inst, variant)
-        assert len(calls) == 6, calls
+        assert len(calls) == 3, calls
 
     def test_rejects_indefinite(self):
         with pytest.raises(errors.SingularInput):

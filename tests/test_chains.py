@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmineq import errors, highprec
+from gmineq import cli, errors, highprec
 from gmineq.blocks import InstanceSet
 from gmineq.chains import (
     ChainParams,
@@ -18,10 +19,12 @@ from gmineq.chains import (
     geo_z_terms,
     grid_terms,
     main_chain_terms,
+    point_status,
     t_chain_status,
     t_chain_terms,
 )
 from gmineq.generate import derive_seed, generate_instance, haar_unitary
+from gmineq.hunt import _argmin_record
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
 from gmineq.reports import SCHEMA_VERSION, chain_blocks, chain_records, dumps, order_norms
@@ -44,8 +47,9 @@ class TestMainChain:
 
     def test_boundary_params_accepted(self):
         inst = generate_instance("generic", 2, 2, 0)
-        terms = main_chain_terms(inst, ChainParams(s=2.0, r=1.0, p=1.0))
-        assert terms.status == "proven"
+        params = ChainParams(s=2.0, r=1.0, p=1.0)
+        rec = chain_records(main_chain_terms(inst, params), inst, params, NORMS).records[0]
+        assert rec["status"] == "proven"
 
     @given(st.integers(0, 2000), st.sampled_from([2.0, 3.0]),
            st.sampled_from([1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0]))
@@ -139,6 +143,36 @@ class TestTChain:
         oracle = highprec.t_chain_margin(inst.A, inst.B, params, NormSpec.ky_fan(1))
         assert abs(margin - oracle) < 1e-8
         assert t_chain_status(params) != "proven" and rec["status"] != "proven"
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (2, 4)])
+    def test_identity_instance_refutes_sr_below_one(self, n, m):
+        """With m >= 2 and sr < 1, A_i = B_i = I gives the lhs m I against
+        the rhs m^{sr} I at every t and p, so each such record, and the
+        hunt's arg-min there, is refuted and fails; at m = 1, or at
+        sr >= 1, `t_chain_status` decides.  The rule is not in
+        `t_chain_status`, which has no m."""
+        eye = np.broadcast_to(np.eye(n), (m, n, n))
+        inst = InstanceSet(m=m, n=n, A=eye, B=eye, seed=7)
+        for s, r, p, t in ((0.5, 1.0, 1.0, 0.5), (1.5, 0.5, 2.0, 0.0), (2.0, 0.25, 1.0, 1.0)):
+            params = ChainParams(s=s, r=r, p=p, t=t)
+            rec, = chain_records(t_chain_terms(inst, params), inst, params,
+                                 [NormSpec.ky_fan(1)]).records
+            assert rec["status"] == "refuted" and not rec["pass"], params
+            assert rec["lhs"] == pytest.approx(m) and rec["rhs"] == pytest.approx(m ** (s * r))
+            argmin = _argmin_record(inst, params, NormSpec.ky_fan(1), -1.0)
+            assert argmin["status"] == "refuted"
+            assert point_status("t-chain", params, 1) == t_chain_status(params) != "refuted"
+        for params in (ChainParams(s=1.5, r=1.0, t=0.3), ChainParams(s=1.0, r=1.0, t=0.5)):
+            assert point_status("t-chain", params, m) == t_chain_status(params)
+        assert point_status("main", ChainParams(), m) == "proven"
+
+    def test_refuted_records_are_not_candidates(self, capsys):
+        """`verify` at s = 0.5 with m = 2 fails every record, all refuted:
+        no candidate, no proven failure, exit 0."""
+        argv = ["verify", "--chain", "t-chain", "--n", "3", "--m", "2", "--count", "3",
+                "--seed", "1", "--s", "0.5"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "records: 18   candidates: 0"
 
     def test_rejects_bad_params(self):
         inst = generate_instance("generic", 2, 2, 0)
@@ -348,6 +382,18 @@ class TestStacks:
         stacked = ChainTerms("t-chain", np.ones((5, 3)), np.ones((5, 3)))
         assert stacked.max_dim == 3
 
+    def test_non_finite_pairs_refused_without_warning(self):
+        """Pairs whose sum is inf - inf are refused with NonFiniteInput by
+        the one decomposition of the pairs and sums, with no numpy
+        warning from the sum."""
+        A = np.stack([np.eye(2), np.eye(2)]).astype(np.complex128)
+        A[0, 0, 1] = A[0, 1, 0] = np.inf
+        A[1, 0, 1] = A[1, 1, 0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(errors.NonFiniteInput):
+                InstanceSpectra(A, A.copy(), [2]).condition_max
+
     def test_z_sv_of_a_stack(self):
         """Z's spectrum on a stack of instances, one exponent each: every
         row is bitwise the instance's own, zeros included."""
@@ -381,7 +427,13 @@ def _oracle_chain_records(terms, inst, params, norms, tol_rel=1e-8, condition_ca
             "instance_seed": inst.seed, "n": inst.n, "m": inst.m,
             "params": {k: float(v) for k, v in params.as_dict().items()}}
     cond = terms.condition_max
-    tail = {"gated": bool(cond > condition_cap), "status": terms.status,
+    if terms.chain_id != "t-chain":
+        status = "proven"
+    elif inst.m >= 2 and params.s * params.r < 1.0:
+        status = "refuted"
+    else:
+        status = t_chain_status(params)
+    tail = {"gated": bool(cond > condition_cap), "status": status,
             "condition_max": "inf" if math.isinf(cond) else float(cond)}
     mids = [None] * len(norms) if mid is None else mid.tolist()
     rows = zip(norms, lhs.tolist(), mids, rhs.tolist(), zip(*(v.tolist() for v in margins)),
@@ -468,8 +520,9 @@ class TestStackedInstances:
     @pytest.mark.parametrize("n, m, count", [(1, 1, 3), (2, 3, 1), (2, 3, 3), (4, 2, 4)])
     def test_rows_are_each_instance_alone(self, n, m, count):
         """Row (k, i) of a stacked grid is bitwise the terms of point k on
-        instance i alone, row i of a stacked commuting variant those of
-        instance i alone, and each instance keeps its condition number."""
+        instance i alone, row (0, i) of a stacked commuting variant those
+        of instance i alone, and each instance keeps its condition
+        number."""
         def assert_rows(stacked, at, alone, alone_at):
             for name in ("lhs_sv", "mid_sv", "rhs_sv"):
                 have, want = getattr(stacked, name), getattr(alone, name)
@@ -484,7 +537,8 @@ class TestStackedInstances:
                 fresh = generate_instance(kind, n, m, inst.seed)
                 if kind == "commuting":
                     for variant in ("product", "symmetrized"):
-                        assert_rows(commuting_terms(stack, variant), (i,),
+                        assert_rows(grid_terms(stack, f"commuting-{variant}",
+                                               [ChainParams(s=1.0)]), (0, i),
                                     commuting_terms(fresh, variant), ())
                     continue
                 for chain, grid in STACK_GRIDS.items():
@@ -589,10 +643,10 @@ class TestStackedInstances:
             commuting_terms(alone, "product")
         with pytest.raises(errors.NotCommuting, match=r"pair commutator norm .* exceeds 1\.0e-12 \* ") \
                 as stacked:
-            commuting_terms(bad, "product")
+            grid_terms(bad, "commuting-product", [ChainParams(s=1.0)])
         assert str(stacked.value) == str(lone.value)
         Ai, Bi = insts[1].A[0], B[1, 0]  # the pair-by-pair loop the check replaced
         defect = np.linalg.norm(Ai @ Bi - Bi @ Ai)
         scale = np.linalg.norm(Ai) * np.linalg.norm(Bi)
         assert str(lone.value) == f"pair commutator norm {defect:.3e} exceeds 1.0e-12 * {scale:.3e}"
-        commuting_terms(_stack_of([insts[0], insts[2]]), "symmetrized")
+        grid_terms(_stack_of([insts[0], insts[2]]), "commuting-symmetrized", [ChainParams(s=1.0)])

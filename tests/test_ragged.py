@@ -21,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 import gmineq
 from gmineq import cli, errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms, condition_max,
-                           expand_norm_tokens, geo_z_terms, grid_terms, main_chain_terms,
-                           t_chain_terms)
+from gmineq.chains import (COMMUTING_PARAMS, ChainParams, InstanceSpectra, commuting_terms,
+                           condition_max, expand_norm_tokens, geo_z_terms, grid_terms,
+                           main_chain_terms, t_chain_terms)
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sampling_phase
 from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
-from gmineq.linalg import sum_pairs
+from gmineq.linalg import from_spectrum, hermitian_eig, sum_pairs
 from gmineq.reports import chain_records, dumps, lemma_records
 from gmineq.sweep import SweepConfig, run_sweep
 
@@ -105,9 +105,8 @@ def test_mixed_m_rows_are_each_instance_alone(n):
 def test_one_point_contract(n):
     """On an `InstanceSet` the four chain evaluators give 1-D spectra and a
     Python float condition_max, each bitwise the instance's row of its
-    mixed-m n-group (m = 1, 2, 4): of `grid_terms` for the grid chains
-    and of `commuting_terms` on the group's stack for the commuting
-    variants, Z cut to the instance's own m n."""
+    mixed-m n-group (m = 1, 2, 4): of `grid_terms` on the group's stack,
+    Z cut to the instance's own m n."""
     point_terms = {"main": main_chain_terms, "t-chain": t_chain_terms,
                    "geo-z": lambda inst, q: geo_z_terms(inst, q.s)}
 
@@ -122,15 +121,15 @@ def test_one_point_contract(n):
     for kind in ("generic", "commuting"):
         insts = [generate_instance(kind, n, m, 400 + m) for m in (1, 2, 4)]
         spectra = _group(insts)
-        group = ([(variant, commuting_terms(spectra, variant)) for variant in
-                  ("product", "symmetrized")] if kind == "commuting" else
+        group = ([(variant, grid_terms(spectra, f"commuting-{variant}", [COMMUTING_PARAMS]))
+                  for variant in ("product", "symmetrized")] if kind == "commuting" else
                  [(chain, grid_terms(spectra, chain, grid)) for chain, grid in GRIDS.items()])
         for i, inst in enumerate(insts):
             assert type(condition_max(inst)) is float
             for name, terms in group:
                 row = terms.take(slice(i, i + 1), inst.m * n)
                 if kind == "commuting":
-                    assert_row(commuting_terms(inst, name), row, 0)
+                    assert_row(commuting_terms(inst, name), row, (0, 0))
                     continue
                 for k, q in enumerate(GRIDS[name]):
                     assert_row(point_terms[name](inst, q), row, (k, 0))
@@ -193,6 +192,59 @@ def test_swap_symmetry(n, ms, seed, point):
     for want, have in ((base.lhs_sv, turned.lhs_sv), (base.rhs_sv, turned.rhs_sv)):
         scale = want.max(axis=-1, keepdims=True)
         assert np.all(np.abs(have - want) <= 1e-10 * scale)
+
+
+# The reductions' stacks: n, the largest m (each stack cycles m from 1 up
+# to it), and the seeds; and their (s, t) points.
+REDUCTION_STACKS = [(2, 2, seed) for seed in (3, 4)] + [(3, 3, seed) for seed in (5, 6)]
+REDUCTION_POINTS = [(1.0, 0.5), (1.5, 0.25), (1.5, 0.5), (2.0, 0.1), (3.0, 0.4)]
+
+
+def _reduction_stack(n: int, m_max: int, seed: int) -> tuple:
+    insts = [generate_instance("generic", n, 1 + i % m_max, derive_seed(seed, i)) for i in range(6)]
+    return _group(insts), insts
+
+
+def _weakly_below(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Every Ky Fan norm of the descending spectra `lo` (..., d) is at most
+    that of `hi`, to 1e-10 relative."""
+    return bool(np.all(np.cumsum(lo, axis=-1) <= (1.0 + 1e-10) * np.cumsum(hi, axis=-1)))
+
+
+@pytest.mark.parametrize("n, m_max, seed", REDUCTION_STACKS)
+def test_araki_rhs_grows_with_p(n, m_max, seed):
+    """Araki 1990: the weighted chain's rhs, ((sum A)^{(1-t)srp/2}
+    (sum B)^{tsrp} (sum A)^{(1-t)srp/2})^{1/p}, is weakly majorized from
+    p' to p for every p' < p, and its Lie-Trotter limit at p -> 0,
+    exp(sr ((1-t) log sum A + t log sum B)), lies below p = 1/4."""
+    spectra, insts = _reduction_stack(n, m_max, seed)
+    ps = [0.25, 0.5, 1.0, 2.0, 4.0]
+    for s, t in REDUCTION_POINTS:
+        rhs = grid_terms(spectra, "t-chain", [ChainParams(s=s, r=1.0, p=p, t=t) for p in ps]).rhs_sv
+        for i in range(len(ps)):
+            for j in range(i + 1, len(ps)):
+                assert _weakly_below(rhs[i], rhs[j]), (s, t, ps[i], ps[j])
+
+        def log(X):
+            eig = hermitian_eig(X)
+            return from_spectrum(eig.vectors, np.log(eig.eigenvalues))
+
+        H = [(1.0 - t) * log(sum_pairs(inst.A)) + t * log(sum_pairs(inst.B)) for inst in insts]
+        limit = np.exp(s * hermitian_eig(np.stack(H)).eigenvalues)
+        assert _weakly_below(limit, rhs[0]), (s, t)
+
+
+@pytest.mark.parametrize("n, m_max, seed", REDUCTION_STACKS)
+def test_ando_zhan_lhs_below_power_of_sum(n, m_max, seed):
+    """Ando-Zhan 1999: for r >= 1, sum M_i^r is weakly majorized by
+    (sum M_i)^r, M_i = A_i^s #_t B_i^s: lhs_sv(s, t, r) against
+    lhs_sv(s, t, 1) ** r."""
+    spectra, _ = _reduction_stack(n, m_max, seed)
+    rs = [1.0, 1.5, 2.0, 3.0]
+    for s, t in REDUCTION_POINTS:
+        lhs = grid_terms(spectra, "t-chain", [ChainParams(s=s, r=r, t=t) for r in rs]).lhs_sv
+        for k in range(1, len(rs)):
+            assert _weakly_below(lhs[k], lhs[0] ** rs[k]), (s, t, rs[k])
 
 
 def test_sweep_main_decompositions_per_n(monkeypatch):
@@ -267,18 +319,18 @@ def test_commuting_pairs_decomposed_once(monkeypatch):
 def test_sweep_mixed_evaluations_per_n(monkeypatch):
     """On sweep-mixed's config an n-group makes one lemma terms call per
     m-free lemma id and one per other id and m (7 + 3 |m_values|), and one
-    commuting terms call per variant."""
+    `grid_terms` call per chain id, the commuting variants included."""
     calls = []
 
     def counted(name):
         real = getattr(sweep_module, name)
 
         def call(*args, **kwargs):
-            calls.append(name)
+            calls.append(name if name != "grid_terms" else (args[1], args[0]._A.shape[-1]))
             return real(*args, **kwargs)
         return call
 
-    for name in ("lemma_stack_terms", "commuting_terms"):
+    for name in ("lemma_stack_terms", "grid_terms"):
         monkeypatch.setattr(sweep_module, name, counted(name))
     cfg = SweepConfig(chains=["main", "geo-z", "t-chain", "commuting", "lemmas"],
                       n_values=[2, 3, 4], m_values=[2, 3], instance_count=24, base_seed=31,
@@ -286,7 +338,9 @@ def test_sweep_mixed_evaluations_per_n(monkeypatch):
                       t_values=[0.3, 0.5], norms=["kyfan:all", "schatten:1"])
     run_sweep(cfg)
     assert calls.count("lemma_stack_terms") == 3 * (7 + 3 * 2)
-    assert calls.count("commuting_terms") == 3 * 2
+    ids = ("main", "geo-z", "t-chain", "commuting-product", "commuting-symmetrized")
+    assert sorted(call for call in calls if call != "lemma_stack_terms") == \
+        sorted((cid, n) for cid in ids for n in cfg.n_values)
 
 
 def test_hunt_sampling_one_evaluation_per_n(monkeypatch):

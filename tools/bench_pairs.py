@@ -26,6 +26,12 @@ and how many of those are equal, and records each side's line count of
 the lines that hold code (`src_code_lines`: not blank, not only a comment,
 not part of a docstring), so that a refactor's change in size is recorded
 with its measurement, and a deleted comment does not count as a reduction.
+
+Per workload it also runs `perfbench/run.py --trace 1` once per side at
+the first seed, and writes under `per_layer` each side's per-layer counts:
+the `per_layer` metrics of `BENCHMARK.json` whose unit is "count"
+(`linalg.eigh_calls`, `linalg.eigh_matrices`, `linalg.eigh_per_point`,
+...), which do not depend on timing.  Per-layer times are left out.
 """
 
 from __future__ import annotations
@@ -51,10 +57,11 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its result object and run-info record."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run, untraced or traced: its result object and
+    run-info record."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -159,6 +166,18 @@ def run_pairs(base: Path, change: Path, workload: str, seeds: list, seconds: flo
     return pairs
 
 
+def per_layer_counts(base: Path, change: Path, workload: str, seed: int, seconds: float,
+                     specs: list) -> dict:
+    """Each side's per-layer counts (the metrics of `specs` whose unit is
+    "count") from one traced run at `seed`."""
+    names = [spec["name"] for spec in specs if spec["unit"] == "count"]
+    out = {"seed": seed}
+    for side, root in (("base", base), ("change", change)):
+        metrics = run_once(root, workload, seed, seconds, trace=1)["result"]["metrics"]
+        out[side] = {name: metrics[name]["value"] for name in names if name in metrics}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -192,6 +211,8 @@ def main(argv=None) -> int:
         if args.held_out:
             held = run_pairs(base, change, workload, args.held_out, seconds, len(pairs))
             entry["held_out"] = summarize(held, metrics)
+        entry["per_layer"] = per_layer_counts(base, change, workload, args.seeds[0], seconds,
+                                              bench["per_layer"])
         out["workloads"][workload] = entry
         out["machine"] = {key: pairs[0][1]["info"].get(key)
                           for key in ("nproc", "python", "numpy", "blas", "OPENBLAS_NUM_THREADS")}
