@@ -13,9 +13,9 @@ of K instances of one n, their pairs laid end to end and each instance's
 pair count, so that the instances of one n share one stack whatever
 their m (the sweep's n-groups and the hunt's).  An `InstanceSet`'s
 spectra are the stack of that one instance.  Each spectral value is
-defined once, as one memoized method.  Every chain, the two commuting
-ones included, is a row of `_PARAM_CHAINS`: its hypothesis, its sides
-and the status of a point on an instance of m pairs (`point_status`).
+defined once, as one memoized method.  A chain is one row of
+`_PARAM_CHAINS`, which declares its configured chain, hypothesis, sides,
+grid (`chain_grids`), status (`point_status`) and instance kind.
 `grid_terms` evaluates a chain's whole parameter grid on a stack at
 once: the sides take one (s, t, r, p) per grid point, which `linalg`
 broadcasts against every instance's own decompositions, and the
@@ -32,9 +32,11 @@ Ky Fan norms treat missing singular values as zeros.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from functools import partial, wraps
 
 import numpy as np
@@ -379,58 +381,67 @@ def _commuting_sides(sp: InstanceSpectra, s, t, r, p, product: bool) -> tuple:
     return tuple(np.broadcast_to(sv, points + sv.shape) for sv in (*sp.commuting_sv(), rhs_sv))
 
 
-def _proven(q: ChainParams, m: int) -> str:
-    return "proven"
-
-
-# The chains: id -> (hypothesis of a point, its text, (lhs, mid, rhs)
-# spectra of a stack at scalar or per-row (s, t, r, p), status of a point
-# on an instance of m pairs).  The same sides serve one point and a grid.
+# A chain: the configured chain that selects it, a point's hypothesis and
+# its text, its (lhs, mid, rhs) spectra of a stack at scalar or per-row
+# (s, t, r, p), the ChainParams fields its grid varies in loop order, a
+# point's status on m pairs, its instance kind (None: any), other fields.
+_Chain = namedtuple("_Chain", "name holds needs sides axes status kind base",
+                    defaults=(lambda q, m: "proven", None, ChainParams()))
 # The weighted chain is refuted at m >= 2 and sr < 1: A_i = B_i = I gives
 # lhs m I against rhs m^{sr} I at every t, p and n.
 _PARAM_CHAINS = {
-    "main": (lambda q: q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0,
-             "s >= 2, r >= 1, p > 0 with rp >= 1", _main_sides, _proven),
-    "geo-z": (lambda q: q.s >= 1.0, "s >= 1", _geo_z_sides, _proven),
-    "t-chain": (lambda q: q.s > 0.0 and q.r > 0.0 and q.p > 0.0 and 0.0 <= q.t <= 1.0,
-                "s, r, p > 0 and t in [0, 1]", t_chain_sides,
-                lambda q, m: "refuted" if m >= 2 and q.s * q.r < 1.0 else t_chain_status(q)),
-    "commuting-product": (lambda q: True, "commuting pairs",
-                          partial(_commuting_sides, product=True), _proven),
-    "commuting-symmetrized": (lambda q: True, "commuting pairs",
-                              partial(_commuting_sides, product=False), _proven),
+    "main": _Chain("main", lambda q: q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0,
+                   "s >= 2, r >= 1, p > 0 with rp >= 1", _main_sides, "srp"),
+    "geo-z": _Chain("geo-z", lambda q: q.s >= 1.0, "s >= 1", _geo_z_sides, "s"),
+    "t-chain": _Chain("t-chain",
+                      lambda q: q.s > 0.0 and q.r > 0.0 and q.p > 0.0 and 0.0 <= q.t <= 1.0,
+                      "s, r, p > 0 and t in [0, 1]", t_chain_sides, "srpt",
+                      lambda q, m: "refuted" if m >= 2 and q.s * q.r < 1.0 else t_chain_status(q)),
+    "commuting-product": _Chain("commuting", lambda q: True, "commuting pairs",
+                                partial(_commuting_sides, product=True), "",
+                                kind="commuting", base=ChainParams(s=1.0)),
+    "commuting-symmetrized": _Chain("commuting", lambda q: True, "commuting pairs",
+                                    partial(_commuting_sides, product=False), "",
+                                    kind="commuting", base=ChainParams(s=1.0)),
 }
-# The parameters recorded for the commuting chains, which take none.
-COMMUTING_PARAMS = ChainParams(s=1.0)
+CHAIN_NAMES = tuple(dict.fromkeys(row.name for row in _PARAM_CHAINS.values()))
 
 
-def admissible(chain_id: str, points) -> tuple:
-    """(the ChainParams of `points` that satisfy chain `chain_id`'s
-    hypothesis, in order; the text of the hypothesis)."""
-    holds, needs = _PARAM_CHAINS[chain_id][:2]
-    return [q for q in points if holds(q)], needs
+def chain_grids(name: str, values: dict) -> dict:
+    """Chain id -> (instance kind, hypothesis, grid) of each row that the
+    configured chain `name` selects: the grid holds the points of the
+    product of values[field] over the fields the row varies that satisfy
+    its hypothesis, in order."""
+    return {cid: (row.kind, row.needs,
+                  [q for q in (replace(row.base, **dict(zip(row.axes, point)))
+                               for point in itertools.product(*(values[a] for a in row.axes)))
+                   if row.holds(q)])
+            for cid, row in _PARAM_CHAINS.items() if row.name == name}
 
 
 def point_status(chain_id: str, params: ChainParams, m: int) -> str:
     """The status of chain `chain_id` at `params` on an instance of m pairs:
     "proven", "conjectured" or "refuted"."""
-    return _PARAM_CHAINS[chain_id][3](params, m)
+    return _PARAM_CHAINS[chain_id].status(params, m)
 
 
 def _require(chain_id: str, points: list):
     """The sides of chain `chain_id`, after checking that every point
     satisfies its hypothesis."""
-    holds, needs, sides, _ = _PARAM_CHAINS[chain_id]
+    row = _PARAM_CHAINS[chain_id]
     for q in points:
-        if not holds(q):
+        if not row.holds(q):
             raise errors.HypothesisViolation(
-                f"{chain_id} requires {needs}; got s={q.s}, r={q.r}, p={q.p}, t={q.t}")
-    return sides
+                f"{chain_id} requires {row.needs}; got s={q.s}, r={q.r}, p={q.p}, t={q.t}")
+    return row.sides
 
 
 def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms:
-    """The terms of `inst` at one point, its row of the sides on its stack
-    of one: spectra (d,) and a float condition_max."""
+    """The terms of `inst` (of the kind the chain needs) at one point, its
+    row of the sides on its stack of one: spectra (d,), a float condition_max."""
+    kind = _PARAM_CHAINS[chain_id].kind
+    if kind not in (None, inst.kind):
+        raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need {kind!r}")
     sides = _require(chain_id, [q])(inst.spectra, q.s, q.t, q.r, q.p)
     lhs_sv, mid_sv, rhs_sv = (None if sv is None else sv[0] for sv in sides)
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, condition_max(inst))
@@ -459,7 +470,7 @@ def main_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
 
 def geo_z_terms(inst: InstanceSet, s: float) -> ChainTerms:
     """Left step alone: ||sum A_i^s # B_i^s|| <= ||Z^{s/2}||, valid for s >= 1."""
-    return _point_terms("geo-z", inst, ChainParams(s=s, r=1.0, p=1.0))
+    return _point_terms("geo-z", inst, replace(_PARAM_CHAINS["geo-z"].base, s=s))
 
 
 def t_chain_terms(inst: InstanceSet, params: ChainParams) -> ChainTerms:
@@ -476,9 +487,8 @@ def commuting_terms(inst: InstanceSet, variant: str) -> ChainTerms:
     row of chain "commuting-<variant>", which `grid_terms` takes on a stack."""
     if variant not in ("product", "symmetrized"):
         raise errors.ConfigError(f"unknown commuting variant {variant!r}")
-    if inst.kind != "commuting":
-        raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need 'commuting'")
-    return _point_terms(f"commuting-{variant}", inst, COMMUTING_PARAMS)
+    chain_id = f"commuting-{variant}"
+    return _point_terms(chain_id, inst, _PARAM_CHAINS[chain_id].base)
 
 
 def chain_margins(lhs, mid, rhs, tol_rel: float = DEFAULT_TOL_REL) -> tuple:

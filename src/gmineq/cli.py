@@ -179,6 +179,8 @@ def _cmd_hunt(args) -> int:
         print(f"extended-precision recheck: {result.recheck_margin:+.6e}")
     if result.candidate:
         print("violation candidate recorded")
+    elif result.argmin and result.argmin["status"] == "refuted" and result.min_margin < -args.tol:
+        print("known violation (refuted regime)")
     if args.out:
         write_reports(result, args.out)
         print(f"wrote {args.out}")

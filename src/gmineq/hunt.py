@@ -2,8 +2,8 @@
 
 Random sampling over (instance, s, t, r, p) followed by local perturbation
 descent from the worst point.  A negative margin beyond tolerance is never
-claimed as a counterexample: it is re-evaluated in extended precision and
-reported as a violation candidate.
+claimed as a counterexample: outside a refuted regime it is re-evaluated in
+extended precision and reported as a violation candidate.
 
 The hunt is a table of columns from the draw to the arg-min.  A chunk of
 samples (at most _CHUNK_ENTRIES matrix entries of the largest instances)
@@ -401,7 +401,7 @@ def hunt(cfg: SearchConfig) -> SearchResult:
         evaluated, gated = evaluated + refine_evaluated, gated + refine_gated
         inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind=inst.kind)
         argmin = _argmin_record(inst, params, spec, float(best_margin))
-        if best_margin < -cfg.tol_rel:
+        if best_margin < -cfg.tol_rel and argmin["status"] != "refuted":
             # confirm in extended precision before surfacing
             recheck = highprec.t_chain_margin(inst.A, inst.B, params, spec)
             candidate = recheck < -cfg.tol_rel

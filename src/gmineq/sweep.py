@@ -5,10 +5,10 @@ key, so a report is a pure function of its config.
 The tasks of one n are taken together, whatever their m: each (n, m)'s
 instances of a kind are drawn from their task seeds as one stack
 (`generate.draw_instances`) into the n-group's stack of that kind, every
-m's pairs laid end to end (`chains.InstanceSpectra`).  A configured
-chain is one chain id, or two for "commuting" (`_CHAIN_IDS`), and each
-id's whole grid is evaluated once per n on that
-stack by one `chains.grid_terms` call, then split by m
+m's pairs laid end to end (`chains.InstanceSpectra`).  A chain is one
+row of the chain table, which gives its kind and grid (`chains.chain_grids`);
+its whole grid is evaluated once per n on its kind's stack by one
+`chains.grid_terms` call, then split by m
 (`ChainTerms.take`, which cuts Z's zeros to each m) and recorded with
 one `reports.chain_blocks` call per (n, m).  An m-free lemma id's cases
 (`lemmas.m_free`) are drawn, evaluated and recorded as one stack per n,
@@ -25,16 +25,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import errors
-from .chains import (COMMUTING_PARAMS, DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams,
-                     InstanceSpectra, admissible, expand_norm_tokens, grid_terms,
-                     validate_run_fields)
+from .chains import (CHAIN_NAMES, DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, InstanceSpectra,
+                     chain_grids, expand_norm_tokens, grid_terms, validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances
 from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
 from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
 
-KNOWN_CHAINS = ("main", "geo-z", "t-chain", "commuting", "lemmas")
-# The chain ids of a configured chain that is not its own one id.
-_CHAIN_IDS = {"commuting": ("commuting-product", "commuting-symmetrized")}
+KNOWN_CHAINS = (*CHAIN_NAMES, "lemmas")
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
                "t_values", "norms", "lemma_ids")
 
@@ -100,11 +97,10 @@ class SweepConfig:
                 raise errors.ConfigError(f"unknown lemma id {lid!r}")
             if lid in self.lemma_ids[:i]:  # its second copy would draw other cases
                 raise errors.ConfigError(f"lemma_ids lists {lid!r} twice")
-        table = _chain_table(self)
-        for cid in [cid for c in self.chains for cid in _CHAIN_IDS.get(c, [c])]:
-            _, needs, grid = table[cid]
-            if not grid:
-                raise errors.ConfigError(f"chain {cid!r} has no point to evaluate: it needs {needs}")
+        for cid, (_, needs, grid, chain) in _chain_table(self).items():
+            if chain in self.chains and not grid:
+                raise errors.ConfigError(
+                    f"chain {cid!r} has no point to evaluate: it needs some {needs}")
         return self
 
     def to_dict(self) -> dict:
@@ -130,24 +126,14 @@ class SweepConfig:
 
 
 def _chain_table(cfg: SweepConfig) -> dict:
-    """Id -> (instance kind, hypothesis, grid).  A chain id's grid holds
-    the ChainParams built from the configured values that satisfy its
-    hypothesis (`chains.admissible`), in config order, a commuting
-    chain's the one `COMMUTING_PARAMS`; the lemmas grid holds lemma ids."""
-    s_, r_, p_, t_ = cfg.s_values, cfg.r_values, cfg.p_values, cfg.t_values
-    products = {
-        "main": [ChainParams(s=s, r=r, p=p) for s in s_ for r in r_ for p in p_],
-        "geo-z": [ChainParams(s=s, r=1.0, p=1.0) for s in s_],
-        "t-chain": [ChainParams(s=s, r=r, p=p, t=t) for s in s_ for r in r_ for p in p_
-                    for t in t_],
-    }
-    table = {}
-    for chain, points in products.items():
-        grid, needs = admissible(chain, points)
-        table[chain] = (cfg.generator, f"some {needs}", grid)
-    for cid in _CHAIN_IDS["commuting"]:
-        table[cid] = ("commuting", "nothing", [COMMUTING_PARAMS])
-    table["lemmas"] = (None, "some lemma id", list(cfg.lemma_ids))
+    """Id -> (instance kind, hypothesis, grid, configured chain) of every
+    chain id, read from its row (`chains.chain_grids`), its kind None
+    replaced by the configured generator; and of "lemmas", whose grid is
+    the lemma ids."""
+    values = {field: getattr(cfg, f"{field}_values") for field in "srpt"}
+    table = {cid: (kind or cfg.generator, needs, grid, chain) for chain in CHAIN_NAMES
+             for cid, (kind, needs, grid) in chain_grids(chain, values).items()}
+    table["lemmas"] = (None, "lemma id", list(cfg.lemma_ids), "lemmas")
     return table
 
 
@@ -169,7 +155,7 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     K, bounds = len(tasks), np.cumsum([0] + [len(part) for part in seeds]).tolist()
     rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     ms = np.repeat([m for m, _ in shapes], np.diff(bounds)).tolist()  # each task's m
-    ids = [cid for c in cfg.chains if c != "lemmas" for cid in _CHAIN_IDS.get(c, [c])]
+    ids = [cid for c in cfg.chains if c != "lemmas" for cid, row in table.items() if row[3] == c]
     spectra = {}
     for kind in dict.fromkeys(table[cid][0] for cid in ids):
         draws = [draw_instances(kind, n, m, tasks[part], cfg.spectrum_law)
@@ -178,7 +164,7 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
         spectra[kind] = InstanceSpectra(A, B, ms)
     blocks = []
     for cid in ids:
-        kind, _, grid = table[cid]
+        kind, _, grid, _ = table[cid]
         terms = grid_terms(spectra[kind], cid, grid)
         for (m, _), part in zip(shapes, rows):
             shape_terms = terms.take(part, m * n)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gmineq import cli, errors, highprec
 from gmineq.blocks import InstanceSet
 from gmineq.chains import (
+    DEFAULT_CONDITION_CAP,
     ChainParams,
     ChainTerms,
     InstanceSpectra,
@@ -24,7 +25,7 @@ from gmineq.chains import (
     t_chain_terms,
 )
 from gmineq.generate import derive_seed, generate_instance, haar_unitary
-from gmineq.hunt import _argmin_record
+from gmineq.hunt import _argmin_record, _point_margin
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
 from gmineq.reports import SCHEMA_VERSION, chain_blocks, chain_records, dumps, order_norms
@@ -121,28 +122,41 @@ class TestTChain:
         proven = [rec for rec in rs.records if rec["status"] == "proven"]
         assert len(proven) > len(rs.records) // 2 and not has_proven_failure(rs)
 
-    def test_witness_below_r_one_is_not_proven(self):
-        """W(2, 15 deg): D = diag(2, 1/2), A_1 = B_1 = D, and A_2, B_2 the
-        rotations of D by 75 and 105 degrees.  At (s, t, r, p) =
-        (2, 1/2, 1/2, 2), where sr = rp = 1 but r < 1, the Ky Fan 1 margin
-        is negative, as the extended-precision oracle confirms, so the
-        point must not be labelled proven."""
-        D = np.diag([2.0, 0.5])
+    # (x, phi) of W(x, phi), the point (s, t, r, p), its Ky Fan 1 margin.
+    WITNESSES = [
+        (2.0, 15.0, 2.0, 0.5, 0.5, 2.0, -1.2631e-2),
+        (3.0, 15.0, 2.0, 0.5, 0.5, 2.0, -2.7244e-2),
+        (2.0, 15.0, 4.0, 0.5, 0.25, 4.0, -5.8613e-2),
+        (4.0, 10.0, 1.25, 0.5, 0.8, 1.0, -3.5542e-3),
+        (6.0, 10.0, 1.5, 0.5, 0.7, 1.0, -1.7120e-3),
+        (6.0, 10.0, 2.0, 0.5, 0.55, 1.0, -5.8135e-3),
+        (6.0, 5.0, 4.0, 0.5, 0.3, 1.0, -1.7279e-2),
+    ]
+
+    @pytest.mark.parametrize("x, phi, s, t, r, p, margin", WITNESSES, ids=[
+        f"W({x:g},{phi:g})-s{s:g}-t{t:g}-r{r:g}-p{p:g}" for x, phi, s, t, r, p, _ in WITNESSES])
+    def test_witness_below_r_one_is_not_proven(self, x, phi, s, t, r, p, margin):
+        """The closed-form witnesses W(x, phi): D = diag(x, 1/x),
+        A_1 = B_1 = D, and A_2, B_2 the rotations of D by 90 - phi and
+        90 + phi degrees.  At each point r < 1 (sr >= 1, and rp = 1 at the
+        first three), the Ky Fan 1 margin of the hunt's evaluation is
+        negative, as pinned, and the extended-precision oracle confirms it,
+        so the point must not be labelled proven."""
+        D = np.diag([x, 1.0 / x])
 
         def rotated(degrees):
             c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
             R = np.array([[c, -s], [s, c]])
             return R @ D @ R.T
 
-        inst = InstanceSet(m=2, n=2, A=[D, rotated(75.0)], B=[D, rotated(105.0)])
-        params = ChainParams(s=2.0, r=0.5, p=2.0, t=0.5)
-        rec, = chain_records(t_chain_terms(inst, params), inst, params,
-                             [NormSpec.ky_fan(1)]).records
-        margin = min(rec["margins"]) / max(1.0, rec["rhs"])
-        assert margin == pytest.approx(-1.2631e-2, abs=1e-6)
+        inst = InstanceSet(m=2, n=2, A=[D, rotated(90.0 - phi)], B=[D, rotated(90.0 + phi)])
+        params = ChainParams(s=s, r=r, p=p, t=t)
+        got, _ = _point_margin(inst, params, [NormSpec.ky_fan(1)], DEFAULT_CONDITION_CAP)
+        assert got == pytest.approx(margin, rel=5e-5)
         oracle = highprec.t_chain_margin(inst.A, inst.B, params, NormSpec.ky_fan(1))
-        assert abs(margin - oracle) < 1e-8
-        assert t_chain_status(params) != "proven" and rec["status"] != "proven"
+        assert abs(got - oracle) < 1e-8
+        assert point_status("t-chain", params, 2) != "proven"
+        assert t_chain_status(params) != "proven"
 
     @pytest.mark.parametrize("n, m", [(1, 2), (3, 2), (2, 4)])
     def test_identity_instance_refutes_sr_below_one(self, n, m):
@@ -205,8 +219,10 @@ class TestTChain:
 class TestCommuting:
     def test_requires_commuting_instance(self):
         inst = generate_instance("generic", 2, 2, 0)
-        with pytest.raises(errors.NotCommuting):
-            commuting_terms(inst, "product")
+        for variant in ("product", "symmetrized"):
+            with pytest.raises(errors.NotCommuting,
+                               match="instance kind is 'generic', need 'commuting'"):
+                commuting_terms(inst, variant)
 
     def test_rejects_unknown_variant(self):
         inst = generate_instance("commuting", 2, 2, 0)

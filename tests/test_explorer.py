@@ -208,11 +208,15 @@ class TestSweep:
     @given(s_=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=4),
            r_=st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]), max_size=3),
            p_=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), max_size=3),
-           t_=st.lists(st.sampled_from([-0.1, 0.0, 0.3, 1.0, 1.5]), max_size=3))
-    def test_grids_filter_the_configured_product(self, s_, r_, p_, t_):
+           t_=st.lists(st.sampled_from([-0.1, 0.0, 0.3, 1.0, 1.5]), max_size=3),
+           generator=st.sampled_from(["generic", "commuting"]))
+    def test_grids_filter_the_configured_product(self, s_, r_, p_, t_, generator):
         """Each grid chain's grid is the configured product filtered by its
-        one hypothesis, equal, in order, to the chains' stated filters."""
-        cfg = SweepConfig(s_values=s_, r_values=r_, p_values=p_, t_values=t_)
+        one hypothesis, equal, in order, to the chains' stated filters, on
+        the configured generator's instances; "commuting" selects the two
+        commuting ids, each at s = r = p = 1 on commuting instances."""
+        cfg = SweepConfig(generator=generator, s_values=s_, r_values=r_, p_values=p_,
+                          t_values=t_)
         want = {
             "main": [ChainParams(s=s, r=r, p=p) for s in s_ if s >= 2.0 for r in r_ if r >= 1.0
                      for p in p_ if p > 0.0 and r * p >= 1.0],
@@ -223,6 +227,19 @@ class TestSweep:
         }
         table = _chain_table(cfg)
         assert {chain: table[chain][2] for chain in want} == want
+        assert {chain: table[chain][0] for chain in want} == dict.fromkeys(want, generator)
+        commuting = {cid: (kind, grid) for cid, (kind, _, grid, chain) in table.items()
+                     if chain == "commuting"}
+        assert commuting == dict.fromkeys(["commuting-product", "commuting-symmetrized"],
+                                          ("commuting", [ChainParams(s=1.0)]))
+
+    def test_known_chains_come_from_the_table(self, capsys):
+        """The configured chains, and so the CLI's --chain choices, are the
+        chain table's in its order, then "lemmas"."""
+        assert KNOWN_CHAINS == ("main", "geo-z", "t-chain", "commuting", "lemmas")
+        assert cli.main(["verify", "--chain", "bogus"]) == cli.EXIT_CONFIG
+        assert ("choose from 'main', 'geo-z', 't-chain', 'commuting', 'lemmas'"
+                in capsys.readouterr().err)
 
     def test_chain_points_pinned(self):
         """SMALL's chain records, rebuilt point by point: main only at
@@ -455,6 +472,21 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
         assert "argmin re-evaluation" in capsys.readouterr().out
+
+    def test_refuted_hunt_argmin_is_a_known_violation(self, tmp_path, capsys):
+        """At s = 0.5 (sr < 1) the hunt's arg-min has m >= 2 and is refuted
+        in closed form: it is reported as a known violation, not rechecked
+        in extended precision nor recorded as a candidate, and exits 0."""
+        out = tmp_path / "h.json"
+        code = cli.main(["hunt", "--s-lo", "0.5", "--s-hi", "0.5", "--samples", "200",
+                         "--n-max", "3", "--m-max", "3", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        text = capsys.readouterr().out
+        assert "status=refuted" in text and "known violation (refuted regime)\n" in text
+        assert "recheck" not in text and "candidate" not in text
+        record = json.loads(out.read_text())
+        assert record["argmin"]["status"] == "refuted" and record["min_margin"] < 0.0
+        assert record["candidate"] is False and record["recheck_margin"] is None
 
     def test_hunt_timing_on_stderr(self, tmp_path, capsys):
         outs = []

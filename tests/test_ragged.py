@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import gmineq
 from gmineq import cli, errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import (COMMUTING_PARAMS, ChainParams, InstanceSpectra, commuting_terms,
+from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms,
                            condition_max, expand_norm_tokens, geo_z_terms, grid_terms,
                            main_chain_terms, t_chain_terms)
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
@@ -121,7 +121,7 @@ def test_one_point_contract(n):
     for kind in ("generic", "commuting"):
         insts = [generate_instance(kind, n, m, 400 + m) for m in (1, 2, 4)]
         spectra = _group(insts)
-        group = ([(variant, grid_terms(spectra, f"commuting-{variant}", [COMMUTING_PARAMS]))
+        group = ([(variant, grid_terms(spectra, f"commuting-{variant}", [ChainParams(s=1.0)]))
                   for variant in ("product", "symmetrized")] if kind == "commuting" else
                  [(chain, grid_terms(spectra, chain, grid)) for chain, grid in GRIDS.items()])
         for i, inst in enumerate(insts):
