@@ -16,12 +16,12 @@ from .blocks import (
 )
 from .chains import ChainParams, t_chain_status
 from .generate import SpectrumLaw, derive_seed, generate_instance, haar_unitary, random_spd
-from .hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
+from .hunt import SearchConfig, evaluate_argmin, hunt
 from .lemmas import LEMMA_IDS, LemmaCase, LemmaReport, eval_lemma, random_case
 from .linalg import EigenDecomposition, hermitian_eig, matrix_power
 from .means import geometric_mean, t_geometric_mean
 from .norms import DominanceReport, NormSpec, ky_fan_dominance, norm_values, singular_values
-from .reports import ReportSet, read_reports, write_reports
+from .reports import ReportSet, SearchResult, read_reports, write_reports
 from .sweep import SweepConfig, run_sweep
 
 __version__ = "0.1.0"

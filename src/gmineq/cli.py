@@ -22,9 +22,10 @@ import sys
 
 from . import errors
 from .chains import DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL
-from .hunt import SearchConfig, SearchResult, evaluate_argmin, hunt
-from .reports import ReportSet, read_reports, write_reports
-from .sweep import KNOWN_CHAINS, SweepConfig, has_proven_failure, run_sweep
+from .generate import SpectrumLaw
+from .hunt import SearchConfig, evaluate_argmin, hunt
+from .reports import ReportSet, SearchResult, has_proven_failure, read_reports, write_reports
+from .sweep import KNOWN_CHAINS, SweepConfig, run_sweep
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -120,8 +121,6 @@ def _sweep(cfg: SweepConfig, out) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .generate import SpectrumLaw
-
     return _sweep(SweepConfig(
         chains=[args.chain],
         n_values=args.n,

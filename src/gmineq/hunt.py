@@ -22,6 +22,11 @@ it improves the margin (`_refine`).  Sampling, refinement and
 gets the bytes it gets alone, and the report does not depend on the
 chunks.  A gated point (condition number over the cap) is counted and not
 evaluated.
+
+This module holds only the search: the result's file format, the
+arg-min record included, is `reports`'s (`SearchResult`, `argmin_record`,
+`argmin_point`), and `evaluate_argmin` parses a record there and
+re-evaluates it by `_point_margin`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .chains import (
     InstanceSpectra,
     chain_margins,
     expand_norm_tokens,
-    point_status,
     t_chain_sides,
     validate_run_fields,
 )
@@ -50,7 +54,7 @@ from .generate import (DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instan
                        generate_instance, normals)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
-from .reports import SCHEMA_VERSION
+from .reports import SearchResult, argmin_point, argmin_record
 
 _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement generations
 # Candidates of one refinement generation, drawn and evaluated as one stack.
@@ -110,75 +114,6 @@ class SearchConfig:
         if self.n_max < 1 or self.m_max < 1:
             raise errors.ConfigError("n_max and m_max must be >= 1")
         return self
-
-
-def _complex_to_lists(M: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs of a complex array."""
-    return np.stack([M.real, M.imag], axis=-1).tolist()
-
-
-def _lists_to_complex(rows: list) -> np.ndarray:
-    """The complex array, bit for bit, of nested lists of [re, im] pairs;
-    ragged nesting, or entries that are not pairs, raise DimensionMismatch."""
-    try:
-        return np.array(rows, dtype=np.float64).view(np.complex128).squeeze(-1)
-    except ValueError as exc:
-        raise errors.DimensionMismatch(f"matrix entries are not [re, im] pairs: {exc}") from None
-
-
-def _fields(rec, what: str, names: tuple) -> list:
-    """The values of fields `names` of record `rec`, in order; a record that
-    is not a JSON object, or lacks one of them, raises MalformedRecord."""
-    try:
-        return [rec[name] for name in names]
-    except KeyError as exc:
-        raise errors.MalformedRecord(f"{what} lacks field {exc.args[0]!r}") from None
-    except TypeError:
-        raise errors.MalformedRecord(f"{what} is not a JSON object: {type(rec).__name__}") from None
-
-
-@dataclass
-class SearchResult:
-    """Minimum normalized margin found and a reproducible arg-min point.
-
-    wall_seconds is informational and excluded from serialization so that
-    repeated runs write byte-identical files.
-    """
-
-    min_margin: float
-    argmin: dict | None
-    samples_evaluated: int
-    gated_count: int
-    base_seed: int
-    candidate: bool
-    recheck_margin: float | None
-    wall_seconds: float = 0.0
-
-    def to_record(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "search_result",
-            "base_seed": self.base_seed,
-            "samples_evaluated": self.samples_evaluated,
-            "gated_count": self.gated_count,
-            "min_margin": self.min_margin,
-            "candidate": self.candidate,
-            "recheck_margin": self.recheck_margin,
-            "argmin": self.argmin,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "SearchResult":
-        """Inverse of `to_record`; a missing field, or a min_margin that is
-        not a number, raises MalformedRecord."""
-        min_margin, *rest = _fields(rec, "search result", (
-            "min_margin", "argmin", "samples_evaluated", "gated_count", "base_seed", "candidate",
-            "recheck_margin"))
-        try:
-            return cls(float(min_margin), *rest)  # "inf" when every sample was gated
-        except (TypeError, ValueError):  # only float() raises these
-            raise errors.MalformedRecord(
-                f"search result min_margin is not a number: {min_margin!r}") from None
 
 
 def _sample_points(cfg: SearchConfig, block: range) -> dict:
@@ -343,21 +278,6 @@ def _refine(cfg: SearchConfig, A: np.ndarray, B: np.ndarray, params: ChainParams
     return A, B, params, spec, margin, evaluated, gated
 
 
-def _argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margin: float) -> dict:
-    return {
-        "kind": inst.kind,
-        "n": inst.n,
-        "m": inst.m,
-        "instance_seed": inst.seed,
-        "params": params.as_dict(),
-        "norm": spec.to_record(),
-        "margin": margin,
-        "status": point_status("t-chain", params, inst.m),
-        "A": _complex_to_lists(inst.A),
-        "B": _complex_to_lists(inst.B),
-    }
-
-
 def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_CAP) -> float | None:
     """Re-evaluate a serialized arg-min point; returns its normalized
     margin, or None when the point is gated under `condition_cap` or the
@@ -365,16 +285,8 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_C
     arg = result_or_argmin.argmin if isinstance(result_or_argmin, SearchResult) else result_or_argmin
     if arg is None:
         return None
-    n, m, seed, kind, params, norm, A, B = _fields(
-        arg, "arg-min", ("n", "m", "instance_seed", "kind", "params", "norm", "A", "B"))
-    params = dict(zip("srpt", _fields(params, "arg-min params", ("s", "r", "p", "t"))))
-    for name, v in params.items():
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise errors.MalformedRecord(f"arg-min param {name!r} is not a number: {v!r}")
-    inst = InstanceSet(m=m, n=n, A=_lists_to_complex(A), B=_lists_to_complex(B), seed=seed,
-                       kind=kind)
-    return _point_margin(inst, ChainParams(**params), [NormSpec.from_record(norm)],
-                         condition_cap)[0]
+    inst, params, spec = argmin_point(arg)
+    return _point_margin(inst, params, [spec], condition_cap)[0]
 
 
 def hunt(cfg: SearchConfig) -> SearchResult:
@@ -400,18 +312,18 @@ def hunt(cfg: SearchConfig) -> SearchResult:
             expand_norm_tokens(cfg.norms, inst.n)[best["winner"]], best_margin)
         evaluated, gated = evaluated + refine_evaluated, gated + refine_gated
         inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind=inst.kind)
-        argmin = _argmin_record(inst, params, spec, float(best_margin))
+        argmin = argmin_record(inst, params, spec, float(best_margin))
         if best_margin < -cfg.tol_rel and argmin["status"] != "refuted":
             # confirm in extended precision before surfacing
             recheck = highprec.t_chain_margin(inst.A, inst.B, params, spec)
             candidate = recheck < -cfg.tol_rel
     return SearchResult(
-        min_margin=float(best_margin),
-        argmin=argmin,
+        base_seed=cfg.base_seed,
         samples_evaluated=evaluated,
         gated_count=gated,
-        base_seed=cfg.base_seed,
+        min_margin=float(best_margin),
         candidate=candidate,
         recheck_margin=recheck,
+        argmin=argmin,
         wall_seconds=time.perf_counter() - t0,
     )

@@ -3,8 +3,10 @@
 Report files are newline-delimited JSON: one self-describing record per
 line, each carrying schema_version, with a trailing summary record.
 Floats are written with 17 significant digits, so read(write(x)) == x and
-re-serialization is byte-identical.  Search results are a single JSON
-object.
+re-serialization is byte-identical.  A search result (`SearchResult`)
+is a single JSON object of the fields RESULT_FIELDS, declared once in
+file order; its arg-min point is written by `argmin_record` and read back
+by `argmin_point`.
 
 A term set's records (one chain at one point, or one lemma case) are one
 `Block`: shared head and tail fields and one column per field that varies
@@ -14,8 +16,9 @@ terms, with no dict per record; `chain_records` (`lemma_records`) is its
 one-point form.  Columns are in report order (`order_norms`), and no two
 blocks of a report share a key (chain, seed, params), so
 `build_report_set` sorts blocks by it, which equals sorting every record
-by `record_sort_key`.  `summarize` reads the columns, and `ReportSet.records`
-builds record dicts only when something reads them.
+by `record_sort_key`.  `summarize` and `has_proven_failure` read the
+columns, and `ReportSet.records` builds record dicts only when something
+reads them.
 
 `_encode` is the one function that picks a value's JSON by its type; its
 memo formats each repeated key and float once (`dumps` has the rules).
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -41,7 +45,7 @@ from .blocks import InstanceSet
 from .chains import (DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, ChainParams, ChainTerms,
                      chain_margins, point_status)
 from .lemmas import LemmaCase, lemma_margins
-from .norms import norm_values
+from .norms import NormSpec, norm_values
 
 SCHEMA_VERSION = 1
 
@@ -356,6 +360,17 @@ def summarize(blocks: list) -> dict:
     }
 
 
+def has_proven_failure(rs: ReportSet) -> bool:
+    """True if any non-gated proven-regime record failed its tolerance, read
+    from each block's tail and pass column (a record dict is a block of one)."""
+    for item in rs.blocks:
+        passes, tail = ((item.columns["pass"], item.tail) if isinstance(item, Block)
+                        else ([item["pass"]], item))
+        if not tail["gated"] and tail.get("status") == "proven" and not all(passes):
+            return True
+    return False
+
+
 def build_report_set(blocks: list) -> ReportSet:
     """A report set from `Block`s and record dicts (blocks of one) in any
     order, each block in report order as the builders make it: the blocks
@@ -370,6 +385,110 @@ def build_report_set(blocks: list) -> ReportSet:
             raise ValueError(f"two blocks have the key {key!r}")
     ordered = [item for _, item in keyed]
     return ReportSet(blocks=ordered, summary=summarize(ordered))
+
+
+# ---------------------------------------------------------------------------
+# search results
+# ---------------------------------------------------------------------------
+
+# The fields of a search result record after schema_version and kind, in
+# file order.
+RESULT_FIELDS = ("base_seed", "samples_evaluated", "gated_count", "min_margin", "candidate",
+                 "recheck_margin", "argmin")
+
+
+@dataclass
+class SearchResult:
+    """Minimum normalized margin found and a reproducible arg-min point
+    (`argmin_record`), or None when every sample was gated.
+
+    The record holds the fields of RESULT_FIELDS.  wall_seconds is
+    informational and excluded from serialization so that repeated runs
+    write byte-identical files.
+    """
+
+    base_seed: int
+    samples_evaluated: int
+    gated_count: int
+    min_margin: float
+    candidate: bool
+    recheck_margin: float | None
+    argmin: dict | None
+    wall_seconds: float = 0.0
+
+    def to_record(self) -> dict:
+        return {"schema_version": SCHEMA_VERSION, "kind": "search_result",
+                **{name: getattr(self, name) for name in RESULT_FIELDS}}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "SearchResult":
+        """Inverse of `to_record`; a missing field, or a min_margin that is
+        not a number, raises MalformedRecord."""
+        values = dict(zip(RESULT_FIELDS, _fields(rec, "search result", RESULT_FIELDS)))
+        try:
+            values["min_margin"] = float(values["min_margin"])  # "inf" when every sample was gated
+        except (TypeError, ValueError):  # only float() raises these
+            raise errors.MalformedRecord(
+                f"search result min_margin is not a number: {values['min_margin']!r}") from None
+        return cls(**values)
+
+
+def _fields(rec, what: str, names: tuple) -> list:
+    """The values of fields `names` of record `rec`, in order; a record that
+    is not a JSON object, or lacks one of them, raises MalformedRecord."""
+    try:
+        return [rec[name] for name in names]
+    except KeyError as exc:
+        raise errors.MalformedRecord(f"{what} lacks field {exc.args[0]!r}") from None
+    except TypeError:
+        raise errors.MalformedRecord(f"{what} is not a JSON object: {type(rec).__name__}") from None
+
+
+def _complex_to_lists(M: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs of a complex array."""
+    return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
+def _lists_to_complex(rows: list) -> np.ndarray:
+    """The complex array, bit for bit, of nested lists of [re, im] pairs;
+    ragged nesting, or entries that are not pairs, raise DimensionMismatch."""
+    try:
+        return np.array(rows, dtype=np.float64).view(np.complex128).squeeze(-1)
+    except ValueError as exc:
+        raise errors.DimensionMismatch(f"matrix entries are not [re, im] pairs: {exc}") from None
+
+
+def argmin_record(inst: InstanceSet, params: ChainParams, spec: NormSpec, margin: float) -> dict:
+    """The arg-min record of a search result: the weighted chain's point
+    `params` on `inst` under `spec`, its margin and status, and the
+    matrices as [re, im] pairs."""
+    return {
+        "kind": inst.kind,
+        "n": inst.n,
+        "m": inst.m,
+        "instance_seed": inst.seed,
+        "params": params.as_dict(),
+        "norm": spec.to_record(),
+        "margin": margin,
+        "status": point_status("t-chain", params, inst.m),
+        "A": _complex_to_lists(inst.A),
+        "B": _complex_to_lists(inst.B),
+    }
+
+
+def argmin_point(arg) -> tuple:
+    """(InstanceSet, ChainParams, NormSpec) of an arg-min record: the
+    inverse of `argmin_record`.  A missing field, or a parameter that is
+    not a number, raises MalformedRecord."""
+    n, m, seed, kind, params, norm, A, B = _fields(
+        arg, "arg-min", ("n", "m", "instance_seed", "kind", "params", "norm", "A", "B"))
+    params = dict(zip("srpt", _fields(params, "arg-min params", ("s", "r", "p", "t"))))
+    for name, v in params.items():
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise errors.MalformedRecord(f"arg-min param {name!r} is not a number: {v!r}")
+    inst = InstanceSet(m=m, n=n, A=_lists_to_complex(A), B=_lists_to_complex(B), seed=seed,
+                       kind=kind)
+    return inst, ChainParams(**params), NormSpec.from_record(norm)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +530,7 @@ def write_reports(obj, path) -> None:
     line) or a SearchResult (one JSON object), as one text with one memo."""
     if isinstance(obj, ReportSet):
         values = [*obj.blocks, obj.summary]
-    elif hasattr(obj, "to_record"):
+    elif isinstance(obj, SearchResult):
         values = [obj.to_record()]
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
@@ -455,7 +574,6 @@ def read_reports(path):
         if len(lines) > 1:
             raise errors.MalformedRecord(
                 f"{path}: search result followed by line {lines[1][:40]!r}")
-        from .hunt import SearchResult  # local import avoids a cycle
         return SearchResult.from_record(first)
     decoded = json.loads("[" + ",".join(lines) + "]")
     if len(decoded) != len(lines):

@@ -14,7 +14,7 @@ one `reports.chain_blocks` call per (n, m).  An m-free lemma id's cases
 (`lemmas.m_free`) are drawn, evaluated and recorded as one stack per n,
 and the other ids' as one stack per (n, m).  Each term set is one
 `reports.Block`, and a sweep builds no record dict: `build_report_set`,
-the summary, the writer and `has_proven_failure` read the blocks.
+the summary, the writer and `reports.has_proven_failure` read the blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .chains import (CHAIN_NAMES, DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, Instan
                      chain_grids, expand_norm_tokens, grid_terms, validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances
 from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
-from .reports import Block, ReportSet, build_report_set, chain_blocks, lemma_blocks
+from .reports import ReportSet, build_report_set, chain_blocks, lemma_blocks
 
 KNOWN_CHAINS = (*CHAIN_NAMES, "lemmas")
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
@@ -95,7 +95,7 @@ class SweepConfig:
         for i, lid in enumerate(self.lemma_ids):
             if lid not in LEMMA_IDS:
                 raise errors.ConfigError(f"unknown lemma id {lid!r}")
-            if lid in self.lemma_ids[:i]:  # its second copy would draw other cases
+            if lid in self.lemma_ids[:i]:  # its second copy would write the same blocks twice
                 raise errors.ConfigError(f"lemma_ids lists {lid!r} twice")
         for cid, (_, needs, grid, chain) in _chain_table(self).items():
             if chain in self.chains and not grid:
@@ -140,13 +140,14 @@ def _chain_table(cfg: SweepConfig) -> dict:
 def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     """The record blocks of every shape (n, m) of one n, `shapes` a list
     of (m, tasks): task i draws its instance of each kind from seed
-    derive_seed(base_seed, i), and its case of lemma id number li from
+    derive_seed(base_seed, i), and its case of lemma id LEMMA_IDS[li] from
     seed derive_seed(derive_seed(base_seed, i), li), as `generate_instance`
-    and `random_case` would.  Each shape's instances of a kind are drawn
-    as one stack, and each chain id is evaluated by one `grid_terms` call
-    on the n-group, every shape's pairs of its kind laid end to end
-    (`InstanceSpectra`), then split by shape (`ChainTerms.take`) and
-    recorded by one `chain_blocks` call per shape.  An m-free lemma id's
+    and `random_case` would, whichever other ids the config lists.  Each
+    shape's instances of a kind are drawn as one stack, and each chain id
+    is evaluated by one `grid_terms` call on the n-group, every shape's
+    pairs of its kind laid end to end (`InstanceSpectra`), then split by
+    shape (`ChainTerms.take`) and recorded by one `chain_blocks` call per
+    shape.  An m-free lemma id's
     cases are drawn, evaluated and recorded as one stack of every task of
     the n-group, each recorded with its task's m, and another id's as one
     stack per shape."""
@@ -171,8 +172,8 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
             blocks.extend(chain_blocks(shape_terms, n, m, tasks[part].tolist(), grid,
                                        expand_norm_tokens(cfg.norms, shape_terms.max_dim),
                                        cfg.tol_rel, cfg.condition_cap))
-    for li, lid in enumerate(table["lemmas"][2] if "lemmas" in cfg.chains else []):
-        case_seeds = derive_seed(tasks, li)
+    for lid in table["lemmas"][2] if "lemmas" in cfg.chains else []:
+        case_seeds = derive_seed(tasks, LEMMA_IDS.index(lid))
         for part in [slice(0, K)] if m_free(lid) else rows:
             cases = random_cases(lid, case_seeds[part], n, ms[part][0], cfg.spectrum_law)
             terms = lemma_stack_terms(cases)
@@ -189,10 +190,11 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
     The j-th of P shapes (n, m) takes the tasks range(j, instance_count,
     P), and the shapes of each n run together (`_group_blocks`); a
     task's records depend neither on how many tasks share its shape nor
-    on which shapes share its n.  `workers` is accepted for existing
-    callers and does not change the work done or the output: a thread
-    pool ran slower than this loop, because the evaluation is many small
-    numpy calls and the Python between them holds the interpreter lock."""
+    on which shapes share its n, nor on which other chains or lemma ids
+    the config lists.  `workers` is accepted for existing callers and does
+    not change the work done or the output: a thread pool ran slower than
+    this loop, because the evaluation is many small numpy calls and the
+    Python between them holds the interpreter lock."""
     cfg.validate()
     table = _chain_table(cfg)
     pairs = [(n, m) for n in cfg.n_values for m in cfg.m_values]
@@ -204,13 +206,3 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> ReportSet:
         blocks.extend(_group_blocks(cfg, table, n, shapes))
     return build_report_set(blocks)
 
-
-def has_proven_failure(rs: ReportSet) -> bool:
-    """True if any non-gated proven-regime record failed its tolerance, read
-    from each block's tail and pass column (a record dict is a block of one)."""
-    for item in rs.blocks:
-        passes, tail = ((item.columns["pass"], item.tail) if isinstance(item, Block)
-                        else ([item["pass"]], item))
-        if not tail["gated"] and tail.get("status") == "proven" and not all(passes):
-            return True
-    return False

@@ -25,11 +25,12 @@ from gmineq.chains import (
     t_chain_terms,
 )
 from gmineq.generate import derive_seed, generate_instance, haar_unitary
-from gmineq.hunt import _argmin_record, _point_margin
+from gmineq.hunt import _point_margin
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
-from gmineq.reports import SCHEMA_VERSION, chain_blocks, chain_records, dumps, order_norms
-from gmineq.sweep import SweepConfig, has_proven_failure, run_sweep
+from gmineq.reports import (SCHEMA_VERSION, argmin_record, chain_blocks, chain_records, dumps,
+                            has_proven_failure, order_norms)
+from gmineq.sweep import SweepConfig, run_sweep
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.schatten(1),
          NormSpec.schatten(2), NormSpec.schatten(np.inf)]
@@ -173,7 +174,7 @@ class TestTChain:
                                  [NormSpec.ky_fan(1)]).records
             assert rec["status"] == "refuted" and not rec["pass"], params
             assert rec["lhs"] == pytest.approx(m) and rec["rhs"] == pytest.approx(m ** (s * r))
-            argmin = _argmin_record(inst, params, NormSpec.ky_fan(1), -1.0)
+            argmin = argmin_record(inst, params, NormSpec.ky_fan(1), -1.0)
             assert argmin["status"] == "refuted"
             assert point_status("t-chain", params, 1) == t_chain_status(params) != "refuted"
         for params in (ChainParams(s=1.5, r=1.0, t=0.3), ChainParams(s=1.0, r=1.0, t=0.5)):

@@ -1,10 +1,11 @@
+import functools
 import json
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmineq import cli, errors, sweep
 from gmineq.chains import ChainParams, commuting_terms, geo_z_terms, main_chain_terms, t_chain_terms
@@ -19,10 +20,11 @@ from gmineq.reports import (
     build_report_set,
     chain_records,
     dumps,
+    has_proven_failure,
     read_reports,
     write_reports,
 )
-from gmineq.sweep import KNOWN_CHAINS, SweepConfig, _chain_table, has_proven_failure, run_sweep
+from gmineq.sweep import KNOWN_CHAINS, SweepConfig, _chain_table, run_sweep
 
 
 class TestSeeds:
@@ -164,9 +166,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("lemma_ids", [["Araki", "Araki"], ["GramSwap", "Hoelder", "GramSwap"]])
     def test_lemma_id_listed_twice_rejected(self, lemma_ids, tmp_path, capsys):
-        """A repeated lemma id would write a second set of records, drawn
-        from other case seeds (a case seed numbers the id's list place);
-        the CLI exits 3 with one line and writes no report."""
+        """A repeated lemma id would write its blocks twice (a case seed
+        numbers the id's place in LEMMA_IDS, so both copies draw the same
+        cases); the CLI exits 3 with one line and writes no report."""
         config = {"chains": ["lemmas"], "lemma_ids": lemma_ids, "instance_count": 2}
         message = f"lemma_ids lists {lemma_ids[-1]!r} twice"
         cfg = SweepConfig(**config)
@@ -328,6 +330,30 @@ class TestSweep:
                           norms=["trace"], lemma_ids=lemma_ids)
         keys = [_block_key(block.head) for block in run_sweep(cfg).blocks]
         assert keys and len(set(keys)) == len(keys)
+
+    SUBSET = dict(n_values=[1, 2], m_values=[1, 2], instance_count=4, s_values=[1.5, 2.0],
+                  t_values=[0.3, 0.5], norms=["trace"])
+
+    @staticmethod
+    @functools.cache
+    def _full_records():
+        return run_sweep(SweepConfig(chains=list(KNOWN_CHAINS), **TestSweep.SUBSET)).records
+
+    @settings(max_examples=12, deadline=None)
+    @given(chains=st.lists(st.sampled_from(KNOWN_CHAINS), min_size=1, unique=True),
+           lemma_ids=st.lists(st.sampled_from(LEMMA_IDS), min_size=1, unique=True))
+    @example(chains=["lemmas"], lemma_ids=["GramSwap"])
+    def test_records_independent_of_listed_ids(self, chains, lemma_ids):
+        """Every record of a config that lists some of the chains and lemma
+        ids is byte-equal to its record in the config that lists them all:
+        a case seed numbers its lemma id's place in LEMMA_IDS, not in the
+        config's list."""
+        table = _chain_table(SweepConfig(**self.SUBSET))
+        want = [rec for rec in self._full_records()
+                if table[rec.get("chain_id", "lemmas")][3] in chains
+                and rec.get("lemma_id", lemma_ids[0]) in lemma_ids]
+        got = run_sweep(SweepConfig(chains=chains, lemma_ids=lemma_ids, **self.SUBSET)).records
+        assert got and dumps(got) == dumps(want)
 
     def test_records_independent_of_group_size(self):
         """A task's records, of every chain and both commuting variants, are
@@ -686,6 +712,9 @@ class TestCli:
         "A": "MalformedRecord: arg-min lacks field 'A'",
         "param_not_number": "MalformedRecord: arg-min param 's' is not a number: 'x'",
         "norm_not_record": "not a norm record: {'variant': 'kyfan'}",
+        **{name: f"MalformedRecord: search result lacks field {name!r}"
+           for name in ("base_seed", "samples_evaluated", "gated_count", "candidate",
+                        "recheck_margin", "argmin")},
     }
 
     @pytest.mark.parametrize("malform", list(_MALFORMED))
@@ -714,7 +743,7 @@ class TestCli:
         elif malform == "norm_not_record":
             arg["norm"] = {"variant": "kyfan"}  # no k
         else:
-            (rec if malform == "min_margin" else arg).pop(malform)
+            (rec if malform in rec else arg).pop(malform)
         path.write_text(json.dumps(rec))
         capsys.readouterr()
         assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG

@@ -30,7 +30,7 @@ from gmineq import generate
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, normals
 from gmineq.hunt import SearchConfig, _point_margin, _sample_points, _sampling_phase, hunt
 from gmineq.linalg import hermitian_eig, hermitize
-from gmineq.reports import chain_records
+from gmineq.reports import _lists_to_complex, chain_records
 
 hunt_module = importlib.import_module("gmineq.hunt")
 
@@ -388,7 +388,7 @@ def test_forced_hunt_matches_reference(monkeypatch):
     arg = result.argmin
     assert arg["params"] == want_params.as_dict() and arg["norm"] == want_spec.to_record()
     for got, want in zip(arg["A"] + arg["B"], [*want_inst.A, *want_inst.B]):
-        assert np.array_equal(hunt_module._lists_to_complex(got), want)
+        assert np.array_equal(_lists_to_complex(got), want)
 
 
 @pytest.mark.parametrize("refine_steps", [1, 16, 17, 60, 150])

@@ -10,6 +10,7 @@ join.  The drawn values include subclasses (of str, int, float, dict and
 list) so that the encoder's `isinstance` path is pinned too.
 """
 
+import dataclasses
 import enum
 import json
 import math
@@ -29,10 +30,10 @@ from gmineq.chains import ChainParams, expand_norm_tokens, grid_terms
 from gmineq.generate import generate_instance
 from gmineq.norms import NormSpec
 from gmineq.lemmas import lemma_terms, random_case
-from gmineq.reports import (SCHEMA_VERSION, Block, ReportSet, build_report_set, chain_blocks,
-                            dumps, lemma_records, order_norms, read_reports, record_sort_key,
-                            summarize, write_reports)
-from gmineq.sweep import KNOWN_CHAINS, SweepConfig, has_proven_failure, run_sweep
+from gmineq.reports import (RESULT_FIELDS, SCHEMA_VERSION, Block, ReportSet, build_report_set,
+                            chain_blocks, dumps, has_proven_failure, lemma_records, order_norms,
+                            read_reports, record_sort_key, summarize, write_reports)
+from gmineq.sweep import KNOWN_CHAINS, SweepConfig, run_sweep
 
 
 def _oracle_float(x: float) -> str:
@@ -400,3 +401,10 @@ class TestAllGatedHunt:
         assert isinstance(loaded, SearchResult)
         assert loaded.to_record() == result.to_record()
         assert evaluate_argmin(loaded) is None
+
+
+def test_search_result_fields_are_written():
+    """Every field of SearchResult but wall_seconds is a field of its file,
+    declared in file order (the golden hunt result pins that order)."""
+    names = [f.name for f in dataclasses.fields(SearchResult)]
+    assert names == [*RESULT_FIELDS, "wall_seconds"]
