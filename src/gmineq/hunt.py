@@ -1,23 +1,27 @@
 """Counterexample hunting for the open weighted-chain conjecture region.
 
-Random sampling over (instance, s, t, r, p) followed by local perturbation
-descent from the worst point.  A negative margin beyond tolerance is never
-claimed as a counterexample: outside a refuted regime it is re-evaluated in
-extended precision and reported as a violation candidate.
+Random sampling over (instance, s, t, r, p) followed by refinement of the
+best point by generations of perturbations.  A negative margin beyond
+tolerance is never claimed as a counterexample: outside a refuted regime
+it is re-evaluated in extended precision and reported as a violation
+candidate.
 
-The hunt is a table of columns from the draw to the arg-min.  A chunk of
-samples (at most _CHUNK_ENTRIES matrix entries of the largest instances)
-is the columns n, m, s, t, r, p and seed, each field one counter-based
-`derive_seed` word of the sample's index (`_sample_points`).  Each (n, m)
-group is drawn as one stack, and each n's groups are evaluated as one
-stack of their pairs laid end to end (`_stack_margins`, one call per
-kernel step), which gives the chunk's gated, margin and winner columns.
-The arg-min is the first smallest margin in sample order.  Only its row
-is kept: `generate_instance` regenerates its instance from its seed, on
-the stream the stack drew it from.  Refinement runs in generations: each
-perturbs the current point _GENERATION times from one seeded stream,
-evaluates the candidates as one stack, and moves to the best of them if
-it improves the margin (`_refine`).  Sampling, refinement and
+The hunt is one loop over batches of candidates, `(index, A, B, rows)`:
+the candidates' numbers, their pairs (sum(m), n, n) laid end to end, and
+their columns m, s, t, r, p and seed.  The sampling phase yields one batch
+per n of each chunk of samples (at most _CHUNK_ENTRIES matrix entries of
+the largest instances; `_sample_batches`): the columns are counter-based
+`derive_seed` words of the sample numbers (`_sample_points`), and each
+(n, m) group is drawn as one stack.  Each refinement generation is one
+batch: _GENERATION perturbations of the best point from one seeded stream
+(`_perturb`), numbered after the samples (`_generations`).  `_advance`
+evaluates a batch by one `_stack_margins` call, counts its gated and
+evaluated points, and moves the best point to the batch's least (margin,
+number) when that is below the best point's own; a gated or NaN margin
+never wins.  So sampling ends on the first smallest margin in sample
+order, and a candidate moves the point only when its margin is smaller.
+The best point keeps a copy of the winner's pairs, which refinement
+perturbs and the result records.  Sampling, refinement and
 `evaluate_argmin` all evaluate through `_stack_margins`, so every point
 gets the bytes it gets alone, and the report does not depend on the
 chunks.  A gated point (condition number over the cap) is counted and not
@@ -31,6 +35,7 @@ re-evaluates it by `_point_margin`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -50,8 +55,7 @@ from .chains import (
     t_chain_sides,
     validate_run_fields,
 )
-from .generate import (DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instances,
-                       generate_instance, normals)
+from .generate import DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instances, normals
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SearchResult, argmin_point, argmin_record
@@ -62,6 +66,8 @@ _GENERATION = 16
 # A chunk of the sampling phase holds at most this many matrix entries (16
 # bytes each) of instances, or one sample when a single one holds more.
 _CHUNK_ENTRIES = 1 << 18
+# The columns of a batch's rows.
+_ROW_COLUMNS = ("m", "s", "t", "r", "p", "seed")
 
 
 @dataclass
@@ -142,11 +148,6 @@ def _sample_points(cfg: SearchConfig, block: range) -> dict:
             "seed": derive_seed(cfg.base_seed, (ks << 1) | 1)}
 
 
-def _first_least(values: np.ndarray) -> int:
-    """Index of the first smallest value that is not NaN (0 if all are)."""
-    return int(np.where(np.isnan(values), np.inf, values).argmin())
-
-
 def _stack_margins(A: np.ndarray, B: np.ndarray, rows: dict, norms, condition_cap) -> tuple:
     """The weighted chain on a stack of K instances of one n, one point
     each: (gated, margin, winner), arrays (K,).  A and B are the
@@ -185,16 +186,51 @@ def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
                                           expand_norm_tokens(norms, inst.n)[winner[0]])
 
 
-def _sampling_phase(cfg: SearchConfig):
-    """(columns, gated, margin, winner) of each chunk of samples, in
-    sample order: `_sample_points`'s columns and `_stack_margins`'s
-    arrays.  Each (n, m) group is drawn as one stack, and each n's groups
-    are evaluated by one `_stack_margins` call."""
+@dataclass
+class _Search:
+    """A hunt's counts of evaluated and gated points, and its best point:
+    its margin and number (inf and -1 until a point is evaluated; the
+    sample number, or samples + j for refinement candidate j), its
+    instance (a copy of the winner's pairs, with its instance seed),
+    parameters and winning norm."""
+    evaluated: int = 0
+    gated: int = 0
+    margin: float = math.inf
+    index: int = -1
+    inst: InstanceSet | None = None
+    params: ChainParams | None = None
+    spec: NormSpec | None = None
+
+
+def _advance(search: _Search, batch: tuple, cfg: SearchConfig) -> None:
+    """Evaluate the batch `(index, A, B, rows)` by one `_stack_margins`
+    call, count its gated and evaluated points, and move the best point to
+    the batch's least (margin, index) when that is below the best point's
+    own.  A gated or NaN margin never wins."""
+    index, A, B, rows = batch
+    gated, margin, winner = _stack_margins(A, B, rows, cfg.norms, cfg.condition_cap)
+    search.gated += int(gated.sum())
+    search.evaluated += int((~gated).sum())
+    j = np.lexsort((index, margin))[0]  # NaN sorts last
+    # false for a NaN margin, and for a gated one (inf) since (inf, -1) starts the search
+    if (margin[j], index[j]) < (search.margin, search.index):
+        m, n, start = int(rows["m"][j]), A.shape[-1], int(rows["m"][:j].sum())
+        search.inst = InstanceSet(m=m, n=n, A=A[start:start + m], B=B[start:start + m],
+                                  seed=int(rows["seed"][j]))
+        search.params = ChainParams(**{name: float(rows[name][j]) for name in "srpt"})
+        search.margin, search.index = float(margin[j]), int(index[j])
+        search.spec = expand_norm_tokens(cfg.norms, n)[winner[j]]
+
+
+def _sample_batches(cfg: SearchConfig):
+    """The sampling phase as batches `(index, A, B, rows)`, one per n of
+    each chunk of samples, in chunk order: the batch's sample numbers, its
+    instances' pairs (sum(m), n, n) laid end to end, and its columns m, s,
+    t, r, p and seed (`_sample_points`).  Each (n, m) group is drawn as
+    one stack, and the batch holds the groups in increasing m."""
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):
         columns = _sample_points(cfg, range(start, min(start + size, cfg.samples)))
-        count = len(columns["seed"])
-        gated, margin, winner = np.zeros(count, bool), np.full(count, np.inf), np.full(count, -1)
         for n in sorted(set(columns["n"].tolist())):
             at_n = columns["n"] == n
             groups = {m: np.flatnonzero(at_n & (columns["m"] == m))
@@ -203,10 +239,7 @@ def _sampling_phase(cfg: SearchConfig):
                      for m, group in groups.items()]
             rows = np.concatenate(list(groups.values()))
             A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
-            gated[rows], margin[rows], winner[rows] = _stack_margins(
-                A, B, {name: column[rows] for name, column in columns.items()}, cfg.norms,
-                cfg.condition_cap)
-        yield columns, gated, margin, winner
+            yield start + rows, A, B, {name: columns[name][rows] for name in _ROW_COLUMNS}
 
 
 def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfig,
@@ -247,35 +280,22 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
     return X[:, :m], X[:, m:], s, t
 
 
-def _refine(cfg: SearchConfig, A: np.ndarray, B: np.ndarray, params: ChainParams,
-            spec: NormSpec, margin: float) -> tuple:
-    """Refinement of the point (A, B, params), whose margin `margin` is won
-    by `spec`, in generations of _GENERATION candidates (the last one
-    holds what is left of cfg.refine_steps).  Each generation perturbs the
-    current point (`_perturb`), evaluates its candidates by one
-    `_stack_margins` call, and moves the point to the first smallest
-    candidate when that margin is below the current one.  A candidate that
-    raises ends the run.  Returns (A, B, params, spec, margin, evaluated,
-    gated), the counts over the candidates."""
-    m, n = A.shape[0], A.shape[-1]
-    specs = expand_norm_tokens(cfg.norms, n)
-    evaluated = gated = 0
+def _generations(cfg: SearchConfig, search: _Search):
+    """The refinement batches, in generations of _GENERATION candidates
+    (the last one holds what is left of cfg.refine_steps): a generation is
+    `_perturb`'s candidates of the best point at its start, numbered after
+    the samples and the earlier generations, so that a candidate moves the
+    point only when its margin is smaller.  There is none when no sample
+    was evaluated."""
     for generation, start in enumerate(range(0, cfg.refine_steps, _GENERATION)):
-        size = min(_GENERATION, cfg.refine_steps - start)
-        cand_A, cand_B, s, t = _perturb(A, B, params, cfg, generation, size)
-        rows = {"m": np.full(size, m), "s": s, "t": t, "r": np.full(size, params.r),
-                "p": np.full(size, params.p)}
-        is_gated, values, winner = _stack_margins(
-            cand_A.reshape(-1, n, n), cand_B.reshape(-1, n, n), rows, cfg.norms,
-            cfg.condition_cap)
-        gated_here = int(is_gated.sum())
-        gated, evaluated = gated + gated_here, evaluated + size - gated_here
-        best = _first_least(values)
-        if values[best] < margin:
-            A, B, spec = cand_A[best], cand_B[best], specs[winner[best]]
-            margin = float(values[best])
-            params = ChainParams(s=float(s[best]), r=params.r, p=params.p, t=float(t[best]))
-    return A, B, params, spec, margin, evaluated, gated
+        if search.inst is None:
+            return
+        size, inst, params = min(_GENERATION, cfg.refine_steps - start), search.inst, search.params
+        A, B, s, t = _perturb(inst.A, inst.B, params, cfg, generation, size)
+        rows = {"m": np.full(size, inst.m), "s": s, "t": t, "r": np.full(size, params.r),
+                "p": np.full(size, params.p), "seed": np.full(size, inst.seed, np.uint64)}
+        yield (cfg.samples + start + np.arange(size), A.reshape(-1, inst.n, inst.n),
+               B.reshape(-1, inst.n, inst.n), rows)
 
 
 def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_CAP) -> float | None:
@@ -291,37 +311,26 @@ def evaluate_argmin(result_or_argmin, condition_cap: float = DEFAULT_CONDITION_C
 
 def hunt(cfg: SearchConfig) -> SearchResult:
     """Random search over the configured conjecture region, then
-    generation refinement (`_refine`) of the best sample, regenerated
-    from its instance seed."""
+    refinement of its best point: one loop over the sample batches and the
+    refinement generations, each advancing the best point (`_advance`)."""
     cfg.validate()
     t0 = time.perf_counter()
-    best_margin, best, gated, evaluated = np.inf, None, 0, 0
-    for columns, is_gated, margin, winner in _sampling_phase(cfg):
-        gated_here = int(is_gated.sum())
-        gated, evaluated = gated + gated_here, evaluated + is_gated.size - gated_here
-        k = _first_least(margin)
-        if margin[k] < best_margin:
-            best_margin = float(margin[k])
-            best = {name: col[k].item() for name, col in [*columns.items(), ("winner", winner)]}
-
+    search = _Search()
+    for batch in itertools.chain(_sample_batches(cfg), _generations(cfg, search)):
+        _advance(search, batch, cfg)
     candidate, recheck, argmin = False, None, None
-    if best is not None:
-        inst = generate_instance("generic", best["n"], best["m"], best["seed"], cfg.spectrum_law)
-        A, B, params, spec, best_margin, refine_evaluated, refine_gated = _refine(
-            cfg, inst.A, inst.B, ChainParams(**{name: best[name] for name in "srpt"}),
-            expand_norm_tokens(cfg.norms, inst.n)[best["winner"]], best_margin)
-        evaluated, gated = evaluated + refine_evaluated, gated + refine_gated
-        inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind=inst.kind)
-        argmin = argmin_record(inst, params, spec, float(best_margin))
-        if best_margin < -cfg.tol_rel and argmin["status"] != "refuted":
+    if search.inst is not None:
+        argmin = argmin_record(search.inst, search.params, search.spec, search.margin)
+        if search.margin < -cfg.tol_rel and argmin["status"] != "refuted":
             # confirm in extended precision before surfacing
-            recheck = highprec.t_chain_margin(inst.A, inst.B, params, spec)
+            recheck = highprec.t_chain_margin(search.inst.A, search.inst.B, search.params,
+                                              search.spec)
             candidate = recheck < -cfg.tol_rel
     return SearchResult(
         base_seed=cfg.base_seed,
-        samples_evaluated=evaluated,
-        gated_count=gated,
-        min_margin=float(best_margin),
+        samples_evaluated=search.evaluated,
+        gated_count=search.gated,
+        min_margin=search.margin,
         candidate=candidate,
         recheck_margin=recheck,
         argmin=argmin,

@@ -1,20 +1,25 @@
-"""The hunt's stacked phases against one-at-a-time evaluation.
+"""The hunt's batches against one-at-a-time evaluation.
 
-The sampling phase computes its samples' columns from counter-based
-words, and generates and evaluates each (n, m) group of samples as one
-stack.  Every sample must come out bitwise as it does alone: the same
-columns as `_sample_points` gives it in a block of one, and the same
-gated flag, margin and winning norm as a direct evaluation of the
-instance `generate_instance` regenerates from its seed, through
-`t_chain_terms` and `reports.chain_records`.  The parameters themselves
-must be uniform on their ranges, and must not depend on the blocks they
-are computed in.  A stack with no gated instance is evaluated as it is.
+The hunt is one loop over batches: the sampling phase computes its
+samples' columns from counter-based words and yields one batch per n of
+each chunk, each (n, m) group drawn as one stack, and `_advance`
+evaluates each batch as one stack.  Every sample must come out bitwise as
+it does alone: the same columns as `_sample_points` gives it in a block of
+one, the pairs `generate_instance` draws from its seed, and the same gated
+flag, margin and winning norm as a direct evaluation of that instance,
+through `t_chain_terms` and `reports.chain_records`.  The parameters
+themselves must be uniform on their ranges, and must not depend on the
+blocks they are computed in.  A stack with no gated instance is evaluated
+as it is.
 
 Refinement runs in generations, each drawn from the words of one stream
-and evaluated as one stack.  It must come out bitwise as
+and evaluated as one batch.  It must come out bitwise as
 `_reference_refine`, which draws each candidate in turn from its own
 words of the generation's stream, computed one by one, and evaluates it
-alone.
+alone.  The best point is the least (margin, number), the samples
+numbered first: the first sample wins a tie, a refinement candidate moves
+the point only when its margin is smaller, and a gated or NaN margin never
+wins.  On the two faces decided in closed form every margin is a pass.
 """
 
 import importlib
@@ -25,12 +30,13 @@ import pytest
 
 from gmineq import errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import ChainParams, condition_max, expand_norm_tokens, t_chain_terms
+from gmineq.chains import (DEFAULT_CONDITION_CAP, ChainParams, condition_max, expand_norm_tokens,
+                           t_chain_terms)
 from gmineq import generate
-from gmineq.generate import SpectrumLaw, derive_seed, generate_instance, normals
-from gmineq.hunt import SearchConfig, _point_margin, _sample_points, _sampling_phase, hunt
+from gmineq.generate import SpectrumLaw, derive_seed, draw_instances, generate_instance, normals
+from gmineq.hunt import SearchConfig, _point_margin, _sample_batches, _sample_points, hunt
 from gmineq.linalg import hermitian_eig, hermitize
-from gmineq.reports import _lists_to_complex, chain_records
+from gmineq.reports import _lists_to_complex, argmin_point, chain_records
 
 hunt_module = importlib.import_module("gmineq.hunt")
 
@@ -78,34 +84,58 @@ def _same_columns(got, want):
         for name in want)
 
 
+def _spy_blocks(monkeypatch):
+    """The blocks `_sample_points` is called on from the hunt, in order."""
+    blocks, sample_points = [], hunt_module._sample_points
+
+    def spy(cfg, block):
+        blocks.append(block)
+        return sample_points(cfg, block)
+
+    monkeypatch.setattr(hunt_module, "_sample_points", spy)
+    return blocks
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bucketed_sampling_matches_sample_by_sample(monkeypatch, seed):
     # chunks of 50 samples, so that the 160 samples take four of them
     monkeypatch.setattr(hunt_module, "_CHUNK_ENTRIES", 50 * 2 * 3 * 9 ** 2)
     cfg = SearchConfig(base_seed=seed, **WIDE).validate()
-    chunks = list(_sampling_phase(cfg))
-    assert [len(gated) for _, gated, _, _ in chunks] == [50, 50, 50, 10]
-    columns = _concat([chunk[0] for chunk in chunks])
-    gated, margin, winner = (np.concatenate(part) for part in zip(*(c[1:] for c in chunks)))
+    blocks = _spy_blocks(monkeypatch)
+    batches = list(_sample_batches(cfg))
+    assert [len(block) for block in blocks] == [50, 50, 50, 10]
+    assert sorted(np.concatenate([batch[0] for batch in batches]).tolist()) == \
+        list(range(cfg.samples))
     gated_seen, dims_seen = 0, set()
-    for k in range(cfg.samples):
-        assert _same_columns({name: column[k:k + 1] for name, column in columns.items()},
-                             _sample_points(cfg, range(k, k + 1)))
-        row = _row(columns, k)
-        inst = generate_instance("generic", row["n"], row["m"], row["seed"], cfg.spectrum_law)
-        params = _params(row)
-        # gated samples can be too ill-conditioned for their terms: check the cap first
-        if inst.spectra.condition_max > cfg.condition_cap:
-            gated_seen += 1
-            assert gated[k] and margin[k] == np.inf and winner[k] == -1
-            assert _point_margin(inst, params, cfg.norms, cfg.condition_cap) == (None, None)
-            continue
-        is_gated, want, want_spec = _direct_margin(inst, params, cfg.norms, cfg.condition_cap)
-        assert not is_gated and not gated[k]
-        spec = expand_norm_tokens(cfg.norms, row["n"])[winner[k]]
-        assert margin[k] == want and spec == want_spec, k
-        assert _point_margin(inst, params, cfg.norms, cfg.condition_cap) == (want, want_spec)
-        dims_seen.add(row["n"])
+    for index, A, B, rows in batches:
+        assert len(set((index // 50).tolist())) == 1  # one chunk
+        # the batch evaluated as `_advance` evaluates it
+        gated, margin, winner = hunt_module._stack_margins(A, B, rows, cfg.norms,
+                                                           cfg.condition_cap)
+        ends = np.cumsum(rows["m"])
+        for j, k in enumerate(index.tolist()):
+            alone = _sample_points(cfg, range(k, k + 1))
+            assert _same_columns({name: column[j:j + 1] for name, column in rows.items()},
+                                 {name: alone[name] for name in rows})
+            row = _row(alone, 0)
+            inst = generate_instance("generic", row["n"], row["m"], row["seed"],
+                                     cfg.spectrum_law)
+            pairs = slice(ends[j] - row["m"], ends[j])
+            assert np.array_equal(A[pairs], inst.A) and np.array_equal(B[pairs], inst.B), k
+            params = _params(row)
+            # gated samples can be too ill-conditioned for their terms: check the cap first
+            if inst.spectra.condition_max > cfg.condition_cap:
+                gated_seen += 1
+                assert gated[j] and margin[j] == np.inf and winner[j] == -1
+                assert _point_margin(inst, params, cfg.norms, cfg.condition_cap) == (None, None)
+                continue
+            is_gated, want, want_spec = _direct_margin(inst, params, cfg.norms,
+                                                       cfg.condition_cap)
+            assert not is_gated and not gated[j]
+            spec = expand_norm_tokens(cfg.norms, row["n"])[winner[j]]
+            assert margin[j] == want and spec == want_spec, k
+            assert _point_margin(inst, params, cfg.norms, cfg.condition_cap) == (want, want_spec)
+            dims_seen.add(row["n"])
     assert gated_seen > 0
     assert 9 in dims_seen
 
@@ -218,7 +248,7 @@ def test_parameters_do_not_share_the_instance_streams(monkeypatch):
         return taken[-1]
 
     monkeypatch.setattr(generate.Words, "take", spy)
-    list(_sampling_phase(cfg))
+    list(_sample_batches(cfg))
     keys = derive_seed(cfg.base_seed, np.arange(cfg.samples, dtype=np.uint64))
     parameter_words = np.concatenate([derive_seed(keys, f) for f in range(6)])
     instance_words = np.concatenate([words.ravel() for words in taken])
@@ -302,17 +332,30 @@ def _start(n, m, seed, law=SpectrumLaw()):
     return generate_instance("generic", n, m, seed, law), ChainParams(s=1.5, t=0.5)
 
 
+def _batch(inst, params):
+    """A sample batch of one sample, numbered 0: the point (inst, params)."""
+    rows = {"m": np.array([inst.m]), **{name: np.array([getattr(params, name)]) for name in "strp"},
+            "seed": np.array([inst.seed], np.uint64)}
+    return np.array([0]), inst.A, inst.B, rows
+
+
 def _forced_sampling(inst, params):
-    """A sampling phase of one sample, the point (inst, params); the hunt
-    regenerates inst from its seed."""
-    def sampling_phase(cfg):
-        margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
-        columns = {"n": np.array([inst.n]), "m": np.array([inst.m]),
-                   **{name: np.array([getattr(params, name)]) for name in "strp"},
-                   "seed": np.array([inst.seed], np.uint64)}
-        yield (columns, np.array([False]), np.array([margin]),
-               np.array([expand_norm_tokens(cfg.norms, inst.n).index(spec)]))
-    return sampling_phase
+    """A sampling phase of one sample, the point (inst, params)."""
+    return lambda cfg: iter([_batch(inst, params)])
+
+
+def _started(cfg, inst, params):
+    """The hunt's search after its one sample, the point (inst, params)."""
+    search = hunt_module._Search()
+    hunt_module._advance(search, _batch(inst, params), cfg)
+    return search
+
+
+def _refine(cfg, search):
+    """`search` after the hunt's refinement generations."""
+    for batch in hunt_module._generations(cfg, search):
+        hunt_module._advance(search, batch, cfg)
+    return search
 
 
 def _assert_matches_reference(cfg, inst, params):
@@ -321,12 +364,14 @@ def _assert_matches_reference(cfg, inst, params):
     margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
     assert margin is not None
     want = _reference_refine(cfg, inst, params, spec, margin)
-    got = hunt_module._refine(cfg, np.stack(inst.A), np.stack(inst.B), params, spec, margin)
+    got = _refine(cfg, _started(cfg, inst, params))
     want_inst, want_params, want_spec, want_margin, want_evaluated, want_gated, _ = want
-    A, B, got_params, got_spec, got_margin, evaluated, gated = got
-    assert got_margin == want_margin
-    assert got_spec == want_spec and got_params == want_params
-    assert np.array_equal(A, np.stack(want_inst.A)) and np.array_equal(B, np.stack(want_inst.B))
+    assert got.margin == want_margin
+    assert got.spec == want_spec and got.params == want_params
+    assert np.array_equal(got.inst.A, np.stack(want_inst.A))
+    assert np.array_equal(got.inst.B, np.stack(want_inst.B))
+    assert got.inst.seed == inst.seed
+    evaluated, gated = got.evaluated - 1, got.gated  # less the start
     assert (evaluated, gated) == (want_evaluated, want_gated)
     assert evaluated + gated == cfg.refine_steps
     return want
@@ -381,7 +426,7 @@ def test_forced_hunt_matches_reference(monkeypatch):
     margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
     want_inst, want_params, want_spec, want_margin, evaluated, gated, _ = _reference_refine(
         cfg, inst, params, spec, margin)
-    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+    monkeypatch.setattr(hunt_module, "_sample_batches", _forced_sampling(inst, params))
     result = hunt(cfg)
     assert result.min_margin == want_margin
     assert (result.samples_evaluated, result.gated_count) == (1 + evaluated, gated)
@@ -399,7 +444,7 @@ def test_refinement_generations(monkeypatch, refine_steps):
     inst, params = _start(3, 2, 13)
     cfg = SearchConfig(base_seed=9, refine_steps=refine_steps, refine_scale=0.02,
                        **OPEN_T).validate()
-    margin, spec = _point_margin(inst, params, cfg.norms, cfg.condition_cap)
+    search = _started(cfg, inst, params)
     real, sizes = hunt_module._stack_margins, []
 
     def stack_margins(A, B, rows, norms, condition_cap):
@@ -408,11 +453,10 @@ def test_refinement_generations(monkeypatch, refine_steps):
         return real(A, B, rows, norms, condition_cap)
 
     monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
-    *_, evaluated, gated = hunt_module._refine(cfg, np.stack(inst.A), np.stack(inst.B), params,
-                                               spec, margin)
+    search = _refine(cfg, search)
     calls = math.ceil(refine_steps / 16)
     assert sizes == [16] * (calls - 1) + [refine_steps - 16 * (calls - 1)]
-    assert evaluated + gated == refine_steps
+    assert search.evaluated - 1 + search.gated == refine_steps
 
 
 def test_failure_at_a_reached_step_raises(monkeypatch):
@@ -430,7 +474,7 @@ def test_failure_at_a_reached_step_raises(monkeypatch):
             raise errors.NonConvergence("poisoned candidate")
         return real(A, B, rows, norms, condition_cap)
 
-    monkeypatch.setattr(hunt_module, "_sampling_phase", _forced_sampling(inst, params))
+    monkeypatch.setattr(hunt_module, "_sample_batches", _forced_sampling(inst, params))
     monkeypatch.setattr(hunt_module, "_stack_margins", stack_margins)
     with pytest.raises(errors.NonConvergence, match="poisoned candidate"):
         hunt(cfg)
@@ -484,14 +528,14 @@ def test_refinement_lapack_calls_per_generation(monkeypatch, base_seed, samples,
             return decompose(*args, **kwargs)
         return call
 
-    real_refine, real_perturb = hunt_module._refine, hunt_module._perturb
+    real_generations, real_perturb = hunt_module._generations, hunt_module._perturb
 
-    def refine(cfg, A, B, params, spec, margin):
-        inst = InstanceSet(m=A.shape[0], n=A.shape[-1], A=A, B=B)
-        accepts.append(len(_reference_refine(cfg, inst, params, spec, margin)[-1]))
+    def refinement(cfg, search):
+        accepts.append(len(_reference_refine(cfg, search.inst, search.params, search.spec,
+                                             search.margin)[-1]))
         counting[0] = True
         try:
-            return real_refine(cfg, A, B, params, spec, margin)
+            yield from real_generations(cfg, search)
         finally:
             counting[0] = False
 
@@ -501,9 +545,139 @@ def test_refinement_lapack_calls_per_generation(monkeypatch, base_seed, samples,
 
     for name in ("eigh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(hunt_module, "_refine", refine)
+    monkeypatch.setattr(hunt_module, "_generations", refinement)
     monkeypatch.setattr(hunt_module, "_perturb", perturb)
     result = hunt(cfg)
     assert result.samples_evaluated + result.gated_count == cfg.samples + cfg.refine_steps
     assert generations == [16, 16, 16, 12] and accepts[0] >= least_accepts
     assert len(calls) <= 12 * len(generations), (len(calls), len(generations))
+
+
+# The tie rule: the best point is the least (margin, number), over every
+# batch.  Base seed 2 puts sample 0 at n = 4, m = 3, the last group of
+# chunk 0's last batch, and sample 20, the first of chunk 1, at n = 3.
+TIES = dict(base_seed=2, samples=70, refine_steps=40, n_max=4, m_max=3, t_range=(0.2, 0.8))
+
+
+def _fake_margins(margin_of):
+    """A `_stack_margins` giving the row of parameter s the margin
+    margin_of(s) and winner 0, gated (margin inf, winner -1) where that
+    margin is inf, as the real one gates."""
+    def stack_margins(A, B, rows, norms, condition_cap):
+        margin = np.array([margin_of(s) for s in rows["s"].tolist()])
+        gated = margin == np.inf
+        return gated, margin, np.where(gated, -1, 0)
+    return stack_margins
+
+
+def _assert_argmin_is_sample(result, cfg, k):
+    """The result's arg-min is sample k: its instance and parameters."""
+    row = _row(_sample_points(cfg, range(k, k + 1)), 0)
+    inst, params, _ = argmin_point(result.argmin)
+    want = generate_instance("generic", row["n"], row["m"], row["seed"], cfg.spectrum_law)
+    assert inst.seed == row["seed"] and params == _params(row)
+    assert np.array_equal(inst.A, want.A) and np.array_equal(inst.B, want.B)
+
+
+def test_tie_rule(monkeypatch):
+    """Equal margins everywhere: the arg-min is sample 0, whose batch is
+    evaluated after others of its chunk, and no equal refinement candidate
+    replaces it.  With chunk 0's samples all NaN or gated, none of them
+    wins, nor does a NaN beside a finite margin in one batch: the arg-min
+    is sample 20, and NaN candidates do not move it.
+    With every sample NaN or gated there is no arg-min."""
+    monkeypatch.setattr(hunt_module, "_CHUNK_ENTRIES", 20 * 2 * 3 * 4 ** 2)  # chunks of 20
+    cfg = SearchConfig(**TIES).validate()
+    chunk0 = _sample_points(cfg, range(20))
+    assert chunk0["n"][0] != chunk0["n"].min()
+    sampled = _sample_points(cfg, range(cfg.samples))["s"].tolist()
+
+    monkeypatch.setattr(hunt_module, "_stack_margins", _fake_margins(lambda s: 0.25))
+    result = hunt(cfg)
+    assert result.min_margin == 0.25 and result.gated_count == 0
+    assert result.samples_evaluated == cfg.samples + cfg.refine_steps
+    _assert_argmin_is_sample(result, cfg, 0)
+
+    # chunk 0 alternates NaN and gated, every third sample after it is
+    # 0.25 and the others NaN, in the same batches; the candidates are NaN
+    by_s = {s: (math.nan, math.inf)[k % 2] if k < 20 else (math.nan, 0.25)[k % 3 == 2]
+            for k, s in enumerate(sampled)}
+    monkeypatch.setattr(hunt_module, "_stack_margins", _fake_margins(
+        lambda s: by_s.get(s, math.nan)))
+    result = hunt(cfg)
+    assert result.min_margin == 0.25 and result.gated_count == 10
+    assert result.samples_evaluated == cfg.samples - 10 + cfg.refine_steps
+    _assert_argmin_is_sample(result, cfg, 20)
+
+    # every sample NaN or gated: no arg-min, and no refinement
+    monkeypatch.setattr(hunt_module, "_stack_margins", _fake_margins(
+        lambda s: (math.nan, math.inf)[sampled.index(s) % 2]))
+    result = hunt(cfg)
+    assert result.argmin is None and result.min_margin == math.inf
+    assert (result.samples_evaluated, result.gated_count) == (35, 35)
+
+
+@pytest.mark.parametrize("options, chunk", [
+    (WIDE, 50 * 2 * 3 * 9 ** 2),  # gates some samples
+    (dict(samples=300, n_max=4, m_max=3, t_range=(0.2, 0.8)), 40 * 2 * 3 * 4 ** 2),
+])
+def test_argmin_instance_is_the_drawn_instance(monkeypatch, options, chunk):
+    """Without refinement, the arg-min's pairs are bitwise the instance
+    `generate_instance` draws from its seed, over 20 base seeds, with the
+    samples in several chunks."""
+    monkeypatch.setattr(hunt_module, "_CHUNK_ENTRIES", chunk)
+    gated = 0
+    for base_seed in range(20):
+        cfg = SearchConfig(base_seed=base_seed, refine_steps=0, **options).validate()
+        result = hunt(cfg)
+        gated += result.gated_count
+        inst, _, _ = argmin_point(result.argmin)
+        want = generate_instance("generic", inst.n, inst.m, inst.seed, cfg.spectrum_law)
+        assert np.array_equal(inst.A, want.A) and np.array_equal(inst.B, want.B), base_seed
+    assert (gated > 0) == (options is WIDE)
+
+
+# The faces decided in closed form, on seeded counter-based points: point k
+# of cell (n, m) has key derive_seed(derive_seed(_FACES, 8n + m), k), its
+# s, t, r and p are uniforms of the key's words 0 to 3, and its instance
+# seed is word 4.
+_FACES = 0x46414345
+
+
+def _face_margins(n, m, count):
+    """(s r, gated, margin) of `count` points of cell (n, m) at the
+    default law, with s in (0.2, 4), t in [0, 1], r in (0.2, 3) and p in
+    (0.2, 4), evaluated as one stack by `_stack_margins`."""
+    keys = derive_seed(derive_seed(_FACES, 8 * n + m), np.arange(count, dtype=np.uint64))
+
+    def uniform(f, lo, hi):
+        return lo + (hi - lo) * ((derive_seed(keys, f) >> 11) * 2.0 ** -53)
+
+    rows = {"m": np.full(count, m), "s": uniform(0, 0.2, 4.0), "t": uniform(1, 0.0, 1.0),
+            "r": uniform(2, 0.2, 3.0), "p": uniform(3, 0.2, 4.0)}
+    A, B = draw_instances("generic", n, m, derive_seed(keys, 4))
+    gated, margin, _ = hunt_module._stack_margins(A.reshape(-1, n, n), B.reshape(-1, n, n), rows,
+                                                  ["kyfan:all"], DEFAULT_CONDITION_CAP)
+    return rows["s"] * rows["r"], gated, margin
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_pair_face_passes(n):
+    """m = 1: A^s #_t B^s is log-majorized by the sandwich (Ando and Hiai,
+    Linear Algebra Appl. 197/198, 1994), and the sandwich's powers by the
+    sandwich of powers (Araki, Lett. Math. Phys. 19, 1990), for every s, t,
+    r, p > 0; so every margin is a pass, to round-off."""
+    _, gated, margin = _face_margins(n, 1, 1000)
+    assert not gated.any() and margin.min() >= -1e-8
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_scalar_face_passes(m):
+    """n = 1, sr >= 1: sum_i (a_i^(1-t) b_i^t)^(sr) <= (sum_i a_i^(1-t)
+    b_i^t)^(sr) by superadditivity of x^(sr), and sum_i a_i^(1-t) b_i^t
+    <= (sum a)^(1-t) (sum b)^t by Hoelder; so every margin is a pass, to
+    round-off."""
+    sr, gated, margin = _face_margins(1, m, 1500)
+    face = sr >= 1.0
+    assert face.sum() >= 1000
+    assert not gated.any() and margin[face].min() >= -1e-8

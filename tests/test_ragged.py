@@ -25,7 +25,7 @@ from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms,
                            condition_max, expand_norm_tokens, geo_z_terms, grid_terms,
                            main_chain_terms, t_chain_terms)
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
-from gmineq.hunt import SearchConfig, _point_margin, _sampling_phase
+from gmineq.hunt import SearchConfig, _point_margin, _sample_points, hunt
 from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
 from gmineq.linalg import from_spectrum, hermitian_eig, sum_pairs
 from gmineq.reports import chain_records, dumps, lemma_records
@@ -344,9 +344,10 @@ def test_sweep_mixed_evaluations_per_n(monkeypatch):
 
 
 def test_hunt_sampling_one_evaluation_per_n(monkeypatch):
-    """A 600-sample hunt at n_max = 4, m_max = 3 evaluates its sampling
-    phase with one `_stack_margins` call per sampled n."""
-    cfg = SearchConfig(base_seed=5, samples=600, n_max=4, m_max=3).validate()
+    """A 600-sample hunt at n_max = 4, m_max = 3 (one chunk, no
+    refinement) evaluates its sampling phase with one `_stack_margins`
+    call per sampled n."""
+    cfg = SearchConfig(base_seed=5, samples=600, refine_steps=0, n_max=4, m_max=3).validate()
     real, calls = hunt_module._stack_margins, []
 
     def counted(*args, **kwargs):
@@ -354,8 +355,9 @@ def test_hunt_sampling_one_evaluation_per_n(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hunt_module, "_stack_margins", counted)
-    (columns, gated, _, _), = _sampling_phase(cfg)  # one chunk
-    assert len(gated) == cfg.samples and sum(calls) == cfg.samples
+    result = hunt(cfg)
+    assert result.samples_evaluated + result.gated_count == cfg.samples == sum(calls)
+    columns = _sample_points(cfg, range(cfg.samples))
     assert len(calls) == len(set(columns["n"].tolist())) <= 4
 
 
