@@ -1,7 +1,7 @@
 """Inequality-chain evaluators.
 
 Each evaluator computes the singular values of every term of a chain once;
-`reports.chain_blocks` then evaluates a whole norm list with one
+`reports.chain_block` then evaluates a whole norm list with one
 `norms.norm_values` call per term, and `chain_margins` is the one margin
 and pass rule, shared with the hunt and the lemmas.  All chain terms are
 Hermitian PSD (except the commuting product right side).  Each power of a
@@ -242,10 +242,17 @@ class InstanceSpectra:
     def _eigs(self) -> tuple:
         """(eig_A, eig_B, eig_sum_A, eig_sum_B): the decompositions of every
         A_i and every B_i, (sum(counts), n, n) in pair order, and of each
-        sum A and sum B, (K, n, n), by one `hermitian_eig` call."""
+        sum A and sum B, (K, n, n), by one `hermitian_eig` call.  A sum
+        with the bytes of its instance's one pair (m = 1; not when the pair
+        holds a -0.0, which the sum turns to 0.0) takes that pair's row."""
         P, K = len(self._owner), len(self._counts)
-        eig = hermitian_eig(np.concatenate([self._A, self._B, *self.sums]))
-        return eig[:P], eig[P:2 * P], eig[2 * P:2 * P + K], eig[2 * P + K:]
+        pairs, sums = np.concatenate([self._A, self._B]), np.concatenate(self.sums)
+        first = np.concatenate([self._starts, P + self._starts])  # each sum's first pair
+        same = np.tile(self._counts == 1, 2) & (
+            sums.view(np.uint64) == pairs[first].view(np.uint64)).all(axis=(-2, -1))
+        eig = hermitian_eig(np.concatenate([pairs, sums[~same]]))
+        sum_eig = eig[np.where(same, first, 2 * P + np.cumsum(~same) - 1)]
+        return eig[:P], eig[P:2 * P], sum_eig[:K], sum_eig[K:]
 
     eig_A = property(lambda self: self._eigs[0])
     eig_B = property(lambda self: self._eigs[1])

@@ -16,10 +16,13 @@ the largest instances; `_sample_batches`): the columns are counter-based
 batch: _GENERATION perturbations of the best point from one seeded stream
 (`_perturb`), numbered after the samples (`_generations`).  `_advance`
 evaluates a batch by one `_stack_margins` call, counts its gated and
-evaluated points, and moves the best point to the batch's least (margin,
-number) when that is below the best point's own; a gated or NaN margin
-never wins.  So sampling ends on the first smallest margin in sample
-order, and a candidate moves the point only when its margin is smaller.
+evaluated points, and moves the best point to the batch's least
+(refuted, margin, number) when that is below the best point's own; a
+gated or NaN margin never wins.  So a point of a refuted regime
+(`chains.point_status`) is the arg-min only when no other point was
+evaluated, sampling ends on the first smallest margin in sample order
+among the others, and a candidate moves the point only when it ranks
+lower.
 The best point keeps a copy of the winner's pairs, which refinement
 perturbs and the result records.  Sampling, refinement and
 `evaluate_argmin` all evaluate through `_stack_margins`, so every point
@@ -52,6 +55,7 @@ from .chains import (
     InstanceSpectra,
     chain_margins,
     expand_norm_tokens,
+    point_status,
     t_chain_sides,
     validate_run_fields,
 )
@@ -189,12 +193,13 @@ def _point_margin(inst: InstanceSet, params: ChainParams, norms, condition_cap):
 @dataclass
 class _Search:
     """A hunt's counts of evaluated and gated points, and its best point:
-    its margin and number (inf and -1 until a point is evaluated; the
-    sample number, or samples + j for refinement candidate j), its
-    instance (a copy of the winner's pairs, with its instance seed),
-    parameters and winning norm."""
+    whether it is in a refuted regime, its margin and number (True, inf
+    and -1 until a point is evaluated; the sample number, or samples + j
+    for refinement candidate j), its instance (a copy of the winner's
+    pairs, with its instance seed), parameters and winning norm."""
     evaluated: int = 0
     gated: int = 0
+    refuted: bool = True
     margin: float = math.inf
     index: int = -1
     inst: InstanceSet | None = None
@@ -205,20 +210,29 @@ class _Search:
 def _advance(search: _Search, batch: tuple, cfg: SearchConfig) -> None:
     """Evaluate the batch `(index, A, B, rows)` by one `_stack_margins`
     call, count its gated and evaluated points, and move the best point to
-    the batch's least (margin, index) when that is below the best point's
-    own.  A gated or NaN margin never wins."""
+    the batch's least (refuted, margin, index) when that is below the best
+    point's own.  The batch's evaluated rows are read in (margin, index)
+    order up to the first that is not refuted (`chains.point_status`),
+    which is then the batch's least; if all are refuted, its least is the
+    first.  A gated or NaN margin never wins."""
     index, A, B, rows = batch
     gated, margin, winner = _stack_margins(A, B, rows, cfg.norms, cfg.condition_cap)
     search.gated += int(gated.sum())
     search.evaluated += int((~gated).sum())
-    j = np.lexsort((index, margin))[0]  # NaN sorts last
-    # false for a NaN margin, and for a gated one (inf) since (inf, -1) starts the search
-    if (margin[j], index[j]) < (search.margin, search.index):
+    order = np.lexsort((index, margin))  # NaN sorts last
+    j, refuted = order[0], True
+    for k in order[margin[order] < math.inf].tolist():
+        params = ChainParams(**{name: float(rows[name][k]) for name in "srpt"})
+        if point_status("t-chain", params, int(rows["m"][k])) != "refuted":
+            j, refuted = k, False
+            break
+    # false for a NaN margin, and for a gated one (inf) since (True, inf, -1) starts the search
+    if (refuted, margin[j], index[j]) < (search.refuted, search.margin, search.index):
         m, n, start = int(rows["m"][j]), A.shape[-1], int(rows["m"][:j].sum())
         search.inst = InstanceSet(m=m, n=n, A=A[start:start + m], B=B[start:start + m],
                                   seed=int(rows["seed"][j]))
         search.params = ChainParams(**{name: float(rows[name][j]) for name in "srpt"})
-        search.margin, search.index = float(margin[j]), int(index[j])
+        search.refuted, search.margin, search.index = refuted, float(margin[j]), int(index[j])
         search.spec = expand_norm_tokens(cfg.norms, n)[winner[j]]
 
 

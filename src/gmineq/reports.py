@@ -8,24 +8,25 @@ is a single JSON object of the fields RESULT_FIELDS, declared once in
 file order; its arg-min point is written by `argmin_record` and read back
 by `argmin_point`.
 
-A term set's records (one chain at one point, or one lemma case) are one
-`Block`: shared head and tail fields and one column per field that varies
-by norm.  `chain_blocks` (`lemma_blocks`) builds one block per point of a
-grid and instance of a stack (per case of a lemma stack) from stacked
-terms, with no dict per record; `chain_records` (`lemma_records`) is its
-one-point form.  Columns are in report order (`order_norms`), and no two
-blocks of a report share a key (chain, seed, params), so
-`build_report_set` sorts blocks by it, which equals sorting every record
-by `record_sort_key`.  `summarize` and `has_proven_failure` read the
-columns, and `ReportSet.records` builds record dicts only when something
-reads them.
+A report's records are held as grid `Block`s: one block is one chain
+at every point of a grid on a stack of instances of one shape
+(`chain_block`), or one lemma's stack of cases (`lemma_block`), as arrays
+with no dict per record.  A row is one term set and writes one record per
+norm, in report order (`order_norms`); `chain_records` (`lemma_records`)
+is a block of one row.  `build_report_set` puts every row of every block
+in report order by one `np.lexsort` of the key (id, seed, params) that
+`record_sort_key` gives, and works out the summary in one numpy pass over
+the blocks' arrays, by `_summary`, the reduction that `summarize` applies
+to record dicts read back.  `has_proven_failure` is one array test per
+block, and `Block.records` and `ReportSet.records` build record dicts only
+when something reads them.
 
 `_encode` is the one function that picks a value's JSON by its type; its
 memo formats each repeated key and float once (`dumps` has the rules).
-`write_reports` encodes a file into one list of parts with one memo, a
-block's head and tail once and then each record's column entries, and
-joins it once; nothing encoded outlives the call.  `read_reports` decodes
-all of a file's lines with one `json.loads` call.
+`write_reports` writes a file as one text with one memo: each block's
+rows from its head, record and tail templates (`Block.lines`), in report
+order, then the summary; nothing encoded outlives the call.
+`read_reports` decodes all of a file's lines with one `json.loads` call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 import numpy as np
 
@@ -157,40 +157,96 @@ def _encode(v, parts: list, memo: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# term-set blocks
+# record grids
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Block:
-    """One term set's records (one chain at one point, or one lemma case),
-    held as columns: `head` holds the fields before `norm`, `columns` one
-    list per field that varies by norm (`norm`, `lhs`, `mid` for chains,
-    `rhs`, `margins`, `pass`), all in report order, and `tail` the fields
-    after them.  The three have disjoint keys."""
+    """The records of a grid of term sets, as arrays: one chain at every
+    point of a grid on a stack of instances of one shape (`chain_block`), or
+    one lemma's stack of cases (`lemma_block`).  A row is one term set (one
+    instance at one point, or one case) and writes one record per norm.
 
-    head: dict
-    columns: dict
-    tail: dict
+    Shared by every row: `kind` ("chain" or "lemma"), `id` (the chain or
+    lemma id), `n`, and `norms`, the D norm records in report order
+    (`order_norms`).  Per row, R of them: `seeds` and `ms` (lists of ints),
+    `params`, a dict of (R,) float columns by name (a chain's in `as_dict`
+    order, a lemma's sorted), `gated` (R,) bool, `status` (R,) str and a
+    chain's `condition_max` (R,) (None for a lemma).  Per record: `lhs`,
+    `mid` and `rhs` (R, D), `margins` (R, D, 1 or 2) and `passed` (R, D)
+    bool; `mid` is None for a lemma, and for a chain without a middle term,
+    which writes "mid": null."""
+
+    kind: str
+    id: str
+    n: int
+    norms: list
+    seeds: list
+    ms: list
+    params: dict
+    gated: np.ndarray
+    status: np.ndarray
+    condition_max: np.ndarray | None
+    lhs: np.ndarray
+    mid: np.ndarray | None
+    rhs: np.ndarray
+    margins: np.ndarray
+    passed: np.ndarray
 
     @cached_property
     def records(self) -> list:
-        """The record dicts, built on first read."""
-        head, tail, names = self.head, self.tail, tuple(self.columns)
-        return [{**head, **dict(zip(names, row)), **tail} for row in zip(*self.columns.values())]
+        """The record dicts, row after row, built on first read: the block's
+        lines decoded, so they are what `read_reports` gives back."""
+        return json.loads("[" + ",".join("".join(self.lines({})).splitlines()) + "]")
+
+    def lines(self, memo: dict) -> list:
+        """The text of each row's records, with the bytes `_encode` gives
+        their dicts.  A head and a tail template hold a row's fields (the
+        kind, id and n written once) and are filled once per row; a record
+        template holds the fields that vary by norm, each norm's text shared
+        by every row.  Floats are formatted through `memo`."""
+        def floats(values) -> list:
+            return [memo.get(v) or _float_text(v, memo) for v in np.ravel(values).tolist()]
+
+        def text(name: str) -> str:  # quoted, for a template
+            return _quote(name).replace("%", "%%")
+
+        chain, k, D = self.kind == "chain", len(self.params), len(self.norms)
+        names = ",".join(text(name) + ":%s" for name in self.params)
+        head = (f'{{"schema_version":{SCHEMA_VERSION},"kind":{text(self.kind)},'
+                f'{text(self.kind + "_id")}:{text(self.id)},"instance_seed":%s,"n":{self.n},'
+                f'"m":%s,"params":{{{names}}},')
+        mid = ('"mid":null,' if self.mid is None else '"mid":%s,') if chain else ""
+        record = ('"norm":%s,"lhs":%s,' + mid + '"rhs":%s,"margins":['
+                  + ",".join(["%s"] * self.margins.shape[-1]) + '],"pass":%s')
+        # a lemma has no condition number: its rows fill the last slot with ""
+        tail = ',"gated":%s,"status":%s' + (',"condition_max":%s' if chain else "%s") + "}\n"
+        truth, params = ("false", "true"), floats(np.transpose(list(self.params.values())))
+        conditions = floats(self.condition_max) if chain else [""] * len(self.seeds)
+        rows = [(head % (seed, m, *params[r * k:r * k + k]),
+                 tail % (truth[gated], _quote(status), condition))
+                for r, (seed, m, gated, status, condition) in enumerate(zip(
+                    self.seeds, self.ms, self.gated.tolist(), self.status.tolist(), conditions))]
+        columns = [floats(v) for v in (self.lhs, self.mid, self.rhs,
+                                       *np.moveaxis(self.margins, -1, 0)) if v is not None]
+        columns.append([truth[ok] for ok in self.passed.ravel().tolist()])
+        norms = [dumps(norm, memo) for norm in self.norms]
+        texts = list(map(record.__mod__, zip(norms * len(rows), *columns)))
+        return [pre + (post + pre).join(texts[r * D:r * D + D]) + post
+                for r, (pre, post) in enumerate(rows)]
 
 
-def chain_blocks(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
-                 norms: list, tol_rel: float = DEFAULT_TOL_REL,
-                 condition_cap: float = DEFAULT_CONDITION_CAP) -> list:
-    """One `Block` per parameter point and instance of a grid's terms on
-    a stack of instances of shape (n, m) (`chains.grid_terms`, cut to the
-    shape by `ChainTerms.take`; spectra row (k, i) belongs to `points[k]`
-    and the instance of seed `seeds[i]`, seeds a list of ints), over the
-    norms of `norms` in report order (`order_norms`): one `norm_values`
-    call per term for the whole grid and stack, margins and pass flags
-    from `chains.chain_margins`, and each point's status from its chain's
-    row at the shape's m (`chains.point_status`).  Every block shares the
-    norm column."""
+def chain_block(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
+                norms: list, tol_rel: float = DEFAULT_TOL_REL,
+                condition_cap: float = DEFAULT_CONDITION_CAP) -> Block:
+    """The `Block` of a grid's terms on a stack of instances of shape (n, m)
+    (`chains.grid_terms`, cut to the shape by `ChainTerms.take`; spectra row
+    (k, i) belongs to `points[k]` and the instance of seed `seeds[i]`, seeds
+    a list of ints), one row per point and instance, point by point, over
+    the norms of `norms` in report order (`order_norms`): one `norm_values`
+    call per term for the whole grid and stack, margins and pass flags from
+    `chains.chain_margins`, and each point's status from its chain's row at
+    the shape's m (`chains.point_status`)."""
     norms = order_norms(norms)
 
     def values(sv):
@@ -199,79 +255,61 @@ def chain_blocks(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
     lhs, rhs = values(terms.lhs_sv), values(terms.rhs_sv)
     mid = None if terms.mid_sv is None else values(terms.mid_sv)
     margins, _, _, passed = chain_margins(lhs, mid, rhs, tol_rel)
-    tails = [(bool(c > condition_cap), "inf" if math.isinf(c) else c)
-             for c in np.ravel(terms.condition_max).tolist()]
-    statuses = [point_status(terms.chain_id, q, m) for q in points]
-    norm_dicts = [norm.to_record() for norm in norms]
-    mids = [[None] * len(norms)] * len(lhs) if mid is None else mid.tolist()
-    params = [{k: float(v) for k, v in q.as_dict().items()} for q in points]
-    rows = zip([q for q in params for _ in seeds], [s for s in statuses for _ in seeds],
-               seeds * len(points), tails * len(points), lhs.tolist(), mids, rhs.tolist(),
-               np.stack(margins, axis=-1).tolist(), passed.tolist())  # point-major rows
-    return [Block({"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": terms.chain_id,
-                   "instance_seed": seed, "n": n, "m": m, "params": q},
-                  {"norm": norm_dicts, "lhs": los, "mid": mis, "rhs": his, "margins": mgs,
-                   "pass": oks},
-                  {"gated": gated, "status": status, "condition_max": cond})
-            for q, status, seed, (gated, cond), los, mis, his, mgs, oks in rows]
+    condition = np.tile(np.ravel(terms.condition_max), len(points))
+    names = tuple(ChainParams().as_dict())
+    params = np.array([list(q.as_dict().values()) for q in points], dtype=float)
+    status = [point_status(terms.chain_id, q, m) for q in points]
+    return Block("chain", terms.chain_id, n, [norm.to_record() for norm in norms],
+                 list(seeds) * len(points), [m] * len(lhs),
+                 dict(zip(names, np.repeat(params.reshape(-1, len(names)), len(seeds), axis=0).T)),
+                 condition > condition_cap, np.repeat(np.array(status, dtype=str), len(seeds)),
+                 condition, lhs, mid, rhs, np.stack(margins, axis=-1), passed)
 
 
 def chain_records(terms: ChainTerms, inst: InstanceSet, params: ChainParams, norms: list,
                   tol_rel: float = DEFAULT_TOL_REL,
                   condition_cap: float = DEFAULT_CONDITION_CAP) -> Block:
     """The block of one chain's precomputed terms on `inst` at one point:
-    `chain_blocks` on a grid of one."""
-    return chain_blocks(terms, inst.n, inst.m, [inst.seed], [params], norms, tol_rel,
-                        condition_cap)[0]
+    `chain_block` on a grid of one."""
+    return chain_block(terms, inst.n, inst.m, [inst.seed], [params], norms, tol_rel,
+                       condition_cap)
 
 
-def lemma_blocks(case: LemmaCase, terms, instance_seeds: list, n: int, m: int | list, norms: list,
-                 tol_rel: float = DEFAULT_TOL_REL) -> list:
-    """One `Block` per case of a stack of lemma cases (row k of `terms` is
-    `instance_seeds[k]`'s), as `chain_blocks` builds them, under
+def lemma_block(case: LemmaCase, terms, instance_seeds: list, n: int, m: int | list, norms: list,
+                tol_rel: float = DEFAULT_TOL_REL) -> Block:
+    """The `Block` of a stack of lemma cases (row k of `terms` is
+    `instance_seeds[k]`'s), as `chain_block` builds it, under
     `lemmas.lemma_margins`; `n` is the size the cases were drawn at and `m`
     the m recorded, one for every case or one per case (a sweep stacks an
     m-free lemma's cases of every m of one n, see `lemmas.m_free`)."""
-    norms = order_norms(norms)
-    ms = np.broadcast_to(m, len(instance_seeds)).tolist()
-    params = sorted((k, np.reshape(v, -1).tolist()) for k, v in case.params.items())
-    lhs, rhs, margin, passed = (np.reshape(v, (len(instance_seeds), -1))
+    norms, rows = order_norms(norms), len(instance_seeds)
+    lhs, rhs, margin, passed = (np.reshape(v, (rows, -1))
                                 for v in lemma_margins(terms, norms, tol_rel))
-    rows = zip(instance_seeds, ms, lhs.tolist(), rhs.tolist(), margin[..., None].tolist(),
-               passed.tolist())
-    norm_dicts = [norm.to_record() for norm in norms]
-    tail = {"gated": False, "status": "proven"}
-    return [Block({"schema_version": SCHEMA_VERSION, "kind": "lemma", "lemma_id": case.lemma_id,
-                   "instance_seed": seed, "n": n, "m": m,
-                   "params": {k: float(v[row]) for k, v in params}},
-                  {"norm": norm_dicts, "lhs": los, "rhs": his, "margins": mgs, "pass": oks}, tail)
-            for row, (seed, m, los, his, mgs, oks) in enumerate(rows)]
+    return Block("lemma", case.lemma_id, n, [norm.to_record() for norm in norms],
+                 list(instance_seeds), np.broadcast_to(m, rows).tolist(),
+                 {name: np.reshape(case.params[name], -1).astype(float)
+                  for name in sorted(case.params)}, np.zeros(rows, dtype=bool),
+                 np.full(rows, "proven"), None, lhs, None, rhs, margin[..., None], passed)
 
 
 def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,
                   tol_rel: float = DEFAULT_TOL_REL) -> Block:
-    """The block of one lemma case's precomputed terms: `lemma_blocks` on a
+    """The block of one lemma case's precomputed terms: `lemma_block` on a
     stack of one."""
-    return lemma_blocks(case, terms, [instance_seed], n, m, norms, tol_rel)[0]
+    return lemma_block(case, terms, [instance_seed], n, m, norms, tol_rel)
 
 
 def record_sort_key(rec: dict):
-    """A record's place in a report: its block's key, then its norm's."""
-    return _block_key(rec) + (_norm_sort_key(rec.get("norm", {})),)
-
-
-def _block_key(head: dict):
-    """(chain or lemma id, instance seed, sorted params) of a block's head
-    or a record: the key that the records of one term set share."""
-    return (head.get("chain_id") or head.get("lemma_id") or "", head["instance_seed"],
-            tuple(sorted(head.get("params", {}).items())))
+    """A record's place in a report: (chain or lemma id, instance seed,
+    sorted params), the key that the records of one term set share, then
+    its norm's."""
+    return (rec.get("chain_id") or rec.get("lemma_id") or "", rec["instance_seed"],
+            tuple(sorted(rec.get("params", {}).items())), _norm_sort_key(rec.get("norm", {})))
 
 
 def _norm_sort_key(norm: dict):
     p = norm.get("p")
-    if p == "inf":
-        p = math.inf
-    return (norm.get("variant", ""), norm.get("k") or 0, p or 0.0)
+    return (norm.get("variant", ""), norm.get("k") or 0, math.inf if p == "inf" else p or 0.0)
 
 
 def order_norms(norms: list) -> list:
@@ -285,63 +323,39 @@ def order_norms(norms: list) -> list:
 # ---------------------------------------------------------------------------
 
 class ReportSet:
-    """Ordered `Block`s and record dicts (blocks of one; a report set built
-    from `records` holds that list as its blocks) plus a per-(chain, norm
-    class) summary.  `records` builds the blocks' dicts on first read."""
+    """A report's records in report order and its summary record.
+    `build_report_set` makes one of `Block`s and `order`, the report order
+    of their rows (numbered block after block), and `records` builds the
+    record dicts on first read; `read_reports` makes one of record dicts."""
 
-    def __init__(self, records: list = None, summary: dict = None, blocks: list = None):
-        if blocks is None:
-            blocks = [] if records is None else records
-        self.blocks, self.summary, self._records = blocks, summary, records
+    def __init__(self, records: list = None, summary: dict = None, blocks: list = (),
+                 order: list = ()):
+        self.blocks, self.order, self.summary, self._records = list(blocks), order, summary, records
 
     @property
     def records(self) -> list:
         if self._records is None:
-            self._records = [rec for item in self.blocks
-                             for rec in (item.records if isinstance(item, Block) else (item,))]
+            rows = [block.records[i:i + len(block.norms)] for block in self.blocks
+                    for i in range(0, block.passed.size, len(block.norms))]
+            self._records = [rec for row in self.order for rec in rows[row]]
         return self._records
 
 
 def _norm_class(norm: dict) -> str:
+    """"kyfan" for every Ky Fan norm, "schatten:<p>" for a Schatten norm,
+    else the variant."""
     v = norm.get("variant", "")
-    if v == "kyfan":
-        return "kyfan"
-    if v == "schatten":
-        return f"schatten:{norm['p']}" if norm["p"] != "inf" else "schatten:inf"
-    return v
+    return f"schatten:{norm['p']}" if v == "schatten" else v
 
 
-def summarize(blocks: list) -> dict:
-    """Per-(chain, norm class) minimum margin and pass/gated counts of
-    blocks in report order (a record dict is a block of one, so a list of
-    records works too).  A block's group numbers are worked out once per
-    (chain, norm column), and the counts and minima come from numpy over
-    all records; a group's minimum margin is the first in report order
+def _summary(groups: dict, number, least, passed, live, conjectured) -> dict:
+    """The summary record of a report's records, given in report order as
+    columns: the number of each one's (chain, norm class) in `groups`, its
+    least margin, and whether it passed, is live (not gated) and is
+    conjectured.  A group's minimum margin is the first in report order
     among equal ones (0.0 and -0.0 compare equal), as a scan keeps it."""
-    groups: dict = {}    # (chain, norm class) -> group number
-    numbered: dict = {}  # (chain, id of a norm column) -> (column, its group numbers)
-    number, least, passed, live, conjectured = [], [], [], [], []
-    for item in blocks:
-        if not isinstance(item, Block):  # a record: a block of one, read directly
-            cid = item.get("chain_id") or item.get("lemma_id")
-            number.append(groups.setdefault((cid, _norm_class(item.get("norm", {}))), len(groups)))
-            least.append(min(item["margins"]))
-            passed.append(item["pass"])
-            live.append(not item.get("gated"))
-            conjectured.append(item.get("status") == "conjectured")
-            continue
-        cid, norms = item.head.get("chain_id") or item.head.get("lemma_id"), item.columns["norm"]
-        key = (cid, id(norms))
-        if key not in numbered:  # the entry holds the column, so its id is not reused
-            numbered[key] = (norms, [groups.setdefault((cid, _norm_class(norm)), len(groups))
-                                     for norm in norms])
-        number += numbered[key][1]
-        least += map(min, item.columns["margins"])
-        passed += item.columns["pass"]
-        live += [not item.tail.get("gated")] * len(norms)
-        conjectured += [item.tail.get("status") == "conjectured"] * len(norms)
-    number, least = np.array(number, dtype=np.intp), np.array(least, dtype=float)
-    live, passed = np.array(live, dtype=bool), np.array(passed, dtype=bool)
+    number, least = np.asarray(number, dtype=np.intp), np.asarray(least, dtype=float)
+    passed, live, conjectured = (np.asarray(x, dtype=bool) for x in (passed, live, conjectured))
     passes, fails, gates = (np.bincount(number[mask], minlength=len(groups)).tolist()
                             for mask in (live & passed, live & ~passed, ~live))
     order = np.flatnonzero(live)
@@ -355,36 +369,87 @@ def summarize(blocks: list) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "summary",
         "total_records": len(number),
-        "candidates": int(np.count_nonzero(live & ~passed & np.array(conjectured, dtype=bool))),
+        "candidates": int(np.count_nonzero(live & ~passed & conjectured)),
         "groups": rows,
     }
 
 
+def summarize(records: list) -> dict:
+    """Per-(chain, norm class) minimum margin and pass/gated counts of
+    record dicts in report order (`_summary`)."""
+    groups: dict = {}  # (chain, norm class) -> group number
+    number = [groups.setdefault((rec.get("chain_id") or rec.get("lemma_id"),
+                                 _norm_class(rec.get("norm", {}))), len(groups))
+              for rec in records]
+    return _summary(groups, number, [min(rec["margins"]) for rec in records],
+                    [rec["pass"] for rec in records], [not rec.get("gated") for rec in records],
+                    [rec.get("status") == "conjectured" for rec in records])
+
+
+def _grid_summary(blocks: list, order: np.ndarray) -> dict:
+    """`_summary` of the records of `blocks` whose rows are in report order
+    `order`: a row's records are contiguous, so a row column is repeated
+    over its records and a record column (R, D) gathered by one index;
+    a record's least margin is the first least of its one or two (as `min`
+    keeps it)."""
+    groups: dict = {}
+    numbers = [[groups.setdefault((block.id, _norm_class(norm)), len(groups))
+                for norm in block.norms] for block in blocks]
+    width = np.array([len(block.norms) for block in blocks for _ in block.seeds])
+    start, width = (np.cumsum(width) - width)[order], width[order]
+    records = np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())
+
+    def by_record(values):
+        return np.concatenate([np.ravel(v) for v in values])[records]
+
+    def by_row(values):
+        return np.repeat(np.concatenate(list(values))[order], width)
+
+    least = [np.where(b.margins[..., -1] < b.margins[..., 0], b.margins[..., -1], b.margins[..., 0])
+             for b in blocks]
+    return _summary(groups, by_record(np.broadcast_to(number, b.passed.shape)
+                                      for number, b in zip(numbers, blocks)),
+                    by_record(least), by_record(b.passed for b in blocks),
+                    by_row(~b.gated for b in blocks), by_row(b.status == "conjectured" for b in blocks))
+
+
 def has_proven_failure(rs: ReportSet) -> bool:
-    """True if any non-gated proven-regime record failed its tolerance, read
-    from each block's tail and pass column (a record dict is a block of one)."""
-    for item in rs.blocks:
-        passes, tail = ((item.columns["pass"], item.tail) if isinstance(item, Block)
-                        else ([item["pass"]], item))
-        if not tail["gated"] and tail.get("status") == "proven" and not all(passes):
-            return True
-    return False
+    """True if any non-gated proven-regime record failed its tolerance: one
+    array test per block, or a scan of a report set of record dicts."""
+    if rs.blocks:
+        return any(bool(((~b.gated & (b.status == "proven"))[:, None] & ~b.passed).any())
+                   for b in rs.blocks)
+    return any(not rec["gated"] and rec.get("status") == "proven" and not rec["pass"]
+               for rec in rs.records)
 
 
 def build_report_set(blocks: list) -> ReportSet:
-    """A report set from `Block`s and record dicts (blocks of one) in any
-    order, each block in report order as the builders make it: the blocks
-    are sorted by the key of their head, so the records come out as
-    `sorted(records, key=record_sort_key)` puts them.  Two blocks with one
-    key raise `ValueError`: a validated sweep never makes them, since it
+    """A report set of `Block`s in any order, each row's norms in report
+    order as the builders make them, and the blocks of one id with the
+    same param names: one `np.lexsort` of every row's key (id, instance
+    seed, params in name order), the key `record_sort_key` gives, puts the
+    records where `sorted(records, key=record_sort_key)` puts them, and the
+    summary is one pass over the blocks' arrays.  Two rows with one key
+    raise `ValueError`: a validated sweep never makes them, since it
     refuses a repeated chain, parameter value or norm."""
-    keyed = sorted(((_block_key(item.head if isinstance(item, Block) else item), item)
-                    for item in blocks), key=itemgetter(0))
-    for (key, _), (after, _) in zip(keyed, keyed[1:]):
-        if key == after:
-            raise ValueError(f"two blocks have the key {key!r}")
-    ordered = [item for _, item in keyed]
-    return ReportSet(blocks=ordered, summary=summarize(ordered))
+    if not blocks:
+        return ReportSet(records=[], summary=summarize([]))
+    ids = sorted({block.id for block in blocks})
+    seeds = [seed for block in blocks for seed in block.seeds]
+    rank = {seed: i for i, seed in enumerate(sorted(set(seeds)))}
+    keys = np.zeros((len(seeds), 2 + max(len(block.params) for block in blocks)))
+    keys[:, 0] = [ids.index(block.id) for block in blocks for _ in block.seeds]
+    keys[:, 1] = [rank[seed] for seed in seeds]
+    at = np.cumsum([0] + [len(block.seeds) for block in blocks])
+    for block, lo, hi in zip(blocks, at, at[1:]):
+        keys[lo:hi, 2:2 + len(block.params)] = np.transpose(
+            [block.params[name] for name in sorted(block.params)])
+    order = np.lexsort(keys.T[::-1])
+    same = np.flatnonzero((keys[order[1:]] == keys[order[:-1]]).all(axis=1))
+    if same.size:
+        rec = ReportSet(blocks=blocks, order=order[same[:1]]).records[0]
+        raise ValueError(f"two term sets have the key {record_sort_key(rec)[:3]!r}")
+    return ReportSet(summary=_grid_summary(blocks, order), blocks=blocks, order=order.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -495,54 +560,24 @@ def argmin_point(arg) -> tuple:
 # IO
 # ---------------------------------------------------------------------------
 
-def _texts(values, memo: dict, shared: dict) -> list:
-    """The JSON text of each value of a column: a float through `memo`, a
-    list item by item, any other value once per object (`shared`, by id)."""
-    out = []
-    for v in values:
-        if type(v) is float:
-            out.append(memo.get(v) or _float_text(v, memo))
-        elif type(v) is list:
-            out.append("[" + ",".join(_texts(v, memo, shared)) + "]")
-        else:
-            text = shared.get(id(v))
-            if text is None:
-                text = shared[id(v)] = dumps(v, memo)
-            out.append(text)
-    return out
-
-
-def _block_lines(block: Block, parts: list, memo: dict, shared: dict) -> None:
-    """Append the lines of a block's records to `parts`, with the bytes
-    `_encode` gives their dicts: a line template holds the head and tail,
-    and each record fills in the texts of its column entries."""
-    fields = [dumps(block.head, memo)[1:-1], *(_quote(name) + ":" for name in block.columns),
-              dumps(block.tail, memo)[1:-1]]
-    fields = [text.replace("%", "%%") for text in fields]
-    fields[1:-1] = [text + "%s" for text in fields[1:-1]]
-    template = "{" + ",".join(filter(None, fields)) + "}\n"
-    columns = [_texts(values, memo, shared) for values in block.columns.values()]
-    parts.extend(map(template.__mod__, zip(*columns)))
-
-
 def write_reports(obj, path) -> None:
     """Write a ReportSet (JSONL: each record, then the summary, one per
-    line) or a SearchResult (one JSON object), as one text with one memo."""
+    line) or a SearchResult (one JSON object), as one text with one memo:
+    a report set of blocks as each row's lines (`Block.lines`) in report
+    order, any other record by `_encode`."""
+    parts: list = []
+    memo: dict = {}
     if isinstance(obj, ReportSet):
-        values = [*obj.blocks, obj.summary]
+        rows = [text for block in obj.blocks for text in block.lines(memo)]
+        parts.extend(map(rows.__getitem__, obj.order))
+        values = [*([] if obj.blocks else obj.records), obj.summary]
     elif isinstance(obj, SearchResult):
         values = [obj.to_record()]
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
-    parts: list = []
-    memo: dict = {}
-    shared: dict = {}
     for value in values:
-        if isinstance(value, Block):
-            _block_lines(value, parts, memo, shared)
-        else:
-            _encode(value, parts, memo)
-            parts.append("\n")
+        _encode(value, parts, memo)
+        parts.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))
 

@@ -1,5 +1,5 @@
 """Parameter sweeps: evaluate configured chains over seeded instances and
-parameter grids, with deterministic per-task seeds and blocks sorted by
+parameter grids, with deterministic per-task seeds and records sorted by
 key, so a report is a pure function of its config.
 
 The tasks of one n are taken together, whatever their m: each (n, m)'s
@@ -10,11 +10,13 @@ row of the chain table, which gives its kind and grid (`chains.chain_grids`);
 its whole grid is evaluated once per n on its kind's stack by one
 `chains.grid_terms` call, then split by m
 (`ChainTerms.take`, which cuts Z's zeros to each m) and recorded with
-one `reports.chain_blocks` call per (n, m).  An m-free lemma id's cases
-(`lemmas.m_free`) are drawn, evaluated and recorded as one stack per n,
-and the other ids' as one stack per (n, m).  Each term set is one
-`reports.Block`, and a sweep builds no record dict: `build_report_set`,
-the summary, the writer and `reports.has_proven_failure` read the blocks.
+one `reports.chain_block` call per (n, m), one grid block each.  An
+m-free lemma id's cases (`lemmas.m_free`) are drawn, evaluated and
+recorded as one stack per n, and the other ids' as one stack per (n, m),
+one `reports.lemma_block` each.  A sweep builds no record dict:
+`build_report_set` orders the rows of every block by one lexsort and
+summarizes them in one numpy pass, and the writer and
+`reports.has_proven_failure` read the blocks' arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .chains import (CHAIN_NAMES, DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL, Instan
                      chain_grids, expand_norm_tokens, grid_terms, validate_run_fields)
 from .generate import DEFAULT_LAW, SpectrumLaw, derive_seed, draw_instances
 from .lemmas import LEMMA_IDS, lemma_stack_terms, m_free, random_cases
-from .reports import ReportSet, build_report_set, chain_blocks, lemma_blocks
+from .reports import ReportSet, build_report_set, chain_block, lemma_block
 
 KNOWN_CHAINS = (*CHAIN_NAMES, "lemmas")
 LIST_FIELDS = ("chains", "n_values", "m_values", "s_values", "r_values", "p_values",
@@ -146,7 +148,7 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
     shape's instances of a kind are drawn as one stack, and each chain id
     is evaluated by one `grid_terms` call on the n-group, every shape's
     pairs of its kind laid end to end (`InstanceSpectra`), then split by
-    shape (`ChainTerms.take`) and recorded by one `chain_blocks` call per
+    shape (`ChainTerms.take`) and recorded by one `chain_block` call per
     shape.  An m-free lemma id's
     cases are drawn, evaluated and recorded as one stack of every task of
     the n-group, each recorded with its task's m, and another id's as one
@@ -169,17 +171,17 @@ def _group_blocks(cfg: SweepConfig, table: dict, n: int, shapes: list) -> list:
         terms = grid_terms(spectra[kind], cid, grid)
         for (m, _), part in zip(shapes, rows):
             shape_terms = terms.take(part, m * n)
-            blocks.extend(chain_blocks(shape_terms, n, m, tasks[part].tolist(), grid,
-                                       expand_norm_tokens(cfg.norms, shape_terms.max_dim),
-                                       cfg.tol_rel, cfg.condition_cap))
+            blocks.append(chain_block(shape_terms, n, m, tasks[part].tolist(), grid,
+                                      expand_norm_tokens(cfg.norms, shape_terms.max_dim),
+                                      cfg.tol_rel, cfg.condition_cap))
     for lid in table["lemmas"][2] if "lemmas" in cfg.chains else []:
         case_seeds = derive_seed(tasks, LEMMA_IDS.index(lid))
         for part in [slice(0, K)] if m_free(lid) else rows:
             cases = random_cases(lid, case_seeds[part], n, ms[part][0], cfg.spectrum_law)
             terms = lemma_stack_terms(cases)
-            blocks.extend(lemma_blocks(cases, terms, case_seeds[part].tolist(), n, ms[part],
-                                       expand_norm_tokens(cfg.norms, terms.max_dim),
-                                       cfg.tol_rel))
+            blocks.append(lemma_block(cases, terms, case_seeds[part].tolist(), n, ms[part],
+                                      expand_norm_tokens(cfg.norms, terms.max_dim),
+                                      cfg.tol_rel))
     return blocks
 
 

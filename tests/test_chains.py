@@ -28,7 +28,7 @@ from gmineq.generate import derive_seed, generate_instance, haar_unitary
 from gmineq.hunt import _point_margin
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
-from gmineq.reports import (SCHEMA_VERSION, argmin_record, chain_blocks, chain_records, dumps,
+from gmineq.reports import (SCHEMA_VERSION, argmin_record, chain_block, chain_records, dumps,
                             has_proven_failure, order_norms)
 from gmineq.sweep import SweepConfig, run_sweep
 
@@ -434,7 +434,7 @@ _TOKENS = st.sampled_from(["kyfan:all", "kyfan:1", "kyfan:3", "schatten:1", "sch
 
 
 def _oracle_chain_records(terms, inst, params, norms, tol_rel=1e-8, condition_cap=1e8):
-    """The one-point record builder that `chain_blocks` replaced, kept
+    """The one-point record builder that the grid block builder replaced, kept
     frozen: 1-D spectra, one `norm_values` call per term, one record per
     norm of `norms` in the order given."""
     lhs, rhs = norm_values(terms.lhs_sv, norms), norm_values(terms.rhs_sv, norms)
@@ -465,7 +465,7 @@ def _oracle_chain_records(terms, inst, params, norms, tol_rel=1e-8, condition_ca
        p_=st.lists(_P, min_size=1, max_size=3), t_=st.lists(_T, min_size=1, max_size=3),
        tokens=st.lists(_TOKENS, min_size=1, max_size=5))
 def test_grid_records_match_point_by_point(n, m, seed, s_, r_, p_, t_, tokens):
-    """Records of a whole grid (one `grid_terms` stack, one `chain_blocks`
+    """Records of a whole grid (one `grid_terms` stack, one `chain_block`
     call) equal, bitwise, those of the per-point `*_terms` on a fresh
     instance and the frozen one-point builder over the norms in report
     order, over grids with repeated values, the s = 1, 2 and t = 0, 1
@@ -486,13 +486,12 @@ def test_grid_records_match_point_by_point(n, m, seed, s_, r_, p_, t_, tokens):
             continue
         terms = grid_terms(inst.spectra, chain, grid)
         norms = expand_norm_tokens(tokens, terms.max_dim)
-        got = [[dumps(rec) for rec in block.records]
-               for block in chain_blocks(terms, n, m, [inst.seed], grid, norms)]
+        got = [dumps(rec) for rec in chain_block(terms, n, m, [inst.seed], grid, norms).records]
         want = []
         for q in grid:
             fresh = generate_instance("generic", n, m, seed)
-            want.append([dumps(rec) for rec in _oracle_chain_records(
-                point_terms[chain](fresh, q), fresh, q, order_norms(norms))])
+            want.extend(dumps(rec) for rec in _oracle_chain_records(
+                point_terms[chain](fresh, q), fresh, q, order_norms(norms)))
         assert got == want, chain
 
 

@@ -16,12 +16,12 @@ from gmineq.lemmas import LEMMA_IDS
 from gmineq.norms import NormSpec
 from gmineq.reports import (
     SCHEMA_VERSION,
-    _block_key,
     build_report_set,
     chain_records,
     dumps,
     has_proven_failure,
     read_reports,
+    record_sort_key,
     write_reports,
 )
 from gmineq.sweep import KNOWN_CHAINS, SweepConfig, _chain_table, run_sweep
@@ -321,14 +321,15 @@ class TestSweep:
            generator=st.sampled_from(["generic", "commuting"]), per_shape=st.integers(1, 4))
     def test_block_keys_distinct(self, chains, n_values, m_values, lemma_ids, generator,
                                  per_shape):
-        """A validated sweep's blocks have pairwise distinct keys, also with
-        a repeated n and on commuting instances, so sorting them by key puts
-        every record in place (a repeated lemma id is refused)."""
+        """A validated sweep's term sets (one trace record each) have
+        pairwise distinct keys, also with a repeated n and on commuting
+        instances, so sorting its rows by key puts every record in place (a
+        repeated lemma id is refused)."""
         cfg = SweepConfig(chains=chains, n_values=n_values, m_values=m_values,
                           instance_count=per_shape * len(n_values) * len(m_values),
                           generator=generator, s_values=[1.5, 2.0], t_values=[0.3, 0.5],
                           norms=["trace"], lemma_ids=lemma_ids)
-        keys = [_block_key(block.head) for block in run_sweep(cfg).blocks]
+        keys = [record_sort_key(rec)[:3] for rec in run_sweep(cfg).records]
         assert keys and len(set(keys)) == len(keys)
 
     SUBSET = dict(n_values=[1, 2], m_values=[1, 2], instance_count=4, s_values=[1.5, 2.0],
@@ -500,12 +501,14 @@ class TestCli:
         assert "argmin re-evaluation" in capsys.readouterr().out
 
     def test_refuted_hunt_argmin_is_a_known_violation(self, tmp_path, capsys):
-        """At s = 0.5 (sr < 1) the hunt's arg-min has m >= 2 and is refuted
-        in closed form: it is reported as a known violation, not rechecked
-        in extended precision nor recorded as a candidate, and exits 0."""
+        """At s = 0.5 (sr < 1) every sample of seed 50's first 12 has m >= 2,
+        so all are refuted in closed form and so is the arg-min: it is
+        reported as a known violation, not rechecked in extended precision
+        nor recorded as a candidate, and exits 0."""
         out = tmp_path / "h.json"
-        code = cli.main(["hunt", "--s-lo", "0.5", "--s-hi", "0.5", "--samples", "200",
-                         "--n-max", "3", "--m-max", "3", "--out", str(out)])
+        code = cli.main(["hunt", "--s-lo", "0.5", "--s-hi", "0.5", "--samples", "12",
+                         "--seed", "50", "--n-max", "3", "--m-max", "3", "--refine", "16",
+                         "--out", str(out)])
         assert code == cli.EXIT_OK
         text = capsys.readouterr().out
         assert "status=refuted" in text and "known violation (refuted regime)\n" in text

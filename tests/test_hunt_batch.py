@@ -16,10 +16,10 @@ Refinement runs in generations, each drawn from the words of one stream
 and evaluated as one batch.  It must come out bitwise as
 `_reference_refine`, which draws each candidate in turn from its own
 words of the generation's stream, computed one by one, and evaluates it
-alone.  The best point is the least (margin, number), the samples
-numbered first: the first sample wins a tie, a refinement candidate moves
-the point only when its margin is smaller, and a gated or NaN margin never
-wins.  On the two faces decided in closed form every margin is a pass.
+alone.  The best point is the least (refuted, margin, number), the
+samples numbered first: a refuted sample wins only when no other was
+evaluated, the first sample wins a tie, a refinement candidate moves the
+point only when it ranks lower, and a gated or NaN margin never wins.  On the two faces decided in closed form every margin is a pass.
 """
 
 import importlib
@@ -31,7 +31,7 @@ import pytest
 from gmineq import errors
 from gmineq.blocks import InstanceSet
 from gmineq.chains import (DEFAULT_CONDITION_CAP, ChainParams, condition_max, expand_norm_tokens,
-                           t_chain_terms)
+                           point_status, t_chain_terms)
 from gmineq import generate
 from gmineq.generate import SpectrumLaw, derive_seed, draw_instances, generate_instance, normals
 from gmineq.hunt import SearchConfig, _point_margin, _sample_batches, _sample_points, hunt
@@ -681,3 +681,44 @@ def test_scalar_face_passes(m):
     face = sr >= 1.0
     assert face.sum() >= 1000
     assert not gated.any() and margin[face].min() >= -1e-8
+
+
+def _least_by_status(cfg) -> dict:
+    """Refuted (True or False) -> the least (margin, number) of the samples
+    of that status, (inf, -1) if none, each sample evaluated in its batch."""
+    least = {False: (math.inf, -1), True: (math.inf, -1)}
+    for index, A, B, rows in _sample_batches(cfg):
+        _, margin, _ = hunt_module._stack_margins(A, B, rows, cfg.norms, cfg.condition_cap)
+        for j, k in enumerate(index.tolist()):
+            params = ChainParams(**{name: float(rows[name][j]) for name in "srpt"})
+            refuted = point_status("t-chain", params, int(rows["m"][j])) == "refuted"
+            least[refuted] = min(least[refuted], (float(margin[j]), k))
+    return least
+
+
+def test_refuted_samples_rank_after_the_others():
+    """`hunt --s-lo 0.5 --s-hi 1.5 --samples 2000 --n-max 3 --m-max 3`
+    ended on a refuted sample (n = 1, m = 3, s = 0.5024).  Its arg-min is
+    now the least (margin, number) of the samples that are not refuted,
+    though refuted ones have smaller margins."""
+    cfg = SearchConfig(samples=2000, s_range=(0.5, 1.5), n_max=3, m_max=3).validate()
+    least = _least_by_status(cfg)
+    assert least[True][0] < least[False][0] < math.inf
+    result = hunt(cfg)
+    assert result.argmin["status"] != "refuted"
+    assert result.min_margin == least[False][0]
+    inst, params, _ = argmin_point(result.argmin)
+    assert _sample_points(cfg, range(least[False][1], least[False][1] + 1))["seed"][0] == inst.seed
+
+
+def test_all_refuted_range_keeps_the_least_margin():
+    """When every sample is refuted (s = 0.5, and seed 50's first 12
+    samples all have m >= 2), the arg-min is the least (margin, number)
+    of them all, as before refuted samples ranked last."""
+    cfg = SearchConfig(base_seed=50, samples=12, s_range=(0.5, 0.5), n_max=3, m_max=3).validate()
+    least = _least_by_status(cfg)
+    assert least[False] == (math.inf, -1)
+    result = hunt(cfg)
+    assert result.argmin["status"] == "refuted" and result.min_margin == least[True][0]
+    inst, _, _ = argmin_point(result.argmin)
+    assert _sample_points(cfg, range(least[True][1], least[True][1] + 1))["seed"][0] == inst.seed

@@ -9,7 +9,7 @@ from gmineq.lemmas import (LEMMA_IDS, LemmaCase, eval_lemma, lemma_stack_terms, 
                            m_free, random_case, random_cases)
 from gmineq.linalg import hermitize, matrix_power, psd_sv
 from gmineq.norms import NormSpec
-from gmineq.reports import dumps, lemma_blocks, lemma_records
+from gmineq.reports import dumps, lemma_block, lemma_records
 from gmineq.sweep import SweepConfig, run_sweep
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.trace(),
@@ -251,7 +251,7 @@ class TestStackedCases:
         cases = random_cases(lemma_id, seeds, n, m, law)
         terms = lemma_stack_terms(cases)
         norms = expand_norm_tokens(STACK_PANEL, terms.max_dim)
-        blocks = lemma_blocks(cases, terms, seeds, n, m, norms)
+        records = lemma_block(cases, terms, seeds, n, m, norms).records
         for k, seed in enumerate(seeds):
             case = random_case(lemma_id, seed, n, m, law)
             for name, operand in case.operands.items():
@@ -263,7 +263,7 @@ class TestStackedCases:
                               *zip(row.hoelder or (), one.hoelder or ())]:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             alone = lemma_records(case, one, seed, n, m, norms)
-            assert dumps(blocks[k].records) == dumps(alone.records)
+            assert dumps(records[k * len(norms):(k + 1) * len(norms)]) == dumps(alone.records)
 
     @pytest.mark.parametrize("lemma_id, name, row, error", [
         ("PowerMonotoneFamily", "A", 1, errors.HypothesisViolation),  # A no longer dominated

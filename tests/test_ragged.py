@@ -261,37 +261,37 @@ def test_sweep_main_decompositions_per_n(monkeypatch):
     for name in ("eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     rs = run_sweep(SweepConfig(**SWEEP_MAIN))
-    assert len(rs.blocks) == 20 * 28
+    assert len(rs.blocks) == 20 and sum(len(block.seeds) for block in rs.blocks) == 20 * 28
     assert len(calls) <= 9 * len(SWEEP_MAIN["n_values"]), calls
 
 
 def test_mixed_m_group_records_are_each_case_alone():
-    """Every record block of an n = 3 group with m = 1, 2 and 4 is
-    byte-equal to its one-case form: each lemma block to `lemma_records` of
-    `random_case` at its seed and m, each commuting block of both variants
+    """Every term set of an n = 3 group with m = 1, 2 and 4 is byte-equal
+    to its one-case form: each lemma row to `lemma_records` of
+    `random_case` at its seed and m, each commuting row of both variants
     to `commuting_terms` on its instance alone."""
     cfg = SweepConfig(chains=["commuting", "lemmas"], n_values=[3], m_values=[1, 2, 4],
                       instance_count=9, base_seed=23,
                       norms=["kyfan:all", "schatten:1", "schatten:3.5", "operator"])
     blocks = run_sweep(cfg).blocks
-    assert len(blocks) == 9 * (2 + len(LEMMA_IDS))
+    assert sum(len(block.seeds) for block in blocks) == 9 * (2 + len(LEMMA_IDS))
     variants = set()
     for block in blocks:
-        head = block.head
-        n, m, seed = head["n"], head["m"], head["instance_seed"]
-        if head["kind"] == "lemma":
-            case = random_case(head["lemma_id"], seed, n, m)
-            terms = lemma_terms(case)
-            alone = lemma_records(case, terms, seed, n, m,
-                                  expand_norm_tokens(cfg.norms, terms.max_dim))
-        else:
-            variant = head["chain_id"].removeprefix("commuting-")
-            variants.add(variant)
-            inst = generate_instance("commuting", n, m, seed)
-            terms = commuting_terms(inst, variant)
-            alone = chain_records(terms, inst, ChainParams(s=1.0),
-                                  expand_norm_tokens(cfg.norms, terms.max_dim))
-        assert dumps(block.records) == dumps(alone.records), head
+        D, n = len(block.norms), block.n
+        for row, (m, seed) in enumerate(zip(block.ms, block.seeds)):
+            if block.kind == "lemma":
+                case = random_case(block.id, seed, n, m)
+                terms = lemma_terms(case)
+                alone = lemma_records(case, terms, seed, n, m,
+                                      expand_norm_tokens(cfg.norms, terms.max_dim))
+            else:
+                variant = block.id.removeprefix("commuting-")
+                variants.add(variant)
+                inst = generate_instance("commuting", n, m, seed)
+                terms = commuting_terms(inst, variant)
+                alone = chain_records(terms, inst, ChainParams(s=1.0),
+                                      expand_norm_tokens(cfg.norms, terms.max_dim))
+            assert dumps(block.records[row * D:row * D + D]) == dumps(alone.records), (block.id, seed)
     assert variants == {"product", "symmetrized"}
 
 
@@ -310,10 +310,35 @@ def test_commuting_pairs_decomposed_once(monkeypatch):
     run_sweep(SweepConfig(chains=["main", "commuting"], generator="commuting", n_values=[3],
                           m_values=[1, 2], instance_count=4, base_seed=8))
     insts = [generate_instance("commuting", 3, (1, 2)[i % 2], derive_seed(8, i)) for i in range(4)]
-    # an m = 1 instance's sum is its one pair matrix, so it is decomposed twice
+    # an m = 1 instance's sum is its one pair matrix, decomposed once too
     matrices = [x.tobytes() for inst in insts
                 for x in [*inst.A, *inst.B, sum_pairs(inst.A), sum_pairs(inst.B)]]
-    assert {x: seen.count(x) for x in matrices} == {x: matrices.count(x) for x in matrices}
+    assert {x: seen.count(x) for x in matrices} == dict.fromkeys(matrices, 1)
+
+
+def test_one_pair_sums_take_the_pair_decomposition(monkeypatch):
+    """An m = 1 instance's sums have its pair's bytes (0 + X = X, and
+    `hermitize` keeps an exactly Hermitian X), so they take the pair's
+    decomposition rows, with the bytes that decomposing them gives.  A
+    -0.0 entry is the one exception: 0 + -0.0 is 0.0, so that sum has other
+    bytes and is decomposed itself, as it was before."""
+    inst = generate_instance("generic", 3, 1, 12)
+    signed = np.diag([2.0, 3.0, 4.0]).astype(np.complex128)
+    signed[0, 1] = signed[1, 0] = complex(-0.0, 0.0)
+    assert np.signbit(signed.real).any() and not np.signbit(sum_pairs(signed[None]).real).any()
+    for A, decomposed in ((inst.A, 2), (signed[None], 3)):
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: seen.append(len(a)) or eigh(a, *args))
+        spectra = InstanceSpectra(A, inst.B, [1])
+        got = spectra._eigs
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert seen == [decomposed]
+        for eig, pair, total in ((got[2], A, spectra.sums[0]), (got[3], inst.B, spectra.sums[1])):
+            want = hermitian_eig(total)
+            assert eig.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert eig.vectors.tobytes() == want.vectors.tobytes()
+        assert got[3].vectors.tobytes() == got[1].vectors.tobytes()
 
 
 def test_sweep_mixed_evaluations_per_n(monkeypatch):

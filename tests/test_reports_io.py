@@ -31,8 +31,8 @@ from gmineq.generate import generate_instance
 from gmineq.norms import NormSpec
 from gmineq.lemmas import lemma_terms, random_case
 from gmineq.reports import (RESULT_FIELDS, SCHEMA_VERSION, Block, ReportSet, build_report_set,
-                            chain_blocks, dumps, has_proven_failure, lemma_records, order_norms,
-                            read_reports, record_sort_key, summarize, write_reports)
+                            chain_block, chain_records, dumps, has_proven_failure, lemma_records,
+                            order_norms, read_reports, record_sort_key, summarize, write_reports)
 from gmineq.sweep import KNOWN_CHAINS, SweepConfig, run_sweep
 
 
@@ -186,32 +186,55 @@ _SORT_TOKENS = ["kyfan:1", "kyfan:2", "kyfan:10", "schatten:2", "schatten:inf", 
                 "frobenius"]
 
 
+def _grid(block_id="main", seeds=(1,), params=((2.0,),), names=("s",), norms=("trace",),
+          margins=None, passed=None, gated=None, status="proven", kind="chain",
+          condition_max=None):
+    """A hand-made `Block` of R = len(seeds) rows over the norm tokens
+    `norms` (D of them, in report order): margins (R, D, c), zeros by
+    default, and a per-row or shared status."""
+    rows, D = len(seeds), len(norms)
+    margins = np.zeros((rows, D, 1)) if margins is None else np.array(margins, dtype=float)
+    chain = kind == "chain"
+    return Block(kind, block_id, 1, [NormSpec.parse(tok).to_record() for tok in norms], list(seeds),
+                 [1] * rows, {name: np.array(column, dtype=float)
+                              for name, column in zip(names, zip(*params))},
+                 np.zeros(rows, bool) if gated is None else np.array(gated),
+                 np.broadcast_to(np.array(status), rows).copy(),
+                 (np.ones(rows) if condition_max is None else np.array(condition_max, dtype=float))
+                 if chain else None,
+                 np.zeros((rows, D)), None, np.ones((rows, D)), margins,
+                 np.ones((rows, D), bool) if passed is None else np.array(passed))
+
+
 @st.composite
 def _term_set_blocks(draw):
-    """Blocks with distinct keys, as a sweep makes them: each a term set's
-    `Block` over an ordered norm list with repeated norms, or a lone record."""
-    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([7, 2]),
-                                   st.sampled_from([2.0, 3.0])), max_size=8, unique=True))
+    """Blocks with distinct row keys, as a sweep makes them: rows of one id
+    spread over blocks of that id, each row's norms in report order."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([7, 2, 2 ** 64 - 1]),
+                                   st.sampled_from([2.0, 3.0, -0.0])), max_size=10,
+                         unique_by=lambda key: (key[0], key[1], key[2] + 0.0)))
+    parts = {}
+    for key in keys:
+        parts.setdefault((key[0], draw(st.integers(0, 2))), []).append(key)
     blocks = []
-    for name, seed, s in keys:
-        head = {draw(st.sampled_from(["chain_id", "lemma_id"])): name, "instance_seed": seed,
-                "params": {"s": s, "r": 1.0}}
+    for (block_id, _), rows in parts.items():
         tokens = draw(st.lists(st.sampled_from(_SORT_TOKENS), min_size=1, max_size=5))
         norms = [spec.to_record() for spec in order_norms([NormSpec.parse(tok) for tok in tokens])]
-        block = Block(head, {"norm": norms, "margins": [[0.0]] * len(norms),
-                             "pass": [True] * len(norms)}, {"gated": False})
-        blocks.append(block if len(norms) > 1 or draw(st.booleans()) else block.records[0])
+        block = _grid(block_id, [seed for _, seed, _ in rows], [(s, 1.0) for _, _, s in rows],
+                      ("s", "r"), ["trace"] * len(norms), kind=draw(st.sampled_from(["chain", "lemma"])))
+        block.norms = norms
+        blocks.append(block)
     return blocks
 
 
 class TestBlockSort:
-    """`build_report_set` sorts blocks, not records, and must put every
-    record where a sort of all records by `record_sort_key` puts it."""
+    """`build_report_set` sorts the rows of every block by one `np.lexsort`,
+    and must put every record where a sort of all records by
+    `record_sort_key` puts it."""
 
     @staticmethod
     def _assert_record_order(blocks):
-        records = [rec for block in blocks
-                   for rec in ([block] if isinstance(block, dict) else block.records)]
+        records = [rec for block in blocks for rec in block.records]
         got = build_report_set(blocks).records
         assert [id(rec) for rec in got] == [id(rec) for rec in sorted(records, key=record_sort_key)]
 
@@ -221,28 +244,30 @@ class TestBlockSort:
         self._assert_record_order(blocks)
 
     def test_repeated_key_raises(self):
-        """Two blocks with one key, from a grid that repeats a point or
-        from a term set split into its records, are refused: a validated
-        sweep never makes them."""
+        """Two rows with one key, from a grid that repeats a point or from
+        one block given twice, are refused: a validated sweep never makes
+        them.  0.0 and -0.0 are one key, as in a sort of records."""
         inst = generate_instance("generic", 2, 2, 60)
         grid = [ChainParams(s=3.0), ChainParams(s=2.0), ChainParams(s=3.0)]
-        terms = grid_terms(inst.spectra, "main", grid)
-        blocks = chain_blocks(terms, 2, 2, [inst.seed], grid,
-                              expand_norm_tokens(["trace", "kyfan:2"], 4))
-        build_report_set(blocks[:2])
-        for repeated in (blocks, blocks[:1] + blocks[:1], blocks[0].records):
-            with pytest.raises(ValueError, match="two blocks have the key"):
+        norms = expand_norm_tokens(["trace", "kyfan:2"], 4)
+        build_report_set([chain_block(grid_terms(inst.spectra, "main", grid[:2]), 2, 2,
+                                      [inst.seed], grid[:2], norms)])
+        block = chain_block(grid_terms(inst.spectra, "main", grid), 2, 2, [inst.seed], grid, norms)
+        one = chain_records(grid_terms(inst.spectra, "main", grid[:1]), inst, grid[0], norms)
+        signed = [_grid(seeds=[1], params=[[0.0]]), _grid(seeds=[1], params=[[-0.0]])]
+        for repeated in ([block], [one, one], signed):
+            with pytest.raises(ValueError, match="two term sets have the key"):
                 build_report_set(repeated)
 
     def test_builders_order_a_term_set_themselves(self):
-        """A key's lone block is taken as built, so each record builder
-        puts its norms in report order, whatever order it is given."""
+        """A row's norms are taken as built, so each record builder puts
+        them in report order, whatever order it is given."""
         tokens = ["trace", "schatten:inf", "kyfan:2", "operator", "schatten:2", "kyfan:1"]
         inst = generate_instance("generic", 2, 2, 61)
         grid = [ChainParams(s=1.5, t=0.3)]
         terms = grid_terms(inst.spectra, "t-chain", grid)
-        self._assert_record_order(chain_blocks(terms, 2, 2, [inst.seed], grid,
-                                               expand_norm_tokens(tokens, terms.max_dim)))
+        self._assert_record_order([chain_block(terms, 2, 2, [inst.seed], grid,
+                                               expand_norm_tokens(tokens, terms.max_dim))])
         case = random_case("Araki", 62, n=2, m=2)
         lterms = lemma_terms(case)
         self._assert_record_order([lemma_records(case, lterms, 62, 2, 2,
@@ -268,26 +293,41 @@ COLUMNAR_CONFIGS = {
 }
 
 
+def _assert_grid_report(rs, path):
+    """A report set of grid blocks against its records: the file is each
+    record then the summary, as `dumps` writes them, and reads back to
+    them; the summary is `summarize` of the records, the records are in
+    `record_sort_key` order, and `has_proven_failure` agrees with a scan of
+    them.  No record dict is built before `records` is read."""
+    assert all(isinstance(b, Block) and "records" not in vars(b) for b in rs.blocks)
+    failing = has_proven_failure(rs)
+    write_reports(rs, path)
+    assert all("records" not in vars(b) for b in rs.blocks)
+    text = path.read_text(encoding="utf-8")
+    assert text == "".join(dumps(r) + "\n" for r in rs.records) + dumps(rs.summary) + "\n"
+    back = read_reports(path)
+    assert back.records == rs.records and back.summary == rs.summary
+    assert summarize(rs.records) == rs.summary
+    assert rs.records == sorted(rs.records, key=record_sort_key)
+    assert failing == any(not r["gated"] and r["status"] == "proven" and not r["pass"]
+                          for r in rs.records)
+
+
 class TestColumnarReports:
-    """A sweep's report set holds `Block`s: the writer, the summary and the
-    exit code read them, and no record dict is built until `records` is
-    read.  Its bytes, records and summary must be those of its records
-    written, read and summarized one by one."""
+    """A sweep's report set holds grid `Block`s: the writer, the summary and
+    the exit code read their arrays, and no record dict is built until
+    `records` is read.  Its bytes, records and summary must be those of its
+    records written, read and summarized one by one."""
 
     @pytest.mark.parametrize("name", list(COLUMNAR_CONFIGS))
     def test_blocks_equal_their_records(self, name, tmp_path):
         rs = run_sweep(SweepConfig(**COLUMNAR_CONFIGS[name]))
         path, by_records = tmp_path / "blocks.jsonl", tmp_path / "records.jsonl"
-        has_proven_failure(rs)
-        write_reports(rs, path)
-        assert all(isinstance(b, Block) and "records" not in vars(b) for b in rs.blocks)
+        _assert_grid_report(rs, path)
         text = path.read_text(encoding="utf-8")
         assert text == "".join(oracle_dumps(v) + "\n" for v in [*rs.records, rs.summary])
         write_reports(ReportSet(records=rs.records, summary=rs.summary), by_records)
         assert by_records.read_text(encoding="utf-8") == text
-        back = read_reports(path)
-        assert rs.records == back.records and back.summary == rs.summary
-        assert rs.summary == summarize(rs.records)
         groups = rs.summary["groups"]
         assert {row["chain"] for row in groups} >= {"main", "t-chain", "commuting-product"}
         if name == "gated":
@@ -295,6 +335,41 @@ class TestColumnarReports:
             assert sum(row["pass_count"] for row in groups) > 0
         if name == "conjectured-failures":
             assert rs.summary["candidates"] > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(chains=st.lists(st.sampled_from(KNOWN_CHAINS), min_size=1, unique=True),
+           n_values=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+           m_values=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
+           per_shape=st.integers(1, 2), generator=st.sampled_from(["generic", "commuting"]),
+           condition_cap=st.sampled_from([1e8, 30.0, 1.0 + 1e-9]),
+           norms=st.lists(st.sampled_from(["schatten:1", "schatten:2.5", "schatten:inf", "trace",
+                                           "operator"]), max_size=3, unique=True),
+           base_seed=st.integers(0, 2 ** 64 - 1))
+    def test_grid_report_properties(self, chains, n_values, m_values, per_shape, generator,
+                                    condition_cap, norms, base_seed):
+        """Small sweeps of every chain, lemmas and commuting included, with
+        some rows gated by a low condition cap and `kyfan:all` among other
+        norms, keep every property of `_assert_grid_report`."""
+        cfg = SweepConfig(chains=chains, n_values=n_values, m_values=m_values,
+                          instance_count=per_shape * len(n_values) * len(m_values),
+                          base_seed=base_seed, generator=generator, s_values=[1.5, 2.0],
+                          r_values=[1.0, 0.5], t_values=[0.3], condition_cap=condition_cap,
+                          norms=["kyfan:all", *norms])
+        with tempfile.TemporaryDirectory() as folder:
+            _assert_grid_report(run_sweep(cfg), pathlib.Path(folder) / "r.jsonl")
+
+    def test_signed_zero_and_infinite_condition_keep_their_text(self, tmp_path):
+        """A planted -0.0 margin and an infinite condition number are
+        written as a record dict writes them, and read back to the records."""
+        block = _grid(seeds=[5, 4], params=[[2.0], [3.0]], norms=["operator", "trace"],
+                      margins=[[[-0.0], [0.0]], [[0.0], [-0.0]]],
+                      condition_max=[math.inf, 2.0], gated=[True, False])
+        rs = build_report_set([block])
+        _assert_grid_report(rs, tmp_path / "r.jsonl")
+        lines = (tmp_path / "r.jsonl").read_text(encoding="utf-8").splitlines()
+        assert '"margins":[0.0]' in lines[0] and '"margins":[-0.0]' in lines[1]
+        assert '"margins":[-0.0]' in lines[2] and '"condition_max":"inf"' in lines[2]
+        assert rs.records[2]["condition_max"] == "inf"
 
     def test_no_encoding_carried_between_writes(self, tmp_path, monkeypatch):
         """Each write formats its floats afresh: no memo or text outlives a
@@ -313,35 +388,34 @@ class TestColumnarReports:
 
     def test_summary_keeps_the_first_of_equal_minima(self):
         """0.0 and -0.0 compare equal: a group's minimum margin is the
-        first in report order, across records and within one, from blocks
-        or from record dicts."""
-        head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": "main",
-                "instance_seed": 1, "n": 1, "m": 1, "params": {}}
-        for margins in ([[0.0], [-0.0]], [[-0.0], [0.0]], [[0.0, -0.0]], [[-0.0, 0.0], [0.0]]):
-            block = Block(head, {"norm": [{"variant": "trace"}] * len(margins),
-                                 "margins": margins, "pass": [True] * len(margins)},
-                          {"gated": False, "status": "proven"})
-            for summary in (summarize([block]), summarize(block.records)):
+        first in report order, across records, within one and across rows
+        that a block holds in another order, from blocks or from record
+        dicts."""
+        for margins in ([[[0.0], [-0.0]]], [[[-0.0], [0.0]]], [[[0.0, -0.0]]],
+                        [[[-0.0, 0.0], [0.0, 0.0]]], [[[-0.0]], [[0.0]]], [[[0.0]], [[-0.0]]]):
+            rows, D = len(margins), len(margins[0])
+            # the rows are built in the reverse of their report order
+            rs = build_report_set([_grid(seeds=range(rows, 0, -1), params=[[2.0]] * rows,
+                                         norms=["trace"] * D, margins=margins)])
+            first = margins[-1][0][0]
+            for summary in (rs.summary, summarize(rs.records)):
                 mm, = (row["min_margin"] for row in summary["groups"])
-                assert math.copysign(1.0, mm) == math.copysign(1.0, margins[0][0]), margins
+                assert math.copysign(1.0, mm) == math.copysign(1.0, first), margins
 
     def test_proven_failure_read_from_blocks(self):
         """A failing non-gated proven record, and only such a record, makes
         a proven failure, read from the block without building its dicts."""
         def block(passes, seed, gated=False, status="proven"):
-            head = {"schema_version": SCHEMA_VERSION, "kind": "chain", "chain_id": "main",
-                    "instance_seed": seed, "n": 1, "m": 1, "params": {"s": 2.0}}
-            return Block(head, {"norm": [{"variant": "trace"}, {"variant": "operator"}],
-                                "margins": [[1.0], [-1.0]], "pass": passes},
-                         {"gated": gated, "status": status})
+            return _grid(seeds=[seed], norms=["operator", "trace"], margins=[[[1.0], [-1.0]]],
+                         passed=[passes], gated=[gated], status=status)
 
         ok, failing = block([True, True], 1), block([True, False], 2)
-        assert not has_proven_failure(ReportSet(blocks=[ok]))
-        assert has_proven_failure(ReportSet(blocks=[ok, failing]))
+        assert not has_proven_failure(build_report_set([ok]))
+        assert has_proven_failure(build_report_set([ok, failing]))
         assert "records" not in vars(failing)
-        assert not has_proven_failure(ReportSet(blocks=[ok, block([True, False], 3, gated=True)]))
+        assert not has_proven_failure(build_report_set([ok, block([True, False], 3, gated=True)]))
         assert not has_proven_failure(
-            ReportSet(blocks=[block([False, False], 4, status="conjectured")]))
+            build_report_set([block([False, False], 4, status="conjectured")]))
         assert has_proven_failure(ReportSet(records=failing.records))
         assert not has_proven_failure(ReportSet(records=ok.records))
 
