@@ -19,7 +19,8 @@ words of the generation's stream, computed one by one, and evaluates it
 alone.  The best point is the least (refuted, margin, number), the
 samples numbered first: a refuted sample wins only when no other was
 evaluated, the first sample wins a tie, a refinement candidate moves the
-point only when it ranks lower, and a gated or NaN margin never wins.  On the two faces decided in closed form every margin is a pass.
+point only when it ranks lower, and a gated or NaN margin never wins.
+On the two faces decided in closed form every margin is a pass.
 """
 
 import importlib
