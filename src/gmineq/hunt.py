@@ -299,8 +299,8 @@ def _generations(cfg: SearchConfig, search: _Search):
     (the last one holds what is left of cfg.refine_steps): a generation is
     `_perturb`'s candidates of the best point at its start, numbered after
     the samples and the earlier generations, so that a candidate moves the
-    point only when its margin is smaller.  There is none when no sample
-    was evaluated."""
+    point only when it ranks lower (`_advance`).  There is none when no
+    sample was evaluated."""
     for generation, start in enumerate(range(0, cfg.refine_steps, _GENERATION)):
         if search.inst is None:
             return

@@ -22,7 +22,7 @@ block, and `Block.records` and `ReportSet.records` build record dicts only
 when something reads them.
 
 `_encode` is the one function that picks a value's JSON by its type; its
-memo formats each repeated key and float once (`dumps` has the rules).
+memo formats each repeated float once (`dumps` has the rules).
 `write_reports` writes a file as one text with one memo: each block's
 rows from its head, record and tail templates (`Block.lines`), in report
 order, then the summary; nothing encoded outlives the call.
@@ -64,31 +64,21 @@ def dumps(obj, memo: dict = None) -> str:
     raises `ValueError` and a value of any other type `TypeError`.
 
     `_encode` writes the value in one pass, and a memo kept for one call
-    (or given: `write_reports` shares one across a file) holds the quoted `"key":`
-    prefix of each `str` key and the text of each non-zero float, so a
-    report's repeated keys and values (its parameters, condition numbers
-    and terms shared by grid points) are formatted once.  A key of any
-    other type is written as `str(k)` every time, so keys that compare
-    equal but print differently (`1`, `True`, `1.0`) never share a prefix;
-    no zero is remembered, since 0.0 and -0.0 compare equal.
+    (or given: `write_reports` shares one across a file) holds the text of
+    each non-zero float, so a report's repeated values (its parameters,
+    condition numbers and terms shared by grid points) are formatted once;
+    no zero is remembered, since 0.0 and -0.0 compare equal.  A key is
+    written as `str(k)`, so keys that compare equal but print differently
+    (`1`, `True`, `1.0`) keep their own text.
     """
     parts: list = []
     _encode(obj, parts, {} if memo is None else memo)
     return "".join(parts)
 
 
-# A memo maps each exact-str key to its quoted `"key":` prefix and each
-# non-zero float to its text (no str equals a float, so the two never
-# meet).  It is emptied at this many entries, so that it stays small on a
-# file of unique values.
+# A memo maps each non-zero float to its text.  It is emptied at this many
+# entries, so that it stays small on a file of unique values.
 _MEMO_MAX = 4096
-
-
-def _remember(memo: dict, value, text: str) -> str:
-    if len(memo) >= _MEMO_MAX:
-        memo.clear()
-    memo[value] = text
-    return text
 
 
 def _float_text(v: float, memo: dict) -> str:
@@ -104,7 +94,11 @@ def _float_text(v: float, memo: dict) -> str:
             s = '"inf"' if v > 0 else '"-inf"'
         else:
             s += ".0"
-    return _remember(memo, v, s) if v else s
+    if v:
+        if len(memo) >= _MEMO_MAX:
+            memo.clear()
+        memo[v] = s
+    return s
 
 
 def _encode(v, parts: list, memo: dict) -> None:
@@ -123,10 +117,7 @@ def _encode(v, parts: list, memo: dict) -> None:
         for k, x in v.items():
             parts.append(sep)
             sep = ","
-            if type(k) is str:
-                parts.append(memo.get(k) or _remember(memo, k, _quote(k) + ":"))
-            else:
-                parts.append(_quote(str(k)) + ":")
+            parts.append(_quote(str(k)) + ":")
             _encode(x, parts, memo)
         parts.append("}" if sep == "," else "{}")
     elif t is list or t is tuple:
@@ -195,9 +186,29 @@ class Block:
 
     @cached_property
     def records(self) -> list:
-        """The record dicts, row after row, built on first read: the block's
-        lines decoded, so they are what `read_reports` gives back."""
-        return json.loads("[" + ",".join("".join(self.lines({})).splitlines()) + "]")
+        """The record dicts, row after row, built on first read: the arrays'
+        values zipped into dicts in field order (an infinite condition_max
+        as "inf"), never taken from `lines`, so that the records stand
+        beside the writer as what it must write."""
+        rows, D = len(self.seeds), len(self.norms)
+        params = np.reshape(list(self.params.values()), (len(self.params), rows)).T.tolist()
+        heads = [{"schema_version": SCHEMA_VERSION, "kind": self.kind, f"{self.kind}_id": self.id,
+                  "instance_seed": seed, "n": self.n, "m": m, "params": dict(zip(self.params, q))}
+                 for seed, m, q in zip(self.seeds, self.ms, params)]
+        tails = [{"gated": gated, "status": status}
+                 for gated, status in zip(self.gated.tolist(), self.status.tolist())]
+        if self.kind == "chain":
+            for tail, condition in zip(tails, self.condition_max.tolist()):
+                tail["condition_max"] = "inf" if math.isinf(condition) else condition
+        columns = {"norm": self.norms * rows, "lhs": self.lhs.ravel().tolist(),
+                   "mid": [None] * (rows * D) if self.mid is None else self.mid.ravel().tolist(),
+                   "rhs": self.rhs.ravel().tolist(),
+                   "margins": [pair for row in self.margins.tolist() for pair in row],
+                   "pass": self.passed.ravel().tolist()}
+        if self.kind == "lemma":
+            del columns["mid"]
+        return [{**heads[i // D], **dict(zip(columns, values)), **tails[i // D]}
+                for i, values in enumerate(zip(*columns.values()))]
 
     def lines(self, memo: dict) -> list:
         """The text of each row's records, with the bytes `_encode` gives
@@ -309,7 +320,9 @@ def record_sort_key(rec: dict):
 
 def _norm_sort_key(norm: dict):
     p = norm.get("p")
-    return (norm.get("variant", ""), norm.get("k") or 0, math.inf if p == "inf" else p or 0.0)
+    if p == "inf":
+        p = math.inf
+    return (norm.get("variant", ""), norm.get("k") or 0, p or 0.0)
 
 
 def order_norms(norms: list) -> list:
@@ -325,12 +338,14 @@ def order_norms(norms: list) -> list:
 class ReportSet:
     """A report's records in report order and its summary record.
     `build_report_set` makes one of `Block`s and `order`, the report order
-    of their rows (numbered block after block), and `records` builds the
-    record dicts on first read; `read_reports` makes one of record dicts."""
+    of their rows (numbered block after block; every row in block order
+    when not given), and `records` builds the record dicts on first read;
+    `read_reports` makes one of record dicts."""
 
     def __init__(self, records: list = None, summary: dict = None, blocks: list = (),
-                 order: list = ()):
-        self.blocks, self.order, self.summary, self._records = list(blocks), order, summary, records
+                 order: list = None):
+        self.blocks, self.summary, self._records = list(blocks), summary, records
+        self.order = range(sum(len(b.seeds) for b in self.blocks)) if order is None else order
 
     @property
     def records(self) -> list:
@@ -342,10 +357,12 @@ class ReportSet:
 
 
 def _norm_class(norm: dict) -> str:
-    """"kyfan" for every Ky Fan norm, "schatten:<p>" for a Schatten norm,
-    else the variant."""
     v = norm.get("variant", "")
-    return f"schatten:{norm['p']}" if v == "schatten" else v
+    if v == "kyfan":
+        return "kyfan"
+    if v == "schatten":
+        return f"schatten:{norm['p']}" if norm["p"] != "inf" else "schatten:inf"
+    return v
 
 
 def _summary(groups: dict, number, least, passed, live, conjectured) -> dict:

@@ -3,8 +3,8 @@ forms.
 
 `oracle_dumps` is a plain recursive encoder: one call per value,
 `isinstance` dispatch, every key and float formatted afresh.
-`reports.dumps`, which tests exact types first and remembers keys and
-floats, must write exactly its bytes, raise where it raises, and do so
+`reports.dumps`, which tests exact types first and remembers floats,
+must write exactly its bytes, raise where it raises, and do so
 through `write_reports`, which encodes a whole file with one memo and one
 join.  The drawn values include subclasses (of str, int, float, dict and
 list) so that the encoder's `isinstance` path is pinned too.
@@ -156,7 +156,7 @@ class TestEncoderAgainstRecursiveForm:
         assert dumps(value).startswith('{"a":[0.0,-0.0,0.0,-0.0],"b":{"0.5":-0.0,"c":0.0}')
 
     def test_memo_overflow(self):
-        # more distinct floats and keys than the memo holds, each repeated
+        # more distinct floats than the memo holds, each repeated, among many keys
         n = 2 * reports._MEMO_MAX + 7
         value = [[i / 7.0 for i in range(n)] * 2, [{f"k{i % n}": i / 3.0} for i in range(2 * n)]]
         assert dumps(value) == oracle_dumps(value)
@@ -370,6 +370,24 @@ class TestColumnarReports:
         assert '"margins":[0.0]' in lines[0] and '"margins":[-0.0]' in lines[1]
         assert '"margins":[-0.0]' in lines[2] and '"condition_max":"inf"' in lines[2]
         assert rs.records[2]["condition_max"] == "inf"
+
+    def test_records_are_not_read_from_the_writer(self, monkeypatch):
+        """`Block.records` zips the arrays into dicts without the writer's
+        templates, so a file compared with the records tests the writer."""
+        rs = run_sweep(SweepConfig(**COLUMNAR_CONFIGS["every-chain"]))
+        monkeypatch.setattr(Block, "lines", None)
+        assert len(rs.records) == rs.summary["total_records"] > 0
+
+    def test_blocks_without_an_order_keep_block_order(self, tmp_path):
+        """A report set given blocks and no order holds every row, in
+        block order, and writes them all."""
+        blocks = [_grid(seeds=[5, 4], params=[[2.0], [3.0]], norms=["operator", "trace"]),
+                  _grid("b", seeds=[1], kind="lemma")]
+        rs = ReportSet(blocks=blocks, summary=summarize([]))
+        assert rs.records == [*blocks[0].records, *blocks[1].records]
+        assert [rec["instance_seed"] for rec in rs.records] == [5, 5, 4, 4, 1]
+        write_reports(rs, tmp_path / "r.jsonl")
+        assert read_reports(tmp_path / "r.jsonl").records == rs.records
 
     def test_no_encoding_carried_between_writes(self, tmp_path, monkeypatch):
         """Each write formats its floats afresh: no memo or text outlives a
