@@ -102,32 +102,9 @@ def _float_text(v: float, memo: dict) -> str:
 
 
 def _encode(v, parts: list, memo: dict) -> None:
-    """Append the JSON of any value to `parts`: exact types first, then
-    `isinstance` for subclasses (a dict or list subclass is copied to its
-    base type) and for the types that raise."""
-    t = type(v)
-    if t is float:
-        parts.append(memo.get(v) or _float_text(v, memo))
-    elif t is str:
-        parts.append(_quote(v))
-    elif t is int:
-        parts.append(str(v))
-    elif t is dict:
-        sep = "{"
-        for k, x in v.items():
-            parts.append(sep)
-            sep = ","
-            parts.append(_quote(str(k)) + ":")
-            _encode(x, parts, memo)
-        parts.append("}" if sep == "," else "{}")
-    elif t is list or t is tuple:
-        sep = "["
-        for x in v:
-            parts.append(sep)
-            sep = ","
-            _encode(x, parts, memo)
-        parts.append("]" if sep == "," else "[]")
-    elif v is None:
+    """Append the JSON of any value to `parts`, dispatched by `isinstance`
+    (so a subclass is written as its base type)."""
+    if v is None:
         parts.append("null")
     elif v is True:
         parts.append("true")
@@ -140,9 +117,20 @@ def _encode(v, parts: list, memo: dict) -> None:
     elif isinstance(v, int):
         parts.append(str(v))
     elif isinstance(v, dict):
-        _encode(dict(v), parts, memo)
+        sep = "{"
+        for k, x in v.items():
+            parts.append(sep)
+            sep = ","
+            parts.append(_quote(str(k)) + ":")
+            _encode(x, parts, memo)
+        parts.append("}" if sep == "," else "{}")
     elif isinstance(v, (list, tuple)):
-        _encode(list(v), parts, memo)
+        sep = "["
+        for x in v:
+            parts.append(sep)
+            sep = ","
+            _encode(x, parts, memo)
+        parts.append("]" if sep == "," else "[]")
     else:
         raise TypeError(f"cannot serialize {type(v).__name__}")
 

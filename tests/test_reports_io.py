@@ -3,11 +3,11 @@ forms.
 
 `oracle_dumps` is a plain recursive encoder: one call per value,
 `isinstance` dispatch, every key and float formatted afresh.
-`reports.dumps`, which tests exact types first and remembers floats,
-must write exactly its bytes, raise where it raises, and do so
-through `write_reports`, which encodes a whole file with one memo and one
-join.  The drawn values include subclasses (of str, int, float, dict and
-list) so that the encoder's `isinstance` path is pinned too.
+`reports.dumps`, which remembers floats, must write exactly its bytes,
+raise where it raises, and do so through `write_reports`, which encodes a
+whole file with one memo and one join.  The drawn values include
+subclasses (of str, int, float, dict and list), which must be written as
+their base types.
 """
 
 import dataclasses
