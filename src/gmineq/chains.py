@@ -44,8 +44,8 @@ import numpy as np
 from . import errors
 from .blocks import InstanceSet
 from .generate import SpectrumLaw
-from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
-                     psd_sv, require_pd, svd)
+from .linalg import (hermitian_eig, power_from_eig, power_rows, psd_sv, require_pd, sum_pairs,
+                     svd)
 from .means import mean_factor
 from .norms import NormSpec, singular_values
 
@@ -218,16 +218,16 @@ class InstanceSpectra:
 
     def _by_instance(self, X: np.ndarray) -> np.ndarray:
         """Each instance's sum of its pairs' X (..., sum(counts), n, n),
-        added in pair order starting from zeros: the pairs are laid out
-        (..., K, max m, n, n), padded with zeros, and the slots added in
-        turn.  Returns (..., K, n, n)."""
-        acc = np.zeros(X.shape[:-3] + self._counts.shape + X.shape[-2:], dtype=np.complex128)
-        padded = np.zeros(acc.shape[:-2] + (int(self._counts.max(initial=0)),) + X.shape[-2:],
-                          dtype=np.complex128)
+        Hermitized, (..., K, n, n): the pairs laid out (..., K, max m, n, n),
+        padded with zeros, and summed by `sum_pairs`, so in pair order
+        starting from zeros.  A sum started from +0.0 holds no -0.0, and
+        hermitize gives such a Hermitized matrix back byte for byte, so
+        `psd_sv` gets the bytes from it that it got from the sum alone
+        (`tests/test_linalg.py`)."""
+        padded = np.zeros(X.shape[:-3] + (len(self._counts), int(self._counts.max(initial=0)))
+                          + X.shape[-2:], dtype=np.complex128)
         padded[..., self._owner, self._slot, :, :] = X
-        for i in range(padded.shape[-3]):
-            acc += padded[..., i, :, :]
-        return acc
+        return sum_pairs(padded)
 
     @property
     @_memoized
@@ -235,7 +235,7 @@ class InstanceSpectra:
         """Each instance's sum A and sum B, Hermitized, (K, n, n) each; one
         that is not finite raises NonFiniteInput in `_eigs`, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return hermitize(self._by_instance(self._A)), hermitize(self._by_instance(self._B))
+            return self._by_instance(self._A), self._by_instance(self._B)
 
     @property
     @_memoized

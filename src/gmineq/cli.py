@@ -191,6 +191,8 @@ def _cmd_hunt(args) -> int:
 def _cmd_show(args) -> int:
     obj = read_reports(args.infile)
     if isinstance(obj, SearchResult):
+        if args.csv:
+            raise errors.ConfigError(f"--csv needs a report set; {args.infile} is a search result")
         print(f"search result: min_margin={obj.min_margin:+.6e} candidate={obj.candidate}")
         if obj.argmin is not None:
             margin = evaluate_argmin(obj)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +89,7 @@ def normals(words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumLaw:
-    """Log-uniform eigenvalue law on [lo, hi]; its log bounds are computed
-    once per law, not once per draw."""
+    """Log-uniform eigenvalue law on [lo, hi]."""
 
     lo: float = 0.1
     hi: float = 10.0
@@ -100,13 +98,9 @@ class SpectrumLaw:
         if not (self.lo > 0.0 and self.lo <= self.hi < math.inf):
             raise errors.InvalidSpectrumLaw(f"need finite 0 < lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @cached_property
-    def _log_bounds(self) -> tuple:
-        return np.log(self.lo), np.log(self.hi)
-
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Eigenvalues of the law from uniforms u on [0, 1), elementwise."""
-        log_lo, log_hi = self._log_bounds
+        log_lo, log_hi = np.log(self.lo), np.log(self.hi)
         return np.exp(log_lo + (log_hi - log_lo) * u)
 
     def to_dict(self) -> dict:

@@ -10,7 +10,8 @@ The spectral path is stack-aware: `hermitize`, `require_hermitian`,
 `hermitian_eig`, `require_pd`, `psd_sv`, `power_from_eig`, `svd` and
 `sum_pairs` take arrays of shape (..., n, n), one matrix per leading index,
 and run each check (finite entries, Hermitian defect, the zeroing rule,
-the PD floor) per matrix.  An exponent is a scalar, one value per matrix
+the PD floor) per matrix; `sum_pairs` is the one ordered sum of a
+stack's matrices.  An exponent is a scalar, one value per matrix
 of a stack, or an array of per-row exponents with more axes than the
 spectrum's leading ones, which broadcasts against the whole stack: the
 (P, 1) grid columns of `chains.InstanceSpectra` against the (N, n)
@@ -80,9 +81,6 @@ class EigenDecomposition:
 
     def __getitem__(self, index) -> "EigenDecomposition":
         return EigenDecomposition(self.eigenvalues[index], self.vectors[index])
-
-    def reconstruct(self) -> np.ndarray:
-        return from_spectrum(self.vectors, self.eigenvalues)
 
 
 def from_spectrum(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -203,14 +201,10 @@ def require_pd(eig: EigenDecomposition) -> EigenDecomposition:
     return eig
 
 
-def spd_eig(H) -> EigenDecomposition:
-    """hermitian_eig(H), raising SingularInput unless H is positive definite
-    (see require_pd)."""
-    return require_pd(hermitian_eig(H))
-
-
 def sum_pairs(X: np.ndarray) -> np.ndarray:
-    """hermitize(sum_i X_i) over axis -3, added in order as Python's sum."""
+    """hermitize(sum_i X_i) over axis -3, starting from zeros and added in
+    order as Python's sum: the one ordered pair sum, of a lemma's stack and
+    of each instance's zero-padded pairs in `chains.InstanceSpectra`."""
     total = 0
     for i in range(X.shape[-3]):
         total = total + X[..., i, :, :]

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from .linalg import (EigenDecomposition, hermitize, power_from_eig, power_rows,
-                     require_hermitian, spd_eig, svd)
+from .linalg import (EigenDecomposition, hermitian_eig, hermitize, power_from_eig, power_rows,
+                     require_hermitian, require_pd, svd)
 
 
 def _ratio_svd(eig_A: EigenDecomposition, eig_B: EigenDecomposition, s) -> tuple:
@@ -58,7 +58,7 @@ def t_geometric_mean(A, B, t: float) -> np.ndarray:
     if not 0.0 <= t <= 1.0:
         raise errors.HypothesisViolation(f"t must lie in [0, 1], got {t}")
     A, B = require_hermitian(A), require_hermitian(B)
-    eig_A, eig_B = spd_eig(A), spd_eig(B)
+    eig_A, eig_B = require_pd(hermitian_eig(A)), require_pd(hermitian_eig(B))
     if A.shape != B.shape:
         raise errors.DimensionMismatch(f"shape mismatch: {A.shape} vs {B.shape}")
     if t == 0.0:

@@ -73,15 +73,6 @@ class NormSpec:
             pass
         raise errors.InvalidSpec(f"cannot parse norm spec {text!r}")
 
-    @property
-    def label(self) -> str:
-        if self.variant == "kyfan":
-            return f"kyfan:{self.k}"
-        if self.variant == "schatten":
-            p = "inf" if math.isinf(self.p) else f"{self.p:g}"
-            return f"schatten:{p}"
-        return self.variant
-
     def to_record(self) -> dict:
         """The report-file form of this norm; Schatten p = inf is "inf"."""
         if self.variant == "kyfan":

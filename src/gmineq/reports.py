@@ -12,14 +12,14 @@ A report's records are held as grid `Block`s: one block is one chain
 at every point of a grid on a stack of instances of one shape
 (`chain_block`), or one lemma's stack of cases (`lemma_block`), as arrays
 with no dict per record.  A row is one term set and writes one record per
-norm, in report order (`order_norms`); `chain_records` (`lemma_records`)
-is a block of one row.  `build_report_set` puts every row of every block
-in report order by one `np.lexsort` of the key (id, seed, params) that
-`record_sort_key` gives, and works out the summary in one numpy pass over
-the blocks' arrays, by `_summary`, the reduction that `summarize` applies
-to record dicts read back.  `has_proven_failure` is one array test per
-block, and `Block.records` and `ReportSet.records` build record dicts only
-when something reads them.
+norm, in report order (`order_norms`); one instance at one point, or one
+case, is a block of one row.  `build_report_set` puts every row of every
+block in report order by one `np.lexsort` of the key (id, seed, params)
+that `record_sort_key` gives, and works out the summary in one numpy pass
+over the blocks' arrays, by `_summary`, the reduction that `summarize`
+applies to record dicts read back.  `has_proven_failure` is one array
+test per block, and `Block.records` and `ReportSet.records` build record
+dicts only when something reads them.
 
 `_encode` is the one function that picks a value's JSON by its type; its
 memo formats each repeated float once (`dumps` has the rules).
@@ -265,37 +265,21 @@ def chain_block(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
                  condition, lhs, mid, rhs, np.stack(margins, axis=-1), passed)
 
 
-def chain_records(terms: ChainTerms, inst: InstanceSet, params: ChainParams, norms: list,
-                  tol_rel: float = DEFAULT_TOL_REL,
-                  condition_cap: float = DEFAULT_CONDITION_CAP) -> Block:
-    """The block of one chain's precomputed terms on `inst` at one point:
-    `chain_block` on a grid of one."""
-    return chain_block(terms, inst.n, inst.m, [inst.seed], [params], norms, tol_rel,
-                       condition_cap)
-
-
-def lemma_block(case: LemmaCase, terms, instance_seeds: list, n: int, m: int | list, norms: list,
+def lemma_block(case: LemmaCase, terms, instance_seeds: list, n: int, ms: list, norms: list,
                 tol_rel: float = DEFAULT_TOL_REL) -> Block:
     """The `Block` of a stack of lemma cases (row k of `terms` is
     `instance_seeds[k]`'s), as `chain_block` builds it, under
-    `lemmas.lemma_margins`; `n` is the size the cases were drawn at and `m`
-    the m recorded, one for every case or one per case (a sweep stacks an
-    m-free lemma's cases of every m of one n, see `lemmas.m_free`)."""
+    `lemmas.lemma_margins`; `n` is the size the cases were drawn at and
+    `ms` the m recorded for each case (a sweep stacks an m-free lemma's
+    cases of every m of one n, see `lemmas.m_free`)."""
     norms, rows = order_norms(norms), len(instance_seeds)
     lhs, rhs, margin, passed = (np.reshape(v, (rows, -1))
                                 for v in lemma_margins(terms, norms, tol_rel))
     return Block("lemma", case.lemma_id, n, [norm.to_record() for norm in norms],
-                 list(instance_seeds), np.broadcast_to(m, rows).tolist(),
+                 list(instance_seeds), list(ms),
                  {name: np.reshape(case.params[name], -1).astype(float)
                   for name in sorted(case.params)}, np.zeros(rows, dtype=bool),
                  np.full(rows, "proven"), None, lhs, None, rhs, margin[..., None], passed)
-
-
-def lemma_records(case: LemmaCase, terms, instance_seed: int, n: int, m: int, norms: list,
-                  tol_rel: float = DEFAULT_TOL_REL) -> Block:
-    """The block of one lemma case's precomputed terms: `lemma_block` on a
-    stack of one."""
-    return lemma_block(case, terms, [instance_seed], n, m, norms, tol_rel)
 
 
 def record_sort_key(rec: dict):

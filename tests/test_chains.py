@@ -28,7 +28,7 @@ from gmineq.generate import derive_seed, generate_instance, haar_unitary
 from gmineq.hunt import _point_margin
 from gmineq.linalg import hermitian_eig, hermitize, matrix_power
 from gmineq.norms import NormSpec, norm_values
-from gmineq.reports import (SCHEMA_VERSION, argmin_record, chain_block, chain_records, dumps,
+from gmineq.reports import (SCHEMA_VERSION, argmin_record, chain_block, dumps,
                             has_proven_failure, order_norms)
 from gmineq.sweep import SweepConfig, run_sweep
 
@@ -50,7 +50,8 @@ class TestMainChain:
     def test_boundary_params_accepted(self):
         inst = generate_instance("generic", 2, 2, 0)
         params = ChainParams(s=2.0, r=1.0, p=1.0)
-        rec = chain_records(main_chain_terms(inst, params), inst, params, NORMS).records[0]
+        rec = chain_block(main_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                          NORMS).records[0]
         assert rec["status"] == "proven"
 
     @given(st.integers(0, 2000), st.sampled_from([2.0, 3.0]),
@@ -61,14 +62,17 @@ class TestMainChain:
             return
         inst = generate_instance("generic", 2, 2, seed)
         params = ChainParams(s=s, r=r, p=p)
-        for rec in chain_records(main_chain_terms(inst, params), inst, params, NORMS).records:
+        block = chain_block(main_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                            NORMS)
+        for rec in block.records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, s, r, p, rec["norm"], rec["margins"])
 
     def test_middle_term_ordered(self):
         inst = generate_instance("generic", 3, 2, 17)
         params = ChainParams(s=2, r=1, p=1)
-        block = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.trace()])
+        block = chain_block(main_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                            [NormSpec.trace()])
         rec, = block.records
         assert rec["mid"] is not None
         assert rec["lhs"] <= rec["mid"] + 1e-8 * max(1.0, rec["rhs"])
@@ -77,7 +81,8 @@ class TestMainChain:
     def test_scalar_collapse_is_equality(self):
         inst = generate_instance("generic", 1, 1, 23)
         params = ChainParams(s=3, r=2, p=0.5)
-        block = chain_records(main_chain_terms(inst, params), inst, params, [NormSpec.operator()])
+        block = chain_block(main_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                            [NormSpec.operator()])
         rec, = block.records
         assert max(abs(v) for v in rec["margins"]) <= 1e-12 * max(1.0, rec["rhs"])
 
@@ -92,7 +97,8 @@ class TestGeoZ:
     @settings(max_examples=30, deadline=None)
     def test_left_step_holds_below_two(self, seed, s):
         inst = generate_instance("generic", 2, 2, seed)
-        block = chain_records(geo_z_terms(inst, s), inst, ChainParams(s=s, r=1.0, p=1.0), NORMS)
+        block = chain_block(geo_z_terms(inst, s), inst.n, inst.m, [inst.seed],
+                            [ChainParams(s=s, r=1.0, p=1.0)], NORMS)
         for rec in block.records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, s, rec["norm"], rec["margins"])
@@ -170,8 +176,8 @@ class TestTChain:
         inst = InstanceSet(m=m, n=n, A=eye, B=eye, seed=7)
         for s, r, p, t in ((0.5, 1.0, 1.0, 0.5), (1.5, 0.5, 2.0, 0.0), (2.0, 0.25, 1.0, 1.0)):
             params = ChainParams(s=s, r=r, p=p, t=t)
-            rec, = chain_records(t_chain_terms(inst, params), inst, params,
-                                 [NormSpec.ky_fan(1)]).records
+            rec, = chain_block(t_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                               [NormSpec.ky_fan(1)]).records
             assert rec["status"] == "refuted" and not rec["pass"], params
             assert rec["lhs"] == pytest.approx(m) and rec["rhs"] == pytest.approx(m ** (s * r))
             argmin = argmin_record(inst, params, NormSpec.ky_fan(1), -1.0)
@@ -205,14 +211,17 @@ class TestTChain:
         inst = generate_instance("generic", 2, 2, seed)
         params = ChainParams(s=1.0, r=r, p=p, t=t)
         assert t_chain_status(params) == "proven"
-        for rec in chain_records(t_chain_terms(inst, params), inst, params, NORMS).records:
+        block = chain_block(t_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                            NORMS)
+        for rec in block.records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, t, r, p, rec["norm"], rec["margins"])
 
     def test_conjectured_negative_margin_is_recorded_not_raised(self):
         inst = generate_instance("generic", 2, 2, 3)
         params = ChainParams(s=1.5, t=0.5)
-        rec, = chain_records(t_chain_terms(inst, params), inst, params, [NormSpec.trace()]).records
+        rec, = chain_block(t_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
+                           [NormSpec.trace()]).records
         assert rec["status"] == "conjectured"
         assert isinstance(rec["pass"], bool)  # no exception either way
 
@@ -234,7 +243,8 @@ class TestCommuting:
     @settings(max_examples=30, deadline=None)
     def test_chain_holds(self, seed, variant):
         inst = generate_instance("commuting", 2, 3, seed)
-        block = chain_records(commuting_terms(inst, variant), inst, ChainParams(s=1.0), NORMS)
+        block = chain_block(commuting_terms(inst, variant), inst.n, inst.m, [inst.seed],
+                            [ChainParams(s=1.0)], NORMS)
         for rec in block.records:
             if not rec["gated"]:
                 assert rec["pass"], (seed, variant, rec["norm"], rec["margins"])
@@ -244,7 +254,8 @@ class TestReporting:
     def test_condition_gating(self):
         inst = generate_instance("generic", 3, 2, 5)
         terms = main_chain_terms(inst, ChainParams())
-        block = chain_records(terms, inst, ChainParams(), [NormSpec.trace()], condition_cap=1.5)
+        block = chain_block(terms, inst.n, inst.m, [inst.seed], [ChainParams()], [NormSpec.trace()],
+                            condition_cap=1.5)
         rec, = block.records
         assert rec["gated"]
         assert rec["condition_max"] == pytest.approx(condition_max(inst))

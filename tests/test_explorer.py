@@ -17,7 +17,7 @@ from gmineq.norms import NormSpec
 from gmineq.reports import (
     SCHEMA_VERSION,
     build_report_set,
-    chain_records,
+    chain_block,
     dumps,
     has_proven_failure,
     read_reports,
@@ -256,17 +256,18 @@ class TestSweep:
             generic = generate_instance("generic", 2, 2, seed)
             commuting = generate_instance("commuting", 2, 2, seed)
             main = ChainParams(s=2.0, r=1.0, p=1.0)
-            blocks.append(chain_records(main_chain_terms(generic, main), generic, main, norms(4)))
+            n, m, seeds = generic.n, generic.m, [generic.seed]
+            blocks.append(chain_block(main_chain_terms(generic, main), n, m, seeds, [main], norms(4)))
             for s in (1.0, 2.0):
-                blocks.append(chain_records(geo_z_terms(generic, s), generic,
-                                            ChainParams(s=s, r=1.0, p=1.0), norms(4)))
+                blocks.append(chain_block(geo_z_terms(generic, s), n, m, seeds,
+                                          [ChainParams(s=s, r=1.0, p=1.0)], norms(4)))
             for s in (1.0, 2.0):
                 weighted = ChainParams(s=s, r=1.0, p=1.0, t=0.5)
-                blocks.append(chain_records(t_chain_terms(generic, weighted), generic, weighted,
-                                            norms(2)))
+                blocks.append(chain_block(t_chain_terms(generic, weighted), n, m, seeds, [weighted],
+                                          norms(2)))
             for variant in ("product", "symmetrized"):
-                blocks.append(chain_records(commuting_terms(commuting, variant), commuting,
-                                            ChainParams(s=1.0), norms(2)))
+                blocks.append(chain_block(commuting_terms(commuting, variant), n, m,
+                                          [commuting.seed], [ChainParams(s=1.0)], norms(2)))
         want = build_report_set(blocks).records
         got = [rec for rec in run_sweep(SweepConfig(**SMALL)).records if rec["kind"] == "chain"]
         assert len(want) == 3 * (5 + 2 * 5 + 2 * 3 + 2 * 3)
@@ -793,6 +794,17 @@ class TestCli:
         assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: MalformedRecord: {path}: search result followed by line '7'\n"
+
+    def test_show_csv_of_search_result_exits_config(self, tmp_path, capsys):
+        """`--csv` summarizes a report set's groups: on a search result it
+        exits 3 with one stderr line, prints nothing and writes no file."""
+        path = self._written(hunt(SearchConfig(base_seed=3, samples=30)), tmp_path)
+        csv_file = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert cli.main(["show", "--in", str(path), "--csv", str(csv_file)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and not csv_file.exists()
+        assert err == f"error: --csv needs a report set; {path} is a search result\n"
 
     def test_usage_error_exits_config(self, capsys):
         """An argparse usage error exits 3, not argparse's 2 (which means a

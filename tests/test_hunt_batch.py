@@ -7,7 +7,7 @@ evaluates each batch as one stack.  Every sample must come out bitwise as
 it does alone: the same columns as `_sample_points` gives it in a block of
 one, the pairs `generate_instance` draws from its seed, and the same gated
 flag, margin and winning norm as a direct evaluation of that instance,
-through `t_chain_terms` and `reports.chain_records`.  The parameters
+through `t_chain_terms` and `reports.chain_block`.  The parameters
 themselves must be uniform on their ranges, and must not depend on the
 blocks they are computed in.  A stack with no gated instance is evaluated
 as it is.
@@ -37,7 +37,7 @@ from gmineq import generate
 from gmineq.generate import SpectrumLaw, derive_seed, draw_instances, generate_instance, normals
 from gmineq.hunt import SearchConfig, _point_margin, _sample_batches, _sample_points, hunt
 from gmineq.linalg import hermitian_eig, hermitize
-from gmineq.reports import _lists_to_complex, argmin_point, chain_records
+from gmineq.reports import _lists_to_complex, argmin_point, chain_block
 
 hunt_module = importlib.import_module("gmineq.hunt")
 
@@ -57,7 +57,7 @@ def _direct_margin(inst, params, norms, condition_cap):
         return True, None, None
     best, best_spec = np.inf, None
     for spec in expand_norm_tokens(norms, terms.max_dim):
-        rec, = chain_records(terms, inst, params, [spec]).records
+        rec, = chain_block(terms, inst.n, inst.m, [inst.seed], [params], [spec]).records
         margin = min(rec["margins"]) / max(1.0, rec["rhs"])
         if margin < best:
             best, best_spec = margin, spec

@@ -40,3 +40,21 @@ def test_no_package_import_inside_a_function():
     found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in _function_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == ALLOWED
+
+
+def _unused_imports(tree) -> list:
+    """The names that a module imports at module level and never reads."""
+    imported = [alias.asname or alias.name.split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_import():
+    """Every name a module imports at module level is used in it;
+    `__init__.py` re-exports and is exempt."""
+    found = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: unused for name, unused in found.items() if unused} == {}

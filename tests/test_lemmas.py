@@ -9,7 +9,7 @@ from gmineq.lemmas import (LEMMA_IDS, LemmaCase, eval_lemma, lemma_stack_terms, 
                            m_free, random_case, random_cases)
 from gmineq.linalg import hermitize, matrix_power, psd_sv
 from gmineq.norms import NormSpec
-from gmineq.reports import dumps, lemma_block, lemma_records
+from gmineq.reports import dumps, lemma_block
 from gmineq.sweep import SweepConfig, run_sweep
 
 NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.trace(),
@@ -65,7 +65,7 @@ def test_lemma_holds_on_admissible_cases(lemma_id, seed):
     case = random_case(lemma_id, seed, n=3, m=2)
     for norm in NORMS:
         rep = eval_lemma(case, norm)
-        assert rep.passed, (lemma_id, seed, norm.label, rep.margin)
+        assert rep.passed, (lemma_id, seed, norm, rep.margin)
 
 
 class TestEquality:
@@ -220,7 +220,7 @@ class TestWideSpectra:
             case = random_case("BlockDiagStep", derive_seed(1, i), n=3, m=2, law=law)
             terms = lemma_terms(case)
             panel = [NormSpec.ky_fan(k) for k in range(1, terms.max_dim + 1)]
-            records = lemma_records(case, terms, derive_seed(1, i), 3, 2, panel).records
+            records = lemma_block(case, terms, [derive_seed(1, i)], 3, [2], panel).records
             assert all(rec["pass"] for rec in records), (i, [rec["margins"] for rec in records])
 
 
@@ -230,7 +230,7 @@ STACK_PANEL = ["kyfan:all", "schatten:1", "schatten:2", "schatten:3.5", "schatte
 
 class TestStackedCases:
     """A case evaluated in a stack gives the bytes it gets alone, through
-    `random_case`, `lemma_terms` and `lemma_records`."""
+    `random_case`, `lemma_terms` and `lemma_block`."""
 
     @pytest.mark.parametrize("law", [DEFAULT_LAW, SpectrumLaw(1e-3, 1e3)], ids=["default", "wide"])
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 2)])
@@ -251,7 +251,7 @@ class TestStackedCases:
         cases = random_cases(lemma_id, seeds, n, m, law)
         terms = lemma_stack_terms(cases)
         norms = expand_norm_tokens(STACK_PANEL, terms.max_dim)
-        records = lemma_block(cases, terms, seeds, n, m, norms).records
+        records = lemma_block(cases, terms, seeds, n, [m] * len(seeds), norms).records
         for k, seed in enumerate(seeds):
             case = random_case(lemma_id, seed, n, m, law)
             for name, operand in case.operands.items():
@@ -262,7 +262,7 @@ class TestStackedCases:
             for got, want in [(row.lhs_sv, one.lhs_sv), (row.rhs_sv, one.rhs_sv),
                               *zip(row.hoelder or (), one.hoelder or ())]:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            alone = lemma_records(case, one, seed, n, m, norms)
+            alone = lemma_block(case, one, [seed], n, [m], norms)
             assert dumps(records[k * len(norms):(k + 1) * len(norms)]) == dumps(alone.records)
 
     @pytest.mark.parametrize("lemma_id, name, row, error", [

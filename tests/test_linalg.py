@@ -6,8 +6,9 @@ from gmineq import errors
 from gmineq.generate import haar_unitary, random_spd
 from gmineq.blocks import InstanceSet
 from gmineq.chains import commuting_terms, condition_max
-from gmineq.linalg import (EigenDecomposition, hermitian_eig, matrix_power, power_from_eig,
-                           power_rows, psd_sv, spd_eig)
+from gmineq.linalg import (EigenDecomposition, from_spectrum, hermitian_eig, hermitize,
+                           matrix_power, power_from_eig, power_rows, psd_sv, require_pd,
+                           sum_pairs)
 
 
 def random_hermitian(n, rng):
@@ -32,7 +33,7 @@ class TestHermitianEig:
         H = random_hermitian(4, rng)
         eig = hermitian_eig(H)
         scale = 1.0 + np.abs(H).max()
-        assert np.abs(eig.reconstruct() - H).max() <= 1e-12 * scale
+        assert np.abs(from_spectrum(eig.vectors, eig.eigenvalues) - H).max() <= 1e-12 * scale
         assert np.abs(eig.vectors @ eig.vectors.conj().T - np.eye(4)).max() <= 1e-12
 
     def test_rejects_non_hermitian(self):
@@ -109,15 +110,15 @@ def _condition(H) -> float:
 
 class TestDefiniteness:
     def test_identity(self):
-        np.testing.assert_array_equal(spd_eig(np.eye(3)).eigenvalues, np.ones(3))
+        np.testing.assert_array_equal(require_pd(hermitian_eig(np.eye(3))).eigenvalues, np.ones(3))
 
     def test_semidefinite_boundary(self):
         with pytest.raises(errors.SingularInput):
-            spd_eig(np.diag([1.0, 0.0]))
+            require_pd(hermitian_eig(np.diag([1.0, 0.0])))
 
     def test_indefinite(self):
         with pytest.raises(errors.SingularInput):
-            spd_eig(np.diag([1.0, -1.0]))
+            require_pd(hermitian_eig(np.diag([1.0, -1.0])))
 
     def test_condition_identity(self):
         assert _condition(np.eye(3)) == pytest.approx(1.0)
@@ -134,6 +135,32 @@ class TestDefiniteness:
 
 def _bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_hermitize_is_idempotent_bitwise():
+    """hermitize(S) has the bytes of S = sum_pairs(X), the Hermitized sum
+    that `InstanceSpectra._by_instance` returns to `psd_sv` and `sums`, on
+    seeded complex stacks X with entries of both signs, -0.0 and
+    subnormals.  hermitize maps a Hermitized matrix to itself whenever that
+    matrix holds no -0.0, and the sum, started from +0.0, holds none;
+    hermitize(X) of X itself can hold one, and a second hermitize may turn
+    it to +0.0.  An entry whose sum is the smallest subnormal, +-5e-324,
+    halves to a zero of either sign, so these entries stay above it."""
+    rng = np.random.default_rng(33)
+    special = np.array([-0.0, 0.0, 1e-310, -2.5e-309, 3e-320, -7e-318])
+    subnormal = False
+    for scale in (1.0, 1e-300, 1e-310, 1e150):
+        X = (rng.standard_normal((6, 3, 4, 4)) + 1j * rng.standard_normal((6, 3, 4, 4))) * scale
+        parts = X.view(np.float64)
+        mask = rng.random(parts.shape) < 0.3
+        parts[mask] = rng.choice(special, mask.sum())
+        S = sum_pairs(X)
+        h = S.view(np.float64)
+        assert (np.signbit(parts) & (parts == 0.0)).any()
+        assert not (np.signbit(h) & (h == 0.0)).any() and (h < 0.0).any() and (h > 0.0).any()
+        subnormal |= ((h != 0.0) & (np.abs(h) < np.finfo(np.float64).tiny)).any()
+        assert _bitwise_equal(hermitize(S), S)
+    assert subnormal
 
 
 class TestBroadcastExponents:

@@ -28,7 +28,7 @@ from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_points, hunt
 from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
 from gmineq.linalg import from_spectrum, hermitian_eig, sum_pairs
-from gmineq.reports import chain_records, dumps, lemma_records
+from gmineq.reports import chain_block, dumps, lemma_block
 from gmineq.sweep import SweepConfig, run_sweep
 
 hunt_module = importlib.import_module("gmineq.hunt")
@@ -267,7 +267,7 @@ def test_sweep_main_decompositions_per_n(monkeypatch):
 
 def test_mixed_m_group_records_are_each_case_alone():
     """Every term set of an n = 3 group with m = 1, 2 and 4 is byte-equal
-    to its one-case form: each lemma row to `lemma_records` of
+    to its one-case form: each lemma row to `lemma_block` of
     `random_case` at its seed and m, each commuting row of both variants
     to `commuting_terms` on its instance alone."""
     cfg = SweepConfig(chains=["commuting", "lemmas"], n_values=[3], m_values=[1, 2, 4],
@@ -282,15 +282,15 @@ def test_mixed_m_group_records_are_each_case_alone():
             if block.kind == "lemma":
                 case = random_case(block.id, seed, n, m)
                 terms = lemma_terms(case)
-                alone = lemma_records(case, terms, seed, n, m,
-                                      expand_norm_tokens(cfg.norms, terms.max_dim))
+                alone = lemma_block(case, terms, [seed], n, [m],
+                                    expand_norm_tokens(cfg.norms, terms.max_dim))
             else:
                 variant = block.id.removeprefix("commuting-")
                 variants.add(variant)
                 inst = generate_instance("commuting", n, m, seed)
                 terms = commuting_terms(inst, variant)
-                alone = chain_records(terms, inst, ChainParams(s=1.0),
-                                      expand_norm_tokens(cfg.norms, terms.max_dim))
+                alone = chain_block(terms, inst.n, inst.m, [inst.seed], [ChainParams(s=1.0)],
+                                    expand_norm_tokens(cfg.norms, terms.max_dim))
             assert dumps(block.records[row * D:row * D + D]) == dumps(alone.records), (block.id, seed)
     assert variants == {"product", "symmetrized"}
 

@@ -31,8 +31,7 @@ from gmineq.generate import generate_instance
 from gmineq.norms import NormSpec
 from gmineq.lemmas import lemma_terms, random_case
 from gmineq.reports import (RESULT_FIELDS, SCHEMA_VERSION, Block, ReportSet, build_report_set,
-                            chain_block, chain_records, dumps, has_proven_failure, lemma_records,
-                            order_norms, read_reports, record_sort_key, summarize, write_reports)
+                            chain_block, dumps, has_proven_failure, lemma_block, order_norms, read_reports, record_sort_key, summarize, write_reports)
 from gmineq.sweep import KNOWN_CHAINS, SweepConfig, run_sweep
 
 
@@ -253,7 +252,8 @@ class TestBlockSort:
         build_report_set([chain_block(grid_terms(inst.spectra, "main", grid[:2]), 2, 2,
                                       [inst.seed], grid[:2], norms)])
         block = chain_block(grid_terms(inst.spectra, "main", grid), 2, 2, [inst.seed], grid, norms)
-        one = chain_records(grid_terms(inst.spectra, "main", grid[:1]), inst, grid[0], norms)
+        one = chain_block(grid_terms(inst.spectra, "main", grid[:1]), 2, 2, [inst.seed], grid[:1],
+                          norms)
         signed = [_grid(seeds=[1], params=[[0.0]]), _grid(seeds=[1], params=[[-0.0]])]
         for repeated in ([block], [one, one], signed):
             with pytest.raises(ValueError, match="two term sets have the key"):
@@ -270,8 +270,8 @@ class TestBlockSort:
                                                expand_norm_tokens(tokens, terms.max_dim))])
         case = random_case("Araki", 62, n=2, m=2)
         lterms = lemma_terms(case)
-        self._assert_record_order([lemma_records(case, lterms, 62, 2, 2,
-                                                 expand_norm_tokens(tokens, lterms.max_dim))])
+        self._assert_record_order([lemma_block(case, lterms, [62], 2, [2],
+                                               expand_norm_tokens(tokens, lterms.max_dim))])
 
 
 _EVERY_NORM = ["kyfan:all", "schatten:1", "schatten:2.5", "schatten:inf", "trace", "operator",
@@ -293,6 +293,19 @@ COLUMNAR_CONFIGS = {
 }
 
 
+def _assert_same(got: list, want: list):
+    """got == want, naming the first item that differs: pytest takes
+    minutes to diff a whole report file's text or records."""
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+    sizes = len(got), len(want)
+    assert sizes == (first, first), (first, sizes, got[first:first + 1], want[first:first + 1])
+
+
+def _lines(text: str) -> list:
+    return text.splitlines(keepends=True)
+
+
 def _assert_grid_report(rs, path):
     """A report set of grid blocks against its records: the file is each
     record then the summary, as `dumps` writes them, and reads back to
@@ -304,11 +317,12 @@ def _assert_grid_report(rs, path):
     write_reports(rs, path)
     assert all("records" not in vars(b) for b in rs.blocks)
     text = path.read_text(encoding="utf-8")
-    assert text == "".join(dumps(r) + "\n" for r in rs.records) + dumps(rs.summary) + "\n"
+    _assert_same(_lines(text), [dumps(r) + "\n" for r in [*rs.records, rs.summary]])
     back = read_reports(path)
-    assert back.records == rs.records and back.summary == rs.summary
+    _assert_same(back.records, rs.records)
+    assert back.summary == rs.summary
     assert summarize(rs.records) == rs.summary
-    assert rs.records == sorted(rs.records, key=record_sort_key)
+    _assert_same(rs.records, sorted(rs.records, key=record_sort_key))
     assert failing == any(not r["gated"] and r["status"] == "proven" and not r["pass"]
                           for r in rs.records)
 
@@ -325,9 +339,9 @@ class TestColumnarReports:
         path, by_records = tmp_path / "blocks.jsonl", tmp_path / "records.jsonl"
         _assert_grid_report(rs, path)
         text = path.read_text(encoding="utf-8")
-        assert text == "".join(oracle_dumps(v) + "\n" for v in [*rs.records, rs.summary])
+        _assert_same(_lines(text), [oracle_dumps(v) + "\n" for v in [*rs.records, rs.summary]])
         write_reports(ReportSet(records=rs.records, summary=rs.summary), by_records)
-        assert by_records.read_text(encoding="utf-8") == text
+        _assert_same(_lines(by_records.read_text(encoding="utf-8")), _lines(text))
         groups = rs.summary["groups"]
         assert {row["chain"] for row in groups} >= {"main", "t-chain", "commuting-product"}
         if name == "gated":
