@@ -15,13 +15,17 @@ their m (the sweep's n-groups and the hunt's).  An `InstanceSet`'s
 spectra are the stack of that one instance.  Each spectral value is
 defined once, as one memoized method.  A chain is one row of
 `_PARAM_CHAINS`, which declares its configured chain, hypothesis, sides,
-grid (`chain_grids`), status (`point_status`) and instance kind.
+grid (`chain_grids`), status (`point_status`) and instance kind.  A
+hypothesis and a status are elementwise expressions, so one call decides
+a point (floats) or a whole grid or hunt batch ((P,) columns): `_require`
+checks a grid's columns at once, and `point_status` gives a str at a
+point and an array of statuses on columns.
 `grid_terms` evaluates a chain's whole parameter grid on a stack at
 once: the sides take one (s, t, r, p) per grid point, which `linalg`
-broadcasts against every instance's own decompositions, and the
-one-point evaluators (`main_chain_terms`, `geo_z_terms`,
-`t_chain_terms`, `commuting_terms`) take their instance's row of the
-same sides, so each row is bitwise the one-point terms of its instance.
+broadcasts against every instance's own decompositions.  The one-point
+evaluators (`main_chain_terms`, `geo_z_terms`, `t_chain_terms`,
+`commuting_terms`) are row (0, 0) of `grid_terms` on their instance's
+stack of one, so they run the code that every sweep runs.
 `ChainTerms.take` splits a stack's terms by m, Z's spectrum cut to each
 instance's m n.
 
@@ -57,7 +61,9 @@ COMMUTING_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Exponent parameters (s, r, p) and mean weight t."""
+    """Exponent parameters (s, r, p) and mean weight t: floats at one
+    point, or (P,) columns of a grid or hunt batch, which the chain rules
+    decide at once (`point_status`)."""
 
     s: float = 2.0
     r: float = 1.0
@@ -220,9 +226,8 @@ class InstanceSpectra:
         """Each instance's sum of its pairs' X (..., sum(counts), n, n),
         Hermitized, (..., K, n, n): the pairs laid out (..., K, max m, n, n),
         padded with zeros, and summed by `sum_pairs`, so in pair order
-        starting from zeros.  A sum started from +0.0 holds no -0.0, and
-        hermitize gives such a Hermitized matrix back byte for byte, so
-        `psd_sv` gets the bytes from it that it got from the sum alone
+        starting from zeros.  hermitize is idempotent bit for bit, so the
+        Hermitization that `psd_sv` applies before `eigh` moves no byte
         (`tests/test_linalg.py`)."""
         padded = np.zeros(X.shape[:-3] + (len(self._counts), int(self._counts.max(initial=0)))
                           + X.shape[-2:], dtype=np.complex128)
@@ -338,11 +343,6 @@ class InstanceSpectra:
                 _read_only(psd_sv(self._by_instance(A_half @ B_half), 2.0)))
 
 
-def condition_max(inst: InstanceSet) -> float:
-    """Largest condition number over the instance's inputs and both sums."""
-    return float(inst.spectra.condition_max[0])
-
-
 def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
     """(lhs_sv, None, rhs_sv) of the weighted chain: sum (A_i^s #_t B_i^s)^r
     against the sandwich with exponents (1-t)srp/2 and tsrp, on a stack
@@ -352,20 +352,19 @@ def t_chain_sides(spectra: InstanceSpectra, s, t, r, p) -> tuple:
             spectra.sandwich_sv((1.0 - t) * s * r * p / 2.0, t * s * r * p, 1.0 / p))
 
 
-def t_chain_status(params: ChainParams) -> str:
+def t_chain_status(params: ChainParams) -> str | np.ndarray:
     """Proven parameter regimes of the weighted chain; everything else is
     the open conjecture region.  At t in {0, 1} the chain reads
     |||sum A_i^{sr}||| <= |||(sum A)^{sr}||| (or the same with B), which
     holds for sr >= 1 because x^{sr} is superadditive under every unitarily
-    invariant norm (Ando-Zhan 1999; Bourin-Uchiyama 2007)."""
+    invariant norm (Ando-Zhan 1999; Bourin-Uchiyama 2007).  Decided by one
+    elementwise expression: a str at float fields, an array of statuses
+    on (P,) columns."""
     s, r, p, t = params.s, params.r, params.p, params.t
-    if s == 1.0 and r >= 1.0 and p > 0.0:
-        return "proven"
-    if t in (0.0, 1.0) and s * r >= 1.0:
-        return "proven"
-    if s >= 2.0 and t == 0.5 and r >= 1.0 and r * p >= 1.0:
-        return "proven"
-    return "conjectured"
+    proven = (((s == 1.0) & (r >= 1.0) & (p > 0.0))
+              | (((t == 0.0) | (t == 1.0)) & (s * r >= 1.0))
+              | ((s >= 2.0) & (t == 0.5) & (r >= 1.0) & (r * p >= 1.0)))
+    return np.where(proven, "proven", "conjectured")[()]
 
 
 def _main_sides(sp: InstanceSpectra, s, t, r, p) -> tuple:
@@ -392,18 +391,22 @@ def _commuting_sides(sp: InstanceSpectra, s, t, r, p, product: bool) -> tuple:
 # its text, its (lhs, mid, rhs) spectra of a stack at scalar or per-row
 # (s, t, r, p), the ChainParams fields its grid varies in loop order, a
 # point's status on m pairs, its instance kind (None: any), other fields.
+# A hypothesis and a status are elementwise expressions (& and |), which
+# decide float fields or (P,) columns alike; a constant one is broadcast
+# by its reader.
 _Chain = namedtuple("_Chain", "name holds needs sides axes status kind base",
                     defaults=(lambda q, m: "proven", None, ChainParams()))
 # The weighted chain is refuted at m >= 2 and sr < 1: A_i = B_i = I gives
 # lhs m I against rhs m^{sr} I at every t, p and n.
 _PARAM_CHAINS = {
-    "main": _Chain("main", lambda q: q.s >= 2.0 and q.r >= 1.0 and q.p > 0.0 and q.r * q.p >= 1.0,
+    "main": _Chain("main", lambda q: (q.s >= 2.0) & (q.r >= 1.0) & (q.p > 0.0) & (q.r * q.p >= 1.0),
                    "s >= 2, r >= 1, p > 0 with rp >= 1", _main_sides, "srp"),
     "geo-z": _Chain("geo-z", lambda q: q.s >= 1.0, "s >= 1", _geo_z_sides, "s"),
-    "t-chain": _Chain("t-chain",
-                      lambda q: q.s > 0.0 and q.r > 0.0 and q.p > 0.0 and 0.0 <= q.t <= 1.0,
+    "t-chain": _Chain("t-chain", lambda q: ((q.s > 0.0) & (q.r > 0.0) & (q.p > 0.0)
+                                            & (0.0 <= q.t) & (q.t <= 1.0)),
                       "s, r, p > 0 and t in [0, 1]", t_chain_sides, "srpt",
-                      lambda q, m: "refuted" if m >= 2 and q.s * q.r < 1.0 else t_chain_status(q)),
+                      lambda q, m: np.where((m >= 2) & (q.s * q.r < 1.0), "refuted",
+                                            t_chain_status(q))),
     "commuting-product": _Chain("commuting", lambda q: True, "commuting pairs",
                                 partial(_commuting_sides, product=True), "",
                                 kind="commuting", base=ChainParams(s=1.0)),
@@ -426,32 +429,39 @@ def chain_grids(name: str, values: dict) -> dict:
             for cid, row in _PARAM_CHAINS.items() if row.name == name}
 
 
-def point_status(chain_id: str, params: ChainParams, m: int) -> str:
-    """The status of chain `chain_id` at `params` on an instance of m pairs:
-    "proven", "conjectured" or "refuted"."""
-    return _PARAM_CHAINS[chain_id].status(params, m)
+def point_status(chain_id: str, params: ChainParams, m) -> str | np.ndarray:
+    """The status of chain `chain_id` at `params` on instances of m pairs,
+    "proven", "conjectured" or "refuted", decided by one call of its
+    row's rule: a str at float fields, an array of statuses on (P,)
+    columns (m an int or a (P,) column), one per point."""
+    return np.broadcast_to(_PARAM_CHAINS[chain_id].status(params, m), np.shape(params.s))[()]
 
 
-def _require(chain_id: str, points: list):
-    """The sides of chain `chain_id`, after checking that every point
-    satisfies its hypothesis."""
+def _require(chain_id: str, points: list) -> tuple:
+    """The sides of chain `chain_id` and the points' fields as (P,) float64
+    columns in one ChainParams, after checking the columns with one
+    `holds` call; the message names the first point that fails the
+    hypothesis."""
     row = _PARAM_CHAINS[chain_id]
-    for q in points:
-        if not row.holds(q):
-            raise errors.HypothesisViolation(
-                f"{chain_id} requires {row.needs}; got s={q.s}, r={q.r}, p={q.p}, t={q.t}")
-    return row.sides
+    q = ChainParams(*np.array([(x.s, x.r, x.p, x.t) for x in points], dtype=np.float64).T)
+    bad = np.flatnonzero(~np.broadcast_to(row.holds(q), len(points)))
+    if bad.size:
+        x = points[bad[0]]
+        raise errors.HypothesisViolation(
+            f"{chain_id} requires {row.needs}; got s={x.s}, r={x.r}, p={x.p}, t={x.t}")
+    return row.sides, q
 
 
 def _point_terms(chain_id: str, inst: InstanceSet, q: ChainParams) -> ChainTerms:
-    """The terms of `inst` (of the kind the chain needs) at one point, its
-    row of the sides on its stack of one: spectra (d,), a float condition_max."""
+    """The terms of `inst` (of the kind the chain needs) at one point: row
+    (0, 0) of `grid_terms` on its stack of one, spectra (d,) and a float
+    condition_max."""
     kind = _PARAM_CHAINS[chain_id].kind
     if kind not in (None, inst.kind):
         raise errors.NotCommuting(f"instance kind is {inst.kind!r}, need {kind!r}")
-    sides = _require(chain_id, [q])(inst.spectra, q.s, q.t, q.r, q.p)
-    lhs_sv, mid_sv, rhs_sv = (None if sv is None else sv[0] for sv in sides)
-    return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, condition_max(inst))
+    terms = grid_terms(inst.spectra, chain_id, [q])
+    sv = [None if x is None else x[0, 0] for x in (terms.lhs_sv, terms.rhs_sv, terms.mid_sv)]
+    return ChainTerms(chain_id, *sv, float(terms.condition_max[0]))
 
 
 def grid_terms(spectra: InstanceSpectra, chain_id: str, points: list) -> ChainTerms:
@@ -460,12 +470,11 @@ def grid_terms(spectra: InstanceSpectra, chain_id: str, points: list) -> ChainTe
     (P, K, d), row k for point k, and `condition_max` one per instance.
     Every point must satisfy the chain's hypotheses.  The points are
     evaluated on the instances' spectra with one (s, t, r, p) per row, as
-    (P, 1) grid columns, so row k of instance i is bitwise the terms
-    `*_terms` gives at point k on instance i alone, and each distinct
-    factor is decomposed once per instance."""
-    sides = _require(chain_id, points)
-    columns = np.array([(q.s, q.t, q.r, q.p) for q in points], dtype=np.float64).T
-    lhs_sv, mid_sv, rhs_sv = sides(spectra, *columns[..., None])
+    (P, 1) grid columns, so each distinct factor is decomposed once per
+    instance; the one-point evaluators (`*_terms`) take row (0, 0) of a
+    grid of one."""
+    sides, q = _require(chain_id, points)
+    lhs_sv, mid_sv, rhs_sv = sides(spectra, *(x[:, None] for x in (q.s, q.t, q.r, q.p)))
     return ChainTerms(chain_id, lhs_sv, rhs_sv, mid_sv, spectra.condition_max)
 
 

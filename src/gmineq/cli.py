@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (errors.ConfigError, errors.InvalidSpec, errors.InvalidSpectrumLaw,
-            errors.SchemaVersionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
+            errors.SchemaVersionMismatch, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except errors.Error as exc:

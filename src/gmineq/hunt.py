@@ -17,9 +17,10 @@ batch: _GENERATION perturbations of the best point from one seeded stream
 (`_perturb`), numbered after the samples (`_generations`).  `_advance`
 evaluates a batch by one `_stack_margins` call, counts its gated and
 evaluated points, and moves the best point to the batch's least
-(refuted, margin, number) when that is below the best point's own; a
-gated or NaN margin never wins.  So a point of a refuted regime
-(`chains.point_status`) is the arg-min only when no other point was
+(refuted, margin, number), one `np.lexsort` over the batch's statuses
+from one `chains.point_status` call, when that is below the best point's
+own; a gated or NaN margin ranks as refuted and never wins.  So a point
+of a refuted regime is the arg-min only when no other point was
 evaluated, sampling ends on the first smallest margin in sample order
 among the others, and a candidate moves the point only when it ranks
 lower.
@@ -211,28 +212,26 @@ def _advance(search: _Search, batch: tuple, cfg: SearchConfig) -> None:
     """Evaluate the batch `(index, A, B, rows)` by one `_stack_margins`
     call, count its gated and evaluated points, and move the best point to
     the batch's least (refuted, margin, index) when that is below the best
-    point's own.  The batch's evaluated rows are read in (margin, index)
-    order up to the first that is not refuted (`chains.point_status`),
-    which is then the batch's least; if all are refuted, its least is the
-    first.  A gated or NaN margin never wins."""
+    point's own.  The batch's statuses are one `chains.point_status` call
+    on its columns, and a gated or NaN margin ranks as refuted, so one
+    `np.lexsort` of (refuted, margin, index) puts first the least finite
+    margin that is not refuted, if any, else the least refuted one; a
+    gated or NaN margin never wins."""
     index, A, B, rows = batch
     gated, margin, winner = _stack_margins(A, B, rows, cfg.norms, cfg.condition_cap)
     search.gated += int(gated.sum())
     search.evaluated += int((~gated).sum())
-    order = np.lexsort((index, margin))  # NaN sorts last
-    j, refuted = order[0], True
-    for k in order[margin[order] < math.inf].tolist():
-        params = ChainParams(**{name: float(rows[name][k]) for name in "srpt"})
-        if point_status("t-chain", params, int(rows["m"][k])) != "refuted":
-            j, refuted = k, False
-            break
+    status = point_status("t-chain", ChainParams(*(rows[name] for name in "srpt")), rows["m"])
+    refuted = (status == "refuted") | ~(margin < math.inf)
+    j = np.lexsort((index, margin, refuted))[0]
     # false for a NaN margin, and for a gated one (inf) since (True, inf, -1) starts the search
-    if (refuted, margin[j], index[j]) < (search.refuted, search.margin, search.index):
+    if (refuted[j], margin[j], index[j]) < (search.refuted, search.margin, search.index):
         m, n, start = int(rows["m"][j]), A.shape[-1], int(rows["m"][:j].sum())
         search.inst = InstanceSet(m=m, n=n, A=A[start:start + m], B=B[start:start + m],
                                   seed=int(rows["seed"][j]))
         search.params = ChainParams(**{name: float(rows[name][j]) for name in "srpt"})
-        search.refuted, search.margin, search.index = refuted, float(margin[j]), int(index[j])
+        search.refuted, search.margin = bool(refuted[j]), float(margin[j])
+        search.index = int(index[j])
         search.spec = expand_norm_tokens(cfg.norms, n)[winner[j]]
 
 

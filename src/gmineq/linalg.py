@@ -40,8 +40,13 @@ CLIP_FLOOR = 1e-12
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Exactly-Hermitian average (M + M*)/2."""
-    return 0.5 * (M + M.conj().mT)
+    """Exactly-Hermitian average (M + M*)/2, complex128, the sum halved
+    through its float64 view, each real and imaginary part alone.  A
+    complex multiply by 0.5 could flip the sign of a zero part through its
+    0 * x cross terms, so that a second pass changed it; halved this way,
+    hermitize(hermitize(M)) is hermitize(M) bit for bit."""
+    H = np.ascontiguousarray(M + M.conj().mT, dtype=np.complex128)
+    return (H.view(np.float64) * 0.5).view(np.complex128)
 
 
 def _any(mask) -> bool:
@@ -165,8 +170,9 @@ def _power_spectrum(w: np.ndarray, x, psd: bool = False) -> np.ndarray:
 def psd_sv(H, x=1.0) -> np.ndarray:
     """Singular values of H**x, for x >= 0 and H Hermitian PSD by
     construction: its descending eigenvalues, after the zeroing rule, to
-    the power x."""
-    return _power_spectrum(hermitian_eig(hermitize(H)).eigenvalues, x, psd=True)
+    the power x.  `hermitian_eig` checks H's Hermitian defect and
+    Hermitizes it before decomposing."""
+    return _power_spectrum(hermitian_eig(H).eigenvalues, x, psd=True)
 
 
 def power_from_eig(eig: EigenDecomposition, x) -> np.ndarray:

@@ -257,11 +257,11 @@ def chain_block(terms: ChainTerms, n: int, m: int, seeds: list, points: list,
     condition = np.tile(np.ravel(terms.condition_max), len(points))
     names = tuple(ChainParams().as_dict())
     params = np.array([list(q.as_dict().values()) for q in points], dtype=float)
-    status = [point_status(terms.chain_id, q, m) for q in points]
+    status = point_status(terms.chain_id, ChainParams(*params.T), m)
     return Block("chain", terms.chain_id, n, [norm.to_record() for norm in norms],
                  list(seeds) * len(points), [m] * len(lhs),
                  dict(zip(names, np.repeat(params.reshape(-1, len(names)), len(seeds), axis=0).T)),
-                 condition > condition_cap, np.repeat(np.array(status, dtype=str), len(seeds)),
+                 condition > condition_cap, np.repeat(status, len(seeds)),
                  condition, lhs, mid, rhs, np.stack(margins, axis=-1), passed)
 
 
@@ -585,9 +585,12 @@ def _check_version(rec, path, line: str) -> None:
 def read_reports(path):
     """Read back a report file; returns ReportSet or SearchResult.  A search
     result is one non-blank line, and a line after it raises
-    MalformedRecord.  A report set's non-blank lines are decoded by one `json.loads` call, as one
-    array; if that does not give one value per line, some line is not one
-    JSON value, and decoding line by line raises its error."""
+    MalformedRecord.  A report set's non-blank lines are decoded by one
+    `json.loads` call, as one array; if that does not give one value per
+    line, some line is not one JSON value, and decoding line by line
+    raises its error.  A report set's summary record may stand on any
+    line; records without one raise MalformedRecord (a file cut short),
+    and a file of no non-blank line is the empty report set."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -602,12 +605,13 @@ def read_reports(path):
     decoded = json.loads("[" + ",".join(lines) + "]")
     if len(decoded) != len(lines):
         decoded = [json.loads(ln) for ln in lines]
-    records = []
-    summary = summarize([])
+    records, summary = [], None
     for rec, line in zip(decoded, lines):
         _check_version(rec, path, line)
         if rec.get("kind") == "summary":
             summary = rec
         else:
             records.append(rec)
+    if summary is None:
+        raise errors.MalformedRecord(f"{path}: {len(records)} records and no summary record")
     return ReportSet(records=records, summary=summary)

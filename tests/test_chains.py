@@ -15,7 +15,6 @@ from gmineq.chains import (
     InstanceSpectra,
     chain_margins,
     commuting_terms,
-    condition_max,
     expand_norm_tokens,
     geo_z_terms,
     grid_terms,
@@ -258,7 +257,7 @@ class TestReporting:
                             condition_cap=1.5)
         rec, = block.records
         assert rec["gated"]
-        assert rec["condition_max"] == pytest.approx(condition_max(inst))
+        assert rec["condition_max"] == pytest.approx(float(inst.spectra.condition_max[0]))
 
     def test_expand_norm_tokens(self):
         specs = expand_norm_tokens(["kyfan:all", "schatten:2", NormSpec.trace()], 3)

@@ -1,5 +1,6 @@
 import functools
 import json
+import pathlib
 import re
 import warnings
 
@@ -25,6 +26,8 @@ from gmineq.reports import (
     write_reports,
 )
 from gmineq.sweep import KNOWN_CHAINS, SweepConfig, _chain_table, run_sweep
+
+GOLDEN = pathlib.Path(__file__).with_name("golden") / "sweep_n3_m3.jsonl"
 
 
 class TestSeeds:
@@ -805,6 +808,36 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and not csv_file.exists()
         assert err == f"error: --csv needs a report set; {path} is a search result\n"
+
+    @pytest.mark.parametrize("case", ["show_directory", "verify_out_directory",
+                                      "sweep_binary_config"])
+    def test_file_error_exits_config(self, case, tmp_path, capsys):
+        """A file that cannot be read or written as asked (a directory given
+        as a file, a config that is not UTF-8 text) exits 3 with one
+        stderr line, not a traceback."""
+        config = tmp_path / "cfg.json"
+        config.write_bytes(bytes(range(128, 256)))
+        argv = {"show_directory": ["show", "--in", str(tmp_path)],
+                "verify_out_directory": ["verify", "--chain", "main", "--n", "2", "--m", "2",
+                                         "--count", "1", "--out", str(tmp_path)],
+                "sweep_binary_config": ["sweep", "--config", str(config)]}[case]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_show_report_without_summary_exits_config(self, tmp_path, capsys):
+        """The golden sweep report cut before its last line, the summary,
+        is refused naming the file (exit 3, one stderr line), not read as a
+        report of no records."""
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(lines[-1])["kind"] == "summary"
+        path = tmp_path / "cut.jsonl"
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: MalformedRecord: {path}: {len(lines) - 1} records and no"
+                       " summary record\n")
 
     def test_usage_error_exits_config(self, capsys):
         """An argparse usage error exits 3, not argparse's 2 (which means a

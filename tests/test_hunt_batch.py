@@ -31,8 +31,8 @@ import pytest
 
 from gmineq import errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import (DEFAULT_CONDITION_CAP, ChainParams, condition_max, expand_norm_tokens,
-                           point_status, t_chain_terms)
+from gmineq.chains import (DEFAULT_CONDITION_CAP, ChainParams, expand_norm_tokens, point_status,
+                           t_chain_terms)
 from gmineq import generate
 from gmineq.generate import SpectrumLaw, derive_seed, draw_instances, generate_instance, normals
 from gmineq.hunt import SearchConfig, _point_margin, _sample_batches, _sample_points, hunt
@@ -416,7 +416,7 @@ def test_refinement_with_gated_candidates():
     # a cap just over the start's condition number gates part of its perturbations
     inst, params = _start(3, 2, 11, SpectrumLaw(1e-4, 1e4))
     cfg = SearchConfig(base_seed=5, refine_steps=60,
-                       condition_cap=1.001 * condition_max(inst)).validate()
+                       condition_cap=1.001 * float(inst.spectra.condition_max[0])).validate()
     *_, evaluated, gated, accepted = _assert_matches_reference(cfg, inst, params)
     assert gated > 0 and evaluated > 0 and accepted
 
@@ -502,7 +502,7 @@ def test_ungated_stack_selects_nothing(monkeypatch):
 
     monkeypatch.setattr(hunt_module, "InstanceSpectra", spectra)
     gated, margin, winner = hunt_module._stack_margins(A, B, rows, specs, 1e8)
-    assert max(condition_max(inst) for inst in insts) <= 1e8
+    assert max(float(inst.spectra.condition_max[0]) for inst in insts) <= 1e8
     assert not gated.any() and built == [rows["m"].tolist()]
     for k in range(len(insts)):
         assert (margin[k], specs[winner[k]]) == alone[k]
@@ -616,6 +616,44 @@ def test_tie_rule(monkeypatch):
     result = hunt(cfg)
     assert result.argmin is None and result.min_margin == math.inf
     assert (result.samples_evaluated, result.gated_count) == (35, 35)
+
+
+def test_rank_puts_unevaluated_rows_after_refuted_ones(monkeypatch):
+    """One batch holds refuted samples (m >= 2 and sr < 1) beside gated
+    and NaN samples that are not refuted.  The arg-min is the least finite
+    (margin, number) that is not refuted when there is one, else the least
+    finite refuted one; a gated or NaN sample never wins, though it is not
+    refuted and a refuted margin is less."""
+    cfg = SearchConfig(base_seed=2, samples=60, s_range=(0.5, 1.5), n_max=1, m_max=3).validate()
+    rows = _sample_points(cfg, range(cfg.samples))
+    assert len(list(_sample_batches(cfg))) == 1
+    refuted = ((rows["m"] >= 2) & (rows["s"] * rows["r"] < 1.0)).tolist()
+    live = [k for k in range(cfg.samples) if not refuted[k]]
+    assert 10 < len(live) < cfg.samples - 10
+    sampled = rows["s"].tolist()
+
+    def run(margins):
+        monkeypatch.setattr(hunt_module, "_stack_margins",
+                            _fake_margins(dict(zip(sampled, margins)).__getitem__))
+        return hunt(cfg)
+
+    # the first two live samples NaN and gated, the other live ones s,
+    # every refuted one s - 2
+    margins = [s - 2.0 if bad else s for s, bad in zip(sampled, refuted)]
+    margins[live[0]], margins[live[1]] = math.nan, math.inf
+    best = min(live[2:], key=lambda k: (margins[k], k))
+    result = run(margins)
+    assert result.argmin["status"] != "refuted" and result.min_margin == margins[best]
+    _assert_argmin_is_sample(result, cfg, best)
+
+    # every live sample NaN or gated: the least refuted one wins
+    margins = [s - 2.0 if bad else (math.nan, math.inf)[k % 2]
+               for k, (s, bad) in enumerate(zip(sampled, refuted))]
+    best = min((k for k in range(cfg.samples) if refuted[k]), key=lambda k: (margins[k], k))
+    result = run(margins)
+    assert result.argmin["status"] == "refuted" and result.min_margin == margins[best]
+    _assert_argmin_is_sample(result, cfg, best)
+    assert result.gated_count == sum(margin == math.inf for margin in margins)
 
 
 @pytest.mark.parametrize("options, chunk", [

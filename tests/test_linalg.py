@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gmineq import errors
 from gmineq.generate import haar_unitary, random_spd
 from gmineq.blocks import InstanceSet
-from gmineq.chains import commuting_terms, condition_max
+from gmineq.chains import commuting_terms
 from gmineq.linalg import (EigenDecomposition, from_spectrum, hermitian_eig, hermitize,
                            matrix_power, power_from_eig, power_rows, psd_sv, require_pd,
                            sum_pairs)
@@ -105,7 +105,7 @@ class TestMatrixPower:
 
 def _condition(H) -> float:
     """Condition number of H through the instance gate: a single pair (H, H)."""
-    return condition_max(InstanceSet(m=1, n=H.shape[0], A=[H], B=[H]))
+    return float(InstanceSet(m=1, n=H.shape[0], A=[H], B=[H]).spectra.condition_max[0])
 
 
 class TestDefiniteness:
@@ -138,22 +138,28 @@ def _bitwise_equal(a, b) -> bool:
 
 
 def test_hermitize_is_idempotent_bitwise():
-    """hermitize(S) has the bytes of S = sum_pairs(X), the Hermitized sum
-    that `InstanceSpectra._by_instance` returns to `psd_sv` and `sums`, on
-    seeded complex stacks X with entries of both signs, -0.0 and
-    subnormals.  hermitize maps a Hermitized matrix to itself whenever that
-    matrix holds no -0.0, and the sum, started from +0.0, holds none;
-    hermitize(X) of X itself can hold one, and a second hermitize may turn
-    it to +0.0.  An entry whose sum is the smallest subnormal, +-5e-324,
-    halves to a zero of either sign, so these entries stay above it."""
+    """hermitize(hermitize(X)) has the bytes of hermitize(X) for general
+    complex stacks X, with entries of both signs, -0.0 and subnormals (the
+    smallest, +-5e-324, among them), and for [[1, -0.0+1j], [-0.0-1j, 1]],
+    whose zero parts a complex multiply by 0.5 flipped over two passes.
+    On the same stacks S = sum_pairs(X), the Hermitized sum that
+    `InstanceSpectra._by_instance` returns to `psd_sv` and `sums`, holds
+    no -0.0, since the sum starts from +0.0.  Before those entries are
+    planted, hermitize(X) has the bytes of 0.5 * (X + X*)."""
+    found = np.array([[1.0, complex(-0.0, 1.0)], [complex(-0.0, -1.0), 1.0]])
+    H = hermitize(found)
+    assert _bitwise_equal(hermitize(H), H)
     rng = np.random.default_rng(33)
-    special = np.array([-0.0, 0.0, 1e-310, -2.5e-309, 3e-320, -7e-318])
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 3e-320, -7e-318])
     subnormal = False
     for scale in (1.0, 1e-300, 1e-310, 1e150):
         X = (rng.standard_normal((6, 3, 4, 4)) + 1j * rng.standard_normal((6, 3, 4, 4))) * scale
+        assert _bitwise_equal(hermitize(X), 0.5 * (X + X.conj().mT))
         parts = X.view(np.float64)
         mask = rng.random(parts.shape) < 0.3
         parts[mask] = rng.choice(special, mask.sum())
+        H = hermitize(X)
+        assert _bitwise_equal(hermitize(H), H)
         S = sum_pairs(X)
         h = S.view(np.float64)
         assert (np.signbit(parts) & (parts == 0.0)).any()

@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 import gmineq
 from gmineq import cli, errors
 from gmineq.blocks import InstanceSet
-from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms,
-                           condition_max, expand_norm_tokens, geo_z_terms, grid_terms,
-                           main_chain_terms, t_chain_terms)
+from gmineq.chains import (ChainParams, InstanceSpectra, commuting_terms, expand_norm_tokens,
+                           geo_z_terms, grid_terms, main_chain_terms, t_chain_terms)
 from gmineq.generate import SpectrumLaw, derive_seed, generate_instance
 from gmineq.hunt import SearchConfig, _point_margin, _sample_points, hunt
 from gmineq.lemmas import LEMMA_IDS, lemma_terms, random_case
@@ -125,7 +124,6 @@ def test_one_point_contract(n):
                   for variant in ("product", "symmetrized")] if kind == "commuting" else
                  [(chain, grid_terms(spectra, chain, grid)) for chain, grid in GRIDS.items()])
         for i, inst in enumerate(insts):
-            assert type(condition_max(inst)) is float
             for name, terms in group:
                 row = terms.take(slice(i, i + 1), inst.m * n)
                 if kind == "commuting":
@@ -158,7 +156,7 @@ def test_select_keeps_each_instances_pairs(monkeypatch):
         return real(A, B, counts)
 
     monkeypatch.setattr(hunt_module, "InstanceSpectra", spectra)
-    kappa = np.array([condition_max(inst) for inst in insts])
+    kappa = np.array([float(inst.spectra.condition_max[0]) for inst in insts])
     assert len(set(kappa.tolist())) == len(insts)
     for cap in np.sort(kappa)[:-1]:  # 4, 3, 2, then 1 of the 5 instances gated
         built.clear()

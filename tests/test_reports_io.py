@@ -15,6 +15,7 @@ import enum
 import json
 import math
 import pathlib
+import re
 import tempfile
 from collections import OrderedDict
 from json.encoder import encode_basestring_ascii as _quote
@@ -467,6 +468,20 @@ class TestReader:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n \n", encoding="utf-8")
+        rs = read_reports(path)
+        assert rs.records == [] and rs.summary == summarize([])
+
+    def test_records_without_summary_raise(self, tmp_path):
+        """A report set whose summary line was lost (the golden sweep cut
+        before its last line) raises MalformedRecord naming the file; a
+        summary record alone is still a report of no records."""
+        golden = pathlib.Path(__file__).with_name("golden") / "sweep_n3_m3.jsonl"
+        lines = golden.read_text(encoding="utf-8").splitlines(keepends=True)
+        path = tmp_path / "cut.jsonl"
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(errors.MalformedRecord, match=re.escape(f"{path}: 144 records and no")):
+            read_reports(path)
+        path.write_text(json.dumps(summarize([])) + "\n", encoding="utf-8")
         rs = read_reports(path)
         assert rs.records == [] and rs.summary == summarize([])
 

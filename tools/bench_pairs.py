@@ -26,6 +26,9 @@ and how many of those are equal, and records each side's line count of
 the lines that hold code (`src_code_lines`: not blank, not only a comment,
 not part of a docstring), so that a refactor's change in size is recorded
 with its measurement, and a deleted comment does not count as a reduction.
+`src_code_lines_by_module` gives the latter count of each
+`src/gmineq/*.py` file on both sides, so that a change in size can be
+traced to its module.
 
 Per workload it also runs `perfbench/run.py --trace 1` once per side at
 the first seed, and writes under `per_layer` each side's per-layer counts:
@@ -86,24 +89,36 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, t
              tokenize.ENDMARKER}
 
 
+def code_lines(path: Path) -> int:
+    """Count of the lines of the Python file `path` that hold a token other
+    than a comment, and are not part of a module, class or function
+    docstring."""
+    text = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
 def src_code_lines(checkout: Path) -> int:
-    """Count of the lines of the checkout's `src/**/*.py` files that hold a
-    token other than a comment, and are not part of a module, class or
-    function docstring."""
-    total = 0
-    for path in checkout.glob("src/**/*.py"):
-        text = path.read_text(encoding="utf-8")
-        docstrings = set()
-        for node in ast.walk(ast.parse(text)):
-            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-                    and ast.get_docstring(node, clean=False) is not None):
-                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-        code = set()
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type not in _NOT_CODE:
-                code.update(range(tok.start[0], tok.end[0] + 1))
-        total += len(code - docstrings)
-    return total
+    """`code_lines` summed over the checkout's `src/**/*.py` files."""
+    return sum(map(code_lines, checkout.glob("src/**/*.py")))
+
+
+def src_code_lines_by_module(base: Path, change: Path) -> dict:
+    """`code_lines` of each `src/gmineq/*.py` file of either checkout, by
+    file name: {"base": count, "change": count}, 0 where a side has no
+    such file."""
+    counts = {side: {p.name: code_lines(p) for p in root.glob("src/gmineq/*.py")}
+              for side, root in (("base", base), ("change", change))}
+    return {name: {side: counts[side].get(name, 0) for side in counts}
+            for name in sorted(set(counts["base"]) | set(counts["change"]))}
 
 
 def quartiles(values: list) -> dict:
@@ -203,6 +218,7 @@ def main(argv=None) -> int:
         "held_out_seeds": args.held_out,
         "src_lines": {"base": src_lines(base), "change": src_lines(change)},
         "src_code_lines": {"base": src_code_lines(base), "change": src_code_lines(change)},
+        "src_code_lines_by_module": src_code_lines_by_module(base, change),
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
