@@ -434,7 +434,7 @@ def point_status(chain_id: str, params: ChainParams, m) -> str | np.ndarray:
     "proven", "conjectured" or "refuted", decided by one call of its
     row's rule: a str at float fields, an array of statuses on (P,)
     columns (m an int or a (P,) column), one per point."""
-    return np.broadcast_to(_PARAM_CHAINS[chain_id].status(params, m), np.shape(params.s))[()]
+    return np.full(np.shape(params.s), _PARAM_CHAINS[chain_id].status(params, m))[()]
 
 
 def _require(chain_id: str, points: list) -> tuple:
@@ -444,9 +444,9 @@ def _require(chain_id: str, points: list) -> tuple:
     hypothesis."""
     row = _PARAM_CHAINS[chain_id]
     q = ChainParams(*np.array([(x.s, x.r, x.p, x.t) for x in points], dtype=np.float64).T)
-    bad = np.flatnonzero(~np.broadcast_to(row.holds(q), len(points)))
-    if bad.size:
-        x = points[bad[0]]
+    holds = row.holds(q)
+    if not np.all(holds):
+        x = points[np.argmin(np.broadcast_to(holds, len(points)))]
         raise errors.HypothesisViolation(
             f"{chain_id} requires {row.needs}; got s={x.s}, r={x.r}, p={x.p}, t={x.t}")
     return row.sides, q

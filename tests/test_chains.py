@@ -46,6 +46,16 @@ class TestMainChain:
             with pytest.raises(errors.HypothesisViolation):
                 main_chain_terms(inst, params)
 
+    def test_grid_hypothesis_names_first_failing_point(self):
+        """`grid_terms` checks a grid's columns at once, and its message
+        names the grid's first point that fails, as the point was given."""
+        inst = generate_instance("generic", 2, 2, 0)
+        grid = [ChainParams(), ChainParams(s=2, r=0.5), ChainParams(s=1.5)]
+        with pytest.raises(errors.HypothesisViolation) as exc:
+            grid_terms(inst.spectra, "main", grid)
+        assert str(exc.value) == ("main requires s >= 2, r >= 1, p > 0 with rp >= 1;"
+                                  " got s=2, r=0.5, p=1.0, t=0.5")
+
     def test_boundary_params_accepted(self):
         inst = generate_instance("generic", 2, 2, 0)
         params = ChainParams(s=2.0, r=1.0, p=1.0)
@@ -185,6 +195,24 @@ class TestTChain:
         for params in (ChainParams(s=1.5, r=1.0, t=0.3), ChainParams(s=1.0, r=1.0, t=0.5)):
             assert point_status("t-chain", params, m) == t_chain_status(params)
         assert point_status("main", ChainParams(), m) == "proven"
+
+    def test_status_on_columns_is_each_points(self):
+        """`point_status` and `t_chain_status` give a str at one point and,
+        on (P,) columns with an m column, an array whose entry k is the
+        str of point k at m[k]; a constant rule fills the columns' shape."""
+        grid = [ChainParams(s=s, r=r, p=p, t=t) for s in (0.5, 1.0, 1.5, 2.0, 2.5)
+                for r in (0.5, 1.0, 2.0) for p in (0.5, 1.0) for t in (0.0, 0.3, 0.5, 1.0)]
+        ms = np.arange(len(grid)) % 3 + 1
+        columns = ChainParams(*np.array([dataclasses.astuple(q) for q in grid]).T)
+        for chain in ("t-chain", "main", "commuting-product"):
+            got = point_status(chain, columns, ms)
+            assert isinstance(got, np.ndarray) and got.shape == (len(grid),)
+            want = [point_status(chain, q, int(m)) for q, m in zip(grid, ms)]
+            assert all(type(w) in (str, np.str_) for w in want) and got.tolist() == want
+        got = t_chain_status(columns)
+        assert got.tolist() == [t_chain_status(q) for q in grid]
+        assert {"proven", "conjectured"} <= set(got.tolist())
+        assert {"proven", "conjectured", "refuted"} == set(point_status("t-chain", columns, ms))
 
     def test_refuted_records_are_not_candidates(self, capsys):
         """`verify` at s = 0.5 with m = 2 fails every record, all refuted:
