@@ -13,9 +13,11 @@ of K instances of one n, their pairs laid end to end and each instance's
 pair count, so that the instances of one n share one stack whatever
 their m (the sweep's n-groups and the hunt's).  An `InstanceSet`'s
 spectra are the stack of that one instance.  Each spectral value is
-defined once, as one memoized method.  A chain is one row of
-`_PARAM_CHAINS`, which declares its configured chain, hypothesis, sides,
-grid (`chain_grids`), status (`point_status`) and instance kind.  A
+defined once: one without parameters (both sums, the decompositions, the
+condition number, the commuting sides) as a `functools.cached_property`,
+one with parameters as a method memoized by `_memoized`.  A chain is one
+row of `_PARAM_CHAINS`, which declares its configured chain, hypothesis,
+sides, grid (`chain_grids`), status (`point_status`) and instance kind.  A
 hypothesis and a status are elementwise expressions, so one call decides
 a point (floats) or a whole grid or hunt batch ((P,) columns): `_require`
 checks a grid's columns at once, and `point_status` gives a str at a
@@ -41,7 +43,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import partial, wraps
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -128,10 +130,11 @@ def _stack(values: list, rows: list):
 
 
 def _memoized(method):
-    """An InstanceSpectra value: the method's result, memoized at scalar
-    parameters under the key (method name, *parameters); with parameter
-    arrays, memoized row by row as grid points (see `InstanceSpectra`) if
-    one of them is a (P, 1) column, or else evaluated once."""
+    """An InstanceSpectra value with parameters: the method's result,
+    memoized at scalar parameters under the key (method name,
+    *parameters); with parameter arrays, memoized row by row as grid
+    points (see `InstanceSpectra`) if one of them is a (P, 1) column, or
+    else evaluated once."""
     name = method.__name__
 
     @wraps(method)
@@ -166,7 +169,9 @@ class InstanceSpectra:
     spectrum carries the zeros of the stack's largest m (`z_sv`);
     `ChainTerms.take` cuts each instance's row to its own m n.
 
-    Each value is one method, memoized by `_memoized` in one memo.
+    A value without parameters (`sums`, `_eigs`, `condition_max`,
+    `commuting_sv`) is a cached property, computed on first read.  A value
+    with parameters is one method, memoized by `_memoized` in one memo.
     Parameters are scalars, or arrays whose shape says what a row is (the
     rule of `linalg`):
 
@@ -234,16 +239,14 @@ class InstanceSpectra:
         padded[..., self._owner, self._slot, :, :] = X
         return sum_pairs(padded)
 
-    @property
-    @_memoized
+    @cached_property
     def sums(self) -> tuple:
         """Each instance's sum A and sum B, Hermitized, (K, n, n) each; one
         that is not finite raises NonFiniteInput in `_eigs`, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self._by_instance(self._A), self._by_instance(self._B)
 
-    @property
-    @_memoized
+    @cached_property
     def _eigs(self) -> tuple:
         """(eig_A, eig_B, eig_sum_A, eig_sum_B): the decompositions of every
         A_i and every B_i, (sum(counts), n, n) in pair order, and of each
@@ -282,8 +285,7 @@ class InstanceSpectra:
                     f" * {scale[bad][0]:.3e}")
         return True
 
-    @property
-    @_memoized
+    @cached_property
     def condition_max(self):
         """Largest condition number over the inputs and both sums, one per
         instance (K,)."""
@@ -334,7 +336,7 @@ class InstanceSpectra:
         zeros = (int(self._counts.max()) - 1) * self._A.shape[-1]
         return _read_only(np.concatenate([core, np.zeros(core.shape[:-1] + (zeros,))], axis=-1))
 
-    @_memoized
+    @cached_property
     def commuting_sv(self) -> tuple:
         """Singular values of sum A_i B_i and (sum A_i^{1/2} B_i^{1/2})^2,
         each product taken for every pair at once and summed by instance."""
@@ -384,7 +386,7 @@ def _commuting_sides(sp: InstanceSpectra, s, t, r, p, product: bool) -> tuple:
     sp.check(True)
     rhs_sv = singular_values(sp.sums[0] @ sp.sums[1]) if product else sp.sandwich_sv(0.5, 1.0, 1.0)
     points = np.shape(s)[:-1]  # (P,) for (P, 1) grid columns, () at one point
-    return tuple(np.broadcast_to(sv, points + sv.shape) for sv in (*sp.commuting_sv(), rhs_sv))
+    return tuple(np.broadcast_to(sv, points + sv.shape) for sv in (*sp.commuting_sv, rhs_sv))
 
 
 # A chain: the configured chain that selects it, a point's hypothesis and

@@ -4,13 +4,15 @@ Subcommands:
   verify  evaluate one chain family on seeded instances from flags
   sweep   run a full sweep from a JSON config file
   hunt    random + refinement search over the conjectured region; its wall
-          time and samples per second go to stderr, not into the report
+          time (of the search call) and samples per second go to stderr,
+          not into the report
   show    summarize a report file, optionally to CSV
 
 Exit codes: 0 all pass; 2 violation candidate in a proven regime; 3 usage
 or configuration error, or a numerical failure (a singular power, a solver
 that did not converge), reported on stderr in one line that names the
-error.  Conjectured-regime negative margins only bump the candidates count.
+error; a config or report file that is not UTF-8 JSON is named first.
+Conjectured-regime negative margins only bump the candidates count.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 
 from . import errors
 from .chains import DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL
@@ -140,8 +143,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = SweepConfig.from_dict(json.load(fh))
-    return _sweep(cfg, args.out)
+        try:
+            data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise errors.ConfigError(f"{args.config}: {exc}") from None
+    return _sweep(SweepConfig.from_dict(data), args.out)
 
 
 def _cmd_hunt(args) -> int:
@@ -162,10 +168,12 @@ def _cmd_hunt(args) -> int:
         norms=args.norms,
         tol_rel=args.tol,
     )
+    t0 = time.perf_counter()
     result = hunt(cfg)
+    wall = time.perf_counter() - t0
     points = result.samples_evaluated + result.gated_count
-    rate = points / result.wall_seconds if result.wall_seconds > 0.0 else float("inf")
-    print(f"wall seconds: {result.wall_seconds:.3f}   samples/s: {rate:.1f}", file=sys.stderr)
+    rate = points / wall if wall > 0.0 else float("inf")
+    print(f"wall seconds: {wall:.3f}   samples/s: {rate:.1f}", file=sys.stderr)
     print(f"samples evaluated: {result.samples_evaluated}   gated: {result.gated_count}")
     print(f"min normalized margin: {result.min_margin:+.6e}")
     if result.argmin is not None:
@@ -183,13 +191,15 @@ def _cmd_hunt(args) -> int:
     if args.out:
         write_reports(result, args.out)
         print(f"wrote {args.out}")
-    if result.candidate and result.argmin and result.argmin["status"] == "proven":
-        return EXIT_VIOLATION
-    return EXIT_OK
+    violation = result.candidate and result.argmin and result.argmin["status"] == "proven"
+    return EXIT_VIOLATION if violation else EXIT_OK
 
 
 def _cmd_show(args) -> int:
-    obj = read_reports(args.infile)
+    try:
+        obj = read_reports(args.infile)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise errors.ConfigError(f"{args.infile}: {exc}") from None
     if isinstance(obj, SearchResult):
         if args.csv:
             raise errors.ConfigError(f"--csv needs a report set; {args.infile} is a search result")
@@ -201,12 +211,10 @@ def _cmd_show(args) -> int:
     _print_summary(obj)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chain", "norm_class", "min_margin", "pass_count",
-                             "fail_count", "gated_count"])
-            for row in obj.summary["groups"]:
-                writer.writerow([row["chain"], row["norm_class"], row["min_margin"],
-                                 row["pass_count"], row["fail_count"], row["gated_count"]])
+            writer = csv.DictWriter(fh, ["chain", "norm_class", "min_margin", "pass_count",
+                                         "fail_count", "gated_count"], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(obj.summary["groups"])
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -222,7 +230,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (errors.ConfigError, errors.InvalidSpec, errors.InvalidSpectrumLaw,
-            errors.SchemaVersionMismatch, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            errors.SchemaVersionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except errors.Error as exc:

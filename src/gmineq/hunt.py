@@ -8,10 +8,11 @@ candidate.
 
 The hunt is one loop over batches of candidates, `(index, A, B, rows)`:
 the candidates' numbers, their pairs (sum(m), n, n) laid end to end, and
-their columns m, s, t, r, p and seed.  The sampling phase yields one batch
-per n of each chunk of samples (at most _CHUNK_ENTRIES matrix entries of
-the largest instances; `_sample_batches`): the columns are counter-based
-`derive_seed` words of the sample numbers (`_sample_points`), and each
+their columns, the same in every batch: n, m, s, t, r, p and seed.  The
+sampling phase yields one batch per n of each chunk of samples (at most
+_CHUNK_ENTRIES matrix entries of the largest instances;
+`_sample_batches`): the columns are `_sample_points`'s, counter-based
+`derive_seed` words of the sample numbers, at the batch's rows, and each
 (n, m) group is drawn as one stack.  Each refinement generation is one
 batch: _GENERATION perturbations of the best point from one seeded stream
 (`_perturb`), numbered after the samples (`_generations`).  `_advance`
@@ -34,7 +35,8 @@ evaluated.
 This module holds only the search: the result's file format, the
 arg-min record included, is `reports`'s (`SearchResult`, `argmin_record`,
 `argmin_point`), and `evaluate_argmin` parses a record there and
-re-evaluates it by `_point_margin`.
+re-evaluates it by `_point_margin`.  The hunt keeps no clock: a result
+holds only what its file records, and `gmineq hunt` times the call.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,8 @@ from .chains import (
     t_chain_sides,
     validate_run_fields,
 )
-from .generate import DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instances, normals
+from .generate import (DEFAULT_LAW, SpectrumLaw, Words, derive_seed, draw_instances, normals,
+                       uniforms)
 from .linalg import from_spectrum, hermitian_eig
 from .norms import NormSpec, norm_values
 from .reports import SearchResult, argmin_point, argmin_record
@@ -71,8 +73,6 @@ _GENERATION = 16
 # A chunk of the sampling phase holds at most this many matrix entries (16
 # bytes each) of instances, or one sample when a single one holds more.
 _CHUNK_ENTRIES = 1 << 18
-# The columns of a batch's rows.
-_ROW_COLUMNS = ("m", "s", "t", "r", "p", "seed")
 
 
 @dataclass
@@ -133,8 +133,9 @@ def _sample_points(cfg: SearchConfig, block: range) -> dict:
     in the order n, m, s, t, r, p, is the word
     `derive_seed(derive_seed(base_seed, k), f)`: an integer in [0, b) is the
     word modulo b (n and m count from 1, r and p index their lists), and a
-    uniform is lo + (hi - lo) times the word's top 53 bits over 2**53.  The
-    instance seed is `derive_seed(base_seed, 2k + 1)`."""
+    uniform is lo + (hi - lo) times the word's `generate.uniforms` (its top
+    53 bits over 2**53).  The instance seed is
+    `derive_seed(base_seed, 2k + 1)`."""
     ks = np.array(block, np.uint64)
     keys = derive_seed(cfg.base_seed, ks)
     n, m, s, t, r, p = (derive_seed(keys, f) for f in range(6))
@@ -144,7 +145,7 @@ def _sample_points(cfg: SearchConfig, block: range) -> dict:
 
     def uniform(word, bounds):
         lo, hi = float(bounds[0]), float(bounds[1])
-        return lo + (hi - lo) * ((word >> 11) * 2.0 ** -53)
+        return lo + (hi - lo) * uniforms(word)
 
     return {"n": 1 + below(n, cfg.n_max), "m": 1 + below(m, cfg.m_max),
             "s": uniform(s, cfg.s_range), "t": uniform(t, cfg.t_range),
@@ -238,9 +239,10 @@ def _advance(search: _Search, batch: tuple, cfg: SearchConfig) -> None:
 def _sample_batches(cfg: SearchConfig):
     """The sampling phase as batches `(index, A, B, rows)`, one per n of
     each chunk of samples, in chunk order: the batch's sample numbers, its
-    instances' pairs (sum(m), n, n) laid end to end, and its columns m, s,
-    t, r, p and seed (`_sample_points`).  Each (n, m) group is drawn as
-    one stack, and the batch holds the groups in increasing m."""
+    instances' pairs (sum(m), n, n) laid end to end, and the chunk's
+    `_sample_points` columns n, m, s, t, r, p and seed at its rows.  Each
+    (n, m) group is drawn as one stack, and the batch holds the groups in
+    increasing m."""
     size = max(1, _CHUNK_ENTRIES // (2 * cfg.m_max * cfg.n_max ** 2))
     for start in range(0, cfg.samples, size):
         columns = _sample_points(cfg, range(start, min(start + size, cfg.samples)))
@@ -252,7 +254,7 @@ def _sample_batches(cfg: SearchConfig):
                      for m, group in groups.items()]
             rows = np.concatenate(list(groups.values()))
             A, B = (np.concatenate([X.reshape(-1, n, n) for X in part]) for part in zip(*draws))
-            yield start + rows, A, B, {name: columns[name][rows] for name in _ROW_COLUMNS}
+            yield start + rows, A, B, {name: column[rows] for name, column in columns.items()}
 
 
 def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfig,
@@ -298,15 +300,17 @@ def _generations(cfg: SearchConfig, search: _Search):
     (the last one holds what is left of cfg.refine_steps): a generation is
     `_perturb`'s candidates of the best point at its start, numbered after
     the samples and the earlier generations, so that a candidate moves the
-    point only when it ranks lower (`_advance`).  There is none when no
-    sample was evaluated."""
+    point only when it ranks lower (`_advance`), with the columns of a
+    sampling batch (n, m, s, t, r, p, seed).  There is none when no sample
+    was evaluated."""
     for generation, start in enumerate(range(0, cfg.refine_steps, _GENERATION)):
         if search.inst is None:
             return
         size, inst, params = min(_GENERATION, cfg.refine_steps - start), search.inst, search.params
         A, B, s, t = _perturb(inst.A, inst.B, params, cfg, generation, size)
-        rows = {"m": np.full(size, inst.m), "s": s, "t": t, "r": np.full(size, params.r),
-                "p": np.full(size, params.p), "seed": np.full(size, inst.seed, np.uint64)}
+        rows = {"n": np.full(size, inst.n), "m": np.full(size, inst.m), "s": s, "t": t,
+                "r": np.full(size, params.r), "p": np.full(size, params.p),
+                "seed": np.full(size, inst.seed, np.uint64)}
         yield (cfg.samples + start + np.arange(size), A.reshape(-1, inst.n, inst.n),
                B.reshape(-1, inst.n, inst.n), rows)
 
@@ -327,7 +331,6 @@ def hunt(cfg: SearchConfig) -> SearchResult:
     refinement of its best point: one loop over the sample batches and the
     refinement generations, each advancing the best point (`_advance`)."""
     cfg.validate()
-    t0 = time.perf_counter()
     search = _Search()
     for batch in itertools.chain(_sample_batches(cfg), _generations(cfg, search)):
         _advance(search, batch, cfg)
@@ -347,5 +350,4 @@ def hunt(cfg: SearchConfig) -> SearchResult:
         candidate=candidate,
         recheck_margin=recheck,
         argmin=argmin,
-        wall_seconds=time.perf_counter() - t0,
     )

@@ -4,9 +4,10 @@ Report files are newline-delimited JSON: one self-describing record per
 line, each carrying schema_version, with a trailing summary record.
 Floats are written with 17 significant digits, so read(write(x)) == x and
 re-serialization is byte-identical.  A search result (`SearchResult`)
-is a single JSON object of the fields RESULT_FIELDS, declared once in
-file order; its arg-min point is written by `argmin_record` and read back
-by `argmin_point`.
+is a single JSON object of its dataclass fields, declared once in file
+order (RESULT_FIELDS is their names), so a new result field is one
+dataclass line; its arg-min point is written by `argmin_record` and read
+back by `argmin_point`.
 
 A report's records are held as grid `Block`s: one block is one chain
 at every point of a grid on a stack of instances of one shape
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -333,7 +334,7 @@ def _norm_class(norm: dict) -> str:
     if v == "kyfan":
         return "kyfan"
     if v == "schatten":
-        return f"schatten:{norm['p']}" if norm["p"] != "inf" else "schatten:inf"
+        return f"schatten:{norm['p']}"
     return v
 
 
@@ -445,19 +446,13 @@ def build_report_set(blocks: list) -> ReportSet:
 # search results
 # ---------------------------------------------------------------------------
 
-# The fields of a search result record after schema_version and kind, in
-# file order.
-RESULT_FIELDS = ("base_seed", "samples_evaluated", "gated_count", "min_margin", "candidate",
-                 "recheck_margin", "argmin")
-
-
 @dataclass
 class SearchResult:
     """Minimum normalized margin found and a reproducible arg-min point
     (`argmin_record`), or None when every sample was gated.
 
-    The record holds the fields of RESULT_FIELDS.  wall_seconds is
-    informational and excluded from serialization so that repeated runs
+    Its fields are exactly its record's, after schema_version and kind, in
+    file order (RESULT_FIELDS); it holds nothing else, so repeated runs
     write byte-identical files.
     """
 
@@ -468,7 +463,6 @@ class SearchResult:
     candidate: bool
     recheck_margin: float | None
     argmin: dict | None
-    wall_seconds: float = 0.0
 
     def to_record(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, "kind": "search_result",
@@ -485,6 +479,11 @@ class SearchResult:
             raise errors.MalformedRecord(
                 f"search result min_margin is not a number: {values['min_margin']!r}") from None
         return cls(**values)
+
+
+# The fields of a search result record after schema_version and kind, in
+# file order.
+RESULT_FIELDS = tuple(f.name for f in fields(SearchResult))
 
 
 def _fields(rec, what: str, names: tuple) -> list:

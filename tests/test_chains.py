@@ -343,6 +343,19 @@ class TestSpectraCache:
             assert _bitwise_equal(getattr(cached, name), getattr(fresh, name)), name
         assert cached.condition_max == fresh.condition_max
 
+    def test_values_without_parameters_are_cached_properties(self):
+        """Both sums, the decompositions, the condition number and the
+        commuting sides are computed on first read and kept on the spectra
+        as cached properties; the memo holds only values with parameters."""
+        inst = generate_instance("commuting", 3, 2, 35)
+        for variant in ("product", "symmetrized"):
+            commuting_terms(inst, variant)
+        main_chain_terms(inst, ChainParams())
+        spectra = inst.spectra
+        for name in ("sums", "_eigs", "condition_max", "commuting_sv"):
+            assert getattr(spectra, name) is vars(spectra)[name], name
+        assert spectra._memo and all(len(key) > 1 for key in spectra._memo)
+
     @pytest.mark.parametrize("n, m, seed", [(1, 3, 31), (2, 2, 32), (3, 2, 33), (4, 3, 34)])
     def test_shared_instance_matches_fresh(self, n, m, seed):
         shared = generate_instance("generic", n, m, seed)

@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import json
 import pathlib
 import re
@@ -496,6 +498,24 @@ class TestCli:
         header = csv_file.read_text().splitlines()[0]
         assert header.startswith("chain,norm_class,min_margin")
 
+    def test_show_csv_is_the_summary_groups(self, tmp_path, capsys):
+        """`show --csv` writes the summary groups in six columns: read back,
+        each row is its group's values as text, and on the sweep golden the
+        file has the bytes `csv.writer` gives the header and each group's
+        values in column order."""
+        csv_file = tmp_path / "s.csv"
+        assert cli.main(["show", "--in", str(GOLDEN), "--csv", str(csv_file)]) == cli.EXIT_OK
+        columns = ["chain", "norm_class", "min_margin", "pass_count", "fail_count", "gated_count"]
+        groups = read_reports(GOLDEN).summary["groups"]
+        with open(csv_file, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{name: "" if group[name] is None else str(group[name]) for name in columns}
+                        for group in groups]
+        text = io.StringIO()
+        csv.writer(text).writerows([columns, *([group[name] for name in columns]
+                                               for group in groups)])
+        assert csv_file.read_bytes() == text.getvalue().encode("utf-8")
+
     def test_hunt_and_show(self, tmp_path, capsys):
         out = tmp_path / "h.json"
         code = cli.main(["hunt", "--samples", "10", "--n-max", "2", "--m-max", "2",
@@ -810,20 +830,29 @@ class TestCli:
         assert err == f"error: --csv needs a report set; {path} is a search result\n"
 
     @pytest.mark.parametrize("case", ["show_directory", "verify_out_directory",
-                                      "sweep_binary_config"])
+                                      "sweep_binary_config", "sweep_config_not_json",
+                                      "show_binary_report", "show_report_not_json"])
     def test_file_error_exits_config(self, case, tmp_path, capsys):
         """A file that cannot be read or written as asked (a directory given
-        as a file, a config that is not UTF-8 text) exits 3 with one
-        stderr line, not a traceback."""
-        config = tmp_path / "cfg.json"
-        config.write_bytes(bytes(range(128, 256)))
-        argv = {"show_directory": ["show", "--in", str(tmp_path)],
-                "verify_out_directory": ["verify", "--chain", "main", "--n", "2", "--m", "2",
-                                         "--count", "1", "--out", str(tmp_path)],
-                "sweep_binary_config": ["sweep", "--config", str(config)]}[case]
+        as a file, a config or report that is not UTF-8 text or not JSON)
+        exits 3 with one stderr line that names it, not a traceback; a file
+        that cannot be decoded is named first, `error: <file>: ...`."""
+        binary, not_json = tmp_path / "binary.json", tmp_path / "not.json"
+        binary.write_bytes(bytes(range(128, 256)))
+        not_json.write_text('{"chains": [}\n', encoding="utf-8")
+        argv, path = {
+            "show_directory": (["show", "--in", str(tmp_path)], tmp_path),
+            "verify_out_directory": (["verify", "--chain", "main", "--n", "2", "--m", "2",
+                                      "--count", "1", "--out", str(tmp_path)], tmp_path),
+            "sweep_binary_config": (["sweep", "--config", str(binary)], binary),
+            "sweep_config_not_json": (["sweep", "--config", str(not_json)], not_json),
+            "show_binary_report": (["show", "--in", str(binary)], binary),
+            "show_report_not_json": (["show", "--in", str(not_json)], not_json)}[case]
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        if path != tmp_path:
+            assert err.startswith(f"error: {path}: ")
 
     def test_show_report_without_summary_exits_config(self, tmp_path, capsys):
         """The golden sweep report cut before its last line, the summary,

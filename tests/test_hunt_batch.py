@@ -335,7 +335,8 @@ def _start(n, m, seed, law=SpectrumLaw()):
 
 def _batch(inst, params):
     """A sample batch of one sample, numbered 0: the point (inst, params)."""
-    rows = {"m": np.array([inst.m]), **{name: np.array([getattr(params, name)]) for name in "strp"},
+    rows = {"n": np.array([inst.n]), "m": np.array([inst.m]),
+            **{name: np.array([getattr(params, name)]) for name in "strp"},
             "seed": np.array([inst.seed], np.uint64)}
     return np.array([0]), inst.A, inst.B, rows
 
@@ -458,6 +459,33 @@ def test_refinement_generations(monkeypatch, refine_steps):
     calls = math.ceil(refine_steps / 16)
     assert sizes == [16] * (calls - 1) + [refine_steps - 16 * (calls - 1)]
     assert search.evaluated - 1 + search.gated == refine_steps
+
+
+def test_every_batch_carries_the_sample_columns(monkeypatch):
+    """Every sampling batch and every refinement batch carries exactly the
+    columns n, m, s, t, r, p and seed, of one dtype each, one row per
+    candidate, with n the batch's matrix size and the pair counts m
+    summing to its pairs."""
+    monkeypatch.setattr(hunt_module, "_CHUNK_ENTRIES", 20 * 2 * 3 * 4 ** 2)  # chunks of 20
+    cfg = SearchConfig(base_seed=5, samples=50, refine_steps=40, n_max=4, m_max=3).validate()
+    real, batches = hunt_module._advance, []
+
+    def advance(search, batch, cfg):
+        batches.append(batch)
+        real(search, batch, cfg)
+
+    monkeypatch.setattr(hunt_module, "_advance", advance)
+    hunt(cfg)
+    dtypes = {"n": np.int64, "m": np.int64, "s": np.float64, "t": np.float64, "r": np.float64,
+              "p": np.float64, "seed": np.uint64}
+    sampling = [index[0] < cfg.samples for index, *_ in batches]
+    assert sum(sampling) >= 3 and len(batches) - sum(sampling) == 3
+    for index, A, B, rows in batches:
+        assert tuple(rows) == tuple(dtypes)
+        assert all(rows[name].dtype == dtype and rows[name].shape == index.shape
+                   for name, dtype in dtypes.items())
+        assert (rows["n"] == A.shape[-1]).all()
+        assert rows["m"].sum() == len(A) == len(B)
 
 
 def test_failure_at_a_reached_step_raises(monkeypatch):

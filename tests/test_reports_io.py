@@ -525,7 +525,10 @@ class TestAllGatedHunt:
 
 
 def test_search_result_fields_are_written():
-    """Every field of SearchResult but wall_seconds is a field of its file,
-    declared in file order (the golden hunt result pins that order)."""
+    """Every field of SearchResult is a field of its file, declared in file
+    order (the golden hunt result pins that order), and a result holds
+    nothing else: its record is schema_version, kind and these fields."""
     names = [f.name for f in dataclasses.fields(SearchResult)]
-    assert names == [*RESULT_FIELDS, "wall_seconds"]
+    assert names == list(RESULT_FIELDS)
+    record = hunt(SearchConfig(base_seed=3, samples=5)).to_record()
+    assert list(record) == ["schema_version", "kind", *RESULT_FIELDS]

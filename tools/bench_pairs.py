@@ -30,6 +30,13 @@ with its measurement, and a deleted comment does not count as a reduction.
 `src/gmineq/*.py` file on both sides, so that a change in size can be
 traced to its module.
 
+Per workload, `unscaled` gives the same comparison, by the bound of
+`eval_points_per_s`, of that metric times the run's `speed_factor` (both
+medians over the run's passes): about the points evaluated per wall-clock
+second, with no reference speed applied.  The factor is measured by a
+reference loop between passes and can move with the state a pass leaves
+behind, so the scaled ratio is read next to this one.
+
 Per workload it also runs `perfbench/run.py --trace 1` once per side at
 the first seed, and writes under `per_layer` each side's per-layer counts:
 the `per_layer` metrics of `BENCHMARK.json` whose unit is "count"
@@ -127,11 +134,21 @@ def quartiles(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def compare(pairs: list, spec: dict) -> dict:
-    """One metric over the pairs [(base run, change run)]."""
+def metric(run: dict, name: str) -> float:
+    return run["result"]["metrics"][name]["value"]
+
+
+def unscaled(run: dict) -> float:
+    """The run's `eval_points_per_s` times its `speed_factor`."""
+    return metric(run, "eval_points_per_s") * run["info"]["speed_factor"]
+
+
+def compare(pairs: list, spec: dict, value=None) -> dict:
+    """One metric over the pairs [(base run, change run)]: the value of each
+    run is `value(run)`, by default its metric named in `spec`."""
     name, higher = spec["name"], spec["better"] == "higher"
-    base = [b["result"]["metrics"][name]["value"] for b, _ in pairs]
-    change = [c["result"]["metrics"][name]["value"] for _, c in pairs]
+    value = value or (lambda run: metric(run, name))
+    base, change = [value(b) for b, _ in pairs], [value(c) for _, c in pairs]
     wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
     losses = sum((c < b) if higher else (c > b) for b, c in zip(base, change))
     b, c = quartiles(base), quartiles(change)
@@ -162,6 +179,8 @@ def summarize(pairs: list, metrics: list) -> dict:
         "speed_factor": {"base": [b["info"]["speed_factor"] for b, _ in pairs],
                          "change": [c["info"]["speed_factor"] for _, c in pairs]},
         "metrics": {spec["name"]: compare(pairs, spec) for spec in metrics},
+        "unscaled": {spec["name"]: compare(pairs, spec, unscaled)
+                     for spec in metrics if spec["name"] == "eval_points_per_s"},
     }
 
 
@@ -175,8 +194,9 @@ def run_pairs(base: Path, change: Path, workload: str, seeds: list, seconds: flo
         runs = {}
         for side, root in order:
             runs[side] = {**run_once(root, workload, seed, seconds), "seed": seed}
-            value = runs[side]["result"]["metrics"]["eval_points_per_s"]["value"]
-            print(f"{workload} seed {seed} {side}: eval_points_per_s {value:.1f}", file=sys.stderr)
+            print(f"{workload} seed {seed} {side}: eval_points_per_s"
+                  f" {metric(runs[side], 'eval_points_per_s'):.1f}"
+                  f" (unscaled {unscaled(runs[side]):.1f})", file=sys.stderr)
         pairs.append((runs["base"], runs["change"]))
     return pairs
 
