@@ -22,12 +22,14 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 
 from . import errors
 from .chains import DEFAULT_CONDITION_CAP, DEFAULT_TOL_REL
 from .generate import SpectrumLaw
 from .hunt import SearchConfig, evaluate_argmin, hunt
-from .reports import ReportSet, SearchResult, has_proven_failure, read_reports, write_reports
+from .reports import (GROUP_FIELDS, ReportSet, SearchResult, has_proven_failure, read_reports,
+                      write_reports)
 from .sweep import KNOWN_CHAINS, SweepConfig, run_sweep
 
 EXIT_OK = 0
@@ -54,17 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="evaluate one chain family from flags")
     v.add_argument("--chain", required=True, choices=KNOWN_CHAINS)
-    v.add_argument("--n", type=_ints, default=[2])
-    v.add_argument("--m", type=_ints, default=[2])
-    v.add_argument("--count", type=int, default=100)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--s", type=_floats, default=[2.0])
-    v.add_argument("--r", type=_floats, default=[1.0])
-    v.add_argument("--p", type=_floats, default=[1.0])
-    v.add_argument("--t", type=_floats, default=[0.5])
+    v.add_argument("--n", dest="n_values", type=_ints, default=[2])
+    v.add_argument("--m", dest="m_values", type=_ints, default=[2])
+    v.add_argument("--count", dest="instance_count", type=int, default=100)
+    v.add_argument("--seed", dest="base_seed", type=int, default=42)
+    v.add_argument("--s", dest="s_values", type=_floats, default=[2.0])
+    v.add_argument("--r", dest="r_values", type=_floats, default=[1.0])
+    v.add_argument("--p", dest="p_values", type=_floats, default=[1.0])
+    v.add_argument("--t", dest="t_values", type=_floats, default=[0.5])
     v.add_argument("--norms", type=_norm_tokens,
                    default=["kyfan:all", "schatten:1", "schatten:2", "schatten:inf"])
-    v.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
+    v.add_argument("--tol", dest="tol_rel", type=float, default=DEFAULT_TOL_REL)
     v.add_argument("--condition-cap", type=float, default=DEFAULT_CONDITION_CAP)
     v.add_argument("--spectrum-lo", type=float, default=0.1)
     v.add_argument("--spectrum-hi", type=float, default=10.0)
@@ -84,16 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--t", type=float, default=0.5)
     h.add_argument("--t-lo", type=float, default=None)
     h.add_argument("--t-hi", type=float, default=None)
-    h.add_argument("--r", type=_floats, default=[1.0])
-    h.add_argument("--p", type=_floats, default=[1.0])
+    h.add_argument("--r", dest="r_values", type=_floats, default=[1.0])
+    h.add_argument("--p", dest="p_values", type=_floats, default=[1.0])
     h.add_argument("--samples", type=int, default=10000)
-    h.add_argument("--refine", type=int, default=0)
-    h.add_argument("--refine-scale", type=float, default=0.05)
+    h.add_argument("--refine", dest="refine_steps", type=int, default=0)
     h.add_argument("--n-max", type=int, default=4)
     h.add_argument("--m-max", type=int, default=3)
-    h.add_argument("--seed", type=int, default=7)
+    h.add_argument("--seed", dest="base_seed", type=int, default=7)
     h.add_argument("--norms", type=_norm_tokens, default=["kyfan:all"])
-    h.add_argument("--tol", type=float, default=DEFAULT_TOL_REL)
+    h.add_argument("--tol", dest="tol_rel", type=float, default=DEFAULT_TOL_REL)
     h.add_argument("--out", default=None)
 
     w = sub.add_parser("show", help="summarize a report file")
@@ -114,6 +115,21 @@ def _print_summary(rs: ReportSet) -> None:
         )
 
 
+def _print_result(result: SearchResult, tol: float) -> None:
+    print(f"samples evaluated: {result.samples_evaluated}   gated: {result.gated_count}")
+    print(f"min normalized margin: {result.min_margin:+.6e}")
+    if result.argmin is not None:
+        a = result.argmin
+        print(f"argmin: n={a['n']} m={a['m']} s={a['params']['s']:.4f} t={a['params']['t']:.4f}"
+              f" r={a['params']['r']:g} p={a['params']['p']:g} status={a['status']}")
+    if result.recheck_margin is not None:
+        print(f"extended-precision recheck: {result.recheck_margin:+.6e}")
+    if result.candidate:
+        print("violation candidate recorded")
+    elif result.argmin and result.argmin["status"] == "refuted" and result.min_margin < -tol:
+        print("known violation (refuted regime)")
+
+
 def _sweep(cfg: SweepConfig, out) -> int:
     rs = run_sweep(cfg)
     _print_summary(rs)
@@ -123,22 +139,16 @@ def _sweep(cfg: SweepConfig, out) -> int:
     return EXIT_VIOLATION if has_proven_failure(rs) else EXIT_OK
 
 
+def _config(cls, args, **built):
+    """A `cls` of the flags whose dest is one of its fields, and of the
+    fields in `built`."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names}, **built)
+
+
 def _cmd_verify(args) -> int:
-    return _sweep(SweepConfig(
-        chains=[args.chain],
-        n_values=args.n,
-        m_values=args.m,
-        instance_count=args.count,
-        base_seed=args.seed,
-        spectrum_law=SpectrumLaw(args.spectrum_lo, args.spectrum_hi),
-        s_values=args.s,
-        r_values=args.r,
-        p_values=args.p,
-        t_values=args.t,
-        norms=args.norms,
-        tol_rel=args.tol,
-        condition_cap=args.condition_cap,
-    ), args.out)
+    law = SpectrumLaw(args.spectrum_lo, args.spectrum_hi)
+    return _sweep(_config(SweepConfig, args, chains=[args.chain], spectrum_law=law), args.out)
 
 
 def _cmd_sweep(args) -> int:
@@ -154,40 +164,14 @@ def _cmd_hunt(args) -> int:
     if (args.t_lo is None) != (args.t_hi is None):
         raise errors.ConfigError("--t-lo and --t-hi must be given together")
     t_range = (args.t, args.t) if args.t_lo is None else (args.t_lo, args.t_hi)
-    cfg = SearchConfig(
-        base_seed=args.seed,
-        samples=args.samples,
-        refine_steps=args.refine,
-        refine_scale=args.refine_scale,
-        s_range=(args.s_lo, args.s_hi),
-        t_range=t_range,
-        r_values=args.r,
-        p_values=args.p,
-        n_max=args.n_max,
-        m_max=args.m_max,
-        norms=args.norms,
-        tol_rel=args.tol,
-    )
+    cfg = _config(SearchConfig, args, s_range=(args.s_lo, args.s_hi), t_range=t_range)
     t0 = time.perf_counter()
     result = hunt(cfg)
     wall = time.perf_counter() - t0
     points = result.samples_evaluated + result.gated_count
     rate = points / wall if wall > 0.0 else float("inf")
     print(f"wall seconds: {wall:.3f}   samples/s: {rate:.1f}", file=sys.stderr)
-    print(f"samples evaluated: {result.samples_evaluated}   gated: {result.gated_count}")
-    print(f"min normalized margin: {result.min_margin:+.6e}")
-    if result.argmin is not None:
-        a = result.argmin
-        print(
-            f"argmin: n={a['n']} m={a['m']} s={a['params']['s']:.4f} t={a['params']['t']:.4f}"
-            f" r={a['params']['r']:g} p={a['params']['p']:g} status={a['status']}"
-        )
-    if result.recheck_margin is not None:
-        print(f"extended-precision recheck: {result.recheck_margin:+.6e}")
-    if result.candidate:
-        print("violation candidate recorded")
-    elif result.argmin and result.argmin["status"] == "refuted" and result.min_margin < -args.tol:
-        print("known violation (refuted regime)")
+    _print_result(result, cfg.tol_rel)
     if args.out:
         write_reports(result, args.out)
         print(f"wrote {args.out}")
@@ -203,16 +187,15 @@ def _cmd_show(args) -> int:
     if isinstance(obj, SearchResult):
         if args.csv:
             raise errors.ConfigError(f"--csv needs a report set; {args.infile} is a search result")
-        print(f"search result: min_margin={obj.min_margin:+.6e} candidate={obj.candidate}")
+        margin = evaluate_argmin(obj)  # parses the arg-min record before it is printed
+        _print_result(obj, DEFAULT_TOL_REL)
         if obj.argmin is not None:
-            margin = evaluate_argmin(obj)
             print(f"argmin re-evaluation: {'gated' if margin is None else f'{margin:+.6e}'}")
         return EXIT_OK
     _print_summary(obj)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, ["chain", "norm_class", "min_margin", "pass_count",
-                                         "fail_count", "gated_count"], extrasaction="ignore")
+            writer = csv.DictWriter(fh, GROUP_FIELDS, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(obj.summary["groups"])
         print(f"wrote {args.csv}")

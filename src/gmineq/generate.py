@@ -103,9 +103,6 @@ class SpectrumLaw:
         log_lo, log_hi = np.log(self.lo), np.log(self.hi)
         return np.exp(log_lo + (log_hi - log_lo) * u)
 
-    def to_dict(self) -> dict:
-        return {"law": "loguniform", "lo": self.lo, "hi": self.hi}
-
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumLaw":
         if d.get("law", "loguniform") != "loguniform":

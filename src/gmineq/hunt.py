@@ -68,6 +68,9 @@ from .norms import NormSpec, norm_values
 from .reports import SearchResult, argmin_point, argmin_record
 
 _REFINE_TAG = 0x52464E45  # distinct seed stream for refinement generations
+# A refinement step's size: the log-eigenvalue and rotation noise's
+# standard deviation, and that of the s and t jitters over their ranges.
+_REFINE_SCALE = 0.05
 # Candidates of one refinement generation, drawn and evaluated as one stack.
 _GENERATION = 16
 # A chunk of the sampling phase holds at most this many matrix entries (16
@@ -80,7 +83,6 @@ class SearchConfig:
     base_seed: int = 7
     samples: int = 1000
     refine_steps: int = 0
-    refine_scale: float = 0.05
     s_range: tuple = (1.0, 2.0)
     t_range: tuple = (0.5, 0.5)
     r_values: list = field(default_factory=lambda: [1.0])
@@ -96,7 +98,6 @@ class SearchConfig:
         errors.require_all(numbers.Integral,
                            [self.samples, self.refine_steps, self.n_max, self.m_max],
                            "samples, refine_steps, n_max and m_max must be integers")
-        errors.require_all(numbers.Real, [self.refine_scale], "refine_scale must be a number")
         validate_run_fields(self)
         for name in ("s_range", "t_range"):
             pair = getattr(self, name)
@@ -116,8 +117,8 @@ class SearchConfig:
                 raise errors.ConfigError(message)
         if self.samples < 1:
             raise errors.ConfigError("samples must be >= 1")
-        if self.refine_steps < 0 or not 0.0 < self.refine_scale < math.inf:
-            raise errors.ConfigError("refine_steps >= 0 and a finite refine_scale > 0 required")
+        if self.refine_steps < 0:
+            raise errors.ConfigError("refine_steps must be >= 0")
         if not (0.0 < self.s_range[0] <= self.s_range[1]):
             raise errors.ConfigError(f"invalid s_range {self.s_range}")
         if not (0.0 <= self.t_range[0] <= self.t_range[1] <= 1.0):
@@ -271,11 +272,11 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
     eigenvalue factors and the real and imaginary parts of an n x n
     Ginibre matrix, then two normals, taken in turn by the s and t jitters
     that apply.  The point is decomposed once, and the rotations and
-    products are one stacked call each.  A scale so large that the
-    arithmetic overflows raises no warning here: the evaluation of the
-    candidate it spoils raises `errors.NonFiniteInput`."""
+    products are one stacked call each, with steps of size _REFINE_SCALE.
+    Eigenvalues so large (a spectrum law's hi near the float maximum) that
+    the arithmetic overflows raise no warning here: the evaluation of the
+    candidate they spoil raises `errors.NonFiniteInput`."""
     m, n = A.shape[0], A.shape[-1]
-    scale = cfg.refine_scale
     s, t = np.full(size, params.s), np.full(size, params.t)
     jittered = [(v, lo, hi) for v, (lo, hi) in ((s, cfg.s_range), (t, cfg.t_range)) if hi > lo]
     width = 2 * m * (n + 2 * n * n)
@@ -288,9 +289,9 @@ def _perturb(A: np.ndarray, B: np.ndarray, params: ChainParams, cfg: SearchConfi
     eig = hermitian_eig(np.concatenate([A, B]))
     with np.errstate(over="ignore", invalid="ignore"):
         for (values, lo, hi), z in zip(jittered, draws[:, width:].T):
-            values[:] = np.clip(values + scale * (hi - lo) * z, lo, hi)
-        lam = eig.eigenvalues * np.exp(scale * noise[..., :n])
-        Q, _ = np.linalg.qr(np.eye(n) + scale * G)
+            values[:] = np.clip(values + _REFINE_SCALE * (hi - lo) * z, lo, hi)
+        lam = eig.eigenvalues * np.exp(_REFINE_SCALE * noise[..., :n])
+        Q, _ = np.linalg.qr(np.eye(n) + _REFINE_SCALE * G)
         X = from_spectrum(eig.vectors @ Q, lam)
     return X[:, :m], X[:, m:], s, t
 

@@ -46,18 +46,6 @@ class NormSpec:
         return cls("schatten", p=float(p))
 
     @classmethod
-    def trace(cls) -> "NormSpec":
-        return cls("trace")
-
-    @classmethod
-    def operator(cls) -> "NormSpec":
-        return cls("operator")
-
-    @classmethod
-    def frobenius(cls) -> "NormSpec":
-        return cls("frobenius")
-
-    @classmethod
     def parse(cls, text: str) -> "NormSpec":
         """Parse labels like 'kyfan:3', 'schatten:2', 'schatten:inf', 'trace'."""
         text = text.strip().lower()

@@ -27,7 +27,8 @@ memo formats each repeated float once (`dumps` has the rules).
 `write_reports` writes a file as one text with one memo: each block's
 rows from its head, record and tail templates (`Block.lines`), in report
 order, then the summary; nothing encoded outlives the call.
-`read_reports` decodes all of a file's lines with one `json.loads` call.
+`read_reports` decodes all of a file's lines with one `json.loads` call,
+and checks that the summary record has the fields that `show` prints.
 """
 
 from __future__ import annotations
@@ -338,6 +339,10 @@ def _norm_class(norm: dict) -> str:
     return v
 
 
+# The fields of a summary record's group, in file order (`_summary`).
+GROUP_FIELDS = ("chain", "norm_class", "min_margin", "pass_count", "fail_count", "gated_count")
+
+
 def _summary(groups: dict, number, least, passed, live, conjectured) -> dict:
     """The summary record of a report's records, given in report order as
     columns: the number of each one's (chain, norm class) in `groups`, its
@@ -352,8 +357,7 @@ def _summary(groups: dict, number, least, passed, live, conjectured) -> dict:
     order = order[np.lexsort((least[order], number[order]))]  # stable: ties stay in order
     firsts = order[np.flatnonzero(np.diff(number[order], prepend=-1))]
     mins = dict(zip(number[firsts].tolist(), least[firsts].tolist()))
-    rows = [{"chain": cid, "norm_class": nc, "min_margin": mins.get(g), "pass_count": passes[g],
-             "fail_count": fails[g], "gated_count": gates[g]}
+    rows = [dict(zip(GROUP_FIELDS, (cid, nc, mins.get(g), passes[g], fails[g], gates[g])))
             for (cid, nc), g in sorted(groups.items())]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -404,13 +408,10 @@ def _grid_summary(blocks: list, order: np.ndarray) -> dict:
 
 
 def has_proven_failure(rs: ReportSet) -> bool:
-    """True if any non-gated proven-regime record failed its tolerance: one
-    array test per block, or a scan of a report set of record dicts."""
-    if rs.blocks:
-        return any(bool(((~b.gated & (b.status == "proven"))[:, None] & ~b.passed).any())
-                   for b in rs.blocks)
-    return any(not rec["gated"] and rec.get("status") == "proven" and not rec["pass"]
-               for rec in rs.records)
+    """True if any non-gated proven-regime record of a report set of
+    blocks failed its tolerance: one array test per block."""
+    return any(bool(((~b.gated & (b.status == "proven"))[:, None] & ~b.passed).any())
+               for b in rs.blocks)
 
 
 def build_report_set(blocks: list) -> ReportSet:
@@ -533,8 +534,8 @@ def argmin_point(arg) -> tuple:
     """(InstanceSet, ChainParams, NormSpec) of an arg-min record: the
     inverse of `argmin_record`.  A missing field, or a parameter that is
     not a number, raises MalformedRecord."""
-    n, m, seed, kind, params, norm, A, B = _fields(
-        arg, "arg-min", ("n", "m", "instance_seed", "kind", "params", "norm", "A", "B"))
+    n, m, seed, kind, params, norm, A, B, _ = _fields(
+        arg, "arg-min", ("n", "m", "instance_seed", "kind", "params", "norm", "A", "B", "status"))
     params = dict(zip("srpt", _fields(params, "arg-min params", ("s", "r", "p", "t"))))
     for name, v in params.items():
         if not isinstance(v, numbers.Real) or isinstance(v, bool):
@@ -588,8 +589,9 @@ def read_reports(path):
     `json.loads` call, as one array; if that does not give one value per
     line, some line is not one JSON value, and decoding line by line
     raises its error.  A report set's summary record may stand on any
-    line; records without one raise MalformedRecord (a file cut short),
-    and a file of no non-blank line is the empty report set."""
+    line; records without one raise MalformedRecord (a file cut short), as
+    does a summary without its totals or groups, or a group without one of
+    GROUP_FIELDS, and a file of no non-blank line is the empty report set."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -613,4 +615,9 @@ def read_reports(path):
             records.append(rec)
     if summary is None:
         raise errors.MalformedRecord(f"{path}: {len(records)} records and no summary record")
+    *_, groups = _fields(summary, f"{path}: summary", ("total_records", "candidates", "groups"))
+    if not isinstance(groups, list):
+        raise errors.MalformedRecord(f"{path}: summary groups are not a list: {groups!r:.40}")
+    for group in groups:
+        _fields(group, f"{path}: summary group", GROUP_FIELDS)
     return ReportSet(records=records, summary=summary)

@@ -105,11 +105,6 @@ class SweepConfig:
                     f"chain {cid!r} has no point to evaluate: it needs some {needs}")
         return self
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["spectrum_law"] = self.spectrum_law.to_dict()
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
         if not isinstance(d, dict):

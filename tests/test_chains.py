@@ -81,7 +81,7 @@ class TestMainChain:
         inst = generate_instance("generic", 3, 2, 17)
         params = ChainParams(s=2, r=1, p=1)
         block = chain_block(main_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
-                            [NormSpec.trace()])
+                            [NormSpec("trace")])
         rec, = block.records
         assert rec["mid"] is not None
         assert rec["lhs"] <= rec["mid"] + 1e-8 * max(1.0, rec["rhs"])
@@ -91,7 +91,7 @@ class TestMainChain:
         inst = generate_instance("generic", 1, 1, 23)
         params = ChainParams(s=3, r=2, p=0.5)
         block = chain_block(main_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
-                            [NormSpec.operator()])
+                            [NormSpec("operator")])
         rec, = block.records
         assert max(abs(v) for v in rec["margins"]) <= 1e-12 * max(1.0, rec["rhs"])
 
@@ -248,7 +248,7 @@ class TestTChain:
         inst = generate_instance("generic", 2, 2, 3)
         params = ChainParams(s=1.5, t=0.5)
         rec, = chain_block(t_chain_terms(inst, params), inst.n, inst.m, [inst.seed], [params],
-                           [NormSpec.trace()]).records
+                           [NormSpec("trace")]).records
         assert rec["status"] == "conjectured"
         assert isinstance(rec["pass"], bool)  # no exception either way
 
@@ -281,16 +281,16 @@ class TestReporting:
     def test_condition_gating(self):
         inst = generate_instance("generic", 3, 2, 5)
         terms = main_chain_terms(inst, ChainParams())
-        block = chain_block(terms, inst.n, inst.m, [inst.seed], [ChainParams()], [NormSpec.trace()],
-                            condition_cap=1.5)
+        block = chain_block(terms, inst.n, inst.m, [inst.seed], [ChainParams()],
+                            [NormSpec("trace")], condition_cap=1.5)
         rec, = block.records
         assert rec["gated"]
         assert rec["condition_max"] == pytest.approx(float(inst.spectra.condition_max[0]))
 
     def test_expand_norm_tokens(self):
-        specs = expand_norm_tokens(["kyfan:all", "schatten:2", NormSpec.trace()], 3)
+        specs = expand_norm_tokens(["kyfan:all", "schatten:2", NormSpec("trace")], 3)
         assert specs[:3] == [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.ky_fan(3)]
-        assert specs[3:] == [NormSpec.schatten(2), NormSpec.trace()]
+        assert specs[3:] == [NormSpec.schatten(2), NormSpec("trace")]
 
 
 def _bitwise_equal(a, b) -> bool:

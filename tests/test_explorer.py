@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import functools
+import importlib
 import io
 import json
 import pathlib
@@ -30,6 +32,7 @@ from gmineq.reports import (
 from gmineq.sweep import KNOWN_CHAINS, SweepConfig, _chain_table, run_sweep
 
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "sweep_n3_m3.jsonl"
+hunt_module = importlib.import_module("gmineq.hunt")  # `gmineq.hunt` is the function
 
 
 class TestSeeds:
@@ -77,7 +80,8 @@ class TestGeneration:
 
     def test_law_round_trip(self):
         law = SpectrumLaw(0.25, 4.0)
-        assert SpectrumLaw.from_dict(law.to_dict()) == law
+        assert SpectrumLaw.from_dict({"law": "loguniform", "lo": 0.25, "hi": 4.0}) == law
+        assert SpectrumLaw.from_dict({"lo": 0.25, "hi": 4.0}) == law
 
     def test_law_validation(self):
         for lo, hi in ((-1.0, 2.0), (0.1, float("inf")), (float("inf"), float("inf"))):
@@ -116,8 +120,10 @@ SMALL = dict(chains=["main", "geo-z", "t-chain", "commuting", "lemmas"],
 
 class TestSweep:
     def test_config_round_trip(self):
-        cfg = SweepConfig(**SMALL)
-        assert SweepConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        law = {"law": "loguniform", "lo": 0.25, "hi": 4.0}
+        cfg = SweepConfig(**SMALL, spectrum_law=SpectrumLaw(0.25, 4.0))
+        assert SweepConfig.from_dict({**SMALL, "spectrum_law": law}) == cfg
+        assert SweepConfig.from_dict(SMALL) == SweepConfig(**SMALL)
 
     def test_config_rejects_unknown_key(self):
         with pytest.raises(errors.ConfigError):
@@ -190,7 +196,7 @@ class TestSweep:
         (["trace", "trace"], "trace"), (["Trace", "trace "], "trace "),
         (["kyfan:2", "schatten:2", "kyfan:all"], "kyfan:all"),
         (["kyfan:all", "KyFan:3"], "KyFan:3"), (["kyfan:all", "kyfan:all"], "kyfan:all"),
-        ([NormSpec.operator(), "operator"], "operator"),
+        ([NormSpec("operator"), "operator"], "operator"),
     ])
     def test_norm_listed_twice_rejected(self, norms, twice):
         """A norm listed twice (kyfan:k beside kyfan:all among them) would
@@ -450,7 +456,7 @@ class TestHunt:
 
     @pytest.mark.parametrize("bad", [
         {"samples": 10.0}, {"samples": "10"}, {"refine_steps": 1.5}, {"n_max": True},
-        {"m_max": None}, {"refine_scale": "0.1"}, {"s_range": 1.5}, {"s_range": (1.0,)},
+        {"m_max": None}, {"s_range": 1.5}, {"s_range": (1.0,)},
         {"t_range": (0.5, "0.5")}, {"r_values": []}, {"r_values": [-1.0]}, {"p_values": [0.0]},
         {"p_values": 1.0}, {"r_values": [float("nan")]}, {"p_values": ["1"]},
         {"condition_cap": "1e8"}, {"tol_rel": "x"}, {"base_seed": 1.5}, {"norms": [3]},
@@ -471,7 +477,7 @@ class TestHighPrecision:
         from gmineq.norms import NormSpec, norm_from_sv
 
         terms = t_chain_terms(inst, params)
-        spec = NormSpec.trace()
+        spec = NormSpec("trace")
         lhs = norm_from_sv(terms.lhs_sv, spec, pad=True)
         rhs = norm_from_sv(terms.rhs_sv, spec, pad=True)
         double = (rhs - lhs) / max(1.0, rhs)
@@ -584,7 +590,8 @@ class TestCli:
         write_reports(r, out)
         assert read_reports(out).to_record() == r.to_record()
         assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
-        assert "min_margin=+inf" in capsys.readouterr().out
+        assert capsys.readouterr().out == ("samples evaluated: 0   gated: 4\n"
+                                           "min normalized margin: +inf\n")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -636,24 +643,6 @@ class TestCli:
         for flag, value in (("--t-lo", "0.2"), ("--t-hi", "0.8")):
             assert cli.main(["hunt", "--samples", "1", flag, value]) == cli.EXIT_CONFIG
             assert "--t-lo and --t-hi must be given together" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("scale, message", [
-        ("nan", "error: refine_steps >= 0 and a finite refine_scale > 0 required"),
-        ("inf", "error: refine_steps >= 0 and a finite refine_scale > 0 required"),
-        ("1e300", "error: NonFiniteInput: matrix contains NaN or Inf entries"),
-    ])
-    def test_hunt_bad_refine_scale_exit_code(self, scale, message, capsys):
-        """A refine scale that is not a finite positive number is refused,
-        and one so large that its candidates overflow ends the run when
-        they are evaluated: exit 3 and one line on stderr, with no
-        traceback and no numpy warning."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = cli.main(["hunt", "--samples", "50", "--refine", "20",
-                             "--refine-scale", scale])
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == message + "\n"
 
     @pytest.mark.parametrize("text", [pytest.param('[{"a": 1}]', id="list"),
                                       pytest.param('"x"', id="string"),
@@ -737,6 +726,7 @@ class TestCli:
         "params": "MalformedRecord: arg-min lacks field 'params'",
         "norm": "MalformedRecord: arg-min lacks field 'norm'",
         "A": "MalformedRecord: arg-min lacks field 'A'",
+        "status": "MalformedRecord: arg-min lacks field 'status'",
         "param_not_number": "MalformedRecord: arg-min param 's' is not a number: 'x'",
         "norm_not_record": "not a norm record: {'variant': 'kyfan'}",
         **{name: f"MalformedRecord: search result lacks field {name!r}"
@@ -867,6 +857,108 @@ class TestCli:
         assert out == ""
         assert err == (f"error: MalformedRecord: {path}: {len(lines) - 1} records and no"
                        " summary record\n")
+
+    @pytest.mark.parametrize("records, change, message", [
+        (False, lambda summary: {"schema_version": 1, "kind": "summary"},
+         "summary lacks field 'total_records'"),
+        (True, lambda summary: summary["groups"][0].pop("min_margin") and summary,
+         "summary group lacks field 'min_margin'"),
+        (True, lambda summary: dict(summary, groups=5), "summary groups are not a list: 5"),
+    ], ids=["bare", "group_without_min_margin", "groups_not_a_list"])
+    def test_show_malformed_summary_exits_config(self, records, change, message, tmp_path,
+                                                 capsys):
+        """A file of only a summary record without its fields, and the
+        golden sweep report with a group without min_margin or groups that
+        are not a list, are refused naming the file (exit 3, one stderr
+        line), not ended in a KeyError."""
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+        summary = change(json.loads(lines[-1]))
+        path = tmp_path / "summary.jsonl"
+        path.write_text("".join(lines[:-1] if records else []) + json.dumps(summary) + "\n",
+                        encoding="utf-8")
+        assert cli.main(["show", "--in", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: MalformedRecord: {path}: {message}\n"
+
+    def test_show_prints_a_search_result_as_hunt_does(self, tmp_path, capsys):
+        """`show` on a hunt's file prints the hunt's lines, the known
+        violation among them, then the arg-min's re-evaluation."""
+        out = tmp_path / "h.json"
+        argv = ["hunt", "--s-lo", "0.5", "--s-hi", "0.5", "--samples", "12", "--seed", "50",
+                "--n-max", "3", "--m-max", "3", "--refine", "16", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        hunted = capsys.readouterr().out
+        assert "known violation (refuted regime)\n" in hunted
+        assert cli.main(["show", "--in", str(out)]) == cli.EXIT_OK
+        shown = capsys.readouterr().out
+        margin = evaluate_argmin(read_reports(out))
+        assert shown == (hunted.replace(f"wrote {out}\n", "")
+                         + f"argmin re-evaluation: {margin:+.6e}\n")
+
+    # A verify and a hunt argv with every flag at a value other than its
+    # default, and the configs that the flags map to field by field.
+    _VERIFY_ARGV = ["verify", "--chain", "t-chain", "--n", "2,3", "--m", "1,2", "--count", "12",
+                    "--seed", "5", "--s", "1.5,2", "--r", "1,2", "--p", "1,3", "--t", "0.3,0.5",
+                    "--norms", "kyfan:all,schatten:3", "--tol", "1e-9", "--condition-cap", "1e6",
+                    "--spectrum-lo", "0.5", "--spectrum-hi", "4"]
+    _VERIFY_CONFIG = dict(chains=["t-chain"], n_values=[2, 3], m_values=[1, 2], instance_count=12,
+                          base_seed=5, spectrum_law=SpectrumLaw(0.5, 4.0), s_values=[1.5, 2.0],
+                          r_values=[1.0, 2.0], p_values=[1.0, 3.0], t_values=[0.3, 0.5],
+                          norms=["kyfan:all", "schatten:3"], tol_rel=1e-9, condition_cap=1e6)
+    _HUNT_ARGV = ["hunt", "--s-lo", "1.2", "--s-hi", "1.8", "--t", "0.3", "--t-lo", "0.2",
+                  "--t-hi", "0.4", "--r", "1,2", "--p", "1,0.5", "--samples", "30", "--refine",
+                  "16", "--n-max", "3", "--m-max", "2", "--seed", "11",
+                  "--norms", "kyfan:all,schatten:2", "--tol", "1e-7"]
+    _HUNT_CONFIG = dict(base_seed=11, samples=30, refine_steps=16, s_range=(1.2, 1.8),
+                        t_range=(0.2, 0.4), r_values=[1.0, 2.0], p_values=[1.0, 0.5], n_max=3,
+                        m_max=2, norms=["kyfan:all", "schatten:2"], tol_rel=1e-7)
+
+    @pytest.mark.parametrize("argv, cls, want, target", [
+        (_VERIFY_ARGV, SweepConfig, _VERIFY_CONFIG, "_sweep"),
+        (_HUNT_ARGV, SearchConfig, _HUNT_CONFIG, "hunt"),
+    ], ids=["verify", "hunt"])
+    def test_flags_set_their_config_fields(self, argv, cls, want, target, tmp_path, monkeypatch):
+        """Every flag, set to a value other than its default, sets its
+        config field: the config equals, field by field, the one that maps
+        each flag to its field by hand."""
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        parser = cli.build_parser()
+        required = argv[:3] if argv[0] == "verify" else argv[:1]
+        defaults, given = vars(parser.parse_args(required)), vars(parser.parse_args(argv))
+        assert [name for name in given if given[name] == defaults[name]] == (
+            ["command", "chain"] if argv[0] == "verify" else ["command"])
+        seen = []
+        called = {"_sweep": lambda cfg, out: seen.append(cfg) or cli.EXIT_OK,
+                  "hunt": lambda cfg: seen.append(cfg) or hunt(cfg)}[target]
+        monkeypatch.setattr(cli, target, called)
+        assert cli.main(argv) == cli.EXIT_OK
+        got, = seen
+        for f in dataclasses.fields(cls):
+            assert getattr(got, f.name) == getattr(cls(**want), f.name), f.name
+
+    def test_refine_scale_is_not_a_flag(self, capsys):
+        """The refinement step is fixed (`hunt._REFINE_SCALE`):
+        --refine-scale is an unknown argument, exit 3 with argparse's
+        usage line and error line."""
+        assert cli.main(["hunt", "--samples", "5", "--refine-scale", "0.1"]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: gmineq ")
+        assert error == "gmineq: error: unrecognized arguments: --refine-scale 0.1"
+
+    def test_hunt_overflowing_refinement_exit_code(self, monkeypatch, capsys):
+        """A refinement step so large that its candidates overflow ends the
+        run when they are evaluated: exit 3 and one line on stderr, with no
+        traceback and no numpy warning."""
+        monkeypatch.setattr(hunt_module, "_REFINE_SCALE", 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["hunt", "--samples", "50", "--refine", "20"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: NonFiniteInput: matrix contains NaN or Inf entries\n")
 
     def test_usage_error_exits_config(self, capsys):
         """An argparse usage error exits 3, not argparse's 2 (which means a

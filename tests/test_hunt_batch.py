@@ -289,14 +289,15 @@ def _reference_perturb_matrix(H, rng, scale):
 
 
 def _reference_perturb_point(inst, params, cfg, rng):
-    A = [_reference_perturb_matrix(Ai, rng, cfg.refine_scale) for Ai in inst.A]
-    B = [_reference_perturb_matrix(Bi, rng, cfg.refine_scale) for Bi in inst.B]
+    scale = hunt_module._REFINE_SCALE
+    A = [_reference_perturb_matrix(Ai, rng, scale) for Ai in inst.A]
+    B = [_reference_perturb_matrix(Bi, rng, scale) for Bi in inst.B]
     new_inst = InstanceSet(m=inst.m, n=inst.n, A=A, B=B, seed=inst.seed, kind="generic")
 
     def jitter(v, lo, hi):
         if hi <= lo:
             return v
-        return float(np.clip(v + cfg.refine_scale * (hi - lo) * rng.standard_normal()[()], lo, hi))
+        return float(np.clip(v + scale * (hi - lo) * rng.standard_normal()[()], lo, hi))
 
     new_params = ChainParams(s=jitter(params.s, *cfg.s_range), r=params.r, p=params.p,
                              t=jitter(params.t, *cfg.t_range))
@@ -396,19 +397,21 @@ def test_refinement_matches_reference(n, m, options):
     assert accepted
 
 
-def test_refinement_accept_heavy():
-    cfg = SearchConfig(base_seed=9, refine_steps=150, refine_scale=0.02, **OPEN_T).validate()
+def test_refinement_accept_heavy(monkeypatch):
+    monkeypatch.setattr(hunt_module, "_REFINE_SCALE", 0.02)
+    cfg = SearchConfig(base_seed=9, refine_steps=150, **OPEN_T).validate()
     *_, accepted = _assert_matches_reference(cfg, *_start(3, 2, 13))
     assert len(accepted) >= 8, accepted  # of 10 generations
 
 
-def test_refinement_no_acceptance():
+def test_refinement_no_acceptance(monkeypatch):
     # a point refined once, then perturbed with steps too wide to improve it
     inst, params = _start(4, 3, 11)
     first = SearchConfig(base_seed=0, refine_steps=200).validate()
     margin, spec = _point_margin(inst, params, first.norms, first.condition_cap)
     inst, params, *_ = _reference_refine(first, inst, params, spec, margin)
-    cfg = SearchConfig(base_seed=6, refine_steps=60, refine_scale=1.0).validate()
+    monkeypatch.setattr(hunt_module, "_REFINE_SCALE", 1.0)
+    cfg = SearchConfig(base_seed=6, refine_steps=60).validate()
     *_, accepted = _assert_matches_reference(cfg, inst, params)
     assert accepted == []
 
@@ -444,8 +447,8 @@ def test_refinement_generations(monkeypatch, refine_steps):
     ceil(refine_steps / 16) stacked calls of 16, the last one holding
     what is left."""
     inst, params = _start(3, 2, 13)
-    cfg = SearchConfig(base_seed=9, refine_steps=refine_steps, refine_scale=0.02,
-                       **OPEN_T).validate()
+    monkeypatch.setattr(hunt_module, "_REFINE_SCALE", 0.02)
+    cfg = SearchConfig(base_seed=9, refine_steps=refine_steps, **OPEN_T).validate()
     search = _started(cfg, inst, params)
     real, sizes = hunt_module._stack_margins, []
 

@@ -58,3 +58,51 @@ def test_no_unused_import():
     found = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+ROOT = PACKAGE.parents[1]
+# Where a definition of the package may be named to count as reached.
+READERS = ["src/**/*.py", "perfbench/**/*.py", "tools/**/*.py", "tests/test_acceptance.py"]
+
+
+def _definitions(tree) -> list:
+    """The names of a module's module-level functions and classes and of
+    the methods of its module-level classes, dunders excepted."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found.extend(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [name for name in found if not name.split(".")[-1].startswith("__")]
+
+
+def _named(tree) -> set:
+    """The names that a module reads (`ast.Name`), looks up as attributes
+    (`ast.Attribute`) or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+def test_every_definition_is_reached():
+    """Every function, class and method of the package is named somewhere
+    in the package, the benchmark, the tools or the acceptance suite, or is
+    exported by `__init__.py`: a definition that only unit tests reach is
+    not part of the program."""
+    named = {name for pattern in READERS for path in sorted(ROOT.glob(pattern))
+             for name in _named(ast.parse(path.read_text(encoding="utf-8")))}
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unreached = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+                 if name not in exported and name.split(".")[-1] not in named]
+    assert unreached == []

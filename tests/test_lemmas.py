@@ -12,8 +12,8 @@ from gmineq.norms import NormSpec
 from gmineq.reports import dumps, lemma_block
 from gmineq.sweep import SweepConfig, run_sweep
 
-NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec.trace(),
-         NormSpec.schatten(2), NormSpec.operator()]
+NORMS = [NormSpec.ky_fan(1), NormSpec.ky_fan(2), NormSpec("trace"),
+         NormSpec.schatten(2), NormSpec("operator")]
 
 
 class TestRandomCases:
@@ -70,12 +70,12 @@ def test_lemma_holds_on_admissible_cases(lemma_id, seed):
 
 class TestEquality:
     def test_gram_swap_is_flagged_equality(self):
-        rep = eval_lemma(random_case("GramSwap", 1), NormSpec.trace())
+        rep = eval_lemma(random_case("GramSwap", 1), NormSpec("trace"))
         assert rep.equality and rep.passed
         assert abs(rep.margin) <= 1e-8 * max(1.0, rep.rhs)
 
     def test_normal_product_commuting_is_equality_in_value(self):
-        rep = eval_lemma(random_case("NormalProduct", 2), NormSpec.operator())
+        rep = eval_lemma(random_case("NormalProduct", 2), NormSpec("operator"))
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-9)
 
 
@@ -102,7 +102,7 @@ class TestHypothesisChecks:
         naming the lemma."""
         case = LemmaCase(lemma_id, random_case(lemma_id, 0).operands, params)
         with pytest.raises(errors.HypothesisViolation, match=f"^{lemma_id} needs "):
-            eval_lemma(case, NormSpec.trace())
+            eval_lemma(case, NormSpec("trace"))
 
     @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
     def test_missing_operand(self, lemma_id):
@@ -112,13 +112,13 @@ class TestHypothesisChecks:
         *kept, dropped = case.operands
         case = LemmaCase(lemma_id, {k: case.operands[k] for k in kept}, case.params)
         with pytest.raises(errors.ConfigError, match=f"^{lemma_id} needs operand '{dropped}'"):
-            eval_lemma(case, NormSpec.trace())
+            eval_lemma(case, NormSpec("trace"))
 
     def test_normal_product_premise(self):
         A = random_spd(3, 0)
         B = random_spd(3, 1)  # generic pair: AB is not normal
         with pytest.raises(errors.HypothesisViolation):
-            eval_lemma(LemmaCase("NormalProduct", {"A": A, "B": B}, {}), NormSpec.trace())
+            eval_lemma(LemmaCase("NormalProduct", {"A": A, "B": B}, {}), NormSpec("trace"))
 
     def test_power_monotone_premise(self):
         case = LemmaCase(
@@ -127,7 +127,7 @@ class TestHypothesisChecks:
             {"r": 2.0},
         )
         with pytest.raises(errors.HypothesisViolation):
-            eval_lemma(case, NormSpec.trace())
+            eval_lemma(case, NormSpec("trace"))
 
     def test_aub_power_requires_unitary(self):
         case = LemmaCase(
@@ -136,7 +136,7 @@ class TestHypothesisChecks:
             {"q": 2.0},
         )
         with pytest.raises(errors.NotUnitary):
-            eval_lemma(case, NormSpec.trace())
+            eval_lemma(case, NormSpec("trace"))
 
     def test_block_normal_rejects_bad_blocks(self):
         # not Hermitian overall and blocks not normal
@@ -144,7 +144,7 @@ class TestHypothesisChecks:
         G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         case = LemmaCase("BlockNormal", {"Z": G}, {"n": 2})
         with pytest.raises(errors.HypothesisViolation):
-            eval_lemma(case, NormSpec.trace())
+            eval_lemma(case, NormSpec("trace"))
 
 
 class TestClosedForms:
@@ -152,19 +152,19 @@ class TestClosedForms:
         # r = 1: both sides are the same matrix
         case = LemmaCase("ConvexSubadd", {"A_list": [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]},
                          {"r": 1.0})
-        rep = eval_lemma(case, NormSpec.trace())
+        rep = eval_lemma(case, NormSpec("trace"))
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_araki_commuting_equality(self):
         D1, D2 = np.diag([1.0, 2.0]), np.diag([3.0, 4.0])
         rep = eval_lemma(LemmaCase("Araki", {"A": D1, "B": D2}, {"p": 0.5, "q": 2.0}),
-                         NormSpec.trace())
+                         NormSpec("trace"))
         assert rep.margin == pytest.approx(0.0, abs=1e-10 * rep.rhs)
 
     def test_aub_power_identity_unitary_diag(self):
         A, B = np.diag([2.0, 1.0]), np.diag([1.0, 3.0])
         rep = eval_lemma(LemmaCase("AUBPower", {"A": A, "B": B, "U": np.eye(2)}, {"q": 2.0}),
-                         NormSpec.operator())
+                         NormSpec("operator"))
         # diagonal case: |AUB|^q = |A^q U B^q| exactly
         assert rep.margin == pytest.approx(0.0, abs=1e-10 * max(1.0, rep.rhs))
 
@@ -173,7 +173,7 @@ class TestClosedForms:
         Z = np.zeros((4, 4), dtype=np.complex128)
         Z[:2, 2:] = U1
         Z[2:, :2] = U2  # normal blocks, non-Hermitian Z
-        rep = eval_lemma(LemmaCase("BlockNormal", {"Z": Z}, {"n": 2}), NormSpec.operator())
+        rep = eval_lemma(LemmaCase("BlockNormal", {"Z": Z}, {"n": 2}), NormSpec("operator"))
         assert rep.passed
 
 

@@ -425,7 +425,7 @@ from gmineq.chains import ChainParams
 from gmineq.highprec import t_chain_margin
 from gmineq.norms import NormSpec
 inst = gmineq.generate_instance("generic", 2, 2, 77)
-margin = t_chain_margin(inst.A, inst.B, ChainParams(s=1.5), NormSpec.trace())
+margin = t_chain_margin(inst.A, inst.B, ChainParams(s=1.5), NormSpec("trace"))
 assert "mpmath" in sys.modules and margin == margin
 print(margin)
 """

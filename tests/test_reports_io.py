@@ -449,8 +449,6 @@ class TestColumnarReports:
         assert not has_proven_failure(build_report_set([ok, block([True, False], 3, gated=True)]))
         assert not has_proven_failure(
             build_report_set([block([False, False], 4, status="conjectured")]))
-        assert has_proven_failure(ReportSet(records=failing.records))
-        assert not has_proven_failure(ReportSet(records=ok.records))
 
 
 class TestReader:
