@@ -471,14 +471,18 @@ class SearchResult:
 
     @classmethod
     def from_record(cls, rec: dict) -> "SearchResult":
-        """Inverse of `to_record`; a missing field, or a min_margin that is
-        not a number, raises MalformedRecord."""
+        """Inverse of `to_record`; a missing field, or a min_margin or a
+        recheck_margin other than null that is not a number, raises
+        MalformedRecord."""
         values = dict(zip(RESULT_FIELDS, _fields(rec, "search result", RESULT_FIELDS)))
-        try:
-            values["min_margin"] = float(values["min_margin"])  # "inf" when every sample was gated
-        except (TypeError, ValueError):  # only float() raises these
-            raise errors.MalformedRecord(
-                f"search result min_margin is not a number: {values['min_margin']!r}") from None
+        for name in ("min_margin", "recheck_margin"):
+            if name == "recheck_margin" and values[name] is None:  # no recheck was made
+                continue
+            try:  # min_margin is "inf" when every sample was gated
+                values[name] = float(values[name])
+            except (TypeError, ValueError):  # only float() raises these
+                raise errors.MalformedRecord(
+                    f"search result {name} is not a number: {values[name]!r}") from None
         return cls(**values)
 
 

@@ -722,6 +722,8 @@ class TestCli:
         "ragged": "DimensionMismatch: ",
         "min_margin": "MalformedRecord: search result lacks field 'min_margin'",
         "min_margin_not_number": "MalformedRecord: search result min_margin is not a number: 'x'",
+        "recheck_margin_not_number":
+            "MalformedRecord: search result recheck_margin is not a number: 'x'",
         "m": "MalformedRecord: arg-min lacks field 'm'",
         "params": "MalformedRecord: arg-min lacks field 'params'",
         "norm": "MalformedRecord: arg-min lacks field 'norm'",
@@ -755,8 +757,8 @@ class TestCli:
             arg["B"][1][2].pop()  # one row of one matrix loses an entry
         elif malform == "param_not_number":
             arg["params"]["s"] = "x"
-        elif malform == "min_margin_not_number":
-            rec["min_margin"] = "x"
+        elif malform.endswith("_not_number"):
+            rec[malform[:-len("_not_number")]] = "x"
         elif malform == "norm_not_record":
             arg["norm"] = {"variant": "kyfan"}  # no k
         else:
