@@ -456,7 +456,7 @@ class TestHunt:
 
     @pytest.mark.parametrize("bad", [
         {"samples": 10.0}, {"samples": "10"}, {"refine_steps": 1.5}, {"n_max": True},
-        {"m_max": None}, {"s_range": 1.5}, {"s_range": (1.0,)},
+        {"m_max": None}, {"refine_steps": -1}, {"s_range": 1.5}, {"s_range": (1.0,)},
         {"t_range": (0.5, "0.5")}, {"r_values": []}, {"r_values": [-1.0]}, {"p_values": [0.0]},
         {"p_values": 1.0}, {"r_values": [float("nan")]}, {"p_values": ["1"]},
         {"condition_cap": "1e8"}, {"tol_rel": "x"}, {"base_seed": 1.5}, {"norms": [3]},
